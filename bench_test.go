@@ -653,7 +653,10 @@ func BenchmarkTageBudget(b *testing.B) {
 			// Rebuild with a custom TAGE budget.
 			tcfg := bpred.DefaultTageConfig()
 			tcfg.TableBits = bits
-			custom := bpred.NewTage(tcfg)
+			custom, err := bpred.NewTage(tcfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			replacePredictor(p, custom)
 			res, err := p.Exec(exe, io.Discard)
 			if err != nil {
@@ -1006,12 +1009,18 @@ func BenchmarkSimMIPS(b *testing.B) {
 	b.Run("functional-traced", func(b *testing.B) { runLoop(b, tracedExe, sim.RunFunctional) })
 	b.Run("reference", func(b *testing.B) { runLoop(b, exe, sim.RunReference) })
 	b.Run("cycle-exact", func(b *testing.B) {
+		// Each run gets a cold platform, built with the clock stopped:
+		// predictor and cache allocation is rtlsim.New's cost, not the
+		// retire loop's.
+		b.ReportAllocs()
 		var instrs uint64
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			p, err := rtlsim.New(rtlsim.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.StartTimer()
 			res, err := p.Exec(exe, io.Discard)
 			if err != nil {
 				b.Fatal(err)

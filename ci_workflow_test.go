@@ -217,4 +217,44 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	if !sawUpload {
 		t.Error("jobs.farm never uploads the farm artifacts")
 	}
+
+	// The fuzz job runs each differential fuzz target of the cycle-exact
+	// tier's kernels for 30 s, and the targets it names exist.
+	fuzzJob, ok := jobs["fuzz"].(map[string]any)
+	if !ok {
+		t.Fatalf("jobs.fuzz = %T, want mapping", jobs["fuzz"])
+	}
+	fuzzSteps, _ := fuzzJob["steps"].([]any)
+	for target, pkg := range map[string]string{
+		"FuzzCacheVsReference": "./internal/sim/cache",
+		"FuzzTageVsReference":  "./internal/sim/bpred",
+	} {
+		found := false
+		for _, s := range fuzzSteps {
+			step, _ := s.(map[string]any)
+			run, _ := step["run"].(string)
+			if strings.HasPrefix(run, "go test ") && strings.Contains(run, "-fuzz '^"+target+"$'") &&
+				strings.Contains(run, "-fuzztime 30s") && strings.HasSuffix(run, " "+pkg) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("jobs.fuzz never runs %s in %s for 30s", target, pkg)
+		}
+		tests, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined := false
+		for _, f := range tests {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defined = defined || strings.Contains(string(src), "func "+target+"(f *testing.F)")
+		}
+		if !defined {
+			t.Errorf("nightly fuzzes %s, which %s does not define", target, pkg)
+		}
+	}
 }

@@ -34,7 +34,11 @@ func New(name string) (Predictor, error) {
 	case "gshare":
 		return NewGshare(12), nil
 	case "tage":
-		return NewTage(DefaultTageConfig()), nil
+		t, err := NewTage(DefaultTageConfig())
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
 	case "static", "always-taken":
 		return StaticTaken{}, nil
 	default:

@@ -94,7 +94,7 @@ func TestTageLearnsLongPatterns(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		trace = append(trace, branch{pc: 0x1000, taken: pattern[i%len(pattern)]})
 	}
-	tage := accuracy(NewTage(DefaultTageConfig()), trace)
+	tage := accuracy(mustTage(t, DefaultTageConfig()), trace)
 	if tage < 0.95 {
 		t.Errorf("tage accuracy on period-24 pattern = %.3f", tage)
 	}
@@ -116,7 +116,7 @@ func TestTageBeatsGshareOnLongPeriodPattern(t *testing.T) {
 		trace = append(trace, branch{pc: 0x1000, taken: pattern[i%64]})
 	}
 	gsh := accuracy(NewGshare(12), trace)
-	tage := accuracy(NewTage(DefaultTageConfig()), trace)
+	tage := accuracy(mustTage(t, DefaultTageConfig()), trace)
 	bim := accuracy(NewBimodal(12), trace)
 	if tage <= gsh {
 		t.Errorf("tage (%.4f) should beat gshare (%.4f) on long-period pattern", tage, gsh)
@@ -151,7 +151,7 @@ func TestResetRestoresState(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		trace = append(trace, branch{pc: 0x1000, taken: i%2 == 0})
 	}
-	p := NewTage(DefaultTageConfig())
+	p := mustTage(t, DefaultTageConfig())
 	a1 := accuracy(p, trace)
 	p.Reset()
 	a2 := accuracy(p, trace)
@@ -173,89 +173,64 @@ func TestStaticTaken(t *testing.T) {
 	}
 }
 
+// TestFoldedRegisterConsistency: after every push each folded-history
+// register equals an independent fold of the same window — outcome i
+// branches ago contributes at bit i mod width.
 func TestFoldedRegisterConsistency(t *testing.T) {
-	// The folded register must equal a from-scratch fold of the same window.
-	hl, width := uint(13), uint(5)
-	f := folded{origLen: hl, width: width}
-	var hist []uint64
+	fold := func(hist []uint64, histLen, width uint) uint64 {
+		var f uint64
+		for age := 0; age < int(histLen) && age < len(hist); age++ {
+			f ^= hist[len(hist)-1-age] << (uint(age) % width)
+		}
+		return f
+	}
+	cases := []struct {
+		tableBits, tagBits uint
+		histLens           []uint
+	}{
+		{5, 6, []uint{13, 40}},   // ordinary; tag2 fold: 40 % 5 == 0
+		{5, 11, []uint{10, 22}},  // histLen % width == 0 for index and both tags
+		{15, 16, []uint{15, 16}}, // histLen == width
+		{7, 9, []uint{3, 5}},     // histLen < width
+		{1, 2, []uint{1, 2, 3}},  // smallest folds
+		{10, 10, DefaultTageConfig().HistLengths},
+		{24, 32, []uint{5, 300}}, // widest registers
+	}
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		nb := uint64(rng.Intn(2))
-		var ob uint64
-		if len(hist) >= int(hl) {
-			ob = hist[len(hist)-int(hl)]
-		}
-		f.update(nb, ob)
-		hist = append(hist, nb)
-
-		// From-scratch fold of the last hl bits (most recent first).
-		var want uint64
-		var acc uint64
-		bits := uint(0)
-		n := int(hl)
-		if n > len(hist) {
-			n = len(hist)
-		}
-		for j := 0; j < n; j++ {
-			acc <<= 1
-			acc |= hist[len(hist)-1-j]
-			bits++
-			if bits == width {
-				want ^= acc
-				acc, bits = 0, 0
+	for _, tc := range cases {
+		p := mustTage(t, TageConfig{BaseBits: 2, TableBits: tc.tableBits, TagBits: tc.tagBits, HistLengths: tc.histLens})
+		var hist []uint64 // oldest first
+		for i := 0; i < 700; i++ {
+			taken := rng.Intn(2) == 1
+			p.pushHistory(taken)
+			hist = append(hist, b2u(taken))
+			for ti, hl := range tc.histLens {
+				tb := &p.tables[ti]
+				want := [3]uint64{fold(hist, hl, tc.tableBits), fold(hist, hl, tc.tagBits), fold(hist, hl, tc.tagBits-1)}
+				if got := [3]uint64{tb.fIdx.value, tb.fTag1.value, tb.fTag2.value}; got != want {
+					t.Fatalf("bits %d/%d, table %d (histLen %d), push %d: registers %#x, folds of window %#x",
+						tc.tableBits, tc.tagBits, ti, hl, i, got, want)
+				}
 			}
 		}
-		want ^= acc
-		want &= 1<<width - 1
-		_ = want
-		// The incremental construction uses a different but equivalent
-		// folding order; we only require determinism and full use of the
-		// window, checked by sensitivity below.
-	}
-	// Sensitivity: flipping a bit inside the window changes the fold.
-	f1 := folded{origLen: hl, width: width}
-	f2 := folded{origLen: hl, width: width}
-	seq := make([]uint64, 40)
-	for i := range seq {
-		seq[i] = uint64(rng.Intn(2))
-	}
-	feed := func(f *folded, seq []uint64) {
-		var h []uint64
-		for _, b := range seq {
-			var ob uint64
-			if len(h) >= int(hl) {
-				ob = h[len(h)-int(hl)]
-			}
-			f.update(b, ob)
-			h = append(h, b)
-		}
-	}
-	feed(&f1, seq)
-	seq2 := append([]uint64(nil), seq...)
-	seq2[35] ^= 1 // inside the 13-bit window at the end
-	feed(&f2, seq2)
-	if f1.value == f2.value {
-		t.Error("folded register insensitive to in-window bit flip")
 	}
 }
 
 func TestQuickTageNoPanic(t *testing.T) {
 	// Fuzz: random pc/outcome sequences must never panic and stay in range.
 	rng := rand.New(rand.NewSource(17))
-	p := NewTage(TageConfig{BaseBits: 6, TableBits: 5, TagBits: 7, HistLengths: []uint{3, 9, 27}})
+	p := mustTage(t, TageConfig{BaseBits: 6, TableBits: 5, TagBits: 7, HistLengths: []uint{3, 9, 27}})
 	for i := 0; i < 100000; i++ {
 		pc := uint64(rng.Intn(1 << 16))
 		p.Predict(pc)
 		p.Update(pc, rng.Intn(2) == 0)
 	}
-	for _, tb := range p.tables {
-		for _, e := range tb.entries {
-			if e.ctr < -4 || e.ctr > 3 {
-				t.Fatalf("ctr out of range: %d", e.ctr)
-			}
-			if e.useful > 3 {
-				t.Fatalf("useful out of range: %d", e.useful)
-			}
+	for _, e := range p.entries {
+		if e.ctr < -4 || e.ctr > 3 {
+			t.Fatalf("ctr out of range: %d", e.ctr)
+		}
+		if e.useful > 3 {
+			t.Fatalf("useful out of range: %d", e.useful)
 		}
 	}
 }
@@ -270,10 +245,17 @@ func BenchmarkGshare(b *testing.B) {
 }
 
 func BenchmarkTage(b *testing.B) {
-	p := NewTage(DefaultTageConfig())
+	p := mustTage(b, DefaultTageConfig())
 	for i := 0; i < b.N; i++ {
 		pc := uint64(i%64) * 4
 		p.Predict(pc)
 		p.Update(pc, i%3 == 0)
+	}
+}
+
+func BenchmarkTageFused(b *testing.B) {
+	p := mustTage(b, DefaultTageConfig())
+	for i := 0; i < b.N; i++ {
+		p.PredictUpdate(uint64(i%64)*4, i%3 == 0)
 	}
 }

@@ -119,29 +119,35 @@ type tageState struct {
 	AllocFailures int
 }
 
-// Save implements Predictor.
+// Save implements Predictor. Usefulness is written as of the current
+// ageing epoch, so the bytes do not depend on which entries have caught up;
+// stamps, the epoch count and the lookup bookkeeping are not written.
 func (t *Tage) Save() ([]byte, error) {
 	st := tageState{
 		Hist:          append([]uint8(nil), t.hist...),
 		Head:          t.head,
 		AllocFailures: t.allocFailures,
+		Tables:        make([]tageTableState, len(t.tables)),
 	}
 	baseBytes, err := t.base.Save()
 	if err != nil {
 		return nil, err
 	}
 	st.Base = baseBytes
-	for _, tb := range t.tables {
+	for ti := range t.tables {
+		tb := &t.tables[ti]
+		entries := t.entries[tb.first:][:1<<t.tableBits]
 		ts := tageTableState{
-			Entries: make([]tageEntryState, len(tb.entries)),
+			Entries: make([]tageEntryState, len(entries)),
 			FIdx:    tb.fIdx.value,
 			FTag1:   tb.fTag1.value,
 			FTag2:   tb.fTag2.value,
 		}
-		for i, e := range tb.entries {
-			ts.Entries[i] = tageEntryState{Ctr: e.ctr, Tag: e.tag, Useful: e.useful}
+		for i := range entries {
+			e := &entries[i]
+			ts.Entries[i] = tageEntryState{Ctr: e.ctr, Tag: e.tag, Useful: e.usefulAt(t.epoch)}
 		}
-		st.Tables = append(st.Tables, ts)
+		st.Tables[ti] = ts
 	}
 	return gobEncode(&st)
 }
@@ -158,17 +164,23 @@ func (t *Tage) Restore(data []byte) error {
 	if len(st.Hist) != len(t.hist) {
 		return fmt.Errorf("bpred: tage restore: history length %d, want %d", len(st.Hist), len(t.hist))
 	}
+	if st.Head < 0 || st.Head >= len(t.hist) {
+		return fmt.Errorf("bpred: tage restore: history head %d outside ring of %d", st.Head, len(t.hist))
+	}
+	perTable := 1 << t.tableBits
+	for ti, ts := range st.Tables {
+		if len(ts.Entries) != perTable {
+			return fmt.Errorf("bpred: tage restore: table %d has %d entries, want %d",
+				ti, len(ts.Entries), perTable)
+		}
+	}
 	if err := t.base.Restore(st.Base); err != nil {
 		return err
 	}
 	for ti, ts := range st.Tables {
-		tb := t.tables[ti]
-		if len(ts.Entries) != len(tb.entries) {
-			return fmt.Errorf("bpred: tage restore: table %d has %d entries, want %d",
-				ti, len(ts.Entries), len(tb.entries))
-		}
+		tb := &t.tables[ti]
 		for i, e := range ts.Entries {
-			tb.entries[i] = tageEntry{ctr: e.Ctr, tag: e.Tag, useful: e.Useful}
+			t.entries[ti*perTable+i] = tageEntry{ctr: e.Ctr, tag: e.Tag, useful: e.Useful}
 		}
 		tb.fIdx.value = ts.FIdx
 		tb.fTag1.value = ts.FTag1
@@ -177,6 +189,7 @@ func (t *Tage) Restore(data []byte) error {
 	copy(t.hist, st.Hist)
 	t.head = st.Head
 	t.allocFailures = st.AllocFailures
+	t.epoch = 0
 	t.lastValid = false
 	return nil
 }

@@ -76,8 +76,8 @@ func TestRestoreShapeMismatch(t *testing.T) {
 	if err := big.Restore(st); err == nil {
 		t.Error("restore across table sizes did not fail")
 	}
-	tSmall := NewTage(TageConfig{BaseBits: 4, TableBits: 4, TagBits: 8, HistLengths: []uint{3, 9}})
-	tBig := NewTage(DefaultTageConfig())
+	tSmall := mustTage(t, TageConfig{BaseBits: 4, TableBits: 4, TagBits: 8, HistLengths: []uint{3, 9}})
+	tBig := mustTage(t, DefaultTageConfig())
 	ts, err := tSmall.Save()
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,15 @@ package bpred
 // which the paper's SPEC2017 case study evaluates (§IV-B, Fig. 6).
 //
 // History folding uses the standard circular-shifted-register construction
-// so every operation is O(1) in the history length.
+// so every operation is O(1) in the history length, and a branch costs no
+// integer division and no table sweep: fold positions and masks are fixed
+// at construction, the history ring wraps by compare, and usefulness
+// ageing is applied lazily per entry (DESIGN.md, "Cycle-exact hot loop").
+
+import (
+	"fmt"
+	"math"
+)
 
 // TageConfig sizes the predictor.
 type TageConfig struct {
@@ -34,64 +42,123 @@ func DefaultTageConfig() TageConfig {
 	}
 }
 
+// tageEntry is one tagged-table entry. useful is only current as of ageing
+// epoch stamp; read it through usefulAt.
 type tageEntry struct {
-	ctr    int8 // 3-bit signed counter, -4..3; >=0 predicts taken
 	tag    uint32
+	stamp  uint16
+	ctr    int8  // 3-bit signed counter, -4..3; >=0 predicts taken
 	useful uint8 // 2-bit usefulness
 }
 
-// folded is an incrementally maintained folded-history register.
-type folded struct {
-	value   uint64
-	origLen uint // history length being folded
-	width   uint // folded width in bits
+// usefulAt returns the entry's usefulness at the given ageing epoch: each
+// epoch since the stamp is one saturating decrement.
+func (e *tageEntry) usefulAt(epoch uint16) uint8 {
+	d := epoch - e.stamp
+	if d >= uint16(e.useful) {
+		return 0
+	}
+	return e.useful - uint8(d)
 }
 
-func (f *folded) update(newBit, oldBit uint64) {
-	f.value = (f.value << 1) | newBit
-	f.value ^= oldBit << (f.origLen % f.width)
-	f.value ^= f.value >> f.width
-	f.value &= 1<<f.width - 1
+// folded is an incrementally maintained folded-history register: the
+// histLen most recent outcomes XOR-folded down to width bits, the outcome
+// i branches ago at bit i mod width. Everything push needs is fixed at
+// construction and sits beside the value.
+type folded struct {
+	value uint64
+	mask  uint64 // 1<<width - 1
+	out   uint64 // 1 << histLen%width: where the outcome leaving the window sits
+	top   uint   // width - 1
+}
+
+func newFolded(histLen, width uint) folded {
+	return folded{mask: 1<<width - 1, out: 1 << (histLen % width), top: width - 1}
+}
+
+// push advances the register by one branch: rotate left within width,
+// then flip bit 0 for the incoming outcome and the bit under out for the
+// outgoing one. in is 0 or 1; gone is all-ones when the outgoing outcome
+// was taken, else 0.
+func (f *folded) push(in, gone uint64) {
+	v := f.value
+	f.value = (v<<1|v>>(f.top&63))&f.mask ^ in ^ f.out&gone
 }
 
 type tageTable struct {
-	entries []tageEntry
-	histLen uint
-	idxBits uint
-	tagBits uint
 	fIdx    folded
 	fTag1   folded
 	fTag2   folded
+	histLen int
+	first   uint32 // index of the table's first entry in Tage.entries
+	// slot (an index into Tage.entries) and tag of the latest lookup.
+	slot uint32
+	tag  uint32
 }
 
 // Tage is the predictor state.
 type Tage struct {
-	cfg    TageConfig
-	base   *Bimodal
-	tables []*tageTable
+	base      *Bimodal
+	tableBits uint
+	// entries holds every tagged table back to back, shortest history
+	// first: table ti owns entries[ti<<TableBits : (ti+1)<<TableBits].
+	tables  []tageTable
+	entries []tageEntry
 
 	// Global history as a circular bit buffer (most recent at head-1).
-	hist    []uint8
-	head    int
-	histLen int
+	hist []uint8
+	head int
 
 	allocFailures int
+	// epoch counts usefulness-ageing rounds; entries catch up lazily.
+	epoch uint16
 
-	// prediction bookkeeping between Predict and Update
-	lastPC       uint64
-	lastValid    bool
-	lastProvider int // providing table index, -1 = base
-	lastAltPred  bool
-	lastPred     bool
-	lastIndices  []uint64
-	lastTags     []uint32
+	// What lookup returned for lastPC, kept from Predict to Update.
+	lastPC    uint64
+	lastValid bool
+	provider  int
+	pred      bool
+	altPred   bool
 }
 
-// NewTage constructs a TAGE predictor.
-func NewTage(cfg TageConfig) *Tage {
-	t := &Tage{cfg: cfg}
-	t.Reset()
-	return t
+// NewTage validates the configuration and constructs a TAGE predictor.
+func NewTage(cfg TageConfig) (*Tage, error) {
+	if cfg.BaseBits < 1 || cfg.BaseBits > 30 {
+		return nil, fmt.Errorf("bpred: tage base bits %d outside 1..30", cfg.BaseBits)
+	}
+	if cfg.TableBits < 1 || cfg.TableBits > 24 {
+		return nil, fmt.Errorf("bpred: tage table bits %d outside 1..24", cfg.TableBits)
+	}
+	if cfg.TagBits < 2 || cfg.TagBits > 32 {
+		return nil, fmt.Errorf("bpred: tage tag bits %d outside 2..32", cfg.TagBits)
+	}
+	if len(cfg.HistLengths) == 0 || len(cfg.HistLengths) > 64 {
+		return nil, fmt.Errorf("bpred: tage needs 1..64 history lengths, got %d", len(cfg.HistLengths))
+	}
+	prev := uint(0)
+	for _, hl := range cfg.HistLengths {
+		if hl <= prev || hl > 1<<20 {
+			return nil, fmt.Errorf("bpred: tage history lengths %v not ascending within 1..%d", cfg.HistLengths, 1<<20)
+		}
+		prev = hl
+	}
+	t := &Tage{
+		base:      NewBimodal(cfg.BaseBits),
+		tableBits: cfg.TableBits,
+		tables:    make([]tageTable, len(cfg.HistLengths)),
+		entries:   make([]tageEntry, len(cfg.HistLengths)<<cfg.TableBits),
+		hist:      make([]uint8, prev+1),
+	}
+	for i, hl := range cfg.HistLengths {
+		t.tables[i] = tageTable{
+			fIdx:    newFolded(hl, cfg.TableBits),
+			fTag1:   newFolded(hl, cfg.TagBits),
+			fTag2:   newFolded(hl, cfg.TagBits-1),
+			histLen: int(hl),
+			first:   uint32(i << cfg.TableBits),
+		}
+	}
+	return t, nil
 }
 
 // Name implements Predictor.
@@ -99,34 +166,15 @@ func (t *Tage) Name() string { return "tage" }
 
 // Reset implements Predictor.
 func (t *Tage) Reset() {
-	t.base = NewBimodal(t.cfg.BaseBits)
-	t.tables = nil
-	for _, hl := range t.cfg.HistLengths {
-		tb := &tageTable{
-			entries: make([]tageEntry, 1<<t.cfg.TableBits),
-			histLen: hl,
-			idxBits: t.cfg.TableBits,
-			tagBits: t.cfg.TagBits,
-		}
-		tb.fIdx = folded{origLen: hl, width: tb.idxBits}
-		tb.fTag1 = folded{origLen: hl, width: tb.tagBits}
-		tb.fTag2 = folded{origLen: hl, width: tb.tagBits - 1}
-		t.tables = append(t.tables, tb)
+	t.base.Reset()
+	clear(t.entries)
+	clear(t.hist)
+	for i := range t.tables {
+		tb := &t.tables[i]
+		tb.fIdx.value, tb.fTag1.value, tb.fTag2.value = 0, 0, 0
 	}
-	maxLen := int(t.cfg.HistLengths[len(t.cfg.HistLengths)-1])
-	t.hist = make([]uint8, maxLen+1)
-	t.head = 0
-	t.histLen = maxLen + 1
-	t.allocFailures = 0
-	t.lastIndices = make([]uint64, len(t.tables))
-	t.lastTags = make([]uint32, len(t.tables))
+	t.head, t.allocFailures, t.epoch = 0, 0, 0
 	t.lastValid = false
-}
-
-// histBit returns the history bit `age` branches ago (age >= 1).
-func (t *Tage) histBit(age uint) uint64 {
-	i := (t.head - int(age) + t.histLen*2) % t.histLen
-	return uint64(t.hist[i])
 }
 
 func (t *Tage) pushHistory(taken bool) {
@@ -134,70 +182,73 @@ func (t *Tage) pushHistory(taken bool) {
 	if taken {
 		b = 1
 	}
-	newBit := uint64(b)
-	for _, tb := range t.tables {
-		oldBit := t.histBit(tb.histLen) // bit falling out of this table's window
-		tb.fIdx.update(newBit, oldBit)
-		tb.fTag1.update(newBit, oldBit)
-		tb.fTag2.update(newBit, oldBit)
-	}
-	t.hist[t.head] = b
-	t.head = (t.head + 1) % t.histLen
-}
-
-func (tb *tageTable) indexAndTag(pc uint64) (uint64, uint32) {
-	idx := ((pc >> 2) ^ (pc >> (2 + tb.idxBits)) ^ tb.fIdx.value) & (1<<tb.idxBits - 1)
-	tag := uint32(((pc >> 2) ^ tb.fTag1.value ^ (tb.fTag2.value << 1)) & (1<<tb.tagBits - 1))
-	return idx, tag
-}
-
-// Predict implements Predictor.
-func (t *Tage) Predict(pc uint64) bool {
-	t.lastPC = pc
-	t.lastValid = true
-	t.lastProvider = -1
-	basePred := t.base.Predict(pc)
-	t.lastAltPred = basePred
-	pred := basePred
-
-	altFound := false
-	for ti := len(t.tables) - 1; ti >= 0; ti-- {
-		idx, tag := t.tables[ti].indexAndTag(pc)
-		t.lastIndices[ti], t.lastTags[ti] = idx, tag
-		e := &t.tables[ti].entries[idx]
-		if e.tag == tag {
-			if t.lastProvider == -1 {
-				t.lastProvider = ti
-				pred = e.ctr >= 0
-			} else if !altFound {
-				t.lastAltPred = e.ctr >= 0
-				altFound = true
-			}
+	in := uint64(b)
+	// Locals, so the loop's stores cannot force reloads through t.
+	hist, head, tables := t.hist, t.head, t.tables
+	for i := range tables {
+		tb := &tables[i]
+		// The outcome leaving this table's window, histLen branches ago.
+		j := head - tb.histLen
+		if j < 0 {
+			j += len(hist)
+		}
+		gone := -uint64(hist[j])
+		tb.fTag1.push(in, gone)
+		tb.fTag2.push(in, gone)
+		if tb.fIdx.mask == tb.fTag1.mask {
+			// Same history folded to the same width: the same register.
+			tb.fIdx.value = tb.fTag1.value
+		} else {
+			tb.fIdx.push(in, gone)
 		}
 	}
-	t.lastPred = pred
-	return pred
+	hist[head] = b
+	head++
+	if head == len(hist) {
+		head = 0
+	}
+	t.head = head
 }
 
-// Update implements Predictor. It must be called once per branch after
-// Predict; calling it standalone recomputes the prediction context first.
-func (t *Tage) Update(pc uint64, taken bool) {
-	if !t.lastValid || t.lastPC != pc {
-		t.Predict(pc)
-	}
-	t.lastValid = false
-
-	correct := t.lastPred == taken
-	if t.lastProvider >= 0 {
-		tb := t.tables[t.lastProvider]
-		e := &tb.entries[t.lastIndices[t.lastProvider]]
-		if (e.ctr >= 0) == taken && t.lastAltPred != taken {
-			if e.useful < 3 {
-				e.useful++
-			}
+// lookup computes every table's slot and tag for pc and picks the
+// provider (longest matching history, -1 for the base table), its
+// prediction, and the alternate prediction (next longest match, else the
+// base table).
+func (t *Tage) lookup(pc uint64) (provider int, pred, alt bool) {
+	word := pc >> 2
+	idxHash := word ^ pc>>(2+t.tableBits)
+	tables, entries := t.tables, t.entries
+	provider = -1
+	pred = t.base.Predict(pc)
+	alt = pred
+	for ti := range tables {
+		tb := &tables[ti]
+		slot := tb.first | uint32((idxHash^tb.fIdx.value)&tb.fIdx.mask)
+		tag := uint32((word ^ tb.fTag1.value ^ tb.fTag2.value<<1) & tb.fTag1.mask)
+		tb.slot, tb.tag = slot, tag
+		if e := &entries[slot]; e.tag == tag {
+			provider, alt, pred = ti, pred, e.ctr >= 0
 		}
-		if (e.ctr >= 0) != taken && t.lastAltPred == taken && e.useful > 0 {
-			e.useful--
+	}
+	return provider, pred, alt
+}
+
+// train updates the tables with the resolved direction of the branch at
+// pc, given what lookup just returned for it, then shifts the direction
+// into the history.
+func (t *Tage) train(pc uint64, taken bool, provider int, pred, alt bool) {
+	if provider >= 0 {
+		e := &t.entries[t.tables[provider].slot]
+		// Usefulness moves only when provider and alternate disagreed.
+		if pred != alt {
+			e.useful, e.stamp = e.usefulAt(t.epoch), t.epoch
+			if pred == taken {
+				if e.useful < 3 {
+					e.useful++
+				}
+			} else if e.useful > 0 {
+				e.useful--
+			}
 		}
 		e.ctr = satUpdate3(e.ctr, taken)
 	} else {
@@ -205,12 +256,12 @@ func (t *Tage) Update(pc uint64, taken bool) {
 	}
 
 	// On a misprediction, allocate an entry in a longer-history table.
-	if !correct && t.lastProvider < len(t.tables)-1 {
+	if pred != taken && provider < len(t.tables)-1 {
 		allocated := false
-		for ti := t.lastProvider + 1; ti < len(t.tables); ti++ {
-			e := &t.tables[ti].entries[t.lastIndices[ti]]
-			if e.useful == 0 {
-				e.tag = t.lastTags[ti]
+		for ti := provider + 1; ti < len(t.tables); ti++ {
+			e := &t.entries[t.tables[ti].slot]
+			if e.usefulAt(t.epoch) == 0 {
+				e.tag = t.tables[ti].tag
 				if taken {
 					e.ctr = 0
 				} else {
@@ -222,21 +273,55 @@ func (t *Tage) Update(pc uint64, taken bool) {
 		}
 		if !allocated {
 			t.allocFailures++
-			// Periodically age usefulness so the predictor can adapt.
+			// Periodically age usefulness so the predictor can adapt: one
+			// saturating decrement of every entry, applied by usefulAt.
 			if t.allocFailures >= 32 {
 				t.allocFailures = 0
-				for _, tb := range t.tables {
-					for i := range tb.entries {
-						if tb.entries[i].useful > 0 {
-							tb.entries[i].useful--
-						}
-					}
+				if t.epoch == math.MaxUint16 {
+					t.settle()
 				}
+				t.epoch++
 			}
 		}
 	}
 
 	t.pushHistory(taken)
+}
+
+// settle applies the pending ageing to every entry and restarts the epoch
+// count, so stamps never wrap.
+func (t *Tage) settle() {
+	for i := range t.entries {
+		e := &t.entries[i]
+		e.useful, e.stamp = e.usefulAt(t.epoch), 0
+	}
+	t.epoch = 0
+}
+
+// Predict implements Predictor.
+func (t *Tage) Predict(pc uint64) bool {
+	t.provider, t.pred, t.altPred = t.lookup(pc)
+	t.lastPC, t.lastValid = pc, true
+	return t.pred
+}
+
+// Update implements Predictor. It must be called once per branch after
+// Predict; calling it standalone recomputes the prediction context first.
+func (t *Tage) Update(pc uint64, taken bool) {
+	if !t.lastValid || t.lastPC != pc {
+		t.provider, t.pred, t.altPred = t.lookup(pc)
+	}
+	t.lastValid = false
+	t.train(pc, taken, t.provider, t.pred, t.altPred)
+}
+
+// PredictUpdate is Predict followed by Update for the same branch in one
+// call: it returns the direction predicted before training on taken.
+func (t *Tage) PredictUpdate(pc uint64, taken bool) bool {
+	provider, pred, alt := t.lookup(pc)
+	t.lastValid = false
+	t.train(pc, taken, provider, pred, alt)
+	return pred
 }
 
 func satUpdate3(c int8, taken bool) int8 {

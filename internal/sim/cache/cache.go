@@ -4,7 +4,10 @@
 // memory, which keeps the functional/cycle-exact equivalence trivially true.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache.
 type Config struct {
@@ -22,16 +25,33 @@ func DefaultL1I() Config { return Config{SizeBytes: 16 << 10, LineBytes: 64, Way
 // DefaultL1D returns a typical 16KiB 4-way L1 data cache.
 func DefaultL1D() Config { return Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 4} }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// line is one way of one set; lru holds recency (higher = more recent).
+type line struct {
+	tag   uint64
+	lru   uint64
+	valid bool
+}
+
+// Cache is a set-associative cache with true-LRU replacement. The LRU
+// clock is the access count, Hits + Misses.
 type Cache struct {
-	cfg      Config
 	sets     int
+	ways     int
 	lineBits uint
-	// tags[set][way]; lru[set][way] holds recency (higher = more recent).
-	tags  [][]uint64
-	valid [][]bool
-	lru   [][]uint64
-	clock uint64
+	setBits  uint
+	// lines holds every way of every set, set-major: set*ways + way.
+	lines []line
+
+	// Same-line memo: the most recent access touched the memoSpan bytes at
+	// memoBase, which live in *memo. That line is resident by construction
+	// and nothing has touched the cache since, so a repeat access is a hit
+	// that needs no way search — and no LRU stamp either: only the last of
+	// a run of hits on one line is ever read back, so settle writes it
+	// when the run ends. Derived state: memoSpan is 0 when there is no
+	// memo; Reset and Restore clear it and Save settles before writing.
+	memoBase uint64
+	memoSpan uint64
+	memo     *line
 
 	Hits   uint64
 	Misses uint64
@@ -54,58 +74,70 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
-	c := &Cache{cfg: cfg, sets: sets}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.lineBits++
-	}
-	c.tags = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.valid[i] = make([]bool, cfg.Ways)
-		c.lru[i] = make([]uint64, cfg.Ways)
-	}
-	return c, nil
+	return &Cache{
+		sets:     sets,
+		ways:     cfg.Ways,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		lines:    make([]line, lines),
+	}, nil
 }
 
 // Access looks up addr, updating LRU state and filling on miss.
 // It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line & uint64(c.sets-1))
-	tag := line >> uint(log2(c.sets))
-	c.clock++
-	for w := 0; w < c.cfg.Ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.lru[set][w] = c.clock
+	if addr-c.memoBase >= c.memoSpan {
+		return c.lookup(addr)
+	}
+	c.Hits++
+	return true
+}
+
+// settle gives the memo line the stamp of the latest access, which was to
+// it: the one stamp the memo's hits deferred.
+func (c *Cache) settle() {
+	if c.memo != nil {
+		c.memo.lru = c.Hits + c.Misses
+	}
+}
+
+// lookup is Access past the memo: search the set, fill the LRU way on a
+// miss, and remember the slot.
+func (c *Cache) lookup(addr uint64) bool {
+	c.settle()
+	now := c.Hits + c.Misses + 1
+	ln := addr >> c.lineBits
+	base := int(ln&uint64(c.sets-1)) * c.ways
+	set := c.lines[base : base+c.ways]
+	tag := ln >> c.setBits
+	c.memoBase, c.memoSpan = ln<<c.lineBits, 1<<c.lineBits
+	for w := range set {
+		if l := &set[w]; l.valid && l.tag == tag {
+			l.lru = now
+			c.memo = l
 			c.Hits++
 			return true
 		}
 	}
-	// Miss: fill LRU way.
-	victim := 0
-	for w := 1; w < c.cfg.Ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
+	victim := &set[0]
+	for w := 1; w < len(set); w++ {
+		if set[w].lru < victim.lru {
+			victim = &set[w]
 		}
 	}
-	c.tags[set][victim] = tag
-	c.valid[set][victim] = true
-	c.lru[set][victim] = c.clock
+	*victim = line{tag: tag, lru: now, valid: true}
+	c.memo = victim
 	c.Misses++
 	return false
 }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		for w := range c.valid[i] {
-			c.valid[i][w] = false
-			c.lru[i][w] = 0
-		}
+	for i := range c.lines {
+		c.lines[i].valid, c.lines[i].lru = false, 0
 	}
-	c.clock, c.Hits, c.Misses = 0, 0, 0
+	c.memo, c.memoSpan = nil, 0
+	c.Hits, c.Misses = 0, 0
 }
 
 // HitRate returns hits/(hits+misses), or 1 when no accesses occurred.
@@ -119,12 +151,3 @@ func (c *Cache) HitRate() float64 {
 
 // Sets returns the number of sets (for tests and introspection).
 func (c *Cache) Sets() int { return c.sets }
-
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}

@@ -21,20 +21,26 @@ type state struct {
 }
 
 // Save serializes the cache's complete replacement state for a
-// deterministic simulation checkpoint.
+// deterministic simulation checkpoint. The flat line array is written in
+// the per-set layout checkpoints have always used; the same-line memo is
+// derived state and is not written, only its deferred LRU stamp is.
 func (c *Cache) Save() ([]byte, error) {
+	c.settle()
 	st := state{
-		Tags:   make([][]uint64, len(c.tags)),
-		Valid:  make([][]bool, len(c.valid)),
-		LRU:    make([][]uint64, len(c.lru)),
-		Clock:  c.clock,
+		Tags:   make([][]uint64, c.sets),
+		Valid:  make([][]bool, c.sets),
+		LRU:    make([][]uint64, c.sets),
+		Clock:  c.Hits + c.Misses,
 		Hits:   c.Hits,
 		Misses: c.Misses,
 	}
-	for i := range c.tags {
-		st.Tags[i] = append([]uint64(nil), c.tags[i]...)
-		st.Valid[i] = append([]bool(nil), c.valid[i]...)
-		st.LRU[i] = append([]uint64(nil), c.lru[i]...)
+	for i := range st.Tags {
+		st.Tags[i] = make([]uint64, c.ways)
+		st.Valid[i] = make([]bool, c.ways)
+		st.LRU[i] = make([]uint64, c.ways)
+		for w, l := range c.lines[i*c.ways : (i+1)*c.ways] {
+			st.Tags[i][w], st.Valid[i][w], st.LRU[i][w] = l.tag, l.valid, l.lru
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
@@ -54,14 +60,19 @@ func (c *Cache) Restore(data []byte) error {
 		return fmt.Errorf("cache: restore: %d sets, want %d", len(st.Tags), c.sets)
 	}
 	for i := range st.Tags {
-		if len(st.Tags[i]) != c.cfg.Ways || len(st.Valid[i]) != c.cfg.Ways || len(st.LRU[i]) != c.cfg.Ways {
-			return fmt.Errorf("cache: restore: set %d has %d ways, want %d", i, len(st.Tags[i]), c.cfg.Ways)
+		if len(st.Tags[i]) != c.ways || len(st.Valid[i]) != c.ways || len(st.LRU[i]) != c.ways {
+			return fmt.Errorf("cache: restore: set %d has %d ways, want %d", i, len(st.Tags[i]), c.ways)
 		}
-		copy(c.tags[i], st.Tags[i])
-		copy(c.valid[i], st.Valid[i])
-		copy(c.lru[i], st.LRU[i])
 	}
-	c.clock = st.Clock
+	if st.Clock != st.Hits+st.Misses {
+		return fmt.Errorf("cache: restore: clock %d is not hits %d + misses %d", st.Clock, st.Hits, st.Misses)
+	}
+	for i := range st.Tags {
+		for w := range st.Tags[i] {
+			c.lines[i*c.ways+w] = line{tag: st.Tags[i][w], lru: st.LRU[i][w], valid: st.Valid[i][w]}
+		}
+	}
+	c.memo, c.memoSpan = nil, 0
 	c.Hits = st.Hits
 	c.Misses = st.Misses
 	return nil

@@ -87,9 +87,8 @@ func TestCheckpointBoundariesEquivalent(t *testing.T) {
 		return err
 	})
 	batch, mBatch := observeCkpts(t, every, func(m *Machine) error {
-		evs := make([]Event, 512)
 		for !m.Halted {
-			if _, err := m.RunBatch(evs, nil); err != nil {
+			if _, err := m.RunBatch(512, nil); err != nil {
 				return err
 			}
 		}

@@ -12,8 +12,8 @@
 //
 // RunBatch is the cycle-exact simulator's loop: it retires instructions
 // through StepInto (which shares the predecoded fetch path and soft TLB),
-// emitting every Event and charging the timing model after each one, with
-// the per-batch bookkeeping amortized across len(evs) instructions.
+// charging the timing model with each Event as it retires, with the
+// per-batch bookkeeping amortized across the batch.
 package sim
 
 import (
@@ -28,14 +28,16 @@ import (
 // vanishes into the chunk.
 const stopPollChunk = 1 << 20
 
-// RunBatch executes up to len(evs) instructions, writing one Event per
-// retired instruction. After each instruction the timing model is charged:
-// m.Now += charge(ev). A nil charge advances Now by one per instruction
-// (functional time). It returns the number of instructions retired;
-// execution stops early when the machine halts or on error. Because events
-// are produced and charged in exactly the order the unbatched loop would,
-// cycle counts are bit-identical to per-step simulation.
-func (m *Machine) RunBatch(evs []Event, charge func(*Event) uint64) (int, error) {
+// RunBatch executes up to max instructions. After each instruction the
+// timing model is charged: m.Now += charge(ev). The Event is reused from
+// one instruction to the next, so charge must not retain it. A nil charge
+// advances Now by one per instruction (functional time). It returns the
+// number of instructions retired; execution stops early when the machine
+// halts or on error. Because events are produced and charged in exactly
+// the order the unbatched loop would, cycle counts are bit-identical to
+// per-step simulation; max only bounds how long the caller goes without
+// polling Stop.
+func (m *Machine) RunBatch(max uint64, charge func(*Event) uint64) (uint64, error) {
 	// Metrics land once per batch: the deferred flush publishes this
 	// batch's retired/cycle delta to the attached shards (nil = two
 	// compares), keeping the per-instruction loop untouched.
@@ -47,12 +49,12 @@ func (m *Machine) RunBatch(evs []Event, charge func(*Event) uint64) (int, error)
 	if err := m.maybeCheckpoint(); err != nil {
 		return 0, err
 	}
-	if d := m.ckptDist(); d < uint64(len(evs)) {
-		evs = evs[:d]
+	if d := m.ckptDist(); d < max {
+		max = d
 	}
-	n := 0
-	for n < len(evs) && !m.Halted {
-		ev := &evs[n]
+	ev := &m.batchEv
+	n := uint64(0)
+	for n < max && !m.Halted {
 		if err := m.StepInto(ev); err != nil {
 			return n, err
 		}

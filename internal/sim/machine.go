@@ -182,6 +182,10 @@ type Machine struct {
 	devLo     uint64
 	devHi     uint64
 	devN      int
+
+	// batchEv is the Event RunBatch hands to the timing model, reused
+	// for every instruction; it lives here so a batch allocates nothing.
+	batchEv Event
 }
 
 // AttachObs binds the machine's instruction/cycle metric shards. The

@@ -89,8 +89,40 @@ func DefaultConfig() Config {
 }
 
 // batchSize is how many instructions each RunBatch call may retire before
-// returning to the platform loop.
+// returning to the platform loop to poll Stop.
 const batchSize = 4096
+
+// timingClass is everything charge needs to know about an operation's
+// kind, decided once per op instead of once per retired instruction.
+type timingClass uint8
+
+const (
+	classPlain timingClass = iota
+	classBranch
+	classJALR
+	classMem
+	classMul
+	classDiv
+)
+
+// classOf maps every isa.Op to its timing class.
+var classOf = func() (tab [256]timingClass) {
+	for i := range tab {
+		switch op := isa.Op(i); {
+		case op.IsBranch():
+			tab[i] = classBranch
+		case op == isa.OpJALR:
+			tab[i] = classJALR
+		case op.IsLoad() || op.IsStore():
+			tab[i] = classMem
+		case op.IsMul():
+			tab[i] = classMul
+		case op.IsMulDiv():
+			tab[i] = classDiv
+		}
+	}
+	return tab
+}()
 
 // Stats accumulates timing statistics across a platform's executions.
 type Stats struct {
@@ -124,8 +156,12 @@ func (s Stats) MispredictRate() float64 {
 
 // Platform is one cycle-exact simulation node.
 type Platform struct {
-	cfg       Config
-	pred      bpred.Predictor
+	cfg  Config
+	pred bpred.Predictor
+	// tage is pred when that is a *bpred.Tage (resolved at the top of each
+	// Exec), so charge reaches the default predictor without an interface
+	// call per branch.
+	tage      *bpred.Tage
 	icache    *cache.Cache
 	dcache    *cache.Cache
 	cycles    uint64
@@ -197,8 +233,14 @@ func (p *Platform) AddHook(h sim.MemHook) { p.hooks = append(p.hooks, h) }
 // AddSyscall implements sim.Platform.
 func (p *Platform) AddSyscall(fb sim.SyscallFallback) { p.fallbacks = append(p.fallbacks, fb) }
 
-// Stats returns accumulated statistics.
-func (p *Platform) Stats() Stats { return p.stats }
+// Stats returns accumulated statistics. The cache models count their own
+// hits and misses, so charge does not count them a second time.
+func (p *Platform) Stats() Stats {
+	st := p.stats
+	st.ICacheHits, st.ICacheMisses = p.icache.Hits, p.icache.Misses
+	st.DCacheHits, st.DCacheMisses = p.dcache.Hits, p.dcache.Misses
+	return st
+}
 
 // Config returns the platform's timing configuration.
 func (p *Platform) Config() Config { return p.cfg }
@@ -227,7 +269,7 @@ func (p *Platform) saveExtra() (map[string][]byte, error) {
 	if st.DCache, err = p.dcache.Save(); err != nil {
 		return nil, fmt.Errorf("rtlsim: dcache: %w", err)
 	}
-	st.Stats = p.stats
+	st.Stats = p.Stats()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 		return nil, err
@@ -333,17 +375,19 @@ func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) 
 	m.AttachObs(p.cfg.Obs.Counter("sim_rtlsim_instrs_total").Shard(),
 		p.cfg.Obs.Counter("sim_rtlsim_cycles_total").Shard())
 	wallStart := time.Now()
-	// Batched stepping: the machine retires up to len(evs) instructions
+	// Batched stepping: the machine retires up to batchSize instructions
 	// per call, charging the timing model after each one. Event order and
 	// charge order are identical to per-step simulation, so cycle counts
-	// stay bit-exact; the batch only amortizes loop bookkeeping.
-	evs := make([]sim.Event, batchSize)
+	// stay bit-exact; the batch only amortizes loop bookkeeping. The
+	// method value is bound once: binding it per batch allocates.
+	p.tage, _ = p.pred.(*bpred.Tage)
+	charge := p.charge
 	for !m.Halted {
 		if m.Interrupted() {
 			p.cycles = m.Now
 			return nil, fmt.Errorf("rtlsim: %w", sim.ErrStopped)
 		}
-		if _, err := m.RunBatch(evs, p.charge); err != nil {
+		if _, err := m.RunBatch(batchSize, charge); err != nil {
 			p.cycles = m.Now
 			return nil, fmt.Errorf("rtlsim: %w", err)
 		}
@@ -368,38 +412,36 @@ func (p *Platform) charge(ev *sim.Event) uint64 {
 	cost := uint64(1)
 
 	// Instruction fetch.
-	if p.icache.Access(ev.PC) {
-		p.stats.ICacheHits++
-	} else {
-		p.stats.ICacheMisses++
+	if !p.icache.Access(ev.PC) {
 		cost += p.cfg.ICacheMissPenalty
 	}
 
-	op := ev.Instr.Op
-	switch {
-	case op.IsBranch():
+	switch classOf[ev.Instr.Op] {
+	case classBranch:
 		p.stats.Branches++
-		pred := p.pred.Predict(ev.PC)
-		p.pred.Update(ev.PC, ev.Taken)
+		var pred bool
+		if p.tage != nil {
+			pred = p.tage.PredictUpdate(ev.PC, ev.Taken)
+		} else {
+			pred = p.pred.Predict(ev.PC)
+			p.pred.Update(ev.PC, ev.Taken)
+		}
 		if pred != ev.Taken {
 			p.stats.Mispredicts++
 			cost += p.cfg.BranchMissPenalty
 		}
-	case op == isa.OpJALR:
+	case classJALR:
 		cost += p.cfg.JalrPenalty
-	case op.IsLoad() || op.IsStore():
+	case classMem:
 		if ev.MMIO {
 			p.stats.MMIOAccesses++
 			cost += p.cfg.MMIOLatency
-		} else if p.dcache.Access(ev.MemAddr) {
-			p.stats.DCacheHits++
-		} else {
-			p.stats.DCacheMisses++
+		} else if !p.dcache.Access(ev.MemAddr) {
 			cost += p.cfg.DCacheMissPenalty
 		}
-	case op.IsMul():
+	case classMul:
 		cost += p.cfg.MulLatency - 1
-	case op.IsMulDiv():
+	case classDiv:
 		cost += p.cfg.DivLatency - 1
 	}
 	if ev.Syscall {

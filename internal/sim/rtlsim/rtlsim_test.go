@@ -397,3 +397,49 @@ func TestQuickRandomProgramsEquivalent(t *testing.T) {
 		}
 	}
 }
+
+// TestExecAllocsIndependentOfLength: the retire loop allocates nothing, so
+// an Exec's allocations are its set-up (machine, decode tables, console)
+// and do not grow with the number of instructions retired.
+func TestExecAllocsIndependentOfLength(t *testing.T) {
+	prog := func(iters int) *isa.Executable {
+		return build(t, fmt.Sprintf(`
+_start:
+    li s0, %d
+    li s2, 0x100000
+loop:
+    andi t0, s0, 1023
+    slli t0, t0, 3
+    add  t1, s2, t0
+    sd   s0, 0(t1)
+    ld   t2, 0(t1)
+    andi t3, s0, 5
+    beqz t3, skip
+    mul  s1, s1, t2
+skip:
+    addi s0, s0, -1
+    bnez s0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+`, iters))
+	}
+	allocs := func(exe *isa.Executable) float64 {
+		p, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := p.Exec(exe, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(prog(100)), allocs(prog(100_000)) // ~1k and ~1M instructions
+	if short > 64 {
+		t.Errorf("a 1k-instruction Exec allocates %.0f times, want a small constant", short)
+	}
+	if long > short+2 {
+		t.Errorf("a 1M-instruction Exec allocates %.0f times, a 1k-instruction one %.0f: allocation grows with length", long, short)
+	}
+}
