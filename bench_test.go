@@ -295,7 +295,7 @@ func BenchmarkJobParallelism(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		parallel, err := RunInstalled(cfg, SimOptions{RTL: DefaultRTLConfig(), Parallel: true, OutputDir: filepath.Join(b.TempDir(), "p")})
+		parallel, err := RunInstalled(cfg, SimOptions{RTL: DefaultRTLConfig(), Jobs: runtime.GOMAXPROCS(0), OutputDir: filepath.Join(b.TempDir(), "p")})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,38 +13,24 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"firemarshal/internal/fsrun"
 	"firemarshal/internal/install"
 	"firemarshal/internal/launcher"
+	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/netsim"
 	"firemarshal/internal/sim/rtlsim"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:]))
-}
-
-// splitAddrs parses a comma-separated worker address list, dropping empty
-// entries (trailing commas, "").
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }
 
 func run(args []string) int {
@@ -54,9 +40,8 @@ func run(args []string) int {
 	predictor := fs.String("predictor", "tage", "branch predictor: bimodal, gshare, tage, static")
 	icacheKiB := fs.Int("icache-kib", 16, "L1 instruction cache size (KiB)")
 	dcacheKiB := fs.Int("dcache-kib", 16, "L1 data cache size (KiB)")
-	parallel := fs.Bool("parallel", false, "simulate independent jobs in parallel on the host (same as -j GOMAXPROCS)")
 	var jobs int
-	fs.IntVar(&jobs, "j", 0, "number of concurrent job simulations (0 = sequential, or all cores with -parallel)")
+	fs.IntVar(&jobs, "j", 0, "number of concurrent job simulations (0 = sequential)")
 	fs.IntVar(&jobs, "jobs", 0, "alias for -j")
 	timeout := fs.Duration("timeout", 0, "per-job simulation timeout (0 = none)")
 	retries := fs.Int("retries", 0, "retry transiently-failing jobs up to N times")
@@ -91,33 +76,14 @@ func run(args []string) int {
 	rtl.ICache.SizeBytes = *icacheKiB << 10
 	rtl.DCache.SizeBytes = *dcacheKiB << 10
 
-	// Two-stage Ctrl-C, as in `marshal launch`: the first interrupt drains
-	// — in-flight nodes finish, queued nodes are skipped — so the run still
-	// returns through the deferred profile flushes below; the second kills
-	// in-flight nodes too.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drain := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt)
-	defer signal.Stop(sigc)
-	go func() {
-		if _, ok := <-sigc; !ok {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "\nfiresim: interrupt — draining (in-flight nodes finish; interrupt again to kill)")
-		close(drain)
-		if _, ok := <-sigc; !ok {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "firesim: second interrupt — killing in-flight nodes")
-		cancel()
-	}()
+	// Two-stage Ctrl-C, as in `marshal launch`: a drained run still
+	// returns through the deferred profile flushes below.
+	ctx, drain, stop := launcher.TwoStageInterrupt("firesim")
+	defer stop()
 
 	opts := fsrun.Options{
 		RTL:          rtl,
 		Jobs:         jobs,
-		Parallel:     *parallel,
 		Timeout:      *timeout,
 		Retries:      *retries,
 		OutputDir:    *outputDir,
@@ -127,7 +93,7 @@ func run(args []string) int {
 		Drain:        drain,
 		CkptEvery:    *ckptEvery,
 		MetricsPath:  *metrics,
-		Workers:      splitAddrs(*workers),
+		Workers:      remote.SplitAddrs(*workers),
 		RemoteCache:  *remoteCache,
 	}
 	if *netLatency != 0 || *netBandwidth != 0 {

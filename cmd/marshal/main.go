@@ -25,7 +25,6 @@
 //	list                                list known workloads
 //	status <workload>                   show build state for a workload
 //	cache stats|gc|verify [-repair]|serve [-hub URL]  manage the artifact cache
-//	cached [-addr]                      shorthand for cache serve
 //	metrics serve [-addr]               Prometheus endpoint + cache server
 //	worker serve [-addr] [-slots N]     distributed-launch worker daemon
 //	verify-farm [-seeds RANGE] [-rounds N] [-workers ...]
@@ -156,8 +155,6 @@ func run(args []string) int {
 		return cmdGraph(m, rest)
 	case "cache":
 		return cmdCache(m, rest)
-	case "cached":
-		return cmdCacheServe(m, rest)
 	case "metrics":
 		return cmdMetrics(m, rest)
 	case "worker":
@@ -192,7 +189,6 @@ Commands (Table I):
             (verify -repair quarantines corrupt blobs and refetches
             referenced blobs from -remote-cache; serve -hub makes this
             server a write-through edge of a central cache)
-  cached    Serve this checkout's artifact cache over HTTP (= cache serve)
   metrics   serve [-addr]: Prometheus /metrics endpoint plus the cache server
   worker    serve [-addr] [-slots N]: execute distributed-launch jobs
             (launch -workers a:1,b:2 schedules across such daemons)
@@ -209,18 +205,6 @@ Serve commands accept -rate/-burst/-max-inflight per-client backpressure.
 Flags:
 `)
 	fs.PrintDefaults()
-}
-
-// splitAddrs parses a comma-separated worker address list, dropping empty
-// entries (trailing commas, "").
-func splitAddrs(s string) []string {
-	var addrs []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }
 
 func oneWorkload(fs *flag.FlagSet, args []string) (string, bool) {
@@ -281,26 +265,8 @@ func cmdLaunch(m *core.Marshal, args []string) int {
 		return 2
 	}
 
-	// Two-stage Ctrl-C: the first interrupt drains (in-flight jobs finish,
-	// queued jobs are skipped); the second kills in-flight jobs too.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drain := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt)
-	defer signal.Stop(sigc)
-	go func() {
-		if _, ok := <-sigc; !ok {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "\nmarshal: interrupt — draining (in-flight jobs finish; interrupt again to kill)")
-		close(drain)
-		if _, ok := <-sigc; !ok {
-			return
-		}
-		fmt.Fprintln(os.Stderr, "marshal: second interrupt — killing in-flight jobs")
-		cancel()
-	}()
+	ctx, drain, stop := launcher.TwoStageInterrupt("marshal")
+	defer stop()
 
 	results, err := m.Launch(wl, core.LaunchOpts{
 		Job:         *job,
@@ -316,7 +282,7 @@ func cmdLaunch(m *core.Marshal, args []string) int {
 		Resume:      *resume,
 		CkptEvery:   *ckptEvery,
 		MetricsPath: *metrics,
-		Workers:     splitAddrs(*workers),
+		Workers:     lremote.SplitAddrs(*workers),
 	})
 	for _, res := range results {
 		fmt.Printf("\n%s: exit=%d cycles=%d outputs=%s\n", res.Target, res.ExitCode, res.Cycles, res.OutputDir)
@@ -539,7 +505,7 @@ func cmdCacheServe(m *core.Marshal, args []string) int {
 
 // cmdMetrics exposes the observability surface: `metrics serve` runs an
 // HTTP server with a Prometheus /metrics endpoint alongside the remote
-// artifact-cache API (the cached-server plumbing), so one scrape target
+// artifact-cache API (the `cache serve` plumbing), so one scrape target
 // covers both the cache server's activity and its store usage.
 func cmdMetrics(m *core.Marshal, args []string) int {
 	if len(args) == 0 {
@@ -725,7 +691,7 @@ func cmdVerifyFarm(m *core.Marshal, args []string) int {
 		Jobs:       jobs,
 		Timeout:    *timeout,
 		Out:        *out,
-		Workers:    splitAddrs(*workers),
+		Workers:    lremote.SplitAddrs(*workers),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marshal verify-farm:", err)

@@ -22,6 +22,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,7 +106,7 @@ func main() {
 		rtl.Predictor = predictor
 		simRes, err := firemarshal.RunInstalled(cfg, firemarshal.SimOptions{
 			RTL:       rtl,
-			Parallel:  true,
+			Jobs:      runtime.GOMAXPROCS(0),
 			OutputDir: filepath.Join(scratch, "sim-"+predictor),
 		})
 		if err != nil {

@@ -484,7 +484,8 @@ type reqOpts struct {
 // doOnce issues one request with the per-request deadline layered onto
 // ctx. The returned cancel must be held until the response body is
 // consumed — cancelling releases the request's resources and aborts a
-// stalled body.
+// stalled body. A 429 comes back as a hostutil.Throttled error carrying
+// the server's hint.
 func (c *Client) doOnce(ctx context.Context, method, url string, body []byte, o reqOpts) (*http.Response, context.CancelFunc, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -514,75 +515,36 @@ func (c *Client) doOnce(ctx context.Context, method, url string, body []byte, o 
 		cancel()
 		return nil, nil, fmt.Errorf("remote cache: %w", err)
 	}
-	return resp, cancel, nil
-}
-
-// retryAfter parses a 429's Retry-After header (integer seconds only;
-// HTTP dates are overkill for our own servers) with a floor so a "0"
-// hint still yields.
-func retryAfter(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After")))
-	if err != nil || secs < 0 {
-		return time.Second
-	}
-	d := time.Duration(secs) * time.Second
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	return d
-}
-
-// wait sleeps out a backoff, but cancellably: a context cancelled
-// mid-Retry-After aborts the wait immediately instead of sleeping it
-// through (a cancelled build must not sit out a hub's 30 s hint first).
-// The injectable sleep hook keeps tests instant; it still honors a
-// pre-cancelled context.
-func (c *Client) wait(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.sleep != nil {
-		c.sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// do wraps doOnce with 429 handling: wait out Retry-After (plus
-// deterministic jitter keyed by URL and attempt, so a herd of clients
-// thundering against one hub de-correlates identically on every run)
-// and retry a bounded number of times. Exhausting the budget returns a
-// cas.RateLimitedError so the Cache breaker holds off instead of
-// counting the healthy-but-busy remote as failed. All protocol methods
-// are idempotent (content-addressed GET/HEAD/PUT), so retrying is safe.
-func (c *Client) do(ctx context.Context, method, url string, body []byte, o reqOpts) (*http.Response, context.CancelFunc, error) {
-	var wait time.Duration
-	for attempt := 0; ; attempt++ {
-		resp, cancel, err := c.doOnce(ctx, method, url, body, o)
-		if err != nil {
-			return nil, nil, err
-		}
-		if resp.StatusCode != http.StatusTooManyRequests {
-			return resp, cancel, nil
-		}
-		wait = retryAfter(resp)
+	if resp.StatusCode == http.StatusTooManyRequests {
+		th := &hostutil.Throttled{After: hostutil.RetryAfter(resp.Header)}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		cancel()
-		if attempt >= rateLimitRetries {
-			return nil, nil, &cas.RateLimitedError{RetryAfter: wait}
-		}
-		if err := c.wait(ctx, wait+hostutil.DetJitter(url, attempt, 25*time.Millisecond)); err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, th
 	}
+	return resp, cancel, nil
+}
+
+// do wraps doOnce in the shared retry policy (hostutil.Retry) for 429s
+// only: each throttled answer's Retry-After hint is waited out, cancellably
+// and with deterministic jitter keyed by URL, a bounded number of times.
+// Exhausting the budget returns a cas.RateLimitedError so the Cache breaker
+// holds off instead of counting the healthy-but-busy remote as failed;
+// transport failures surface at once — the breaker owns those. All protocol
+// methods are idempotent (content-addressed GET/HEAD/PUT), so retrying is
+// safe.
+func (c *Client) do(ctx context.Context, method, url string, body []byte, o reqOpts) (*http.Response, context.CancelFunc, error) {
+	var resp *http.Response
+	var cancel context.CancelFunc
+	err := hostutil.Retry{Attempts: rateLimitRetries + 1, Sleep: c.sleep}.Do(ctx, url, func() (err error) {
+		resp, cancel, err = c.doOnce(ctx, method, url, body, o)
+		return err
+	})
+	var th *hostutil.Throttled
+	if errors.As(err, &th) {
+		err = &cas.RateLimitedError{RetryAfter: th.After}
+	}
+	return resp, cancel, err
 }
 
 // GetBlob fetches blob bytes, verifying the digest before returning them.

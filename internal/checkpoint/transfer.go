@@ -5,36 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
 	"firemarshal/internal/cas"
 	"firemarshal/internal/hostutil"
 )
 
-// transferAttempts bounds per-blob retries during Push/Fetch. Checkpoint
+// transfer is the per-blob retry policy of Push/Fetch. Checkpoint
 // replication is the lease-handoff backbone, so a single dropped request
-// must not forfeit a handoff; the jitter is deterministic (hashed from
-// digest and attempt), keeping retry schedules reproducible.
-const transferAttempts = 3
-
-// withRetry runs op up to transferAttempts times, sleeping briefly with
-// deterministic jitter between failures. Context cancellation stops the
-// retries immediately.
-func withRetry(ctx context.Context, key string, op func() error) error {
-	var err error
-	for attempt := 0; attempt < transferAttempts; attempt++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return err
-		}
-		if attempt < transferAttempts-1 {
-			time.Sleep(5*time.Millisecond + hostutil.DetJitter(key, attempt, 20*time.Millisecond))
-		}
-	}
-	return err
-}
+// must not forfeit a handoff.
+var transfer = hostutil.Retry{Attempts: 3, Transport: true}
 
 // WritePointer atomically installs a pointer file under dir, making ptr the
 // job's latest checkpoint for any runtime opened against that directory.
@@ -108,7 +87,7 @@ func Push(ctx context.Context, store *cas.Store, rem cas.Remote, ptr *Pointer) e
 		return err
 	}
 	for _, digest := range append(cp.Refs(), ptr.Digest) {
-		if err := withRetry(ctx, digest, func() error { return pushBlob(ctx, store, rem, digest) }); err != nil {
+		if err := transfer.Do(ctx, digest, func() error { return pushBlob(ctx, store, rem, digest) }); err != nil {
 			return fmt.Errorf("checkpoint: job %s: pushing %s: %w", ptr.Job, digest[:12], err)
 		}
 	}
@@ -120,7 +99,7 @@ func Push(ctx context.Context, store *cas.Store, rem cas.Remote, ptr *Pointer) e
 // referenced blob not already present locally. On success the local store
 // can restore the job exactly as the pushing machine would have.
 func Fetch(ctx context.Context, store *cas.Store, rem cas.Remote, ptr *Pointer) error {
-	err := withRetry(ctx, ptr.Digest, func() error { return fetchBlob(ctx, store, rem, ptr.Digest) })
+	err := transfer.Do(ctx, ptr.Digest, func() error { return fetchBlob(ctx, store, rem, ptr.Digest) })
 	if err != nil {
 		return fmt.Errorf("checkpoint: job %s: fetching %s: %w", ptr.Job, ptr.Digest[:12], err)
 	}
@@ -132,7 +111,7 @@ func Fetch(ctx context.Context, store *cas.Store, rem cas.Remote, ptr *Pointer) 
 		if store.Has(digest) {
 			continue
 		}
-		err := withRetry(ctx, digest, func() error { return fetchBlob(ctx, store, rem, digest) })
+		err := transfer.Do(ctx, digest, func() error { return fetchBlob(ctx, store, rem, digest) })
 		if err != nil {
 			return fmt.Errorf("checkpoint: job %s: fetching %s: %w", ptr.Job, digest[:12], err)
 		}

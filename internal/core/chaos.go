@@ -394,12 +394,8 @@ type slowRunner struct {
 }
 
 func (s *slowRunner) Run(ctx context.Context, spec lremote.JobSpec, emit func(lremote.Event)) (*lremote.RunOutput, error) {
-	t := time.NewTimer(s.delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if err := hostutil.SleepCtx(ctx, s.delay); err != nil {
+		return nil, err
 	}
 	return s.inner.Run(ctx, spec, emit)
 }

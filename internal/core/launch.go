@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -12,14 +11,10 @@ import (
 	"time"
 
 	"firemarshal/internal/boards"
-	"firemarshal/internal/checkpoint"
-	"firemarshal/internal/firmware"
-	"firemarshal/internal/fsimg"
-	"firemarshal/internal/guestos"
 	"firemarshal/internal/hostutil"
 	"firemarshal/internal/launcher"
+	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/obs"
-	"firemarshal/internal/sim/funcsim"
 	"firemarshal/internal/spec"
 )
 
@@ -136,7 +131,7 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 	defer func() {
 		m.runSpan = nil
 		runSpan.End()
-		m.writeObsFiles(tracer, w.Name, opts.MetricsPath)
+		remote.WriteObsFiles(tracer, m.TracePath(w.Name), opts.MetricsPath, m.Obs, m.Log)
 	}()
 
 	ctx := opts.Context
@@ -146,10 +141,12 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 	// Remote-cache requests issued anywhere in this run — build-phase
 	// restores, checkpoint uploads — inherit the run context, so killing
 	// the run aborts its in-flight transfers too.
-	if cache, err := m.Cache(); err == nil {
-		cache.SetContext(ctx)
-		defer cache.SetContext(nil)
+	cache, err := m.Cache()
+	if err != nil {
+		return nil, err
 	}
+	cache.SetContext(ctx)
+	defer cache.SetContext(nil)
 
 	if _, err := m.BuildWorkload(w, BuildOpts{NoDisk: opts.NoDisk, Jobs: opts.Jobs}); err != nil {
 		return nil, err
@@ -170,198 +167,105 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 		targets = Targets(w)
 	}
 
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	slots := opts.Jobs
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
 	tee := opts.ConsoleTee
-	if workers > 1 && len(targets) > 1 {
+	if slots > 1 && len(targets) > 1 {
 		tee = nil
 	}
 
-	manifestPath := m.ManifestPath(w.Name)
-	journalPath := m.JournalPath(w.Name)
-
-	// Resume: reconstruct the interrupted run's per-job outcomes from its
-	// journal (or, if it already compacted, its manifest).
-	var prior map[string]launcher.PriorJob
-	if opts.Resume {
-		var torn *launcher.Torn
-		var err error
-		prior, torn, err = launcher.ReadPrior(journalPath, manifestPath)
-		if err != nil {
-			return nil, err
-		}
-		if torn != nil {
-			m.logf("resume: salvaged journal around %s", torn)
-		}
-	}
-
-	if err := os.MkdirAll(filepath.Dir(journalPath), 0o755); err != nil {
-		return nil, err
-	}
-	jnl, err := launcher.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer jnl.Close()
-
-	order := make([]string, len(targets))
-	carried := map[string]launcher.Result{}
-	results := make([]*RunResult, len(targets))
-	var jobs []launcher.Job
-	for i, tgt := range targets {
-		i, tgt := i, tgt
-		order[i] = tgt.Name
-		if p, ok := prior[tgt.Name]; ok && p.Done && p.Record.Status == launcher.StatusOK {
-			// Completed before the interruption: carry the recorded result
-			// and re-journal it, so a crash during THIS run still knows it.
-			carried[tgt.Name] = launcher.CarriedResult(p.Record)
-			if err := jnl.Done(p.Record); err != nil {
-				return nil, err
-			}
-			results[i] = m.carriedRunResult(tgt, opts, p.Record)
-			m.logf("resume: %s already ok (attempts=%d), carrying result", tgt.Name, p.Record.Attempts)
-			continue
-		}
-		priorAttempts := 0
-		if p, ok := prior[tgt.Name]; ok {
-			priorAttempts = p.Attempts
-			if p.InFlight {
-				m.logf("resume: %s was in flight; restoring from its latest checkpoint if one exists", tgt.Name)
-			}
-		}
-		jobs = append(jobs, launcher.Job{
-			Name:    tgt.Name,
-			Prior:   priorAttempts,
-			Resumed: opts.Resume && priorAttempts > 0,
-			Run: func(jctx context.Context, attempt int) (launcher.Metrics, error) {
-				if attempt > 1 {
-					m.logf("relaunching %s (attempt %d)", tgt.Name, attempt)
-				}
-				res, err := m.launchTarget(jctx, tgt, opts, tee)
-				if err != nil {
-					return launcher.Metrics{}, err
-				}
-				results[i] = res
-				return launcher.Metrics{ExitCode: res.ExitCode, Cycles: res.Cycles}, nil
-			},
-		})
-	}
-	var summary *launcher.Summary
-	if len(opts.Workers) > 0 {
-		summary, err = m.launchFleet(ctx, targets, opts, jnl, prior, carried, results)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		pool := launcher.New(launcher.Options{
-			Workers: workers,
+	run := remote.Run{
+		ManifestPath: m.ManifestPath(w.Name),
+		Resume:       opts.Resume,
+		CkptDir:      m.CkptDir(),
+		CkptEvery:    opts.CkptEvery,
+		Pool: launcher.Options{
+			Workers: slots,
 			Timeout: opts.JobTimeout,
 			Retries: opts.Retries,
 			Backoff: opts.RetryBackoff,
 			Drain:   opts.Drain,
-			Log:     m.Log,
-			Journal: jnl,
-			Obs:     m.Obs,
-			Span:    runSpan,
-		})
-		summary = pool.Run(ctx, jobs)
+		},
+		Fleet: remote.CoordOptions{
+			Workers:    opts.Workers,
+			LeaseTTL:   opts.WorkerLeaseTTL,
+			Poll:       opts.WorkerPoll,
+			Transport:  opts.WorkerTransport,
+			HedgeAfter: opts.HedgeAfter,
+		},
+		Remote: cache.Remote(),
+		Obs:    m.Obs,
+		Log:    m.Log,
+		Span:   runSpan,
 	}
-	merged := launcher.MergeResumed(order, carried, summary)
-	m.LastLaunch = merged
-	m.LastManifest = manifestPath
-	jnl.Close()
-	if err := launcher.Compact(journalPath, manifestPath, merged); err != nil {
+	if opts.CkptEvery > 0 || opts.Resume {
+		run.CkptStore = cache.Local()
+	}
+	for _, tgt := range targets {
+		run.Jobs = append(run.Jobs, m.launchJob(tgt, opts, tee))
+	}
+	results, summary, err := remote.Drive(ctx, run)
+	if summary == nil {
 		return nil, err
 	}
-
-	// Checkpoints of terminally-finished jobs are dead state; cancelled
-	// and skipped jobs keep theirs for a later -resume.
-	for _, r := range merged.Jobs {
-		switch r.Status {
-		case launcher.StatusOK, launcher.StatusFailed, launcher.StatusTimeout:
-			if err := checkpoint.Clear(m.CkptDir(), r.Name); err != nil {
-				m.logf("clearing checkpoint for %s: %v", r.Name, err)
-			}
-		}
-	}
+	m.LastLaunch = summary
+	m.LastManifest = run.ManifestPath
 
 	out := make([]*RunResult, 0, len(targets))
-	for _, r := range results {
-		if r != nil {
-			out = append(out, r)
+	for i, res := range results {
+		if res == nil {
+			continue
 		}
+		job := run.Jobs[i]
+		out = append(out, &RunResult{
+			Target:    job.Name,
+			OutputDir: job.Dir,
+			Uartlog:   filepath.Join(job.Dir, "uartlog"),
+			ExitCode:  res.ExitCode,
+			Cycles:    res.Cycles,
+			Simulator: job.Sim,
+		})
 	}
-	if err := merged.Err(); err != nil {
+	if err != nil {
 		return out, fmt.Errorf("core: %w", err)
 	}
 	return out, nil
 }
 
-// writeObsFiles persists the run's observability artifacts: the span
-// trace next to the manifest, and (when requested) a metrics snapshot.
-// Failures are logged, never fatal — observability must not fail a run
-// that otherwise succeeded.
-func (m *Marshal) writeObsFiles(tracer *obs.Tracer, name, metricsPath string) {
-	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err == nil {
-		if err := hostutil.WriteFileAtomic(m.TracePath(name), buf.Bytes(), 0o644); err != nil {
-			m.logf("writing trace: %v", err)
-		}
-	}
-	if metricsPath != "" {
-		if err := hostutil.WriteFileAtomic(metricsPath, m.Obs.EncodeSnapshot(), 0o644); err != nil {
-			m.logf("writing metrics snapshot: %v", err)
-		}
-	}
-}
-
-// carriedRunResult reconstructs a RunResult for a job carried over from an
-// interrupted run: its outputs are already on disk in its run directory.
-func (m *Marshal) carriedRunResult(tgt Target, opts LaunchOpts, rec launcher.Record) *RunResult {
-	variant := "qemu"
-	if opts.Spike || tgt.Workload.EffectiveSpike() != "" {
-		variant = "spike"
-	}
-	runDir := m.RunDir(tgt.Name)
-	return &RunResult{
-		Target:    tgt.Name,
-		OutputDir: runDir,
-		Uartlog:   filepath.Join(runDir, "uartlog"),
-		ExitCode:  rec.Exit,
-		Cycles:    rec.Cycles,
-		Simulator: variant,
-	}
-}
-
-// launchTarget runs one job: its own funcsim platform, machine, console
-// buffer, and run directory, so concurrent jobs share no mutable state.
-// The job context's Done channel is threaded into the machine as its
-// cooperative kill switch.
-func (m *Marshal) launchTarget(ctx context.Context, tgt Target, opts LaunchOpts, tee io.Writer) (*RunResult, error) {
+// launchJob declares one target for the launch driver: its built artifacts,
+// the functional simulator variant, and the host-local extras its board
+// profile and the launch options call for. Device-driver hooks run host-side
+// callbacks that exist only in this process; each attempt gets a fresh set.
+func (m *Marshal) launchJob(tgt Target, opts LaunchOpts, tee io.Writer) remote.Job {
 	w := tgt.Workload
-	boot, rootfs, err := m.loadArtifacts(tgt, opts.NoDisk)
-	if err != nil {
-		return nil, err
-	}
-
 	runDir := m.RunDir(tgt.Name)
-	if err := os.RemoveAll(runDir); err != nil {
-		return nil, err
+	args := append(w.EffectiveQemuArgs(), w.EffectiveSpikeArgs()...)
+	job := remote.Job{
+		Name:    tgt.Name,
+		Bin:     m.BinPath(tgt.Name),
+		Img:     m.ImgPath(tgt.Name),
+		Sim:     "qemu",
+		Args:    args,
+		Outputs: EffectiveOutputs(w),
+		Dir:     runDir,
+		Post:    func() error { return m.runPostRunHook(w, runDir) },
 	}
-
-	variant := "qemu"
+	if opts.NoDisk {
+		job.Bin, job.Img = m.NoDiskBinPath(tgt.Name), ""
+	}
 	if opts.Spike || w.EffectiveSpike() != "" {
-		variant = "spike"
+		job.Sim = "spike"
 	}
-	fcfg := funcsim.Config{
-		Variant:   variant,
-		ExtraArgs: append(w.EffectiveQemuArgs(), w.EffectiveSpikeArgs()...),
-		Stop:      ctx.Done(),
-		Obs:       m.Obs,
-	}
-	if opts.Trace {
+	job.Attach = func(x *remote.Exec) (release func(), err error) {
+		x.Tee = tee
+		x.Drivers, err = boards.DeviceProfile(w.EffectiveSpike(), boards.ProfileOpts{
+			RemotePages: pfaPagesFromArgs(args),
+		})
+		if err != nil || !opts.Trace {
+			return nil, err
+		}
 		if err := os.MkdirAll(runDir, 0o755); err != nil {
 			return nil, err
 		}
@@ -369,80 +273,10 @@ func (m *Marshal) launchTarget(ctx context.Context, tgt Target, opts LaunchOpts,
 		if err != nil {
 			return nil, err
 		}
-		defer traceFile.Close()
-		fcfg.Trace = traceFile
+		x.Trace = traceFile
+		return func() { traceFile.Close() }, nil
 	}
-
-	drivers, err := boards.DeviceProfile(w.EffectiveSpike(), boards.ProfileOpts{
-		RemotePages: pfaPagesFromArgs(fcfg.ExtraArgs),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Checkpointing captures pure machine state; device-driver hooks and
-	// tracing sit outside it, so those configurations run unprotected.
-	if (opts.CkptEvery > 0 || opts.Resume) && len(drivers) == 0 && !opts.Trace {
-		cache, err := m.Cache()
-		if err != nil {
-			return nil, err
-		}
-		rt, err := checkpoint.Open(checkpoint.Config{
-			Store: cache.Local(),
-			Dir:   m.CkptDir(),
-			Job:   tgt.Name,
-			Every: opts.CkptEvery,
-			Obs:   m.Obs,
-			// The launcher threads each attempt's span through the job
-			// context, so checkpoint/restore spans nest under the attempt.
-			Span: obs.SpanFromContext(ctx),
-		}, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		if rt.Resuming() {
-			m.logf("resume: %s restoring from checkpoint", tgt.Name)
-		}
-		fcfg.Ckpt = rt
-	}
-	platform := funcsim.New(fcfg)
-
-	var console bytes.Buffer
-	var sink io.Writer = &console
-	if tee != nil {
-		sink = io.MultiWriter(&console, tee)
-	}
-	m.logf("launching %s on %s", tgt.Name, variant)
-	bootRes, err := guestos.Boot(guestos.BootOpts{
-		Boot:     boot,
-		Disk:     rootfs,
-		Platform: platform,
-		Console:  sink,
-		Drivers:  drivers,
-		PkgRepo:  guestos.DefaultRepo(),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &RunResult{
-		Target:    tgt.Name,
-		OutputDir: runDir,
-		Uartlog:   filepath.Join(runDir, "uartlog"),
-		ExitCode:  bootRes.ExitCode,
-		Cycles:    bootRes.Cycles,
-		Simulator: variant,
-	}
-	if err := hostutil.WriteFileAtomic(res.Uartlog, console.Bytes(), 0o644); err != nil {
-		return nil, err
-	}
-	if err := extractOutputs(bootRes.FinalFS, EffectiveOutputs(w), runDir); err != nil {
-		return nil, err
-	}
-	if err := m.runPostRunHook(w, runDir); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return job
 }
 
 // pfaPagesFromArgs extracts the --pfa-pages=N simulator argument (the
@@ -455,78 +289,6 @@ func pfaPagesFromArgs(args []string) int {
 		}
 	}
 	return 0
-}
-
-// loadArtifacts reads the built boot binary and disk image for a target.
-func (m *Marshal) loadArtifacts(tgt Target, noDisk bool) (*firmware.BootBinary, *fsimg.FS, error) {
-	binPath := m.BinPath(tgt.Name)
-	if noDisk {
-		binPath = m.NoDiskBinPath(tgt.Name)
-	}
-	binData, err := os.ReadFile(binPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: target %s has no boot binary (bare-metal base without bin?): %w", tgt.Name, err)
-	}
-	boot, err := firmware.Decode(binData)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rootfs *fsimg.FS
-	if !noDisk && !boot.IsBare() {
-		imgData, err := os.ReadFile(m.ImgPath(tgt.Name))
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: target %s has no disk image: %w", tgt.Name, err)
-		}
-		rootfs, err = fsimg.Decode(imgData)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return boot, rootfs, nil
-}
-
-// extractOutputs copies the workload's declared output paths from the final
-// filesystem state into the run directory (§III-C: "FireMarshal copies any
-// output files and the serial port log to an output directory").
-func extractOutputs(fs *fsimg.FS, outputs []string, runDir string) error {
-	if fs == nil {
-		return nil
-	}
-	for _, out := range outputs {
-		node := fs.Lookup(out)
-		if node == nil {
-			// Missing outputs are not fatal: the workload may have decided
-			// not to produce one. The gap will surface during test.
-			continue
-		}
-		if node.IsDir() {
-			err := fs.Walk(func(p string, f *fsimg.File) error {
-				if f.IsDir() || !withinGuestDir(p, out) {
-					return nil
-				}
-				rel, err := filepath.Rel(out, p)
-				if err != nil {
-					return err
-				}
-				return hostutil.WriteFileAtomic(filepath.Join(runDir, filepath.Base(out), rel), f.Data, 0o644)
-			})
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if err := hostutil.WriteFileAtomic(filepath.Join(runDir, filepath.Base(out)), node.Data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func withinGuestDir(p, dir string) bool {
-	if dir == "/" {
-		return true
-	}
-	return p == dir || (len(p) > len(dir) && p[:len(dir)] == dir && p[len(dir)] == '/')
 }
 
 // runPostRunHook executes the workload's post-run hook against the run

@@ -212,7 +212,7 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 			m.logf("verify-farm: shard %d produced no manifest (failed or cancelled)", i)
 			continue
 		}
-		data, err := fetchBlob(ctx, cache, digest)
+		data, err := remote.GetBlob(ctx, cache.Remote(), digest)
 		if err != nil {
 			return nil, fmt.Errorf("core: fetching shard %d manifest: %w", i, err)
 		}
@@ -228,7 +228,11 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 	// Pull every repro into the local store, then write the merged
 	// manifest: entries in shard order plus a global summary line.
 	for sig, digest := range merged.Repros {
-		if _, err := fetchBlob(ctx, cache, digest); err != nil {
+		data, err := remote.GetBlob(ctx, cache.Remote(), digest)
+		if err == nil {
+			_, err = cache.Local().Put(data)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: fetching repro for %s: %w", sig, err)
 		}
 	}

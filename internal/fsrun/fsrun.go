@@ -9,25 +9,21 @@
 package fsrun
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"firemarshal/internal/boards"
 	"firemarshal/internal/cas"
-	"firemarshal/internal/checkpoint"
-	"firemarshal/internal/firmware"
-	"firemarshal/internal/fsimg"
-	"firemarshal/internal/guestos"
+	casremote "firemarshal/internal/cas/remote"
 	"firemarshal/internal/hostutil"
 	"firemarshal/internal/install"
 	"firemarshal/internal/launcher"
+	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/netsim"
 	"firemarshal/internal/obs"
 	"firemarshal/internal/runtest"
@@ -39,11 +35,8 @@ type Options struct {
 	// RTL is the hardware configuration (predictor, caches, ...).
 	RTL rtlsim.Config
 	// Jobs caps how many independent OS jobs simulate concurrently on the
-	// host (`firesim -j N`). <=0 means sequential unless Parallel is set.
+	// host (`firesim -j N`). <=0 means sequential.
 	Jobs int
-	// Parallel is the legacy toggle: run OS jobs on GOMAXPROCS workers.
-	// Ignored when Jobs is set explicitly.
-	Parallel bool
 	// Timeout kills any single job attempt that exceeds it (0 = none).
 	// The kill is cooperative: the RTL platform polls its Stop channel
 	// between batches, so a hung node dies without stalling siblings.
@@ -85,8 +78,8 @@ type Options struct {
 	Resume bool
 	// CkptEvery, when nonzero, snapshots each node's machine state every N
 	// retired instructions into a store under <OutputDir>/.ckpt, so a
-	// killed run can resume cycle-exactly. Disabled when the configuration
-	// has a network fabric (cross-node state is not captured).
+	// killed run can resume cycle-exactly. Nodes on a network fabric run
+	// unprotected (cross-node state is not captured).
 	CkptEvery uint64
 
 	// Obs is the metrics registry the run reports into (launcher_*,
@@ -95,14 +88,6 @@ type Options struct {
 	// MetricsPath, when set, receives a JSON metrics snapshot after the
 	// run (`firesim -metrics FILE`).
 	MetricsPath string
-}
-
-// ckptEnv is the per-run checkpoint environment: the blob store and the
-// directory holding per-node pointer files. Pointers live outside the
-// per-job output directories, which every attempt wipes.
-type ckptEnv struct {
-	store *cas.Store
-	dir   string
 }
 
 // JobResult reports one simulated node.
@@ -131,20 +116,24 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	if opts.OutputDir == "" {
 		return nil, fmt.Errorf("fsrun: no output directory")
 	}
-	if opts.Log == nil {
-		opts.Log = io.Discard
-	}
 	start := time.Now()
 
 	// The run traces under one root span; the trace lands next to the
 	// manifest (when one is configured) even when the run aborts.
 	tracer := obs.NewTracer()
 	runSpan := tracer.Start("run")
+	tracePath := ""
+	if opts.ManifestPath != "" {
+		tracePath = TracePath(opts.ManifestPath)
+	}
 	defer func() {
 		runSpan.End()
-		writeObsFiles(tracer, opts)
+		remote.WriteObsFiles(tracer, tracePath, opts.MetricsPath, opts.Obs, opts.Log)
 	}()
 
+	// On a networked topology every node carries the fabric's NIC — state
+	// coupling nodes through this process — so the kernel's host-local rule
+	// keeps such nodes off checkpoints and off a worker fleet.
 	var fabric *netsim.Fabric
 	if cfg.Topology == "simple" {
 		netCfg := opts.Net
@@ -153,175 +142,78 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 		}
 		fabric = netsim.New(netCfg)
 	}
-	if len(opts.Workers) > 0 && fabric != nil {
-		return nil, fmt.Errorf("fsrun: networked topologies cannot run on a worker fleet: the fabric couples nodes through host-local state")
-	}
-
-	// Bare-metal jobs run first: they set up fabric state (registered
-	// memory) that OS nodes depend on.
-	var bare, osJobs []install.JobConfig
-	for _, job := range cfg.Jobs {
-		if job.Bare {
-			bare = append(bare, job)
-		} else {
-			osJobs = append(osJobs, job)
-		}
-	}
 
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = 1
-		if opts.Parallel {
-			workers = runtime.GOMAXPROCS(0)
-		}
+	run := remote.Run{
+		CkptDir:   filepath.Join(opts.OutputDir, ".ckpt"),
+		CkptEvery: opts.CkptEvery,
+		Resume:    opts.Resume,
+		Pool:      launcher.Options{Workers: 1, Timeout: opts.Timeout, Drain: opts.Drain},
+		Obs:       opts.Obs,
+		Log:       opts.Log,
+		Span:      runSpan,
+	}
+	if opts.RemoteCache != "" {
+		run.Remote = casremote.NewClient(opts.RemoteCache, 0)
 	}
 
-	// Checkpointing captures one node's machine state; a network fabric
-	// couples nodes through state outside any machine, so it disables it.
-	var ckpt *ckptEnv
-	if (opts.CkptEvery > 0 || opts.Resume) && fabric == nil {
-		store, err := cas.Open(filepath.Join(opts.OutputDir, ".ckpt", "cas"))
-		if err != nil {
-			return nil, err
+	// Bare-metal jobs run first, one at a time, outside the run's record
+	// and unprotected: they set up fabric state (registered memory) that OS
+	// nodes depend on.
+	var bare, nodes []remote.Job
+	for _, job := range cfg.Jobs {
+		j := nodeJob(job, fabric, opts)
+		if job.Bare {
+			bare = append(bare, j)
+		} else {
+			nodes = append(nodes, j)
 		}
-		ckpt = &ckptEnv{store: store, dir: filepath.Join(opts.OutputDir, ".ckpt")}
 	}
-
-	// Resume: reconstruct the interrupted run's per-node outcomes from its
-	// journal (or, if it already compacted, its manifest).
-	journalPath := ""
-	var prior map[string]launcher.PriorJob
-	var jnl *launcher.Journal
-	if opts.ManifestPath != "" {
-		journalPath = opts.ManifestPath + ".journal"
-		if opts.Resume {
-			var torn *launcher.Torn
-			var err error
-			prior, torn, err = launcher.ReadPrior(journalPath, opts.ManifestPath)
-			if err != nil {
-				return nil, err
-			}
-			if torn != nil {
-				fmt.Fprintf(opts.Log, "firesim: resume salvaged journal around %s\n", torn)
-			}
-		}
-		if err := os.MkdirAll(filepath.Dir(opts.ManifestPath), 0o755); err != nil {
-			return nil, err
-		}
-		var err error
-		jnl, err = launcher.OpenJournal(journalPath)
-		if err != nil {
-			return nil, err
-		}
-		defer jnl.Close()
-	}
-
 	res := &Result{}
-	for _, job := range bare {
-		span := runSpan.Child("job:" + job.Name)
-		jr, err := runJob(obs.ContextWithSpan(ctx, span), job, fabric, nil, opts)
-		span.End()
-		if err != nil {
-			return nil, fmt.Errorf("fsrun: job %s: %w", job.Name, err)
+	collect := func(jobs []remote.Job, results []*remote.Result) {
+		for i, r := range results {
+			if r == nil {
+				continue
+			}
+			jr := JobResult{Name: jobs[i].Name, ExitCode: r.ExitCode, Cycles: r.Cycles, OutputDir: jobs[i].Dir, HostTime: r.HostTime}
+			if r.Stats != nil {
+				jr.Stats = *r.Stats
+			}
+			res.Jobs = append(res.Jobs, jr)
 		}
-		res.Jobs = append(res.Jobs, *jr)
 	}
+	run.Jobs = bare
+	results, _, err := remote.Drive(ctx, run)
+	if err != nil {
+		return nil, fmt.Errorf("fsrun: %w", err)
+	}
+	collect(bare, results)
 
-	// OS jobs fan out across the launcher's worker pool: isolated
+	// OS jobs fan out across the launcher pool (or the fleet): isolated
 	// platforms, per-job timeout/retry, deterministic result order.
-	order := make([]string, len(osJobs))
-	carried := map[string]launcher.Result{}
-	results := make([]*JobResult, len(osJobs))
-	var jobs []launcher.Job
-	for i, job := range osJobs {
-		i, job := i, job
-		order[i] = job.Name
-		if p, ok := prior[job.Name]; ok && p.Done && p.Record.Status == launcher.StatusOK {
-			carried[job.Name] = launcher.CarriedResult(p.Record)
-			if err := jnl.Done(p.Record); err != nil {
-				return nil, err
-			}
-			results[i] = &JobResult{
-				Name:      job.Name,
-				ExitCode:  p.Record.Exit,
-				Cycles:    p.Record.Cycles,
-				OutputDir: filepath.Join(opts.OutputDir, job.Name),
-			}
-			fmt.Fprintf(opts.Log, "firesim: resume carries node %s (already ok)\n", job.Name)
-			continue
-		}
-		priorAttempts := 0
-		if p, ok := prior[job.Name]; ok {
-			priorAttempts = p.Attempts
-		}
-		jobs = append(jobs, launcher.Job{
-			Name:    job.Name,
-			Prior:   priorAttempts,
-			Resumed: opts.Resume && priorAttempts > 0,
-			Run: func(jctx context.Context, attempt int) (launcher.Metrics, error) {
-				if attempt > 1 {
-					fmt.Fprintf(opts.Log, "firesim: re-simulating node %s (attempt %d)\n", job.Name, attempt)
-				}
-				jr, err := runJob(jctx, job, fabric, ckpt, opts)
-				if err != nil {
-					return launcher.Metrics{}, err
-				}
-				results[i] = jr
-				return launcher.Metrics{ExitCode: jr.ExitCode, Cycles: jr.Cycles, Instrs: jr.Stats.Instrs}, nil
-			},
-		})
-	}
-	var summary *launcher.Summary
-	if len(opts.Workers) > 0 {
-		s, err := runFleet(ctx, osJobs, carried, prior, jnl, ckpt, opts, results)
-		if err != nil {
+	run.Jobs = nodes
+	run.ManifestPath = opts.ManifestPath
+	run.Pool.Retries = opts.Retries
+	run.Pool.Workers = max(opts.Jobs, 1)
+	run.Fleet = remote.CoordOptions{Workers: opts.Workers, LeaseTTL: opts.WorkerLeaseTTL, Poll: opts.WorkerPoll}
+	if opts.CkptEvery > 0 || opts.Resume {
+		// Pointers and blobs live outside the per-job output directories,
+		// which every attempt wipes.
+		if run.CkptStore, err = cas.Open(filepath.Join(run.CkptDir, "cas")); err != nil {
 			return nil, err
 		}
-		summary = s
-	} else {
-		pool := launcher.New(launcher.Options{
-			Workers: workers,
-			Timeout: opts.Timeout,
-			Retries: opts.Retries,
-			Drain:   opts.Drain,
-			Log:     opts.Log,
-			Journal: jnl,
-			Obs:     opts.Obs,
-			Span:    runSpan,
-		})
-		summary = pool.Run(ctx, jobs)
 	}
-	merged := launcher.MergeResumed(order, carried, summary)
-	res.Summary = merged
-	if opts.ManifestPath != "" {
-		jnl.Close()
-		if err := launcher.Compact(journalPath, opts.ManifestPath, merged); err != nil {
-			return res, err
-		}
+	results, summary, err := remote.Drive(ctx, run)
+	if summary == nil {
+		return nil, err
 	}
-	if ckpt != nil {
-		// Terminally-finished nodes' checkpoints are dead state; cancelled
-		// and skipped nodes keep theirs for a later -resume.
-		for _, r := range merged.Jobs {
-			switch r.Status {
-			case launcher.StatusOK, launcher.StatusFailed, launcher.StatusTimeout:
-				if err := checkpoint.Clear(ckpt.dir, r.Name); err != nil {
-					fmt.Fprintf(opts.Log, "firesim: clearing checkpoint for %s: %v\n", r.Name, err)
-				}
-			}
-		}
-	}
-	for _, jr := range results {
-		if jr != nil {
-			res.Jobs = append(res.Jobs, *jr)
-		}
-	}
+	res.Summary = summary
+	collect(nodes, results)
 	res.HostTime = time.Since(start)
-	if err := merged.Err(); err != nil {
+	if err != nil {
 		return res, fmt.Errorf("fsrun: %w", err)
 	}
 
@@ -338,6 +230,31 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// nodeJob declares one installed job for the launch driver: a node of the
+// cycle-exact target, with its SoC's device drivers and — on a networked
+// topology — its NIC attached fresh to every in-process attempt.
+func nodeJob(job install.JobConfig, fabric *netsim.Fabric, opts Options) remote.Job {
+	return remote.Job{
+		Name:    job.Name,
+		Bin:     job.Bin,
+		Img:     job.Img,
+		Sim:     "rtl",
+		RTL:     opts.RTL,
+		Outputs: job.Outputs,
+		Dir:     filepath.Join(opts.OutputDir, job.Name),
+		Attach: func(x *remote.Exec) (release func(), err error) {
+			x.Drivers, err = boards.DeviceProfile(job.Devices, boards.ProfileOpts{
+				Fabric:     fabric,
+				ServerNode: job.ServerNode,
+			})
+			if fabric != nil {
+				x.Devices = append(x.Devices, &netsim.NIC{Fabric: fabric, NodeName: job.Name})
+			}
+			return nil, err
+		},
+	}
+}
+
 // TracePath is where a run with the given manifest path writes its span
 // trace: the manifest's "manifest.jsonl" suffix — bare (fsrun's default
 // name) or as a ".manifest.jsonl" extension — swapped for the trace
@@ -349,157 +266,6 @@ func TracePath(manifestPath string) string {
 		return manifestPath[:len(manifestPath)-len(suffix)] + "trace.jsonl"
 	}
 	return manifestPath + ".trace.jsonl"
-}
-
-// writeObsFiles persists the run's observability artifacts. Failures are
-// logged, never fatal.
-func writeObsFiles(tracer *obs.Tracer, opts Options) {
-	if opts.ManifestPath != "" {
-		var buf bytes.Buffer
-		if err := tracer.WriteJSONL(&buf); err == nil {
-			if err := hostutil.WriteFileAtomic(TracePath(opts.ManifestPath), buf.Bytes(), 0o644); err != nil {
-				fmt.Fprintf(opts.Log, "firesim: writing trace: %v\n", err)
-			}
-		}
-	}
-	if opts.MetricsPath != "" {
-		if err := hostutil.WriteFileAtomic(opts.MetricsPath, opts.Obs.EncodeSnapshot(), 0o644); err != nil {
-			fmt.Fprintf(opts.Log, "firesim: writing metrics snapshot: %v\n", err)
-		}
-	}
-}
-
-// runJob simulates one node on a fresh RTL platform. The job context's
-// Done channel becomes the platform's cooperative kill switch, so a
-// timed-out or cancelled job stops between batches.
-func runJob(ctx context.Context, job install.JobConfig, fabric *netsim.Fabric, ckpt *ckptEnv, opts Options) (*JobResult, error) {
-	jobStart := time.Now()
-	binData, err := os.ReadFile(job.Bin)
-	if err != nil {
-		return nil, err
-	}
-	boot, err := firmware.Decode(binData)
-	if err != nil {
-		return nil, err
-	}
-	var rootfs *fsimg.FS
-	if job.Img != "" {
-		imgData, err := os.ReadFile(job.Img)
-		if err != nil {
-			return nil, err
-		}
-		if rootfs, err = fsimg.Decode(imgData); err != nil {
-			return nil, err
-		}
-	}
-
-	drivers, err := boards.DeviceProfile(job.Devices, boards.ProfileOpts{
-		Fabric:     fabric,
-		ServerNode: job.ServerNode,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	rtl := opts.RTL
-	rtl.Stop = ctx.Done()
-	rtl.Obs = opts.Obs
-	// Driver hooks sit outside the captured machine state, so nodes with
-	// device drivers run unprotected.
-	if ckpt != nil && len(drivers) == 0 {
-		rt, err := checkpoint.Open(checkpoint.Config{
-			Store: ckpt.store,
-			Dir:   ckpt.dir,
-			Job:   job.Name,
-			Every: opts.CkptEvery,
-			Obs:   opts.Obs,
-			Span:  obs.SpanFromContext(ctx),
-		}, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		rtl.Ckpt = rt
-	}
-	platform, err := rtlsim.New(rtl)
-	if err != nil {
-		return nil, err
-	}
-	platform.NodeName = job.Name
-	if fabric != nil {
-		platform.AddDevice(&netsim.NIC{Fabric: fabric, NodeName: job.Name})
-	}
-
-	fmt.Fprintf(opts.Log, "firesim: simulating node %s\n", job.Name)
-	var console bytes.Buffer
-	bootRes, err := guestos.Boot(guestos.BootOpts{
-		Boot:     boot,
-		Disk:     rootfs,
-		Platform: platform,
-		Console:  &console,
-		Drivers:  drivers,
-		PkgRepo:  guestos.DefaultRepo(),
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	outDir := filepath.Join(opts.OutputDir, job.Name)
-	if err := os.RemoveAll(outDir); err != nil {
-		return nil, err
-	}
-	if err := hostutil.WriteFileAtomic(filepath.Join(outDir, "uartlog"), console.Bytes(), 0o644); err != nil {
-		return nil, err
-	}
-	if bootRes.FinalFS != nil {
-		if err := extractOutputs(bootRes.FinalFS, job.Outputs, outDir); err != nil {
-			return nil, err
-		}
-	}
-	return &JobResult{
-		Name:      job.Name,
-		ExitCode:  bootRes.ExitCode,
-		Cycles:    bootRes.Cycles,
-		Stats:     platform.Stats(),
-		OutputDir: outDir,
-		HostTime:  time.Since(jobStart),
-	}, nil
-}
-
-// extractOutputs mirrors the launch command's output collection.
-func extractOutputs(fs *fsimg.FS, outputs []string, outDir string) error {
-	for _, out := range outputs {
-		node := fs.Lookup(out)
-		if node == nil {
-			continue
-		}
-		if node.IsDir() {
-			err := fs.Walk(func(p string, f *fsimg.File) error {
-				if f.IsDir() || !within(p, out) {
-					return nil
-				}
-				rel, err := filepath.Rel(out, p)
-				if err != nil {
-					return err
-				}
-				return hostutil.WriteFileAtomic(filepath.Join(outDir, filepath.Base(out), rel), f.Data, 0o644)
-			})
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if err := hostutil.WriteFileAtomic(filepath.Join(outDir, filepath.Base(out)), node.Data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func within(p, dir string) bool {
-	if dir == "/" {
-		return true
-	}
-	return p == dir || (len(p) > len(dir) && p[:len(dir)] == dir && p[len(dir)] == '/')
 }
 
 // Verify compares every job's output directory against the config's

@@ -3,6 +3,7 @@ package fsrun
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestMultiJobParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/p", Parallel: true})
+	parallel, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/p", Jobs: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestParallelErrorPropagates(t *testing.T) {
     {"name": "b", "command": "echo ok"}
   ]}`, nil)
 	cfg.Jobs[1].Bin = "/nonexistent"
-	if _, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/o", Parallel: true}); err == nil {
+	if _, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/o", Jobs: runtime.GOMAXPROCS(0)}); err == nil {
 		t.Error("expected parallel job error to propagate")
 	}
 }

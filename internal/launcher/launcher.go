@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
@@ -184,7 +186,7 @@ func New(opts Options) *Launcher {
 		opts.Log = io.Discard
 	}
 	if opts.Sleep == nil {
-		opts.Sleep = sleepCtx
+		opts.Sleep = hostutil.SleepCtx
 	}
 	return &Launcher{opts: opts, drain: make(chan struct{})}
 }
@@ -417,18 +419,6 @@ func (l *Launcher) logf(format string, args ...any) {
 	fmt.Fprintf(l.opts.Log, format+"\n", args...)
 }
 
-// sleepCtx is the default backoff sleeper.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // permanentError marks an error as non-retryable.
 type permanentError struct{ err error }
 
@@ -450,4 +440,33 @@ func Permanent(err error) error {
 func IsPermanent(err error) bool {
 	var p *permanentError
 	return errors.As(err, &p)
+}
+
+// TwoStageInterrupt wires Ctrl-C to a launch the way the CLIs expose it:
+// the first interrupt closes drain (in-flight jobs finish, queued jobs are
+// skipped), the second cancels ctx (in-flight jobs are killed too). stop
+// cancels ctx as well, which releases the signal handler.
+func TwoStageInterrupt(prog string) (ctx context.Context, drain <-chan struct{}, stop context.CancelFunc) {
+	ctx, stop = context.WithCancel(context.Background())
+	draining := make(chan struct{})
+	sigc := make(chan os.Signal, 2) // one slot per stage: neither interrupt is dropped
+	signal.Notify(sigc, os.Interrupt)
+	go func() {
+		defer signal.Stop(sigc)
+		select {
+		case <-sigc:
+		case <-ctx.Done():
+			return
+		}
+		fmt.Fprintf(os.Stderr, "\n%s: interrupt — draining (in-flight jobs finish; interrupt again to kill)\n", prog)
+		close(draining)
+		select {
+		case <-sigc:
+		case <-ctx.Done():
+			return
+		}
+		fmt.Fprintf(os.Stderr, "%s: second interrupt — killing in-flight jobs\n", prog)
+		stop()
+	}()
+	return ctx, draining, stop
 }

@@ -20,9 +20,7 @@ import (
 // within it is what the lease TTL exists to detect.
 const DefaultTimeout = 5 * time.Second
 
-// clientRetries bounds per-request retries: transient transport errors
-// and 429 throttles are retried with Retry-After-aware deterministic
-// jittered backoff; anything else surfaces immediately.
+// clientRetries bounds per-request retries (see do).
 const clientRetries = 3
 
 // ErrAlreadyLeased reports a Submit refused because the worker already
@@ -41,7 +39,7 @@ type WorkerClient struct {
 	base    string
 	timeout time.Duration
 	hc      *http.Client
-	sleep   func(time.Duration) // injectable for tests
+	sleep   func(time.Duration) // injectable for tests; nil = real timer
 }
 
 // NewWorkerClient returns a client for the worker at addr ("host:port" or
@@ -54,7 +52,7 @@ func NewWorkerClient(addr string, timeout time.Duration) *WorkerClient {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &WorkerClient{Addr: addr, base: strings.TrimSuffix(base, "/"), timeout: timeout, hc: &http.Client{}, sleep: time.Sleep}
+	return &WorkerClient{Addr: addr, base: strings.TrimSuffix(base, "/"), timeout: timeout, hc: &http.Client{}}
 }
 
 // SetTransport installs a custom RoundTripper (chaos fault injection).
@@ -93,14 +91,9 @@ func (c *WorkerClient) doOnce(ctx context.Context, method, path string, body any
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := time.Second
-		if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs >= 0 {
-			if wait = time.Duration(secs) * time.Second; wait < 10*time.Millisecond {
-				wait = 10 * time.Millisecond
-			}
-		}
 		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, &retryAfterError{wait: wait}
+		return resp.StatusCode, fmt.Errorf("worker %s: %s %s: %w", c.Addr, method, path,
+			&hostutil.Throttled{After: hostutil.RetryAfter(resp.Header)})
 	}
 	if out != nil && resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -110,50 +103,22 @@ func (c *WorkerClient) doOnce(ctx context.Context, method, path string, body any
 	return resp.StatusCode, nil
 }
 
-// retryAfterError marks a 429 answer inside the retry loop.
-type retryAfterError struct{ wait time.Duration }
-
-func (e *retryAfterError) Error() string {
-	return fmt.Sprintf("throttled (retry after %s)", e.wait)
-}
-
-// do retries doOnce on 429 throttles (honoring Retry-After) and, for
-// idempotent methods, on transport errors. DELETE is never blind-retried:
-// a Steal whose response was lost may have succeeded, and re-sending it
-// could "succeed" against a job the worker re-acquired — the
-// coordinator's reconcile pass resolves that ambiguity instead. The
-// backoff jitter is hashed from (path, attempt), so retry schedules are
-// deterministic and de-correlated across jobs.
-func (c *WorkerClient) do(ctx context.Context, method, path string, body any, out any) (int, error) {
-	retryTransport := method == http.MethodGet || method == http.MethodPost
-	var lastCode int
-	var lastErr error
-	for attempt := 0; attempt <= clientRetries; attempt++ {
-		code, err := c.doOnce(ctx, method, path, body, out)
-		var ra *retryAfterError
-		switch {
-		case err == nil:
-			return code, nil
-		case errors.As(err, &ra):
-			lastCode, lastErr = code, fmt.Errorf("worker %s: %s %s: %w", c.Addr, method, path, err)
-			if attempt < clientRetries {
-				c.sleep(ra.wait + hostutil.DetJitter(path, attempt, 25*time.Millisecond))
-			}
-		case code == 0 && retryTransport && ctx.Err() == nil:
-			// Transport-level failure on an idempotent call (POST /v1/jobs
-			// is idempotent too: a duplicate lands as 409 → ErrAlreadyLeased).
-			lastCode, lastErr = code, err
-			if attempt < clientRetries {
-				c.sleep(5*time.Millisecond + hostutil.DetJitter(path, attempt, 20*time.Millisecond))
-			}
-		default:
-			return code, err
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return lastCode, lastErr
-		}
-	}
-	return lastCode, lastErr
+// do runs doOnce under the shared retry policy (hostutil.Retry): 429
+// throttles wait out the worker's Retry-After hint, and failures of
+// idempotent calls are retried after a short jittered wait (POST /v1/jobs
+// is idempotent too: a duplicate lands as 409 → ErrAlreadyLeased). DELETE
+// is never blind-retried: a Steal whose response was lost may have
+// succeeded, and re-sending it could "succeed" against a job the worker
+// re-acquired — the coordinator's reconcile pass resolves that ambiguity
+// instead. Every wait ends with ctx, so a cancelled coordinator does not
+// sit out a worker's hint.
+func (c *WorkerClient) do(ctx context.Context, method, path string, body any, out any) (code int, err error) {
+	policy := hostutil.Retry{Attempts: clientRetries + 1, Transport: method != http.MethodDelete, Sleep: c.sleep}
+	err = policy.Do(ctx, path, func() (err error) {
+		code, err = c.doOnce(ctx, method, path, body, out)
+		return err
+	})
+	return code, err
 }
 
 // Status probes the worker — the registration handshake and the heartbeat.
@@ -214,4 +179,16 @@ func (c *WorkerClient) Steal(ctx context.Context, job string) (bool, error) {
 		return false, nil
 	}
 	return false, fmt.Errorf("worker %s: steal %s: HTTP %d", c.Addr, job, code)
+}
+
+// SplitAddrs parses a comma-separated worker address list (`-workers
+// a:1,b:2`), dropping empty entries (trailing commas, "").
+func SplitAddrs(s string) []string {
+	var addrs []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
 }

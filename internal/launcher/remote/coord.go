@@ -41,14 +41,14 @@ type CoordOptions struct {
 	// Transport, when set, wraps every worker client's HTTP transport
 	// (chaos fault injection).
 	Transport http.RoundTripper
-	// OnCheckpoint runs for each checkpoint a worker announces; the core
-	// integration persists the pointer into the run's checkpoint
-	// directory so a coordinator crash resumes from it.
+	// OnCheckpoint runs for each checkpoint a worker announces; Drive
+	// persists the pointer into the run's checkpoint directory so a
+	// coordinator crash resumes from it.
 	OnCheckpoint func(ptr *checkpoint.Pointer)
-	// OnDone runs for each terminal job (once), with its done event; the
-	// core integration materializes the console and outputs from the
-	// remote cache into the job's run directory. Errors are logged, never
-	// fatal — the journal already holds the authoritative record.
+	// OnDone runs for each terminal job (once), with its done event, before
+	// the job is journaled; Drive materializes the console and outputs from
+	// the remote cache into the job's run directory. An error fails an
+	// otherwise ok job.
 	OnDone func(ev Event) error
 	// Obs is the registry remote_* fleet metrics report into.
 	Obs *obs.Registry
@@ -665,19 +665,25 @@ func (c *coordinator) hedgeStragglers(ctx context.Context) {
 	}
 }
 
-// finishJob records a job's terminal state and runs the OnDone hook.
+// finishJob runs the OnDone hook and records the job's terminal state. An
+// ok job whose hook fails is recorded as failed: a result that could not be
+// materialized is not a result, and a failed record is what makes -resume
+// run the job again.
 func (c *coordinator) finishJob(j *cjob, rec launcher.Record, ev Event) {
+	if c.opts.OnDone != nil && ev.Type == EventDone {
+		if err := c.opts.OnDone(ev); err != nil {
+			c.logf("coordinator: materializing %s: %v", rec.Job, err)
+			if rec.Status == launcher.StatusOK {
+				rec.Status, rec.Error = launcher.StatusFailed, err.Error()
+			}
+		}
+	}
 	j.done = true
 	j.rec = rec
 	if err := c.opts.Journal.Done(rec); err != nil {
 		c.logf("coordinator: journal write failed: %v", err)
 	}
 	c.opts.Obs.Counter("remote_jobs_done_total").Inc()
-	if c.opts.OnDone != nil && ev.Type == EventDone {
-		if err := c.opts.OnDone(ev); err != nil {
-			c.logf("coordinator: materializing %s: %v", rec.Job, err)
-		}
-	}
 	c.logf("coordinator: job %-24s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
 }
 

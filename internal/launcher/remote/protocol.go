@@ -21,6 +21,12 @@
 // across machines. Idle workers steal still-queued jobs from loaded ones;
 // the queued-only constraint is enforced by the owning worker, so a steal
 // can never duplicate a running simulation.
+//
+// The package also owns the one way to execute a job, which a worker and a
+// local run share: Execute (exec.go) is the kernel every attempt runs
+// through — on a worker via ArtifactRunner, in-process via Drive — and
+// Drive (drive.go) is the launch driver behind `marshal launch` and
+// `firesim`: journal, resume, local pool or fleet, manifest.
 package remote
 
 import (

@@ -1,23 +1,15 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"firemarshal/internal/cas"
 	"firemarshal/internal/checkpoint"
-	"firemarshal/internal/firmware"
-	"firemarshal/internal/fsimg"
-	"firemarshal/internal/guestos"
-	"firemarshal/internal/hostutil"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/obs"
-	"firemarshal/internal/sim"
-	"firemarshal/internal/sim/funcsim"
 	"firemarshal/internal/sim/rtlsim"
 )
 
@@ -69,12 +61,6 @@ type ArtifactRunner struct {
 	Log io.Writer
 }
 
-func (r *ArtifactRunner) logf(format string, args ...any) {
-	if r.Log != nil {
-		fmt.Fprintf(r.Log, format+"\n", args...)
-	}
-}
-
 // fetch returns a blob's bytes, pulling it from the remote cache into the
 // local store on a local miss. A corrupt local blob self-heals here: Get
 // quarantined it, the remote copy is digest-verified by the client, and
@@ -92,61 +78,61 @@ func (r *ArtifactRunner) fetch(ctx context.Context, digest string) ([]byte, erro
 	}
 	if _, err := r.Store.Put(data); err != nil {
 		r.Obs.Counter("cas_writeback_failures_total").Inc()
-		r.logf("worker: blob %.12s write-back failed (serving remote bytes): %v", digest, err)
+		logf(r.Log, "worker: blob %.12s write-back failed (serving remote bytes): %v", digest, err)
 	} else if errors.Is(lerr, cas.ErrCorrupt) {
 		r.Obs.Counter("cas_blobs_healed_total").Inc()
-		r.logf("worker: healed corrupt blob %.12s from remote cache", digest)
+		logf(r.Log, "worker: healed corrupt blob %.12s from remote cache", digest)
 	}
 	return data, nil
 }
 
-// Run executes one attempt of the spec'd job.
+// Run executes one attempt of the spec'd job: artifacts come out of the
+// shared cache, the attempt runs through the execution kernel, and the
+// console and outputs go back into the cache.
 func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
 	if spec.Verify != nil {
 		return r.runVerify(ctx, spec, emit)
 	}
-	binData, err := r.fetch(ctx, spec.Bin)
+	bin, err := r.fetch(ctx, spec.Bin)
 	if err != nil {
 		return nil, fmt.Errorf("remote: job %s: boot binary: %w", spec.Name, err)
 	}
-	boot, err := firmware.Decode(binData)
-	if err != nil {
-		return nil, launcher.Permanent(err)
+	x := Exec{
+		Name:    spec.Name,
+		Bin:     bin,
+		Sim:     spec.Sim,
+		Args:    spec.Args,
+		Outputs: spec.Outputs,
+		Obs:     r.Obs,
+		Log:     r.Log,
 	}
-	var rootfs *fsimg.FS
 	if spec.Img != "" {
-		imgData, err := r.fetch(ctx, spec.Img)
-		if err != nil {
-			return nil, fmt.Errorf("remote: job %s: disk image: %w", spec.Name, err)
-		}
-		if rootfs, err = fsimg.Decode(imgData); err != nil {
-			return nil, launcher.Permanent(err)
-		}
+		x.Img = func() ([]byte, error) { return r.fetch(ctx, spec.Img) }
+	}
+	if spec.RTL != nil {
+		x.RTL = spec.RTL.Config()
 	}
 
 	// Checkpointing: a handed-off pointer is fetched from the shared cache
 	// and staged locally before the runtime opens it; every snapshot this
 	// attempt takes is replicated back and announced, so the NEXT handoff
 	// can happen from here.
-	var ckrt *checkpoint.Runtime
-	if spec.CkptEvery > 0 || spec.Ckpt != nil {
-		if spec.Ckpt != nil {
-			if err := checkpoint.Fetch(ctx, r.Store, r.Remote, spec.Ckpt); err != nil {
-				return nil, fmt.Errorf("remote: job %s: fetching checkpoint: %w", spec.Name, err)
-			}
-			if err := checkpoint.WritePointer(r.CkptDir, spec.Ckpt); err != nil {
-				return nil, err
-			}
-			r.logf("remote: job %s restoring from handed-off checkpoint (exec %d, instret %d)",
-				spec.Name, spec.Ckpt.Exec, spec.Ckpt.Instret)
+	if spec.Ckpt != nil {
+		if err := checkpoint.Fetch(ctx, r.Store, r.Remote, spec.Ckpt); err != nil {
+			return nil, fmt.Errorf("remote: job %s: fetching checkpoint: %w", spec.Name, err)
 		}
-		ckrt, err = checkpoint.Open(checkpoint.Config{
+		if err := checkpoint.WritePointer(r.CkptDir, spec.Ckpt); err != nil {
+			return nil, err
+		}
+		logf(r.Log, "remote: job %s restoring from handed-off checkpoint (exec %d, instret %d)",
+			spec.Name, spec.Ckpt.Exec, spec.Ckpt.Instret)
+	}
+	if spec.CkptEvery > 0 || spec.Ckpt != nil {
+		x.Resume = spec.Ckpt != nil
+		x.Ckpt = &checkpoint.Config{
 			Store: r.Store,
 			Dir:   r.CkptDir,
-			Job:   spec.Name,
 			Every: spec.CkptEvery,
-			Obs:   r.Obs,
-			Span:  obs.SpanFromContext(ctx),
 			OnSnapshot: func(ptr checkpoint.Pointer, cp *checkpoint.Checkpoint) error {
 				if err := checkpoint.Push(ctx, r.Store, r.Remote, &ptr); err != nil {
 					return err
@@ -154,68 +140,23 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 				emit(Event{Type: EventCheckpoint, Job: spec.Name, Ckpt: &ptr})
 				return nil
 			},
-		}, spec.Ckpt != nil)
-		if err != nil {
-			return nil, err
 		}
 	}
 
-	var console bytes.Buffer
-	var platform sim.Platform
-	var rtlPlat *rtlsim.Platform
-	switch spec.Sim {
-	case "qemu", "spike":
-		platform = funcsim.New(funcsim.Config{
-			Variant:   spec.Sim,
-			ExtraArgs: spec.Args,
-			Stop:      ctx.Done(),
-			Ckpt:      ckrt,
-			Obs:       r.Obs,
-		})
-	case "rtl":
-		rcfg := rtlsim.Config{}
-		if spec.RTL != nil {
-			rcfg = spec.RTL.Config()
-		}
-		rcfg.Stop = ctx.Done()
-		rcfg.Ckpt = ckrt
-		rcfg.Obs = r.Obs
-		rtlPlat, err = rtlsim.New(rcfg)
-		if err != nil {
-			return nil, launcher.Permanent(err)
-		}
-		rtlPlat.NodeName = spec.Name
-		platform = rtlPlat
-	default:
-		return nil, launcher.Permanent(fmt.Errorf("remote: job %s: unknown simulator %q", spec.Name, spec.Sim))
-	}
-
-	r.logf("remote: simulating %s on %s", spec.Name, spec.Sim)
-	bootRes, err := guestos.Boot(guestos.BootOpts{
-		Boot:     boot,
-		Disk:     rootfs,
-		Platform: platform,
-		Console:  &console,
-		PkgRepo:  guestos.DefaultRepo(),
-	})
+	res, files, err := Execute(ctx, x)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &RunOutput{
-		Metrics: launcher.Metrics{ExitCode: bootRes.ExitCode, Cycles: bootRes.Cycles},
-	}
-	if rtlPlat != nil {
-		stats := rtlPlat.Stats()
-		out.Stats = &stats
-		out.Metrics.Instrs = stats.Instrs
-	}
-	if out.Console, err = r.publish(ctx, console.Bytes()); err != nil {
+	out := &RunOutput{Metrics: res.metrics(), Stats: res.Stats}
+	if out.Console, err = r.publish(ctx, files.Console); err != nil {
 		return nil, fmt.Errorf("remote: job %s: publishing console: %w", spec.Name, err)
 	}
-	if bootRes.FinalFS != nil && len(spec.Outputs) > 0 {
-		if out.Outputs, err = r.publishOutputs(ctx, bootRes.FinalFS, spec.Outputs); err != nil {
-			return nil, fmt.Errorf("remote: job %s: publishing outputs: %w", spec.Name, err)
+	if len(files.Outputs) > 0 {
+		out.Outputs = make(map[string]string, len(files.Outputs))
+	}
+	for rel, data := range files.Outputs {
+		if out.Outputs[rel], err = r.publish(ctx, data); err != nil {
+			return nil, fmt.Errorf("remote: job %s: publishing output %s: %w", spec.Name, rel, err)
 		}
 	}
 	return out, nil
@@ -232,56 +173,3 @@ func (r *ArtifactRunner) publish(ctx context.Context, data []byte) (string, erro
 	}
 	return digest, nil
 }
-
-// publishOutputs extracts the declared guest paths from the final
-// filesystem and publishes each file, keyed by its run-directory-relative
-// path — the same layout extractOutputs writes on a local launch.
-func (r *ArtifactRunner) publishOutputs(ctx context.Context, fs *fsimg.FS, outputs []string) (map[string]string, error) {
-	files := map[string][]byte{}
-	for _, out := range outputs {
-		node := fs.Lookup(out)
-		if node == nil {
-			// Missing outputs are not fatal, matching the local launch
-			// path: the gap surfaces during test.
-			continue
-		}
-		if node.IsDir() {
-			err := fs.Walk(func(p string, f *fsimg.File) error {
-				if f.IsDir() || !withinGuestDir(p, out) {
-					return nil
-				}
-				rel, err := filepath.Rel(out, p)
-				if err != nil {
-					return err
-				}
-				files[filepath.Join(filepath.Base(out), rel)] = f.Data
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		files[filepath.Base(out)] = node.Data
-	}
-	digests := make(map[string]string, len(files))
-	for rel, data := range files {
-		d, err := r.publish(ctx, data)
-		if err != nil {
-			return nil, err
-		}
-		digests[rel] = d
-	}
-	return digests, nil
-}
-
-func withinGuestDir(p, dir string) bool {
-	if dir == "/" {
-		return true
-	}
-	return p == dir || (len(p) > len(dir) && p[:len(dir)] == dir && p[len(dir)] == '/')
-}
-
-// Digest names the blob `data` would publish as — coordinators use it to
-// announce artifacts they push with raw PutBlob calls.
-func Digest(data []byte) string { return hostutil.HashBytes(data) }

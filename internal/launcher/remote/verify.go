@@ -48,7 +48,7 @@ func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(
 		return nil, err
 	}
 
-	r.logf("remote: job %s running verify-farm shard (%d seeds)", spec.Name, len(vs.Seeds))
+	logf(r.Log, "remote: job %s running verify-farm shard (%d seeds)", spec.Name, len(vs.Seeds))
 	sum, farmErr := verify.RunFarm(verify.FarmOptions{
 		Store:      r.Store,
 		Journal:    jnl,
