@@ -258,3 +258,34 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckScriptGatesSemanticsInlining holds scripts/check.sh — the script
+// the `check` job runs — to its inlining gate: one -m=2 build of
+// internal/sim whose report on semantics.go must show the value rules
+// inlining, with only the four store helpers excused. Without it a later
+// edit could turn a shared instruction rule into a call per retired
+// instruction on every tier and no test would notice.
+func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("scripts", "check.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := string(src)
+	if n := strings.Count(script, "go build -gcflags=-m=2 ./internal/sim 2>&1"); n != 1 {
+		t.Errorf("check.sh runs the -m=2 build of internal/sim %d times, want once", n)
+	}
+	for _, want := range []string{
+		`semantics\.go:`,     // scoped to the shared rules
+		"cannot inline",      // what fails the gate
+		`store(8|16|32|64):`, // the only excused functions
+		`"can inline slt "`,  // proof the report was produced at all
+		"exit 1",
+	} {
+		if !strings.Contains(script, want) {
+			t.Errorf("check.sh's inlining gate lacks %q", want)
+		}
+	}
+	if gate, test := strings.Index(script, "-gcflags=-m=2"), strings.Index(script, "go test -race"); gate < 0 || gate > test {
+		t.Error("check.sh must run the inlining gate before the test suite")
+	}
+}

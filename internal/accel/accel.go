@@ -80,12 +80,7 @@ func New(cfg Config) *Device {
 // Name implements sim.Device.
 func (d *Device) Name() string { return "gemm-accel" }
 
-// Contains implements sim.Device.
-func (d *Device) Contains(addr uint64) bool {
-	return addr >= MMIOBase && addr < MMIOBase+regSize
-}
-
-// AddrRange implements sim.AddrRanger for the machine's device index.
+// AddrRange implements sim.Device.
 func (d *Device) AddrRange() (uint64, uint64) { return MMIOBase, MMIOBase + regSize }
 
 // Load implements sim.Device.

@@ -7,7 +7,10 @@
 // bytes run on every simulation platform.
 package isa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Op identifies a decoded operation.
 type Op uint8
@@ -201,6 +204,24 @@ var (
 	mwOps   = [8]Op{0: OpMULW, 4: OpDIVW, 5: OpDIVUW, 6: OpREMW, 7: OpREMUW}
 )
 
+// Why a word does not decode. These are shared values, not formatted per
+// word: predecoding a segment runs Decode over every data word and discards
+// the error, so the failing path must not allocate. Callers that report one
+// add the word themselves.
+var (
+	errBadJALR       = errors.New("isa: bad JALR funct3")
+	errBadBranch     = errors.New("isa: bad branch funct3")
+	errBadLoad       = errors.New("isa: bad load funct3")
+	errBadStore      = errors.New("isa: bad store funct3")
+	errBadShift      = errors.New("isa: bad shift funct7")
+	errBadOp         = errors.New("isa: bad R-type funct3/funct7")
+	errBadSystem     = errors.New("isa: unsupported SYSTEM encoding")
+	errBadShiftW     = errors.New("isa: bad W-shift funct7")
+	errBadOpImm32    = errors.New("isa: bad OP-IMM-32 funct3")
+	errBadOp32       = errors.New("isa: bad OP-32 funct3/funct7")
+	errUnknownOpcode = errors.New("isa: unknown opcode")
+)
+
 // Decode decodes a 32-bit RISC-V instruction word.
 func Decode(raw uint32) (Instr, error) {
 	in := Instr{Raw: raw}
@@ -224,14 +245,14 @@ func Decode(raw uint32) (Instr, error) {
 		in.Imm = signExtend(imm, 21)
 	case opcJALR:
 		if funct3 != 0 {
-			return in, fmt.Errorf("isa: bad JALR funct3 %d", funct3)
+			return in, errBadJALR
 		}
 		in.Op, in.Rd, in.Rs1 = OpJALR, rd, rs1
 		in.Imm = signExtend(raw>>20, 12)
 	case opcBranch:
 		op := branchOps[funct3]
 		if op == OpInvalid {
-			return in, fmt.Errorf("isa: bad branch funct3 %d", funct3)
+			return in, errBadBranch
 		}
 		in.Op, in.Rs1, in.Rs2 = op, rs1, rs2
 		imm := ((raw>>31)&1)<<12 | ((raw>>7)&1)<<11 | ((raw>>25)&0x3f)<<5 | ((raw>>8)&0xf)<<1
@@ -239,14 +260,14 @@ func Decode(raw uint32) (Instr, error) {
 	case opcLoad:
 		op := loadOps[funct3]
 		if op == OpInvalid {
-			return in, fmt.Errorf("isa: bad load funct3 %d", funct3)
+			return in, errBadLoad
 		}
 		in.Op, in.Rd, in.Rs1 = op, rd, rs1
 		in.Imm = signExtend(raw>>20, 12)
 	case opcStore:
 		op := storeOps[funct3]
 		if op == OpInvalid {
-			return in, fmt.Errorf("isa: bad store funct3 %d", funct3)
+			return in, errBadStore
 		}
 		in.Op, in.Rs1, in.Rs2 = op, rs1, rs2
 		imm := ((raw>>25)&0x7f)<<5 | (raw>>7)&0x1f
@@ -268,7 +289,7 @@ func Decode(raw uint32) (Instr, error) {
 			in.Op = OpANDI
 		case 1:
 			if funct7>>1 != 0 {
-				return in, fmt.Errorf("isa: bad SLLI funct7")
+				return in, errBadShift
 			}
 			in.Op = OpSLLI
 			in.Imm = int64(raw >> 20 & 0x3f)
@@ -280,7 +301,7 @@ func Decode(raw uint32) (Instr, error) {
 			case 0b10000:
 				in.Op = OpSRAI
 			default:
-				return in, fmt.Errorf("isa: bad shift funct7 %#x", funct7)
+				return in, errBadShift
 			}
 			in.Imm = int64(raw >> 20 & 0x3f)
 			return in, nil
@@ -298,7 +319,7 @@ func Decode(raw uint32) (Instr, error) {
 			op = mOps[funct3]
 		}
 		if op == OpInvalid {
-			return in, fmt.Errorf("isa: bad R-type funct3=%d funct7=%#x", funct3, funct7)
+			return in, errBadOp
 		}
 		in.Op = op
 	case opcSystem:
@@ -314,7 +335,7 @@ func Decode(raw uint32) (Instr, error) {
 			in.Op, in.Rd, in.Rs1 = OpCSRRS, rd, rs1
 			in.Imm = int64(raw >> 20)
 		default:
-			return in, fmt.Errorf("isa: unsupported SYSTEM encoding %#08x", raw)
+			return in, errBadSystem
 		}
 	case opcOpImm32:
 		in.Rd, in.Rs1 = rd, rs1
@@ -324,7 +345,7 @@ func Decode(raw uint32) (Instr, error) {
 			in.Imm = signExtend(raw>>20, 12)
 		case 1:
 			if funct7 != 0 {
-				return in, fmt.Errorf("isa: bad SLLIW funct7 %#x", funct7)
+				return in, errBadShiftW
 			}
 			in.Op = OpSLLIW
 			in.Imm = int64(raw >> 20 & 0x1f)
@@ -335,11 +356,11 @@ func Decode(raw uint32) (Instr, error) {
 			case 0x20:
 				in.Op = OpSRAIW
 			default:
-				return in, fmt.Errorf("isa: bad W-shift funct7 %#x", funct7)
+				return in, errBadShiftW
 			}
 			in.Imm = int64(raw >> 20 & 0x1f)
 		default:
-			return in, fmt.Errorf("isa: bad OP-IMM-32 funct3 %d", funct3)
+			return in, errBadOpImm32
 		}
 	case opcOp32:
 		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
@@ -353,13 +374,13 @@ func Decode(raw uint32) (Instr, error) {
 			op = mwOps[funct3]
 		}
 		if op == OpInvalid {
-			return in, fmt.Errorf("isa: bad OP-32 funct3=%d funct7=%#x", funct3, funct7)
+			return in, errBadOp32
 		}
 		in.Op = op
 	case opcFence:
 		in.Op = OpFENCE
 	default:
-		return in, fmt.Errorf("isa: unknown opcode %#02x (instr %#08x)", opcode, raw)
+		return in, errUnknownOpcode
 	}
 	return in, nil
 }

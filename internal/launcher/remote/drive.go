@@ -24,7 +24,9 @@ type Job struct {
 	Name string
 	// Bin and Img are the artifact files (Img "" boots without a disk).
 	Bin, Img string
-	// Sim, Args, RTL and Outputs are the kernel's (see Exec).
+	// Sim, RTL and Outputs are the kernel's (see Exec). Args, the
+	// workload's qemu-args/spike-args, only travel in a fleet job's spec as
+	// a record: no simulator here reads them.
 	Sim     string
 	Args    []string
 	RTL     rtlsim.Config
@@ -207,7 +209,6 @@ func (r *Run) attempt(ctx context.Context, j Job) (*Result, error) {
 		Name:    j.Name,
 		Bin:     bin,
 		Sim:     j.Sim,
-		Args:    j.Args,
 		RTL:     j.RTL,
 		Outputs: j.Outputs,
 		Resume:  r.Resume,

@@ -34,12 +34,10 @@ type Exec struct {
 	// Img, when set, yields the encoded disk image. It is called only when
 	// the boot binary mounts one — a bare-metal boot never reads its image.
 	Img func() ([]byte, error)
-	// Sim selects the simulator: "qemu" or "spike" (functional, with Args
-	// as the workload's qemu-args/spike-args) or "rtl" (cycle-exact, on the
-	// RTL hardware configuration).
-	Sim  string
-	Args []string
-	RTL  rtlsim.Config
+	// Sim selects the simulator: "qemu" or "spike" (functional) or "rtl"
+	// (cycle-exact, on the RTL hardware configuration).
+	Sim string
+	RTL rtlsim.Config
 	// Outputs lists guest paths to extract from the final filesystem.
 	Outputs []string
 	// Ckpt, when set, arms checkpointing: Store, Dir, Every and OnSnapshot
@@ -136,12 +134,11 @@ func Execute(ctx context.Context, x Exec) (*Result, *Files, error) {
 	switch x.Sim {
 	case "qemu", "spike":
 		platform = funcsim.New(funcsim.Config{
-			Variant:   x.Sim,
-			ExtraArgs: x.Args,
-			Trace:     x.Trace,
-			Stop:      ctx.Done(),
-			Ckpt:      ckpt,
-			Obs:       x.Obs,
+			Variant: x.Sim,
+			Trace:   x.Trace,
+			Stop:    ctx.Done(),
+			Ckpt:    ckpt,
+			Obs:     x.Obs,
 		})
 	case "rtl":
 		cfg := x.RTL

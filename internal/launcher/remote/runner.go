@@ -101,7 +101,6 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		Name:    spec.Name,
 		Bin:     bin,
 		Sim:     spec.Sim,
-		Args:    spec.Args,
 		Outputs: spec.Outputs,
 		Obs:     r.Obs,
 		Log:     r.Log,

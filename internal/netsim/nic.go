@@ -35,12 +35,7 @@ const (
 // Name implements sim.Device.
 func (n *NIC) Name() string { return "icenic" }
 
-// Contains implements sim.Device.
-func (n *NIC) Contains(addr uint64) bool {
-	return addr >= NICBase && addr < NICBase+nicRegSpan
-}
-
-// AddrRange implements sim.AddrRanger for the machine's device index.
+// AddrRange implements sim.Device.
 func (n *NIC) AddrRange() (uint64, uint64) { return NICBase, NICBase + nicRegSpan }
 
 // Load implements sim.Device.

@@ -59,11 +59,9 @@ func TestNICErrors(t *testing.T) {
 
 func TestNICContains(t *testing.T) {
 	nic := &NIC{}
-	if !nic.Contains(NICBase) || !nic.Contains(NICBase+0x18) {
-		t.Error("NIC must claim its registers")
-	}
-	if nic.Contains(NICBase-1) || nic.Contains(NICBase+0x20) {
-		t.Error("NIC claims too much")
+	// The range must cover the last register (0x18) and nothing beyond.
+	if lo, hi := nic.AddrRange(); lo != NICBase || hi != NICBase+0x20 {
+		t.Errorf("NIC claims [%#x,%#x), want [%#x,%#x)", lo, hi, uint64(NICBase), uint64(NICBase+0x20))
 	}
 	if nic.Name() != "icenic" {
 		t.Error("name wrong")

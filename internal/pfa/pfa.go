@@ -165,12 +165,7 @@ func NewDevice(timing Timing, backend Backend, remoteBase, remoteSize uint64) (*
 // Name implements sim.Device.
 func (d *Device) Name() string { return "pfa" }
 
-// Contains implements sim.Device.
-func (d *Device) Contains(addr uint64) bool {
-	return addr >= MMIOBase && addr < MMIOBase+regSize
-}
-
-// AddrRange implements sim.AddrRanger for the machine's device index.
+// AddrRange implements sim.Device.
 func (d *Device) AddrRange() (uint64, uint64) { return MMIOBase, MMIOBase + regSize }
 
 // Load implements sim.Device.

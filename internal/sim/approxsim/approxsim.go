@@ -10,11 +10,11 @@
 package approxsim
 
 import (
-	"fmt"
 	"io"
 
 	"firemarshal/internal/isa"
 	"firemarshal/internal/sim"
+	"firemarshal/internal/sim/platform"
 )
 
 // Config is the CPI model. Costs are in fixed-point 1/256 cycles so the
@@ -56,89 +56,46 @@ func DefaultConfig() Config {
 	}
 }
 
-// Platform is a cycle-approximate simulation node.
+// Platform is a cycle-approximate simulation node: the shared kernel plus
+// the fixed-point accumulator the CPI model charges into.
 type Platform struct {
+	platform.Host
 	cfg       Config
 	cycles256 uint64 // fixed-point cycle accumulator
-	charged   uint64 // whole cycles already pushed to the public clock
-	cycles    uint64
-	devices   []sim.Device
-	hooks     []sim.MemHook
-	fallbacks []sim.SyscallFallback
+	charged   uint64 // whole cycles already pushed to the node clock
 }
 
 var _ sim.Platform = (*Platform)(nil)
 
 // New creates a cycle-approximate platform.
 func New(cfg Config) *Platform {
-	if cfg.MaxInstrs == 0 {
-		cfg.MaxInstrs = 500_000_000
-	}
 	if cfg.BaseCPI256 == 0 {
 		cfg.BaseCPI256 = 256
 	}
-	p := &Platform{cfg: cfg}
-	p.devices = []sim.Device{&sim.UART{}}
-	return p
+	return &Platform{
+		Host: platform.New(platform.Options{Name: "gem5-approx", Kind: "approxsim", MaxInstrs: cfg.MaxInstrs}),
+		cfg:  cfg,
+	}
 }
-
-// Name implements sim.Platform.
-func (p *Platform) Name() string { return "gem5-approx" }
 
 // CycleExact implements sim.Platform: approximate timing is not
 // cycle-exact, but it is deterministic and monotonic.
 func (p *Platform) CycleExact() bool { return false }
 
-// Cycles implements sim.Platform.
-func (p *Platform) Cycles() uint64 { return p.cycles }
-
-// Charge implements sim.Platform.
-func (p *Platform) Charge(n uint64) { p.cycles += n }
-
-// AddDevice implements sim.Platform.
-func (p *Platform) AddDevice(d sim.Device) { p.devices = append(p.devices, d) }
-
-// AddHook implements sim.Platform.
-func (p *Platform) AddHook(h sim.MemHook) { p.hooks = append(p.hooks, h) }
-
-// AddSyscall implements sim.Platform.
-func (p *Platform) AddSyscall(fb sim.SyscallFallback) { p.fallbacks = append(p.fallbacks, fb) }
-
 // Exec implements sim.Platform.
 func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) (*sim.ExecResult, error) {
-	m := sim.NewMachine()
-	m.Console = console
-	m.Devices = p.devices
-	m.Hooks = p.hooks
-	fbs := make([]func(*sim.Machine, uint64) (bool, error), len(p.fallbacks))
-	for i, fb := range p.fallbacks {
-		fbs[i] = fb
-	}
-	m.SyscallFn = sim.BareSyscalls(fbs...)
-	m.MaxInstrs = p.cfg.MaxInstrs
-	m.LoadExecutable(exe, sim.DefaultStackTop)
-	sim.SetupArgv(m, args)
+	return p.Run(exe, console, args, nil, func(m *sim.Machine) (uint64, error) {
+		return sim.RunTimed(m, p.charge)
+	})
+}
 
-	start := p.cycles
-	startInstrs := m.Instret
-	var ev sim.Event
-	for !m.Halted {
-		m.Now = p.cycles
-		if err := m.StepInto(&ev); err != nil {
-			return nil, fmt.Errorf("approxsim: %w", err)
-		}
-		p.cycles256 += p.cost256(&ev)
-		// Flush whole cycles into the public clock.
-		if whole := p.cycles256 / 256; whole > p.charged {
-			p.cycles += whole - p.charged
-			p.charged = whole
-		}
-	}
-	return &sim.ExecResult{
-		Exit:   m.ExitCode,
-		Instrs: m.Instret - startInstrs,
-		Cycles: p.cycles - start,
-	}, nil
+// charge adds one instruction's fixed-point cost to the accumulator and
+// returns the whole cycles that completes, which is what the clock moves by.
+func (p *Platform) charge(ev *sim.Event) uint64 {
+	p.cycles256 += p.cost256(ev)
+	whole := p.cycles256/256 - p.charged
+	p.charged += whole
+	return whole
 }
 
 func (p *Platform) cost256(ev *sim.Event) uint64 {

@@ -88,16 +88,7 @@ const UARTBase = 0x54000000
 // Name implements Device.
 func (u *UART) Name() string { return "uart0" }
 
-// Contains implements Device.
-func (u *UART) Contains(addr uint64) bool {
-	base := u.Base
-	if base == 0 {
-		base = UARTBase
-	}
-	return addr >= base && addr < base+16
-}
-
-// AddrRange implements AddrRanger so the machine can index the UART.
+// AddrRange implements Device.
 func (u *UART) AddrRange() (uint64, uint64) {
 	base := u.Base
 	if base == 0 {
@@ -113,11 +104,7 @@ func (u *UART) Load(m *Machine, addr uint64, size int) (uint64, uint64, error) {
 
 // Store implements Device: a store to the base register transmits a byte.
 func (u *UART) Store(m *Machine, addr uint64, size int, val uint64) (uint64, error) {
-	base := u.Base
-	if base == 0 {
-		base = UARTBase
-	}
-	if addr == base {
+	if base, _ := u.AddrRange(); addr == base {
 		if _, err := m.Console.Write([]byte{byte(val)}); err != nil {
 			return 0, err
 		}
@@ -148,31 +135,27 @@ func RunFunctional(m *Machine) (uint64, error) {
 // reference StepInto path — the semantics every fast path is differentially
 // tested against. It advances one cycle per instruction, like
 // RunFunctional.
-func RunReference(m *Machine) (uint64, error) {
+func RunReference(m *Machine) (uint64, error) { return RunTimed(m, nil) }
+
+// timedBatch is how many instructions RunTimed retires between polls of
+// the Stop channel, so a killed job stops within that many retirements.
+const timedBatch = 4096
+
+// RunTimed executes the machine until it halts on the reference StepInto
+// path, advancing m.Now by charge(ev) after each retired instruction (nil:
+// one cycle each) — the run loop of the cycle-approximate and cycle-exact
+// platforms, whose charge is their timing model. It polls the cooperative
+// kill switch between batches, and RunBatch flushes metric shards and
+// fires checkpoint boundaries at the same retired-instruction counts the
+// fast loop stops at. It returns the number of retired instructions.
+func RunTimed(m *Machine, charge func(*Event) uint64) (uint64, error) {
 	start := m.Instret
-	defer m.flushObs()
-	var ev Event
 	for !m.Halted {
-		// Poll the cooperative kill switch every 8Ki instructions; with no
-		// Stop channel installed this is a nil check per instruction. The
-		// same cadence flushes metric shards so scrapes see progress.
-		if m.Instret&0x1fff == 0 {
-			m.flushObs()
-			if m.Stop != nil && m.Interrupted() {
-				return m.Instret - start, ErrStopped
-			}
+		if m.Interrupted() {
+			return m.Instret - start, ErrStopped
 		}
-		if err := m.StepInto(&ev); err != nil {
+		if _, err := m.RunBatch(timedBatch, charge); err != nil {
 			return m.Instret - start, err
-		}
-		m.Now++
-		// Checkpoint boundaries land at the same retired-instruction
-		// counts the fast loop stops at; with checkpointing off this is
-		// one predicate per instruction.
-		if m.CkptEvery != 0 {
-			if err := m.maybeCheckpoint(); err != nil {
-				return m.Instret - start, err
-			}
 		}
 	}
 	return m.Instret - start, nil

@@ -2,18 +2,19 @@
 //
 // runFast is the functional simulator's hot loop: a dense switch over
 // predecoded, pre-split instructions with architectural state held in
-// locals, the soft-TLB memory fast path inlined for RAM loads/stores, and
-// a one-comparison device-range pre-check. Anything the inline cases do
-// not cover — syscalls, CSR reads, MMIO, traps, segment switches — is
-// executed by the reference StepInto, one instruction at a time, so the
-// tricky semantics exist in exactly one place. The differential tests in
-// diff_test.go lock runFast ≡ RunReference on snapshots, console bytes,
-// and retired-instruction counts.
+// locals, the soft-TLB fast path inlined for RAM loads (a store is one
+// call to its width's helper), and a one-comparison device-range
+// pre-check. Anything the inline cases do not cover — syscalls, CSR reads,
+// MMIO, traps, segment switches — is executed by the reference StepInto,
+// one instruction at a time, and the value rules come from semantics.go,
+// so the tricky semantics exist in exactly one place. The differential
+// tests in diff_test.go lock runFast ≡ RunReference on snapshots, console
+// bytes, and retired-instruction counts.
 //
-// RunBatch is the cycle-exact simulator's loop: it retires instructions
-// through StepInto (which shares the predecoded fetch path and soft TLB),
-// charging the timing model with each Event as it retires, with the
-// per-batch bookkeeping amortized across the batch.
+// RunBatch is the loop under every timed or observed run: it retires
+// instructions through StepInto (which shares the predecoded fetch path
+// and soft TLB), charging the caller's timing model with each Event as it
+// retires, with the per-batch bookkeeping amortized across the batch.
 package sim
 
 import (
@@ -28,24 +29,29 @@ import (
 // vanishes into the chunk.
 const stopPollChunk = 1 << 20
 
-// RunBatch executes up to max instructions. After each instruction the
-// timing model is charged: m.Now += charge(ev). The Event is reused from
-// one instruction to the next, so charge must not retain it. A nil charge
-// advances Now by one per instruction (functional time). It returns the
-// number of instructions retired; execution stops early when the machine
-// halts or on error. Because events are produced and charged in exactly
-// the order the unbatched loop would, cycle counts are bit-identical to
-// per-step simulation; max only bounds how long the caller goes without
-// polling Stop.
+// RunBatch executes up to max instructions and is the one loop that steps
+// the reference path: RunTimed drives it for every StepInto-based run
+// (reference, cycle-approximate, cycle-exact, the farm's event feed).
+// After each instruction the timing model is charged: m.Now += charge(ev).
+// The Event is reused from one instruction to the next, so charge must not
+// retain it. A nil charge advances Now by one per instruction (functional
+// time). It returns the number of instructions retired; execution stops
+// early when the machine halts or on error. Because events are produced
+// and charged in exactly the order an unbatched loop would, cycle counts
+// are bit-identical to per-step simulation; max only bounds how long the
+// caller goes without polling Stop.
 func (m *Machine) RunBatch(max uint64, charge func(*Event) uint64) (uint64, error) {
 	// Metrics land once per batch: the deferred flush publishes this
 	// batch's retired/cycle delta to the attached shards (nil = two
 	// compares), keeping the per-instruction loop untouched.
 	defer m.flushObs()
+	if err := m.syncDevices(); err != nil {
+		return 0, err
+	}
 	// Checkpoint integration: fire a boundary left pending by the caller,
 	// then clamp the batch so it ends exactly on the next boundary. The
-	// cycle-exact loop therefore snapshots at the same retired-instruction
-	// counts the functional paths do.
+	// batched loops therefore snapshot at the same retired-instruction
+	// counts the fast path does.
 	if err := m.maybeCheckpoint(); err != nil {
 		return 0, err
 	}
@@ -71,6 +77,28 @@ func (m *Machine) RunBatch(max uint64, charge func(*Event) uint64) (uint64, erro
 	return n, nil
 }
 
+// chunkBudget returns how many instructions the fast loop may retire
+// before it must surface: what is left of limit, clamped twice. With a
+// kill switch installed the budget counts down in chunks so the channel is
+// polled every stopPollChunk instructions; without one (the common case)
+// it spans the whole run. Checkpointing rides the same mechanism: clamping
+// to the boundary distance makes the loop surface at exact multiples of
+// CkptEvery, where maybeCheckpoint fires with state published. Zero means
+// the limit is reached.
+func (m *Machine) chunkBudget(limit uint64) uint64 {
+	if limit <= m.Instret {
+		return 0
+	}
+	b := limit - m.Instret
+	if m.Stop != nil && b > stopPollChunk {
+		b = stopPollChunk
+	}
+	if d := m.ckptDist(); b > d {
+		b = d
+	}
+	return b
+}
+
 // runFast executes until the machine halts, advancing functional time (one
 // cycle per instruction). Callers must ensure no hooks, trace writer, or
 // tamper function are installed; devices are fine (MMIO takes the slow
@@ -83,8 +111,8 @@ func (m *Machine) runFast() error {
 	// flushes mid-run so a live scrape sees progress. Both are deltas, so
 	// together they count each instruction exactly once.
 	defer m.flushObs()
-	if len(m.Devices) != m.devN {
-		m.indexDevices()
+	if err := m.syncDevices(); err != nil {
+		return err
 	}
 	mem := m.Mem
 	regs := &m.Regs
@@ -122,23 +150,7 @@ func (m *Machine) runFast() error {
 	if err := m.maybeCheckpoint(); err != nil {
 		return err
 	}
-	budget0 = 0
-	if limit > m.Instret {
-		budget0 = limit - m.Instret
-	}
-	if m.Stop != nil && budget0 > stopPollChunk {
-		// A kill switch is installed: count the budget down in chunks so
-		// the channel is polled every stopPollChunk instructions. Without
-		// one (the common case) the budget spans the whole run and the
-		// loop is unchanged.
-		budget0 = stopPollChunk
-	}
-	// Checkpointing rides the same chunk mechanism: clamping the budget to
-	// the boundary distance makes the loop surface at exact multiples of
-	// CkptEvery, where maybeCheckpoint fires with state published.
-	if d := m.ckptDist(); budget0 > d {
-		budget0 = d
-	}
+	budget0 = m.chunkBudget(limit)
 	budget = budget0
 
 	for {
@@ -154,21 +166,12 @@ func (m *Machine) runFast() error {
 			if err := m.maybeCheckpoint(); err != nil {
 				return err
 			}
-			budget0 = 0
-			if limit > m.Instret {
-				budget0 = limit - m.Instret
-			}
+			budget0 = m.chunkBudget(limit)
 			if budget0 == 0 {
 				goto slowpath // consumed is now zero; StepInto raises the limit trap
 			}
 			if m.Interrupted() {
 				return ErrStopped
-			}
-			if m.Stop != nil && budget0 > stopPollChunk {
-				budget0 = stopPollChunk
-			}
-			if d := m.ckptDist(); budget0 > d {
-				budget0 = d
 			}
 			budget = budget0
 			continue
@@ -192,21 +195,15 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLL:
-			rd := regs[in.Rs1&31] << (regs[in.Rs2&31] & 63)
+			rd := sll(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLT:
-			var rd uint64
-			if int64(regs[in.Rs1&31]) < int64(regs[in.Rs2&31]) {
-				rd = 1
-			}
+			rd := slt(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLTU:
-			var rd uint64
-			if regs[in.Rs1&31] < regs[in.Rs2&31] {
-				rd = 1
-			}
+			rd := sltu(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpXOR:
@@ -214,11 +211,11 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRL:
-			rd := regs[in.Rs1&31] >> (regs[in.Rs2&31] & 63)
+			rd := srl(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRA:
-			rd := uint64(int64(regs[in.Rs1&31]) >> (regs[in.Rs2&31] & 63))
+			rd := sra(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpOR:
@@ -234,7 +231,7 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpMULH:
-			rd := mulh(int64(regs[in.Rs1&31]), int64(regs[in.Rs2&31]))
+			rd := mulh(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpMULHU:
@@ -242,27 +239,19 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpDIV:
-			rd := div(int64(regs[in.Rs1&31]), int64(regs[in.Rs2&31]))
+			rd := div(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpDIVU:
-			rs2 := regs[in.Rs2&31]
-			rd := ^uint64(0)
-			if rs2 != 0 {
-				rd = regs[in.Rs1&31] / rs2
-			}
+			rd := divu(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpREM:
-			rd := rem(int64(regs[in.Rs1&31]), int64(regs[in.Rs2&31]))
+			rd := rem(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpREMU:
-			rs1, rs2 := regs[in.Rs1&31], regs[in.Rs2&31]
-			rd := rs1
-			if rs2 != 0 {
-				rd = rs1 % rs2
-			}
+			rd := remu(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpADDI:
@@ -270,17 +259,11 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLTI:
-			var rd uint64
-			if int64(regs[in.Rs1&31]) < int64(in.Imm) {
-				rd = 1
-			}
+			rd := slt(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLTIU:
-			var rd uint64
-			if regs[in.Rs1&31] < uint64(in.Imm) {
-				rd = 1
-			}
+			rd := sltu(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpXORI:
@@ -296,15 +279,15 @@ func (m *Machine) runFast() error {
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLLI:
-			rd := regs[in.Rs1&31] << uint64(in.Imm)
+			rd := sll(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRLI:
-			rd := regs[in.Rs1&31] >> uint64(in.Imm)
+			rd := srl(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRAI:
-			rd := uint64(int64(regs[in.Rs1&31]) >> uint64(in.Imm))
+			rd := sra(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpLUI:
@@ -375,7 +358,7 @@ func (m *Machine) runFast() error {
 			} else {
 				v = uint32(mem.Read(addr, 4))
 			}
-			regs[in.Rd&31] = uint64(int64(int32(v)))
+			regs[in.Rd&31] = extendLoad(isa.OpLW, uint64(v))
 			regs[0] = 0
 		case isa.OpLWU:
 			addr := regs[in.Rs1&31] + uint64(in.Imm)
@@ -405,7 +388,7 @@ func (m *Machine) runFast() error {
 			} else {
 				v = uint16(mem.Read(addr, 2))
 			}
-			regs[in.Rd&31] = uint64(int64(int16(v)))
+			regs[in.Rd&31] = extendLoad(isa.OpLH, uint64(v))
 			regs[0] = 0
 		case isa.OpLHU:
 			addr := regs[in.Rs1&31] + uint64(in.Imm)
@@ -431,7 +414,7 @@ func (m *Machine) runFast() error {
 			if p := mem.lookup(addr); p != nil {
 				v = p[addr&(pageSize-1)]
 			}
-			regs[in.Rd&31] = uint64(int64(int8(v)))
+			regs[in.Rd&31] = extendLoad(isa.OpLB, uint64(v))
 			regs[0] = 0
 		case isa.OpLBU:
 			addr := regs[in.Rs1&31] + uint64(in.Imm)
@@ -450,11 +433,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			if off := addr & (pageSize - 1); off <= pageSize-8 {
-				binary.LittleEndian.PutUint64(mem.lookupCreate(addr)[off:], regs[in.Rs2&31])
-			} else {
-				mem.Write(addr, 8, regs[in.Rs2&31])
-			}
+			mem.store64(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 8)
 			}
@@ -463,11 +442,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			if off := addr & (pageSize - 1); off <= pageSize-4 {
-				binary.LittleEndian.PutUint32(mem.lookupCreate(addr)[off:], uint32(regs[in.Rs2&31]))
-			} else {
-				mem.Write(addr, 4, regs[in.Rs2&31])
-			}
+			mem.store32(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 4)
 			}
@@ -476,11 +451,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			if off := addr & (pageSize - 1); off <= pageSize-2 {
-				binary.LittleEndian.PutUint16(mem.lookupCreate(addr)[off:], uint16(regs[in.Rs2&31]))
-			} else {
-				mem.Write(addr, 2, regs[in.Rs2&31])
-			}
+			mem.store16(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 2)
 			}
@@ -489,73 +460,65 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			mem.lookupCreate(addr)[addr&(pageSize-1)] = byte(regs[in.Rs2&31])
+			mem.store8(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 1)
 			}
 
 		case isa.OpADDW:
-			rd := sext32(uint32(regs[in.Rs1&31]) + uint32(regs[in.Rs2&31]))
+			rd := addw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSUBW:
-			rd := sext32(uint32(regs[in.Rs1&31]) - uint32(regs[in.Rs2&31]))
+			rd := subw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLLW:
-			rd := sext32(uint32(regs[in.Rs1&31]) << (regs[in.Rs2&31] & 31))
+			rd := sllw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRLW:
-			rd := sext32(uint32(regs[in.Rs1&31]) >> (regs[in.Rs2&31] & 31))
+			rd := srlw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRAW:
-			rd := uint64(int64(int32(regs[in.Rs1&31]) >> (regs[in.Rs2&31] & 31)))
+			rd := sraw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpADDIW:
-			rd := sext32(uint32(regs[in.Rs1&31]) + uint32(in.Imm))
+			rd := addw(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSLLIW:
-			rd := sext32(uint32(regs[in.Rs1&31]) << uint64(in.Imm))
+			rd := sllw(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRLIW:
-			rd := sext32(uint32(regs[in.Rs1&31]) >> uint64(in.Imm))
+			rd := srlw(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpSRAIW:
-			rd := uint64(int64(int32(regs[in.Rs1&31]) >> uint64(in.Imm)))
+			rd := sraw(regs[in.Rs1&31], uint64(in.Imm))
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpMULW:
-			rd := sext32(uint32(regs[in.Rs1&31]) * uint32(regs[in.Rs2&31]))
+			rd := mulw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpDIVW:
-			rd := divw(int32(regs[in.Rs1&31]), int32(regs[in.Rs2&31]))
+			rd := divw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpDIVUW:
-			rs2 := uint32(regs[in.Rs2&31])
-			rd := ^uint64(0)
-			if rs2 != 0 {
-				rd = sext32(uint32(regs[in.Rs1&31]) / rs2)
-			}
+			rd := divuw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpREMW:
-			rd := remw(int32(regs[in.Rs1&31]), int32(regs[in.Rs2&31]))
+			rd := remw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpREMUW:
-			rs1, rs2 := uint32(regs[in.Rs1&31]), uint32(regs[in.Rs2&31])
-			rd := sext32(rs1)
-			if rs2 != 0 {
-				rd = sext32(rs1 % rs2)
-			}
+			rd := remuw(regs[in.Rs1&31], regs[in.Rs2&31])
 			regs[in.Rd&31] = rd
 			regs[0] = 0
 		case isa.OpFENCE:
@@ -612,30 +575,17 @@ func (m *Machine) runFast() error {
 		if err := m.maybeCheckpoint(); err != nil {
 			return err
 		}
-		budget0 = 0
-		if limit > m.Instret {
-			budget0 = limit - m.Instret
-		}
-		budget = budget0
 		if m.Halted {
 			return nil
 		}
 		// Slow steps (MMIO, syscalls) can dominate some guests' time, so
 		// the kill switch is also polled here — with no Stop channel this
 		// is one nil check per slow step.
-		if m.Stop != nil {
-			if m.Interrupted() {
-				return ErrStopped
-			}
-			if budget0 > stopPollChunk {
-				budget0 = stopPollChunk
-				budget = budget0
-			}
+		if m.Interrupted() {
+			return ErrStopped
 		}
-		if d := m.ckptDist(); budget0 > d {
-			budget0 = d
-			budget = budget0
-		}
+		budget0 = m.chunkBudget(limit)
+		budget = budget0
 		// The slow step may have decoded code at a new address (extending
 		// the store-invalidation guard) or switched curSeg; re-hoist the
 		// loop's cached bounds so fetch and the store guard stay coherent.

@@ -8,9 +8,12 @@
 package sim
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"firemarshal/internal/isa"
 	"firemarshal/internal/obs"
@@ -24,8 +27,10 @@ var ErrStopped = errors.New("sim: stopped")
 type Device interface {
 	// Name identifies the device in traces and errors.
 	Name() string
-	// Contains reports whether the device claims the address.
-	Contains(addr uint64) bool
+	// AddrRange is the one fixed range [lo, hi) of addresses the device
+	// claims. The machine indexes devices by it; two devices on one
+	// machine may not overlap.
+	AddrRange() (lo, hi uint64)
 	// Load reads size bytes of device state. extra is additional cycles the
 	// access costs beyond a regular uncached access (cycle-exact mode only).
 	Load(m *Machine, addr uint64, size int) (val uint64, extra uint64, err error)
@@ -66,7 +71,8 @@ type Machine struct {
 	PC   uint64
 	Mem  *Memory
 
-	// Devices are checked in order for MMIO claims.
+	// Devices are the memory-mapped peripherals, each claiming its
+	// AddrRange.
 	Devices []Device
 	// Hooks observe data accesses (remote-memory models).
 	Hooks []MemHook
@@ -172,13 +178,12 @@ type Machine struct {
 	// fetches). Unlike a map it is self-bounded. Allocated on first miss.
 	dcache *[dcacheSize]dcacheEntry
 
-	// Sorted device address-range index: devRanges holds devices that
-	// expose an AddrRange (sorted by base, disjoint), devSlow the rest.
-	// devLo/devHi bound every claimed address so the common non-MMIO
-	// access is a single comparison. devN tracks len(Devices) at index
-	// build time so appends force a rebuild.
+	// Sorted device address-range index: devRanges holds every device's
+	// AddrRange (sorted by base, disjoint). devLo/devHi bound every claimed
+	// address so the common non-MMIO access is a single comparison. devN
+	// tracks len(Devices) at index build time so appends force a rebuild
+	// at the next run entry (syncDevices).
 	devRanges []devRange
-	devSlow   []Device
 	devLo     uint64
 	devHi     uint64
 	devN      int
@@ -308,14 +313,6 @@ type devRange struct {
 	d      Device
 }
 
-// AddrRanger is an optional Device extension: devices that claim one fixed
-// address range expose it so the machine can index them. Devices that do
-// not implement it are checked with a linear Contains scan, and their
-// presence disables the one-comparison non-MMIO fast path.
-type AddrRanger interface {
-	AddrRange() (lo, hi uint64)
-}
-
 // NewMachine returns a machine with empty memory.
 func NewMachine() *Machine {
 	return &Machine{
@@ -354,19 +351,7 @@ func (m *Machine) LoadExecutable(exe *isa.Executable, stackTop uint64) {
 			uops:   make([]uop, n),
 		}
 		for i := 0; i < n; i++ {
-			raw := uint32(seg.Data[i*4]) | uint32(seg.Data[i*4+1])<<8 |
-				uint32(seg.Data[i*4+2])<<16 | uint32(seg.Data[i*4+3])<<24
-			if in, err := isa.Decode(raw); err == nil {
-				sc.instrs[i] = in
-				sc.uops[i] = packUop(in)
-				w := sc.base + uint64(i*4)
-				if w < m.codeMin {
-					m.codeMin = w
-				}
-				if w+4 > m.codeMax {
-					m.codeMax = w + 4
-				}
-			}
+			m.predecode(&sc, uint64(i), binary.LittleEndian.Uint32(seg.Data[i*4:]))
 		}
 		m.segs = append(m.segs, sc)
 	}
@@ -374,7 +359,29 @@ func (m *Machine) LoadExecutable(exe *isa.Executable, stackTop uint64) {
 		m.curSeg = &m.segs[0]
 	}
 	m.updateCodeGuard()
-	m.indexDevices()
+}
+
+// predecode installs the decoded form of raw as word i of segment s — or
+// clears the slot when raw is not an instruction (data, invalidated code)
+// — and widens the cached-code bounds to cover it.
+func (m *Machine) predecode(s *segCode, i uint64, raw uint32) {
+	in, err := isa.Decode(raw)
+	if err != nil {
+		s.instrs[i], s.uops[i] = isa.Instr{}, uop{}
+		return
+	}
+	s.instrs[i], s.uops[i] = in, packUop(in)
+	m.noteCode(s.base + 4*i)
+}
+
+// noteCode widens codeMin/codeMax to cover the decoded word at w.
+func (m *Machine) noteCode(w uint64) {
+	if w < m.codeMin {
+		m.codeMin = w
+	}
+	if w+4 > m.codeMax {
+		m.codeMax = w + 4
+	}
 }
 
 // packUop narrows a decoded instruction to the fast loop's 8-byte form.
@@ -386,19 +393,9 @@ func packUop(in isa.Instr) uop {
 	return uop{Op: in.Op, Rd: in.Rd, Rs1: in.Rs1, Rs2: in.Rs2, Imm: int32(in.Imm)}
 }
 
-// fetch returns the decoded instruction at pc: predecoded segment first,
-// then the bounded decode cache, then a decode from memory.
-func (m *Machine) fetch(pc uint64) (isa.Instr, error) {
-	if s := m.curSeg; s != nil && pc-s.base < s.limit-s.base && pc&3 == 0 {
-		if in := s.instrs[(pc-s.base)>>2]; in.Op != isa.OpInvalid {
-			return in, nil
-		}
-	}
-	return m.fetchSlow(pc)
-}
-
-// fetchSlow is the out-of-line remainder of fetch: segment switch, decode
-// cache, and finally a fresh decode from memory.
+// fetchSlow is the out-of-line remainder of StepInto's fetch, which tries
+// the current predecoded segment inline: segment switch, then the bounded
+// decode cache, and finally a fresh decode from memory.
 func (m *Machine) fetchSlow(pc uint64) (isa.Instr, error) {
 	if pc&3 == 0 && pc-m.predLo < m.predHi-m.predLo {
 		for i := range m.segs {
@@ -420,21 +417,14 @@ func (m *Machine) fetchSlow(pc uint64) (isa.Instr, error) {
 	raw := uint32(m.Mem.Read(pc, 4))
 	in, err := isa.Decode(raw)
 	if err != nil {
-		return in, m.trapf("%v", err)
+		return in, m.trapf("%v (instr %#08x)", err, raw)
 	}
 	if m.dcache == nil {
 		m.dcache = new([dcacheSize]dcacheEntry)
 	}
 	m.dcache[(pc>>2)&(dcacheSize-1)] = dcacheEntry{tag: pc + 1, in: in}
-	if pc < m.codeMin || pc+4 > m.codeMax {
-		if pc < m.codeMin {
-			m.codeMin = pc
-		}
-		if pc+4 > m.codeMax {
-			m.codeMax = pc + 4
-		}
-		m.updateCodeGuard()
-	}
+	m.noteCode(pc)
+	m.updateCodeGuard()
 	return in, nil
 }
 
@@ -489,49 +479,41 @@ func (m *Machine) invalidateCode(addr uint64, size int) {
 	}
 }
 
-// indexDevices (re)builds the sorted device range index. It runs at load
-// time and again whenever len(Devices) changes between lookups.
-func (m *Machine) indexDevices() {
+// syncDevices brings the device index up to date with Devices. Every run
+// entry (Step, RunBatch, runFast) calls it, so the per-access lookup never
+// has to check.
+func (m *Machine) syncDevices() error {
+	if len(m.Devices) == m.devN {
+		return nil
+	}
+	return m.indexDevices()
+}
+
+// indexDevices (re)builds the sorted device range index. Two devices whose
+// ranges overlap are an error — a lookup must have one answer — and leave
+// the index stale, so every later run entry reports them again.
+func (m *Machine) indexDevices() error {
 	m.devRanges = m.devRanges[:0]
-	m.devSlow = m.devSlow[:0]
 	m.devLo, m.devHi = ^uint64(0), 0
-	m.devN = len(m.Devices)
 	for _, d := range m.Devices {
-		r, ok := d.(AddrRanger)
-		if !ok {
-			m.devSlow = append(m.devSlow, d)
-			continue
-		}
-		lo, hi := r.AddrRange()
+		lo, hi := d.AddrRange()
 		m.devRanges = append(m.devRanges, devRange{lo: lo, hi: hi, d: d})
+		if lo < m.devLo {
+			m.devLo = lo
+		}
+		if hi > m.devHi {
+			m.devHi = hi
+		}
 	}
-	// Insertion sort by base: device counts are tiny.
+	slices.SortFunc(m.devRanges, func(a, b devRange) int { return cmp.Compare(a.lo, b.lo) })
 	for i := 1; i < len(m.devRanges); i++ {
-		for j := i; j > 0 && m.devRanges[j].lo < m.devRanges[j-1].lo; j-- {
-			m.devRanges[j], m.devRanges[j-1] = m.devRanges[j-1], m.devRanges[j]
+		if a, b := m.devRanges[i-1], m.devRanges[i]; b.lo < a.hi {
+			return fmt.Errorf("sim: devices %s [%#x,%#x) and %s [%#x,%#x) overlap",
+				a.d.Name(), a.lo, a.hi, b.d.Name(), b.lo, b.hi)
 		}
 	}
-	// Overlapping ranges would break first-match-wins ordering; fall back
-	// to a plain scan in Devices order if any two ranges overlap.
-	for i := 1; i < len(m.devRanges); i++ {
-		if m.devRanges[i].lo < m.devRanges[i-1].hi {
-			m.devRanges = m.devRanges[:0]
-			m.devSlow = append(m.devSlow[:0], m.Devices...)
-			break
-		}
-	}
-	for _, r := range m.devRanges {
-		if r.lo < m.devLo {
-			m.devLo = r.lo
-		}
-		if r.hi > m.devHi {
-			m.devHi = r.hi
-		}
-	}
-	if len(m.devSlow) > 0 {
-		// Unindexable devices can claim anything: disable the bound skip.
-		m.devLo, m.devHi = 0, ^uint64(0)
-	}
+	m.devN = len(m.Devices)
+	return nil
 }
 
 // ErrTrap is returned for guest faults (bad fetch, bad instruction).
@@ -547,9 +529,6 @@ func (m *Machine) trapf(format string, args ...any) error {
 }
 
 func (m *Machine) device(addr uint64) Device {
-	if len(m.Devices) != m.devN {
-		m.indexDevices()
-	}
 	if addr-m.devLo >= m.devHi-m.devLo {
 		return nil
 	}
@@ -562,18 +541,7 @@ func (m *Machine) device(addr uint64) Device {
 			return r.d
 		}
 	}
-	for _, d := range m.devSlow {
-		if d.Contains(addr) {
-			return d
-		}
-	}
 	return nil
-}
-
-// isMMIO reports whether addr is claimed by a device — the fast loop's
-// one-comparison pre-check (conservative when unindexable devices exist).
-func (m *Machine) isMMIO(addr uint64) bool {
-	return addr-m.devLo < m.devHi-m.devLo
 }
 
 // Step executes one instruction. It is the single execution path used by
@@ -581,12 +549,17 @@ func (m *Machine) isMMIO(addr uint64) bool {
 // simulation levels.
 func (m *Machine) Step() (Event, error) {
 	var ev Event
+	if err := m.syncDevices(); err != nil {
+		return ev, err
+	}
 	err := m.StepInto(&ev)
 	return ev, err
 }
 
-// StepInto is the allocation-free Step variant used by simulator hot
-// loops: the event is written into *ev instead of returned by value.
+// StepInto is the allocation-free Step variant the run loops are built on:
+// the event is written into *ev instead of returned by value. It assumes
+// the device index is current; outside this package use Step, RunBatch or
+// a Run function, which see to that first.
 func (m *Machine) StepInto(ev *Event) error {
 	*ev = Event{PC: m.PC}
 	if m.Halted {
@@ -596,8 +569,9 @@ func (m *Machine) StepInto(ev *Event) error {
 		return m.trapf("instruction limit %d exceeded", m.MaxInstrs)
 	}
 
-	// Fetch, with the predecoded-segment hit path inlined (m.fetch is just
-	// past the inlining budget, and this runs once per instruction).
+	// Fetch, with the predecoded-segment hit path written inline (as a
+	// function with its fallback call it is just past the inlining budget,
+	// and this runs once per instruction).
 	var in isa.Instr
 	if s := m.curSeg; s != nil && m.PC-s.base < s.limit-s.base && m.PC&3 == 0 {
 		in = s.instrs[(m.PC-s.base)>>2]
@@ -623,21 +597,17 @@ func (m *Machine) StepInto(ev *Event) error {
 	case isa.OpSUB:
 		rd = rs1 - rs2
 	case isa.OpSLL:
-		rd = rs1 << (rs2 & 63)
+		rd = sll(rs1, rs2)
 	case isa.OpSLT:
-		if int64(rs1) < int64(rs2) {
-			rd = 1
-		}
+		rd = slt(rs1, rs2)
 	case isa.OpSLTU:
-		if rs1 < rs2 {
-			rd = 1
-		}
+		rd = sltu(rs1, rs2)
 	case isa.OpXOR:
 		rd = rs1 ^ rs2
 	case isa.OpSRL:
-		rd = rs1 >> (rs2 & 63)
+		rd = srl(rs1, rs2)
 	case isa.OpSRA:
-		rd = uint64(int64(rs1) >> (rs2 & 63))
+		rd = sra(rs1, rs2)
 	case isa.OpOR:
 		rd = rs1 | rs2
 	case isa.OpAND:
@@ -645,35 +615,23 @@ func (m *Machine) StepInto(ev *Event) error {
 	case isa.OpMUL:
 		rd = rs1 * rs2
 	case isa.OpMULH:
-		rd = mulh(int64(rs1), int64(rs2))
+		rd = mulh(rs1, rs2)
 	case isa.OpMULHU:
 		rd = mulhu(rs1, rs2)
 	case isa.OpDIV:
-		rd = div(int64(rs1), int64(rs2))
+		rd = div(rs1, rs2)
 	case isa.OpDIVU:
-		if rs2 == 0 {
-			rd = ^uint64(0)
-		} else {
-			rd = rs1 / rs2
-		}
+		rd = divu(rs1, rs2)
 	case isa.OpREM:
-		rd = rem(int64(rs1), int64(rs2))
+		rd = rem(rs1, rs2)
 	case isa.OpREMU:
-		if rs2 == 0 {
-			rd = rs1
-		} else {
-			rd = rs1 % rs2
-		}
+		rd = remu(rs1, rs2)
 	case isa.OpADDI:
 		rd = rs1 + uint64(in.Imm)
 	case isa.OpSLTI:
-		if int64(rs1) < in.Imm {
-			rd = 1
-		}
+		rd = slt(rs1, uint64(in.Imm))
 	case isa.OpSLTIU:
-		if rs1 < uint64(in.Imm) {
-			rd = 1
-		}
+		rd = sltu(rs1, uint64(in.Imm))
 	case isa.OpXORI:
 		rd = rs1 ^ uint64(in.Imm)
 	case isa.OpORI:
@@ -681,11 +639,11 @@ func (m *Machine) StepInto(ev *Event) error {
 	case isa.OpANDI:
 		rd = rs1 & uint64(in.Imm)
 	case isa.OpSLLI:
-		rd = rs1 << uint64(in.Imm)
+		rd = sll(rs1, uint64(in.Imm))
 	case isa.OpSRLI:
-		rd = rs1 >> uint64(in.Imm)
+		rd = srl(rs1, uint64(in.Imm))
 	case isa.OpSRAI:
-		rd = uint64(int64(rs1) >> uint64(in.Imm))
+		rd = sra(rs1, uint64(in.Imm))
 	case isa.OpLUI:
 		rd = uint64(in.Imm)
 	case isa.OpAUIPC:
@@ -719,7 +677,7 @@ func (m *Machine) StepInto(ev *Event) error {
 		}
 	case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU:
 		addr := rs1 + uint64(in.Imm)
-		size := loadSize(in.Op)
+		size := accessSize(in.Op)
 		ev.MemAddr, ev.MemSize = addr, size
 		extra, v, mmio, err := m.load(addr, size)
 		if err != nil {
@@ -731,7 +689,7 @@ func (m *Machine) StepInto(ev *Event) error {
 	case isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
 		writeRd = false
 		addr := rs1 + uint64(in.Imm)
-		size := storeSize(in.Op)
+		size := accessSize(in.Op)
 		ev.MemAddr, ev.MemSize = addr, size
 		extra, mmio, err := m.store(addr, size, rs2)
 		if err != nil {
@@ -760,41 +718,33 @@ func (m *Machine) StepInto(ev *Event) error {
 		rd = v
 		// CSR writes to the counters are ignored (read-only counters).
 	case isa.OpADDW:
-		rd = sext32(uint32(rs1) + uint32(rs2))
+		rd = addw(rs1, rs2)
 	case isa.OpSUBW:
-		rd = sext32(uint32(rs1) - uint32(rs2))
+		rd = subw(rs1, rs2)
 	case isa.OpSLLW:
-		rd = sext32(uint32(rs1) << (rs2 & 31))
+		rd = sllw(rs1, rs2)
 	case isa.OpSRLW:
-		rd = sext32(uint32(rs1) >> (rs2 & 31))
+		rd = srlw(rs1, rs2)
 	case isa.OpSRAW:
-		rd = uint64(int64(int32(rs1) >> (rs2 & 31)))
+		rd = sraw(rs1, rs2)
 	case isa.OpADDIW:
-		rd = sext32(uint32(rs1) + uint32(in.Imm))
+		rd = addw(rs1, uint64(in.Imm))
 	case isa.OpSLLIW:
-		rd = sext32(uint32(rs1) << uint64(in.Imm))
+		rd = sllw(rs1, uint64(in.Imm))
 	case isa.OpSRLIW:
-		rd = sext32(uint32(rs1) >> uint64(in.Imm))
+		rd = srlw(rs1, uint64(in.Imm))
 	case isa.OpSRAIW:
-		rd = uint64(int64(int32(rs1) >> uint64(in.Imm)))
+		rd = sraw(rs1, uint64(in.Imm))
 	case isa.OpMULW:
-		rd = sext32(uint32(rs1) * uint32(rs2))
+		rd = mulw(rs1, rs2)
 	case isa.OpDIVW:
-		rd = divw(int32(rs1), int32(rs2))
+		rd = divw(rs1, rs2)
 	case isa.OpDIVUW:
-		if uint32(rs2) == 0 {
-			rd = ^uint64(0)
-		} else {
-			rd = sext32(uint32(rs1) / uint32(rs2))
-		}
+		rd = divuw(rs1, rs2)
 	case isa.OpREMW:
-		rd = remw(int32(rs1), int32(rs2))
+		rd = remw(rs1, rs2)
 	case isa.OpREMUW:
-		if uint32(rs2) == 0 {
-			rd = sext32(uint32(rs1))
-		} else {
-			rd = sext32(uint32(rs1) % uint32(rs2))
-		}
+		rd = remuw(rs1, rs2)
 	case isa.OpFENCE:
 		writeRd = false
 	default:
@@ -872,122 +822,17 @@ func (m *Machine) store(addr uint64, size int, val uint64) (extra uint64, mmio b
 	return extra, false, nil
 }
 
-func loadSize(op isa.Op) int {
+// accessSize is the width in bytes of a load or store op.
+func accessSize(op isa.Op) int {
 	switch op {
-	case isa.OpLB, isa.OpLBU:
+	case isa.OpLB, isa.OpLBU, isa.OpSB:
 		return 1
-	case isa.OpLH, isa.OpLHU:
+	case isa.OpLH, isa.OpLHU, isa.OpSH:
 		return 2
-	case isa.OpLW, isa.OpLWU:
+	case isa.OpLW, isa.OpLWU, isa.OpSW:
 		return 4
 	default:
 		return 8
-	}
-}
-
-func storeSize(op isa.Op) int {
-	switch op {
-	case isa.OpSB:
-		return 1
-	case isa.OpSH:
-		return 2
-	case isa.OpSW:
-		return 4
-	default:
-		return 8
-	}
-}
-
-func extendLoad(op isa.Op, v uint64) uint64 {
-	switch op {
-	case isa.OpLB:
-		return uint64(int64(int8(v)))
-	case isa.OpLH:
-		return uint64(int64(int16(v)))
-	case isa.OpLW:
-		return uint64(int64(int32(v)))
-	default:
-		return v
-	}
-}
-
-func mulh(a, b int64) uint64 {
-	hi, _ := mul128(uint64(a), uint64(b))
-	if a < 0 {
-		hi -= uint64(b)
-	}
-	if b < 0 {
-		hi -= uint64(a)
-	}
-	return hi
-}
-
-func mulhu(a, b uint64) uint64 {
-	hi, _ := mul128(a, b)
-	return hi
-}
-
-// mul128 computes the full 128-bit product of two uint64s.
-func mul128(a, b uint64) (hi, lo uint64) {
-	aLo, aHi := a&0xffffffff, a>>32
-	bLo, bHi := b&0xffffffff, b>>32
-	t := aLo * bLo
-	lo = t & 0xffffffff
-	carry := t >> 32
-	t = aHi*bLo + carry
-	mid1 := t & 0xffffffff
-	hi = t >> 32
-	t = aLo*bHi + mid1
-	lo |= (t & 0xffffffff) << 32
-	hi += t >> 32
-	hi += aHi * bHi
-	return hi, lo
-}
-
-// sext32 sign-extends a 32-bit value to 64 bits.
-func sext32(v uint32) uint64 { return uint64(int64(int32(v))) }
-
-func divw(a, b int32) uint64 {
-	switch {
-	case b == 0:
-		return ^uint64(0)
-	case a == -1<<31 && b == -1:
-		return sext32(uint32(a))
-	default:
-		return sext32(uint32(a / b))
-	}
-}
-
-func remw(a, b int32) uint64 {
-	switch {
-	case b == 0:
-		return sext32(uint32(a))
-	case a == -1<<31 && b == -1:
-		return 0
-	default:
-		return sext32(uint32(a % b))
-	}
-}
-
-func div(a, b int64) uint64 {
-	switch {
-	case b == 0:
-		return ^uint64(0)
-	case a == -1<<63 && b == -1:
-		return uint64(a) // overflow case per spec
-	default:
-		return uint64(a / b)
-	}
-}
-
-func rem(a, b int64) uint64 {
-	switch {
-	case b == 0:
-		return uint64(a)
-	case a == -1<<63 && b == -1:
-		return 0
-	default:
-		return uint64(a % b)
 	}
 }
 

@@ -70,31 +70,34 @@ func (m *Memory) lookupMiss(pn uint64) *[pageSize]byte {
 	return p
 }
 
-// lookupCreate is lookup for the write path: unmapped pages are allocated
-// and the page is marked dirty. The hot case — a TLB hit on a page
-// already marked this epoch — stays small enough to inline.
-func (m *Memory) lookupCreate(addr uint64) *[pageSize]byte {
+// storeHit is the store path's hot case: a TLB hit on a page already
+// marked dirty this epoch; it returns nil otherwise. It has no call in it
+// (cost 33 of go1.24's inlining budget of 80), so it inlines into each
+// store helper (semantics.go) and the common store is that helper's one
+// call. Putting the miss call in the same function does not inline — the
+// call alone costs 57 — which is why hit and miss are two functions.
+func (m *Memory) storeHit(addr uint64) *[pageSize]byte {
 	pn := addr >> pageBits
-	e := &m.tlb[pn&(tlbSize-1)]
-	if e.tag == pn+1 && e.dirty {
+	if e := &m.tlb[pn&(tlbSize-1)]; e.tag == pn+1 && e.dirty {
 		return e.page
 	}
-	return m.lookupCreateSlow(pn)
+	return nil
 }
 
-// lookupCreateSlow handles the first store to a TLB-resident clean page
-// (marking it dirty) and falls through to the full miss path.
-func (m *Memory) lookupCreateSlow(pn uint64) *[pageSize]byte {
+// storeMiss is the rest of the store path: the first store to a
+// TLB-resident clean page marks it dirty, and anything else takes the full
+// miss path, which allocates an unmapped page.
+func (m *Memory) storeMiss(pn uint64) *[pageSize]byte {
 	if e := &m.tlb[pn&(tlbSize-1)]; e.tag == pn+1 {
 		e.dirty = true
 		m.dirty[pn] = struct{}{}
 		return e.page
 	}
-	return m.lookupCreateMiss(pn)
+	return m.storeRefill(pn)
 }
 
-// lookupCreateMiss refills the TLB, allocating the page if needed.
-func (m *Memory) lookupCreateMiss(pn uint64) *[pageSize]byte {
+// storeRefill refills the TLB, allocating the page if needed.
+func (m *Memory) storeRefill(pn uint64) *[pageSize]byte {
 	p, ok := m.pages[pn]
 	if !ok {
 		p = new([pageSize]byte)
@@ -106,19 +109,12 @@ func (m *Memory) lookupCreateMiss(pn uint64) *[pageSize]byte {
 	return p
 }
 
-func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
-	if create {
-		return m.lookupCreate(addr)
-	}
-	return m.lookup(addr)
-}
-
 // ReadBytes copies n bytes starting at addr into a new slice. Unmapped
 // memory reads as zero.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
 	for i := 0; i < n; {
-		p := m.page(addr+uint64(i), false)
+		p := m.lookup(addr + uint64(i))
 		off := int((addr + uint64(i)) & (pageSize - 1))
 		chunk := pageSize - off
 		if chunk > n-i {
@@ -135,8 +131,12 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 // WriteBytes stores b at addr, allocating pages as needed.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	for i := 0; i < len(b); {
-		p := m.page(addr+uint64(i), true)
-		off := int((addr + uint64(i)) & (pageSize - 1))
+		a := addr + uint64(i)
+		p := m.storeHit(a)
+		if p == nil {
+			p = m.storeMiss(a >> pageBits)
+		}
+		off := int(a & (pageSize - 1))
 		chunk := pageSize - off
 		if chunk > len(b)-i {
 			chunk = len(b) - i
@@ -169,22 +169,21 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 	return v
 }
 
-// Write stores a little-endian value of the given byte size.
+// Write stores a little-endian value of the given byte size through the
+// per-width store helpers (semantics.go); any other size goes bytewise.
 func (m *Memory) Write(addr uint64, size int, v uint64) {
-	off := int(addr & (pageSize - 1))
-	if off+size <= pageSize {
-		// Fast path: the access stays within one page.
-		p := m.lookupCreate(addr)
-		for i := 0; i < size; i++ {
-			p[off+i] = byte(v >> (8 * i))
-		}
-		return
+	switch size {
+	case 1:
+		m.store8(addr, v)
+	case 2:
+		m.store16(addr, v)
+	case 4:
+		m.store32(addr, v)
+	case 8:
+		m.store64(addr, v)
+	default:
+		m.storeStraddle(addr, size, v)
 	}
-	var b [8]byte
-	for i := 0; i < size; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	m.WriteBytes(addr, b[:size])
 }
 
 // ReadString reads a NUL-terminated string of at most max bytes. It scans

@@ -16,7 +16,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"time"
 
 	"firemarshal/internal/checkpoint"
 	"firemarshal/internal/isa"
@@ -24,6 +23,7 @@ import (
 	"firemarshal/internal/sim"
 	"firemarshal/internal/sim/bpred"
 	"firemarshal/internal/sim/cache"
+	"firemarshal/internal/sim/platform"
 )
 
 // Config parameterizes the timing model. The zero value is not usable; call
@@ -56,8 +56,9 @@ type Config struct {
 	// (default OpMUL when FaultMask is set).
 	FaultOp isa.Op
 	// Stop is the cooperative kill switch threaded into each machine (see
-	// sim.Machine.Stop); polled between instruction batches, so a killed
-	// job stops within batchSize retired instructions, cycle-exactly.
+	// sim.Machine.Stop); sim.RunTimed polls it between instruction
+	// batches, so a killed job stops within a few thousand retired
+	// instructions, cycle-exactly.
 	Stop <-chan struct{}
 	// Ckpt, when set, records completed Execs and snapshots machine plus
 	// timing-model state (predictor tables, cache tags, statistics) at
@@ -87,10 +88,6 @@ func DefaultConfig() Config {
 		MaxInstrs:         500_000_000,
 	}
 }
-
-// batchSize is how many instructions each RunBatch call may retire before
-// returning to the platform loop to poll Stop.
-const batchSize = 4096
 
 // timingClass is everything charge needs to know about an operation's
 // kind, decided once per op instead of once per retired instruction.
@@ -154,20 +151,17 @@ func (s Stats) MispredictRate() float64 {
 	return float64(s.Mispredicts) / float64(s.Branches)
 }
 
-// Platform is one cycle-exact simulation node.
+// Platform is one cycle-exact simulation node: the shared kernel plus the
+// timing model charge consults.
 type Platform struct {
+	platform.Host
 	cfg  Config
 	pred bpred.Predictor
-	// tage is pred when that is a *bpred.Tage (resolved at the top of each
-	// Exec), so charge reaches the default predictor without an interface
-	// call per branch.
-	tage      *bpred.Tage
-	icache    *cache.Cache
-	dcache    *cache.Cache
-	cycles    uint64
-	devices   []sim.Device
-	hooks     []sim.MemHook
-	fallbacks []sim.SyscallFallback
+	// tage is pred when that is a *bpred.Tage, so charge reaches the
+	// default predictor without an interface call per branch.
+	tage   *bpred.Tage
+	icache *cache.Cache
+	dcache *cache.Cache
 
 	// NodeName identifies this node on the network fabric.
 	NodeName string
@@ -179,9 +173,6 @@ var _ sim.Platform = (*Platform)(nil)
 
 // New builds a cycle-exact platform.
 func New(cfg Config) (*Platform, error) {
-	if cfg.MaxInstrs == 0 {
-		cfg.MaxInstrs = 500_000_000
-	}
 	// charge() bills multiply/divide ops as latency-1 on top of the base
 	// cycle; a user config with a zero latency would wrap uint64. Clamp to
 	// the 1-cycle minimum a real pipeline pays.
@@ -203,8 +194,14 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtlsim: dcache: %w", err)
 	}
-	p := &Platform{cfg: cfg, pred: pred, icache: ic, dcache: dc}
-	p.devices = []sim.Device{&sim.UART{}}
+	p := &Platform{
+		Host: platform.New(platform.Options{
+			Name: "firesim", Kind: "rtlsim",
+			MaxInstrs: cfg.MaxInstrs, Stop: cfg.Stop, Ckpt: cfg.Ckpt, Obs: cfg.Obs,
+		}),
+		cfg: cfg, icache: ic, dcache: dc,
+	}
+	p.SetPredictor(pred)
 	if cfg.Ckpt != nil {
 		cfg.Ckpt.SaveExtra = p.saveExtra
 		cfg.Ckpt.RestoreExtra = p.restoreExtra
@@ -212,26 +209,8 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
-// Name implements sim.Platform.
-func (p *Platform) Name() string { return "firesim" }
-
 // CycleExact implements sim.Platform.
 func (p *Platform) CycleExact() bool { return true }
-
-// Cycles implements sim.Platform.
-func (p *Platform) Cycles() uint64 { return p.cycles }
-
-// Charge implements sim.Platform.
-func (p *Platform) Charge(n uint64) { p.cycles += n }
-
-// AddDevice implements sim.Platform.
-func (p *Platform) AddDevice(d sim.Device) { p.devices = append(p.devices, d) }
-
-// AddHook implements sim.Platform.
-func (p *Platform) AddHook(h sim.MemHook) { p.hooks = append(p.hooks, h) }
-
-// AddSyscall implements sim.Platform.
-func (p *Platform) AddSyscall(fb sim.SyscallFallback) { p.fallbacks = append(p.fallbacks, fb) }
 
 // Stats returns accumulated statistics. The cache models count their own
 // hits and misses, so charge does not count them a second time.
@@ -301,110 +280,43 @@ func (p *Platform) restoreExtra(extra map[string][]byte) error {
 	return nil
 }
 
-// Exec implements sim.Platform: run the executable cycle-exactly. With
-// checkpointing enabled, execs a crashed attempt already completed replay
-// from their records (charging the recorded cycles), and the crashed
-// attempt's in-flight exec restores machine and timing-model state from
-// its latest snapshot — the resumed run's cycle counts are bit-identical
-// to an uninterrupted run's.
+// Exec implements sim.Platform: run the executable cycle-exactly, every
+// retired instruction's event charged to the timing model in retirement
+// order. A resumed run restores machine and timing-model state from its
+// latest snapshot (saveExtra/restoreExtra), so its cycle counts are
+// bit-identical to an uninterrupted run's.
 func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) (*sim.ExecResult, error) {
-	ck := p.cfg.Ckpt
-	var sig string
-	if ck != nil {
-		if len(p.hooks) > 0 {
-			return nil, fmt.Errorf("rtlsim: checkpointing is incompatible with memory hooks")
-		}
-		sig = checkpoint.ExecSig(exe.Entry, args)
-		if rec, out, ok, err := ck.ReplayNext(sig); err != nil {
-			return nil, fmt.Errorf("rtlsim: %w", err)
-		} else if ok {
-			if console != nil {
-				if _, err := console.Write(out); err != nil {
-					return nil, err
-				}
-			}
-			// Statistics are not re-derived here: the in-flight restore
-			// that always follows replay installs them wholesale.
-			p.cycles += rec.Cycles
-			return &sim.ExecResult{Exit: rec.Exit, Instrs: rec.Instrs, Cycles: rec.Cycles}, nil
-		}
+	res, err := p.Run(exe, console, args, p.injectFault, func(m *sim.Machine) (uint64, error) {
+		// The method value is bound once per exec: binding it per batch
+		// allocates.
+		return sim.RunTimed(m, p.charge)
+	})
+	if err == nil {
+		// An exec replayed from its record counts here too; the in-flight
+		// restore that always follows a replay installs the snapshot's
+		// statistics wholesale, and those already include it.
+		p.stats.Instrs += res.Instrs
+		p.stats.Cycles += res.Cycles
 	}
+	return res, err
+}
 
-	m := sim.NewMachine()
-	m.Console = console
-	m.Devices = p.devices
-	m.Hooks = p.hooks
-	fbs := make([]func(*sim.Machine, uint64) (bool, error), len(p.fallbacks))
-	for i, fb := range p.fallbacks {
-		fbs[i] = fb
+// injectFault installs the configured stuck-at fault on a fresh machine.
+func (p *Platform) injectFault(m *sim.Machine) {
+	if p.cfg.FaultMask == 0 {
+		return
 	}
-	m.SyscallFn = sim.BareSyscalls(fbs...)
-	m.MaxInstrs = p.cfg.MaxInstrs
-	if p.cfg.FaultMask != 0 {
-		faultOp := p.cfg.FaultOp
-		if faultOp == isa.OpInvalid {
-			faultOp = isa.OpMUL
-		}
-		mask := p.cfg.FaultMask
-		m.TamperFn = func(pc uint64, op isa.Op, rd uint64) uint64 {
-			if op == faultOp {
-				return rd | mask
-			}
-			return rd
-		}
+	faultOp := p.cfg.FaultOp
+	if faultOp == isa.OpInvalid {
+		faultOp = isa.OpMUL
 	}
-	m.LoadExecutable(exe, sim.DefaultStackTop)
-	sim.SetupArgv(m, args)
-
-	// Baselines predate BeginExec: a restore advances Instret and Now to
-	// the snapshot boundary, and the deltas below must span the whole exec.
-	startCycles := p.cycles
-	startInstrs := m.Instret
-	m.Now = p.cycles
-	m.Stop = p.cfg.Stop
-	if ck != nil {
-		w, _, err := ck.BeginExec(sig, m, console)
-		if err != nil {
-			return nil, fmt.Errorf("rtlsim: %w", err)
+	mask := p.cfg.FaultMask
+	m.TamperFn = func(pc uint64, op isa.Op, rd uint64) uint64 {
+		if op == faultOp {
+			return rd | mask
 		}
-		m.Console = w
+		return rd
 	}
-	// Metric shards attach after any restore, so a resumed exec reports
-	// only instructions it actually simulates; RunBatch flushes them once
-	// per batch.
-	m.AttachObs(p.cfg.Obs.Counter("sim_rtlsim_instrs_total").Shard(),
-		p.cfg.Obs.Counter("sim_rtlsim_cycles_total").Shard())
-	wallStart := time.Now()
-	// Batched stepping: the machine retires up to batchSize instructions
-	// per call, charging the timing model after each one. Event order and
-	// charge order are identical to per-step simulation, so cycle counts
-	// stay bit-exact; the batch only amortizes loop bookkeeping. The
-	// method value is bound once: binding it per batch allocates.
-	p.tage, _ = p.pred.(*bpred.Tage)
-	charge := p.charge
-	for !m.Halted {
-		if m.Interrupted() {
-			p.cycles = m.Now
-			return nil, fmt.Errorf("rtlsim: %w", sim.ErrStopped)
-		}
-		if _, err := m.RunBatch(batchSize, charge); err != nil {
-			p.cycles = m.Now
-			return nil, fmt.Errorf("rtlsim: %w", err)
-		}
-	}
-	p.cycles = m.Now
-	instrs := m.Instret - startInstrs
-	cycles := p.cycles - startCycles
-	// A 0-duration exec produces +Inf here; Gauge.Set clamps it to 0.
-	p.cfg.Obs.Gauge("sim_rtlsim_mips").Set(float64(instrs) / time.Since(wallStart).Seconds() / 1e6)
-	p.stats.Instrs += instrs
-	p.stats.Cycles += cycles
-	if ck != nil {
-		if err := ck.FinishExec(m.ExitCode, instrs, cycles); err != nil {
-			return nil, fmt.Errorf("rtlsim: %w", err)
-		}
-	}
-	return &sim.ExecResult{Exit: m.ExitCode, Instrs: instrs, Cycles: cycles}, nil
 }
 
 // charge computes the cycle cost of one executed instruction.
@@ -460,4 +372,7 @@ func (p *Platform) SecondsAt(cycles uint64) float64 {
 
 // SetPredictor swaps the branch predictor, supporting ablation studies
 // that sweep predictor configurations beyond the named presets.
-func (p *Platform) SetPredictor(pred bpred.Predictor) { p.pred = pred }
+func (p *Platform) SetPredictor(pred bpred.Predictor) {
+	p.pred = pred
+	p.tage, _ = pred.(*bpred.Tage)
+}

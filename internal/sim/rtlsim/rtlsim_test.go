@@ -311,8 +311,8 @@ func TestSecondsAt(t *testing.T) {
 // Device returning extra stall cycles must lengthen execution.
 type stallDevice struct{ stall uint64 }
 
-func (d *stallDevice) Name() string           { return "stall" }
-func (d *stallDevice) Contains(a uint64) bool { return a >= 0x60000000 && a < 0x60001000 }
+func (d *stallDevice) Name() string                { return "stall" }
+func (d *stallDevice) AddrRange() (uint64, uint64) { return 0x60000000, 0x60001000 }
 func (d *stallDevice) Load(m *sim.Machine, a uint64, s int) (uint64, uint64, error) {
 	return 0, d.stall, nil
 }

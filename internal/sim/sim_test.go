@@ -320,7 +320,7 @@ _start:
 // Property: MULH/MULHU match 128-bit big.Int arithmetic.
 func TestQuickMulh(t *testing.T) {
 	f := func(a, b int64) bool {
-		gotS := mulh(a, b)
+		gotS := mulh(uint64(a), uint64(b))
 		gotU := mulhu(uint64(a), uint64(b))
 		s := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
 		s.Rsh(s, 64)
@@ -452,8 +452,8 @@ func TestTraceOutput(t *testing.T) {
 // errDevice fails loads, exercising device error propagation.
 type errDevice struct{}
 
-func (errDevice) Name() string           { return "err" }
-func (errDevice) Contains(a uint64) bool { return a == 0x60000000 }
+func (errDevice) Name() string                { return "err" }
+func (errDevice) AddrRange() (uint64, uint64) { return 0x60000000, 0x60000001 }
 func (errDevice) Load(m *Machine, a uint64, s int) (uint64, uint64, error) {
 	return 0, 0, &ErrTrap{PC: a, Msg: "device load error"}
 }
@@ -471,5 +471,33 @@ func TestDeviceErrorsPropagate(t *testing.T) {
 		if _, err := RunFunctional(m); err == nil {
 			t.Errorf("%s: device error should propagate", srcOp)
 		}
+	}
+}
+
+// Overlapping device ranges fail at every run entry — the fast loop, the
+// batched reference loop and a single Step — and keep failing until fixed.
+func TestOverlappingDevicesFailEveryEntry(t *testing.T) {
+	exe, err := asm.Assemble("_start:\n    li a0, 0\n    li a7, 93\n    ecall\n", asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine()
+	m.SyscallFn = BareSyscalls()
+	m.Devices = []Device{&UART{}, &UART{Base: UARTBase + 8}}
+	m.LoadExecutable(exe, DefaultStackTop)
+	_, errStep := m.Step()
+	_, errFast := RunFunctional(m)
+	_, errRef := RunReference(m)
+	for name, err := range map[string]error{"Step": errStep, "RunFunctional": errFast, "RunReference": errRef} {
+		if err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Errorf("%s with overlapping devices: %v", name, err)
+		}
+	}
+	if m.Instret != 0 {
+		t.Errorf("retired %d instructions despite the conflict", m.Instret)
+	}
+	m.Devices = m.Devices[:1]
+	if _, err := RunFunctional(m); err != nil || !m.Halted {
+		t.Errorf("after removing the conflict: %v, halted=%v", err, m.Halted)
 	}
 }

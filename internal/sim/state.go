@@ -1,9 +1,5 @@
 package sim
 
-import (
-	"firemarshal/internal/isa"
-)
-
 // Checkpoint/restore of a Machine's complete architectural state.
 //
 // What must be captured is exactly what execution semantics depend on:
@@ -79,21 +75,7 @@ func (m *Machine) RebuildCode() {
 	for i := range m.segs {
 		s := &m.segs[i]
 		for w := s.base; w < s.limit; w += 4 {
-			idx := (w - s.base) >> 2
-			raw := uint32(m.Mem.Read(w, 4))
-			if in, err := isa.Decode(raw); err == nil {
-				s.instrs[idx] = in
-				s.uops[idx] = packUop(in)
-				if w < m.codeMin {
-					m.codeMin = w
-				}
-				if w+4 > m.codeMax {
-					m.codeMax = w + 4
-				}
-			} else {
-				s.instrs[idx] = isa.Instr{}
-				s.uops[idx] = uop{}
-			}
+			m.predecode(s, (w-s.base)>>2, uint32(m.Mem.Read(w, 4)))
 		}
 	}
 	if len(m.segs) > 0 {

@@ -430,11 +430,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			op := &ops[i]
 			switch op.op {
 			case topNop:
-			case topJalLink:
-				regs[op.rd] = op.target
-			case topAuipc:
-				regs[op.rd] = op.target
-			case topLuiAddi:
+			case topJalLink, topAuipc, topLuiAddi:
 				regs[op.rd] = op.target
 			case topAddAdd:
 				v := regs[op.rs1] + regs[op.rs2]
@@ -448,13 +444,9 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case topCmpBranch:
 				var c uint64
 				if op.imm2&1 != 0 {
-					if regs[op.rs1] < regs[op.rs2] {
-						c = 1
-					}
+					c = sltu(regs[op.rs1], regs[op.rs2])
 				} else {
-					if int64(regs[op.rs1]) < int64(regs[op.rs2]) {
-						c = 1
-					}
+					c = slt(regs[op.rs1], regs[op.rs2])
 				}
 				regs[op.rd] = c
 				if ((c != 0) == (op.imm2&2 != 0)) != op.expect {
@@ -487,11 +479,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if addr-devLo < devSpan {
 					return op.pc, retired + uint64(op.cum) - uint64(op.n)
 				}
-				if off := addr & (pageSize - 1); off <= pageSize-8 {
-					binary.LittleEndian.PutUint64(mem.lookupCreate(addr)[off:], regs[op.rs2])
-				} else {
-					mem.Write(addr, 8, regs[op.rs2])
-				}
+				mem.store64(addr, regs[op.rs2])
 				regs[op.rd] = a
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 8)
@@ -503,25 +491,17 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpSUB:
 				regs[op.rd] = regs[op.rs1] - regs[op.rs2]
 			case isa.OpSLL:
-				regs[op.rd] = regs[op.rs1] << (regs[op.rs2] & 63)
+				regs[op.rd] = sll(regs[op.rs1], regs[op.rs2])
 			case isa.OpSLT:
-				var rd uint64
-				if int64(regs[op.rs1]) < int64(regs[op.rs2]) {
-					rd = 1
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = slt(regs[op.rs1], regs[op.rs2])
 			case isa.OpSLTU:
-				var rd uint64
-				if regs[op.rs1] < regs[op.rs2] {
-					rd = 1
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = sltu(regs[op.rs1], regs[op.rs2])
 			case isa.OpXOR:
 				regs[op.rd] = regs[op.rs1] ^ regs[op.rs2]
 			case isa.OpSRL:
-				regs[op.rd] = regs[op.rs1] >> (regs[op.rs2] & 63)
+				regs[op.rd] = srl(regs[op.rs1], regs[op.rs2])
 			case isa.OpSRA:
-				regs[op.rd] = uint64(int64(regs[op.rs1]) >> (regs[op.rs2] & 63))
+				regs[op.rd] = sra(regs[op.rs1], regs[op.rs2])
 			case isa.OpOR:
 				regs[op.rd] = regs[op.rs1] | regs[op.rs2]
 			case isa.OpAND:
@@ -529,41 +509,23 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpMUL:
 				regs[op.rd] = regs[op.rs1] * regs[op.rs2]
 			case isa.OpMULH:
-				regs[op.rd] = mulh(int64(regs[op.rs1]), int64(regs[op.rs2]))
+				regs[op.rd] = mulh(regs[op.rs1], regs[op.rs2])
 			case isa.OpMULHU:
 				regs[op.rd] = mulhu(regs[op.rs1], regs[op.rs2])
 			case isa.OpDIV:
-				regs[op.rd] = div(int64(regs[op.rs1]), int64(regs[op.rs2]))
+				regs[op.rd] = div(regs[op.rs1], regs[op.rs2])
 			case isa.OpDIVU:
-				rs2 := regs[op.rs2]
-				rd := ^uint64(0)
-				if rs2 != 0 {
-					rd = regs[op.rs1] / rs2
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = divu(regs[op.rs1], regs[op.rs2])
 			case isa.OpREM:
-				regs[op.rd] = rem(int64(regs[op.rs1]), int64(regs[op.rs2]))
+				regs[op.rd] = rem(regs[op.rs1], regs[op.rs2])
 			case isa.OpREMU:
-				rs1, rs2 := regs[op.rs1], regs[op.rs2]
-				rd := rs1
-				if rs2 != 0 {
-					rd = rs1 % rs2
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = remu(regs[op.rs1], regs[op.rs2])
 			case isa.OpADDI:
 				regs[op.rd] = regs[op.rs1] + uint64(op.imm)
 			case isa.OpSLTI:
-				var rd uint64
-				if int64(regs[op.rs1]) < int64(op.imm) {
-					rd = 1
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = slt(regs[op.rs1], uint64(op.imm))
 			case isa.OpSLTIU:
-				var rd uint64
-				if regs[op.rs1] < uint64(op.imm) {
-					rd = 1
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = sltu(regs[op.rs1], uint64(op.imm))
 			case isa.OpXORI:
 				regs[op.rd] = regs[op.rs1] ^ uint64(op.imm)
 			case isa.OpORI:
@@ -571,11 +533,11 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpANDI:
 				regs[op.rd] = regs[op.rs1] & uint64(op.imm)
 			case isa.OpSLLI:
-				regs[op.rd] = regs[op.rs1] << uint64(op.imm)
+				regs[op.rd] = sll(regs[op.rs1], uint64(op.imm))
 			case isa.OpSRLI:
-				regs[op.rd] = regs[op.rs1] >> uint64(op.imm)
+				regs[op.rd] = srl(regs[op.rs1], uint64(op.imm))
 			case isa.OpSRAI:
-				regs[op.rd] = uint64(int64(regs[op.rs1]) >> uint64(op.imm))
+				regs[op.rd] = sra(regs[op.rs1], uint64(op.imm))
 			case isa.OpLUI:
 				regs[op.rd] = uint64(op.imm)
 
@@ -632,7 +594,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				} else {
 					v = uint32(mem.Read(addr, 4))
 				}
-				regs[op.rd] = uint64(int64(int32(v)))
+				regs[op.rd] = extendLoad(isa.OpLW, uint64(v))
 				regs[0] = 0
 			case isa.OpLWU:
 				addr := regs[op.rs1] + uint64(op.imm)
@@ -662,7 +624,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				} else {
 					v = uint16(mem.Read(addr, 2))
 				}
-				regs[op.rd] = uint64(int64(int16(v)))
+				regs[op.rd] = extendLoad(isa.OpLH, uint64(v))
 				regs[0] = 0
 			case isa.OpLHU:
 				addr := regs[op.rs1] + uint64(op.imm)
@@ -688,7 +650,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if p := mem.lookup(addr); p != nil {
 					v = p[addr&(pageSize-1)]
 				}
-				regs[op.rd] = uint64(int64(int8(v)))
+				regs[op.rd] = extendLoad(isa.OpLB, uint64(v))
 				regs[0] = 0
 			case isa.OpLBU:
 				addr := regs[op.rs1] + uint64(op.imm)
@@ -707,11 +669,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if addr-devLo < devSpan {
 					return op.pc, retired + uint64(op.cum) - uint64(op.n)
 				}
-				if off := addr & (pageSize - 1); off <= pageSize-8 {
-					binary.LittleEndian.PutUint64(mem.lookupCreate(addr)[off:], regs[op.rs2])
-				} else {
-					mem.Write(addr, 8, regs[op.rs2])
-				}
+				mem.store64(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 8)
 					return op.pc + 4, retired + uint64(op.cum)
@@ -721,11 +679,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if addr-devLo < devSpan {
 					return op.pc, retired + uint64(op.cum) - uint64(op.n)
 				}
-				if off := addr & (pageSize - 1); off <= pageSize-4 {
-					binary.LittleEndian.PutUint32(mem.lookupCreate(addr)[off:], uint32(regs[op.rs2]))
-				} else {
-					mem.Write(addr, 4, regs[op.rs2])
-				}
+				mem.store32(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 4)
 					return op.pc + 4, retired + uint64(op.cum)
@@ -735,11 +689,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if addr-devLo < devSpan {
 					return op.pc, retired + uint64(op.cum) - uint64(op.n)
 				}
-				if off := addr & (pageSize - 1); off <= pageSize-2 {
-					binary.LittleEndian.PutUint16(mem.lookupCreate(addr)[off:], uint16(regs[op.rs2]))
-				} else {
-					mem.Write(addr, 2, regs[op.rs2])
-				}
+				mem.store16(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 2)
 					return op.pc + 4, retired + uint64(op.cum)
@@ -749,50 +699,40 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				if addr-devLo < devSpan {
 					return op.pc, retired + uint64(op.cum) - uint64(op.n)
 				}
-				mem.lookupCreate(addr)[addr&(pageSize-1)] = byte(regs[op.rs2])
+				mem.store8(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 1)
 					return op.pc + 4, retired + uint64(op.cum)
 				}
 
 			case isa.OpADDW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) + uint32(regs[op.rs2]))
+				regs[op.rd] = addw(regs[op.rs1], regs[op.rs2])
 			case isa.OpSUBW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) - uint32(regs[op.rs2]))
+				regs[op.rd] = subw(regs[op.rs1], regs[op.rs2])
 			case isa.OpSLLW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) << (regs[op.rs2] & 31))
+				regs[op.rd] = sllw(regs[op.rs1], regs[op.rs2])
 			case isa.OpSRLW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) >> (regs[op.rs2] & 31))
+				regs[op.rd] = srlw(regs[op.rs1], regs[op.rs2])
 			case isa.OpSRAW:
-				regs[op.rd] = uint64(int64(int32(regs[op.rs1]) >> (regs[op.rs2] & 31)))
+				regs[op.rd] = sraw(regs[op.rs1], regs[op.rs2])
 			case isa.OpADDIW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) + uint32(op.imm))
+				regs[op.rd] = addw(regs[op.rs1], uint64(op.imm))
 			case isa.OpSLLIW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) << uint64(op.imm))
+				regs[op.rd] = sllw(regs[op.rs1], uint64(op.imm))
 			case isa.OpSRLIW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) >> uint64(op.imm))
+				regs[op.rd] = srlw(regs[op.rs1], uint64(op.imm))
 			case isa.OpSRAIW:
-				regs[op.rd] = uint64(int64(int32(regs[op.rs1]) >> uint64(op.imm)))
+				regs[op.rd] = sraw(regs[op.rs1], uint64(op.imm))
 			case isa.OpMULW:
-				regs[op.rd] = sext32(uint32(regs[op.rs1]) * uint32(regs[op.rs2]))
+				regs[op.rd] = mulw(regs[op.rs1], regs[op.rs2])
 			case isa.OpDIVW:
-				regs[op.rd] = divw(int32(regs[op.rs1]), int32(regs[op.rs2]))
+				regs[op.rd] = divw(regs[op.rs1], regs[op.rs2])
 			case isa.OpDIVUW:
-				rs2 := uint32(regs[op.rs2])
-				rd := ^uint64(0)
-				if rs2 != 0 {
-					rd = sext32(uint32(regs[op.rs1]) / rs2)
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = divuw(regs[op.rs1], regs[op.rs2])
 			case isa.OpREMW:
-				regs[op.rd] = remw(int32(regs[op.rs1]), int32(regs[op.rs2]))
+				regs[op.rd] = remw(regs[op.rs1], regs[op.rs2])
 			case isa.OpREMUW:
-				rs1, rs2 := uint32(regs[op.rs1]), uint32(regs[op.rs2])
-				rd := sext32(rs1)
-				if rs2 != 0 {
-					rd = sext32(rs1 % rs2)
-				}
-				regs[op.rd] = rd
+				regs[op.rd] = remuw(regs[op.rs1], regs[op.rs2])
 			}
 		}
 		retired += tn

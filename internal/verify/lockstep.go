@@ -96,8 +96,8 @@ type tierRun struct {
 	applied bool   // fault already injected
 	// onEvent, when set on the reference tier, receives every retired
 	// instruction's event — the farm's coverage feed. (m.Trace is the
-	// spike-style text log, not an event hook, so coverage drives
-	// StepInto directly.)
+	// spike-style text log, not an event hook, so coverage rides the
+	// reference loop's charge callback.)
 	onEvent func(*sim.Event)
 }
 
@@ -166,19 +166,16 @@ func (tr *tierRun) step(k uint64) error {
 	return nil
 }
 
-// stepEvents mirrors sim.RunReference's loop (StepInto + one cycle per
-// retirement) while feeding each event to onEvent. Architectural state
-// evolves identically to RunReference; only observation differs.
+// stepEvents is sim.RunReference with an observer: the same loop, with a
+// charge callback that feeds each event to onEvent and bills the one cycle
+// RunReference would. Architectural state evolves identically; only
+// observation differs.
 func (tr *tierRun) stepEvents() error {
-	var ev sim.Event
-	for !tr.m.Halted {
-		if err := tr.m.StepInto(&ev); err != nil {
-			return err
-		}
-		tr.m.Now++
-		tr.onEvent(&ev)
-	}
-	return nil
+	_, err := sim.RunTimed(tr.m, func(ev *sim.Event) uint64 {
+		tr.onEvent(ev)
+		return 1
+	})
+	return err
 }
 
 // run executes the workload to completion (within the budget).

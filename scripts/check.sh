@@ -22,6 +22,27 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== inlining of the shared RV64IM rules (internal/sim/semantics.go)"
+# All three executors call the value rules in semantics.go once per retired
+# instruction, so one that stops inlining silently becomes a call each. The
+# four store helpers are calls by design (their TLB-hit test is what
+# inlines), so they are the only functions of that file allowed here.
+INLINING="$(go build -gcflags=-m=2 ./internal/sim 2>&1 | grep 'semantics\.go:.*inline' || true)"
+case "$INLINING" in
+*"can inline slt "*) ;;
+*)
+    echo "check.sh: the compiler's inlining report does not mention semantics.go's slt" >&2
+    exit 1
+    ;;
+esac
+NOINLINE="$(printf '%s\n' "$INLINING" | grep 'cannot inline' |
+    grep -v -E 'cannot inline \(\*Memory\)\.store(8|16|32|64):' || true)"
+if [ -n "$NOINLINE" ]; then
+    echo "check.sh: shared instruction rules no longer inline:" >&2
+    printf '%s\n' "$NOINLINE" >&2
+    exit 1
+fi
+
 echo "== go test -race -shuffle=on"
 # POSIX sh has no pipefail: capture output to a file so the exit status
 # of `go test` survives the timing post-processing below.
