@@ -219,7 +219,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 
 	// The fuzz job runs each differential fuzz target of the cycle-exact
-	// tier's kernels for 30 s, and the targets it names exist.
+	// tier's kernels, and the decoder's, for 30 s, and the targets it names
+	// exist.
 	fuzzJob, ok := jobs["fuzz"].(map[string]any)
 	if !ok {
 		t.Fatalf("jobs.fuzz = %T, want mapping", jobs["fuzz"])
@@ -228,6 +229,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	for target, pkg := range map[string]string{
 		"FuzzCacheVsReference": "./internal/sim/cache",
 		"FuzzTageVsReference":  "./internal/sim/bpred",
+		"FuzzDecodeEncode":     "./internal/isa",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

@@ -14,10 +14,11 @@
 //	.byte/.half/.word/.dword    # data values (integers or symbols)
 //	.ascii/.asciz "str"         # string data
 //	.equ name, value            # assembler constants
-//	add rd, rs1, rs2            # all isa ops, plus standard pseudo-ops:
-//	li, la, mv, not, neg, nop, j, jr, ret, call, seqz, snez,
-//	beqz, bnez, blez, bgez, bltz, bgtz, bgt, ble, bgtu, bleu,
-//	rdcycle, rdinstret
+//	add rd, rs1, rs2            # every isa op, written as isa.Disassemble
+//	                            # prints it, plus standard pseudo-ops:
+//	li, la, call, nop, mv, not, neg, negw, sext.w, seqz, snez, sltz, sgtz,
+//	j, jr, ret, beqz, bnez, blez, bgez, bltz, bgtz, bgt, ble, bgtu, bleu,
+//	rdcycle, rdtime, rdinstret, csrr, csrw
 //
 // Comments start with '#' or '//'.
 package asm

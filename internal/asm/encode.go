@@ -23,13 +23,8 @@ func (a *assembler) instrSize(it *item) (int, error) {
 		return len(liExpansion(0, v)), nil
 	case "la", "call":
 		return 2, nil
-	case "nop", "mv", "not", "neg", "seqz", "snez", "sltz", "sgtz",
-		"j", "jr", "ret", "beqz", "bnez", "blez", "bgez", "bltz", "bgtz",
-		"bgt", "ble", "bgtu", "bleu", "rdcycle", "rdinstret", "rdtime":
-		return 1, nil
-	default:
-		return 1, nil
 	}
+	return 1, nil
 }
 
 // encodeInstr produces the instruction word(s) for an item at its final
@@ -161,464 +156,167 @@ func liExpansion(rd uint8, v int64) []isa.Instr {
 	return seq
 }
 
-// expand translates one statement into real instructions.
-func (a *assembler) expand(it *item) ([]isa.Instr, error) {
-	line := it.line
-	ops := it.ops
-	need := func(n int) error {
-		if len(ops) != n {
-			return errf(line, "%s needs %d operands, got %d", it.mnem, n, len(ops))
-		}
-		return nil
-	}
-	reg := func(i int) (uint8, error) { return regOperand(ops[i], line) }
+// syntax is how each instruction format writes its operands, one letter per
+// operand naming the Instr field it fills:
+//
+//	d s t  a register, into Rd / Rs1 / Rs2
+//	c      a constant, into Imm
+//	u      the upper 20 bits of Imm, signed or (as Disassemble prints) unsigned
+//	m      off(reg), into Imm and Rs1
+//	j      jalr's target: off(reg), or a bare register meaning 0(reg)
+//	b      a label or raw offset, pc-relative, into Imm
+//	a      a label or address, absolute, into Imm
+var syntax = [...]string{
+	isa.FmtNone:   "",
+	isa.FmtR:      "dst",
+	isa.FmtI:      "dsc",
+	isa.FmtShift:  "dsc",
+	isa.FmtLoad:   "dm",
+	isa.FmtStore:  "tm",
+	isa.FmtBranch: "stb",
+	isa.FmtU:      "du",
+	isa.FmtJ:      "db",
+	isa.FmtCSR:    "dcs",
+}
 
-	one := func(in isa.Instr, err error) ([]isa.Instr, error) {
+// aliases are the pseudo-ops that are one real instruction with some fields
+// fixed: the operands fill the fields syntax names, the rest come from in
+// (zero meaning the zero register or a zero immediate).
+var aliases = map[string]struct {
+	syntax string
+	in     isa.Instr
+}{
+	"nop":    {"", isa.Instr{Op: isa.OpADDI}},
+	"mv":     {"ds", isa.Instr{Op: isa.OpADDI}},
+	"not":    {"ds", isa.Instr{Op: isa.OpXORI, Imm: -1}},
+	"sext.w": {"ds", isa.Instr{Op: isa.OpADDIW}},
+	"seqz":   {"ds", isa.Instr{Op: isa.OpSLTIU, Imm: 1}},
+	"sltz":   {"ds", isa.Instr{Op: isa.OpSLT}},
+	"neg":    {"dt", isa.Instr{Op: isa.OpSUB}},
+	"negw":   {"dt", isa.Instr{Op: isa.OpSUBW}},
+	"snez":   {"dt", isa.Instr{Op: isa.OpSLTU}},
+	"sgtz":   {"dt", isa.Instr{Op: isa.OpSLT}},
+
+	"beqz": {"sb", isa.Instr{Op: isa.OpBEQ}},
+	"bnez": {"sb", isa.Instr{Op: isa.OpBNE}},
+	"bgez": {"sb", isa.Instr{Op: isa.OpBGE}},
+	"bltz": {"sb", isa.Instr{Op: isa.OpBLT}},
+	"blez": {"tb", isa.Instr{Op: isa.OpBGE}},
+	"bgtz": {"tb", isa.Instr{Op: isa.OpBLT}},
+	"bgt":  {"tsb", isa.Instr{Op: isa.OpBLT}},
+	"ble":  {"tsb", isa.Instr{Op: isa.OpBGE}},
+	"bgtu": {"tsb", isa.Instr{Op: isa.OpBLTU}},
+	"bleu": {"tsb", isa.Instr{Op: isa.OpBGEU}},
+
+	"j":   {"b", isa.Instr{Op: isa.OpJAL}},
+	"jr":  {"s", isa.Instr{Op: isa.OpJALR}},
+	"ret": {"", isa.Instr{Op: isa.OpJALR, Rs1: 1}},
+
+	"rdcycle":   {"d", isa.Instr{Op: isa.OpCSRRS, Imm: isa.CSRCycle}},
+	"rdtime":    {"d", isa.Instr{Op: isa.OpCSRRS, Imm: isa.CSRTime}},
+	"rdinstret": {"d", isa.Instr{Op: isa.OpCSRRS, Imm: isa.CSRInstret}},
+	"csrr":      {"dc", isa.Instr{Op: isa.OpCSRRS}},
+	"csrw":      {"cs", isa.Instr{Op: isa.OpCSRRW}},
+}
+
+// operands parses the statement's operands against a syntax string into the
+// fields of in.
+func (a *assembler) operands(it *item, syn string, in isa.Instr) (isa.Instr, error) {
+	if len(it.ops) != len(syn) {
+		return in, errf(it.line, "%s needs %d operands, got %d", it.mnem, len(syn), len(it.ops))
+	}
+	for i, op := range it.ops {
+		var err error
+		switch syn[i] {
+		case 'd':
+			in.Rd, err = regOperand(op, it.line)
+		case 's':
+			in.Rs1, err = regOperand(op, it.line)
+		case 't':
+			in.Rs2, err = regOperand(op, it.line)
+		case 'c':
+			in.Imm, err = a.constOperand(op, it.line)
+		case 'u':
+			in.Imm, err = a.constOperand(op, it.line)
+			if in.Imm >= 1<<19 && in.Imm < 1<<20 {
+				in.Imm -= 1 << 20
+			}
+			in.Imm <<= 12
+		case 'm':
+			in.Imm, in.Rs1, err = a.memOperand(op, it.line)
+		case 'j':
+			if in.Imm, in.Rs1, err = a.memOperand(op, it.line); err != nil {
+				in.Imm = 0
+				in.Rs1, err = regOperand(op, it.line)
+			}
+		case 'b':
+			in.Imm, err = a.branchTarget(op, it.addr, it.line)
+		case 'a':
+			in.Imm, err = a.immOperand(op, it.line)
+		}
+		if err != nil {
+			return in, err
+		}
+	}
+	return in, nil
+}
+
+// expand translates one statement into real instructions: a table row for
+// every real instruction and one-instruction alias, code only for the
+// multi-instruction pseudo-ops and the optional operands of jal and jalr.
+func (a *assembler) expand(it *item) ([]isa.Instr, error) {
+	one := func(syn string, in isa.Instr) ([]isa.Instr, error) {
+		in, err := a.operands(it, syn, in)
 		if err != nil {
 			return nil, err
 		}
 		return []isa.Instr{in}, nil
 	}
-
 	switch it.mnem {
-	// ---- R-type ----
-	case "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-		"mul", "mulh", "mulhu", "div", "divu", "rem", "remu",
-		"addw", "subw", "sllw", "srlw", "sraw",
-		"mulw", "divw", "divuw", "remw", "remuw":
-		if err := need(3); err != nil {
-			return nil, err
+	case "jal": // "jal label" links through ra
+		if len(it.ops) == 1 {
+			return one("b", isa.Instr{Op: isa.OpJAL, Rd: 1})
 		}
-		rd, err := reg(0)
+	case "jalr": // and so does "jalr target"
+		if len(it.ops) == 1 {
+			return one("j", isa.Instr{Op: isa.OpJALR, Rd: 1})
+		}
+		return one("dj", isa.Instr{Op: isa.OpJALR})
+	case "li":
+		in, err := a.operands(it, "dc", isa.Instr{})
 		if err != nil {
 			return nil, err
 		}
-		rs1, err := reg(1)
+		return liExpansion(in.Rd, in.Imm), nil
+	case "la":
+		in, err := a.operands(it, "da", isa.Instr{})
 		if err != nil {
 			return nil, err
 		}
-		rs2, err := reg(2)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rd: rd, Rs1: rs1, Rs2: rs2}, nil)
-
-	// ---- I-type ALU ----
-	case "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai",
-		"addiw", "slliw", "srliw", "sraiw":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.constOperand(ops[2], line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rd: rd, Rs1: rs1, Imm: imm}, nil)
-
-	// ---- upper immediates ----
-	case "lui", "auipc":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.constOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		// Accept the conventional "upper 20 bits" operand form.
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rd: rd, Imm: imm << 12}, nil)
-
-	// ---- loads/stores ----
-	case "lb", "lh", "lw", "ld", "lbu", "lhu", "lwu":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		off, rs1, err := a.memOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rd: rd, Rs1: rs1, Imm: off}, nil)
-	case "sb", "sh", "sw", "sd":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs2, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		off, rs1, err := a.memOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rs1: rs1, Rs2: rs2, Imm: off}, nil)
-
-	// ---- branches ----
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchTarget(ops[2], it.addr, line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: mnemOp(it.mnem), Rs1: rs1, Rs2: rs2, Imm: off}, nil)
-	case "bgt", "ble", "bgtu", "bleu":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchTarget(ops[2], it.addr, line)
-		if err != nil {
-			return nil, err
-		}
-		swapped := map[string]isa.Op{"bgt": isa.OpBLT, "ble": isa.OpBGE, "bgtu": isa.OpBLTU, "bleu": isa.OpBGEU}[it.mnem]
-		return one(isa.Instr{Op: swapped, Rs1: rs2, Rs2: rs1, Imm: off}, nil)
-	case "beqz", "bnez", "blez", "bgez", "bltz", "bgtz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchTarget(ops[1], it.addr, line)
-		if err != nil {
-			return nil, err
-		}
-		switch it.mnem {
-		case "beqz":
-			return one(isa.Instr{Op: isa.OpBEQ, Rs1: rs, Rs2: 0, Imm: off}, nil)
-		case "bnez":
-			return one(isa.Instr{Op: isa.OpBNE, Rs1: rs, Rs2: 0, Imm: off}, nil)
-		case "blez":
-			return one(isa.Instr{Op: isa.OpBGE, Rs1: 0, Rs2: rs, Imm: off}, nil)
-		case "bgez":
-			return one(isa.Instr{Op: isa.OpBGE, Rs1: rs, Rs2: 0, Imm: off}, nil)
-		case "bltz":
-			return one(isa.Instr{Op: isa.OpBLT, Rs1: rs, Rs2: 0, Imm: off}, nil)
-		default: // bgtz
-			return one(isa.Instr{Op: isa.OpBLT, Rs1: 0, Rs2: rs, Imm: off}, nil)
-		}
-
-	// ---- jumps ----
-	case "jal":
-		switch len(ops) {
-		case 1: // jal label  (rd=ra)
-			off, err := a.branchTarget(ops[0], it.addr, line)
-			if err != nil {
-				return nil, err
-			}
-			return one(isa.Instr{Op: isa.OpJAL, Rd: 1, Imm: off}, nil)
-		case 2:
-			rd, err := reg(0)
-			if err != nil {
-				return nil, err
-			}
-			off, err := a.branchTarget(ops[1], it.addr, line)
-			if err != nil {
-				return nil, err
-			}
-			return one(isa.Instr{Op: isa.OpJAL, Rd: rd, Imm: off}, nil)
-		default:
-			return nil, errf(line, "jal needs 1 or 2 operands")
-		}
-	case "jalr":
-		switch len(ops) {
-		case 1:
-			if off, rs1, err := a.memOperand(ops[0], line); err == nil {
-				return one(isa.Instr{Op: isa.OpJALR, Rd: 1, Rs1: rs1, Imm: off}, nil)
-			}
-			rs, err := reg(0)
-			if err != nil {
-				return nil, err
-			}
-			return one(isa.Instr{Op: isa.OpJALR, Rd: 1, Rs1: rs}, nil)
-		case 2:
-			rd, err := reg(0)
-			if err != nil {
-				return nil, err
-			}
-			off, rs1, err := a.memOperand(ops[1], line)
-			if err != nil {
-				rs1, err = reg(1)
-				if err != nil {
-					return nil, err
-				}
-				off = 0
-			}
-			return one(isa.Instr{Op: isa.OpJALR, Rd: rd, Rs1: rs1, Imm: off}, nil)
-		default:
-			return nil, errf(line, "jalr needs 1 or 2 operands")
-		}
-	case "j":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		off, err := a.branchTarget(ops[0], it.addr, line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpJAL, Rd: 0, Imm: off}, nil)
-	case "jr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpJALR, Rd: 0, Rs1: rs}, nil)
-	case "ret":
-		return one(isa.Instr{Op: isa.OpJALR, Rd: 0, Rs1: 1}, nil)
+		hi, lo := splitHiLo(in.Imm - int64(it.addr))
+		return []isa.Instr{
+			{Op: isa.OpAUIPC, Rd: in.Rd, Imm: hi},
+			{Op: isa.OpADDI, Rd: in.Rd, Rs1: in.Rd, Imm: lo},
+		}, nil
 	case "call":
-		if err := need(1); err != nil {
+		// auipc ra, hi ; jalr ra, lo(ra) — reaches ±2GiB.
+		in, err := a.operands(it, "b", isa.Instr{})
+		if err != nil {
 			return nil, err
 		}
-		// auipc ra, hi ; jalr ra, lo(ra) — reaches ±2GiB.
-		sym, addend, err := parseSymExpr(ops[0])
-		if err != nil {
-			return nil, errf(line, "bad call target %q", ops[0])
-		}
-		sv, ok := a.symbols[sym]
-		if !ok || !sv.defined {
-			return nil, errf(line, "undefined symbol %q", sym)
-		}
-		delta := int64(sv.addr) + addend - int64(it.addr)
-		hi, lo := splitHiLo(delta)
+		hi, lo := splitHiLo(in.Imm)
 		return []isa.Instr{
 			{Op: isa.OpAUIPC, Rd: 1, Imm: hi},
 			{Op: isa.OpJALR, Rd: 1, Rs1: 1, Imm: lo},
 		}, nil
-
-	// ---- pseudo ALU ----
-	case "nop":
-		return one(isa.Instr{Op: isa.OpADDI}, nil)
-	case "mv":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpADDI, Rd: rd, Rs1: rs}, nil)
-	case "not":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpXORI, Rd: rd, Rs1: rs, Imm: -1}, nil)
-	case "sext.w":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpADDIW, Rd: rd, Rs1: rs}, nil)
-	case "negw":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSUBW, Rd: rd, Rs1: 0, Rs2: rs}, nil)
-	case "neg":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSUB, Rd: rd, Rs1: 0, Rs2: rs}, nil)
-	case "seqz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSLTIU, Rd: rd, Rs1: rs, Imm: 1}, nil)
-	case "snez":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSLTU, Rd: rd, Rs1: 0, Rs2: rs}, nil)
-	case "sltz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSLT, Rd: rd, Rs1: rs, Rs2: 0}, nil)
-	case "sgtz":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpSLT, Rd: rd, Rs1: 0, Rs2: rs}, nil)
-
-	// ---- li / la ----
-	case "li":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := a.constOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		return liExpansion(rd, v), nil
-	case "la":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		target, err := a.immOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		delta := target - int64(it.addr)
-		hi, lo := splitHiLo(delta)
-		return []isa.Instr{
-			{Op: isa.OpAUIPC, Rd: rd, Imm: hi},
-			{Op: isa.OpADDI, Rd: rd, Rs1: rd, Imm: lo},
-		}, nil
-
-	// ---- system ----
-	case "ecall":
-		return one(isa.Instr{Op: isa.OpECALL}, nil)
-	case "ebreak":
-		return one(isa.Instr{Op: isa.OpEBREAK}, nil)
-	case "fence":
-		return one(isa.Instr{Op: isa.OpFENCE}, nil)
-	case "rdcycle", "rdinstret", "rdtime":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		csr := map[string]int64{"rdcycle": isa.CSRCycle, "rdtime": isa.CSRTime, "rdinstret": isa.CSRInstret}[it.mnem]
-		return one(isa.Instr{Op: isa.OpCSRRS, Rd: rd, Imm: csr}, nil)
-	case "csrr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return nil, err
-		}
-		csr, err := a.constOperand(ops[1], line)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpCSRRS, Rd: rd, Imm: csr}, nil)
-	case "csrw":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		csr, err := a.constOperand(ops[0], line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := reg(1)
-		if err != nil {
-			return nil, err
-		}
-		return one(isa.Instr{Op: isa.OpCSRRW, Rd: 0, Rs1: rs, Imm: csr}, nil)
 	}
-	return nil, errf(line, "unknown instruction %q", it.mnem)
+	if al, ok := aliases[it.mnem]; ok {
+		return one(al.syntax, al.in)
+	}
+	if op, ok := isa.OpByName(it.mnem); ok {
+		return one(syntax[op.Format()], isa.Instr{Op: op})
+	}
+	return nil, errf(it.line, "unknown instruction %q", it.mnem)
 }
 
 // splitHiLo splits a 32-bit pc-relative delta into AUIPC/ADDI halves.
@@ -626,30 +324,4 @@ func splitHiLo(delta int64) (hi, lo int64) {
 	lo = (delta << 52) >> 52
 	hi = delta - lo
 	return hi, lo
-}
-
-func mnemOp(m string) isa.Op {
-	ops := map[string]isa.Op{
-		"add": isa.OpADD, "sub": isa.OpSUB, "sll": isa.OpSLL, "slt": isa.OpSLT,
-		"sltu": isa.OpSLTU, "xor": isa.OpXOR, "srl": isa.OpSRL, "sra": isa.OpSRA,
-		"or": isa.OpOR, "and": isa.OpAND,
-		"mul": isa.OpMUL, "mulh": isa.OpMULH, "mulhu": isa.OpMULHU,
-		"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM, "remu": isa.OpREMU,
-		"addi": isa.OpADDI, "slti": isa.OpSLTI, "sltiu": isa.OpSLTIU,
-		"xori": isa.OpXORI, "ori": isa.OpORI, "andi": isa.OpANDI,
-		"slli": isa.OpSLLI, "srli": isa.OpSRLI, "srai": isa.OpSRAI,
-		"lui": isa.OpLUI, "auipc": isa.OpAUIPC,
-		"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT, "bge": isa.OpBGE,
-		"bltu": isa.OpBLTU, "bgeu": isa.OpBGEU,
-		"lb": isa.OpLB, "lh": isa.OpLH, "lw": isa.OpLW, "ld": isa.OpLD,
-		"lbu": isa.OpLBU, "lhu": isa.OpLHU, "lwu": isa.OpLWU,
-		"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW, "sd": isa.OpSD,
-		"addw": isa.OpADDW, "subw": isa.OpSUBW, "sllw": isa.OpSLLW,
-		"srlw": isa.OpSRLW, "sraw": isa.OpSRAW,
-		"addiw": isa.OpADDIW, "slliw": isa.OpSLLIW, "srliw": isa.OpSRLIW,
-		"sraiw": isa.OpSRAIW,
-		"mulw":  isa.OpMULW, "divw": isa.OpDIVW, "divuw": isa.OpDIVUW,
-		"remw": isa.OpREMW, "remuw": isa.OpREMUW,
-	}
-	return ops[m]
 }

@@ -25,21 +25,14 @@ type Remote interface {
 	PutBlob(ctx context.Context, digest string, data []byte) error
 	GetAction(ctx context.Context, key string) (*Action, error)
 	PutAction(ctx context.Context, a *Action) error
-}
 
-// BlobStreamer is the optional streaming upgrade of Remote's GetBlob:
-// the body arrives as a reader instead of one big allocation. Transfer
-// paths (checkpoint fetch, cache write-through) type-assert for it and
-// fall back to the buffered call when absent.
-type BlobStreamer interface {
+	// GetBlobStream is GetBlob with the body as a reader (and its length)
+	// instead of one big allocation, for transfers that spill to disk.
 	GetBlobStream(ctx context.Context, digest string) (io.ReadCloser, int64, error)
-}
-
-// BlobFilePusher is the optional streaming upgrade of Remote's PutBlob
-// for content already on disk: the implementation streams the file in
-// chunks (and, over the v2 protocol, resumes a torn upload from the last
-// acknowledged chunk instead of restarting).
-type BlobFilePusher interface {
+	// PutBlobFile is PutBlob for content already on disk: the
+	// implementation streams the file in chunks (and, over the v2 protocol,
+	// resumes a torn upload from the last acknowledged chunk instead of
+	// restarting).
 	PutBlobFile(ctx context.Context, digest, path string) error
 }
 
@@ -353,22 +346,15 @@ func (c *Cache) blob(digest string) ([]byte, error) {
 func (c *Cache) Blob(digest string) ([]byte, error) { return c.blob(digest) }
 
 // PushBlob best-effort replicates a locally-present blob to the remote,
-// through the breaker — the write-through half of hub mode. A remote
-// that supports streaming file pushes gets the blob straight off the
-// local disk (resumable past transient drops); otherwise the bytes are
-// read once and pushed whole. Failures degrade (and feed the breaker);
-// they are never surfaced, because the local write already succeeded.
+// through the breaker — the write-through half of hub mode. The remote
+// gets the blob straight off the local disk (resumable past transient
+// drops). Failures degrade (and feed the breaker); they are never
+// surfaced, because the local write already succeeded.
 func (c *Cache) PushBlob(digest string) {
 	if !c.remoteUsable() {
 		return
 	}
-	if fp, ok := c.remote.(BlobFilePusher); ok {
-		if path, err := c.local.BlobFilePath(digest); err == nil {
-			c.noteRemote(fp.PutBlobFile(c.ctx(), digest, path))
-			return
-		}
-	}
-	data, err := c.local.Get(digest)
+	path, err := c.local.BlobFilePath(digest)
 	if err != nil {
 		// A local read problem says nothing about remote health; just
 		// release the half-open probe slot if we were holding it.
@@ -377,7 +363,7 @@ func (c *Cache) PushBlob(digest string) {
 		c.mu.Unlock()
 		return
 	}
-	c.noteRemote(c.remote.PutBlob(c.ctx(), digest, data))
+	c.noteRemote(c.remote.PutBlobFile(c.ctx(), digest, path))
 }
 
 // PushAction best-effort replicates an action entry to the remote,

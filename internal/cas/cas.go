@@ -313,22 +313,6 @@ func (s *Store) Put(data []byte) (string, error) {
 	return digest, nil
 }
 
-// PutFile stores the contents of a host file, streaming it (hash pass,
-// then copy) rather than buffering it whole.
-func (s *Store) PutFile(path string) (string, int64, error) {
-	digest, err := hostutil.HashFile(path)
-	if err != nil {
-		return "", 0, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, err
-	}
-	defer f.Close()
-	n, err := s.PutStream(digest, f)
-	return digest, n, err
-}
-
 // Has reports whether a blob is present (without verifying its content).
 func (s *Store) Has(digest string) bool {
 	if !validDigest(digest) {

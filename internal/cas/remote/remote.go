@@ -405,8 +405,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(u)
 }
 
-// Client talks to a Server; it implements cas.Remote plus the streaming
-// upgrades cas.BlobStreamer and cas.BlobFilePusher. Every request runs
+// Client talks to a Server; it implements cas.Remote. Every request runs
 // under the caller's context with the configured timeout layered on top,
 // so a hung server costs a bounded delay (the cas.Cache breaker then stops
 // calling us entirely) and a cancelled build aborts its in-flight

@@ -34,46 +34,31 @@ func WritePointer(dir string, ptr *Pointer) error {
 	return nil
 }
 
-// pushBlob uploads one blob, streaming from the store's on-disk file when
-// the remote supports it (cas.BlobFilePusher — the HTTP client does, with
-// resumable chunks for large payloads), falling back to a buffered PutBlob
-// otherwise. Checkpoint memory pages are the largest blobs marshal moves,
-// so this is the path that must not hold gigabytes on the heap.
+// pushBlob uploads one blob, streamed from the store's on-disk file (the
+// HTTP client sends large payloads as resumable chunks). Checkpoint memory
+// pages are the largest blobs marshal moves, so this is the path that must
+// not hold gigabytes on the heap.
 func pushBlob(ctx context.Context, store *cas.Store, rem cas.Remote, digest string) error {
-	if fp, ok := rem.(cas.BlobFilePusher); ok {
-		if path, err := store.BlobFilePath(digest); err == nil {
-			return fp.PutBlobFile(ctx, digest, path)
-		}
-	}
-	data, err := store.Get(digest)
+	path, err := store.BlobFilePath(digest)
 	if err != nil {
 		return err
 	}
-	return rem.PutBlob(ctx, digest, data)
+	return rem.PutBlobFile(ctx, digest, path)
 }
 
-// fetchBlob downloads one blob into the store, streaming end-to-end when
-// the remote supports it (cas.BlobStreamer): the verified stream feeds
-// Store.PutStream, which hashes into a temp file — the blob never exists
-// whole in memory. Otherwise it buffers via GetBlob/Put.
+// fetchBlob downloads one blob into the store, streaming end-to-end: the
+// verified stream feeds Store.PutStream, which hashes into a temp file —
+// the blob never exists whole in memory.
 func fetchBlob(ctx context.Context, store *cas.Store, rem cas.Remote, digest string) error {
-	if bs, ok := rem.(cas.BlobStreamer); ok {
-		rc, _, err := bs.GetBlobStream(ctx, digest)
-		if err != nil {
-			return err
-		}
-		_, perr := store.PutStream(digest, rc)
-		if cerr := rc.Close(); perr == nil {
-			perr = cerr
-		}
-		return perr
-	}
-	data, err := rem.GetBlob(ctx, digest)
+	rc, _, err := rem.GetBlobStream(ctx, digest)
 	if err != nil {
 		return err
 	}
-	_, err = store.Put(data)
-	return err
+	_, perr := store.PutStream(digest, rc)
+	if cerr := rc.Close(); perr == nil {
+		perr = cerr
+	}
+	return perr
 }
 
 // Push replicates the checkpoint ptr names — the checkpoint document plus

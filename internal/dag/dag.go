@@ -154,45 +154,14 @@ func (e *Engine) ActionKeys() []string {
 // Run executes the named task and, first, its transitive dependencies.
 // It returns whether the task itself actually executed.
 func (e *Engine) Run(name string) (bool, error) {
-	visiting := map[string]bool{}
-	done := map[string]bool{} // name -> executed?
-	ran, err := e.run(name, visiting, done)
-	if err != nil {
-		return ran, err
-	}
-	return ran, e.save()
-}
-
-func (e *Engine) run(name string, visiting, done map[string]bool) (bool, error) {
-	if ran, ok := done[name]; ok {
-		return ran, nil
-	}
-	if visiting[name] {
-		return false, fmt.Errorf("dag: dependency cycle through task %q", name)
-	}
-	visiting[name] = true
-	defer delete(visiting, name)
-
-	t, ok := e.tasks[name]
-	if !ok {
-		return false, fmt.Errorf("dag: unknown task %q", name)
-	}
-
-	upstreamRan := false
-	for _, dep := range t.TaskDeps {
-		ran, err := e.run(dep, visiting, done)
-		if err != nil {
-			return false, err
+	before := len(e.Executed)
+	err := e.RunMany([]string{name}, 1)
+	for _, ran := range e.Executed[before:] {
+		if ran == name {
+			return true, err
 		}
-		upstreamRan = upstreamRan || ran
 	}
-
-	ran, err := e.execute(t, upstreamRan)
-	if err != nil {
-		return false, err
-	}
-	done[name] = ran
-	return ran, nil
+	return false, err
 }
 
 // execute applies the up-to-date check, the action cache, and finally the

@@ -8,8 +8,8 @@ import (
 // RunMany executes the named tasks and their transitive dependencies with
 // up to `workers` actions in flight at once — the role of doit's `-n`
 // parallel execution. Independent subtrees (e.g. the per-job images of a
-// multi-job workload) build concurrently; the up-to-date semantics are
-// identical to Run.
+// multi-job workload) build concurrently. Run is this with one name and one
+// worker.
 //
 // Scheduler bookkeeping (ready queue, pending counts, the executed map) is
 // guarded by a scheduler-local mutex; engine state and stats are guarded by

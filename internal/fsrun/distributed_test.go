@@ -5,12 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"firemarshal/internal/asm"
 	"firemarshal/internal/cas"
 	casremote "firemarshal/internal/cas/remote"
 	"firemarshal/internal/checkpoint"
+	"firemarshal/internal/core"
+	"firemarshal/internal/install"
+	"firemarshal/internal/isa"
 	"firemarshal/internal/launcher"
 	lremote "firemarshal/internal/launcher/remote"
 	"firemarshal/internal/obs"
@@ -194,5 +199,80 @@ func TestFiresimFleetRejectsNetworkedTopology(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("networked topology on a fleet must be refused")
+	}
+}
+
+// TestFiresimFleetCarriesStuckAtFault: a bring-up run's stuck-at fault
+// (§VI) is part of the cycle-exact configuration a leased job carries, so a
+// worker simulates the same defective silicon the local run does — not a
+// healthy core that reports the fault away.
+func TestFiresimFleetCarriesStuckAtFault(t *testing.T) {
+	exe, err := asm.Assemble(`
+_start:
+    li t0, 1234
+    li t1, 5678
+    mul a0, t0, t1
+    li a7, 0x101
+    ecall
+    li a0, 0
+    li a7, 93
+    ecall
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wlDir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(wlDir, "root"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"root/mul": isa.EncodeExecutable(exe),
+		"w.json":   []byte(`{"name": "w", "base": "br-base", "overlay": "root", "command": "/mul"}`),
+	} {
+		if err := os.WriteFile(filepath.Join(wlDir, name), data, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := core.New(t.TempDir(), wlDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := m.Install("w", core.InstallOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := install.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Topology = "no_net" // independent nodes: a fabric pins them to this host
+	cacheURL, addrs, _, _ := startRTLFleet(t, 1)
+
+	run := func(rtl rtlsim.Config, opts Options) (console string, cycles uint64) {
+		t.Helper()
+		opts.RTL, opts.OutputDir = rtl, t.TempDir()
+		res, err := Run(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(res.Jobs[0].OutputDir, "uartlog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data), res.Jobs[0].Cycles
+	}
+	faulty := rtlsim.DefaultConfig()
+	faulty.FaultMask = 1 // the multiplier's low result bit stuck at 1
+	healthyLog, _ := run(rtlsim.DefaultConfig(), Options{})
+	localLog, localCycles := run(faulty, Options{})
+	fleetLog, fleetCycles := run(faulty, Options{Workers: addrs, RemoteCache: cacheURL, WorkerPoll: 5 * time.Millisecond})
+
+	// 1234*5678 = 7006652; the stuck bit makes it 7006653.
+	if !strings.Contains(healthyLog, "7006652") || !strings.Contains(localLog, "7006653") {
+		t.Fatalf("local runs: healthy console %q, faulty console %q", healthyLog, localLog)
+	}
+	if fleetLog != localLog || fleetCycles != localCycles {
+		t.Errorf("fleet run of faulty silicon: %d cycles, console %q\nlocal: %d cycles, console %q",
+			fleetCycles, fleetLog, localCycles, localLog)
 	}
 }

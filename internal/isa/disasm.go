@@ -6,31 +6,25 @@ import "fmt"
 // instruction tracing (the role of spike -l) and masm -d.
 func Disassemble(in Instr) string {
 	rd, rs1, rs2 := RegName(in.Rd), RegName(in.Rs1), RegName(in.Rs2)
-	switch {
-	case in.Op == OpECALL || in.Op == OpEBREAK || in.Op == OpFENCE:
-		return in.Op.String()
-	case in.Op == OpLUI || in.Op == OpAUIPC:
-		return fmt.Sprintf("%s %s, %#x", in.Op, rd, uint64(in.Imm)>>12&0xfffff)
-	case in.Op == OpJAL:
-		return fmt.Sprintf("%s %s, %+d", in.Op, rd, in.Imm)
-	case in.Op == OpJALR:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, rd, in.Imm, rs1)
-	case in.Op.IsBranch():
-		return fmt.Sprintf("%s %s, %s, %+d", in.Op, rs1, rs2, in.Imm)
-	case in.Op.IsLoad():
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, rd, in.Imm, rs1)
-	case in.Op.IsStore():
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, rs2, in.Imm, rs1)
-	case in.Op == OpCSRRS || in.Op == OpCSRRW:
-		return fmt.Sprintf("%s %s, %#x, %s", in.Op, rd, in.Imm, rs1)
-	case in.Op == OpADDI || in.Op == OpSLTI || in.Op == OpSLTIU || in.Op == OpXORI ||
-		in.Op == OpORI || in.Op == OpANDI || in.Op == OpSLLI || in.Op == OpSRLI ||
-		in.Op == OpSRAI || in.Op == OpADDIW || in.Op == OpSLLIW || in.Op == OpSRLIW ||
-		in.Op == OpSRAIW:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, rd, rs1, in.Imm)
-	default:
+	switch in.Op.Format() {
+	case FmtR:
 		return fmt.Sprintf("%s %s, %s, %s", in.Op, rd, rs1, rs2)
+	case FmtI, FmtShift:
+		return fmt.Sprintf("%s %s, %s, %d", in.Op, rd, rs1, in.Imm)
+	case FmtLoad:
+		return fmt.Sprintf("%s %s, %d(%s)", in.Op, rd, in.Imm, rs1)
+	case FmtStore:
+		return fmt.Sprintf("%s %s, %d(%s)", in.Op, rs2, in.Imm, rs1)
+	case FmtBranch:
+		return fmt.Sprintf("%s %s, %s, %+d", in.Op, rs1, rs2, in.Imm)
+	case FmtU:
+		return fmt.Sprintf("%s %s, %#x", in.Op, rd, uint64(in.Imm)>>12&0xfffff)
+	case FmtJ:
+		return fmt.Sprintf("%s %s, %+d", in.Op, rd, in.Imm)
+	case FmtCSR:
+		return fmt.Sprintf("%s %s, %#x, %s", in.Op, rd, in.Imm, rs1)
 	}
+	return in.Op.String() // FmtNone
 }
 
 // DisassembleExecutable renders the text segment of an executable, one

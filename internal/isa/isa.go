@@ -96,32 +96,164 @@ const (
 	opMax
 )
 
-var opNames = [...]string{
-	OpInvalid: "invalid",
-	OpADD:     "add", OpSUB: "sub", OpSLL: "sll", OpSLT: "slt", OpSLTU: "sltu",
-	OpXOR: "xor", OpSRL: "srl", OpSRA: "sra", OpOR: "or", OpAND: "and",
-	OpMUL: "mul", OpMULH: "mulh", OpMULHU: "mulhu", OpDIV: "div", OpDIVU: "divu",
-	OpREM: "rem", OpREMU: "remu",
-	OpADDI: "addi", OpSLTI: "slti", OpSLTIU: "sltiu", OpXORI: "xori",
-	OpORI: "ori", OpANDI: "andi", OpSLLI: "slli", OpSRLI: "srli", OpSRAI: "srai",
-	OpLUI: "lui", OpAUIPC: "auipc",
-	OpJAL: "jal", OpJALR: "jalr",
-	OpBEQ: "beq", OpBNE: "bne", OpBLT: "blt", OpBGE: "bge", OpBLTU: "bltu", OpBGEU: "bgeu",
-	OpLB: "lb", OpLH: "lh", OpLW: "lw", OpLD: "ld", OpLBU: "lbu", OpLHU: "lhu", OpLWU: "lwu",
-	OpSB: "sb", OpSH: "sh", OpSW: "sw", OpSD: "sd",
-	OpECALL: "ecall", OpEBREAK: "ebreak", OpCSRRS: "csrrs", OpCSRRW: "csrrw",
-	OpFENCE: "fence",
-	OpADDW:  "addw", OpSUBW: "subw", OpSLLW: "sllw", OpSRLW: "srlw", OpSRAW: "sraw",
-	OpADDIW: "addiw", OpSLLIW: "slliw", OpSRLIW: "srliw", OpSRAIW: "sraiw",
-	OpMULW: "mulw", OpDIVW: "divw", OpDIVUW: "divuw", OpREMW: "remw", OpREMUW: "remuw",
+// Format is an instruction's operand shape: which fields an encoding carries
+// and how the assembler and disassembler write them.
+type Format uint8
+
+// Formats. FmtLoad is the I-type encoding written "rd, imm(rs1)" (loads and
+// jalr); FmtShift is the I-type whose immediate is a shift amount.
+const (
+	FmtNone   Format = iota // no operands: ecall, ebreak, fence
+	FmtR                    // rd, rs1, rs2
+	FmtI                    // rd, rs1, imm
+	FmtShift                // rd, rs1, shamt
+	FmtLoad                 // rd, imm(rs1)
+	FmtStore                // rs2, imm(rs1)
+	FmtBranch               // rs1, rs2, offset
+	FmtU                    // rd, imm[31:12]
+	FmtJ                    // rd, offset
+	FmtCSR                  // rd, csr, rs1
+)
+
+// RISC-V base opcodes.
+const (
+	opcLUI     = 0b0110111
+	opcAUIPC   = 0b0010111
+	opcJAL     = 0b1101111
+	opcJALR    = 0b1100111
+	opcBranch  = 0b1100011
+	opcLoad    = 0b0000011
+	opcStore   = 0b0100011
+	opcOpImm   = 0b0010011
+	opcOp      = 0b0110011
+	opcSystem  = 0b1110011
+	opcFence   = 0b0001111
+	opcOpImm32 = 0b0011011
+	opcOp32    = 0b0111011
+)
+
+// enc places an instruction's fixed bits: opcode, funct3 and funct7.
+func enc(opcode, funct3, funct7 uint32) uint32 { return funct7<<25 | funct3<<12 | opcode }
+
+// insts is the instruction set, stated once: the mnemonic, the operand format
+// and the fixed bits of every operation. Op.String, OpByName, Decode (through
+// decodeTab), Encode, Disassemble and the assembler all read it; nothing else
+// in the tree spells a mnemonic or a funct3/funct7 value.
+var insts = [opMax]struct {
+	name   string
+	format Format
+	bits   uint32
+}{
+	OpInvalid: {name: "invalid"},
+
+	OpADD:  {"add", FmtR, enc(opcOp, 0, 0)},
+	OpSUB:  {"sub", FmtR, enc(opcOp, 0, 0x20)},
+	OpSLL:  {"sll", FmtR, enc(opcOp, 1, 0)},
+	OpSLT:  {"slt", FmtR, enc(opcOp, 2, 0)},
+	OpSLTU: {"sltu", FmtR, enc(opcOp, 3, 0)},
+	OpXOR:  {"xor", FmtR, enc(opcOp, 4, 0)},
+	OpSRL:  {"srl", FmtR, enc(opcOp, 5, 0)},
+	OpSRA:  {"sra", FmtR, enc(opcOp, 5, 0x20)},
+	OpOR:   {"or", FmtR, enc(opcOp, 6, 0)},
+	OpAND:  {"and", FmtR, enc(opcOp, 7, 0)},
+
+	OpMUL:   {"mul", FmtR, enc(opcOp, 0, 1)},
+	OpMULH:  {"mulh", FmtR, enc(opcOp, 1, 1)},
+	OpMULHU: {"mulhu", FmtR, enc(opcOp, 3, 1)},
+	OpDIV:   {"div", FmtR, enc(opcOp, 4, 1)},
+	OpDIVU:  {"divu", FmtR, enc(opcOp, 5, 1)},
+	OpREM:   {"rem", FmtR, enc(opcOp, 6, 1)},
+	OpREMU:  {"remu", FmtR, enc(opcOp, 7, 1)},
+
+	OpADDI:  {"addi", FmtI, enc(opcOpImm, 0, 0)},
+	OpSLTI:  {"slti", FmtI, enc(opcOpImm, 2, 0)},
+	OpSLTIU: {"sltiu", FmtI, enc(opcOpImm, 3, 0)},
+	OpXORI:  {"xori", FmtI, enc(opcOpImm, 4, 0)},
+	OpORI:   {"ori", FmtI, enc(opcOpImm, 6, 0)},
+	OpANDI:  {"andi", FmtI, enc(opcOpImm, 7, 0)},
+	OpSLLI:  {"slli", FmtShift, enc(opcOpImm, 1, 0)},
+	OpSRLI:  {"srli", FmtShift, enc(opcOpImm, 5, 0)},
+	OpSRAI:  {"srai", FmtShift, enc(opcOpImm, 5, 0x20)},
+
+	OpLUI:   {"lui", FmtU, opcLUI},
+	OpAUIPC: {"auipc", FmtU, opcAUIPC},
+
+	OpJAL:  {"jal", FmtJ, opcJAL},
+	OpJALR: {"jalr", FmtLoad, enc(opcJALR, 0, 0)},
+	OpBEQ:  {"beq", FmtBranch, enc(opcBranch, 0, 0)},
+	OpBNE:  {"bne", FmtBranch, enc(opcBranch, 1, 0)},
+	OpBLT:  {"blt", FmtBranch, enc(opcBranch, 4, 0)},
+	OpBGE:  {"bge", FmtBranch, enc(opcBranch, 5, 0)},
+	OpBLTU: {"bltu", FmtBranch, enc(opcBranch, 6, 0)},
+	OpBGEU: {"bgeu", FmtBranch, enc(opcBranch, 7, 0)},
+
+	OpLB:  {"lb", FmtLoad, enc(opcLoad, 0, 0)},
+	OpLH:  {"lh", FmtLoad, enc(opcLoad, 1, 0)},
+	OpLW:  {"lw", FmtLoad, enc(opcLoad, 2, 0)},
+	OpLD:  {"ld", FmtLoad, enc(opcLoad, 3, 0)},
+	OpLBU: {"lbu", FmtLoad, enc(opcLoad, 4, 0)},
+	OpLHU: {"lhu", FmtLoad, enc(opcLoad, 5, 0)},
+	OpLWU: {"lwu", FmtLoad, enc(opcLoad, 6, 0)},
+
+	OpSB: {"sb", FmtStore, enc(opcStore, 0, 0)},
+	OpSH: {"sh", FmtStore, enc(opcStore, 1, 0)},
+	OpSW: {"sw", FmtStore, enc(opcStore, 2, 0)},
+	OpSD: {"sd", FmtStore, enc(opcStore, 3, 0)},
+
+	// ecall and ebreak are whole words (they differ in the rs2 field);
+	// fence owns its opcode and ignores every other field.
+	OpECALL:  {"ecall", FmtNone, 0x00000073},
+	OpEBREAK: {"ebreak", FmtNone, 0x00100073},
+	OpCSRRS:  {"csrrs", FmtCSR, enc(opcSystem, 2, 0)},
+	OpCSRRW:  {"csrrw", FmtCSR, enc(opcSystem, 1, 0)},
+	OpFENCE:  {"fence", FmtNone, opcFence},
+
+	OpADDW:  {"addw", FmtR, enc(opcOp32, 0, 0)},
+	OpSUBW:  {"subw", FmtR, enc(opcOp32, 0, 0x20)},
+	OpSLLW:  {"sllw", FmtR, enc(opcOp32, 1, 0)},
+	OpSRLW:  {"srlw", FmtR, enc(opcOp32, 5, 0)},
+	OpSRAW:  {"sraw", FmtR, enc(opcOp32, 5, 0x20)},
+	OpADDIW: {"addiw", FmtI, enc(opcOpImm32, 0, 0)},
+	OpSLLIW: {"slliw", FmtShift, enc(opcOpImm32, 1, 0)},
+	OpSRLIW: {"srliw", FmtShift, enc(opcOpImm32, 5, 0)},
+	OpSRAIW: {"sraiw", FmtShift, enc(opcOpImm32, 5, 0x20)},
+	OpMULW:  {"mulw", FmtR, enc(opcOp32, 0, 1)},
+	OpDIVW:  {"divw", FmtR, enc(opcOp32, 4, 1)},
+	OpDIVUW: {"divuw", FmtR, enc(opcOp32, 5, 1)},
+	OpREMW:  {"remw", FmtR, enc(opcOp32, 6, 1)},
+	OpREMUW: {"remuw", FmtR, enc(opcOp32, 7, 1)},
 }
 
 // String returns the assembler mnemonic.
 func (op Op) String() string {
-	if int(op) < len(opNames) {
-		return opNames[op]
+	if op < opMax {
+		return insts[op].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
+}
+
+// Format returns op's operand format (FmtNone for a value that is no
+// operation).
+func (op Op) Format() Format {
+	if op < opMax {
+		return insts[op].format
+	}
+	return FmtNone
+}
+
+// opsByName inverts the table's mnemonic column.
+var opsByName = func() map[string]Op {
+	m := make(map[string]Op, opMax)
+	for op := OpInvalid + 1; op < opMax; op++ {
+		m[insts[op].name] = op
+	}
+	return m
+}()
+
+// OpByName returns the operation a mnemonic names.
+func OpByName(name string) (Op, bool) {
+	op, ok := opsByName[name]
+	return op, ok
 }
 
 // IsBranch reports whether op is a conditional branch.
@@ -163,224 +295,121 @@ type Instr struct {
 	Raw      uint32 // original encoding
 }
 
-// RISC-V base opcodes.
-const (
-	opcLUI     = 0b0110111
-	opcAUIPC   = 0b0010111
-	opcJAL     = 0b1101111
-	opcJALR    = 0b1100111
-	opcBranch  = 0b1100011
-	opcLoad    = 0b0000011
-	opcStore   = 0b0100011
-	opcOpImm   = 0b0010011
-	opcOp      = 0b0110011
-	opcSystem  = 0b1110011
-	opcFence   = 0b0001111
-	opcOpImm32 = 0b0011011
-	opcOp32    = 0b0111011
-)
-
 // signExtend returns v sign-extended from `bits` width.
 func signExtend(v uint32, bits uint) int64 {
 	shift := 64 - bits
 	return int64(uint64(v)<<shift) >> shift
 }
 
-// Decode lookup tables, indexed by funct3. Unassigned slots hold OpInvalid
-// (the zero Op), which Decode reports as an encoding error. Package-level
-// arrays instead of per-call map literals: Decode runs for every word of
-// every loaded segment at predecode time.
-var (
-	branchOps = [8]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-	loadOps   = [8]Op{0: OpLB, 1: OpLH, 2: OpLW, 3: OpLD, 4: OpLBU, 5: OpLHU, 6: OpLWU}
-	storeOps  = [8]Op{0: OpSB, 1: OpSH, 2: OpSW, 3: OpSD}
-	// OP (R-type): funct7 = 0, 0x20, and 1 (the M extension).
-	rOps    = [8]Op{OpADD, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpOR, OpAND}
-	rOpsSub = [8]Op{0: OpSUB, 5: OpSRA}
-	mOps    = [8]Op{0: OpMUL, 1: OpMULH, 3: OpMULHU, 4: OpDIV, 5: OpDIVU, 6: OpREM, 7: OpREMU}
-	// OP-32 (W-suffixed): same funct7 split.
-	wOps    = [8]Op{0: OpADDW, 1: OpSLLW, 5: OpSRLW}
-	wOpsSub = [8]Op{0: OpSUBW, 5: OpSRAW}
-	mwOps   = [8]Op{0: OpMULW, 4: OpDIVW, 5: OpDIVUW, 6: OpREMW, 7: OpREMUW}
-)
+// funct7Class folds funct7 to the three values any operation assigns; every
+// other value is class 0. It is decodeTab's last index. A table, not a
+// switch: funct7 is immediate bits in most formats, so a branch on it would
+// be unpredictable.
+var funct7Class = [128]uint8{0: 1, 0x20: 2, 1: 3}
+
+// shamtBits is the width of a FmtShift immediate: 6 bits under OP-IMM,
+// where the low bit of funct7 is shamt[5], and 5 under OP-IMM-32.
+func shamtBits(bits uint32) uint {
+	if bits&0x7f == opcOpImm {
+		return 6
+	}
+	return 5
+}
+
+// decodeTab is insts inverted for Decode: [opcode>>2][funct3][funct7Class]
+// → Op, OpInvalid where nothing is assigned. A format that does not carry
+// funct3 (U, J, fence) or funct7 (everything but R and shifts) owns every
+// slot along that axis. A flat array instead of a map: Decode runs for every
+// word of every loaded segment at predecode time. ecall and ebreak are not
+// in it — they are single words, which Decode compares directly.
+var decodeTab = func() (tab [32][8][4]Op) {
+	for op := OpInvalid + 1; op < opMax; op++ {
+		if op == OpECALL || op == OpEBREAK {
+			continue
+		}
+		e := &insts[op]
+		anyFunct3 := e.format == FmtNone || e.format == FmtU || e.format == FmtJ
+		anyFunct7 := e.format != FmtR && e.format != FmtShift
+		for f3 := range tab[0] {
+			for class := range tab[0][0] {
+				if (anyFunct3 || uint32(f3) == e.bits>>12&7) && (anyFunct7 || class == int(funct7Class[e.bits>>25])) {
+					tab[e.bits>>2&0x1f][f3][class] = op
+				}
+			}
+		}
+	}
+	return tab
+}()
+
+// knownOpcodes has bit opcode>>2 set for every opcode an operation uses.
+var knownOpcodes = func() (mask uint32) {
+	for op := OpInvalid + 1; op < opMax; op++ {
+		mask |= 1 << (insts[op].bits >> 2 & 0x1f)
+	}
+	return mask
+}()
 
 // Why a word does not decode. These are shared values, not formatted per
 // word: predecoding a segment runs Decode over every data word and discards
 // the error, so the failing path must not allocate. Callers that report one
 // add the word themselves.
 var (
-	errBadJALR       = errors.New("isa: bad JALR funct3")
-	errBadBranch     = errors.New("isa: bad branch funct3")
-	errBadLoad       = errors.New("isa: bad load funct3")
-	errBadStore      = errors.New("isa: bad store funct3")
-	errBadShift      = errors.New("isa: bad shift funct7")
-	errBadOp         = errors.New("isa: bad R-type funct3/funct7")
-	errBadSystem     = errors.New("isa: unsupported SYSTEM encoding")
-	errBadShiftW     = errors.New("isa: bad W-shift funct7")
-	errBadOpImm32    = errors.New("isa: bad OP-IMM-32 funct3")
-	errBadOp32       = errors.New("isa: bad OP-32 funct3/funct7")
 	errUnknownOpcode = errors.New("isa: unknown opcode")
+	errReserved      = errors.New("isa: reserved funct3/funct7 encoding")
 )
 
 // Decode decodes a 32-bit RISC-V instruction word.
 func Decode(raw uint32) (Instr, error) {
 	in := Instr{Raw: raw}
-	opcode := raw & 0x7f
-	rd := uint8((raw >> 7) & 0x1f)
-	funct3 := (raw >> 12) & 0x7
-	rs1 := uint8((raw >> 15) & 0x1f)
-	rs2 := uint8((raw >> 20) & 0x1f)
-	funct7 := (raw >> 25) & 0x7f
-
-	switch opcode {
-	case opcLUI:
-		in.Op, in.Rd = OpLUI, rd
-		in.Imm = signExtend(raw&0xfffff000, 32)
-	case opcAUIPC:
-		in.Op, in.Rd = OpAUIPC, rd
-		in.Imm = signExtend(raw&0xfffff000, 32)
-	case opcJAL:
-		in.Op, in.Rd = OpJAL, rd
-		imm := ((raw>>31)&1)<<20 | ((raw>>12)&0xff)<<12 | ((raw>>20)&1)<<11 | ((raw>>21)&0x3ff)<<1
-		in.Imm = signExtend(imm, 21)
-	case opcJALR:
-		if funct3 != 0 {
-			return in, errBadJALR
-		}
-		in.Op, in.Rd, in.Rs1 = OpJALR, rd, rs1
-		in.Imm = signExtend(raw>>20, 12)
-	case opcBranch:
-		op := branchOps[funct3]
-		if op == OpInvalid {
-			return in, errBadBranch
-		}
-		in.Op, in.Rs1, in.Rs2 = op, rs1, rs2
-		imm := ((raw>>31)&1)<<12 | ((raw>>7)&1)<<11 | ((raw>>25)&0x3f)<<5 | ((raw>>8)&0xf)<<1
-		in.Imm = signExtend(imm, 13)
-	case opcLoad:
-		op := loadOps[funct3]
-		if op == OpInvalid {
-			return in, errBadLoad
-		}
-		in.Op, in.Rd, in.Rs1 = op, rd, rs1
-		in.Imm = signExtend(raw>>20, 12)
-	case opcStore:
-		op := storeOps[funct3]
-		if op == OpInvalid {
-			return in, errBadStore
-		}
-		in.Op, in.Rs1, in.Rs2 = op, rs1, rs2
-		imm := ((raw>>25)&0x7f)<<5 | (raw>>7)&0x1f
-		in.Imm = signExtend(imm, 12)
-	case opcOpImm:
-		in.Rd, in.Rs1 = rd, rs1
-		switch funct3 {
-		case 0:
-			in.Op = OpADDI
-		case 2:
-			in.Op = OpSLTI
-		case 3:
-			in.Op = OpSLTIU
-		case 4:
-			in.Op = OpXORI
-		case 6:
-			in.Op = OpORI
-		case 7:
-			in.Op = OpANDI
-		case 1:
-			if funct7>>1 != 0 {
-				return in, errBadShift
-			}
-			in.Op = OpSLLI
-			in.Imm = int64(raw >> 20 & 0x3f)
-			return in, nil
-		case 5:
-			switch funct7 >> 1 {
-			case 0:
-				in.Op = OpSRLI
-			case 0b10000:
-				in.Op = OpSRAI
-			default:
-				return in, errBadShift
-			}
-			in.Imm = int64(raw >> 20 & 0x3f)
-			return in, nil
-		}
-		in.Imm = signExtend(raw>>20, 12)
-	case opcOp:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		var op Op
-		switch funct7 {
-		case 0:
-			op = rOps[funct3]
-		case 0x20:
-			op = rOpsSub[funct3]
-		case 1:
-			op = mOps[funct3]
-		}
-		if op == OpInvalid {
-			return in, errBadOp
-		}
-		in.Op = op
-	case opcSystem:
-		switch {
-		case raw == 0x00000073:
-			in.Op = OpECALL
-		case raw == 0x00100073:
-			in.Op = OpEBREAK
-		case funct3 == 1:
-			in.Op, in.Rd, in.Rs1 = OpCSRRW, rd, rs1
-			in.Imm = int64(raw >> 20)
-		case funct3 == 2:
-			in.Op, in.Rd, in.Rs1 = OpCSRRS, rd, rs1
-			in.Imm = int64(raw >> 20)
-		default:
-			return in, errBadSystem
-		}
-	case opcOpImm32:
-		in.Rd, in.Rs1 = rd, rs1
-		switch funct3 {
-		case 0:
-			in.Op = OpADDIW
-			in.Imm = signExtend(raw>>20, 12)
-		case 1:
-			if funct7 != 0 {
-				return in, errBadShiftW
-			}
-			in.Op = OpSLLIW
-			in.Imm = int64(raw >> 20 & 0x1f)
-		case 5:
-			switch funct7 {
-			case 0:
-				in.Op = OpSRLIW
-			case 0x20:
-				in.Op = OpSRAIW
-			default:
-				return in, errBadShiftW
-			}
-			in.Imm = int64(raw >> 20 & 0x1f)
-		default:
-			return in, errBadOpImm32
-		}
-	case opcOp32:
-		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		var op Op
-		switch funct7 {
-		case 0:
-			op = wOps[funct3]
-		case 0x20:
-			op = wOpsSub[funct3]
-		case 1:
-			op = mwOps[funct3]
-		}
-		if op == OpInvalid {
-			return in, errBadOp32
-		}
-		in.Op = op
-	case opcFence:
-		in.Op = OpFENCE
-	default:
+	if raw&3 != 3 || knownOpcodes>>(raw>>2&0x1f)&1 == 0 {
 		return in, errUnknownOpcode
+	}
+	funct7 := raw >> 25
+	if raw&0x7f == opcOpImm {
+		funct7 &^= 1 // shamt[5]; the other OP-IMM operations ignore funct7
+	}
+	in.Op = decodeTab[raw>>2&0x1f][raw>>12&7][funct7Class[funct7]]
+	if in.Op == OpInvalid {
+		switch raw {
+		case insts[OpECALL].bits:
+			in.Op = OpECALL
+		case insts[OpEBREAK].bits:
+			in.Op = OpEBREAK
+		default:
+			return in, errReserved
+		}
+		return in, nil
+	}
+	rd := uint8(raw >> 7 & 0x1f)
+	rs1 := uint8(raw >> 15 & 0x1f)
+	rs2 := uint8(raw >> 20 & 0x1f)
+	e := &insts[in.Op]
+	switch e.format {
+	case FmtR:
+		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
+	case FmtI, FmtLoad:
+		in.Rd, in.Rs1 = rd, rs1
+		in.Imm = signExtend(raw>>20, 12)
+	case FmtShift:
+		in.Rd, in.Rs1 = rd, rs1
+		in.Imm = int64(raw >> 20 & (1<<shamtBits(e.bits) - 1))
+	case FmtStore:
+		in.Rs1, in.Rs2 = rs1, rs2
+		in.Imm = signExtend((raw>>25)<<5|raw>>7&0x1f, 12)
+	case FmtBranch:
+		in.Rs1, in.Rs2 = rs1, rs2
+		imm := (raw>>31)<<12 | (raw>>7&1)<<11 | (raw>>25&0x3f)<<5 | (raw>>8&0xf)<<1
+		in.Imm = signExtend(imm, 13)
+	case FmtU:
+		in.Rd = rd
+		in.Imm = signExtend(raw&0xfffff000, 32)
+	case FmtJ:
+		in.Rd = rd
+		imm := (raw>>31)<<20 | (raw>>12&0xff)<<12 | (raw>>20&1)<<11 | (raw>>21&0x3ff)<<1
+		in.Imm = signExtend(imm, 21)
+	case FmtCSR:
+		in.Rd, in.Rs1 = rd, rs1
+		in.Imm = int64(raw >> 20)
 	}
 	return in, nil
 }
@@ -388,152 +417,71 @@ func Decode(raw uint32) (Instr, error) {
 // Encode produces the 32-bit word for a decoded instruction. It is the
 // inverse of Decode for every supported operation.
 func Encode(in Instr) (uint32, error) {
-	rd := uint32(in.Rd) & 0x1f
-	rs1 := uint32(in.Rs1) & 0x1f
-	rs2 := uint32(in.Rs2) & 0x1f
-	switch in.Op {
-	case OpLUI, OpAUIPC:
-		opc := uint32(opcLUI)
-		if in.Op == OpAUIPC {
-			opc = opcAUIPC
-		}
-		if in.Imm&0xfff != 0 {
-			return 0, fmt.Errorf("isa: %s immediate %#x has low bits set", in.Op, in.Imm)
-		}
-		if err := checkRange(in.Imm>>12, 20, true, in.Op); err != nil {
+	if in.Op == OpInvalid || in.Op >= opMax {
+		return 0, fmt.Errorf("isa: cannot encode op %v", in.Op)
+	}
+	e := &insts[in.Op]
+	rd := uint32(in.Rd) & 0x1f << 7
+	rs1 := uint32(in.Rs1) & 0x1f << 15
+	rs2 := uint32(in.Rs2) & 0x1f << 20
+	imm := uint32(in.Imm)
+	switch e.format {
+	case FmtR:
+		return e.bits | rs2 | rs1 | rd, nil
+	case FmtI, FmtLoad:
+		if err := checkSigned(in.Imm, 12, in.Op); err != nil {
 			return 0, err
 		}
-		return uint32(in.Imm)&0xfffff000 | rd<<7 | opc, nil
-	case OpJAL:
-		if err := checkRange(in.Imm, 21, true, in.Op); err != nil {
+		return e.bits | imm<<20 | rs1 | rd, nil
+	case FmtShift:
+		if in.Imm < 0 || in.Imm >= 1<<shamtBits(e.bits) {
+			return 0, fmt.Errorf("isa: %s shift amount %d out of range", in.Op, in.Imm)
+		}
+		return e.bits | imm<<20 | rs1 | rd, nil
+	case FmtStore:
+		if err := checkSigned(in.Imm, 12, in.Op); err != nil {
 			return 0, err
 		}
-		if in.Imm&1 != 0 {
-			return 0, fmt.Errorf("isa: JAL offset must be even")
-		}
-		imm := uint32(in.Imm)
-		enc := ((imm>>20)&1)<<31 | ((imm>>1)&0x3ff)<<21 | ((imm>>11)&1)<<20 | ((imm>>12)&0xff)<<12
-		return enc | rd<<7 | opcJAL, nil
-	case OpJALR:
-		if err := checkRange(in.Imm, 12, true, in.Op); err != nil {
-			return 0, err
-		}
-		return (uint32(in.Imm)&0xfff)<<20 | rs1<<15 | rd<<7 | opcJALR, nil
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		f3 := map[Op]uint32{OpBEQ: 0, OpBNE: 1, OpBLT: 4, OpBGE: 5, OpBLTU: 6, OpBGEU: 7}[in.Op]
-		if err := checkRange(in.Imm, 13, true, in.Op); err != nil {
+		return e.bits | (imm>>5)<<25 | rs2 | rs1 | (imm&0x1f)<<7, nil
+	case FmtBranch:
+		if err := checkSigned(in.Imm, 13, in.Op); err != nil {
 			return 0, err
 		}
 		if in.Imm&1 != 0 {
 			return 0, fmt.Errorf("isa: branch offset must be even")
 		}
-		imm := uint32(in.Imm)
-		enc := ((imm>>12)&1)<<31 | ((imm>>5)&0x3f)<<25 | ((imm>>1)&0xf)<<8 | ((imm>>11)&1)<<7
-		return enc | rs2<<20 | rs1<<15 | f3<<12 | opcBranch, nil
-	case OpLB, OpLH, OpLW, OpLD, OpLBU, OpLHU, OpLWU:
-		f3 := map[Op]uint32{OpLB: 0, OpLH: 1, OpLW: 2, OpLD: 3, OpLBU: 4, OpLHU: 5, OpLWU: 6}[in.Op]
-		if err := checkRange(in.Imm, 12, true, in.Op); err != nil {
+		return e.bits | (imm>>12&1)<<31 | (imm>>5&0x3f)<<25 | rs2 | rs1 | (imm>>1&0xf)<<8 | (imm>>11&1)<<7, nil
+	case FmtU:
+		if in.Imm&0xfff != 0 {
+			return 0, fmt.Errorf("isa: %s immediate %#x has low bits set", in.Op, in.Imm)
+		}
+		if err := checkSigned(in.Imm>>12, 20, in.Op); err != nil {
 			return 0, err
 		}
-		return (uint32(in.Imm)&0xfff)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcLoad, nil
-	case OpSB, OpSH, OpSW, OpSD:
-		f3 := map[Op]uint32{OpSB: 0, OpSH: 1, OpSW: 2, OpSD: 3}[in.Op]
-		if err := checkRange(in.Imm, 12, true, in.Op); err != nil {
+		return e.bits | imm&0xfffff000 | rd, nil
+	case FmtJ:
+		if err := checkSigned(in.Imm, 21, in.Op); err != nil {
 			return 0, err
 		}
-		imm := uint32(in.Imm)
-		return ((imm>>5)&0x7f)<<25 | rs2<<20 | rs1<<15 | f3<<12 | (imm&0x1f)<<7 | opcStore, nil
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI:
-		f3 := map[Op]uint32{OpADDI: 0, OpSLTI: 2, OpSLTIU: 3, OpXORI: 4, OpORI: 6, OpANDI: 7}[in.Op]
-		if err := checkRange(in.Imm, 12, true, in.Op); err != nil {
-			return 0, err
+		if in.Imm&1 != 0 {
+			return 0, fmt.Errorf("isa: JAL offset must be even")
 		}
-		return (uint32(in.Imm)&0xfff)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcOpImm, nil
-	case OpSLLI, OpSRLI, OpSRAI:
-		if in.Imm < 0 || in.Imm > 63 {
-			return 0, fmt.Errorf("isa: shift amount %d out of range", in.Imm)
-		}
-		var f3, f7 uint32
-		switch in.Op {
-		case OpSLLI:
-			f3 = 1
-		case OpSRLI:
-			f3 = 5
-		case OpSRAI:
-			f3, f7 = 5, 0x20
-		}
-		return f7<<25 | uint32(in.Imm)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcOpImm, nil
-	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
-		OpMUL, OpMULH, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
-		type enc struct{ f3, f7 uint32 }
-		encs := map[Op]enc{
-			OpADD: {0, 0}, OpSUB: {0, 0x20}, OpSLL: {1, 0}, OpSLT: {2, 0},
-			OpSLTU: {3, 0}, OpXOR: {4, 0}, OpSRL: {5, 0}, OpSRA: {5, 0x20},
-			OpOR: {6, 0}, OpAND: {7, 0},
-			OpMUL: {0, 1}, OpMULH: {1, 1}, OpMULHU: {3, 1},
-			OpDIV: {4, 1}, OpDIVU: {5, 1}, OpREM: {6, 1}, OpREMU: {7, 1},
-		}
-		e := encs[in.Op]
-		return e.f7<<25 | rs2<<20 | rs1<<15 | e.f3<<12 | rd<<7 | opcOp, nil
-	case OpADDIW:
-		if err := checkRange(in.Imm, 12, true, in.Op); err != nil {
-			return 0, err
-		}
-		return (uint32(in.Imm)&0xfff)<<20 | rs1<<15 | rd<<7 | opcOpImm32, nil
-	case OpSLLIW, OpSRLIW, OpSRAIW:
-		if in.Imm < 0 || in.Imm > 31 {
-			return 0, fmt.Errorf("isa: W-shift amount %d out of range", in.Imm)
-		}
-		var f3, f7 uint32
-		switch in.Op {
-		case OpSLLIW:
-			f3 = 1
-		case OpSRLIW:
-			f3 = 5
-		case OpSRAIW:
-			f3, f7 = 5, 0x20
-		}
-		return f7<<25 | uint32(in.Imm)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcOpImm32, nil
-	case OpADDW, OpSUBW, OpSLLW, OpSRLW, OpSRAW, OpMULW, OpDIVW, OpDIVUW, OpREMW, OpREMUW:
-		type enc32 struct{ f3, f7 uint32 }
-		encs := map[Op]enc32{
-			OpADDW: {0, 0}, OpSUBW: {0, 0x20}, OpSLLW: {1, 0},
-			OpSRLW: {5, 0}, OpSRAW: {5, 0x20},
-			OpMULW: {0, 1}, OpDIVW: {4, 1}, OpDIVUW: {5, 1},
-			OpREMW: {6, 1}, OpREMUW: {7, 1},
-		}
-		e := encs[in.Op]
-		return e.f7<<25 | rs2<<20 | rs1<<15 | e.f3<<12 | rd<<7 | opcOp32, nil
-	case OpECALL:
-		return 0x00000073, nil
-	case OpEBREAK:
-		return 0x00100073, nil
-	case OpCSRRW, OpCSRRS:
-		f3 := uint32(1)
-		if in.Op == OpCSRRS {
-			f3 = 2
-		}
+		return e.bits | (imm>>20&1)<<31 | (imm>>1&0x3ff)<<21 | (imm>>11&1)<<20 | (imm>>12&0xff)<<12 | rd, nil
+	case FmtCSR:
 		if in.Imm < 0 || in.Imm > 0xfff {
 			return 0, fmt.Errorf("isa: CSR number %#x out of range", in.Imm)
 		}
-		return uint32(in.Imm)<<20 | rs1<<15 | f3<<12 | rd<<7 | opcSystem, nil
-	case OpFENCE:
-		return opcFence, nil
+		return e.bits | imm<<20 | rs1 | rd, nil
 	}
-	return 0, fmt.Errorf("isa: cannot encode op %v", in.Op)
+	return e.bits, nil // FmtNone
 }
 
-func checkRange(v int64, bits uint, signed bool, op Op) error {
-	if signed {
-		min := -(int64(1) << (bits - 1))
-		max := int64(1)<<(bits-1) - 1
-		if v < min || v > max {
-			return fmt.Errorf("isa: %s immediate %d out of %d-bit signed range", op, v, bits)
-		}
-		return nil
-	}
-	if v < 0 || v >= int64(1)<<bits {
-		return fmt.Errorf("isa: %s immediate %d out of %d-bit range", op, v, bits)
+// checkSigned reports whether v fits a `bits`-wide signed immediate.
+func checkSigned(v int64, bits uint, op Op) error {
+	min := -(int64(1) << (bits - 1))
+	max := int64(1)<<(bits-1) - 1
+	if v < min || v > max {
+		return fmt.Errorf("isa: %s immediate %d out of %d-bit signed range", op, v, bits)
 	}
 	return nil
 }

@@ -42,8 +42,86 @@ func TestKnownEncodings(t *testing.T) {
 		{Instr{Op: OpSRAI, Rd: 10, Rs1: 10, Imm: 63}, 0x43f55513},
 		// csrrs a0, cycle, zero -> 0xc0002573
 		{Instr{Op: OpCSRRS, Rd: 10, Rs1: 0, Imm: CSRCycle}, 0xc0002573},
+		// sll a0, a1, a2 -> 0x00c59533
+		{Instr{Op: OpSLL, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c59533},
+		// slt a0, a1, a2 -> 0x00c5a533
+		{Instr{Op: OpSLT, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5a533},
+		// sltu a0, a1, a2 -> 0x00c5b533
+		{Instr{Op: OpSLTU, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5b533},
+		// xor a0, a1, a2 -> 0x00c5c533
+		{Instr{Op: OpXOR, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5c533},
+		// srl a0, a1, a2 -> 0x00c5d533
+		{Instr{Op: OpSRL, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5d533},
+		// sra a0, a1, a2 -> 0x40c5d533
+		{Instr{Op: OpSRA, Rd: 10, Rs1: 11, Rs2: 12}, 0x40c5d533},
+		// or a0, a1, a2 -> 0x00c5e533
+		{Instr{Op: OpOR, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5e533},
+		// and a0, a1, a2 -> 0x00c5f533
+		{Instr{Op: OpAND, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5f533},
+		// mulh a0, a1, a2 -> 0x02c59533
+		{Instr{Op: OpMULH, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c59533},
+		// mulhu a0, a1, a2 -> 0x02c5b533
+		{Instr{Op: OpMULHU, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5b533},
+		// div a0, a1, a2 -> 0x02c5c533
+		{Instr{Op: OpDIV, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5c533},
+		// divu a0, a1, a2 -> 0x02c5d533
+		{Instr{Op: OpDIVU, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5d533},
+		// rem a0, a1, a2 -> 0x02c5e533
+		{Instr{Op: OpREM, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5e533},
+		// remu a0, a1, a2 -> 0x02c5f533
+		{Instr{Op: OpREMU, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5f533},
+		// slti a0, a1, -1 -> 0xfff5a513
+		{Instr{Op: OpSLTI, Rd: 10, Rs1: 11, Imm: -1}, 0xfff5a513},
+		// sltiu a0, a1, 1 -> 0x0015b513
+		{Instr{Op: OpSLTIU, Rd: 10, Rs1: 11, Imm: 1}, 0x0015b513},
+		// xori a0, a1, -1 -> 0xfff5c513
+		{Instr{Op: OpXORI, Rd: 10, Rs1: 11, Imm: -1}, 0xfff5c513},
+		// ori a0, a1, 2047 -> 0x7ff5e513
+		{Instr{Op: OpORI, Rd: 10, Rs1: 11, Imm: 2047}, 0x7ff5e513},
+		// andi a0, a1, 255 -> 0x0ff5f513
+		{Instr{Op: OpANDI, Rd: 10, Rs1: 11, Imm: 255}, 0x0ff5f513},
+		// srli a0, a1, 32 -> 0x0205d513
+		{Instr{Op: OpSRLI, Rd: 10, Rs1: 11, Imm: 32}, 0x0205d513},
+		// auipc a0, 0x1 -> 0x00001517
+		{Instr{Op: OpAUIPC, Rd: 10, Imm: 0x1000}, 0x00001517},
+		// bne a0, a1, -4 -> 0xfeb51ee3
+		{Instr{Op: OpBNE, Rs1: 10, Rs2: 11, Imm: -4}, 0xfeb51ee3},
+		// blt a0, a1, +2048 -> 0x00b540e3
+		{Instr{Op: OpBLT, Rs1: 10, Rs2: 11, Imm: 2048}, 0x00b540e3},
+		// bge a0, a1, -4096 -> 0x80b55063
+		{Instr{Op: OpBGE, Rs1: 10, Rs2: 11, Imm: -4096}, 0x80b55063},
+		// bltu a0, a1, +4094 -> 0x7eb56fe3
+		{Instr{Op: OpBLTU, Rs1: 10, Rs2: 11, Imm: 4094}, 0x7eb56fe3},
+		// bgeu a0, a1, +8 -> 0x00b57463
+		{Instr{Op: OpBGEU, Rs1: 10, Rs2: 11, Imm: 8}, 0x00b57463},
+		// lb a0, -1(a1) -> 0xfff58503
+		{Instr{Op: OpLB, Rd: 10, Rs1: 11, Imm: -1}, 0xfff58503},
+		// lh a0, 2(a1) -> 0x00259503
+		{Instr{Op: OpLH, Rd: 10, Rs1: 11, Imm: 2}, 0x00259503},
+		// lw a0, 4(a1) -> 0x0045a503
+		{Instr{Op: OpLW, Rd: 10, Rs1: 11, Imm: 4}, 0x0045a503},
+		// lbu a0, 0(a1) -> 0x0005c503
+		{Instr{Op: OpLBU, Rd: 10, Rs1: 11, Imm: 0}, 0x0005c503},
+		// lhu a0, 2047(a1) -> 0x7ff5d503
+		{Instr{Op: OpLHU, Rd: 10, Rs1: 11, Imm: 2047}, 0x7ff5d503},
+		// lwu a0, -2048(a1) -> 0x8005e503
+		{Instr{Op: OpLWU, Rd: 10, Rs1: 11, Imm: -2048}, 0x8005e503},
+		// sb a0, -1(a1) -> 0xfea58fa3
+		{Instr{Op: OpSB, Rs1: 11, Rs2: 10, Imm: -1}, 0xfea58fa3},
+		// sh a0, 2(a1) -> 0x00a59123
+		{Instr{Op: OpSH, Rs1: 11, Rs2: 10, Imm: 2}, 0x00a59123},
+		// sw a0, 2047(a1) -> 0x7ea5afa3
+		{Instr{Op: OpSW, Rs1: 11, Rs2: 10, Imm: 2047}, 0x7ea5afa3},
+		// ebreak -> 0x00100073
+		{Instr{Op: OpEBREAK}, 0x00100073},
+		// csrrw zero, 0x340, a0 -> 0x34051073
+		{Instr{Op: OpCSRRW, Rs1: 10, Imm: 0x340}, 0x34051073},
+		// fence (no operands: the bare opcode, not gnu as's iorw,iorw) -> 0x0000000f
+		{Instr{Op: OpFENCE}, 0x0000000f},
 	}
+	seen := map[Op]bool{}
 	for _, c := range cases {
+		seen[c.in.Op] = true
 		got, err := Encode(c.in)
 		if err != nil {
 			t.Errorf("Encode(%v %v): %v", c.in.Op, c.in, err)
@@ -60,6 +138,13 @@ func TestKnownEncodings(t *testing.T) {
 		if dec.Op != c.in.Op || dec.Rd != c.in.Rd || dec.Rs1 != c.in.Rs1 ||
 			dec.Rs2 != c.in.Rs2 || dec.Imm != c.in.Imm {
 			t.Errorf("Decode(%#08x) = %+v, want %+v", c.want, dec, c.in)
+		}
+	}
+	// Every operation has a known answer here; the W-suffixed ones in
+	// TestWKnownEncodings.
+	for op := OpInvalid + 1; op < OpADDW; op++ {
+		if !seen[op] {
+			t.Errorf("no known encoding for %v", op)
 		}
 	}
 }
@@ -119,6 +204,15 @@ func TestDecodeInvalid(t *testing.T) {
 		0x00002063,         // branch funct3=2 undefined
 		0x00007003,         // load funct3=7 undefined
 		0x00007023 | 4<<12, // store funct3=4 undefined
+		0x00003063,         // branch funct3=3 undefined
+		0x40001013,         // SLLI with funct7=0x20
+		0x08005013,         // SRLI with funct7 outside {0, 0x20} (above shamt[5])
+		0x04000033,         // OP funct7 outside {0, 0x20, 1}
+		0x40001033,         // OP funct7=0x20 funct3=1: only sub and sra live there
+		0x02002033,         // OP funct7=1 funct3=2: no mulhsu
+		0x00001067,         // JALR funct3=1
+		0x00200073,         // SYSTEM funct3=0 that is neither ecall nor ebreak
+		0x00008073,         // ecall with rs1 set
 	}
 	for _, raw := range bad {
 		if _, err := Decode(raw); err == nil {

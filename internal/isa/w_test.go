@@ -27,8 +27,22 @@ func TestWKnownEncodings(t *testing.T) {
 		{Instr{Op: OpDIVW, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5c53b},
 		// remuw a0, a1, a2 -> 0x02c5f53b
 		{Instr{Op: OpREMUW, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5f53b},
+		// sllw a0, a1, a2 -> 0x00c5953b
+		{Instr{Op: OpSLLW, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5953b},
+		// srlw a0, a1, a2 -> 0x00c5d53b
+		{Instr{Op: OpSRLW, Rd: 10, Rs1: 11, Rs2: 12}, 0x00c5d53b},
+		// sraw a0, a1, a2 -> 0x40c5d53b
+		{Instr{Op: OpSRAW, Rd: 10, Rs1: 11, Rs2: 12}, 0x40c5d53b},
+		// divuw a0, a1, a2 -> 0x02c5d53b
+		{Instr{Op: OpDIVUW, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5d53b},
+		// remw a0, a1, a2 -> 0x02c5e53b
+		{Instr{Op: OpREMW, Rd: 10, Rs1: 11, Rs2: 12}, 0x02c5e53b},
+		// srliw a0, a1, 1 -> 0x0015d51b
+		{Instr{Op: OpSRLIW, Rd: 10, Rs1: 11, Imm: 1}, 0x0015d51b},
 	}
+	seen := map[Op]bool{}
 	for _, c := range cases {
+		seen[c.in.Op] = true
 		got, err := Encode(c.in)
 		if err != nil {
 			t.Errorf("Encode(%v): %v", c.in.Op, err)
@@ -42,6 +56,11 @@ func TestWKnownEncodings(t *testing.T) {
 			t.Errorf("Decode(%#08x) = %+v, %v", c.want, dec, err)
 		}
 	}
+	for op := OpADDW; op < opMax; op++ {
+		if !seen[op] {
+			t.Errorf("no known encoding for %v", op)
+		}
+	}
 }
 
 func TestWDecodeInvalid(t *testing.T) {
@@ -49,6 +68,10 @@ func TestWDecodeInvalid(t *testing.T) {
 		0x0000201b, // OP-IMM-32 funct3=2 undefined
 		0x0000203b, // OP-32 funct3=2 undefined
 		0x4000101b, // SLLIW with funct7=0x20
+		0x0200101b, // SLLIW with shamt[5] set
+		0x0200501b, // SRLIW with shamt[5] set
+		0x0400003b, // OP-32 funct7 outside {0, 0x20, 1}
+		0x0200103b, // OP-32 funct7=1 funct3=1: no mulhw
 	}
 	for _, raw := range bad {
 		if _, err := Decode(raw); err == nil {

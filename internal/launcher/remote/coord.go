@@ -30,8 +30,6 @@ type CoordOptions struct {
 	Poll time.Duration
 	// RequestTimeout bounds each control request (default DefaultTimeout).
 	RequestTimeout time.Duration
-	// NoSteal disables work-stealing (for deterministic tests).
-	NoSteal bool
 	// HedgeAfter, when positive, duplicates a started-but-silent job onto
 	// an idle healthy worker once its lease is this old — the straggler
 	// and the hedge race, the first terminal event wins, and determinism
@@ -187,9 +185,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		case <-tick.C:
 			c.pollAll(ctx)
 			c.reassignOrphans(ctx)
-			if !opts.NoSteal {
-				c.steal(ctx)
-			}
+			c.steal(ctx)
 			if opts.HedgeAfter > 0 {
 				c.hedgeStragglers(ctx)
 			}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"firemarshal/internal/checkpoint"
+	"firemarshal/internal/isa"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/sim/rtlsim"
 )
@@ -123,6 +124,10 @@ type RTLSpec struct {
 	SyscallPenalty    uint64 `json:"syscall_penalty,omitempty"`
 	FreqMHz           uint64 `json:"freq_mhz,omitempty"`
 	MaxInstrs         uint64 `json:"max_instrs,omitempty"`
+	// The stuck-at fault of a bring-up run (§VI): dropping it would report
+	// healthy silicon from every worker.
+	FaultMask uint64 `json:"fault_mask,omitempty"`
+	FaultOp   isa.Op `json:"fault_op,omitempty"`
 }
 
 // NewRTLSpec captures the serializable fields of an rtlsim.Config.
@@ -145,6 +150,8 @@ func NewRTLSpec(c rtlsim.Config) *RTLSpec {
 		SyscallPenalty:    c.SyscallPenalty,
 		FreqMHz:           c.FreqMHz,
 		MaxInstrs:         c.MaxInstrs,
+		FaultMask:         c.FaultMask,
+		FaultOp:           c.FaultOp,
 	}
 }
 
@@ -162,6 +169,8 @@ func (s *RTLSpec) Config() rtlsim.Config {
 		SyscallPenalty:    s.SyscallPenalty,
 		FreqMHz:           s.FreqMHz,
 		MaxInstrs:         s.MaxInstrs,
+		FaultMask:         s.FaultMask,
+		FaultOp:           s.FaultOp,
 	}
 	c.ICache.SizeBytes, c.ICache.LineBytes, c.ICache.Ways = s.ICacheSize, s.ICacheLine, s.ICacheWays
 	c.DCache.SizeBytes, c.DCache.LineBytes, c.DCache.Ways = s.DCacheSize, s.DCacheLine, s.DCacheWays

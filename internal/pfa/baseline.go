@@ -106,13 +106,5 @@ func (b *Baseline) BeforeAccess(m *sim.Machine, addr uint64, store bool) (uint64
 	return b.last.TotalCycles(), nil
 }
 
-// Evict drops a page so it faults again (for repeated measurements).
-func (b *Baseline) Evict(addr uint64) {
-	delete(b.resident, addr&^(PageSize-1))
-}
-
 // TotalStats returns cumulative fault statistics.
 func (b *Baseline) TotalStats() Stats { return b.total }
-
-// LastStats returns the most recent fault's per-step cycles.
-func (b *Baseline) LastStats() Stats { return b.last }

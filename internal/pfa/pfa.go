@@ -256,9 +256,3 @@ func (d *Device) BeforeAccess(m *sim.Machine, addr uint64, store bool) (uint64, 
 
 // TotalStats returns cumulative fault statistics.
 func (d *Device) TotalStats() Stats { return d.total }
-
-// LastStats returns the most recent fault's per-step cycles.
-func (d *Device) LastStats() Stats { return d.last }
-
-// ResidentPages returns how many remote pages are installed.
-func (d *Device) ResidentPages() int { return len(d.resident) }

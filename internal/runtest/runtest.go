@@ -40,11 +40,6 @@ func MatchSubset(got, ref string) bool {
 	return matchSubset(got, ref, true)
 }
 
-// MatchSubsetRaw compares without output cleaning (testing.strip=false).
-func MatchSubsetRaw(got, ref string) bool {
-	return matchSubset(got, ref, false)
-}
-
 func matchSubset(got, ref string, clean bool) bool {
 	if clean {
 		got, ref = CleanOutput(got), CleanOutput(ref)

@@ -164,16 +164,6 @@ func (w *Workload) EffectiveBoard() string {
 	return ""
 }
 
-// EffectiveLinuxSource walks the chain for the kernel source.
-func (w *Workload) EffectiveLinuxSource() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Linux != nil && c.Linux.Source != "" {
-			return c.Linux.Source
-		}
-	}
-	return ""
-}
-
 // EffectiveFirmware walks the chain for the firmware kind.
 func (w *Workload) EffectiveFirmware() string {
 	for c := w; c != nil; c = c.parent {
@@ -199,17 +189,6 @@ func (w *Workload) EffectiveRootfsSize() string {
 	for c := w; c != nil; c = c.parent {
 		if c.RootfsSize != "" {
 			return c.RootfsSize
-		}
-	}
-	return ""
-}
-
-// EffectiveCommand walks the chain for the boot command (run scripts are
-// handled separately because they are files).
-func (w *Workload) EffectiveCommand() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Command != "" || c.Run != "" {
-			return c.Command
 		}
 	}
 	return ""
