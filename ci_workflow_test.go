@@ -230,6 +230,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzCacheVsReference": "./internal/sim/cache",
 		"FuzzTageVsReference":  "./internal/sim/bpred",
 		"FuzzDecodeEncode":     "./internal/isa",
+		"FuzzDecode":           "./internal/fsimg",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

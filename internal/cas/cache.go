@@ -21,6 +21,9 @@ import (
 // own per-request timeout) instead of stalling a build until the circuit
 // breaker trips.
 type Remote interface {
+	// GetBlob returns bytes it has checked against digest (ErrCorrupt
+	// otherwise): the cache files them locally under that digest without
+	// hashing them a second time.
 	GetBlob(ctx context.Context, digest string) ([]byte, error)
 	PutBlob(ctx context.Context, digest string, data []byte) error
 	GetAction(ctx context.Context, key string) (*Action, error)
@@ -314,8 +317,9 @@ func (c *Cache) Lookup(key string) *Action {
 // blob fetches one blob, falling back to the remote (write-through) when
 // the local store misses or is corrupt. The corrupt case is the read-path
 // self-heal: Get already quarantined the bad bytes, the remote refetch is
-// digest-verified, and the Put rewrites the blob in place. A failed
-// write-back only degrades — the verified remote bytes are still served.
+// digest-verified by GetBlob, and the put rewrites the blob in place under
+// the digest just checked. A failed write-back only degrades — the verified
+// remote bytes are still served.
 func (c *Cache) blob(digest string) ([]byte, error) {
 	data, err := c.local.Get(digest)
 	if err == nil {
@@ -327,7 +331,7 @@ func (c *Cache) blob(digest string) ([]byte, error) {
 		if rerr == nil {
 			c.count(func(s *CacheStats) { s.RemoteBlobHits++ })
 			c.obsReg.Counter("cas_blob_remote_hits_total").Inc()
-			if _, perr := c.local.Put(rdata); perr != nil {
+			if perr := c.local.put(digest, rdata); perr != nil {
 				c.obsReg.Counter("cas_writeback_failures_total").Inc()
 			} else if errors.Is(err, ErrCorrupt) {
 				c.count(func(s *CacheStats) { s.BlobsHealed++ })

@@ -286,6 +286,16 @@ func (s *Store) heldSince(digest string, start time.Time) bool {
 // is a cheap no-op (counted as a dedup).
 func (s *Store) Put(data []byte) (string, error) {
 	digest := hostutil.HashBytes(data)
+	return digest, s.put(digest, data)
+}
+
+// put stores data under digest, which the caller has just computed from or
+// verified against these same bytes — Put's own hash, or the remote client's
+// check of a fetched body.
+func (s *Store) put(digest string, data []byte) error {
+	if !validDigest(digest) {
+		return fmt.Errorf("cas: invalid digest %q", digest)
+	}
 	release := s.Hold(digest)
 	defer release()
 	path := s.blobPath(digest)
@@ -293,24 +303,24 @@ func (s *Store) Put(data []byte) (string, error) {
 		s.mu.Lock()
 		s.dedups++
 		s.mu.Unlock()
-		return digest, nil
+		return nil
 	}
-	// The digest above is of the caller's bytes; tampering after hashing
-	// means an injected torn write lands under the full digest — exactly
-	// the corruption shape Get's re-verification must catch.
+	// The digest is of the caller's bytes; tampering after hashing means an
+	// injected torn write lands under the full digest — exactly the
+	// corruption shape Get's re-verification must catch.
 	if s.tamper != nil {
 		var err error
 		if data, err = s.tamper.WriteBlob(digest, data); err != nil {
-			return "", fmt.Errorf("cas: writing blob %s: %w", digest, err)
+			return fmt.Errorf("cas: writing blob %s: %w", digest, err)
 		}
 	}
 	if err := hostutil.WriteFileAtomic(path, data, 0o644); err != nil {
-		return "", fmt.Errorf("cas: writing blob %s: %w", digest, err)
+		return fmt.Errorf("cas: writing blob %s: %w", digest, err)
 	}
 	s.mu.Lock()
 	s.puts++
 	s.mu.Unlock()
-	return digest, nil
+	return nil
 }
 
 // Has reports whether a blob is present (without verifying its content).

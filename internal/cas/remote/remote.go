@@ -413,11 +413,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // get a proportionally larger deadline (streamTimeoutFactor) since their
 // bodies legitimately outlive a control round-trip.
 type Client struct {
-	base    string
-	timeout time.Duration
-	chunk   int64
-	hc      *http.Client
-	sleep   func(time.Duration) // injectable for tests; nil = real timer
+	base     string
+	timeout  time.Duration
+	chunk    int64
+	maxBytes int64 // largest blob body GetBlob accepts (tests shrink it)
+	hc       *http.Client
+	sleep    func(time.Duration) // injectable for tests; nil = real timer
 }
 
 // DefaultTimeout bounds each remote-cache request.
@@ -452,7 +453,7 @@ func NewClient(base string, timeout time.Duration) *Client {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return &Client{base: strings.TrimSuffix(base, "/"), timeout: timeout, chunk: DefaultChunkSize, hc: &http.Client{}}
+	return &Client{base: strings.TrimSuffix(base, "/"), timeout: timeout, chunk: DefaultChunkSize, maxBytes: maxEntrySize, hc: &http.Client{}}
 }
 
 // SetTransport installs a custom RoundTripper (chaos fault injection,
@@ -560,14 +561,39 @@ func (c *Client) GetBlob(ctx context.Context, digest string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("remote cache: GET blob: %s", resp.Status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxEntrySize))
+	data, err := readBody(resp, c.maxBytes)
 	if err != nil {
-		return nil, fmt.Errorf("remote cache: %w", err)
+		return nil, fmt.Errorf("remote cache: blob %s: %w", digest, err)
 	}
 	if hostutil.HashBytes(data) != digest {
 		return nil, fmt.Errorf("remote cache: blob %s: %w", digest, cas.ErrCorrupt)
 	}
 	return data, nil
+}
+
+// errTooLarge reports a blob body over the client's size bound. It is not
+// cas.ErrCorrupt: the bytes may be exactly right, and corruption is what
+// quarantine and self-heal act on.
+var errTooLarge = errors.New("body too large")
+
+// readBody reads a whole response body of at most limit bytes. A declared
+// Content-Length is refused up front when over the limit and otherwise sizes
+// the buffer once (a short body is io.ErrUnexpectedEOF); without one the
+// body is read to EOF through a reader that stops one byte past the limit,
+// so an oversized body is told apart from one of exactly limit bytes.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n > limit {
+		return nil, fmt.Errorf("%w: %d bytes declared, limit %d", errTooLarge, n, limit)
+	} else if n >= 0 {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		return nil, fmt.Errorf("%w: limit %d", errTooLarge, limit)
+	}
+	return data, err
 }
 
 // verifyReader hashes a streamed blob body as it passes through and

@@ -497,6 +497,40 @@ func TestGetBlobDetectsTruncatedTransfer(t *testing.T) {
 	}
 }
 
+// A blob body over the client's bound is "too large", never ErrCorrupt —
+// corruption is what quarantine and self-heal act on, and the bytes may be
+// fine. Both ways a body arrives are covered: with a declared length (the
+// server's own GET path) and without one (a chunked answer from a proxy).
+func TestGetBlobOversizeIsNotCorrupt(t *testing.T) {
+	store := newStore(t)
+	_, client := serve(t, store)
+	data := payload(4 << 10)
+	digest, err := store.Put(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush() // commits the header with no Content-Length
+		w.Write(data)
+	}))
+	t.Cleanup(chunked.Close)
+
+	for name, c := range map[string]*Client{"declared length": client, "no declared length": NewClient(chunked.URL, time.Second)} {
+		// The whole body at exactly the bound is accepted ...
+		c.maxBytes = int64(len(data))
+		if got, err := c.GetBlob(context.Background(), digest); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: body of exactly the limit: err %v", name, err)
+		}
+		// ... and one byte over is refused, as too large.
+		c.maxBytes = int64(len(data)) - 1
+		_, err := c.GetBlob(context.Background(), digest)
+		if !errors.Is(err, errTooLarge) || errors.Is(err, cas.ErrCorrupt) {
+			t.Errorf("%s: oversize body: %v, want errTooLarge and not ErrCorrupt", name, err)
+		}
+	}
+}
+
 // sanity: the digest in URLs is validated server-side before hitting disk
 func TestJunkDigestRejected(t *testing.T) {
 	srv, _ := serve(t, newStore(t))

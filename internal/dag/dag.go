@@ -78,6 +78,14 @@ type Engine struct {
 	tasks  map[string]*Task
 	cache  *cas.Cache
 
+	// handoff maps a target path to the CAS digest the cache computed (on
+	// publish) or verified (on restore) for it earlier in this RunMany.
+	// HashDir of a regular file is that same SHA-256, so depHashes takes a
+	// downstream task's input hash from here instead of reading the file
+	// again. RunMany starts each run with an empty map: between runs a file
+	// may be edited, and needsRun must see the bytes on disk.
+	handoff map[string]string
+
 	// Stats for observability and the incremental-rebuild benchmark.
 	// Executed tasks ran their action; Restored tasks were materialized
 	// from the action cache without running; Skipped tasks were already up
@@ -185,14 +193,17 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	defer span.End()
 
 	key := ""
+	var targets []string // in publish/restore order; set when cacheable
 	if e.cacheable(t) {
+		targets = sortedTargets(t)
 		deps, err := e.depHashes(t)
 		if err != nil {
 			return false, err
 		}
 		key = taskKey(t, deps, valueHashes(t))
 		if a := e.cache.Lookup(key); a != nil {
-			if rerr := e.cache.Restore(a, sortedTargets(t)); rerr == nil {
+			if rerr := e.cache.Restore(a, targets); rerr == nil {
+				e.handOff(targets, a)
 				// A restore never touches the task's inputs, so the hashes
 				// computed for the key are still current — no second pass.
 				e.recordHashes(t, key, deps)
@@ -219,7 +230,9 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	if key != "" {
 		// Publishing is best-effort: a full disk or dead remote must not
 		// fail a build whose artifacts already exist on disk.
-		e.cache.Publish(key, t.Name, sortedTargets(t))
+		if a, perr := e.cache.Publish(key, t.Name, targets); perr == nil {
+			e.handOff(targets, a)
+		}
 	}
 	if err := e.record(t, key); err != nil {
 		return false, err
@@ -228,6 +241,19 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	e.obsReg.Counter("dag_node_builds_total").Inc()
 	span.Attr("outcome", "built")
 	return true, nil
+}
+
+// handOff remembers the digests of the targets a was just published from or
+// restored to (a's outputs are in sortedTargets order, which both Publish
+// and a successful Restore guarantee). A digest that goes stale — something
+// rewrote the target later in the same run — can only cost an extra rebuild:
+// the next run's needsRun hashes the real file.
+func (e *Engine) handOff(targets []string, a *cas.Action) {
+	e.mu.Lock()
+	for i, target := range targets {
+		e.handoff[target] = a.Outputs[i].Digest
+	}
+	e.mu.Unlock()
 }
 
 // cacheable reports whether t participates in the action cache: only tasks
@@ -327,15 +353,27 @@ func (e *Engine) needsRun(t *Task, upstreamRan bool) (bool, error) {
 	return false, nil
 }
 
+// depHashes returns the content hash of every file dependency. A dep that
+// is a target this run already published or restored takes the digest handed
+// off by the cache; everything else — source inputs, any dep when no cache is
+// attached, targets of up-to-date tasks — is read and hashed.
 func (e *Engine) depHashes(t *Task) (map[string]string, error) {
 	out := make(map[string]string, len(t.FileDeps))
+	var hashed int64
 	for _, dep := range t.FileDeps {
-		h, err := hostutil.HashDir(dep)
-		if err != nil {
-			return nil, fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
+		e.mu.Lock()
+		h, ok := e.handoff[dep]
+		e.mu.Unlock()
+		if !ok {
+			sum, n, err := hostutil.HashTree(dep)
+			if err != nil {
+				return nil, fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
+			}
+			h, hashed = sum, hashed+n
 		}
 		out[dep] = h
 	}
+	e.obsReg.Counter("dag_dep_bytes_hashed_total").Add(uint64(hashed))
 	return out, nil
 }
 

@@ -23,47 +23,47 @@ import (
 
 var magic = [4]byte{'M', 'F', 'S', '1'}
 
-// Encode serializes the image to its deterministic binary form.
+// Encode serializes the image to its deterministic binary form. One walk
+// collects the entries and the exact output size, so the buffer is allocated
+// once and every file's bytes are copied once.
 func (fs *FS) Encode() []byte {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(fs.SizeLimit))
-	buf.Write(scratch[:8])
-
 	type entry struct {
 		path string
 		f    *File
 	}
 	var entries []entry
+	size := len(magic) + 8 + 4 + 4 // magic, limit, count ... crc
 	fs.Walk(func(p string, f *File) error {
 		entries = append(entries, entry{p, f})
+		size += 4 + len(p) + 4 + 8
+		if !f.IsDir() {
+			size += len(f.Data)
+		}
 		return nil
 	})
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(entries)))
-	buf.Write(scratch[:4])
+	le := binary.LittleEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, magic[:]...)
+	buf = le.AppendUint64(buf, uint64(fs.SizeLimit))
+	buf = le.AppendUint32(buf, uint32(len(entries)))
 	for _, e := range entries {
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(e.path)))
-		buf.Write(scratch[:4])
-		buf.WriteString(e.path)
-		binary.LittleEndian.PutUint32(scratch[:4], e.f.Mode)
-		buf.Write(scratch[:4])
+		buf = le.AppendUint32(buf, uint32(len(e.path)))
+		buf = append(buf, e.path...)
+		buf = le.AppendUint32(buf, e.f.Mode)
 		if e.f.IsDir() {
-			binary.LittleEndian.PutUint64(scratch[:8], 0)
-			buf.Write(scratch[:8])
+			buf = le.AppendUint64(buf, 0)
 		} else {
-			binary.LittleEndian.PutUint64(scratch[:8], uint64(len(e.f.Data)))
-			buf.Write(scratch[:8])
-			buf.Write(e.f.Data)
+			buf = le.AppendUint64(buf, uint64(len(e.f.Data)))
+			buf = append(buf, e.f.Data...)
 		}
 	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	binary.LittleEndian.PutUint32(scratch[:4], crc)
-	buf.Write(scratch[:4])
-	return buf.Bytes()
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// Decode parses a binary image produced by Encode.
+// Decode parses a binary image produced by Encode. The returned image's
+// files are slices of data (each capped at its own length), not copies: the
+// caller hands the buffer over and must not write to it afterwards, as
+// File.Data's contract says of any Data.
 func Decode(data []byte) (*FS, error) {
 	if len(data) < 4+8+4+4 {
 		return nil, fmt.Errorf("fsimg: image too short (%d bytes)", len(data))
@@ -95,23 +95,24 @@ func Decode(data []byte) (*FS, error) {
 		off += plen
 		mode := binary.LittleEndian.Uint32(body[off:])
 		off += 4
-		dlen := int(binary.LittleEndian.Uint64(body[off:]))
+		dlen64 := binary.LittleEndian.Uint64(body[off:])
 		off += 8
-		if off+dlen > len(body) {
+		if dlen64 > uint64(len(body)-off) {
 			return nil, fmt.Errorf("fsimg: truncated data for %q", p)
 		}
+		dlen := int(dlen64)
 		if mode&ModeDir != 0 {
 			if err := fs.MkdirAll(p, mode&0o777); err != nil {
 				return nil, err
 			}
 		} else {
-			// Bypass the size limit during decode: the encoded image was
-			// valid when written.
-			limit := fs.SizeLimit
-			fs.SizeLimit = 0
-			err := fs.WriteFile(p, body[off:off+dlen], mode)
-			fs.SizeLimit = limit
+			// The size limit is not applied during decode: the encoded
+			// image was valid when written.
+			cp, err := cleanFilePath(p)
 			if err != nil {
+				return nil, err
+			}
+			if err := fs.place(cp, body[off:off+dlen:off+dlen], mode); err != nil {
 				return nil, err
 			}
 		}

@@ -23,6 +23,13 @@ import (
 
 // File is a node in the filesystem tree: either a regular file with Data or
 // a directory with Children.
+//
+// Data is immutable once a File holds it: a file's content changes only by
+// WriteFile putting a new File (with a private copy of its argument) in the
+// directory, never by writing into, appending to or re-slicing-and-writing an
+// existing Data. That is what lets Clone share the slices between images and
+// Decode hand out slices of the buffer it was given; code outside this
+// package reads Data and must not write it (one_way_test.go checks).
 type File struct {
 	Mode     uint32 // permission bits plus the directory flag (ModeDir)
 	Data     []byte
@@ -114,13 +121,11 @@ func (fs *FS) MkdirAll(p string, perm uint32) error {
 }
 
 // WriteFile creates or replaces the file at p, creating parent directories.
+// The image keeps a private copy of data.
 func (fs *FS) WriteFile(p string, data []byte, perm uint32) error {
-	cp, err := clean(p)
+	cp, err := cleanFilePath(p)
 	if err != nil {
 		return err
-	}
-	if cp == "/" {
-		return fmt.Errorf("fsimg: cannot write to /")
 	}
 	if fs.SizeLimit > 0 {
 		delta := int64(len(data))
@@ -131,15 +136,30 @@ func (fs *FS) WriteFile(p string, data []byte, perm uint32) error {
 			return fmt.Errorf("fsimg: writing %q (%d bytes) exceeds image size limit %d", p, len(data), fs.SizeLimit)
 		}
 	}
+	return fs.place(cp, append([]byte(nil), data...), perm)
+}
+
+// cleanFilePath is clean for a path that is to hold a file.
+func cleanFilePath(p string) (string, error) {
+	cp, err := clean(p)
+	if err == nil && cp == "/" {
+		err = fmt.Errorf("fsimg: cannot write to /")
+	}
+	return cp, err
+}
+
+// place puts a file whose content is data itself — the image takes the slice
+// over — at the cleaned path cp, with no size-limit check.
+func (fs *FS) place(cp string, data []byte, perm uint32) error {
 	dir, base := path.Split(cp)
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	parent := fs.Lookup(dir)
 	if existing, ok := parent.Children[base]; ok && existing.IsDir() {
-		return fmt.Errorf("fsimg: %q is a directory", p)
+		return fmt.Errorf("fsimg: %q is a directory", cp)
 	}
-	parent.Children[base] = &File{Mode: perm & 0o7777, Data: append([]byte(nil), data...)}
+	parent.Children[base] = &File{Mode: perm & 0o7777, Data: data}
 	return nil
 }
 
@@ -220,17 +240,17 @@ func walk(dir *File, prefix string, fn func(string, *File) error) error {
 	return nil
 }
 
-// Clone returns a deep copy, used when a child workload's image starts from
-// a copy of its parent's image (build step 5a in the paper).
+// Clone returns an independent image, used when a child workload's image
+// starts from a copy of its parent's image (build step 5a in the paper).
+// The tree — every File and directory map — is copied, so writes, removals
+// and mode changes through either image never show in the other; the file
+// contents are shared, which File.Data's immutability makes safe.
 func (fs *FS) Clone() *FS {
 	return &FS{Root: cloneFile(fs.Root), SizeLimit: fs.SizeLimit}
 }
 
 func cloneFile(f *File) *File {
-	nf := &File{Mode: f.Mode}
-	if f.Data != nil {
-		nf.Data = append([]byte(nil), f.Data...)
-	}
+	nf := &File{Mode: f.Mode, Data: f.Data}
 	if f.Children != nil {
 		nf.Children = make(map[string]*File, len(f.Children))
 		for name, child := range f.Children {

@@ -4,6 +4,7 @@
 package hostutil
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -50,17 +51,26 @@ func HashFile(path string) (string, error) {
 
 // HashDir hashes a directory tree: relative paths, modes, and contents, in
 // sorted order. Missing directories hash to a fixed sentinel so callers can
-// treat "not yet created" as a stable state.
+// treat "not yet created" as a stable state. A regular file hashes to its
+// HashFile — the digest the content-addressed store files it under.
 func HashDir(dir string) (string, error) {
+	sum, _, err := HashTree(dir)
+	return sum, err
+}
+
+// HashTree is HashDir that also reports how many content bytes it read and
+// hashed — what the dependency tracker's dag_dep_bytes_hashed_total counts.
+func HashTree(dir string) (string, int64, error) {
 	info, err := os.Stat(dir)
 	if os.IsNotExist(err) {
-		return HashStrings("absent-dir", dir), nil
+		return HashStrings("absent-dir", dir), 0, nil
 	}
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if !info.IsDir() {
-		return HashFile(dir)
+		sum, err := HashFile(dir)
+		return sum, info.Size(), err
 	}
 	h := sha256.New()
 	var paths []string
@@ -74,21 +84,23 @@ func HashDir(dir string) (string, error) {
 		return nil
 	})
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	sort.Strings(paths)
+	var total int64
 	for _, p := range paths {
 		rel, err := filepath.Rel(dir, p)
 		if err != nil {
-			return "", err
+			return "", total, err
 		}
 		content, err := os.ReadFile(p)
 		if err != nil {
-			return "", err
+			return "", total, err
 		}
+		total += int64(len(content))
 		fmt.Fprintf(h, "%s\x00%s\x00", rel, HashBytes(content))
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), total, nil
 }
 
 // DetJitter returns a deterministic pseudo-random duration in [0, max),
@@ -109,6 +121,13 @@ func DetJitter(key string, attempt int, max time.Duration) time.Duration {
 // WriteFileAtomic writes data to path via a temporary file and rename, so
 // readers never observe a partially written artifact.
 func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
+	return writeAtomic(path, bytes.NewReader(data), mode)
+}
+
+// writeAtomic is the temp-then-rename sequence WriteFileAtomic and CopyFile
+// share, with the content taken from a reader: a bytes.Reader lands in one
+// Write, a file through the kernel's file-to-file copy where there is one.
+func writeAtomic(path string, content io.Reader, mode os.FileMode) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -118,7 +137,7 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := io.Copy(tmp, content); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err
@@ -180,17 +199,20 @@ func RunHostScript(script string, workDir string, args ...string) (*ScriptResult
 }
 
 // CopyFile copies src to dst, creating parent directories and preserving the
-// source's mode bits.
+// source's mode bits. The bytes stream through a temp file that is renamed
+// into place, so readers never observe a partial copy and the source is
+// never held in memory whole.
 func CopyFile(src, dst string) error {
-	info, err := os.Stat(src)
+	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	data, err := os.ReadFile(src)
+	defer in.Close()
+	info, err := in.Stat()
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(dst, data, info.Mode().Perm())
+	return writeAtomic(dst, in, info.Mode().Perm())
 }
 
 // CopyDir recursively copies a directory tree.

@@ -67,6 +67,10 @@ func TestHashDir(t *testing.T) {
 	if m1 != m2 {
 		t.Error("missing-dir hash unstable")
 	}
+	// HashTree is HashDir plus the content bytes it read: "1", "2", "3".
+	if th, n, err := HashTree(dir); err != nil || th != h3 || n != 3 {
+		t.Errorf("HashTree = %s, %d, %v; want HashDir's %s and 3 bytes", th, n, err, h3)
+	}
 	// A file path hashes as the file.
 	fh, err := HashDir(filepath.Join(dir, "a"))
 	if err != nil || fh != HashBytes([]byte("1")) {
@@ -166,6 +170,25 @@ func TestCopyFileAndDir(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(dst, "sub", "f"))
 	if err != nil || string(data) != "y" {
 		t.Errorf("nested copy: %q %v", data, err)
+	}
+
+	// A file larger than any copy buffer arrives whole, replaces what was
+	// there, keeps the source's mode, and leaves no temp file beside it.
+	big := bytes.Repeat([]byte("0123456789abcdef"), 20<<10)
+	os.WriteFile(filepath.Join(src, "big"), big, 0o640)
+	target := filepath.Join(dst, "sub", "f")
+	if err := CopyFile(filepath.Join(src, "big"), target); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(target)
+	if info, err := os.Stat(target); err != nil || !bytes.Equal(got, big) || info.Mode().Perm() != 0o640 {
+		t.Errorf("CopyFile over an existing file: %d bytes, %v, %v", len(got), info, err)
+	}
+	if err := CopyFile(filepath.Join(src, "missing"), filepath.Join(dst, "sub", "never")); err == nil {
+		t.Error("CopyFile of a missing source succeeded")
+	}
+	if ents, _ := os.ReadDir(filepath.Join(dst, "sub")); len(ents) != 1 {
+		t.Errorf("%s holds %d entries after the copies, want the one file", filepath.Join(dst, "sub"), len(ents))
 	}
 }
 

@@ -262,9 +262,12 @@ func (r *Run) fleet(ctx context.Context, fresh []int, prior map[string]launcher.
 	}
 	index := map[string]int{}
 	specs := make([]JobSpec, 0, len(fresh))
+	// The jobs of one workload mostly share a boot binary: each distinct
+	// digest is uploaded once per drive.
+	sent := map[string]bool{}
 	for _, i := range fresh {
 		j := r.Jobs[i]
-		spec, err := r.jobSpec(ctx, j)
+		spec, err := r.jobSpec(ctx, j, sent)
 		if err != nil {
 			return nil, err
 		}
@@ -303,9 +306,9 @@ func (r *Run) fleet(ctx context.Context, fresh []int, prior map[string]launcher.
 	return Launch(ctx, specs, opts)
 }
 
-// jobSpec publishes one job's artifacts to the shared cache and captures
-// everything a worker needs to execute it.
-func (r *Run) jobSpec(ctx context.Context, j Job) (*JobSpec, error) {
+// jobSpec publishes one job's artifacts to the shared cache (those not in
+// sent already) and captures everything a worker needs to execute it.
+func (r *Run) jobSpec(ctx context.Context, j Job, sent map[string]bool) (*JobSpec, error) {
 	if j.Attach != nil {
 		var probe Exec
 		release, err := j.Attach(&probe)
@@ -342,7 +345,7 @@ func (r *Run) jobSpec(ctx context.Context, j Job) (*JobSpec, error) {
 	if j.Sim == "rtl" {
 		spec.RTL = NewRTLSpec(j.RTL)
 	}
-	if spec.Bin, err = PutBlob(ctx, r.Remote, bin); err != nil {
+	if spec.Bin, err = r.publish(ctx, bin, sent); err != nil {
 		return nil, fmt.Errorf("publishing boot binary for %s: %w", j.Name, err)
 	}
 	if j.Img != "" && !boot.IsBare() {
@@ -350,7 +353,7 @@ func (r *Run) jobSpec(ctx context.Context, j Job) (*JobSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %s: disk image: %w", j.Name, err)
 		}
-		if spec.Img, err = PutBlob(ctx, r.Remote, img); err != nil {
+		if spec.Img, err = r.publish(ctx, img, sent); err != nil {
 			return nil, fmt.Errorf("publishing disk image for %s: %w", j.Name, err)
 		}
 	}
@@ -394,6 +397,18 @@ var blobTransfer = hostutil.Retry{Attempts: 4, Transport: true}
 func PutBlob(ctx context.Context, rem cas.Remote, data []byte) (string, error) {
 	digest := hostutil.HashBytes(data)
 	return digest, blobTransfer.Do(ctx, digest, func() error { return rem.PutBlob(ctx, digest, data) })
+}
+
+// publish is PutBlob that skips the upload when sent says this drive already
+// made it.
+func (r *Run) publish(ctx context.Context, data []byte, sent map[string]bool) (string, error) {
+	digest := hostutil.HashBytes(data)
+	if sent[digest] {
+		return digest, nil
+	}
+	err := blobTransfer.Do(ctx, digest, func() error { return r.Remote.PutBlob(ctx, digest, data) })
+	sent[digest] = err == nil
+	return digest, err
 }
 
 // GetBlob fetches a blob from the shared cache.

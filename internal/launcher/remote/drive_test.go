@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"firemarshal/internal/cas"
 	casremote "firemarshal/internal/cas/remote"
 	"firemarshal/internal/firmware"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/isa"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/obs"
@@ -151,5 +153,63 @@ func TestFleetJobFailsOnEscapingOutput(t *testing.T) {
 	recs, _, err := launcher.ReadManifest(run.ManifestPath)
 	if err != nil || len(recs) != 2 || recs[0].Status != launcher.StatusFailed {
 		t.Errorf("manifest = %+v, %v; want the evil job recorded failed", recs, err)
+	}
+}
+
+// TestFleetUploadsEachSharedArtifactOnce: the jobs of one workload share a
+// boot binary, and the coordinator uploads a digest once per drive however
+// many jobs name it.
+func TestFleetUploadsEachSharedArtifactOnce(t *testing.T) {
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := bareBin(t)
+	binDigest, err := hostutil.HashFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	puts := 0
+	inner := casremote.NewServer(store)
+	cacheSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && strings.HasSuffix(r.URL.Path, "/"+binDigest) {
+			mu.Lock()
+			puts++
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(cacheSrv.Close)
+	rem := casremote.NewClient(cacheSrv.URL, 0)
+
+	workerStore, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{Obs: obs.NewRegistry(), Runner: &ArtifactRunner{Store: workerStore, Remote: rem, Obs: obs.NewRegistry()}}
+	})
+	root := t.TempDir()
+	run := Run{
+		ManifestPath: filepath.Join(root, "runs", "w.manifest.jsonl"),
+		Fleet:        CoordOptions{Workers: addrs, Poll: 5 * time.Millisecond},
+		Remote:       rem,
+		Obs:          obs.NewRegistry(),
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		run.Jobs = append(run.Jobs, Job{Name: name, Bin: bin, Sim: "qemu", Dir: filepath.Join(root, "runs", name)})
+	}
+	results, _, err := Drive(context.Background(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r == nil || r.ExitCode != 0 {
+			t.Errorf("job %d: result %+v, want exit 0", i, r)
+		}
+	}
+	if puts != 1 {
+		t.Errorf("the shared boot binary was uploaded %d times for 4 jobs, want once", puts)
 	}
 }

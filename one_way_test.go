@@ -1,6 +1,9 @@
 package firemarshal
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -64,5 +67,86 @@ func TestOneWayToExecuteAJob(t *testing.T) {
 		if !reflect.DeepEqual(found[i], g.allowed) {
 			t.Errorf("code that %s (%q) is in %v, want exactly %v", g.what, g.pattern, found[i], g.allowed)
 		}
+	}
+}
+
+// TestFileDataIsWrittenOnlyByFsimg keeps fsimg.File.Data immutable, which is
+// what lets FS.Clone share file contents between images and fsimg.Decode
+// hand out slices of its input: outside internal/fsimg, product code may
+// read a Data but never assign it, store through an index or slice of it,
+// copy into it, append to it (append writes into spare capacity), or build
+// a fsimg.File around a slice of its own. The check is by field name, so it
+// also fires on a write to another type's Data field — none exists today;
+// if one is added, exempt that type here rather than weakening the rule.
+func TestFileDataIsWrittenOnlyByFsimg(t *testing.T) {
+	// dataOf reports whether e is x.Data, possibly indexed, sliced,
+	// parenthesised or dereferenced.
+	var dataOf func(e ast.Expr) bool
+	dataOf = func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "Data"
+		case *ast.IndexExpr:
+			return dataOf(e.X)
+		case *ast.SliceExpr:
+			return dataOf(e.X)
+		case *ast.ParenExpr:
+			return dataOf(e.X)
+		case *ast.StarExpr:
+			return dataOf(e.X)
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == "examples" || filepath.ToSlash(path) == "internal/fsimg" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			bad := ""
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if n.Tok != token.DEFINE && dataOf(lhs) {
+						bad = "assigns to a Data field"
+					}
+				}
+			case *ast.IncDecStmt:
+				if dataOf(n.X) {
+					bad = "increments a Data field"
+				}
+			case *ast.CallExpr:
+				if fn, ok := n.Fun.(*ast.Ident); ok && (fn.Name == "copy" || fn.Name == "append") && len(n.Args) > 0 && dataOf(n.Args[0]) {
+					bad = "passes a Data field to " + fn.Name + " as its destination"
+				}
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "File" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fsimg" {
+						bad = "builds a fsimg.File of its own"
+					}
+				}
+			}
+			if bad != "" {
+				t.Errorf("%s %s: fsimg.File.Data is immutable, write files with FS.WriteFile", fset.Position(n.Pos()), bad)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
