@@ -219,7 +219,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 
 	// The fuzz job runs each differential fuzz target of the cycle-exact
-	// tier's kernels, and the decoder's, for 30 s, and the targets it names
+	// tier's kernels, and the decoders', for 30 s, and the targets it names
 	// exist.
 	fuzzJob, ok := jobs["fuzz"].(map[string]any)
 	if !ok {
@@ -231,6 +231,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzTageVsReference":  "./internal/sim/bpred",
 		"FuzzDecodeEncode":     "./internal/isa",
 		"FuzzDecode":           "./internal/fsimg",
+		"FuzzLeaseBody":        "./internal/launcher/remote",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

@@ -339,6 +339,7 @@ func (c *Cache) blob(digest string) ([]byte, error) {
 			}
 			return rdata, nil
 		}
+		return nil, fmt.Errorf("%w (remote: %v)", err, rerr)
 	}
 	return nil, err
 }

@@ -62,13 +62,13 @@ func (c *WorkerClient) SetTransport(rt http.RoundTripper) {
 }
 
 // doOnce issues one request under the caller's context with the
-// per-request timeout layered on, decoding a JSON body into out when
-// non-nil.
-func (c *WorkerClient) doOnce(ctx context.Context, method, path string, body any, out any) (int, error) {
+// per-request timeout layered on (plus hold, the time the worker was asked
+// to keep the request open), decoding a JSON body into out when non-nil.
+func (c *WorkerClient) doOnce(ctx context.Context, hold time.Duration, method, path string, body any, out any) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rctx, cancel := context.WithTimeout(ctx, c.timeout)
+	rctx, cancel := context.WithTimeout(ctx, c.timeout+hold)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -106,16 +106,16 @@ func (c *WorkerClient) doOnce(ctx context.Context, method, path string, body any
 // do runs doOnce under the shared retry policy (hostutil.Retry): 429
 // throttles wait out the worker's Retry-After hint, and failures of
 // idempotent calls are retried after a short jittered wait (POST /v1/jobs
-// is idempotent too: a duplicate lands as 409 → ErrAlreadyLeased). DELETE
+// is idempotent too: a duplicate lands as 409, which reads as leased). DELETE
 // is never blind-retried: a Steal whose response was lost may have
 // succeeded, and re-sending it could "succeed" against a job the worker
 // re-acquired — the coordinator's reconcile pass resolves that ambiguity
 // instead. Every wait ends with ctx, so a cancelled coordinator does not
 // sit out a worker's hint.
-func (c *WorkerClient) do(ctx context.Context, method, path string, body any, out any) (code int, err error) {
+func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path string, body any, out any) (code int, err error) {
 	policy := hostutil.Retry{Attempts: clientRetries + 1, Transport: method != http.MethodDelete, Sleep: c.sleep}
 	err = policy.Do(ctx, path, func() (err error) {
-		code, err = c.doOnce(ctx, method, path, body, out)
+		code, err = c.doOnce(ctx, hold, method, path, body, out)
 		return err
 	})
 	return code, err
@@ -124,7 +124,7 @@ func (c *WorkerClient) do(ctx context.Context, method, path string, body any, ou
 // Status probes the worker — the registration handshake and the heartbeat.
 func (c *WorkerClient) Status(ctx context.Context) (*WorkerStatus, error) {
 	var st WorkerStatus
-	code, err := c.do(ctx, http.MethodGet, "/v1/status", nil, &st)
+	code, err := c.do(ctx, 0, http.MethodGet, "/v1/status", nil, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -134,27 +134,49 @@ func (c *WorkerClient) Status(ctx context.Context) (*WorkerStatus, error) {
 	return &st, nil
 }
 
-// Submit leases a job to the worker. A worker that already holds the job
-// answers 409, surfaced as ErrAlreadyLeased (success-shaped for the
+// Lease offers the worker specs in one request and returns its answer per
+// spec, in order: http.StatusAccepted, http.StatusConflict (it already
+// holds that job — for the coordinator the lease exists: a duplicated or
+// retried request landed twice) or a refusal.
+func (c *WorkerClient) Lease(ctx context.Context, specs []JobSpec) ([]int, error) {
+	var codes []int
+	code, err := c.do(ctx, 0, http.MethodPost, "/v1/jobs", specs, &codes)
+	if err != nil {
+		return nil, err
+	}
+	if code != http.StatusOK || len(codes) != len(specs) {
+		return nil, fmt.Errorf("worker %s: lease of %d job(s): HTTP %d with %d answer(s)", c.Addr, len(specs), code, len(codes))
+	}
+	return codes, nil
+}
+
+// Submit leases one job to the worker: Lease of one. A worker that already
+// holds the job is surfaced as ErrAlreadyLeased (success-shaped for the
 // coordinator, error-shaped for anyone double-leasing by mistake).
 func (c *WorkerClient) Submit(ctx context.Context, spec JobSpec) error {
-	code, err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, nil)
+	codes, err := c.Lease(ctx, []JobSpec{spec})
 	if err != nil {
 		return err
 	}
-	switch code {
+	switch codes[0] {
 	case http.StatusAccepted:
 		return nil
 	case http.StatusConflict:
 		return fmt.Errorf("worker %s: submit %s: %w", c.Addr, spec.Name, ErrAlreadyLeased)
 	}
-	return fmt.Errorf("worker %s: submit %s: HTTP %d", c.Addr, spec.Name, code)
+	return fmt.Errorf("worker %s: submit %s: HTTP %d", c.Addr, spec.Name, codes[0])
 }
 
-// Events drains the worker's event log from sequence `since`.
-func (c *WorkerClient) Events(ctx context.Context, since int) ([]Event, error) {
+// Events drains the worker's event log from sequence `since`. A positive
+// wait (whole milliseconds) asks the worker to hold an empty answer that
+// long, until it has an event to report.
+func (c *WorkerClient) Events(ctx context.Context, since int, wait time.Duration) ([]Event, error) {
+	path := "/v1/events?since=" + strconv.Itoa(since)
+	if ms := wait.Milliseconds(); ms > 0 {
+		path += "&wait=" + strconv.FormatInt(ms, 10)
+	}
 	var evs []Event
-	code, err := c.do(ctx, http.MethodGet, "/v1/events?since="+strconv.Itoa(since), nil, &evs)
+	code, err := c.do(ctx, wait, http.MethodGet, path, nil, &evs)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +190,7 @@ func (c *WorkerClient) Events(ctx context.Context, since int) ([]Event, error) {
 // when the worker agreed (the job is now unowned and may be re-leased);
 // false when the job already started or finished there.
 func (c *WorkerClient) Steal(ctx context.Context, job string) (bool, error) {
-	code, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+job, nil, nil)
+	code, err := c.do(ctx, 0, http.MethodDelete, "/v1/jobs/"+job, nil, nil)
 	if err != nil {
 		return false, err
 	}

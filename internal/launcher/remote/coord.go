@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"firemarshal/internal/checkpoint"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/obs"
 )
@@ -26,7 +28,9 @@ type CoordOptions struct {
 	// LeaseTTL is how long a worker may go unreachable before its leases
 	// are forfeited and re-assigned (default 10s).
 	LeaseTTL time.Duration
-	// Poll is the event-poll (= heartbeat) interval (default 100ms).
+	// Poll is the heartbeat bound (a worker answers its outstanding event
+	// poll on its next event or after Poll) and the housekeeping cadence —
+	// not event latency: events are handled as they happen (default 100ms).
 	Poll time.Duration
 	// RequestTimeout bounds each control request (default DefaultTimeout).
 	RequestTimeout time.Duration
@@ -46,7 +50,7 @@ type CoordOptions struct {
 	// OnDone runs for each terminal job (once), with its done event, before
 	// the job is journaled; Drive materializes the console and outputs from
 	// the remote cache into the job's run directory. An error fails an
-	// otherwise ok job.
+	// otherwise ok job. Runs off the coordinator loop, one per worker at a time.
 	OnDone func(ev Event) error
 	// Obs is the registry remote_* fleet metrics report into.
 	Obs *obs.Registry
@@ -64,7 +68,7 @@ const (
 	faultPoll           = 1
 	faultSubmit         = 2
 	quarantineThreshold = 6
-	// reconcileEvery is the successful-poll cadence of the reconcile
+	// reconcileEvery is the cadence, in Poll ticks, of the reconcile
 	// pass: a Status fetch that re-derives lease truth from the worker
 	// (a job we think it owns but it doesn't hold was lost in transit —
 	// e.g. a steal whose response dropped — and must be re-leased).
@@ -85,9 +89,13 @@ type cjob struct {
 	maxAtt    int  // highest absolute attempt observed
 	refusals  int  // failed assignment sweeps (liveness bound)
 	ckpt      *checkpoint.Pointer
+	landing   bool // done event honoured, OnDone running: still load, see settled
 	done      bool
 	rec       launcher.Record
 }
+
+// settled: the job's outcome is decided; scheduling and events pass it by.
+func (j *cjob) settled() bool { return j.done || j.landing }
 
 // cworker is the coordinator's view of one worker.
 type cworker struct {
@@ -95,17 +103,37 @@ type cworker struct {
 	alive       bool
 	quarantined bool
 	faults      int       // leaky fault counter
-	polls       int       // successful polls (reconcile cadence)
+	ticks       int       // Poll ticks spent alive (reconcile cadence)
 	cursor      int       // event-log read position
 	lastOK      time.Time // last successful poll — the lease clock
 }
 
+// polled is one answer to worker wi's event poll (sent at asked), landed one
+// job's OnDone outcome: what the goroutines hand back to the coordinator loop.
+type polled struct {
+	wi    int
+	asked time.Time
+	evs   []Event
+	err   error
+}
+type landed struct {
+	j   *cjob
+	rec launcher.Record
+	err error
+}
+
 // coordinator drives one fleet launch.
 type coordinator struct {
-	opts    CoordOptions
-	order   []string
-	jobs    map[string]*cjob
-	workers []*cworker
+	opts     CoordOptions
+	order    []string
+	jobs     map[string]*cjob
+	workers  []*cworker
+	polls    chan polled
+	pollCtx  context.Context // ends every poll in flight before Launch returns
+	pollers  sync.WaitGroup
+	landed   chan landed
+	landers  chan struct{} // OnDone runs in flight: one per registered worker
+	landings int           // landers not yet back on the loop
 }
 
 // Launch distributes specs across the worker fleet and blocks until every
@@ -138,7 +166,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		ctx = context.Background()
 	}
 
-	c := &coordinator{opts: opts, jobs: map[string]*cjob{}}
+	c := &coordinator{opts: opts, jobs: map[string]*cjob{}, polls: make(chan polled), landed: make(chan landed)}
 	for _, spec := range specs {
 		if _, dup := c.jobs[spec.Name]; dup {
 			return nil, fmt.Errorf("remote: duplicate job name %q", spec.Name)
@@ -170,11 +198,21 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		return nil, fmt.Errorf("remote: none of %d workers answered the status probe", len(opts.Workers))
 	}
 
-	start := time.Now()
-	for _, name := range c.order {
-		c.assign(ctx, c.jobs[name])
-	}
+	c.landers = make(chan struct{}, c.aliveCount())
 
+	start := time.Now()
+	c.leaseAll(ctx)
+
+	// No event is handled while leasing: the schedule must not depend on how
+	// fast the first jobs finish. Then one poll per live worker, and a ticker.
+	var stopPolls context.CancelFunc
+	c.pollCtx, stopPolls = context.WithCancel(ctx)
+	defer func() { stopPolls(); c.pollers.Wait() }()
+	for wi, w := range c.workers {
+		if w.alive {
+			c.poll(wi, time.Time{})
+		}
+	}
 	tick := time.NewTicker(opts.Poll)
 	defer tick.Stop()
 	cancelled := false
@@ -182,8 +220,18 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		select {
 		case <-ctx.Done():
 			cancelled = true
-		case <-tick.C:
-			c.pollAll(ctx)
+		case p := <-c.polls:
+			c.handlePoll(ctx, p)
+		case l := <-c.landed:
+			c.finishLanding(ctx, l)
+		case <-tick.C: // housekeeping
+			for wi, w := range c.workers {
+				if !w.alive {
+					c.revive(ctx, wi)
+				} else if w.ticks++; w.ticks%reconcileEvery == 0 {
+					c.reconcile(ctx, wi)
+				}
+			}
 			c.reassignOrphans(ctx)
 			c.steal(ctx)
 			if opts.HedgeAfter > 0 {
@@ -191,14 +239,11 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 			}
 		}
 	}
-
-	workers := 0
-	for _, w := range c.workers {
-		if w.alive {
-			workers++
-		}
+	for c.landings > 0 {
+		c.finishLanding(ctx, <-c.landed)
 	}
-	sum := &launcher.Summary{Wall: time.Since(start), Workers: max(workers, 1)}
+
+	sum := &launcher.Summary{Wall: time.Since(start), Workers: max(c.aliveCount(), 1)}
 	for _, name := range c.order {
 		j := c.jobs[name]
 		if j.done {
@@ -309,29 +354,85 @@ func (c *coordinator) outstanding(wi int) int {
 	return n
 }
 
-// assign leases a job to the least-loaded live, non-quarantined worker
-// (ties: lowest worker index, so schedules are deterministic given
-// worker order); when every healthy worker is quarantined the job falls
-// back to quarantined-but-alive ones rather than failing. A worker that
-// refuses the lease is charged a fault and skipped for this sweep —
-// transient refusals no longer declare it dead (the lease TTL decides
-// death). A job no worker accepts stays unowned and is retried next
-// tick, up to a refusal bound; it fails terminally only with zero live
-// workers or the bound exhausted.
+// pick is the placement rule: the live worker with the least load, ties to
+// the lowest index (schedules are deterministic given worker order),
+// quarantined workers only when no healthy one is left. skip names workers
+// already tried; -1 means nobody is left.
+func (c *coordinator) pick(load func(wi int) int, skip map[int]bool) int {
+	best, least := -1, 0
+	for i, w := range c.workers {
+		if !w.alive || skip[i] {
+			continue
+		}
+		n := load(i)
+		if w.quarantined {
+			n += 1 << 30 // behind every healthy worker
+		}
+		if best == -1 || n < least {
+			best, least = i, n
+		}
+	}
+	return best
+}
+
+// leaseAll starts the run: every job is placed by pick — bookkeeping, so the
+// schedule is the one job-at-a-time assignment produces — and each worker
+// is leased its share in one request. Whatever it did not accept, or all of
+// a failed request (one fault), goes through assign and its fault charging.
+func (c *coordinator) leaseAll(ctx context.Context) {
+	jobs := make([][]*cjob, len(c.workers)) // a worker's share is its load: nothing is leased yet
+	specs := make([][]JobSpec, len(c.workers))
+	for _, name := range c.order {
+		if wi := c.pick(func(i int) int { return len(jobs[i]) }, nil); wi != -1 {
+			jobs[wi] = append(jobs[wi], c.jobs[name])
+			specs[wi] = append(specs[wi], c.jobs[name].spec)
+		}
+	}
+	for wi, w := range c.workers {
+		if len(jobs[wi]) == 0 {
+			continue
+		}
+		codes, err := w.client.Lease(ctx, specs[wi])
+		if ctx.Err() != nil {
+			return // cancelled: the summary reports unleased jobs cancelled
+		}
+		if err != nil {
+			c.logf("coordinator: worker %s refused a lease of %d job(s): %v", w.client.Addr, len(jobs[wi]), err)
+			c.noteFault(wi, faultSubmit)
+			continue
+		}
+		for i, j := range jobs[wi] {
+			if codes[i] == http.StatusAccepted || codes[i] == http.StatusConflict {
+				c.leased(j, wi)
+			}
+		}
+		c.opts.Obs.Gauge("remote_worker_queue_" + obs.SanitizeName(w.client.Addr)).Set(float64(c.outstanding(wi)))
+	}
+	c.reassignOrphans(ctx)
+}
+
+// leased records that worker wi now holds j's lease.
+func (c *coordinator) leased(j *cjob, wi int) {
+	j.worker = wi
+	j.started = false
+	j.leased = time.Now()
+	j.refusals = 0
+	if j.hedge == wi {
+		j.hedge = -1
+	}
+	c.opts.Obs.Counter("remote_leases_total").Inc()
+	c.logf("coordinator: leased %s to worker %s", j.spec.Name, c.workers[wi].client.Addr)
+}
+
+// assign leases one job by the placement rule. A worker that refuses the
+// lease is charged a fault and skipped for this sweep — transient refusals
+// no longer declare it dead (the lease TTL decides death). A job no worker
+// accepts stays unowned and is retried next tick, up to a refusal bound; it
+// fails terminally only with zero live workers or the bound exhausted.
 func (c *coordinator) assign(ctx context.Context, j *cjob) {
 	tried := map[int]bool{}
 	for ctx.Err() == nil {
-		best := -1
-		for pass := 0; pass < 2 && best == -1; pass++ {
-			for i, w := range c.workers {
-				if !w.alive || tried[i] || (pass == 0 && w.quarantined) {
-					continue
-				}
-				if best == -1 || c.outstanding(i) < c.outstanding(best) {
-					best = i
-				}
-			}
-		}
+		best := c.pick(c.outstanding, tried)
 		if best == -1 {
 			if c.aliveCount() > 0 && len(tried) > 0 {
 				// Every live worker refused this sweep; leave the job
@@ -348,7 +449,7 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 				Attempts: j.spec.Prior,
 				Resumed:  j.spec.Resumed,
 				Error:    "remote: no live workers to lease the job to",
-			}, Event{})
+			}, nil)
 			return
 		}
 		if err := c.workers[best].client.Submit(ctx, j.spec); err != nil && !errors.Is(err, ErrAlreadyLeased) {
@@ -362,16 +463,8 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 			tried[best] = true
 			continue
 		}
-		j.worker = best
-		j.started = false
-		j.leased = time.Now()
-		j.refusals = 0
-		if j.hedge == best {
-			j.hedge = -1
-		}
-		c.opts.Obs.Counter("remote_leases_total").Inc()
+		c.leased(j, best)
 		c.opts.Obs.Gauge("remote_worker_queue_" + obs.SanitizeName(c.workers[best].client.Addr)).Set(float64(c.outstanding(best)))
-		c.logf("coordinator: leased %s to worker %s", j.spec.Name, c.workers[best].client.Addr)
 		return
 	}
 }
@@ -379,42 +472,59 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 // reassignOrphans retries jobs left unowned by an all-refused sweep.
 func (c *coordinator) reassignOrphans(ctx context.Context) {
 	for _, name := range c.order {
-		if j := c.jobs[name]; !j.done && j.worker == -1 {
+		if j := c.jobs[name]; !j.settled() && j.worker == -1 {
 			c.assign(ctx, j)
 		}
 	}
 }
 
-// pollAll drains every live worker's event log; the successful poll is
-// the heartbeat. A worker silent past the lease TTL forfeits its leases;
-// every reconcileEvery-th heartbeat cross-checks the worker's job table
-// against ours.
-func (c *coordinator) pollAll(ctx context.Context) {
-	for wi, w := range c.workers {
-		if !w.alive {
-			c.revive(ctx, wi)
-			continue
+// poll puts worker wi's next event poll in flight, not before after; the
+// goroutine owns nothing but the request and hands the answer to the loop.
+func (c *coordinator) poll(wi int, after time.Time) {
+	w := c.workers[wi]
+	cursor := w.cursor
+	c.pollers.Add(1)
+	go func() {
+		defer c.pollers.Done()
+		if hostutil.SleepCtx(c.pollCtx, time.Until(after)) != nil {
+			return
 		}
-		evs, err := w.client.Events(ctx, w.cursor)
-		if err != nil {
-			c.noteFault(wi, faultPoll)
-			if time.Since(w.lastOK) > c.opts.LeaseTTL {
-				c.expire(ctx, wi)
-			}
-			continue
+		asked := time.Now()
+		evs, err := w.client.Events(c.pollCtx, cursor, c.opts.Poll)
+		select {
+		case c.polls <- polled{wi, asked, evs, err}:
+		case <-c.pollCtx.Done():
 		}
+	}()
+}
+
+// handlePoll folds one poll answer into the run and polls again; a successful
+// answer is the heartbeat. A worker silent past the lease TTL forfeits its
+// leases and is not polled again until it revives. The worker holds an empty
+// answer for Poll: an empty or failed one that comes back sooner (a worker
+// that ignores wait, a dropped request) is paced to one per Poll.
+func (c *coordinator) handlePoll(ctx context.Context, p polled) {
+	w := c.workers[p.wi]
+	if p.err != nil {
+		c.noteFault(p.wi, faultPoll)
+		if time.Since(w.lastOK) > c.opts.LeaseTTL {
+			c.expire(ctx, p.wi)
+			return
+		}
+	} else {
 		w.lastOK = time.Now()
-		w.polls++
-		c.noteOK(wi)
+		c.noteOK(p.wi)
 		c.opts.Obs.Counter("remote_heartbeats_total").Inc()
-		for _, ev := range evs {
+		for _, ev := range p.evs {
 			w.cursor = ev.Seq + 1
-			c.handleEvent(ctx, wi, ev)
-		}
-		if w.polls%reconcileEvery == 0 {
-			c.reconcile(ctx, wi)
+			c.handleEvent(ctx, p.wi, ev)
 		}
 	}
+	after := time.Time{}
+	if p.err != nil || len(p.evs) == 0 {
+		after = p.asked.Add(c.opts.Poll)
+	}
+	c.poll(p.wi, after)
 }
 
 // revive re-probes a dead worker each tick. A worker that failed the
@@ -438,6 +548,7 @@ func (c *coordinator) revive(ctx context.Context, wi int) {
 	w.alive = true
 	w.cursor = st.Seq
 	w.lastOK = time.Now()
+	c.poll(wi, time.Time{})
 	c.logf("coordinator: worker %s (re)joined the fleet (slots=%d)", w.client.Addr, st.Slots)
 	c.gauges()
 }
@@ -456,7 +567,7 @@ func (c *coordinator) reconcile(ctx context.Context, wi int) {
 	}
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.done {
+		if j.settled() {
 			continue
 		}
 		if _, held := st.Jobs[name]; held {
@@ -478,7 +589,7 @@ func (c *coordinator) reconcile(ctx context.Context, wi int) {
 // is stale (the job was re-leased or stolen away since the event).
 func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 	j, ok := c.jobs[ev.Job]
-	if !ok || j.done {
+	if !ok || j.settled() {
 		return
 	}
 	fromOwner := j.worker == wi
@@ -531,7 +642,7 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 		if ev.Record.Attempts > j.maxAtt {
 			j.maxAtt = ev.Record.Attempts
 		}
-		c.finishJob(j, *ev.Record, ev)
+		c.land(j, *ev.Record, ev)
 	}
 }
 
@@ -558,7 +669,7 @@ func (c *coordinator) expire(ctx context.Context, wi int) {
 	var forfeited []*cjob
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.done {
+		if j.settled() {
 			continue
 		}
 		if j.hedge == wi {
@@ -612,7 +723,7 @@ func (c *coordinator) steal(ctx context.Context) {
 		}
 		for _, name := range c.order {
 			j := c.jobs[name]
-			if j.done || j.worker != victim || j.started {
+			if j.settled() || j.worker != victim || j.started {
 				continue
 			}
 			ok, err := c.workers[victim].client.Steal(ctx, name)
@@ -638,7 +749,7 @@ func (c *coordinator) steal(ctx context.Context) {
 func (c *coordinator) hedgeStragglers(ctx context.Context) {
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.done || j.worker < 0 || j.hedge >= 0 || !j.started || time.Since(j.leased) < c.opts.HedgeAfter {
+		if j.settled() || j.worker < 0 || j.hedge >= 0 || !j.started || time.Since(j.leased) < c.opts.HedgeAfter {
 			continue
 		}
 		for hi, h := range c.workers {
@@ -661,17 +772,42 @@ func (c *coordinator) hedgeStragglers(ctx context.Context) {
 	}
 }
 
-// finishJob runs the OnDone hook and records the job's terminal state. An
-// ok job whose hook fails is recorded as failed: a result that could not be
-// materialized is not a result, and a failed record is what makes -resume
-// run the job again.
-func (c *coordinator) finishJob(j *cjob, rec launcher.Record, ev Event) {
-	if c.opts.OnDone != nil && ev.Type == EventDone {
-		if err := c.opts.OnDone(ev); err != nil {
-			c.logf("coordinator: materializing %s: %v", rec.Job, err)
-			if rec.Status == launcher.StatusOK {
-				rec.Status, rec.Error = launcher.StatusFailed, err.Error()
-			}
+// land takes a job whose done event was honoured off the schedule and runs
+// its OnDone off the loop.
+func (c *coordinator) land(j *cjob, rec launcher.Record, ev Event) {
+	if c.opts.OnDone == nil {
+		c.finishJob(j, rec, nil)
+		return
+	}
+	j.landing = true
+	c.landings++
+	go func() {
+		c.landers <- struct{}{}
+		err := c.opts.OnDone(ev)
+		<-c.landers
+		c.landed <- landed{j, rec, err}
+	}()
+}
+
+// finishLanding is land's other half, back on the loop. A landing cut short
+// by cancellation is no verdict: no done record, so -resume runs the job.
+func (c *coordinator) finishLanding(ctx context.Context, l landed) {
+	c.landings--
+	if l.err != nil && ctx.Err() != nil {
+		l.j.landing = false
+		return
+	}
+	c.finishJob(l.j, l.rec, l.err)
+}
+
+// finishJob records the job's terminal state. An ok job whose OnDone failed
+// is recorded as failed: a result that could not be materialized is not a
+// result, and a failed record is what makes -resume run the job again.
+func (c *coordinator) finishJob(j *cjob, rec launcher.Record, landErr error) {
+	if landErr != nil {
+		c.logf("coordinator: materializing %s: %v", rec.Job, landErr)
+		if rec.Status == launcher.StatusOK {
+			rec.Status, rec.Error = launcher.StatusFailed, landErr.Error()
 		}
 	}
 	j.done = true
@@ -681,11 +817,4 @@ func (c *coordinator) finishJob(j *cjob, rec launcher.Record, ev Event) {
 	}
 	c.opts.Obs.Counter("remote_jobs_done_total").Inc()
 	c.logf("coordinator: job %-24s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

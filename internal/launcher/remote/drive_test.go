@@ -213,3 +213,104 @@ func TestFleetUploadsEachSharedArtifactOnce(t *testing.T) {
 		t.Errorf("the shared boot binary was uploaded %d times for 4 jobs, want once", puts)
 	}
 }
+
+// TestFleetResumeAfterCancelMidLanding: a fleet drive cancelled while a
+// job's files are landing journals that job as neither ok nor failed, and
+// the resumed drive carries what landed and runs everything else — each job
+// exactly once more, or not at all.
+func TestFleetResumeAfterCancelMidLanding(t *testing.T) {
+	hub, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheSrv := httptest.NewServer(casremote.NewServer(hub))
+	t.Cleanup(cacheSrv.Close)
+	rem := casremote.NewClient(cacheSrv.URL, 0)
+
+	var mu sync.Mutex
+	runs := map[string]int{}
+	addrs, _, _ := fleet(t, 2, func(int) WorkerConfig {
+		store, err := cas.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := &ArtifactRunner{Store: store, Remote: rem, Obs: obs.NewRegistry()}
+		return WorkerConfig{Obs: obs.NewRegistry(), Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+			mu.Lock()
+			runs[spec.Name]++
+			mu.Unlock()
+			return inner.Run(ctx, spec, emit)
+		})}
+	})
+
+	bin := bareBin(t)
+	root := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	drive := func(ctx context.Context, resume bool, post func(name string) error) (*launcher.Summary, error) {
+		run := Run{
+			ManifestPath: filepath.Join(root, "runs", "w.manifest.jsonl"),
+			Resume:       resume,
+			Fleet:        CoordOptions{Workers: addrs, Poll: 5 * time.Millisecond},
+			Remote:       rem,
+			Obs:          obs.NewRegistry(),
+		}
+		for _, name := range names {
+			name := name
+			run.Jobs = append(run.Jobs, Job{Name: name, Bin: bin, Sim: "qemu", Dir: filepath.Join(root, "runs", name),
+				Post: func() error { return post(name) }})
+		}
+		_, sum, err := Drive(ctx, run)
+		return sum, err
+	}
+
+	// First drive: job c's landing is where the coordinator dies.
+	sum, _ := drive(ctx, false, func(name string) error {
+		if name != "c" {
+			return nil
+		}
+		cancel()
+		return ctx.Err()
+	})
+	landed := map[string]bool{}
+	for _, res := range sum.Jobs {
+		switch res.Status {
+		case launcher.StatusOK:
+			landed[res.Name] = true
+		case launcher.StatusCancelled:
+		default:
+			t.Errorf("first drive: %s is %s (%s); a cancelled landing is not a verdict", res.Name, res.Status, res.Err)
+		}
+	}
+	if landed["c"] {
+		t.Fatal("job c landed although its Post hook was cut short")
+	}
+	mu.Lock()
+	first := map[string]int{}
+	for name, n := range runs {
+		first[name] = n
+	}
+	mu.Unlock()
+
+	sum, err = drive(context.Background(), true, func(string) error { return nil })
+	if err != nil {
+		t.Fatalf("resumed drive: %v", err)
+	}
+	for _, res := range sum.Jobs {
+		if res.Status != launcher.StatusOK {
+			t.Errorf("resumed drive: %s is %s", res.Name, res.Status)
+		}
+		if _, err := os.Stat(filepath.Join(root, "runs", res.Name, "uartlog")); err != nil {
+			t.Errorf("%s has no console in its run directory: %v", res.Name, err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, name := range names {
+		again := runs[name] - first[name]
+		if want := map[bool]int{true: 0, false: 1}[landed[name]]; again != want {
+			t.Errorf("%s (landed before the cancel: %v) ran %d more time(s) on resume, want %d", name, landed[name], again, want)
+		}
+	}
+}

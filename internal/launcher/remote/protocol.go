@@ -4,10 +4,16 @@
 //
 // Topology: each worker (`marshal worker serve`) is an HTTP server
 // executing jobs through the existing launcher machinery; the coordinator
-// (`marshal launch -workers a:1,b:2`) is a transient client that leases
-// jobs to workers, polls their event streams (the poll doubles as the
-// heartbeat), and folds every event into its own journal — the JSONL
-// journal/manifest on the coordinator stays the single source of truth.
+// (`marshal launch -workers a:1,b:2`) is a transient client that places
+// every job, leases each worker its share in one request (POST /v1/jobs: an
+// array of specs in, one status per spec out; queued leases start in array
+// order), keeps one event poll outstanding per worker (GET
+// /v1/events?since=N&wait=<ms>, answered on the next event or after Poll —
+// the answer is the heartbeat, so Poll bounds silence, not event latency),
+// and folds every event into its own journal — the JSONL journal/manifest
+// on the coordinator stays the single source of truth. A finished job's
+// files land in its run directory off the coordinator loop while the rest
+// still run; the job is journaled done only once they are there.
 // Artifacts never travel over this protocol: the coordinator publishes
 // boot binaries and disk images to the shared CAS remote-cache server and
 // job specs carry only digests; workers fetch what they miss and publish
@@ -39,8 +45,8 @@ import (
 )
 
 // JobSpec is one leased job, self-contained modulo CAS digests: a worker
-// needs nothing but the shared remote cache to execute it. Wire format of
-// POST /v1/jobs.
+// needs nothing but the shared remote cache to execute it. POST /v1/jobs
+// carries an array of them.
 type JobSpec struct {
 	// Name is the job's manifest name, unique within the run.
 	Name string `json:"name"`
@@ -193,8 +199,8 @@ const (
 )
 
 // Event is one entry of a worker's event log, streamed to the coordinator
-// via GET /v1/events?since=N. Seq is worker-global and monotonic, so a
-// single cursor per worker resumes the stream exactly.
+// via GET /v1/events?since=N[&wait=ms]. Seq is worker-global and monotonic,
+// so a single cursor per worker resumes the stream exactly.
 type Event struct {
 	Seq  int    `json:"seq"`
 	Type string `json:"type"`

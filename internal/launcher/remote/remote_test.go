@@ -108,7 +108,7 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	var evs []Event
 	for {
-		if evs, err = c.Events(ctx, 0); err != nil {
+		if evs, err = c.Events(ctx, 0, 0); err != nil {
 			t.Fatalf("events: %v", err)
 		}
 		if len(evs) >= 2 {
@@ -131,7 +131,7 @@ func TestWorkerLeaseToDone(t *testing.T) {
 		t.Fatalf("done record = %+v", done.Record)
 	}
 	// The cursor protocol: asking from the end returns nothing.
-	if evs, err = c.Events(ctx, done.Seq+1); err != nil || len(evs) != 0 {
+	if evs, err = c.Events(ctx, done.Seq+1, 0); err != nil || len(evs) != 0 {
 		t.Fatalf("events past end = %v, %v", evs, err)
 	}
 }

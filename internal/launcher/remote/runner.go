@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -45,8 +44,9 @@ func (f RunnerFunc) Run(ctx context.Context, spec JobSpec, emit func(Event)) (*R
 // binary and disk image from the shared remote cache into the worker's
 // local store, simulates the job (functional or cycle-exact per the
 // spec), checkpoints into the shared cache when asked, and publishes the
-// console and extracted outputs back. It holds no per-job state — one
-// runner serves every lease a worker accepts, concurrently.
+// console and extracted outputs there (and only there). It holds no
+// per-job state — one runner serves every lease a worker accepts,
+// concurrently.
 type ArtifactRunner struct {
 	// Store is the worker's local CAS (artifact staging + checkpoints).
 	Store *cas.Store
@@ -61,31 +61,6 @@ type ArtifactRunner struct {
 	Log io.Writer
 }
 
-// fetch returns a blob's bytes, pulling it from the remote cache into the
-// local store on a local miss. A corrupt local blob self-heals here: Get
-// quarantined it, the remote copy is digest-verified by the client, and
-// the Put rewrites it in place (cas_blobs_healed_total counts the heal).
-// A failed write-back degrades — the verified remote bytes still serve
-// this attempt.
-func (r *ArtifactRunner) fetch(ctx context.Context, digest string) ([]byte, error) {
-	data, lerr := r.Store.Get(digest)
-	if lerr == nil {
-		return data, nil
-	}
-	data, err := r.Remote.GetBlob(ctx, digest)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.Store.Put(data); err != nil {
-		r.Obs.Counter("cas_writeback_failures_total").Inc()
-		logf(r.Log, "worker: blob %.12s write-back failed (serving remote bytes): %v", digest, err)
-	} else if errors.Is(lerr, cas.ErrCorrupt) {
-		r.Obs.Counter("cas_blobs_healed_total").Inc()
-		logf(r.Log, "worker: healed corrupt blob %.12s from remote cache", digest)
-	}
-	return data, nil
-}
-
 // Run executes one attempt of the spec'd job: artifacts come out of the
 // shared cache, the attempt runs through the execution kernel, and the
 // console and outputs go back into the cache.
@@ -93,7 +68,12 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	if spec.Verify != nil {
 		return r.runVerify(ctx, spec, emit)
 	}
-	bin, err := r.fetch(ctx, spec.Bin)
+	// Artifacts come by cas.Cache's rule: local first, remote fallback with
+	// write-back, a corrupt local copy healed (cas_blobs_healed_total).
+	cache := cas.NewCache(r.Store, r.Remote)
+	cache.SetObs(r.Obs)
+	cache.SetContext(ctx)
+	bin, err := cache.Blob(spec.Bin)
 	if err != nil {
 		return nil, fmt.Errorf("remote: job %s: boot binary: %w", spec.Name, err)
 	}
@@ -106,7 +86,7 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		Log:     r.Log,
 	}
 	if spec.Img != "" {
-		x.Img = func() ([]byte, error) { return r.fetch(ctx, spec.Img) }
+		x.Img = func() ([]byte, error) { return cache.Blob(spec.Img) }
 	}
 	if spec.RTL != nil {
 		x.RTL = spec.RTL.Config()
@@ -147,28 +127,16 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		return nil, err
 	}
 	out := &RunOutput{Metrics: res.metrics(), Stats: res.Stats}
-	if out.Console, err = r.publish(ctx, files.Console); err != nil {
+	if out.Console, err = PutBlob(ctx, r.Remote, files.Console); err != nil {
 		return nil, fmt.Errorf("remote: job %s: publishing console: %w", spec.Name, err)
 	}
 	if len(files.Outputs) > 0 {
 		out.Outputs = make(map[string]string, len(files.Outputs))
 	}
 	for rel, data := range files.Outputs {
-		if out.Outputs[rel], err = r.publish(ctx, data); err != nil {
+		if out.Outputs[rel], err = PutBlob(ctx, r.Remote, data); err != nil {
 			return nil, fmt.Errorf("remote: job %s: publishing output %s: %w", spec.Name, rel, err)
 		}
 	}
 	return out, nil
-}
-
-// publish stores data locally and replicates it to the remote cache.
-func (r *ArtifactRunner) publish(ctx context.Context, data []byte) (string, error) {
-	digest, err := r.Store.Put(data)
-	if err != nil {
-		return "", err
-	}
-	if err := r.Remote.PutBlob(ctx, digest, data); err != nil {
-		return "", err
-	}
-	return digest, nil
 }

@@ -77,7 +77,7 @@ func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(
 		if err != nil {
 			return nil, fmt.Errorf("remote: job %s: repro %s: %w", spec.Name, digest, err)
 		}
-		if _, err := r.publish(ctx, data); err != nil {
+		if _, err := PutBlob(ctx, r.Remote, data); err != nil {
 			return nil, fmt.Errorf("remote: job %s: publishing repro: %w", spec.Name, err)
 		}
 	}
@@ -85,7 +85,7 @@ func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(
 	if err != nil {
 		return nil, err
 	}
-	manifestDigest, err := r.publish(ctx, manifest)
+	manifestDigest, err := PutBlob(ctx, r.Remote, manifest)
 	if err != nil {
 		return nil, fmt.Errorf("remote: job %s: publishing farm manifest: %w", spec.Name, err)
 	}
@@ -97,7 +97,7 @@ func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(
 	var console bytes.Buffer
 	fmt.Fprintf(&console, "verify-farm shard %s: %d entries, %d divergences, %d unique signatures\n%s",
 		spec.Name, sum.Entries, sum.Divergences, len(sum.Signatures), sum.Coverage.Report())
-	consoleDigest, err := r.publish(ctx, console.Bytes())
+	consoleDigest, err := PutBlob(ctx, r.Remote, console.Bytes())
 	if err != nil {
 		return nil, err
 	}

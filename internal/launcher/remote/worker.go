@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -38,18 +39,23 @@ type wjob struct {
 	state  JobState
 	stolen bool
 	out    *RunOutput // last successful attempt's output
+	// The line for slots: ahead closes once the lease accepted before this
+	// one has taken a slot (or given up), turn once this one has.
+	ahead, turn chan struct{}
 }
 
 // Worker executes leased jobs and serves the fleet protocol over HTTP:
 //
-//	GET    /v1/status            registration probe / heartbeat / load
-//	POST   /v1/jobs              lease a job (body: JobSpec)
-//	GET    /v1/events?since=N    the event log from sequence N
+//	GET    /v1/status            registration probe / load
+//	POST   /v1/jobs              lease jobs (body: []JobSpec; answer: one status per spec)
+//	GET    /v1/events?since=N    the event log from sequence N; with &wait=<ms>
+//	                             held until there is such an event or wait elapses
 //	DELETE /v1/jobs/{name}       steal a still-queued job (409 otherwise)
 //
 // Each lease runs through its own single-worker launcher pool — reusing
 // the existing retry/timeout/backoff machinery — under a slots semaphore
-// bounding real concurrency. Every externally observable fact (attempt
+// bounding real concurrency; queued leases take slots in the order they
+// were accepted. Every externally observable fact (attempt
 // starts, replicated checkpoints, terminal records) lands in one
 // worker-global event log the coordinator drains with a single cursor.
 type Worker struct {
@@ -61,9 +67,11 @@ type Worker struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*wjob
-	events []Event
+	mu      sync.Mutex
+	jobs    map[string]*wjob
+	events  []Event
+	changed chan struct{} // closed and replaced by every emit: wakes held polls
+	tail    chan struct{} // the newest lease's turn: the end of the line for slots
 }
 
 // NewWorker creates a worker daemon. Close must be called to stop it.
@@ -81,10 +89,14 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   map[string]*wjob{},
+
+		changed: make(chan struct{}),
+		tail:    make(chan struct{}),
 	}
+	close(w.tail) // nobody is ahead of the first lease
 	w.mux = http.NewServeMux()
 	w.mux.HandleFunc("/v1/status", w.handleStatus)
-	w.mux.HandleFunc("/v1/jobs", w.handleSubmit)
+	w.mux.HandleFunc("/v1/jobs", w.handleLease)
 	w.mux.HandleFunc("/v1/jobs/", w.handleJob)
 	w.mux.HandleFunc("/v1/events", w.handleEvents)
 	return w
@@ -110,6 +122,8 @@ func (w *Worker) emit(ev Event) {
 	w.mu.Lock()
 	ev.Seq = len(w.events)
 	w.events = append(w.events, ev)
+	close(w.changed)
+	w.changed = make(chan struct{})
 	w.mu.Unlock()
 }
 
@@ -128,33 +142,47 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(rw).Encode(&st)
 }
 
-func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
+// handleLease answers an array of specs with one status per spec, in order:
+// 202 accepted, 409 already held (not terminal), 503 shutting down, 400
+// nameless. Accepted leases take slots in array order.
+func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil || spec.Name == "" {
-		http.Error(rw, "malformed job spec", http.StatusBadRequest)
+	var specs []JobSpec
+	if err := json.NewDecoder(r.Body).Decode(&specs); err != nil {
+		http.Error(rw, "malformed lease body", http.StatusBadRequest)
 		return
+	}
+	codes := make([]int, len(specs))
+	for i, spec := range specs {
+		codes[i] = w.lease(spec)
+	}
+	rw.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(rw).Encode(codes)
+}
+
+func (w *Worker) lease(spec JobSpec) int {
+	if spec.Name == "" {
+		return http.StatusBadRequest
 	}
 	if w.ctx.Err() != nil {
 		// A draining worker must refuse with a retryable status, not 409:
 		// 409 means "I already hold that lease", and a coordinator
 		// re-leasing a job this worker just forfeited must look elsewhere.
-		http.Error(rw, "worker shutting down", http.StatusServiceUnavailable)
-		return
+		return http.StatusServiceUnavailable
 	}
 	w.mu.Lock()
 	if old, exists := w.jobs[spec.Name]; exists && old.state != JobDone {
 		w.mu.Unlock()
-		http.Error(rw, "job already leased", http.StatusConflict)
-		return
+		return http.StatusConflict
 	}
 	// A terminal entry is re-leasable: the coordinator arbitrates leases,
 	// and re-running is deterministic, so a re-lease (hedge, post-forfeit
 	// retry) just computes the same record again.
-	j := &wjob{spec: spec, state: JobQueued}
+	j := &wjob{spec: spec, state: JobQueued, ahead: w.tail, turn: make(chan struct{})}
+	w.tail = j.turn
 	w.jobs[spec.Name] = j
 	w.mu.Unlock()
 	w.cfg.Obs.Counter("remote_worker_leases_total").Inc()
@@ -162,7 +190,7 @@ func (w *Worker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 
 	w.wg.Add(1)
 	go w.runLease(j)
-	rw.WriteHeader(http.StatusAccepted)
+	return http.StatusAccepted
 }
 
 // handleJob routes /v1/jobs/{name}: DELETE is the steal protocol.
@@ -192,26 +220,41 @@ func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusOK)
 }
 
+// handleEvents answers the log from the since cursor. With wait=<ms> an
+// empty answer is held until there is such an event, wait elapses, the
+// request is cancelled or the worker shuts down.
 func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	since := 0
-	if s := r.URL.Query().Get("since"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			http.Error(rw, "bad since cursor", http.StatusBadRequest)
+	q := r.URL.Query()
+	since, err := strconv.Atoi(cmp.Or(q.Get("since"), "0"))
+	wait, werr := strconv.Atoi(cmp.Or(q.Get("wait"), "0"))
+	if err != nil || werr != nil || since < 0 || wait < 0 {
+		http.Error(rw, "bad since cursor or wait", http.StatusBadRequest)
+		return
+	}
+	held, release := context.WithTimeout(w.ctx, time.Duration(wait)*time.Millisecond)
+	defer release()
+	var evs []Event
+	for {
+		w.mu.Lock()
+		if since < len(w.events) {
+			evs = append(evs, w.events[since:]...)
+		}
+		changed := w.changed
+		w.mu.Unlock()
+		if len(evs) > 0 || held.Err() != nil {
+			break
+		}
+		select {
+		case <-changed:
+		case <-held.Done():
+		case <-r.Context().Done():
 			return
 		}
-		since = n
 	}
-	w.mu.Lock()
-	var evs []Event
-	if since < len(w.events) {
-		evs = append(evs, w.events[since:]...)
-	}
-	w.mu.Unlock()
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(evs)
 }
@@ -222,10 +265,16 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 // local launch exactly, and finally publish the done event.
 func (w *Worker) runLease(j *wjob) {
 	defer w.wg.Done()
+	// Leases take slots in the order they were accepted: racing for the
+	// semaphore would let a later lease of one request overtake an earlier
+	// one. Never stuck — the head of the line waits on a slot or shutdown.
+	<-j.ahead
 	select {
 	case w.slots <- struct{}{}:
+		close(j.turn)
 		defer func() { <-w.slots }()
 	case <-w.ctx.Done():
+		close(j.turn)
 		w.finishCancelled(j)
 		return
 	}

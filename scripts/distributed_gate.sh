@@ -10,6 +10,11 @@
 #     MARSHAL_DIST_SPEEDUP=1 arms the >2x @ 4-worker speedup assertion,
 #     which self-skips on hosts without enough cores.
 #
+#     The event-driven protocol's own tests (long-poll, array lease, slot
+#     order, landing off the loop, poller/lander shutdown) then run three
+#     times over: the pollers and landers are the coordinator's only
+#     goroutines, and a race there shows up as a rare interleaving.
+#
 #  2. A loopback smoke over real binaries: `marshal cache serve` plus
 #     three `marshal worker serve` daemons on 127.0.0.1, and one
 #     `marshal launch -workers` that leases a 3-job workgen workload
@@ -21,6 +26,11 @@ echo "== distributed fault-injection suite (-race, -count=1)"
 MARSHAL_DIST_SPEEDUP=1 go test -race -count=1 \
     -run 'Distributed|Worker|Coordinator|Transfer|Fleet' \
     ./internal/launcher/remote/ ./internal/core/ ./internal/fsrun/
+
+echo "== event-driven fleet protocol (-race, -count=3)"
+go test -race -count=3 \
+    -run 'LongPoll|WaitForPoll|IgnoresWait|BatchedLease|RequestOrder|Placement|Landing' \
+    ./internal/launcher/remote/
 
 echo "== loopback 3-worker fleet smoke (real binaries over HTTP)"
 TMP="$(mktemp -d)"
