@@ -188,8 +188,9 @@ Commands (Table I):
             serve [-addr] [-hub URL]
             (verify -repair quarantines corrupt blobs and refetches
             referenced blobs from -remote-cache; serve -hub makes this
-            server a write-through edge of a central cache)
-  metrics   serve [-addr]: Prometheus /metrics endpoint plus the cache server
+            server a write-through edge of a central cache; serve also
+            answers Prometheus scrapes on /metrics)
+  metrics   serve [-addr] [-hub URL]: cache serve on the metrics port
   worker    serve [-addr] [-slots N]: execute distributed-launch jobs
             (launch -workers a:1,b:2 schedules across such daemons)
   verify-farm  Run the differential-verification farm: generate workloads,
@@ -387,7 +388,7 @@ func cmdCache(m *core.Marshal, args []string) int {
 	case "verify":
 		return cmdCacheVerify(m, rest)
 	case "serve":
-		return cmdCacheServe(m, rest)
+		return cmdCacheServe(m, "cache serve", ":8414", rest)
 	default:
 		fmt.Fprintf(os.Stderr, "marshal cache: unknown subcommand %q (want stats | gc | verify | serve)\n", sub)
 		return 2
@@ -457,9 +458,6 @@ func cmdCacheVerify(m *core.Marshal, args []string) int {
 	return 1
 }
 
-// cmdCacheServe runs the HTTP remote-cache server over this checkout's
-// store, so other machines can point -remote-cache (or
-// $MARSHAL_REMOTE_CACHE) at it.
 // limitFlags registers the per-client backpressure flags every serve
 // command shares; wrap applies them (a zero configuration wraps nothing).
 func limitFlags(fs *flag.FlagSet) (wrap func(http.Handler) http.Handler) {
@@ -471,9 +469,15 @@ func limitFlags(fs *flag.FlagSet) (wrap func(http.Handler) http.Handler) {
 	}
 }
 
-func cmdCacheServe(m *core.Marshal, args []string) int {
-	fs := flag.NewFlagSet("cache serve", flag.ContinueOnError)
-	addr := fs.String("addr", ":8414", "listen address")
+// cmdCacheServe runs the HTTP remote-cache server over this checkout's
+// store, so other machines can point -remote-cache (or
+// $MARSHAL_REMOTE_CACHE) at it, with a Prometheus /metrics endpoint beside
+// the cache API so one scrape target covers the server's activity and its
+// store usage. `cache serve` and `metrics serve` are this one function under
+// two names and two default ports.
+func cmdCacheServe(m *core.Marshal, name, defaultAddr string, args []string) int {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	addr := fs.String("addr", defaultAddr, "listen address")
 	hub := fs.String("hub", "", "central cache URL; makes this server a write-through edge (PUTs replicate upward, GET misses read through, hub outages degrade to local-only)")
 	limit := limitFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -481,7 +485,7 @@ func cmdCacheServe(m *core.Marshal, args []string) int {
 	}
 	store, err := openLocalStore(m)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "marshal cache serve:", err)
+		fmt.Fprintf(os.Stderr, "marshal %s: %v\n", name, err)
 		return 1
 	}
 	srv := remote.NewServer(store)
@@ -489,24 +493,34 @@ func cmdCacheServe(m *core.Marshal, args []string) int {
 	if *hub != "" {
 		hc, err := m.HubCache(*hub)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "marshal cache serve:", err)
+			fmt.Fprintf(os.Stderr, "marshal %s: %v\n", name, err)
 			return 1
 		}
 		srv.SetHub(hc)
 		fmt.Printf("write-through hub: %s\n", *hub)
 	}
-	fmt.Printf("serving artifact cache %s on %s\n", store.Dir(), *addr)
-	if err := serveGraceful("marshal cache serve", *addr, limit(srv), nil); err != nil {
-		fmt.Fprintln(os.Stderr, "marshal cache serve:", err)
+	// Store usage is point-in-time, not event-counted; the refresh hook
+	// pulls it into gauges right before each scrape.
+	refresh := func() {
+		if u, err := store.Usage(); err == nil {
+			m.Obs.Gauge("cas_store_blobs").Set(float64(u.Blobs))
+			m.Obs.Gauge("cas_store_blob_bytes").Set(float64(u.BlobBytes))
+			m.Obs.Gauge("cas_store_actions").Set(float64(u.Actions))
+		}
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler(m.Obs, refresh))
+	mux.Handle("/", srv)
+	fmt.Printf("serving artifact cache %s and /metrics on %s\n", store.Dir(), *addr)
+	if err := serveGraceful("marshal "+name, *addr, limit(mux), nil); err != nil {
+		fmt.Fprintf(os.Stderr, "marshal %s: %v\n", name, err)
 		return 1
 	}
 	return 0
 }
 
-// cmdMetrics exposes the observability surface: `metrics serve` runs an
-// HTTP server with a Prometheus /metrics endpoint alongside the remote
-// artifact-cache API (the `cache serve` plumbing), so one scrape target
-// covers both the cache server's activity and its store usage.
+// cmdMetrics exposes the observability surface: `metrics serve` is `cache
+// serve` on the metrics port.
 func cmdMetrics(m *core.Marshal, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, "marshal metrics: expected a subcommand: serve")
@@ -515,43 +529,11 @@ func cmdMetrics(m *core.Marshal, args []string) int {
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "serve":
-		return cmdMetricsServe(m, rest)
+		return cmdCacheServe(m, "metrics serve", ":8415", rest)
 	default:
 		fmt.Fprintf(os.Stderr, "marshal metrics: unknown subcommand %q (want serve)\n", sub)
 		return 2
 	}
-}
-
-func cmdMetricsServe(m *core.Marshal, args []string) int {
-	fs := flag.NewFlagSet("metrics serve", flag.ContinueOnError)
-	addr := fs.String("addr", ":8415", "listen address")
-	limit := limitFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	store, err := openLocalStore(m)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marshal metrics serve:", err)
-		return 1
-	}
-	// Store usage is point-in-time, not event-counted; the refresh hook
-	// pulls it into gauges right before each scrape.
-	refresh := func() {
-		if u, err := store.Usage(); err == nil {
-			obs.Default.Gauge("cas_store_blobs").Set(float64(u.Blobs))
-			obs.Default.Gauge("cas_store_blob_bytes").Set(float64(u.BlobBytes))
-			obs.Default.Gauge("cas_store_actions").Set(float64(u.Actions))
-		}
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler(nil, refresh))
-	mux.Handle("/", remote.NewServer(store))
-	fmt.Printf("serving /metrics and artifact cache %s on %s\n", store.Dir(), *addr)
-	if err := serveGraceful("marshal metrics serve", *addr, limit(mux), nil); err != nil {
-		fmt.Fprintln(os.Stderr, "marshal metrics serve:", err)
-		return 1
-	}
-	return 0
 }
 
 // cmdWorker runs the distributed-launch worker daemon: it serves the

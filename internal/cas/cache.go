@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -28,15 +27,6 @@ type Remote interface {
 	PutBlob(ctx context.Context, digest string, data []byte) error
 	GetAction(ctx context.Context, key string) (*Action, error)
 	PutAction(ctx context.Context, a *Action) error
-
-	// GetBlobStream is GetBlob with the body as a reader (and its length)
-	// instead of one big allocation, for transfers that spill to disk.
-	GetBlobStream(ctx context.Context, digest string) (io.ReadCloser, int64, error)
-	// PutBlobFile is PutBlob for content already on disk: the
-	// implementation streams the file in chunks (and, over the v2 protocol,
-	// resumes a torn upload from the last acknowledged chunk instead of
-	// restarting).
-	PutBlobFile(ctx context.Context, digest, path string) error
 }
 
 // RateLimitedError reports a remote that answered 429 past the client's
@@ -351,15 +341,14 @@ func (c *Cache) blob(digest string) ([]byte, error) {
 func (c *Cache) Blob(digest string) ([]byte, error) { return c.blob(digest) }
 
 // PushBlob best-effort replicates a locally-present blob to the remote,
-// through the breaker — the write-through half of hub mode. The remote
-// gets the blob straight off the local disk (resumable past transient
-// drops). Failures degrade (and feed the breaker); they are never
-// surfaced, because the local write already succeeded.
+// through the breaker — the write-through half of hub mode. Failures
+// degrade (and feed the breaker); they are never surfaced, because the
+// local write already succeeded.
 func (c *Cache) PushBlob(digest string) {
 	if !c.remoteUsable() {
 		return
 	}
-	path, err := c.local.BlobFilePath(digest)
+	data, err := c.local.Get(digest)
 	if err != nil {
 		// A local read problem says nothing about remote health; just
 		// release the half-open probe slot if we were holding it.
@@ -368,7 +357,7 @@ func (c *Cache) PushBlob(digest string) {
 		c.mu.Unlock()
 		return
 	}
-	c.noteRemote(c.remote.PutBlobFile(c.ctx(), digest, path))
+	c.noteRemote(c.remote.PutBlob(c.ctx(), digest, data))
 }
 
 // PushAction best-effort replicates an action entry to the remote,

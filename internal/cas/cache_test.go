@@ -3,7 +3,6 @@ package cas
 import (
 	"bytes"
 	"context"
-	"io"
 	"os"
 	"sync"
 	"testing"
@@ -60,22 +59,6 @@ func (f *fakeRemote) PutBlob(_ context.Context, digest string, data []byte) erro
 	defer f.mu.Unlock()
 	f.blobs[digest] = append([]byte(nil), data...)
 	return nil
-}
-
-func (f *fakeRemote) GetBlobStream(ctx context.Context, digest string) (io.ReadCloser, int64, error) {
-	data, err := f.GetBlob(ctx, digest)
-	if err != nil {
-		return nil, 0, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
-}
-
-func (f *fakeRemote) PutBlobFile(ctx context.Context, digest, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return f.PutBlob(ctx, digest, data)
 }
 
 func (f *fakeRemote) GetAction(_ context.Context, key string) (*Action, error) {

@@ -47,6 +47,10 @@ var ErrNotFound = errors.New("cas: not found")
 // ErrCorrupt reports a blob whose bytes no longer match its digest.
 var ErrCorrupt = errors.New("cas: corrupt blob")
 
+// ErrInvalid marks a write refused because its digest or action key is not
+// one: the caller's mistake, not the store's.
+var ErrInvalid = errors.New("cas: invalid key")
+
 // Store is a content-addressed store rooted at a directory:
 //
 //	<dir>/blobs/<aa>/<digest>      artifact bytes, digest = sha256 hex
@@ -294,7 +298,7 @@ func (s *Store) Put(data []byte) (string, error) {
 // check of a fetched body.
 func (s *Store) put(digest string, data []byte) error {
 	if !validDigest(digest) {
-		return fmt.Errorf("cas: invalid digest %q", digest)
+		return fmt.Errorf("%w: digest %q", ErrInvalid, digest)
 	}
 	release := s.Hold(digest)
 	defer release()
@@ -380,11 +384,10 @@ func (t *readTracker) Read(p []byte) (int, error) {
 // OpenBlob opens a blob for a streaming read, returning its size. This is
 // the lock-free fast path the cache server streams GET bodies from: no
 // verification happens here (re-hashing would mean reading the blob
-// twice), because every consumer of streamed bytes — the remote client,
-// checkpoint restore — re-verifies the digest itself; `cache verify`
-// covers bit rot at rest. With a chaos tamper hook installed the read
-// degrades to the buffered, verifying Get so fault injection keeps its
-// bite.
+// twice), because the remote client re-verifies the digest of every body
+// it receives; `cache verify` covers bit rot at rest. With a chaos tamper
+// hook installed the read degrades to the buffered, verifying Get so fault
+// injection keeps its bite.
 func (s *Store) OpenBlob(digest string) (io.ReadCloser, int64, error) {
 	if !validDigest(digest) {
 		return nil, 0, fmt.Errorf("cas: %w: invalid digest %q", ErrNotFound, digest)
@@ -426,25 +429,15 @@ func (s *Store) BlobSize(digest string) (int64, error) {
 	return fi.Size(), nil
 }
 
-// BlobFilePath returns the on-disk path of a present blob, for callers
-// that stream it out directly (resumable uploads seek into it). The file
-// is immutable once placed, so handing out the path is safe.
-func (s *Store) BlobFilePath(digest string) (string, error) {
-	if _, err := s.BlobSize(digest); err != nil {
-		return "", err
-	}
-	return s.blobPath(digest), nil
-}
-
 // PutStream stores a blob from r, hashing while it spills to a temp file
 // in the destination shard — the whole-blob buffer of Put never exists,
-// so a 1 GiB checkpoint upload costs pages, not heap. The temp file only
-// renames into place if the streamed bytes hash to digest; a mismatch or
-// torn read leaves no trace. Returns the byte count written (or the
-// existing size on dedup).
+// so a 1 GiB upload from outside costs the server pages, not heap. The
+// temp file only renames into place if the streamed bytes hash to digest;
+// a mismatch or torn read leaves no trace. Returns the byte count written
+// (or the existing size on dedup).
 func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 	if !validDigest(digest) {
-		return 0, fmt.Errorf("cas: invalid digest %q", digest)
+		return 0, fmt.Errorf("%w: digest %q", ErrInvalid, digest)
 	}
 	release := s.Hold(digest)
 	defer release()
@@ -509,66 +502,10 @@ func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// IngestFile moves an already-materialized file into the store as the
-// blob for digest — the final step of a resumable upload, whose chunks
-// were assembled outside blobs/. The file is re-hashed first; on a
-// mismatch it is left in place (the caller owns the partial) and
-// ErrCorrupt returned. On success the file is renamed into its shard
-// (same filesystem, atomic) and no longer exists at path.
-func (s *Store) IngestFile(digest, path string) error {
-	if !validDigest(digest) {
-		return fmt.Errorf("cas: invalid digest %q", digest)
-	}
-	release := s.Hold(digest)
-	defer release()
-	dst := s.blobPath(digest)
-	if _, err := os.Stat(dst); err == nil {
-		os.Remove(path)
-		s.mu.Lock()
-		s.dedups++
-		s.mu.Unlock()
-		return nil
-	}
-	got, err := hostutil.HashFile(path)
-	if err != nil {
-		return err
-	}
-	if got != digest {
-		return fmt.Errorf("cas: ingest %s: file hashes to %s: %w", digest, got, ErrCorrupt)
-	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
-	if err := os.Chmod(path, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(path, dst); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.puts++
-	s.mu.Unlock()
-	return nil
-}
-
-// UploadPath is where a resumable upload for digest is staged. It lives
-// under <dir>/uploads — outside blobs/ — so partial bytes are invisible
-// to Get/Has/Usage/GC until IngestFile promotes them.
-func (s *Store) UploadPath(digest string) (string, error) {
-	if !validDigest(digest) {
-		return "", fmt.Errorf("cas: invalid digest %q", digest)
-	}
-	dir := filepath.Join(s.dir, "uploads")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	return filepath.Join(dir, digest), nil
-}
-
 // PutAction stores an action-cache entry under its key.
 func (s *Store) PutAction(a *Action) error {
 	if !validDigest(a.Key) {
-		return fmt.Errorf("cas: invalid action key %q", a.Key)
+		return fmt.Errorf("%w: action key %q", ErrInvalid, a.Key)
 	}
 	data, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
@@ -675,7 +612,7 @@ func (s *Store) PutStats() (puts, dedups uint64) {
 //     GC start) are skipped — a Put or PutAction landing mid-sweep
 //     survives even though the stale snapshot doesn't reference it;
 //   - digests held open at any point since the snapshot — by an
-//     in-flight Put/PutStream/IngestFile or an explicit Hold (a publish
+//     in-flight Put/PutStream or an explicit Hold (a publish
 //     between its blob and action writes) — are skipped regardless of
 //     mtime. "At any point" matters: a publish can complete (hold
 //     released, action written) after the mark phase already walked

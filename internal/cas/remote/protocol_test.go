@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -42,7 +43,7 @@ func TestRetryAfterWaitAbortsOnCancel(t *testing.T) {
 		http.Error(w, "busy", http.StatusTooManyRequests)
 	}))
 	t.Cleanup(srv.Close)
-	client := NewClient(srv.URL, time.Second) // real timer path: c.sleep is nil
+	client := NewClient(srv.URL, time.Second) // real timer path: no injected Sleep
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
@@ -71,7 +72,7 @@ func TestWaitHonorsPreCancelledContext(t *testing.T) {
 	t.Cleanup(srv.Close)
 	client := NewClient(srv.URL, time.Second)
 	attempts := 0
-	client.sleep = func(time.Duration) { attempts++ }
+	client.http.Sleep = func(time.Duration) { attempts++ }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -148,11 +149,25 @@ func TestPutOversizeBodyIs413(t *testing.T) {
 		t.Fatalf("oversize PUT blob = %d, want 413 (got body %q)", w.Code, w.Body.String())
 	}
 
-	req = httptest.NewRequest(http.MethodPut, "/v1/actions/"+digest, bytes.NewReader(data))
+	// An action entry has its own, fixed bound: it is read whole into memory.
+	req = httptest.NewRequest(http.MethodPut, "/v1/actions/"+digest, bytes.NewReader(payload(maxActionSize+1)))
 	w = httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize PUT action = %d, want 413 (got body %q)", w.Code, w.Body.String())
+	}
+}
+
+// The same bound holds in the other direction: an action answer over it is
+// refused as too large — not as corrupt, and not read into memory.
+func TestGetActionOversizeAnswer(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(payload(maxActionSize + 1))
+	}))
+	t.Cleanup(srv.Close)
+	_, err := NewClient(srv.URL, time.Second).GetAction(context.Background(), hostutil.HashStrings("k"))
+	if !errors.Is(err, hostutil.ErrTooLarge) || errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("oversize action answer: %v, want ErrTooLarge and not ErrCorrupt", err)
 	}
 }
 
@@ -197,48 +212,114 @@ func TestGetBlobETagRevalidation(t *testing.T) {
 	}
 }
 
-// --- protocol v2: streaming round trip and tail verification ---
+// --- a blob crosses whole or not at all ---
 
-func TestStreamingRoundTrip(t *testing.T) {
+// storeFiles lists every regular file under the store's directory, temp
+// files and staging included.
+func storeFiles(t *testing.T, store *cas.Store) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(store.Dir(), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestContentRangePutRefused: a client that still speaks the resumable-chunk
+// sub-protocol is refused — its first chunk is not stored as a short blob
+// under the full blob's digest, and nothing is staged.
+func TestContentRangePutRefused(t *testing.T) {
 	store := newStore(t)
-	_, client := serve(t, store)
-	client.SetChunkSize(1 << 10)
-	data := payload(10<<10 + 37) // 11 chunks, last one ragged
+	srv, _ := serve(t, store)
+	data := payload(4 << 10)
 	digest := hostutil.HashBytes(data)
 
-	path := filepath.Join(t.TempDir(), "blob")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PutBlobFile(context.Background(), digest, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Get(digest)
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+blobPath(digest), bytes.NewReader(data[:1024]))
+	req.Header.Set("Content-Range", fmt.Sprintf("bytes 0-1023/%d", len(data)))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("chunked upload assembled different bytes")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("Content-Range PUT = %d, want 400", resp.StatusCode)
 	}
-
-	rc, size, err := client.GetBlobStream(context.Background(), digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if size != int64(len(data)) {
-		t.Fatalf("GetBlobStream size = %d, want %d", size, len(data))
-	}
-	streamed, err := io.ReadAll(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed, data) {
-		t.Fatal("GetBlobStream returned different bytes")
+	if files := storeFiles(t, store); len(files) != 0 {
+		t.Fatalf("refused chunk left files under the store: %v", files)
 	}
 }
 
-func TestGetBlobStreamDetectsCorruption(t *testing.T) {
+// tornPuts forwards requests, cutting the body of the first n PUTs halfway —
+// a connection that dies mid-upload, as the server sees it.
+type tornPuts struct {
+	mu   sync.Mutex
+	n    int
+	puts int
+}
+
+func (k *tornPuts) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut {
+		k.mu.Lock()
+		tear := k.puts < k.n
+		k.puts++
+		k.mu.Unlock()
+		if tear {
+			req = req.Clone(req.Context())
+			req.Body = io.NopCloser(io.MultiReader(io.LimitReader(req.Body, req.ContentLength/2), &failingBody{}))
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestTornPutLeavesNothingThenRetrySucceeds is the kill-mid-upload smoke: a
+// PUT torn mid-body fails and leaves no trace in the store — no short blob,
+// no temp file — and the caller's whole-blob retry (cas.PutBlob) then lands
+// it bit-identically.
+func TestTornPutLeavesNothingThenRetrySucceeds(t *testing.T) {
+	store := newStore(t)
+	inner := NewServer(store)
+	handled := make(chan struct{}, 8) // one token per request served; never more than 3 here
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(w, r)
+		handled <- struct{}{}
+	}))
+	t.Cleanup(srv.Close)
+	client := NewClient(srv.URL, time.Second)
+	killer := &tornPuts{n: 2}
+	client.SetTransport(killer)
+	data := payload(256<<10 + 123)
+	digest := hostutil.HashBytes(data)
+
+	if err := client.PutBlob(context.Background(), digest, data); err == nil {
+		t.Fatal("a PUT torn mid-body succeeded")
+	}
+	<-handled
+	if files := storeFiles(t, store); len(files) != 0 {
+		t.Fatalf("torn PUT left files under the store: %v", files)
+	}
+
+	if err := cas.PutBlob(context.Background(), client, digest, data); err != nil {
+		t.Fatalf("whole-blob retry did not ride out the torn PUT: %v", err)
+	}
+	if killer.puts != 3 {
+		t.Fatalf("%d PUTs on the wire, want 3 (two torn, one whole)", killer.puts)
+	}
+	got, err := store.Get(digest)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("retried upload stored different bytes (err %v)", err)
+	}
+}
+
+// The server streams a blob off its disk without checking it; the client's
+// digest check is what refuses bytes that rotted there.
+func TestGetBlobDetectsCorruption(t *testing.T) {
 	store := newStore(t)
 	_, client := serve(t, store)
 	data := payload(4 << 10)
@@ -246,129 +327,64 @@ func TestGetBlobStreamDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte on disk, same length: the server streams it blindly (no
-	// server-side verify on the fast path) and the client's tail check
-	// must refuse it.
-	path := filepath.Join(store.Dir(), "blobs", digest[:2], digest)
-	data[100] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data[100] ^= 0xff // same length
+	if err := os.WriteFile(filepath.Join(store.Dir(), "blobs", digest[:2], digest), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	rc, _, err := client.GetBlobStream(context.Background(), digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if _, err := io.ReadAll(rc); !errors.Is(err, cas.ErrCorrupt) {
-		t.Fatalf("reading corrupted stream: %v, want ErrCorrupt", err)
+	if _, err := client.GetBlob(context.Background(), digest); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("GetBlob of a rotted blob: %v, want ErrCorrupt", err)
 	}
 }
 
-// --- protocol v2: resumable uploads survive a torn connection ---
+// --- a failing store is not an absent entry ---
 
-// chunkKiller fails exactly one Content-Range PUT (the killAt'th, counted
-// from zero) with a transport error, simulating a connection dropped
-// mid-upload. It records the offsets of chunk requests that reached the
-// wire so the test can prove the client resumed instead of restarting.
-type chunkKiller struct {
-	mu      sync.Mutex
-	killAt  int
-	seen    int
-	offsets []int64
-}
-
-func (k *chunkKiller) RoundTrip(req *http.Request) (*http.Response, error) {
-	cr := req.Header.Get("Content-Range")
-	if req.Method == http.MethodPut && cr != "" {
-		var start, end, total int64
-		fmt.Sscanf(cr, "bytes %d-%d/%d", &start, &end, &total)
-		k.mu.Lock()
-		idx := k.seen
-		k.seen++
-		k.offsets = append(k.offsets, start)
-		k.mu.Unlock()
-		if idx == k.killAt {
-			if req.Body != nil {
-				req.Body.Close()
-			}
-			return nil, errors.New("connection reset mid-chunk")
-		}
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-func TestUploadResumesAfterTornConnection(t *testing.T) {
+// TestStoreFaultIs500Not404: a lookup that fails for any reason but "not
+// there" answers 500, so clients and their breakers see a failing server
+// instead of a miss. The fault is a regular file where a shard directory
+// belongs (ENOTDIR), which does not depend on permissions.
+func TestStoreFaultIs500Not404(t *testing.T) {
 	store := newStore(t)
 	srv, client := serve(t, store)
-	_ = srv
-	const chunk = 1 << 10
-	client.SetChunkSize(chunk)
-	killer := &chunkKiller{killAt: 2} // chunks 0 and 1 acked, chunk 2 dies
-	client.SetTransport(killer)
-	data := payload(5*chunk + 123)
-	digest := hostutil.HashBytes(data)
-
-	path := filepath.Join(t.TempDir(), "checkpoint.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PutBlobFile(context.Background(), digest, path); err != nil {
-		t.Fatalf("PutBlobFile did not ride out the torn chunk: %v", err)
-	}
-
-	// Bit-identical on the far side (the server re-hashed before admitting).
-	got, err := store.Get(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("resumed upload assembled different bytes")
-	}
-
-	// The retry must have resumed from the last acked offset (2*chunk),
-	// not offset 0: after the killed chunk at 2*chunk, the next chunk
-	// request on the wire starts at 2*chunk again — never earlier.
-	killer.mu.Lock()
-	defer killer.mu.Unlock()
-	if len(killer.offsets) < 4 {
-		t.Fatalf("expected a resumed upload, saw chunk offsets %v", killer.offsets)
-	}
-	for i, off := range killer.offsets {
-		if i > killer.killAt && off < 2*chunk {
-			t.Fatalf("chunk after the kill started at %d — the upload restarted instead of resuming (offsets %v)", off, killer.offsets)
+	digest := hostutil.HashBytes([]byte("behind a broken shard"))
+	for _, kind := range []string{"blobs", "actions"} {
+		if err := os.WriteFile(filepath.Join(store.Dir(), kind, digest[:2]), nil, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestChunkOffsetConflict checks the server's resync answer: a chunk at
-// the wrong offset is refused with 409 plus the acknowledged offset.
-func TestChunkOffsetConflict(t *testing.T) {
-	store := newStore(t)
-	srv, _ := serve(t, store)
-	data := payload(4 << 10)
-	digest := hostutil.HashBytes(data)
-
-	put := func(start, end int64) *http.Response {
-		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/blobs/"+digest, bytes.NewReader(data[start:end+1]))
-		req.Header.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, end, len(data)))
+	do := func(method, path string, body []byte) int {
+		req, _ := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return resp
+		return resp.StatusCode
 	}
-	if resp := put(0, 1023); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first chunk = %d, want 202", resp.StatusCode)
+	action := mustJSON(t, &cas.Action{Key: digest, Task: "bin:w"})
+	for _, c := range []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, blobPath(digest), nil},
+		{http.MethodHead, blobPath(digest), nil},
+		{http.MethodGet, actionPath(digest), nil},
+		{http.MethodPut, actionPath(digest), action},
+	} {
+		if code := do(c.method, c.path, c.body); code != http.StatusInternalServerError {
+			t.Errorf("%s %s on a failing store = %d, want 500", c.method, c.path[:12], code)
+		}
 	}
-	resp := put(2048, 3071) // skips ahead: server only has 1024 bytes
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("out-of-order chunk = %d, want 409", resp.StatusCode)
+	if ok, err := client.HasBlob(context.Background(), digest); err == nil {
+		t.Errorf("HasBlob on a failing store = (%v, nil), want an error", ok)
 	}
-	if off := resp.Header.Get("X-Upload-Offset"); off != "1024" {
-		t.Fatalf("conflict X-Upload-Offset = %q, want 1024", off)
+	if _, err := client.GetBlob(context.Background(), digest); err == nil || errors.Is(err, cas.ErrNotFound) {
+		t.Errorf("GetBlob on a failing store: %v, want an error that is not ErrNotFound", err)
+	}
+	// A key that is no digest is still the client's mistake.
+	junk := strings.Repeat("z", 64)
+	if code := do(http.MethodPut, actionPath(junk), mustJSON(t, &cas.Action{Key: junk})); code != http.StatusBadRequest {
+		t.Errorf("PUT action under a junk key = %d, want 400", code)
 	}
 }
 
@@ -487,14 +503,6 @@ func TestGetBlobDetectsTruncatedTransfer(t *testing.T) {
 	if _, err := client.GetBlob(context.Background(), digest); !errors.Is(err, cas.ErrCorrupt) {
 		t.Fatalf("truncated GetBlob: %v, want ErrCorrupt", err)
 	}
-	rc, _, err := client.GetBlobStream(context.Background(), digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	if _, err := io.ReadAll(rc); err == nil {
-		t.Fatal("truncated GetBlobStream read to EOF without error")
-	}
 }
 
 // A blob body over the client's bound is "too large", never ErrCorrupt —
@@ -525,8 +533,8 @@ func TestGetBlobOversizeIsNotCorrupt(t *testing.T) {
 		// ... and one byte over is refused, as too large.
 		c.maxBytes = int64(len(data)) - 1
 		_, err := c.GetBlob(context.Background(), digest)
-		if !errors.Is(err, errTooLarge) || errors.Is(err, cas.ErrCorrupt) {
-			t.Errorf("%s: oversize body: %v, want errTooLarge and not ErrCorrupt", name, err)
+		if !errors.Is(err, hostutil.ErrTooLarge) || errors.Is(err, cas.ErrCorrupt) {
+			t.Errorf("%s: oversize body: %v, want ErrTooLarge and not ErrCorrupt", name, err)
 		}
 	}
 }

@@ -88,10 +88,10 @@ func TestActionRoundTrip(t *testing.T) {
 }
 
 func TestServerRejectsKeyMismatch(t *testing.T) {
-	_, client := serve(t, newStore(t))
+	srv, _ := serve(t, newStore(t))
 	a := &cas.Action{Key: hostutil.HashStrings("actual"), Task: "bin:w"}
 	req, _ := http.NewRequest(http.MethodPut,
-		client.actionURL(hostutil.HashStrings("different")), bytes.NewReader(mustJSON(t, a)))
+		srv.URL+actionPath(hostutil.HashStrings("different")), bytes.NewReader(mustJSON(t, a)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

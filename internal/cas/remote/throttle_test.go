@@ -37,7 +37,7 @@ func TestClient429RetryThenSuccess(t *testing.T) {
 
 	c := NewClient(srv.URL, time.Second)
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.http.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	got, err := c.GetBlob(context.Background(), digest)
 	if err != nil {
 		t.Fatalf("GetBlob through throttling: %v", err)
@@ -65,7 +65,7 @@ func TestClient429Exhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, time.Second)
-	c.sleep = func(time.Duration) {}
+	c.http.Sleep = func(time.Duration) {}
 	_, err := c.GetBlob(context.Background(), "deadbeef")
 	var rl *cas.RateLimitedError
 	if !errors.As(err, &rl) {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"firemarshal/internal/cas"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/verify"
@@ -212,7 +213,7 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 			m.logf("verify-farm: shard %d produced no manifest (failed or cancelled)", i)
 			continue
 		}
-		data, err := remote.GetBlob(ctx, cache.Remote(), digest)
+		data, err := cas.GetBlob(ctx, cache.Remote(), digest)
 		if err != nil {
 			return nil, fmt.Errorf("core: fetching shard %d manifest: %w", i, err)
 		}
@@ -228,7 +229,7 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 	// Pull every repro into the local store, then write the merged
 	// manifest: entries in shard order plus a global summary line.
 	for sig, digest := range merged.Repros {
-		data, err := remote.GetBlob(ctx, cache.Remote(), digest)
+		data, err := cas.GetBlob(ctx, cache.Remote(), digest)
 		if err == nil {
 			_, err = cache.Local().Put(data)
 		}

@@ -1,12 +1,10 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -30,16 +28,17 @@ const clientRetries = 3
 // own retransmit.
 var ErrAlreadyLeased = errors.New("remote: job already leased")
 
+// maxAnswerSize bounds a worker's answer (a status, lease codes, a batch of
+// events): small JSON, read whole into memory.
+const maxAnswerSize = 16 << 20
+
 // WorkerClient is the coordinator's handle on one worker daemon.
 type WorkerClient struct {
 	// Addr is the worker's address as given ("host:port"), used in logs
 	// and metrics names.
 	Addr string
 
-	base    string
-	timeout time.Duration
-	hc      *http.Client
-	sleep   func(time.Duration) // injectable for tests; nil = real timer
+	http *hostutil.HTTPClient
 }
 
 // NewWorkerClient returns a client for the worker at addr ("host:port" or
@@ -48,76 +47,46 @@ func NewWorkerClient(addr string, timeout time.Duration) *WorkerClient {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return &WorkerClient{Addr: addr, base: strings.TrimSuffix(base, "/"), timeout: timeout, hc: &http.Client{}}
+	return &WorkerClient{Addr: addr, http: hostutil.NewHTTPClient(addr, timeout)}
 }
 
 // SetTransport installs a custom RoundTripper (chaos fault injection).
 // A nil rt restores the default transport.
-func (c *WorkerClient) SetTransport(rt http.RoundTripper) {
-	c.hc.Transport = rt
-}
+func (c *WorkerClient) SetTransport(rt http.RoundTripper) { c.http.SetTransport(rt) }
 
-// doOnce issues one request under the caller's context with the
-// per-request timeout layered on (plus hold, the time the worker was asked
-// to keep the request open), decoding a JSON body into out when non-nil.
-func (c *WorkerClient) doOnce(ctx context.Context, hold time.Duration, method, path string, body any, out any) (int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rctx, cancel := context.WithTimeout(ctx, c.timeout+hold)
-	defer cancel()
-	var rd io.Reader
+// do sends one JSON request — hold is how long the worker was asked to keep
+// it open — under the shared retry policy (hostutil.Retry), decoding a 200
+// answer into out when non-nil: 429 throttles wait out the worker's
+// Retry-After hint, and failures of idempotent calls are retried after a
+// short jittered wait (POST /v1/jobs is idempotent too: a duplicate lands as
+// 409, which reads as leased). DELETE is never blind-retried: a Steal whose
+// response was lost may have succeeded, and re-sending it could "succeed"
+// against a job the worker re-acquired — the coordinator's reconcile pass
+// resolves that ambiguity instead. Every wait ends with ctx, so a cancelled
+// coordinator does not sit out a worker's hint.
+func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path string, body any, out any) (int, error) {
+	req := hostutil.Request{Method: method, Path: path, Hold: hold}
 	if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			return 0, err
 		}
-		rd = bytes.NewReader(data)
+		req.Body, req.ContentType = data, "application/json"
 	}
-	req, err := http.NewRequestWithContext(rctx, method, c.base+path, rd)
-	if err != nil {
-		return 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("worker %s: %w", c.Addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, fmt.Errorf("worker %s: %s %s: %w", c.Addr, method, path,
-			&hostutil.Throttled{After: hostutil.RetryAfter(resp.Header)})
-	}
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("worker %s: decoding response: %w", c.Addr, err)
+	if out != nil {
+		req.Limit = maxAnswerSize
+		req.Decode = func(code int, data []byte) error {
+			if code != http.StatusOK {
+				return nil
+			}
+			return json.Unmarshal(data, out)
 		}
 	}
-	return resp.StatusCode, nil
-}
-
-// do runs doOnce under the shared retry policy (hostutil.Retry): 429
-// throttles wait out the worker's Retry-After hint, and failures of
-// idempotent calls are retried after a short jittered wait (POST /v1/jobs
-// is idempotent too: a duplicate lands as 409, which reads as leased). DELETE
-// is never blind-retried: a Steal whose response was lost may have
-// succeeded, and re-sending it could "succeed" against a job the worker
-// re-acquired — the coordinator's reconcile pass resolves that ambiguity
-// instead. Every wait ends with ctx, so a cancelled coordinator does not
-// sit out a worker's hint.
-func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path string, body any, out any) (code int, err error) {
-	policy := hostutil.Retry{Attempts: clientRetries + 1, Transport: method != http.MethodDelete, Sleep: c.sleep}
-	err = policy.Do(ctx, path, func() (err error) {
-		code, err = c.doOnce(ctx, hold, method, path, body, out)
-		return err
-	})
+	policy := hostutil.Retry{Attempts: clientRetries + 1, Transport: method != http.MethodDelete}
+	code, _, err := c.http.Do(ctx, req, policy)
+	if err != nil {
+		err = fmt.Errorf("worker %s: %w", c.Addr, err)
+	}
 	return code, err
 }
 

@@ -369,11 +369,11 @@ func (r *Run) materialize(ctx context.Context, j Job, ev Event) (*Result, error)
 	}
 	files := &Files{Outputs: make(map[string][]byte, len(ev.Outputs))}
 	var err error
-	if files.Console, err = GetBlob(ctx, r.Remote, ev.Console); err != nil {
+	if files.Console, err = cas.GetBlob(ctx, r.Remote, ev.Console); err != nil {
 		return nil, fmt.Errorf("fetching console for %s: %w", j.Name, err)
 	}
 	for rel, digest := range ev.Outputs {
-		if files.Outputs[rel], err = GetBlob(ctx, r.Remote, digest); err != nil {
+		if files.Outputs[rel], err = cas.GetBlob(ctx, r.Remote, digest); err != nil {
 			return nil, fmt.Errorf("fetching output %s for %s: %w", rel, j.Name, err)
 		}
 	}
@@ -388,15 +388,10 @@ func (r *Run) materialize(ctx context.Context, j Job, ev Event) (*Result, error)
 	}, nil
 }
 
-// blobTransfer is the retry policy of coordinator-side cache traffic: a
-// single dropped request must not abort a fleet launch before it starts,
-// nor lose a finished job's console.
-var blobTransfer = hostutil.Retry{Attempts: 4, Transport: true}
-
 // PutBlob publishes data to the shared cache and returns its digest.
 func PutBlob(ctx context.Context, rem cas.Remote, data []byte) (string, error) {
 	digest := hostutil.HashBytes(data)
-	return digest, blobTransfer.Do(ctx, digest, func() error { return rem.PutBlob(ctx, digest, data) })
+	return digest, cas.PutBlob(ctx, rem, digest, data)
 }
 
 // publish is PutBlob that skips the upload when sent says this drive already
@@ -406,18 +401,9 @@ func (r *Run) publish(ctx context.Context, data []byte, sent map[string]bool) (s
 	if sent[digest] {
 		return digest, nil
 	}
-	err := blobTransfer.Do(ctx, digest, func() error { return r.Remote.PutBlob(ctx, digest, data) })
+	err := cas.PutBlob(ctx, r.Remote, digest, data)
 	sent[digest] = err == nil
 	return digest, err
-}
-
-// GetBlob fetches a blob from the shared cache.
-func GetBlob(ctx context.Context, rem cas.Remote, digest string) (data []byte, err error) {
-	err = blobTransfer.Do(ctx, digest, func() error {
-		data, err = rem.GetBlob(ctx, digest)
-		return err
-	})
-	return data, err
 }
 
 // WriteObsFiles persists a run's observability artifacts: the span trace

@@ -311,7 +311,7 @@ func TestWorkerClient429Backoff(t *testing.T) {
 
 	c := NewWorkerClient(srv.Listener.Addr().String(), 0)
 	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c.http.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	st, err := c.Status(context.Background())
 	if err != nil {
 		t.Fatalf("status after throttling: %v", err)

@@ -108,12 +108,15 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	}
 	if spec.CkptEvery > 0 || spec.Ckpt != nil {
 		x.Resume = spec.Ckpt != nil
+		// What this attempt has uploaded: a snapshot sends only the blobs
+		// the previous ones did not. A resumed attempt starts empty.
+		sent := map[string]bool{}
 		x.Ckpt = &checkpoint.Config{
 			Store: r.Store,
 			Dir:   r.CkptDir,
 			Every: spec.CkptEvery,
 			OnSnapshot: func(ptr checkpoint.Pointer, cp *checkpoint.Checkpoint) error {
-				if err := checkpoint.Push(ctx, r.Store, r.Remote, &ptr); err != nil {
+				if err := checkpoint.Push(ctx, r.Store, r.Remote, &ptr, cp, sent); err != nil {
 					return err
 				}
 				emit(Event{Type: EventCheckpoint, Job: spec.Name, Ckpt: &ptr})

@@ -11,12 +11,14 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"firemarshal/internal/cas"
 )
 
 // TestOneWayToExecuteAJob keeps "one way to execute a job" true: a second
-// job runner, a second reader of Retry-After, or a second extraction of
-// outputs from a boot's final filesystem fails here instead of drifting
-// from the first.
+// job runner, a second reader of Retry-After, a second HTTP request loop, a
+// second extraction of outputs from a boot's final filesystem or a second
+// way to move a blob fails here instead of drifting from the first.
 // It scans product sources only (tests, benchmark/ and examples/ may boot
 // guests however they like).
 func TestOneWayToExecuteAJob(t *testing.T) {
@@ -33,6 +35,8 @@ func TestOneWayToExecuteAJob(t *testing.T) {
 		// Output extraction starts from the final filesystem of a boot, and
 		// the kernel is its only reader.
 		{"reads a boot's final filesystem", ".FinalFS", []string{"internal/launcher/remote/exec.go"}},
+		// One request loop under the cache client and the worker client.
+		{"builds an HTTP request", "http.NewRequest", []string{"internal/hostutil/http.go"}},
 	}
 	found := make([][]string, len(guards))
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -67,6 +71,17 @@ func TestOneWayToExecuteAJob(t *testing.T) {
 		if !reflect.DeepEqual(found[i], g.allowed) {
 			t.Errorf("code that %s (%q) is in %v, want exactly %v", g.what, g.pattern, found[i], g.allowed)
 		}
+	}
+
+	// One blob path: a remote moves whole blobs and whole action entries, and
+	// has no second, streaming or chunked, way to move either.
+	var methods []string
+	remote := reflect.TypeOf((*cas.Remote)(nil)).Elem()
+	for i := 0; i < remote.NumMethod(); i++ {
+		methods = append(methods, remote.Method(i).Name)
+	}
+	if want := []string{"GetAction", "GetBlob", "PutAction", "PutBlob"}; !reflect.DeepEqual(methods, want) {
+		t.Errorf("cas.Remote has methods %v, want exactly %v", methods, want)
 	}
 }
 

@@ -4,10 +4,12 @@
 # records MB/s per traffic pattern in BENCH_cache.json, and compares
 # against the checked-in baseline so streaming-path regressions (a return
 # to whole-body buffering, a lock on the read path) fail loudly. Then it
-# smoke-tests the resilience properties the benchmark can't see: a torn
-# chunked upload must resume from the last acked offset bit-identically,
-# and a GC sweeping under concurrent publish traffic must lose nothing —
-# both under the race detector.
+# smoke-tests the resilience properties the benchmark can't see: an upload
+# torn mid-body must leave nothing in the store and the caller's whole-blob
+# retry must then land it bit-identically (and an old client's Content-Range
+# chunk must be refused, not stored short), and a GC sweeping under
+# concurrent publish traffic must lose nothing — both under the race
+# detector.
 #
 # Usage:
 #   scripts/cache_gate.sh             run + compare against BENCH_cache.json
@@ -87,12 +89,12 @@ else
     fi
 fi
 
-# Resilience smokes, both under -race: the kill-mid-upload resume (a torn
-# chunk must resume from the last acked offset, final bytes digest-
-# verified) and the GC-vs-publish race (no live/pinned/in-flight entry
-# may be lost to a concurrent sweep).
-echo "== kill-mid-upload resume smoke (-race)"
-go test -race -count=1 -run 'TestUploadResumesAfterTornConnection|TestChunkOffsetConflict' ./internal/cas/remote/
+# Resilience smokes, both under -race: the kill-mid-upload retry (a torn
+# PUT leaves no trace, the whole-blob retry lands digest-verified bytes)
+# and the GC-vs-publish race (no live/pinned/in-flight entry may be lost
+# to a concurrent sweep).
+echo "== kill-mid-upload retry smoke (-race)"
+go test -race -count=1 -run 'TestTornPutLeavesNothingThenRetrySucceeds|TestContentRangePutRefused' ./internal/cas/remote/
 echo "== GC-vs-publish race smoke (-race)"
 go test -race -count=1 -run 'TestGCUnderConcurrentTraffic|TestGCSweepSparesConcurrentWrites|TestGCHoldProtectsPublishWindow' ./internal/cas/
 
