@@ -232,6 +232,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzDecodeEncode":     "./internal/isa",
 		"FuzzDecode":           "./internal/fsimg",
 		"FuzzLeaseBody":        "./internal/launcher/remote",
+		"FuzzActionLog":        "./internal/cas",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

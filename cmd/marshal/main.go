@@ -361,8 +361,8 @@ func cmdClean(m *core.Marshal, args []string) int {
 		fmt.Fprintln(os.Stderr, "marshal clean:", err)
 		return 1
 	}
-	fmt.Printf("cache gc: removed %d actions, %d blobs, reclaimed %d bytes\n",
-		gc.ActionsRemoved, gc.BlobsRemoved, gc.BytesReclaimed)
+	fmt.Printf("cache gc: removed %d actions, %d blobs, %d stale temp files, reclaimed %d bytes\n",
+		gc.ActionsRemoved, gc.BlobsRemoved, gc.TempsRemoved, gc.BytesReclaimed)
 	return 0
 }
 
@@ -382,8 +382,8 @@ func cmdCache(m *core.Marshal, args []string) int {
 			fmt.Fprintln(os.Stderr, "marshal cache gc:", err)
 			return 1
 		}
-		fmt.Printf("removed %d actions, %d blobs, reclaimed %d bytes\n",
-			gc.ActionsRemoved, gc.BlobsRemoved, gc.BytesReclaimed)
+		fmt.Printf("removed %d actions, %d blobs, %d stale temp files, reclaimed %d bytes\n",
+			gc.ActionsRemoved, gc.BlobsRemoved, gc.TempsRemoved, gc.BytesReclaimed)
 		return 0
 	case "verify":
 		return cmdCacheVerify(m, rest)

@@ -10,11 +10,15 @@
 //     that step produced. The build engine consults actions before running
 //     a task and restores outputs from blobs on a hit.
 //
-// Writes are atomic (temp file + rename via hostutil), so concurrent
-// builders sharing one store never observe partial entries, and reads
-// re-verify the digest so corruption is detected — a corrupt blob is
-// moved aside into <dir>/quarantine and reported as missing, degrading
-// to a refetch/rebuild rather than a wrong artifact. Quarantined blobs
+// Blob writes are atomic (temp file + rename via hostutil) and action
+// records are appended whole to one CRC-framed log (actionlog.go), so
+// concurrent builders sharing one store never observe partial entries;
+// neither is fsynced — an entry lost to a power failure is a rebuild.
+// Reads re-verify: every blob's digest when it is returned, every action
+// record's CRC when it is read, so corruption is detected — a corrupt
+// record is skipped and counted, and a corrupt blob is moved aside into
+// <dir>/quarantine and reported as missing, degrading to a
+// refetch/rebuild rather than a wrong artifact. Quarantined blobs
 // are invisible to Get/Has/Usage/GC/Verify (only <dir>/blobs is
 // walked), preserved for post-mortem, and rewritten in place by the
 // next Put or a `cache verify -repair`. This operationalizes the
@@ -26,7 +30,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,13 +54,19 @@ var ErrCorrupt = errors.New("cas: corrupt blob")
 // one: the caller's mistake, not the store's.
 var ErrInvalid = errors.New("cas: invalid key")
 
-// Store is a content-addressed store rooted at a directory:
+// Store is a content-addressed store rooted at a directory (layout 3):
 //
-//	<dir>/blobs/<aa>/<digest>      artifact bytes, digest = sha256 hex
-//	<dir>/actions/<aa>/<key>.json  action-cache entries
+//	<dir>/blobs/<digest>  artifact bytes, digest = sha256 hex; the temp
+//	                      files of writes in flight (.tmp-*) sit beside them
+//	<dir>/actions         the action log: one CRC-framed record per line
+//	<dir>/quarantine/     corrupt blobs moved aside
+//
+// One inode per distinct artifact and one for all action records. A Store
+// has no Close: its one descriptor, the log's, goes with it.
 type Store struct {
 	dir    string
 	tamper Tamper
+	log    actionLog
 
 	mu          sync.Mutex
 	puts        uint64         // blobs newly written
@@ -130,73 +139,50 @@ type Usage struct {
 type GCStats struct {
 	ActionsRemoved int
 	BlobsRemoved   int
+	// TempsRemoved counts temp files a killed writer left behind.
+	TempsRemoved   int
 	BytesReclaimed int64
 }
 
-// Open initializes (or reuses) a store at dir. Stores written by the v1
-// flat layout (entries directly under <dir>/blobs and <dir>/actions) are
-// migrated into the sharded layout one-shot, so old caches keep working
-// after an upgrade.
+// Open initializes (or reuses) a store at dir. A store in an older layout
+// is migrated first, once (migrate.go); one announcing a newer layout is
+// refused.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cas: empty store directory")
 	}
-	for _, sub := range []string{"blobs", "actions"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("cas: opening store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		return nil, fmt.Errorf("cas: opening store: %w", err)
 	}
 	s := &Store{dir: dir, held: map[string]int{}}
-	if err := s.migrateFlat(); err != nil {
-		return nil, fmt.Errorf("cas: migrating flat layout: %w", err)
+	s.log.path = filepath.Join(dir, "actions")
+	if fi, err := os.Stat(s.log.path); err != nil || fi.IsDir() {
+		// No log yet: a fresh store, an older layout, or a migration a
+		// crash cut short.
+		if err := migrate(dir); err != nil {
+			return nil, fmt.Errorf("cas: migrating %s to layout %d: %w", dir, layoutVersion, err)
+		}
+	}
+	if _, err := s.log.reopen(); err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-// migrateFlat moves v1 flat-layout entries (<dir>/blobs/<digest>,
-// <dir>/actions/<key>.json) into their <aa>/ shard directories. Each move
-// is an atomic same-filesystem rename, so a crash mid-migration leaves a
-// mixed-but-valid store the next Open finishes; re-running on an
-// already-sharded store is a no-op (idempotent). A rename over an
-// existing sharded entry is harmless: both names are the same
-// content-addressed bytes.
-func (s *Store) migrateFlat() error {
-	for _, kind := range []string{"blobs", "actions"} {
-		root := filepath.Join(s.dir, kind)
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !validDigest(strings.TrimSuffix(name, ".json")) {
-				continue // shard dirs, temp files, junk: not flat entries
-			}
-			shard := filepath.Join(root, name[:2])
-			if err := os.MkdirAll(shard, 0o755); err != nil {
-				return err
-			}
-			if err := os.Rename(filepath.Join(root, name), filepath.Join(shard, name)); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) blobPath(digest string) string {
-	return filepath.Join(s.dir, "blobs", digest[:2], digest)
+// BlobPath is where the store rooted at storeDir keeps the blob digest —
+// the one statement of that rule, for the store itself and for whoever
+// corrupts or removes a blob behind its back (tests, chaos planting).
+func BlobPath(storeDir, digest string) string {
+	return filepath.Join(storeDir, "blobs", digest)
 }
 
-func (s *Store) actionPath(key string) string {
-	return filepath.Join(s.dir, "actions", key[:2], key+".json")
-}
+func (s *Store) blobPath(digest string) string { return BlobPath(s.dir, digest) }
 
 // quarantinePath is where a corrupt blob is moved aside. The quarantine
-// directory is deliberately outside walk()'s reach, so quarantined bytes
+// directory is deliberately outside walkBlobs' reach, so quarantined bytes
 // never count toward usage, never satisfy reads, and are never GC'd —
 // they exist only for post-mortem inspection.
 func (s *Store) quarantinePath(digest string) string {
@@ -407,6 +393,9 @@ func (s *Store) OpenBlob(digest string) (io.ReadCloser, int64, error) {
 		return nil, 0, err
 	}
 	fi, err := f.Stat()
+	if err == nil && !fi.Mode().IsRegular() {
+		err = fmt.Errorf("cas: blob %s: not a regular file", digest)
+	}
 	if err != nil {
 		f.Close()
 		return nil, 0, err
@@ -423,6 +412,9 @@ func (s *Store) BlobSize(digest string) (int64, error) {
 	if os.IsNotExist(err) {
 		return 0, fmt.Errorf("cas: blob %s: %w", digest, ErrNotFound)
 	}
+	if err == nil && !fi.Mode().IsRegular() {
+		err = fmt.Errorf("cas: blob %s: not a regular file", digest)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -430,7 +422,7 @@ func (s *Store) BlobSize(digest string) (int64, error) {
 }
 
 // PutStream stores a blob from r, hashing while it spills to a temp file
-// in the destination shard — the whole-blob buffer of Put never exists,
+// beside its destination — the whole-blob buffer of Put never exists,
 // so a 1 GiB upload from outside costs the server pages, not heap. The
 // temp file only renames into place if the streamed bytes hash to digest;
 // a mismatch or torn read leaves no trace. Returns the byte count written
@@ -502,16 +494,14 @@ func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// PutAction stores an action-cache entry under its key.
+// PutAction stores an action-cache entry under its key: one record
+// appended to the action log. An identical re-put is a no-op; a different
+// record for the key supersedes the earlier one.
 func (s *Store) PutAction(a *Action) error {
 	if !validDigest(a.Key) {
 		return fmt.Errorf("%w: action key %q", ErrInvalid, a.Key)
 	}
-	data, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return hostutil.WriteFileAtomic(s.actionPath(a.Key), data, 0o644)
+	return s.log.put(a)
 }
 
 // GetAction returns the entry for key, or ErrNotFound.
@@ -519,73 +509,65 @@ func (s *Store) GetAction(key string) (*Action, error) {
 	if !validDigest(key) {
 		return nil, fmt.Errorf("cas: %w: invalid action key %q", ErrNotFound, key)
 	}
-	data, err := os.ReadFile(s.actionPath(key))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("cas: action %s: %w", key, ErrNotFound)
+	return s.log.get(key)
+}
+
+// walkChunk bounds how many directory entries walkBlobs holds at a time.
+const walkChunk = 1024
+
+// isTemp reports the name of a write in flight (or of one that was killed).
+func isTemp(name string) bool { return strings.HasPrefix(name, ".tmp-") }
+
+// walkBlobs visits every regular file in <dir>/blobs — blobs, and temp
+// files, which callers tell apart with isTemp — reading the directory in
+// bounded chunks, never as one sorted slice.
+func (s *Store) walkBlobs(visit func(name string, fi fs.FileInfo) error) error {
+	d, err := os.Open(filepath.Join(s.dir, "blobs"))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var a Action
-	if err := json.Unmarshal(data, &a); err != nil {
-		// A mangled entry behaves like a miss; drop it.
-		os.Remove(s.actionPath(key))
-		return nil, fmt.Errorf("cas: action %s: %w", key, ErrCorrupt)
-	}
-	return &a, nil
-}
-
-// walk visits every entry file under <dir>/<kind>.
-func (s *Store) walk(kind string, visit func(path, name string, size int64) error) error {
-	root := filepath.Join(s.dir, kind)
-	return filepath.Walk(root, func(path string, fi os.FileInfo, werr error) error {
-		if werr != nil {
-			if errors.Is(werr, fs.ErrNotExist) {
-				return nil
+	defer d.Close()
+	for {
+		entries, err := d.ReadDir(walkChunk)
+		for _, e := range entries {
+			fi, ierr := e.Info()
+			if ierr != nil || !fi.Mode().IsRegular() {
+				continue // gone since it was listed (a racing GC or quarantine), or no entry of ours
 			}
-			return werr
+			if err := visit(e.Name(), fi); err != nil {
+				return err
+			}
 		}
-		if fi.IsDir() || strings.HasPrefix(fi.Name(), ".tmp-") {
+		if err == io.EOF {
 			return nil
 		}
-		return visit(path, fi.Name(), fi.Size())
-	})
-}
-
-// Actions lists every stored action entry.
-func (s *Store) Actions() ([]*Action, error) {
-	var out []*Action
-	err := s.walk("actions", func(path, name string, _ int64) error {
-		key := strings.TrimSuffix(name, ".json")
-		a, err := s.GetAction(key)
 		if err != nil {
-			if errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) {
-				return nil
-			}
 			return err
 		}
-		out = append(out, a)
-		return nil
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, err
+	}
 }
+
+// Actions lists every stored action entry, sorted by key.
+func (s *Store) Actions() ([]*Action, error) { return s.log.all() }
 
 // Usage reports blob and action counts and total blob bytes.
 func (s *Store) Usage() (Usage, error) {
 	var u Usage
-	err := s.walk("blobs", func(_, _ string, size int64) error {
-		u.Blobs++
-		u.BlobBytes += size
+	err := s.walkBlobs(func(name string, fi fs.FileInfo) error {
+		if !isTemp(name) {
+			u.Blobs++
+			u.BlobBytes += fi.Size()
+		}
 		return nil
 	})
 	if err != nil {
 		return u, err
 	}
-	err = s.walk("actions", func(_, _ string, _ int64) error {
-		u.Actions++
-		return nil
-	})
+	actions, err := s.log.all()
+	u.Actions = len(actions)
 	return u, err
 }
 
@@ -597,84 +579,80 @@ func (s *Store) PutStats() (puts, dedups uint64) {
 	return s.puts, s.dedups
 }
 
-// GC is a concurrent mark-and-sweep: it removes action entries whose key
-// is not in live, then removes blobs no remaining action references.
+// staleTempAge is how much older than the GC's start a temp file must be
+// for the sweep to call it abandoned. Nothing in the tree writes one blob
+// for minutes: a remote body is bounded by the request timeout and a local
+// one is a single write.
+const staleTempAge = time.Hour
+
+// GC is a concurrent mark-and-sweep: it drops action records whose key
+// is not in live, then removes blobs no remaining record references.
 // Callers pass the set of action keys still reachable from build state
 // (ref-counting by reachability) and, in pinned, blob digests that must
 // survive regardless — e.g. the pages and platform state of a resumable
 // run's checkpoints, which no action references but `-resume` depends on.
 //
-// The collection runs without blocking readers or writers; the live and
+// Dead records go by compacting the action log, which holds appenders —
+// of any handle or process — off for the length of one small rewrite and
+// so loses none of them. Blob traffic is never blocked; the live and
 // referenced sets are a snapshot taken at GC entry, so the sweep guards
 // against racing traffic instead of locking it out:
 //
-//   - entries written after the snapshot instant (file mtime after the
-//     GC start) are skipped — a Put or PutAction landing mid-sweep
-//     survives even though the stale snapshot doesn't reference it;
+//   - entries written after the snapshot instant (a record's append
+//     time, a blob file's mtime, after the GC start) are skipped — a Put
+//     or PutAction landing mid-sweep survives even though the stale
+//     snapshot doesn't reference it;
 //   - digests held open at any point since the snapshot — by an
 //     in-flight Put/PutStream or an explicit Hold (a publish
 //     between its blob and action writes) — are skipped regardless of
 //     mtime. "At any point" matters: a publish can complete (hold
-//     released, action written) after the mark phase already walked
-//     actions, so a point-in-time held check at sweep time would still
+//     released, action written) after the mark phase already read the
+//     log, so a point-in-time held check at sweep time would still
 //     reap its blob.
 //
 // Anything spared by a guard is simply unreferenced garbage to the NEXT
 // collection if it really was garbage — the guards only delay
-// reclamation, never leak it. Collections on one Store handle are
-// serialized; callers never block, only other GCs do.
+// reclamation, never leak it. The sweep also removes temp files more than
+// staleTempAge old, which only a killed writer leaves. Collections on one
+// Store handle are serialized.
 func (s *Store) GC(live, pinned map[string]bool) (GCStats, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
 	var st GCStats
 	start := time.Now()
-	// wroteAfterSnapshot: does the entry at path postdate the GC's view?
-	// A vanished file counts as racing traffic too (another GC, a
-	// quarantine): nothing left to remove.
-	wroteAfterSnapshot := func(path string) bool {
-		fi, err := os.Stat(path)
-		return err != nil || !fi.ModTime().Before(start)
-	}
-	referenced := map[string]bool{}
-	err := s.walk("actions", func(path, name string, _ int64) error {
-		key := strings.TrimSuffix(name, ".json")
-		if !live[key] {
-			if wroteAfterSnapshot(path) {
-				return nil // written mid-sweep; the snapshot can't judge it
-			}
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-			st.ActionsRemoved++
-			return nil
-		}
-		a, err := s.GetAction(key)
-		if err != nil {
-			return nil // corrupt live entry: already dropped by GetAction
-		}
-		for _, o := range a.Outputs {
-			referenced[o.Digest] = true
-		}
-		return nil
+	referenced, removed, err := s.log.compact(filepath.Join(s.dir, "blobs"), func(key string, at int64) bool {
+		return live[key] || at >= start.UnixNano() // appended mid-collection: the snapshot can't judge it
 	})
 	if err != nil {
 		return st, err
 	}
+	st.ActionsRemoved = removed
 	if s.gcSweepHook != nil {
 		s.gcSweepHook()
 	}
-	err = s.walk("blobs", func(path, name string, size int64) error {
-		if referenced[name] || pinned[name] || s.heldSince(name, start) {
-			return nil
-		}
-		if wroteAfterSnapshot(path) {
-			return nil // a concurrent Put must survive the sweep
+	err = s.walkBlobs(func(name string, fi fs.FileInfo) error {
+		path := s.blobPath(name)
+		if isTemp(name) {
+			if !fi.ModTime().Before(start.Add(-staleTempAge)) {
+				return nil
+			}
+			st.TempsRemoved++
+		} else {
+			if referenced[name] || pinned[name] || s.heldSince(name, start) {
+				return nil
+			}
+			// Judged on a fresh stat, not the listing's: a concurrent Put
+			// must survive the sweep, and a vanished file (another GC, a
+			// quarantine) leaves nothing to remove.
+			if now, err := os.Stat(path); err != nil || !now.ModTime().Before(start) {
+				return nil
+			}
+			st.BlobsRemoved++
 		}
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		st.BlobsRemoved++
-		st.BytesReclaimed += size
+		st.BytesReclaimed += fi.Size()
 		return nil
 	})
 	// Releases that predate this snapshot can never matter again (gcMu
@@ -690,15 +668,19 @@ func (s *Store) GC(live, pinned map[string]bool) (GCStats, error) {
 	return st, err
 }
 
-// Verify re-hashes every blob and checks every action's outputs are
-// present, returning a description of each problem found. Corrupt blobs
-// are quarantined (the store degrades to a miss, never a wrong
-// artifact); `cache verify -repair` follows up by refetching the
-// now-missing referenced blobs from the remote.
+// Verify re-hashes every blob, re-reads the action log and checks every
+// action's outputs are present, returning a description of each problem
+// found. Corrupt blobs are quarantined (the store degrades to a miss,
+// never a wrong artifact); `cache verify -repair` follows up by refetching
+// the now-missing referenced blobs from the remote. Unreadable log lines
+// are named; the next GC compacts them away.
 func (s *Store) Verify() ([]string, error) {
 	var problems []string
-	err := s.walk("blobs", func(path, name string, _ int64) error {
-		data, err := os.ReadFile(path)
+	err := s.walkBlobs(func(name string, _ fs.FileInfo) error {
+		if isTemp(name) {
+			return nil
+		}
+		data, err := os.ReadFile(s.blobPath(name))
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("blob %s: unreadable: %v", name, err))
 			return nil
@@ -711,6 +693,13 @@ func (s *Store) Verify() ([]string, error) {
 	})
 	if err != nil {
 		return problems, err
+	}
+	torn, err := s.log.check()
+	if err != nil {
+		return problems, err
+	}
+	if torn != nil {
+		problems = append(problems, fmt.Sprintf("action log %s: %s", s.log.path, torn))
 	}
 	actions, err := s.Actions()
 	if err != nil {

@@ -186,94 +186,6 @@ func TestGCUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestMigrateFlatLayout verifies the one-shot v1→v2 migration: flat
-// entries written directly under blobs/ and actions/ move into their
-// shard directories on Open, reads keep working, and junk that is not a
-// flat entry is left alone. Running Open again is a no-op.
-func TestMigrateFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	data := []byte("pre-sharding artifact")
-	digest := hostutil.HashBytes(data)
-	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "blobs", digest), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	key := hostutil.HashBytes([]byte("flat task"))
-	actionJSON := []byte(fmt.Sprintf(`{"key":%q,"task":"flat","outputs":[{"name":"out","digest":%q}]}`, key, digest))
-	if err := os.MkdirAll(filepath.Join(dir, "actions"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "actions", key+".json"), actionJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Junk a migration must not trip over: a dotfile and a short name.
-	if err := os.WriteFile(filepath.Join(dir, "blobs", ".tmp-stale"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "blobs", "ab"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(digest)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Get after migration = %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "blobs", digest[:2], digest)); err != nil {
-		t.Fatalf("blob not in its shard: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "blobs", digest)); !os.IsNotExist(err) {
-		t.Fatal("flat blob entry still present after migration")
-	}
-	a, err := s.GetAction(key)
-	if err != nil || a.Task != "flat" {
-		t.Fatalf("GetAction after migration = %+v, %v", a, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "actions", key[:2], key+".json")); err != nil {
-		t.Fatalf("action not in its shard: %v", err)
-	}
-
-	// Idempotent: a second Open over the sharded store changes nothing.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("re-Open after migration: %v", err)
-	}
-	if got, err := s2.Get(digest); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Get after re-Open = %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "blobs", "ab")); err != nil {
-		t.Fatalf("junk file was disturbed by migration: %v", err)
-	}
-	os.Remove(filepath.Join(dir, "blobs", "ab")) // drop junk before counting
-	u, err := s2.Usage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Blobs != 1 || u.Actions != 1 {
-		t.Fatalf("Usage after migration = %+v, want 1 blob, 1 action", u)
-	}
-
-	// A mixed store (new flat entry appears, e.g. written by an old
-	// binary sharing the cache) migrates on the next Open too.
-	data2 := []byte("late flat entry")
-	digest2 := hostutil.HashBytes(data2)
-	if err := os.WriteFile(filepath.Join(dir, "blobs", digest2), data2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s3.Get(digest2); err != nil || !bytes.Equal(got, data2) {
-		t.Fatalf("Get of late-migrated blob = %v", err)
-	}
-}
-
 // TestPutStreamReadFailureClassified pins the error taxonomy the server's
 // status mapping depends on: a reader that dies mid-stream yields ErrRead
 // (client's fault), digest-mismatched bytes yield ErrCorrupt, and neither
@@ -297,12 +209,13 @@ func TestPutStreamReadFailureClassified(t *testing.T) {
 	if s.Has(digest) {
 		t.Fatal("failed streams left a blob behind")
 	}
-	entries, err := os.ReadDir(filepath.Join(s.dir, "blobs", digest[:2]))
-	if err == nil {
-		for _, e := range entries {
-			if strings.HasPrefix(e.Name(), ".tmp-") {
-				t.Fatalf("failed stream left temp file %s", e.Name())
-			}
+	entries, err := os.ReadDir(filepath.Dir(s.blobPath(digest)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if isTemp(e.Name()) {
+			t.Fatalf("failed stream left temp file %s", e.Name())
 		}
 	}
 }

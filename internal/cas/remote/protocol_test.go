@@ -215,12 +215,13 @@ func TestGetBlobETagRevalidation(t *testing.T) {
 // --- a blob crosses whole or not at all ---
 
 // storeFiles lists every regular file under the store's directory, temp
-// files and staging included.
+// files and staging included — all but the action log, which every store
+// has from Open.
 func storeFiles(t *testing.T, store *cas.Store) []string {
 	t.Helper()
 	var files []string
 	err := filepath.WalkDir(store.Dir(), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
+		if err == nil && !d.IsDir() && path != filepath.Join(store.Dir(), "actions") {
 			files = append(files, path)
 		}
 		return err
@@ -328,7 +329,7 @@ func TestGetBlobDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[100] ^= 0xff // same length
-	if err := os.WriteFile(filepath.Join(store.Dir(), "blobs", digest[:2], digest), data, 0o644); err != nil {
+	if err := os.WriteFile(cas.BlobPath(store.Dir(), digest), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.GetBlob(context.Background(), digest); !errors.Is(err, cas.ErrCorrupt) {
@@ -340,14 +341,20 @@ func TestGetBlobDetectsCorruption(t *testing.T) {
 
 // TestStoreFaultIs500Not404: a lookup that fails for any reason but "not
 // there" answers 500, so clients and their breakers see a failing server
-// instead of a miss. The fault is a regular file where a shard directory
-// belongs (ENOTDIR), which does not depend on permissions.
+// instead of a miss. The fault is a directory where a file belongs — the
+// blob's, and the action log's once the open handle finds its own file
+// gone — which reads as EISDIR, not "absent", and does not depend on
+// permissions.
 func TestStoreFaultIs500Not404(t *testing.T) {
 	store := newStore(t)
 	srv, client := serve(t, store)
-	digest := hostutil.HashBytes([]byte("behind a broken shard"))
-	for _, kind := range []string{"blobs", "actions"} {
-		if err := os.WriteFile(filepath.Join(store.Dir(), kind, digest[:2]), nil, 0o644); err != nil {
+	digest := hostutil.HashBytes([]byte("behind a broken store"))
+	log := filepath.Join(store.Dir(), "actions")
+	if err := os.Remove(log); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{cas.BlobPath(store.Dir(), digest), log} {
+		if err := os.Mkdir(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,12 +18,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"firemarshal/internal/cas"
 	"firemarshal/internal/obs"
 )
 
@@ -360,16 +360,10 @@ func (f *StoreFaults) WriteBlob(digest string, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// PlantCorruptBlob writes garbage where storeDir's blob for digest lives
-// (mirroring the cas on-disk layout), guaranteeing the next reader walks
-// the detect → quarantine → refetch self-heal path.
+// PlantCorruptBlob writes garbage where the store at storeDir keeps the
+// blob for digest (cas.BlobPath — the store's own rule, not a copy of it),
+// guaranteeing the next reader walks the detect → quarantine → refetch
+// self-heal path.
 func PlantCorruptBlob(storeDir, digest string) error {
-	if len(digest) < 3 {
-		return fmt.Errorf("chaos: invalid digest %q", digest)
-	}
-	path := filepath.Join(storeDir, "blobs", digest[:2], digest)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte("chaos: corrupted "+digest), 0o644)
+	return os.WriteFile(cas.BlobPath(storeDir, digest), []byte("chaos: corrupted "+digest), 0o644)
 }

@@ -2,16 +2,16 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"firemarshal/internal/cas"
 	"firemarshal/internal/obs"
 )
 
@@ -314,20 +314,25 @@ func TestStoreFaultsWrite(t *testing.T) {
 	}
 }
 
+// TestPlantCorruptBlob: the planted file must be where Store.Get looks —
+// shown by Get finding it, refusing it and quarantining it, not by
+// rebuilding the path here.
 func TestPlantCorruptBlob(t *testing.T) {
-	dir := t.TempDir()
-	const digest = "abcdef0123456789"
-	if err := PlantCorruptBlob(dir, digest); err != nil {
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "blobs", digest[:2], digest))
+	digest, err := store.Put([]byte("a healthy artifact"))
 	if err != nil {
-		t.Fatalf("planted blob not at the cas layout path: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "corrupted") {
-		t.Errorf("planted blob contents %q", data)
+	if err := PlantCorruptBlob(store.Dir(), digest); err != nil {
+		t.Fatal(err)
 	}
-	if err := PlantCorruptBlob(dir, "xy"); err == nil {
-		t.Error("short digest accepted")
+	if _, err := store.Get(digest); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("Get after planting = %v, want ErrCorrupt: the plant is not where the store reads", err)
+	}
+	if store.Quarantined() != 1 || store.Has(digest) {
+		t.Errorf("planted blob not quarantined (quarantined=%d, still present=%v)", store.Quarantined(), store.Has(digest))
 	}
 }

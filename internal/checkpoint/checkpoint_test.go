@@ -310,7 +310,7 @@ func TestPointerLifecycle(t *testing.T) {
 
 	// Remove one referenced page blob: Verify must report it.
 	missing := cp.Pages[0].Digest
-	if err := os.Remove(filepath.Join(store.Dir(), "blobs", missing[:2], missing)); err != nil {
+	if err := os.Remove(cas.BlobPath(store.Dir(), missing)); err != nil {
 		t.Fatal(err)
 	}
 	if probs := cp.Verify(store); len(probs) != 1 {

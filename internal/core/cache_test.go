@@ -256,3 +256,58 @@ func TestCleanPrunesUnreferencedCacheEntries(t *testing.T) {
 		t.Fatalf("actions %d -> %d after cleaning c2, want a decrease", after.Actions, final.Actions)
 	}
 }
+
+// TestCacheDirInodeCensus is the count store layout v3 rests on, immune to
+// host timing: after building and launching a six-job workload, the cache
+// directory holds one entry per distinct artifact, the blobs/ directory
+// and the action log — nothing per task and no shard directories (the
+// sharded layout held one file per task besides, and up to one directory
+// per entry) — and a no-op rebuild adds nothing.
+func TestCacheDirInodeCensus(t *testing.T) {
+	cacheDir := t.TempDir()
+	e := newCacheEnv(t, "", cacheDir)
+	e.write(t, "six.json", `{
+  "name": "six", "base": "br-base",
+  "jobs": [{"name": "j0", "command": "echo 0"}, {"name": "j1", "command": "echo 1"},
+           {"name": "j2", "command": "echo 2"}, {"name": "j3", "command": "echo 3"},
+           {"name": "j4", "command": "echo 4"}, {"name": "j5", "command": "echo 5"}]}`)
+	runs, err := e.m.Launch("six", LaunchOpts{})
+	if err != nil || len(runs) != 6 {
+		t.Fatalf("launch: %d runs, %v", len(runs), err)
+	}
+	census := func() int {
+		n := -1 // the cache directory itself
+		err := filepath.WalkDir(cacheDir, func(string, os.DirEntry, error) error { n++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cache, err := e.m.Cache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := cache.Local().Usage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Actions < 12 || u.Blobs == 0 {
+		t.Fatalf("usage %+v: six jobs publish at least a binary and an image task each", u)
+	}
+	after := census()
+	if want := u.Blobs + 2; after != want {
+		t.Fatalf("%d entries under the cache directory, want %d: %d blobs, blobs/ and the action log (%d actions)",
+			after, want, u.Blobs, u.Actions)
+	}
+	t.Logf("%d entries for %d actions and %d distinct blobs", after, u.Actions, u.Blobs)
+
+	if _, err := e.m.Build("six", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if ex := e.m.LastBuildStats.Executed; len(ex) != 0 {
+		t.Fatalf("the rebuild executed %v", ex)
+	}
+	if again := census(); again != after {
+		t.Fatalf("a no-op rebuild took the cache directory from %d entries to %d", after, again)
+	}
+}

@@ -121,14 +121,21 @@ func DetJitter(key string, attempt int, max time.Duration) time.Duration {
 // WriteFileAtomic writes data to path via a temporary file and rename, so
 // readers never observe a partially written artifact.
 func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
-	return writeAtomic(path, bytes.NewReader(data), mode)
+	return writeAtomic(filepath.Dir(path), path, bytes.NewReader(data), mode)
+}
+
+// WriteFileAtomicVia is WriteFileAtomic with the temporary file in tmpDir
+// (same file system as path) instead of beside path: the cas store keeps
+// every temp file in one directory, where its GC finds the ones a killed
+// writer left.
+func WriteFileAtomicVia(tmpDir, path string, data []byte, mode os.FileMode) error {
+	return writeAtomic(tmpDir, path, bytes.NewReader(data), mode)
 }
 
 // writeAtomic is the temp-then-rename sequence WriteFileAtomic and CopyFile
 // share, with the content taken from a reader: a bytes.Reader lands in one
 // Write, a file through the kernel's file-to-file copy where there is one.
-func writeAtomic(path string, content io.Reader, mode os.FileMode) error {
-	dir := filepath.Dir(path)
+func writeAtomic(dir, path string, content io.Reader, mode os.FileMode) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -212,7 +219,7 @@ func CopyFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(dst, in, info.Mode().Perm())
+	return writeAtomic(filepath.Dir(dst), dst, in, info.Mode().Perm())
 }
 
 // CopyDir recursively copies a directory tree.

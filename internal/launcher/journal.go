@@ -1,12 +1,13 @@
 package launcher
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"time"
+
+	"firemarshal/internal/hostutil"
 )
 
 // This file makes runs crash-safe at the manifest level. The launcher
@@ -102,17 +103,18 @@ func (j *Journal) AppendLine(v any) error {
 	return j.f.Sync()
 }
 
-// ReadLines parses any JSONL file with the journal's salvage semantics:
-// parse runs once per non-blank line, unparseable lines (typically one
-// record torn by a crash mid-append) are reported through the returned
-// Torn rather than failing the read. A missing file is an error the
-// caller can test with os.IsNotExist.
-func ReadLines(path string, parse func(line []byte) error) (*Torn, error) {
+// ReadLines parses any JSONL file with the journal's salvage semantics
+// (hostutil.SalvageLines, shared with the cas action log): parse runs once
+// per non-blank line, unparseable lines (typically one record torn by a
+// crash mid-append) are reported through the returned Torn rather than
+// failing the read. A missing file is an error the caller can test with
+// os.IsNotExist.
+func ReadLines(path string, parse func(line []byte) error) (*hostutil.Torn, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return salvageLines(data, parse), nil
+	return hostutil.SalvageLines(data, parse), nil
 }
 
 // Start journals the beginning of a job attempt.
@@ -135,75 +137,10 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// Torn describes journal or manifest content that could not be parsed —
-// typically the single record torn by a crash mid-append, but garbage
-// lines are tolerated (and reported) the same way. Salvage never fails
-// the whole parse.
-type Torn struct {
-	// Line is the 1-based line number of the first unusable line.
-	Line int
-	// Lines is how many lines were unusable.
-	Lines int
-	// Bytes is the total unusable byte count.
-	Bytes int
-	// Tail is true when the file ends mid-record (no trailing newline).
-	Tail bool
-	// Err is the first parse error, for diagnostics.
-	Err string
-}
-
-func (t *Torn) String() string {
-	if t == nil {
-		return ""
-	}
-	kind := "garbage"
-	if t.Tail {
-		kind = "torn tail"
-	}
-	return fmt.Sprintf("%s at line %d (%d line(s), %d byte(s)): %s", kind, t.Line, t.Lines, t.Bytes, t.Err)
-}
-
-// salvageLines walks newline-separated JSONL data, calling parse on each
-// candidate record. Unparseable lines are reported via the returned Torn
-// (nil when everything parsed); parsing never aborts. A final fragment
-// with no newline is still offered to parse — a crash can complete the
-// record but not the newline — and only reported torn if it fails.
-func salvageLines(data []byte, parse func(line []byte) error) *Torn {
-	var torn *Torn
-	note := func(lineNo int, line []byte, tail bool, err error) {
-		if torn == nil {
-			torn = &Torn{Line: lineNo, Err: err.Error()}
-		}
-		torn.Lines++
-		torn.Bytes += len(line)
-		torn.Tail = tail
-	}
-	lineNo := 0
-	for len(data) > 0 {
-		lineNo++
-		var line []byte
-		i := bytes.IndexByte(data, '\n')
-		tail := i < 0
-		if tail {
-			line, data = data, nil
-		} else {
-			line, data = data[:i], data[i+1:]
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			continue
-		}
-		if err := parse(trimmed); err != nil {
-			note(lineNo, line, tail, err)
-		}
-	}
-	return torn
-}
-
 // ReadJournal parses the run journal at path, salvaging complete records
 // around any torn or garbage lines. A missing file is an error the caller
 // can test with os.IsNotExist.
-func ReadJournal(path string) ([]JournalRecord, *Torn, error) {
+func ReadJournal(path string) ([]JournalRecord, *hostutil.Torn, error) {
 	var recs []JournalRecord
 	torn, err := ReadLines(path, func(line []byte) error {
 		var rec JournalRecord
@@ -228,7 +165,7 @@ func ReadJournal(path string) ([]JournalRecord, *Torn, error) {
 // ReadManifest parses a JSONL run manifest, tolerating a truncated final
 // line (crash mid-append): complete records are salvaged, the torn tail
 // is reported, and the parse as a whole never fails on bad content.
-func ReadManifest(path string) ([]Record, *Torn, error) {
+func ReadManifest(path string) ([]Record, *hostutil.Torn, error) {
 	var recs []Record
 	torn, err := ReadLines(path, func(line []byte) error {
 		var rec Record
@@ -266,7 +203,7 @@ type PriorJob struct {
 // from the compacted manifest (the run finished, perhaps with failures).
 // When neither exists it returns an empty map — resume of a fresh run is
 // just a run.
-func ReadPrior(journalPath, manifestPath string) (map[string]PriorJob, *Torn, error) {
+func ReadPrior(journalPath, manifestPath string) (map[string]PriorJob, *hostutil.Torn, error) {
 	prior := map[string]PriorJob{}
 	if recs, torn, err := ReadJournal(journalPath); err == nil {
 		for _, rec := range recs {

@@ -92,7 +92,7 @@ func Drive(ctx context.Context, r Run) ([]*Result, *launcher.Summary, error) {
 	journalPath := r.ManifestPath + ".journal"
 	if r.ManifestPath != "" {
 		if r.Resume {
-			var torn *launcher.Torn
+			var torn *hostutil.Torn
 			var err error
 			if prior, torn, err = launcher.ReadPrior(journalPath, r.ManifestPath); err != nil {
 				return nil, nil, err

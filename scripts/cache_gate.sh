@@ -7,9 +7,10 @@
 # smoke-tests the resilience properties the benchmark can't see: an upload
 # torn mid-body must leave nothing in the store and the caller's whole-blob
 # retry must then land it bit-identically (and an old client's Content-Range
-# chunk must be refused, not stored short), and a GC sweeping under
-# concurrent publish traffic must lose nothing — both under the race
-# detector.
+# chunk must be refused, not stored short), a GC sweeping under concurrent
+# publish traffic must lose nothing, and the action log shared by two
+# appending processes must lose and tear nothing, with or without a
+# compaction racing them — all under the race detector.
 #
 # Usage:
 #   scripts/cache_gate.sh             run + compare against BENCH_cache.json
@@ -89,13 +90,14 @@ else
     fi
 fi
 
-# Resilience smokes, both under -race: the kill-mid-upload retry (a torn
-# PUT leaves no trace, the whole-blob retry lands digest-verified bytes)
-# and the GC-vs-publish race (no live/pinned/in-flight entry may be lost
-# to a concurrent sweep).
+# Resilience smokes, all under -race: the kill-mid-upload retry (a torn
+# PUT leaves no trace, the whole-blob retry lands digest-verified bytes),
+# the GC-vs-publish race (no live/pinned/in-flight entry may be lost to a
+# concurrent sweep) and the action log under two appending processes (every
+# record found, none torn, none lost to a racing compaction).
 echo "== kill-mid-upload retry smoke (-race)"
 go test -race -count=1 -run 'TestTornPutLeavesNothingThenRetrySucceeds|TestContentRangePutRefused' ./internal/cas/remote/
 echo "== GC-vs-publish race smoke (-race)"
-go test -race -count=1 -run 'TestGCUnderConcurrentTraffic|TestGCSweepSparesConcurrentWrites|TestGCHoldProtectsPublishWindow' ./internal/cas/
+go test -race -count=1 -run 'TestGCUnderConcurrentTraffic|TestGCSweepSparesConcurrentWrites|TestGCHoldProtectsPublishWindow|TestActionLogSharedByProcesses|TestCompactionLosesNoConcurrentAppend' ./internal/cas/
 
 echo "cache_gate.sh: PASS"

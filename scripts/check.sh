@@ -108,10 +108,10 @@ else
 fi
 
 # Cache-service gate: the saturation benchmark (another multi-second
-# bench run) plus the torn-upload-retry and GC-race smokes; CI's `cache` job
-# always runs it.
+# bench run) plus the torn-upload-retry, GC-race and two-process action-log
+# smokes; CI's `cache` job always runs it.
 if [ -n "$CHECK_CACHE" ]; then
-    echo "== cache-service gate (saturation bench + torn-upload/GC-race smokes)"
+    echo "== cache-service gate (saturation bench + torn-upload/GC-race/action-log smokes)"
     scripts/cache_gate.sh
     GATES_RAN="$GATES_RAN cache"
 else

@@ -37,8 +37,8 @@ grep -o '"sig":"[0-9a-f]*","new_sig":true,"repro":"[0-9a-f]*"' "$OUT_DIR/farm.js
     while IFS= read -r hit; do
         SIG="$(echo "$hit" | cut -d'"' -f4)"
         REPRO="$(echo "$hit" | cut -d'"' -f12)"
-        BLOB="$WORK/farm/cache/blobs/$(echo "$REPRO" | cut -c1-2)/$REPRO"
-        [ -s "$BLOB" ] && cp "$BLOB" "$OUT_DIR/repros/$SIG.s"
+        BLOB="$(find "$WORK/farm/cache/blobs" -name "$REPRO" -size +0)"
+        [ -n "$BLOB" ] && cp "$BLOB" "$OUT_DIR/repros/$SIG.s"
     done
 
 echo "nightly_farm.sh: artifacts in $OUT_DIR (exit $STATUS)"

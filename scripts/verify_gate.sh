@@ -67,7 +67,7 @@ if ! grep -q "\"instr\":$FAULT_INSTR" "$MANIFEST"; then
     exit 1
 fi
 REPRO="$(grep -o '"repro":"[0-9a-f]*"' "$MANIFEST" | head -1 | cut -d'"' -f4)"
-if [ -z "$REPRO" ] || [ ! -s "$TMP/fault/cache/blobs/$(echo "$REPRO" | cut -c1-2)/$REPRO" ]; then
+if [ -z "$REPRO" ] || [ -z "$(find "$TMP/fault/cache/blobs" -name "$REPRO" -size +0)" ]; then
     echo "verify_gate.sh: FAIL (minimized repro $REPRO missing from the CAS)"
     exit 1
 fi
