@@ -233,6 +233,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzDecode":           "./internal/fsimg",
 		"FuzzLeaseBody":        "./internal/launcher/remote",
 		"FuzzActionLog":        "./internal/cas",
+		"FuzzLoadPointer":      "./internal/checkpoint",
+		"FuzzDecodePack":       "./internal/checkpoint",
 	} {
 		found := false
 		for _, s := range fuzzSteps {
@@ -267,9 +269,11 @@ func TestNightlyWorkflowParses(t *testing.T) {
 // TestCheckScriptGatesSemanticsInlining holds scripts/check.sh — the script
 // the `check` job runs — to its inlining gate: one -m=2 build of
 // internal/sim whose report on semantics.go must show the value rules
-// inlining, with only the four store helpers excused. Without it a later
-// edit could turn a shared instruction rule into a call per retired
-// instruction on every tier and no test would notice.
+// inlining, with only the four store helpers excused, and whose report on
+// memory.go must show the two soft-TLB probes inlining. Without it a later
+// edit could turn a shared instruction rule, or every guest load and store,
+// into a call per retired instruction on every tier and no test would
+// notice.
 func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("scripts", "check.sh"))
 	if err != nil {
@@ -280,10 +284,13 @@ func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
 		t.Errorf("check.sh runs the -m=2 build of internal/sim %d times, want once", n)
 	}
 	for _, want := range []string{
-		`semantics\.go:`,     // scoped to the shared rules
-		"cannot inline",      // what fails the gate
-		`store(8|16|32|64):`, // the only excused functions
-		`"can inline slt "`,  // proof the report was produced at all
+		`semantics\.go:`,          // scoped to the shared rules
+		"cannot inline",           // what fails the gate
+		`store(8|16|32|64):`,      // the only excused functions
+		`"can inline slt "`,       // proof the report was produced at all
+		`(semantics|memory)\.go:`, // the hot memory path is gated too
+		`"can inline (*Memory).$probe "`,
+		"for probe in lookup storeHit",
 		"exit 1",
 	} {
 		if !strings.Contains(script, want) {

@@ -2,41 +2,28 @@
 // snapshot a machine at an exact retired-instruction boundary and later
 // rebuild an identical machine, without the per-job Runtime's pointer
 // files, exec replay, or console teeing. Capture serializes just pages +
-// architectural state into the CAS; because page numbers are emitted in
-// ascending order and the encoding is canonical JSON, two machines that
+// architectural state into one self-contained pack; because pages go in
+// ascending order and the document is canonical JSON, two machines that
 // executed the same retirement history produce the same digest — digest
 // comparison IS state comparison, which is what lets the bisector walk
 // checkpoint boundaries cheaply.
 package checkpoint
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"firemarshal/internal/cas"
 	"firemarshal/internal/sim"
 )
 
 // Capture snapshots the machine's memory pages and architectural state
-// into the store and returns the checkpoint plus its content digest. The
-// digest is a pure function of (job, mapped pages, arch state): machines
-// in the same state capture to the same digest.
+// into the store as one pack that names no other, and returns the
+// checkpoint plus the pack's digest. The digest is a pure function of
+// (job, mapped pages, arch state): machines in the same state capture to
+// the same digest.
 func Capture(store *cas.Store, job string, m *sim.Machine) (*Checkpoint, string, error) {
-	cp := &Checkpoint{Version: Version, Job: job, Arch: m.SaveArch()}
-	for _, pn := range m.Mem.PageNumbers() {
-		digest, err := store.Put(m.Mem.PageBytes(pn))
-		if err != nil {
-			return nil, "", fmt.Errorf("checkpoint: capture %s: storing page %#x: %w", job, pn, err)
-		}
-		cp.Pages = append(cp.Pages, PageRef{PN: pn, Digest: digest})
-	}
-	data, err := json.Marshal(cp)
+	cp := &Checkpoint{Job: job, Arch: m.SaveArch()}
+	digest, err := writePack(store, cp, m.Mem, nil, nil)
 	if err != nil {
 		return nil, "", err
-	}
-	digest, err := store.Put(data)
-	if err != nil {
-		return nil, "", fmt.Errorf("checkpoint: capture %s: %w", job, err)
 	}
 	return cp, digest, nil
 }
@@ -45,18 +32,12 @@ func Capture(store *cas.Store, job string, m *sim.Machine) (*Checkpoint, string,
 // the captured pages and the architectural state reinstalled (predecode
 // and trace caches rebuilt via RestoreArch). The machine must already
 // have its devices/syscall environment configured; Restore only touches
-// memory and architectural state.
+// memory and architectural state, and not even those if it fails.
 func (cp *Checkpoint) Restore(store *cas.Store, m *sim.Machine) error {
-	m.Mem.Reset()
-	for _, pref := range cp.Pages {
-		data, err := store.Get(pref.Digest)
-		if err != nil {
-			return fmt.Errorf("checkpoint: restore %s page %#x: %w", cp.Job, pref.PN, err)
-		}
-		if err := m.Mem.SetPage(pref.PN, data); err != nil {
-			return err
-		}
+	pages, err := cp.pageData(store)
+	if err != nil {
+		return err
 	}
-	m.RestoreArch(cp.Arch)
+	cp.install(m, pages)
 	return nil
 }

@@ -3,34 +3,41 @@
 //
 // A checkpoint captures everything a platform needs to continue a job's
 // in-flight Exec bit-identically: the machine's architectural state
-// (sim.ArchState), every mapped memory page as its own content-addressed
-// blob (so unchanged pages dedup across successive checkpoints and across
-// jobs booting the same image), platform "extra" state (branch predictor
-// tables, cache tags, accumulated statistics — opaque named blobs saved
-// through callbacks), the console bytes emitted so far, and the records
-// of every Exec the platform completed before the in-flight one (exit
-// code, instruction/cycle deltas, full console transcript) so a resumed
-// run can replay them without re-simulating.
+// (sim.ArchState), every mapped memory page, platform "extra" state (branch
+// predictor tables, cache tags, accumulated statistics — opaque named
+// blobs saved through callbacks), the console bytes emitted so far, and the
+// records of every Exec the platform completed before the in-flight one
+// (exit code, instruction/cycle deltas, console digest) so a resumed run
+// can replay them without re-simulating.
 //
-// On-disk layout: blobs live in the shared CAS; the only non-CAS file is
-// a small pointer `<dir>/<job>.ckpt.json` naming the latest checkpoint
-// blob for the job. The pointer is written atomically after the blobs it
-// references, so a crash mid-snapshot leaves the previous checkpoint
-// intact — at worst some orphaned blobs that the pinned-aware GC removes
-// once the run is no longer live.
+// On disk (format Version 2, the only one) a snapshot is exactly one CAS
+// blob, a pack (pack.go): the document followed by the raw bytes of the
+// pages dirtied since the previous snapshot. The document's page table
+// names, for every mapped page, the pack and slot that hold it, so a clean
+// page costs one table entry and no bytes, and a restore reads each named
+// pack once. The only non-CAS file is the job's pointer file
+// `<dir>/<job>.ckpt.json`: one line appended per snapshot, after the pack
+// it names is stored; its last intact line is the pointer (pointer.go). A
+// crash mid-snapshot therefore leaves the previous checkpoint in force — at
+// worst an orphaned pack that the pinned-aware GC removes once the run is
+// no longer live. A pack is pinned whole while any page table still names
+// it, and identical pages of different jobs are stored once per job: that
+// is the price of one inode per snapshot instead of one per page.
+//
+// A checkpoint that cannot be read — a garbled pointer, a pack of another
+// format version (every checkpoint an older binary left), a missing or
+// corrupt blob — is not an error: that job starts from instruction 0 and
+// Runtime.Discarded says why. A checkpoint that reads fine but belongs to
+// a different exec sequence is refused: the workload changed.
 package checkpoint
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"firemarshal/internal/cas"
 	"firemarshal/internal/hostutil"
@@ -38,13 +45,9 @@ import (
 	"firemarshal/internal/sim"
 )
 
-// Version identifies the checkpoint schema; a reader refuses other
-// versions rather than misinterpreting state.
-const Version = 1
-
 // Config parameterizes a job's checkpoint runtime.
 type Config struct {
-	// Store holds checkpoint blobs (pages, console, extra state).
+	// Store holds the packs and the completed execs' consoles.
 	Store *cas.Store
 	// Dir is where the per-job pointer file lives. It must be outside the
 	// job's run directory, which launchers wipe per attempt.
@@ -60,151 +63,14 @@ type Config struct {
 	// Span, when set, parents one "checkpoint" child span per snapshot
 	// and one "restore" child span per restore in the run trace.
 	Span *obs.Span
-	// OnSnapshot, when set, runs after each snapshot's pointer flip with
+	// OnSnapshot, when set, runs after each snapshot's pointer append with
 	// the new pointer and the checkpoint it names. Distributed workers use
-	// it to replicate the snapshot's blobs into the shared remote cache and
+	// it to replicate what the snapshot added to the shared remote cache and
 	// announce the pointer to their coordinator, so the job can be restored
 	// on another machine. A non-nil error fails the snapshot (and with it
 	// the exec), because a handoff the hook could not make durable must not
 	// be reported as one that was.
 	OnSnapshot func(ptr Pointer, cp *Checkpoint) error
-}
-
-// PageRef names one memory page's content.
-type PageRef struct {
-	PN     uint64 `json:"pn"`
-	Digest string `json:"digest"`
-}
-
-// ExecRecord is the outcome of one completed Platform.Exec, enough to
-// replay it on resume without re-simulating: the platform re-charges
-// Cycles and re-emits the recorded console bytes.
-type ExecRecord struct {
-	// Sig identifies the exec (entry point + arguments); resume refuses
-	// to replay against a workload that issues a different sequence.
-	Sig string `json:"sig"`
-	// Exit is the guest's exit code.
-	Exit int64 `json:"exit"`
-	// Instrs is the instructions retired by this exec.
-	Instrs uint64 `json:"instrs"`
-	// Cycles is the platform cycle delta this exec charged.
-	Cycles uint64 `json:"cycles"`
-	// Console is the CAS digest of the exec's console output.
-	Console string `json:"console"`
-}
-
-// Checkpoint is one serialized snapshot: the completed-exec history plus
-// the in-flight exec's machine state at an instruction boundary.
-type Checkpoint struct {
-	Version int    `json:"version"`
-	Job     string `json:"job"`
-	// ExecIdx is the index (into the platform's exec sequence) of the
-	// in-flight exec this snapshot was taken inside.
-	ExecIdx int `json:"exec"`
-	// Sig is the in-flight exec's signature.
-	Sig string `json:"sig"`
-	// Arch is the machine's architectural state at the snapshot boundary.
-	Arch sim.ArchState `json:"arch"`
-	// Pages lists every mapped page, ascending by page number.
-	Pages []PageRef `json:"pages"`
-	// Extra maps platform state names (e.g. "rtlsim") to blob digests.
-	Extra map[string]string `json:"extra,omitempty"`
-	// Console is the digest of the in-flight exec's console bytes so far.
-	Console string `json:"console"`
-	// Execs records the execs completed before the in-flight one.
-	Execs []ExecRecord `json:"execs,omitempty"`
-}
-
-// Pointer is the per-job pointer file: the latest checkpoint's address.
-type Pointer struct {
-	Job     string `json:"job"`
-	Digest  string `json:"digest"`
-	Exec    int    `json:"exec"`
-	Instret uint64 `json:"instret"`
-}
-
-// PointerPath returns the pointer file path for a job. Path separators
-// in job names are flattened so every pointer stays inside dir.
-func PointerPath(dir, job string) string {
-	safe := strings.NewReplacer("/", "_", string(filepath.Separator), "_").Replace(job)
-	return filepath.Join(dir, safe+".ckpt.json")
-}
-
-// LoadPointer reads one pointer file. A missing file returns fs.ErrNotExist.
-func LoadPointer(path string) (*Pointer, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var p Pointer
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("checkpoint: pointer %s: %w", path, err)
-	}
-	return &p, nil
-}
-
-// Pointers lists every pointer file under dir (no dir is an empty list).
-func Pointers(dir string) ([]*Pointer, error) {
-	ents, err := os.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var out []*Pointer
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".ckpt.json") {
-			continue
-		}
-		p, err := LoadPointer(filepath.Join(dir, e.Name()))
-		if err != nil {
-			// A torn or garbled pointer means that job resumes from
-			// scratch; it must not fail every other job's listing.
-			continue
-		}
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
-	return out, nil
-}
-
-// Load fetches and decodes the checkpoint a pointer names.
-func Load(store *cas.Store, ptr *Pointer) (*Checkpoint, error) {
-	data, err := store.Get(ptr.Digest)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: job %s: %w", ptr.Job, err)
-	}
-	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("checkpoint: job %s: decoding %s: %w", ptr.Job, ptr.Digest[:12], err)
-	}
-	if cp.Version != Version {
-		return nil, fmt.Errorf("checkpoint: job %s: version %d, want %d", ptr.Job, cp.Version, Version)
-	}
-	return &cp, nil
-}
-
-// Refs returns every blob digest the checkpoint references — the set a
-// garbage collector must pin while the run is resumable.
-func (cp *Checkpoint) Refs() []string {
-	var out []string
-	for _, p := range cp.Pages {
-		out = append(out, p.Digest)
-	}
-	for _, d := range cp.Extra {
-		out = append(out, d)
-	}
-	if cp.Console != "" {
-		out = append(out, cp.Console)
-	}
-	for _, e := range cp.Execs {
-		if e.Console != "" {
-			out = append(out, e.Console)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ExecSig computes an exec's identity from its entry point and argument
@@ -243,19 +109,30 @@ type Runtime struct {
 	SaveExtra    func() (map[string][]byte, error)
 	RestoreExtra func(map[string][]byte) error
 
-	resume  *Checkpoint // pending restore target; nil once consumed
-	execIdx int         // index of the next exec
-	execs   []ExecRecord
+	resume *Checkpoint // pending restore target; nil once consumed
+	// pages and consoles are what resume keeps outside its document, read
+	// by Open: its pages' bytes in table order and its completed execs'
+	// transcripts.
+	pages     [][]byte
+	consoles  [][]byte
+	discarded error // why a checkpoint on disk is not the restore target
+	execIdx   int   // index of the next exec
+	execs     []ExecRecord
 
 	// Per-exec state.
-	sig     string
-	rec     *recorder
-	digests map[uint64]string // page -> digest, reused for clean pages
+	sig string
+	rec *recorder
+	// prev is the page table of this exec's previous snapshot (or of the
+	// checkpoint it was restored from): where each page that stays clean
+	// already is.
+	prev []PageRef
 }
 
-// Open creates a job's checkpoint runtime. With resume set and a pointer
-// file present, the runtime replays the recorded execs and restores the
-// in-flight one; otherwise the job starts from scratch.
+// Open creates a job's checkpoint runtime. With resume set and a readable
+// checkpoint behind the job's pointer file, the runtime replays the
+// recorded execs and restores the in-flight one; otherwise the job starts
+// from scratch, and Discarded says so if a checkpoint was there. Without
+// resume the job's pointer file is removed.
 func Open(cfg Config, resume bool) (*Runtime, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("checkpoint: no store configured")
@@ -268,28 +145,65 @@ func Open(cfg Config, resume bool) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg}
 	if !resume {
+		// An attempt from instruction 0 supersedes whatever an earlier one
+		// left; its pointer file starts empty rather than growing on theirs.
+		if err := Clear(cfg.Dir, cfg.Job); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
+		}
 		return rt, nil
 	}
 	ptr, err := LoadPointer(PointerPath(cfg.Dir, cfg.Job))
-	if errors.Is(err, fs.ErrNotExist) {
+	switch {
+	case errors.Is(err, errNoPointerLine):
+		rt.discarded = err
 		return rt, nil
-	}
-	if err != nil {
+	case errors.Is(err, fs.ErrNotExist):
+		return rt, nil
+	case err != nil:
 		return nil, err
 	}
-	cp, err := Load(cfg.Store, ptr)
-	if err != nil {
-		return nil, err
-	}
-	if cp.Job != cfg.Job {
-		return nil, fmt.Errorf("checkpoint: pointer for %s names job %s", cfg.Job, cp.Job)
-	}
-	rt.resume = cp
+	rt.discarded = rt.load(ptr)
 	return rt, nil
+}
+
+// load makes the checkpoint ptr names the restore target, reading every
+// blob it references now, each once, so that one the store cannot produce
+// is found before anything is replayed. It returns why the checkpoint is
+// not usable: it belongs to another job, its exec history does not add up,
+// or a blob it names is missing or corrupt.
+func (rt *Runtime) load(ptr *Pointer) error {
+	job, store := rt.cfg.Job, rt.cfg.Store
+	cp, err := Load(store, ptr)
+	if err != nil {
+		return err
+	}
+	if cp.Job != job {
+		return fmt.Errorf("checkpoint: pointer for %s names job %s", job, cp.Job)
+	}
+	if cp.ExecIdx != len(cp.Execs) {
+		return fmt.Errorf("checkpoint: job %s: in-flight exec %d after %d completed", job, cp.ExecIdx, len(cp.Execs))
+	}
+	pages, err := cp.pageData(store)
+	if err != nil {
+		return err
+	}
+	consoles := make([][]byte, len(cp.Execs))
+	for i, e := range cp.Execs {
+		if consoles[i], err = store.Get(e.Console); err != nil {
+			return fmt.Errorf("checkpoint: job %s exec %d console: %w", job, i, err)
+		}
+	}
+	rt.resume, rt.pages, rt.consoles = cp, pages, consoles
+	return nil
 }
 
 // Resuming reports whether a restore target is still pending.
 func (rt *Runtime) Resuming() bool { return rt.resume != nil }
+
+// Discarded is non-nil when Open found a checkpoint it could not use — a
+// garbled pointer, a pack of another format version, a missing or corrupt
+// blob — and the job therefore starts from instruction 0.
+func (rt *Runtime) Discarded() error { return rt.discarded }
 
 // Execs returns the exec records accumulated this attempt (replayed and
 // live), in order.
@@ -306,16 +220,17 @@ func (rt *Runtime) ReplayNext(sig string) (*ExecRecord, []byte, bool, error) {
 	}
 	rec := rt.resume.Execs[rt.execIdx]
 	if rec.Sig != sig {
-		return nil, nil, false, fmt.Errorf("checkpoint: job %s exec %d: recorded sig %s, workload issued %s (workload changed since crash)",
-			rt.cfg.Job, rt.execIdx, rec.Sig[:12], sig[:12])
+		return nil, nil, false, rt.sigMismatch(rec.Sig, sig)
 	}
-	console, err := rt.cfg.Store.Get(rec.Console)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("checkpoint: job %s exec %d console: %w", rt.cfg.Job, rt.execIdx, err)
-	}
+	console := rt.consoles[rt.execIdx]
 	rt.execs = append(rt.execs, rec)
 	rt.execIdx++
 	return &rec, console, true, nil
+}
+
+func (rt *Runtime) sigMismatch(recorded, issued string) error {
+	return fmt.Errorf("checkpoint: job %s exec %d: recorded sig %.12s, workload issued %.12s (workload changed since crash)",
+		rt.cfg.Job, rt.execIdx, recorded, issued)
 }
 
 // BeginExec prepares a live exec: it installs the snapshot hook on the
@@ -328,7 +243,7 @@ func (rt *Runtime) ReplayNext(sig string) (*ExecRecord, []byte, bool, error) {
 func (rt *Runtime) BeginExec(sig string, m *sim.Machine, console io.Writer) (io.Writer, bool, error) {
 	rt.sig = sig
 	rt.rec = &recorder{w: console}
-	rt.digests = map[uint64]string{}
+	rt.prev = nil
 	m.CkptEvery = rt.cfg.Every
 	if rt.cfg.Every != 0 {
 		m.CkptFn = rt.snapshot
@@ -337,54 +252,26 @@ func (rt *Runtime) BeginExec(sig string, m *sim.Machine, console io.Writer) (io.
 	if rt.resume == nil || rt.execIdx != rt.resume.ExecIdx {
 		return rt.rec, false, nil
 	}
-	cp := rt.resume
-	rt.resume = nil // consumed either way; a failed restore re-runs fresh state
+	cp, pages := rt.resume, rt.pages
+	rt.resume, rt.pages, rt.consoles = nil, nil, nil // consumed either way
 	if cp.Sig != sig {
-		return nil, false, fmt.Errorf("checkpoint: job %s exec %d: recorded sig %s, workload issued %s (workload changed since crash)",
-			rt.cfg.Job, rt.execIdx, cp.Sig[:12], sig[:12])
+		return nil, false, rt.sigMismatch(cp.Sig, sig)
 	}
-
-	m.Mem.Reset()
-	for _, pref := range cp.Pages {
-		data, err := rt.cfg.Store.Get(pref.Digest)
-		if err != nil {
-			return nil, false, fmt.Errorf("checkpoint: job %s page %#x: %w", rt.cfg.Job, pref.PN, err)
-		}
-		if err := m.Mem.SetPage(pref.PN, data); err != nil {
-			return nil, false, err
-		}
-		rt.digests[pref.PN] = pref.Digest
+	if len(cp.Extra) > 0 && rt.RestoreExtra == nil {
+		return nil, false, fmt.Errorf("checkpoint: job %s: snapshot has platform state but platform cannot restore it", rt.cfg.Job)
 	}
-	m.RestoreArch(cp.Arch)
-
+	cp.install(m, pages)
+	rt.prev = cp.table()
 	if len(cp.Extra) > 0 {
-		if rt.RestoreExtra == nil {
-			return nil, false, fmt.Errorf("checkpoint: job %s: snapshot has platform state but platform cannot restore it", rt.cfg.Job)
-		}
-		extra := make(map[string][]byte, len(cp.Extra))
-		for name, digest := range cp.Extra {
-			data, err := rt.cfg.Store.Get(digest)
-			if err != nil {
-				return nil, false, fmt.Errorf("checkpoint: job %s extra %q: %w", rt.cfg.Job, name, err)
-			}
-			extra[name] = data
-		}
-		if err := rt.RestoreExtra(extra); err != nil {
+		if err := rt.RestoreExtra(cp.Extra); err != nil {
 			return nil, false, fmt.Errorf("checkpoint: job %s: %w", rt.cfg.Job, err)
 		}
 	}
-
-	if cp.Console != "" {
-		partial, err := rt.cfg.Store.Get(cp.Console)
-		if err != nil {
-			return nil, false, fmt.Errorf("checkpoint: job %s console: %w", rt.cfg.Job, err)
-		}
-		// Re-emit the pre-crash output so the resumed transcript is
-		// byte-identical, and seed the recorder so the next snapshot and
-		// the final exec record carry the full transcript.
-		if _, err := rt.rec.Write(partial); err != nil {
-			return nil, false, err
-		}
+	// Re-emit the pre-crash output so the resumed transcript is
+	// byte-identical, and seed the recorder so the next snapshot and the
+	// final exec record carry the full transcript.
+	if _, err := rt.rec.Write(cp.Console); err != nil {
+		return nil, false, err
 	}
 	rt.cfg.Obs.Counter("checkpoint_restores_total").Inc()
 	restoreSpan := rt.cfg.Span.Child("restore")
@@ -409,79 +296,38 @@ func (rt *Runtime) FinishExec(exit int64, instrs, cycles uint64) error {
 	})
 	rt.execIdx++
 	rt.rec = nil
-	rt.digests = nil
+	rt.prev = nil
 	return nil
 }
 
 // snapshot is the sim.Machine CkptFn: serialize the machine at the
-// current instruction boundary and flip the pointer file to it.
+// current instruction boundary into one pack and append its pointer.
 func (rt *Runtime) snapshot(m *sim.Machine) error {
 	span := rt.cfg.Span.Child("checkpoint")
 	defer span.End()
 	cp := &Checkpoint{
-		Version: Version,
 		Job:     rt.cfg.Job,
 		ExecIdx: rt.execIdx,
 		Sig:     rt.sig,
 		Arch:    m.SaveArch(),
+		Console: append([]byte(nil), rt.rec.buf.Bytes()...),
 		Execs:   append([]ExecRecord(nil), rt.execs...),
 	}
-
-	// Only re-hash pages written since the previous snapshot; clean pages
-	// reuse their cached digest (and the CAS dedups the bytes regardless).
-	dirty := m.Mem.TakeDirty()
-	for _, pn := range m.Mem.PageNumbers() {
-		digest, ok := rt.digests[pn]
-		if _, wrote := dirty[pn]; wrote || !ok {
-			var err error
-			digest, err = rt.cfg.Store.Put(m.Mem.PageBytes(pn))
-			if err != nil {
-				return fmt.Errorf("checkpoint: job %s: storing page %#x: %w", rt.cfg.Job, pn, err)
-			}
-			rt.digests[pn] = digest
-		}
-		cp.Pages = append(cp.Pages, PageRef{PN: pn, Digest: digest})
-	}
-
-	consoleDigest, err := rt.cfg.Store.Put(rt.rec.buf.Bytes())
-	if err != nil {
-		return fmt.Errorf("checkpoint: job %s: storing console: %w", rt.cfg.Job, err)
-	}
-	cp.Console = consoleDigest
-
 	if rt.SaveExtra != nil {
-		extra, err := rt.SaveExtra()
-		if err != nil {
+		var err error
+		if cp.Extra, err = rt.SaveExtra(); err != nil {
 			return fmt.Errorf("checkpoint: job %s: saving platform state: %w", rt.cfg.Job, err)
 		}
-		if len(extra) > 0 {
-			cp.Extra = make(map[string]string, len(extra))
-			for name, data := range extra {
-				digest, err := rt.cfg.Store.Put(data)
-				if err != nil {
-					return fmt.Errorf("checkpoint: job %s: storing %q state: %w", rt.cfg.Job, name, err)
-				}
-				cp.Extra[name] = digest
-			}
-		}
 	}
-
-	data, err := json.Marshal(cp)
+	digest, err := writePack(rt.cfg.Store, cp, m.Mem, rt.prev, m.Mem.TakeDirty())
 	if err != nil {
 		return err
 	}
-	digest, err := rt.cfg.Store.Put(data)
-	if err != nil {
-		return fmt.Errorf("checkpoint: job %s: storing checkpoint: %w", rt.cfg.Job, err)
-	}
+	rt.prev = cp.table()
 	ptr := Pointer{Job: rt.cfg.Job, Digest: digest, Exec: rt.execIdx, Instret: cp.Arch.Instret}
-	pdata, err := json.MarshalIndent(&ptr, "", "  ")
-	if err != nil {
+	// The pointer only ever names a fully stored pack.
+	if err := appendPointer(PointerPath(rt.cfg.Dir, rt.cfg.Job), &ptr); err != nil {
 		return err
-	}
-	// Atomic flip: the pointer only ever names a fully stored checkpoint.
-	if err := hostutil.WriteFileAtomic(PointerPath(rt.cfg.Dir, rt.cfg.Job), pdata, 0o644); err != nil {
-		return fmt.Errorf("checkpoint: job %s: writing pointer: %w", rt.cfg.Job, err)
 	}
 	rt.cfg.Obs.Counter("checkpoint_writes_total").Inc()
 	if rt.cfg.OnSnapshot != nil {
@@ -490,26 +336,4 @@ func (rt *Runtime) snapshot(m *sim.Machine) error {
 		}
 	}
 	return nil
-}
-
-// Clear removes the job's pointer file — called once the job's final
-// status is durable in the journal, so the GC may reclaim its blobs.
-func Clear(dir, job string) error {
-	err := os.Remove(PointerPath(dir, job))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// Verify checks that every blob a checkpoint references is present in
-// the store, returning a description of each problem.
-func (cp *Checkpoint) Verify(store *cas.Store) []string {
-	var problems []string
-	for _, d := range cp.Refs() {
-		if !store.Has(d) {
-			problems = append(problems, fmt.Sprintf("checkpoint for %s (exec %d): missing blob %s", cp.Job, cp.ExecIdx, d[:12]))
-		}
-	}
-	return problems
 }

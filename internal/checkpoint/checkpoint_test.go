@@ -49,7 +49,7 @@ outer:
     ecall
 `
 
-func openStore(t *testing.T) (*cas.Store, string) {
+func openStore(t testing.TB) (*cas.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	store, err := cas.Open(filepath.Join(dir, "cas"))
@@ -62,7 +62,7 @@ func openStore(t *testing.T) (*cas.Store, string) {
 // miniPlatform drives execs the way funcsim does, threading the platform
 // cycle counter through successive machines.
 type miniPlatform struct {
-	t      *testing.T
+	t      testing.TB
 	rt     *Runtime
 	cycles uint64
 }
@@ -231,6 +231,72 @@ func TestResumeWithoutPointerRunsFresh(t *testing.T) {
 	}
 }
 
+// TestCorruptBlobRestartsFromScratch: a checkpoint whose latest pack reads
+// fine but which names a blob the store cannot produce intact — an earlier
+// pack still holding clean pages, a completed exec's console — is discarded
+// by Open, before anything is replayed, and the job runs from instruction 0
+// to the uninterrupted run's results.
+func TestCorruptBlobRestartsFromScratch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		victim func(cp *Checkpoint) string
+	}{
+		{"earlier pack", func(cp *Checkpoint) string {
+			for _, p := range cp.Pages {
+				if p.Pack != "" {
+					return p.Pack
+				}
+			}
+			return ""
+		}},
+		{"completed exec's console", func(cp *Checkpoint) string { return cp.Execs[0].Console }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, ptrDir := openStore(t)
+			cfg := Config{Store: store, Dir: ptrDir, Job: "job0", Every: 1000}
+			rt, err := Open(cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			straight := &miniPlatform{t: t, rt: rt}
+			s0, s1 := straight.exec(progShort, 0), straight.exec(progLong, 0)
+
+			if rt, err = Open(cfg, false); err != nil {
+				t.Fatal(err)
+			}
+			crash := &miniPlatform{t: t, rt: rt}
+			crash.exec(progShort, 0)
+			crash.exec(progLong, 3)
+			ptr, err := LoadPointer(PointerPath(ptrDir, cfg.Job))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := Load(store, ptr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := tc.victim(cp)
+			if victim == "" || victim == ptr.Digest {
+				t.Fatalf("no blob to corrupt beside the latest pack (victim %q)", victim)
+			}
+			if err := os.WriteFile(cas.BlobPath(store.Dir(), victim), []byte("bit rot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if rt, err = Open(cfg, true); err != nil {
+				t.Fatalf("Open over a corrupt blob: %v", err)
+			}
+			if rt.Resuming() || rt.Discarded() == nil {
+				t.Fatalf("Resuming = %v, Discarded = %v; want the checkpoint discarded", rt.Resuming(), rt.Discarded())
+			}
+			again := &miniPlatform{t: t, rt: rt}
+			if r0, r1 := again.exec(progShort, 0), again.exec(progLong, 0); *r0 != *s0 || *r1 != *s1 {
+				t.Errorf("restarted run = %+v, %+v; want %+v, %+v", r0, r1, s0, s1)
+			}
+		})
+	}
+}
+
 // TestSigMismatchRefuses checks a changed workload is detected rather
 // than silently resumed into the wrong program.
 func TestSigMismatchRefuses(t *testing.T) {
@@ -254,22 +320,55 @@ func TestSigMismatchRefuses(t *testing.T) {
 	}
 }
 
-// TestSnapshotDedupsCleanPages checks successive snapshots reuse digests
-// for pages the guest did not touch between boundaries (the code page
-// never changes after the first snapshot).
+// TestSnapshotDedupsCleanPages pins what a page costs: a snapshot is one
+// blob whatever the guest mapped, and a page the guest did not write since
+// the previous snapshot costs a page-table entry and no bytes (progPages
+// maps eight data pages up front, then keeps dirtying one).
 func TestSnapshotDedupsCleanPages(t *testing.T) {
 	store, ptrDir := openStore(t)
-	cfg := Config{Store: store, Dir: ptrDir, Job: "job-dedup", Every: 1000}
+	type snap struct {
+		digest     string
+		pages, own int
+	}
+	var snaps []snap
+	cfg := Config{Store: store, Dir: ptrDir, Job: "job-dedup", Every: 1000,
+		OnSnapshot: func(ptr Pointer, cp *Checkpoint) error {
+			s := snap{digest: ptr.Digest, pages: len(cp.Pages)}
+			for _, p := range cp.Pages {
+				if p.Pack == "" {
+					s.own++
+				}
+			}
+			snaps = append(snaps, s)
+			return nil
+		}}
 	rt, err := Open(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &miniPlatform{t: t, rt: rt}
-	p.exec(progLong, 0)
+	(&miniPlatform{t: t, rt: rt}).exec(progPages, 0)
 
-	_, dedups := store.PutStats()
-	if dedups == 0 {
-		t.Error("no blob dedup across snapshots; every page re-stored every time")
+	if len(snaps) < 5 {
+		t.Fatalf("%d snapshots, want several", len(snaps))
+	}
+	for i, s := range snaps {
+		size, err := store.BlobSize(s.digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.pages < 9 {
+			t.Errorf("snapshot %d maps %d pages; the bounds below mean nothing under 9", i, s.pages)
+		}
+		switch {
+		case i == 0 && s.own != s.pages:
+			t.Errorf("first snapshot holds %d of its %d pages", s.own, s.pages)
+		case i > 0 && (s.own > 2 || size > 3*sim.PageSize):
+			t.Errorf("snapshot %d: %d own pages in a %d-byte pack; the guest dirtied one data page", i, s.own, size)
+		}
+	}
+	// One pack per snapshot and the finished exec's console: nothing else.
+	if puts, _ := store.PutStats(); int(puts) != len(snaps)+1 {
+		t.Errorf("%d blobs written for %d snapshots, want snapshots + 1", puts, len(snaps))
 	}
 }
 
@@ -284,17 +383,25 @@ func TestPointerLifecycle(t *testing.T) {
 	p := &miniPlatform{t: t, rt: rt}
 	p.exec(progLong, 2)
 
-	// A torn pointer (crash mid-write would be prevented by the atomic
-	// rename, but disk corruption isn't) must not break listing.
+	// A pointer file with no intact line must not break listing, and an
+	// append torn by a crash leaves the line before it in force.
 	if err := os.WriteFile(filepath.Join(ptrDir, "garbled.ckpt.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	f, err := os.OpenFile(PointerPath(ptrDir, "job-a"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("\n{\"job\":\"job-a\",\"digest\":\"12"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 	ptrs, err := Pointers(ptrDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ptrs) != 1 || ptrs[0].Job != "job-a" {
-		t.Fatalf("pointers = %+v, want exactly job-a", ptrs)
+	if len(ptrs) != 1 || ptrs[0].Job != "job-a" || ptrs[0].Instret != 2000 {
+		t.Fatalf("pointers = %+v, want exactly job-a at its second snapshot", ptrs)
 	}
 
 	cp, err := Load(store, ptrs[0])
@@ -308,8 +415,17 @@ func TestPointerLifecycle(t *testing.T) {
 		t.Fatal("checkpoint references no blobs")
 	}
 
-	// Remove one referenced page blob: Verify must report it.
-	missing := cp.Pages[0].Digest
+	// Remove the first snapshot's pack, which still holds the pages the
+	// second left clean: Verify must report it.
+	missing := ""
+	for _, p := range cp.Pages {
+		if p.Pack != "" {
+			missing = p.Pack
+		}
+	}
+	if missing == "" {
+		t.Fatal("second snapshot names no earlier pack")
+	}
 	if err := os.Remove(cas.BlobPath(store.Dir(), missing)); err != nil {
 		t.Fatal(err)
 	}

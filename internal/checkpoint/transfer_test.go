@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"firemarshal/internal/cas"
+	"firemarshal/internal/sim"
 )
 
 // progPages maps eight data pages, then spends ~9k instructions dirtying
@@ -88,10 +89,10 @@ func (f *flakyRemote) PutAction(context.Context, *cas.Action) error { return nil
 // TestPushSendsOnlyNewBlobsAndFetchRestores is the fleet handoff in
 // miniature, over a remote that drops the first request of every digest: a
 // worker pushes each snapshot as it is taken and is killed; every snapshot
-// after the first uploads only what the guest dirtied since (k pages, plus
-// the document, the console and platform state), no digest goes up twice,
-// and a worker with an empty store fetches the last pointer and finishes the
-// job bit-identically to an uninterrupted run.
+// uploads exactly one blob, its pack — which after the first holds only
+// what the guest dirtied since — no digest goes up twice, and a worker with
+// an empty store fetches the last pointer and finishes the job
+// bit-identically to an uninterrupted run.
 func TestPushSendsOnlyNewBlobsAndFetchRestores(t *testing.T) {
 	ctx := context.Background()
 	refStore, refDir := openStore(t)
@@ -105,28 +106,23 @@ func TestPushSendsOnlyNewBlobsAndFetchRestores(t *testing.T) {
 	storeA, dirA := openStore(t)
 	sent := map[string]bool{}
 	var last Pointer
-	var prev map[uint64]string
 	snapshots := 0
 	rtA, err := Open(Config{Store: storeA, Dir: dirA, Job: "job", Every: 1000,
 		OnSnapshot: func(ptr Pointer, cp *Checkpoint) error {
 			before := len(rem.puts)
-			if err := Push(ctx, storeA, rem, &ptr, cp, sent); err != nil {
+			if err := Push(ctx, storeA, rem, cp, sent); err != nil {
 				return err
 			}
-			dirty, pages := 0, map[uint64]string{}
-			for _, p := range cp.Pages {
-				pages[p.PN] = p.Digest
-				if prev[p.PN] != p.Digest {
-					dirty++
-				}
+			if puts := rem.puts[before:]; len(puts) != 1 || puts[0] != ptr.Digest {
+				t.Errorf("snapshot %d uploaded %d blobs, want its pack alone", snapshots, len(puts))
 			}
-			if puts := len(rem.puts) - before; prev != nil && puts > dirty+3 {
-				t.Errorf("snapshot %d dirtied %d of %d pages and made %d uploads, want <= %d", snapshots, dirty, len(pages), puts, dirty+3)
+			if len(cp.Pages) < 8 {
+				t.Errorf("snapshot %d maps %d pages; the bound below means nothing under 8", snapshots, len(cp.Pages))
 			}
-			if len(pages) < 8 {
-				t.Errorf("snapshot %d maps %d pages; the bound above means nothing under 8", snapshots, len(pages))
+			if n := len(rem.blobs[ptr.Digest]); snapshots > 0 && n > 3*sim.PageSize {
+				t.Errorf("snapshot %d uploaded %d bytes; the guest dirtied one data page", snapshots, n)
 			}
-			prev, last = pages, ptr
+			last = ptr
 			snapshots++
 			return nil
 		}}, false)
@@ -146,8 +142,12 @@ func TestPushSendsOnlyNewBlobsAndFetchRestores(t *testing.T) {
 	}
 
 	storeB, dirB := openStore(t)
-	if err := Fetch(ctx, storeB, rem, &last); err != nil {
+	cp, err := Fetch(ctx, storeB, rem, &last)
+	if err != nil {
 		t.Fatalf("fresh worker could not fetch the checkpoint: %v", err)
+	}
+	if refs := cp.Refs(); len(refs) < 2 || len(refs) > snapshots {
+		t.Errorf("fetched checkpoint references %d blobs, want the packs of the 5 snapshots that still hold a page", len(refs))
 	}
 	if err := WritePointer(dirB, &last); err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestPushSendsOnlyNewBlobsAndFetchRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rtB.Resuming() {
-		t.Fatal("fresh worker found no checkpoint to resume")
+		t.Fatalf("fresh worker found no checkpoint to resume: %v", rtB.Discarded())
 	}
 	if got := (&miniPlatform{t: t, rt: rtB}).exec(progPages, 0); *got != *want {
 		t.Errorf("resumed on a fresh worker: %+v, want %+v", *got, *want)

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,10 +144,28 @@ func TestDistributedLaunchMatchesLocal(t *testing.T) {
 // its lease; the coordinator re-leases the job to the surviving worker,
 // which restores from the handed-off checkpoint and finishes — in the SAME
 // `marshal launch` invocation — with cycle counts and console bytes
-// bit-identical to an uninterrupted local run.
+// bit-identical to an uninterrupted local run. The handoff follows the
+// packs: the shared cache receives each snapshot's pack once and, beside
+// the packs, a number of blobs that does not grow with the run.
 func TestDistributedCrashResumeBitIdentical(t *testing.T) {
 	e := newEnv(t)
-	srv := startSharedCache(t, e.m)
+	hub, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	uploads := map[string]int{} // blob digest -> PUTs
+	cache := casremote.NewServer(hub)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if digest, ok := strings.CutPrefix(r.URL.Path, "/v1/blobs/"); ok && r.Method == http.MethodPut {
+			mu.Lock()
+			uploads[digest]++
+			mu.Unlock()
+		}
+		cache.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	e.m.RemoteCache = srv.URL
 	writeLoopOverlay(t, e, 15000000)
 	e.write(t, "crashy.json", `{
   "name": "crashy", "base": "br-base", "overlay": "overlay-loop",
@@ -255,6 +276,30 @@ func TestDistributedCrashResumeBitIdentical(t *testing.T) {
 	}
 	if len(ptrs) != 0 {
 		t.Errorf("pointers after successful fleet run: %+v", ptrs)
+	}
+
+	// A snapshot costs the shared cache one upload, its pack, and the
+	// survivor re-sends none of what it fetched. Everything else that went
+	// up does not grow with the run: boot binary, disk image, each job's
+	// console, the consoles of the execs slow completed before its loop, per
+	// attempt (13 requests when this was written), and the few snapshots the
+	// dead worker pushed but never announced, which the survivor takes again
+	// bit for bit.
+	const otherUploads = 24
+	mu.Lock()
+	defer mu.Unlock()
+	packs, total := 0, 0
+	for digest, n := range uploads {
+		total += n
+		if data, err := hub.Get(digest); err == nil && strings.HasPrefix(string(data), "FMCK") {
+			packs++
+		}
+	}
+	if packs < 100 {
+		t.Errorf("%d packs on the shared cache: the run is too short for the bound below to mean anything", packs)
+	}
+	if total > packs+otherUploads {
+		t.Errorf("%d uploads for %d snapshots, want at most snapshots + %d", total, packs, otherUploads)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"firemarshal/internal/checkpoint"
 	"firemarshal/internal/isa"
 	"firemarshal/internal/launcher"
+	"firemarshal/internal/obs"
 )
 
 // writeLoopOverlay installs a guest binary that spins for ~2*count
@@ -214,5 +216,170 @@ func TestResumeFailsJobStillNonZero(t *testing.T) {
 	}
 	if recs[1].Job != "mixed-bad" || recs[1].Status != launcher.StatusFailed {
 		t.Errorf("bad record = %+v", recs[1])
+	}
+}
+
+// TestUnreadableCheckpointRestartsJob: a checkpoint -resume cannot read is
+// that job starting over from instruction 0 with a log line saying why,
+// never a failed job — what the parent commit left behind (an indented
+// pointer file naming a version-1 JSON document), a current pointer naming
+// such a document, and a pointer naming a pack the store does not have.
+func TestUnreadableCheckpointRestartsJob(t *testing.T) {
+	const v1Doc = `{"version":1,"job":"crashy-slow","exec":0,"sig":"s","arch":{"regs":[],"pc":0},"pages":[{"pn":16,"digest":"00"}],"console":""}`
+	v1Pointer := func(digest string) string {
+		return "{\n  \"job\": \"crashy-slow\",\n  \"digest\": \"" + digest + "\",\n  \"exec\": 0,\n  \"instret\": 100000\n}"
+	}
+	linePointer := func(digest string) string {
+		return `{"job":"crashy-slow","digest":"` + digest + `","exec":0,"instret":100000}` + "\n"
+	}
+	for _, tc := range []struct {
+		name    string
+		pointer func(v1Digest string) string
+	}{
+		{"v1 pointer and document", v1Pointer},
+		{"pointer naming a v1 document", linePointer},
+		{"pointer naming an absent pack", func(string) string { return linePointer(strings.Repeat("ab", 32)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkout := func() *testEnv {
+				e := newEnv(t)
+				writeLoopOverlay(t, e, 300000)
+				e.write(t, "crashy.json", `{
+  "name": "crashy", "base": "br-base", "overlay": "overlay-loop",
+  "jobs": [{"name": "slow", "command": "/bench/loop"}]}`)
+				return e
+			}
+			// The uninterrupted run has a checkout of its own: in e it would
+			// leave a manifest for -resume to carry.
+			straight, err := checkout().m.Launch("crashy", LaunchOpts{Jobs: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := checkout()
+
+			cache, err := e.m.Cache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, err := cache.Local().Put([]byte(v1Doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptrPath := checkpoint.PointerPath(e.m.CkptDir(), "crashy-slow")
+			if err := os.MkdirAll(e.m.CkptDir(), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(ptrPath, []byte(tc.pointer(digest)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var log bytes.Buffer
+			e.m.Log = &log
+			results, err := e.m.Launch("crashy", LaunchOpts{Jobs: 1, Resume: true, CkptEvery: 100000})
+			if err != nil {
+				t.Fatalf("resume over an unreadable checkpoint: %v (log:\n%s)", err, log.String())
+			}
+			if len(results) != 1 || results[0].Cycles != straight[0].Cycles || results[0].ExitCode != 0 {
+				t.Errorf("resumed result = %+v, want the uninterrupted run's %+v", results[0], straight[0])
+			}
+			if j := e.m.LastLaunch.Jobs[0]; j.Status != launcher.StatusOK || j.Resumed || j.Attempts != 1 {
+				t.Errorf("summary = %+v, want ok in one attempt, not resumed", j)
+			}
+			if n := strings.Count(log.String(), "starts from instruction 0"); n != 1 {
+				t.Errorf("%d log lines name the restart, want 1:\n%s", n, log.String())
+			}
+		})
+	}
+}
+
+// TestCheckpointInodeCensus pins what checkpointing leaves on disk: a job
+// that takes N snapshots adds N packs and the consoles of its finished
+// execs under blobs/ — not a blob per page — and one pointer file, which is
+// there while the job is unfinished and gone once it is; nothing is written
+// by temp+rename beside the pointers.
+func TestCheckpointInodeCensus(t *testing.T) {
+	e := newEnv(t)
+	writeLoopOverlay(t, e, 15000000)
+	e.write(t, "crashy.json", `{
+  "name": "crashy", "base": "br-base", "overlay": "overlay-loop",
+  "jobs": [{"name": "slow", "command": "/bench/loop"}]}`)
+	if _, err := e.m.Build("crashy", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := e.m.Cache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := func() int {
+		ents, err := os.ReadDir(filepath.Join(cache.Local().Dir(), "blobs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			if strings.HasPrefix(ent.Name(), ".tmp-") {
+				t.Errorf("temp file %s left under blobs/", ent.Name())
+			}
+		}
+		return len(ents)
+	}
+	ckptFiles := func() []string {
+		ents, err := os.ReadDir(e.m.CkptDir())
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, ent := range ents {
+			names = append(names, ent.Name())
+		}
+		return names
+	}
+	built := blobs()
+	e.m.Obs = obs.NewRegistry()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	ptrPath := checkpoint.PointerPath(e.m.CkptDir(), "crashy-slow")
+	go func() {
+		// Let a fair number of snapshots land before the kill.
+		for {
+			if ptr, err := checkpoint.LoadPointer(ptrPath); err == nil && ptr.Instret >= 2000000 {
+				cancel()
+				return
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	_, err = e.m.Launch("crashy", LaunchOpts{Jobs: 1, Context: ctx, CkptEvery: 100000})
+	close(done)
+	if err == nil {
+		t.Fatal("interrupted launch reported success")
+	}
+	snaps := int(e.m.Obs.Counter("checkpoint_writes_total").Value())
+	if snaps < 20 {
+		t.Fatalf("%d snapshots before the kill, want at least 20", snaps)
+	}
+	// k: the consoles of the execs the guest finished before its loop.
+	const k = 4
+	if got := blobs() - built; got < snaps || got > snaps+k {
+		t.Errorf("%d snapshots added %d entries under blobs/, want between N and N+%d", snaps, got, k)
+	}
+	if got := ckptFiles(); len(got) != 1 || got[0] != filepath.Base(ptrPath) {
+		t.Errorf("checkpoint directory holds %v, want the unfinished job's pointer file alone", got)
+	}
+
+	if _, err := e.m.Launch("crashy", LaunchOpts{Jobs: 1, Resume: true, CkptEvery: 100000}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ckptFiles(); len(got) != 0 {
+		t.Errorf("checkpoint directory holds %v after the job finished", got)
+	}
+	total := int(e.m.Obs.Counter("checkpoint_writes_total").Value())
+	if got := blobs() - built; got < total || got > total+2*k {
+		t.Errorf("%d snapshots over both attempts added %d entries under blobs/, want between N and N+%d", total, got, 2*k)
 	}
 }

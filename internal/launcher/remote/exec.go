@@ -126,6 +126,8 @@ func Execute(ctx context.Context, x Exec) (*Result, *Files, error) {
 		}
 		if ckpt.Resuming() {
 			logf(x.Log, "resume: %s restoring from checkpoint", x.Name)
+		} else if why := ckpt.Discarded(); why != nil {
+			logf(x.Log, "resume: %s starts from instruction 0, its checkpoint is unusable: %v", x.Name, why)
 		}
 	}
 

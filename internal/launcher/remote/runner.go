@@ -95,10 +95,23 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	// Checkpointing: a handed-off pointer is fetched from the shared cache
 	// and staged locally before the runtime opens it; every snapshot this
 	// attempt takes is replicated back and announced, so the NEXT handoff
-	// can happen from here.
+	// can happen from here. sent is what the remote has already: a snapshot
+	// sends only the blobs that are not in it — a handed-off checkpoint's
+	// came from there, and after the attempt's first snapshot each one adds
+	// a single pack.
+	sent := map[string]bool{}
 	if spec.Ckpt != nil {
-		if err := checkpoint.Fetch(ctx, r.Store, r.Remote, spec.Ckpt); err != nil {
+		cp, err := checkpoint.Fetch(ctx, r.Store, r.Remote, spec.Ckpt)
+		if err != nil {
 			return nil, fmt.Errorf("remote: job %s: fetching checkpoint: %w", spec.Name, err)
+		}
+		for _, digest := range cp.Refs() {
+			sent[digest] = true
+		}
+		// The staged file is the handed-off pointer alone, whatever an
+		// earlier attempt at this job left on this worker.
+		if err := checkpoint.Clear(r.CkptDir, spec.Name); err != nil {
+			return nil, err
 		}
 		if err := checkpoint.WritePointer(r.CkptDir, spec.Ckpt); err != nil {
 			return nil, err
@@ -108,15 +121,12 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	}
 	if spec.CkptEvery > 0 || spec.Ckpt != nil {
 		x.Resume = spec.Ckpt != nil
-		// What this attempt has uploaded: a snapshot sends only the blobs
-		// the previous ones did not. A resumed attempt starts empty.
-		sent := map[string]bool{}
 		x.Ckpt = &checkpoint.Config{
 			Store: r.Store,
 			Dir:   r.CkptDir,
 			Every: spec.CkptEvery,
 			OnSnapshot: func(ptr checkpoint.Pointer, cp *checkpoint.Checkpoint) error {
-				if err := checkpoint.Push(ctx, r.Store, r.Remote, &ptr, cp, sent); err != nil {
+				if err := checkpoint.Push(ctx, r.Store, r.Remote, cp, sent); err != nil {
 					return err
 				}
 				emit(Event{Type: EventCheckpoint, Job: spec.Name, Ckpt: &ptr})

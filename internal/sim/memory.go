@@ -10,13 +10,16 @@ import (
 const pageBits = 12
 const pageSize = 1 << pageBits
 
-// tlbBits sizes the software TLB: a small direct-mapped cache of page
-// pointers that lets the common load/store skip the page-map lookup.
-const tlbBits = 6
+// tlbBits sizes the software TLB: a direct-mapped cache of page pointers
+// that lets the common load/store skip the page-map lookup. 256 entries
+// reach 1 MiB of guest working set; the size is the smallest of
+// 64/256/1024/4096 within run-to-run spread of the best on every benchmark
+// shape and mix (DESIGN.md "Guest memory" has the sweep).
+const tlbBits = 8
 const tlbSize = 1 << tlbBits
 
 // PageSize is the page granularity, exported so checkpointing can store
-// and restore whole pages as content-addressed blobs.
+// and restore whole pages.
 const PageSize = pageSize
 
 // tlbEntry caches one page-number -> page-pointer translation. The tag is

@@ -22,12 +22,24 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining of the shared RV64IM rules (internal/sim/semantics.go)"
+echo "== inlining of the shared RV64IM rules and the soft-TLB probes (internal/sim)"
 # All three executors call the value rules in semantics.go once per retired
 # instruction, so one that stops inlining silently becomes a call each. The
 # four store helpers are calls by design (their TLB-hit test is what
 # inlines), so they are the only functions of that file allowed here.
-INLINING="$(go build -gcflags=-m=2 ./internal/sim 2>&1 | grep 'semantics\.go:.*inline' || true)"
+# memory.go's lookup and storeHit, the soft-TLB hit tests every guest load
+# and store starts with, must be reported inlinable for the same reason.
+REPORT="$(go build -gcflags=-m=2 ./internal/sim 2>&1 | grep -E '(semantics|memory)\.go:.*inline' || true)"
+for probe in lookup storeHit; do
+    case "$REPORT" in
+    *"can inline (*Memory).$probe "*) ;;
+    *)
+        echo "check.sh: memory.go's (*Memory).$probe no longer inlines into the executors" >&2
+        exit 1
+        ;;
+    esac
+done
+INLINING="$(printf '%s\n' "$REPORT" | grep 'semantics\.go:' || true)"
 case "$INLINING" in
 *"can inline slt "*) ;;
 *)
