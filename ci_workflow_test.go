@@ -235,6 +235,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzActionLog":        "./internal/cas",
 		"FuzzLoadPointer":      "./internal/checkpoint",
 		"FuzzDecodePack":       "./internal/checkpoint",
+		"FuzzFirmwareDecode":   "./internal/firmware",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

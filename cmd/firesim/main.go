@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"firemarshal/internal/fsrun"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/install"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/launcher/remote"
@@ -33,7 +35,7 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-func run(args []string) int {
+func run(args []string) (code int) {
 	fs := flag.NewFlagSet("firesim", flag.ContinueOnError)
 	configDir := fs.String("config", "", "installed workload directory (from `marshal install`)")
 	outputDir := fs.String("output", "", "directory for per-job run outputs")
@@ -102,31 +104,44 @@ func run(args []string) int {
 	if *verbose {
 		opts.Log = os.Stderr
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	// A profile is collected in memory and replaces its file at exit; an
+	// empty file written first fails an unwritable path before the run, and
+	// a write that fails at exit all the same fails the exit status.
+	writeProfile := func(flag, path string, prof []byte) bool {
+		err := hostutil.WriteFileAtomic(path, prof, 0o644)
 		if err != nil {
+			fmt.Fprintf(os.Stderr, "firesim: %s: %v\n", flag, err)
+			code = 1
+		}
+		return err == nil
+	}
+	if *cpuprofile != "" {
+		if !writeProfile("cpuprofile", *cpuprofile, nil) {
+			return 1
+		}
+		var prof bytes.Buffer
+		if err := pprof.StartCPUProfile(&prof); err != nil {
 			fmt.Fprintln(os.Stderr, "firesim: cpuprofile:", err)
 			return 1
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "firesim: cpuprofile:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			writeProfile("cpuprofile", *cpuprofile, prof.Bytes())
+		}()
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "firesim: memprofile:", err)
+		if !writeProfile("memprofile", *memprofile, nil) {
 			return 1
 		}
 		defer func() {
 			runtime.GC() // materialize up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			var prof bytes.Buffer
+			if err := pprof.WriteHeapProfile(&prof); err != nil {
 				fmt.Fprintln(os.Stderr, "firesim: memprofile:", err)
+				code = 1
+				return
 			}
-			f.Close()
+			writeProfile("memprofile", *memprofile, prof.Bytes())
 		}()
 	}
 	res, runErr := fsrun.Run(cfg, opts)

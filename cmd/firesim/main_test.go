@@ -98,6 +98,21 @@ func TestFireSimCLIProfiles(t *testing.T) {
 			t.Errorf("%s is empty", name)
 		}
 	}
+
+	// A profile path that cannot be written fails before the run starts.
+	blocked := filepath.Join(t.TempDir(), "a-file")
+	if err := os.WriteFile(blocked, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		if code := run([]string{"-config", configDir, "-output", out, flag, filepath.Join(blocked, "p.pprof")}); code != 1 {
+			t.Errorf("%s under a file: exit = %d, want 1", flag, code)
+		}
+		if _, err := os.Stat(filepath.Join(out, "manifest.jsonl")); err == nil {
+			t.Errorf("%s under a file: the run went ahead", flag)
+		}
+	}
 }
 
 func TestFireSimCLIArgErrors(t *testing.T) {

@@ -309,11 +309,15 @@ func (c *Cache) Lookup(key string) *Action {
 // self-heal: Get already quarantined the bad bytes, the remote refetch is
 // digest-verified by GetBlob, and the put rewrites the blob in place under
 // the digest just checked. A failed write-back only degrades — the verified
-// remote bytes are still served.
-func (c *Cache) blob(digest string) ([]byte, error) {
-	data, err := c.local.Get(digest)
+// remote bytes are still served. Besides the bytes it returns the stat of
+// the local blob file that holds them: the one they were verified from, or
+// the one the write-back made of them (nil when there is none, and under a
+// tamper hook, whose torn writes a write-back may hold). Without keep, a
+// local blob is verified without its bytes being kept (Store.read).
+func (c *Cache) blob(digest string, keep bool) ([]byte, os.FileInfo, error) {
+	data, fi, err := c.local.read(digest, keep)
 	if err == nil {
-		return data, nil
+		return data, fi, nil
 	}
 	if c.remoteUsable() {
 		rdata, rerr := c.remote.GetBlob(c.ctx(), digest)
@@ -321,24 +325,33 @@ func (c *Cache) blob(digest string) ([]byte, error) {
 		if rerr == nil {
 			c.count(func(s *CacheStats) { s.RemoteBlobHits++ })
 			c.obsReg.Counter("cas_blob_remote_hits_total").Inc()
+			var fi os.FileInfo
 			if perr := c.local.put(digest, rdata); perr != nil {
 				c.obsReg.Counter("cas_writeback_failures_total").Inc()
-			} else if errors.Is(err, ErrCorrupt) {
-				c.count(func(s *CacheStats) { s.BlobsHealed++ })
-				c.obsReg.Counter("cas_blobs_healed_total").Inc()
+			} else {
+				if errors.Is(err, ErrCorrupt) {
+					c.count(func(s *CacheStats) { s.BlobsHealed++ })
+					c.obsReg.Counter("cas_blobs_healed_total").Inc()
+				}
+				if c.local.tamper == nil {
+					fi, _ = os.Stat(c.local.blobPath(digest))
+				}
 			}
-			return rdata, nil
+			return rdata, fi, nil
 		}
-		return nil, fmt.Errorf("%w (remote: %v)", err, rerr)
+		return nil, nil, fmt.Errorf("%w (remote: %v)", err, rerr)
 	}
-	return nil, err
+	return nil, nil, err
 }
 
 // Blob returns one blob's bytes, local-first with remote fallback,
 // write-through, and self-healing — the exported face of blob() for the
 // cache server's hub mode (a local miss on GET is answered from the hub
 // and kept).
-func (c *Cache) Blob(digest string) ([]byte, error) { return c.blob(digest) }
+func (c *Cache) Blob(digest string) ([]byte, error) {
+	data, _, err := c.blob(digest, true)
+	return data, err
+}
 
 // PushBlob best-effort replicates a locally-present blob to the remote,
 // through the breaker — the write-through half of hub mode. Failures
@@ -350,14 +363,19 @@ func (c *Cache) PushBlob(digest string) {
 	}
 	data, err := c.local.Get(digest)
 	if err != nil {
-		// A local read problem says nothing about remote health; just
-		// release the half-open probe slot if we were holding it.
-		c.mu.Lock()
-		c.probing = false
-		c.mu.Unlock()
+		c.releaseProbe()
 		return
 	}
 	c.noteRemote(c.remote.PutBlob(c.ctx(), digest, data))
+}
+
+// releaseProbe gives up the half-open probe slot remoteUsable may have
+// granted, for a caller whose local read failed before it reached the
+// remote: a local problem says nothing about remote health.
+func (c *Cache) releaseProbe() {
+	c.mu.Lock()
+	c.probing = false
+	c.mu.Unlock()
 }
 
 // PushAction best-effort replicates an action entry to the remote,
@@ -377,30 +395,53 @@ func (c *Cache) Restore(a *Action, targets []string) error {
 		return fmt.Errorf("cas: action %s has %d outputs, task wants %d targets", a.Key[:12], len(a.Outputs), len(targets))
 	}
 	for i, o := range a.Outputs {
-		data, err := c.blob(o.Digest)
+		n, err := c.restore(o, targets[i])
 		if err != nil {
 			return fmt.Errorf("cas: restoring %s: %w", o.Name, err)
 		}
-		mode := os.FileMode(o.Mode)
-		if mode == 0 {
-			mode = 0o644
-		}
-		if err := hostutil.WriteFileAtomic(targets[i], data, mode); err != nil {
-			return err
-		}
-		c.count(func(s *CacheStats) { s.BlobsRestored++; s.BytesRestored += uint64(len(data)) })
+		c.count(func(s *CacheStats) { s.BlobsRestored++; s.BytesRestored += uint64(n) })
 		c.obsReg.Counter("cas_blobs_restored_total").Inc()
-		c.obsReg.Counter("cas_bytes_restored_total").Add(uint64(len(data)))
+		c.obsReg.Counter("cas_bytes_restored_total").Add(uint64(n))
 	}
 	return nil
 }
 
+// restore puts one output at target, read-only, and returns its size. The
+// blob is streamed through SHA-256 and, where it carries the output's mode,
+// hard-linked at target. Where no link is made — another mode, another file
+// system — its bytes are read and verified again and the target is written
+// from them. Either way the target holds verified bytes, and the digest
+// cache learns it.
+func (c *Cache) restore(o Output, target string) (int64, error) {
+	perm := os.FileMode(o.Mode).Perm() &^ 0o222
+	if o.Mode == 0 {
+		perm = blobMode
+	}
+	data, verified, err := c.blob(o.Digest, false)
+	if err != nil {
+		return 0, err
+	}
+	if verified != nil && verified.Mode().Perm()&^0o222 == perm && c.local.link(o.Digest, target, verified) == nil {
+		return verified.Size(), nil
+	}
+	if data == nil {
+		if data, _, err = c.blob(o.Digest, true); err != nil {
+			return 0, err
+		}
+	}
+	if err := hostutil.WriteFileAtomic(target, data, perm); err != nil {
+		return 0, err
+	}
+	hostutil.NoteDigest(target, o.Digest, nil)
+	return int64(len(data)), nil
+}
+
 // Publish stores a task's produced targets (sorted order) as blobs plus an
-// action entry, and pushes both to the remote best-effort. Local failures
-// are returned; remote failures only degrade future remote use.
+// action entry, and pushes both to the remote best-effort. Each target is
+// filed by hard link, losing its write bits (Store.file). Local failures are
+// returned; remote failures only degrade future remote use.
 func (c *Cache) Publish(key, task string, targets []string) (*Action, error) {
 	a := &Action{Key: key, Task: task}
-	var payloads [][]byte
 	// Hold every published blob until the action entry referencing them
 	// is on disk: a concurrent GC sweeping between the blob writes and
 	// the action write would otherwise see unreferenced blobs and reap
@@ -412,23 +453,14 @@ func (c *Cache) Publish(key, task string, targets []string) (*Action, error) {
 		}
 	}()
 	for _, target := range targets {
-		data, err := os.ReadFile(target)
+		digest, fi, err := c.local.file(target)
 		if err != nil {
 			return nil, fmt.Errorf("cas: publishing %s: %w", task, err)
 		}
-		digest, err := c.local.Put(data)
-		if err != nil {
-			return nil, err
-		}
 		releases = append(releases, c.local.Hold(digest))
-		mode := uint32(0o644)
-		if fi, err := os.Stat(target); err == nil {
-			mode = uint32(fi.Mode().Perm())
-		}
-		a.Outputs = append(a.Outputs, Output{Name: filepath.Base(target), Digest: digest, Mode: mode, Size: int64(len(data))})
-		payloads = append(payloads, data)
-		c.count(func(s *CacheStats) { s.BytesPublished += uint64(len(data)) })
-		c.obsReg.Counter("cas_bytes_published_total").Add(uint64(len(data)))
+		a.Outputs = append(a.Outputs, Output{Name: filepath.Base(target), Digest: digest, Mode: uint32(fi.Mode().Perm()), Size: fi.Size()})
+		c.count(func(s *CacheStats) { s.BytesPublished += uint64(fi.Size()) })
+		c.obsReg.Counter("cas_bytes_published_total").Add(uint64(fi.Size()))
 	}
 	if err := c.local.PutAction(a); err != nil {
 		return nil, err
@@ -437,8 +469,13 @@ func (c *Cache) Publish(key, task string, targets []string) (*Action, error) {
 	c.obsReg.Counter("cas_actions_published_total").Inc()
 	if c.remoteUsable() {
 		for i, o := range a.Outputs {
-			err := c.remote.PutBlob(c.ctx(), o.Digest, payloads[i])
-			c.noteRemote(err)
+			data, err := os.ReadFile(targets[i])
+			if err == nil {
+				err = c.remote.PutBlob(c.ctx(), o.Digest, data)
+				c.noteRemote(err)
+			} else {
+				c.releaseProbe()
+			}
 			if err != nil {
 				return a, nil // degrade silently; local publish succeeded
 			}

@@ -240,8 +240,8 @@ func TestConcurrentCorruptBlobSelfHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rot the blob in place; the digest no longer matches.
-	if err := os.WriteFile(store.blobPath(digest), []byte("bit-rotted garbage"), 0o644); err != nil {
+	// Rot the blob; the digest no longer matches.
+	if err := hostutil.WriteFileAtomic(store.blobPath(digest), []byte("bit-rotted garbage"), 0o444); err != nil {
 		t.Fatal(err)
 	}
 	rem := newFakeRemote()
@@ -256,7 +256,7 @@ func TestConcurrentCorruptBlobSelfHeal(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, err := c.blob(digest)
+			data, _, err := c.blob(digest, true)
 			if err != nil {
 				errs <- err
 				return

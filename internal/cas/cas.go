@@ -10,8 +10,9 @@
 //     that step produced. The build engine consults actions before running
 //     a task and restores outputs from blobs on a hit.
 //
-// Blob writes are atomic (temp file + rename via hostutil) and action
-// records are appended whole to one CRC-framed log (actionlog.go), so
+// Blob writes are atomic (temp file + rename via hostutil), or a hard link
+// of an artifact already on disk, and blobs are read-only; action records
+// are appended whole to one CRC-framed log (actionlog.go), so
 // concurrent builders sharing one store never observe partial entries;
 // neither is fsynced — an entry lost to a power failure is a rebuild.
 // Reads re-verify: every blob's digest when it is returned, every action
@@ -56,8 +57,9 @@ var ErrInvalid = errors.New("cas: invalid key")
 
 // Store is a content-addressed store rooted at a directory (layout 3):
 //
-//	<dir>/blobs/<digest>  artifact bytes, digest = sha256 hex; the temp
-//	                      files of writes in flight (.tmp-*) sit beside them
+//	<dir>/blobs/<digest>  artifact bytes, digest = sha256 hex, read-only and
+//	                      often the same inode as a work tree's artifact; the
+//	                      temp files of writes in flight (.tmp-*) sit beside them
 //	<dir>/actions         the action log: one CRC-framed record per line
 //	<dir>/quarantine/     corrupt blobs moved aside
 //
@@ -272,6 +274,12 @@ func (s *Store) heldSince(digest string, start time.Time) bool {
 	return s.held[digest] > 0 || !s.heldUntil[digest].Before(start)
 }
 
+// blobMode is the mode of every blob the store writes: no write bits, because
+// a blob shares its inode with the work-tree artifacts linked to it, and a
+// write into one would be a write into all of them. Artifacts are replaced,
+// never rewritten.
+const blobMode = 0o444
+
 // Put stores data and returns its digest. Storing already-present content
 // is a cheap no-op (counted as a dedup).
 func (s *Store) Put(data []byte) (string, error) {
@@ -290,9 +298,7 @@ func (s *Store) put(digest string, data []byte) error {
 	defer release()
 	path := s.blobPath(digest)
 	if _, err := os.Stat(path); err == nil {
-		s.mu.Lock()
-		s.dedups++
-		s.mu.Unlock()
+		s.count(&s.dedups)
 		return nil
 	}
 	// The digest is of the caller's bytes; tampering after hashing means an
@@ -304,13 +310,82 @@ func (s *Store) put(digest string, data []byte) error {
 			return fmt.Errorf("cas: writing blob %s: %w", digest, err)
 		}
 	}
-	if err := hostutil.WriteFileAtomic(path, data, 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(path, data, blobMode); err != nil {
 		return fmt.Errorf("cas: writing blob %s: %w", digest, err)
 	}
-	s.mu.Lock()
-	s.puts++
-	s.mu.Unlock()
+	s.count(&s.puts)
 	return nil
+}
+
+// file files the artifact at path as a blob and returns its digest and its
+// stat from before: hashed in one streamed pass (none when the digest cache
+// knows it), stripped of its write bits, and linked into the store, which
+// then holds no second copy. A blob already present dedups and leaves the
+// artifact its own inode. Where no link can be made — another file system, a
+// tamper hook that must see the bytes — the artifact is streamed in through
+// PutStream, which refuses it if it no longer hashes to the digest.
+func (s *Store) file(path string) (string, os.FileInfo, error) {
+	fi, err := os.Lstat(path)
+	if err != nil {
+		return "", nil, err
+	}
+	digest, _, err := hostutil.FileDigest(path)
+	if err != nil {
+		return "", nil, err
+	}
+	release := s.Hold(digest)
+	defer release()
+	if perm := fi.Mode().Perm(); perm&0o222 != 0 {
+		if err := os.Chmod(path, perm&^0o222); err != nil {
+			return "", nil, err
+		}
+	}
+	filed := false
+	if s.tamper == nil && fi.Mode().IsRegular() {
+		switch err := os.Link(path, s.blobPath(digest)); {
+		case err == nil:
+			s.count(&s.puts)
+			filed = true
+		case errors.Is(err, fs.ErrExist):
+			s.count(&s.dedups)
+			filed = true
+		}
+	}
+	if !filed {
+		f, err := os.Open(path)
+		if err != nil {
+			return "", nil, err
+		}
+		defer f.Close()
+		if _, err := s.PutStream(digest, f); err != nil {
+			return "", nil, err
+		}
+	}
+	hostutil.NoteDigest(path, digest, fi)
+	return digest, fi, nil
+}
+
+// link makes target a hard link to blob digest, whose bytes the caller has
+// just verified from the file verified describes — a blob an older version
+// wrote loses its write bits first — and tells the digest cache.
+func (s *Store) link(digest, target string, verified os.FileInfo) error {
+	blob := s.blobPath(digest)
+	if perm := verified.Mode().Perm(); perm&0o222 != 0 {
+		if err := os.Chmod(blob, perm&^0o222); err != nil {
+			return err
+		}
+	}
+	if err := hostutil.LinkFile(blob, target, verified); err != nil {
+		return err
+	}
+	hostutil.NoteDigest(target, digest, verified)
+	return nil
+}
+
+func (s *Store) count(n *uint64) {
+	s.mu.Lock()
+	*n++
+	s.mu.Unlock()
 }
 
 // Has reports whether a blob is present (without verifying its content).
@@ -327,24 +402,52 @@ func (s *Store) Has(digest string) bool {
 // next write can repopulate it, and ErrCorrupt is returned — the caller's
 // cue to refetch from a remote (self-heal) or rebuild.
 func (s *Store) Get(digest string) ([]byte, error) {
+	data, _, err := s.read(digest, true)
+	return data, err
+}
+
+// read is Get that also returns the stat of the blob file it verified, and
+// that, without keep, streams the file through SHA-256 without keeping its
+// bytes, for a caller that only needs them verified. Under a tamper hook the
+// bytes are always kept, so the hook sees them.
+func (s *Store) read(digest string, keep bool) ([]byte, os.FileInfo, error) {
 	if !validDigest(digest) {
-		return nil, fmt.Errorf("cas: %w: invalid digest %q", ErrNotFound, digest)
+		return nil, nil, fmt.Errorf("cas: %w: invalid digest %q", ErrNotFound, digest)
 	}
-	data, err := os.ReadFile(s.blobPath(digest))
+	f, err := os.Open(s.blobPath(digest))
 	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("cas: blob %s: %w", digest, ErrNotFound)
+		return nil, nil, fmt.Errorf("cas: blob %s: %w", digest, ErrNotFound)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if s.tamper != nil {
-		data = s.tamper.ReadBlob(digest, data)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
 	}
-	if hostutil.HashBytes(data) != digest {
+	h := sha256.New()
+	var data []byte
+	if s.tamper == nil && !keep {
+		_, err = io.Copy(h, f)
+	} else {
+		buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+		if _, err = buf.ReadFrom(f); err == nil {
+			data = buf.Bytes()
+			if s.tamper != nil {
+				data = s.tamper.ReadBlob(digest, data)
+			}
+			h.Write(data)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if hex.EncodeToString(h.Sum(nil)) != digest {
 		s.quarantine(digest)
-		return nil, fmt.Errorf("cas: blob %s: %w", digest, ErrCorrupt)
+		return nil, nil, fmt.Errorf("cas: blob %s: %w", digest, ErrCorrupt)
 	}
-	return data, nil
+	return data, fi, nil
 }
 
 // ErrRead marks a PutStream failure caused by the caller's reader — an
@@ -353,14 +456,17 @@ func (s *Store) Get(digest string) ([]byte, error) {
 // blaming itself with a 5xx.
 var ErrRead = errors.New("cas: blob source read failed")
 
-// readTracker remembers whether a copy failed on the read side.
+// readTracker counts what a copy read and remembers whether it failed on the
+// read side.
 type readTracker struct {
 	r   io.Reader
+	n   int64
 	err error
 }
 
 func (t *readTracker) Read(p []byte) (int, error) {
 	n, err := t.r.Read(p)
+	t.n += int64(n)
 	if err != nil && err != io.EOF {
 		t.err = err
 	}
@@ -435,9 +541,7 @@ func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 	defer release()
 	path := s.blobPath(digest)
 	if fi, err := os.Stat(path); err == nil {
-		s.mu.Lock()
-		s.dedups++
-		s.mu.Unlock()
+		s.count(&s.dedups)
 		return fi.Size(), nil
 	}
 	if s.tamper != nil {
@@ -452,46 +556,24 @@ func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 		_, err = s.Put(data)
 		return int64(len(data)), err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return 0, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-put-*")
-	if err != nil {
-		return 0, err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmpName)
-		return 0, err
-	}
 	h := sha256.New()
 	tr := &readTracker{r: r}
-	n, err := io.Copy(io.MultiWriter(tmp, h), tr)
-	if err != nil {
-		if tr.err != nil {
-			return fail(fmt.Errorf("cas: streaming blob %s: %w: %w", digest, ErrRead, err))
+	err := hostutil.WriteStreamAtomic(path, io.TeeReader(tr, h), blobMode, func() error {
+		if hex.EncodeToString(h.Sum(nil)) != digest {
+			return fmt.Errorf("cas: blob %s: streamed bytes do not match digest: %w", digest, ErrCorrupt)
 		}
-		return fail(fmt.Errorf("cas: writing blob %s: %w", digest, err))
-	}
-	if hex.EncodeToString(h.Sum(nil)) != digest {
-		return fail(fmt.Errorf("cas: blob %s: streamed bytes do not match digest: %w", digest, ErrCorrupt))
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
+		return nil
+	})
+	switch {
+	case err == nil:
+		s.count(&s.puts)
+		return tr.n, nil
+	case tr.err != nil:
+		return 0, fmt.Errorf("cas: streaming blob %s: %w: %w", digest, ErrRead, err)
+	case errors.Is(err, ErrCorrupt):
 		return 0, err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return 0, err
-	}
-	s.mu.Lock()
-	s.puts++
-	s.mu.Unlock()
-	return n, nil
+	return 0, fmt.Errorf("cas: writing blob %s: %w", digest, err)
 }
 
 // PutAction stores an action-cache entry under its key: one record

@@ -80,7 +80,7 @@ func TestTruncatedBlobDetected(t *testing.T) {
 	s := openTestStore(t)
 	data := []byte("a disk image that will be truncated")
 	digest, _ := s.Put(data)
-	if err := os.WriteFile(s.blobPath(digest), data[:5], 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(s.blobPath(digest), data[:5], 0o444); err != nil {
 		t.Fatal(err)
 	}
 	_, err := s.Get(digest)
@@ -106,7 +106,7 @@ func TestDigestMismatchDetected(t *testing.T) {
 	data := []byte("original artifact")
 	digest, _ := s.Put(data)
 	bogus := []byte("tampered artifact")
-	if err := os.WriteFile(s.blobPath(digest), bogus, 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(s.blobPath(digest), bogus, 0o444); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(digest); !errors.Is(err, ErrCorrupt) {
@@ -210,7 +210,7 @@ func TestVerifyReportsProblems(t *testing.T) {
 	s := openTestStore(t)
 	good, _ := s.Put([]byte("good"))
 	bad, _ := s.Put([]byte("will corrupt"))
-	os.WriteFile(s.blobPath(bad), []byte("corrupted!!!"), 0o644)
+	hostutil.WriteFileAtomic(s.blobPath(bad), []byte("corrupted!!!"), 0o444)
 	key := hostutil.HashStrings("k")
 	s.PutAction(&Action{Key: key, Task: "bin:w", Outputs: []Output{{Name: "w-bin", Digest: bad}}})
 
@@ -286,8 +286,16 @@ func TestCachePublishRestore(t *testing.T) {
 		if want := fmt.Sprintf("artifact %d", i); string(data) != want {
 			t.Fatalf("restored %s = %q, want %q", p, data, want)
 		}
-		if fi, _ := os.Stat(p); fi.Mode().Perm() != 0o755 {
-			t.Fatalf("restored mode %v, want 0755", fi.Mode().Perm())
+		// The exec bits survive; the write bits do not: the target is the
+		// blob's own inode, as the published original now is.
+		fi, _ := os.Stat(p)
+		if fi.Mode().Perm() != 0o555 {
+			t.Fatalf("restored mode %v, want 0555", fi.Mode().Perm())
+		}
+		blob, _ := os.Stat(c.Local().blobPath(a.Outputs[i].Digest))
+		orig, _ := os.Stat(targets[i])
+		if !os.SameFile(fi, blob) || !os.SameFile(orig, blob) {
+			t.Fatalf("%s: published and restored targets are not hard links to their blob", filepath.Base(p))
 		}
 	}
 	st := c.Stats()

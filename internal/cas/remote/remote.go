@@ -376,24 +376,6 @@ func (c *Client) PutBlob(ctx context.Context, digest string, data []byte) error 
 	return c.put(ctx, hostutil.Request{Path: blobPath(digest), ContentType: "application/octet-stream", Body: data})
 }
 
-// HasBlob reports blob presence via a HEAD probe. Only a definitive 404
-// is "absent": any other non-200 answer (a 5xx, a proxy error) surfaces
-// as an error so the caller's health accounting sees a failing remote
-// instead of concluding the blob does not exist.
-func (c *Client) HasBlob(ctx context.Context, digest string) (bool, error) {
-	req := hostutil.Request{Method: http.MethodHead, Path: blobPath(digest)}
-	status, _, err := c.do(ctx, req)
-	switch {
-	case err != nil:
-		return false, err
-	case status == http.StatusOK:
-		return true, nil
-	case status == http.StatusNotFound:
-		return false, nil
-	}
-	return false, statusErr(req, status)
-}
-
 // GetAction fetches an action-cache entry.
 func (c *Client) GetAction(ctx context.Context, key string) (*cas.Action, error) {
 	data, err := c.get(ctx, "action "+key, actionPath(key), maxActionSize)

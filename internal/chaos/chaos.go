@@ -17,13 +17,13 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"firemarshal/internal/cas"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/obs"
 )
 
@@ -360,10 +360,11 @@ func (f *StoreFaults) WriteBlob(digest string, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// PlantCorruptBlob writes garbage where the store at storeDir keeps the
-// blob for digest (cas.BlobPath — the store's own rule, not a copy of it),
+// PlantCorruptBlob puts garbage where the store at storeDir keeps the blob
+// for digest (cas.BlobPath — the store's own rule, not a copy of it),
 // guaranteeing the next reader walks the detect → quarantine → refetch
-// self-heal path.
+// self-heal path. It replaces the blob file rather than writing into it: a
+// blob may share its inode with a work tree's artifacts.
 func PlantCorruptBlob(storeDir, digest string) error {
-	return os.WriteFile(cas.BlobPath(storeDir, digest), []byte("chaos: corrupted "+digest), 0o644)
+	return hostutil.WriteFileAtomic(cas.BlobPath(storeDir, digest), []byte("chaos: corrupted "+digest), 0o444)
 }

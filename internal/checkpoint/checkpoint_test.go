@@ -9,6 +9,7 @@ import (
 
 	"firemarshal/internal/asm"
 	"firemarshal/internal/cas"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/sim"
 )
 
@@ -279,7 +280,7 @@ func TestCorruptBlobRestartsFromScratch(t *testing.T) {
 			if victim == "" || victim == ptr.Digest {
 				t.Fatalf("no blob to corrupt beside the latest pack (victim %q)", victim)
 			}
-			if err := os.WriteFile(cas.BlobPath(store.Dir(), victim), []byte("bit rot"), 0o644); err != nil {
+			if err := hostutil.WriteFileAtomic(cas.BlobPath(store.Dir(), victim), []byte("bit rot"), 0o444); err != nil {
 				t.Fatal(err)
 			}
 

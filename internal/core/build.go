@@ -236,13 +236,14 @@ func (b *builder) registerBin(w *spec.Workload, artifact string, arts, parentArt
 	case !binInputsDiffer(w) && parentHasBin:
 		// "If the child workload would not generate a different binary
 		// than its parent, FireMarshal simply makes a copy of the parent's
-		// binary and skips this step." (§III-B.1 step 4)
+		// binary and skips this step." (§III-B.1 step 4) The copy is a hard
+		// link where it can be: artifacts are replaced, never rewritten.
 		parentBin := b.m.BinPath(parentArts.artifact)
 		task.TaskDeps = append(task.TaskDeps, parentArts.binTask)
 		task.FileDeps = append(task.FileDeps, parentBin)
 		task.Action = func() error {
 			b.m.logf("copying parent boot binary for %s", artifact)
-			return hostutil.CopyFile(parentBin, b.m.BinPath(artifact))
+			return hostutil.LinkOrCopy(parentBin, b.m.BinPath(artifact))
 		}
 	default:
 		// Full kernel + firmware build.

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 
+	"firemarshal/internal/cas"
 	"firemarshal/internal/cas/remote"
 	"firemarshal/internal/hostutil"
 )
@@ -309,5 +314,127 @@ func TestCacheDirInodeCensus(t *testing.T) {
 	}
 	if again := census(); again != after {
 		t.Fatalf("a no-op rebuild took the cache directory from %d entries to %d", after, again)
+	}
+}
+
+// imagesAndBlobs checks every artifact under a checkout's images/: it is a
+// blob's own inode when linked is set and its own file otherwise, holds the
+// blob's bytes either way, and has no write bits.
+func imagesAndBlobs(t *testing.T, e *testEnv, cacheDir string, linked bool) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join(e.workDir, "images")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, ent := range entries {
+		p := filepath.Join(dir, ent.Name())
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = data
+		fi, _ := os.Stat(p)
+		blob, err := os.Stat(cas.BlobPath(cacheDir, hostutil.HashBytes(data)))
+		if err != nil {
+			t.Errorf("%s: no blob holds its bytes: %v", ent.Name(), err)
+			continue
+		}
+		if os.SameFile(fi, blob) != linked || fi.Mode().Perm()&0o222 != 0 {
+			t.Errorf("%s: a link to its blob = %v, want %v; mode %v, want no write bits", ent.Name(), os.SameFile(fi, blob), linked, fi.Mode().Perm())
+		}
+	}
+	return out
+}
+
+// Artifacts are stored once: a cold build's artifacts and a fresh checkout's
+// restored ones are read-only hard links to their cache blobs. With the cache
+// on another file system, where no link can be made, the same builds leave
+// read-only copies with identical bytes.
+func TestArtifactsAreLinksToTheirBlobs(t *testing.T) {
+	cacheDir := t.TempDir()
+	a := newCacheEnv(t, "", cacheDir)
+	writeChain(t, a)
+	if _, err := a.m.Build("w", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	built := imagesAndBlobs(t, a, cacheDir, true)
+	b := newCacheEnv(t, a.wlDir, cacheDir)
+	if _, err := b.m.Build("w", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(b.m.LastBuildStats.Restored); n == 0 || len(b.m.LastBuildStats.Executed) != 0 {
+		t.Fatalf("fresh checkout restored %d and executed %v, want every task restored", n, b.m.LastBuildStats.Executed)
+	}
+	if restored := imagesAndBlobs(t, b, cacheDir, true); !reflect.DeepEqual(restored, built) {
+		t.Error("restored artifacts differ from the built ones")
+	}
+
+	other, err := os.MkdirTemp("/dev/shm", "core-cache-")
+	if err != nil {
+		t.Skip("no second file system at /dev/shm")
+	}
+	t.Cleanup(func() { os.RemoveAll(other) })
+	probe := filepath.Join(a.workDir, "probe")
+	os.WriteFile(probe, nil, 0o644)
+	if err := os.Link(probe, filepath.Join(other, "probe")); !errors.Is(err, syscall.EXDEV) {
+		t.Skipf("/dev/shm is not another file system here (link: %v)", err)
+	}
+	os.Remove(filepath.Join(other, "probe"))
+	for i, what := range []string{"cold build", "restore"} {
+		c := newCacheEnv(t, a.wlDir, other)
+		if _, err := c.m.Build("w", BuildOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if ran := len(c.m.LastBuildStats.Executed); (i == 0) != (ran > 0) {
+			t.Fatalf("%s across file systems executed %d tasks", what, ran)
+		}
+		if copies := imagesAndBlobs(t, c, other, false); !reflect.DeepEqual(copies, built) {
+			t.Errorf("%s across file systems: artifacts differ from the linked ones", what)
+		}
+	}
+}
+
+// An artifact a user rewrites in place, giving it back its write bits first,
+// rewrites the cache blob it is linked to. The next checkout to restore that
+// blob detects it, quarantines it and rebuilds the task: it never gets the
+// edited bytes, and the cache verifies clean afterwards.
+func TestArtifactRewrittenInPlaceIsNeverRestored(t *testing.T) {
+	cacheDir := t.TempDir()
+	a := newCacheEnv(t, "", cacheDir)
+	writeChain(t, a)
+	if _, err := a.m.Build("w", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	img := a.m.ImgPath("w")
+	want, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.ToUpper(want)
+	if err := os.WriteFile(img, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	b := newCacheEnv(t, a.wlDir, cacheDir)
+	if _, err := b.m.Build("w", BuildOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if ex := b.m.LastBuildStats.Executed; !reflect.DeepEqual(ex, []string{"img:w"}) {
+		t.Errorf("fresh checkout executed %v, want img:w alone rebuilt", ex)
+	}
+	if got, _ := os.ReadFile(b.m.ImgPath("w")); !bytes.Equal(got, want) {
+		t.Error("the restored checkout's image is not the one the build makes")
+	}
+	cache, _ := b.m.Cache()
+	if q := cache.Local().Quarantined(); q != 1 {
+		t.Errorf("%d blobs quarantined, want the rewritten one", q)
+	}
+	if problems, err := b.m.CacheVerify(); err != nil || len(problems) != 0 {
+		t.Errorf("cache verify after the rebuild: %v, %v", problems, err)
 	}
 }

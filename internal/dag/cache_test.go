@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"firemarshal/internal/cas"
+	"firemarshal/internal/hostutil"
 )
 
 func testCache(t *testing.T) *cas.Cache {
@@ -32,7 +33,7 @@ func chainTasks(t *testing.T, e *Engine, dir string, depth int, execs *int) stri
 			Targets:   []string{target},
 			Action: func() error {
 				*execs++
-				return os.WriteFile(target, []byte("content of "+name), 0o644)
+				return hostutil.WriteFileAtomic(target, []byte("content of "+name), 0o644)
 			},
 		}
 		if prev != "" {
@@ -147,11 +148,14 @@ func TestCorruptCacheFallsBackToExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt every blob in the store.
+	// Corrupt every blob in the store (replacing the files: each is also
+	// the inode of a target in dir1).
 	blobRoot := filepath.Join(store.Dir(), "blobs")
 	filepath.Walk(blobRoot, func(path string, fi os.FileInfo, _ error) error {
 		if fi != nil && !fi.IsDir() {
-			os.WriteFile(path, []byte("garbage"), 0o644)
+			if err := hostutil.WriteFileAtomic(path, []byte("garbage"), 0o444); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return nil
 	})

@@ -8,7 +8,9 @@
 // task actually ran.
 //
 // Like doit, state is keyed by task name and survives across processes via
-// a JSON database file.
+// a JSON database file. The same file persists the work tree's share of the
+// digest cache (hostutil.FileDigest), so a rebuild reads no dependency whose
+// stat is unchanged since it was last hashed.
 //
 // When a content-addressed store is attached (SetCache), the engine also
 // consults an action cache before executing: the task digest — a hash of
@@ -78,13 +80,9 @@ type Engine struct {
 	tasks  map[string]*Task
 	cache  *cas.Cache
 
-	// handoff maps a target path to the CAS digest the cache computed (on
-	// publish) or verified (on restore) for it earlier in this RunMany.
-	// HashDir of a regular file is that same SHA-256, so depHashes takes a
-	// downstream task's input hash from here instead of reading the file
-	// again. RunMany starts each run with an empty map: between runs a file
-	// may be edited, and needsRun must see the bytes on disk.
-	handoff map[string]string
+	// digests is the work tree's share of the digest cache, loaded from and
+	// saved to the state DB (nil when state is kept in memory only).
+	digests *hostutil.DigestSession
 
 	// Stats for observability and the incremental-rebuild benchmark.
 	// Executed tasks ran their action; Restored tasks were materialized
@@ -100,22 +98,60 @@ type Engine struct {
 	span   *obs.Span
 }
 
+// digestsKey is the state DB entry that holds the digest cache's records
+// instead of a task's state: the empty name, which Register refuses.
+const digestsKey = ""
+
+// digestTable is the value stored under digestsKey.
+type digestTable struct {
+	Files []hostutil.DigestRecord `json:"files"`
+}
+
 // NewEngine loads (or initializes) the state database at dbPath. An empty
 // dbPath keeps state in memory only.
 func NewEngine(dbPath string) (*Engine, error) {
 	e := &Engine{dbPath: dbPath, state: map[string]*taskState{}, tasks: map[string]*Task{}}
-	if dbPath != "" {
-		data, err := os.ReadFile(dbPath)
-		if err == nil {
-			if jerr := json.Unmarshal(data, &e.state); jerr != nil {
-				// A corrupt DB degrades to a full rebuild, never a failure.
-				e.state = map[string]*taskState{}
-			}
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("dag: reading state db: %w", err)
+	if dbPath == "" {
+		return e, nil
+	}
+	var table digestTable
+	data, err := os.ReadFile(dbPath)
+	switch {
+	case err == nil:
+		if table, err = e.load(data); err != nil {
+			// A corrupt DB degrades to a full rebuild, never a failure.
+			e.state, table = map[string]*taskState{}, digestTable{}
+		}
+	case !os.IsNotExist(err):
+		return nil, fmt.Errorf("dag: reading state db: %w", err)
+	}
+	e.digests = hostutil.OpenDigests(table.Files)
+	return e, nil
+}
+
+// load parses a state DB: one entry per task, and the digest table under
+// digestsKey — absent from a DB an older version wrote, whose every file is
+// then hashed.
+func (e *Engine) load(data []byte) (digestTable, error) {
+	var entries map[string]json.RawMessage
+	var table digestTable
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return table, err
+	}
+	for name, raw := range entries {
+		var err error
+		if name == digestsKey {
+			err = json.Unmarshal(raw, &table)
+		} else {
+			st := &taskState{}
+			err = json.Unmarshal(raw, st)
+			e.state[name] = st
+		}
+		if err != nil {
+			return table, err
 		}
 	}
-	return e, nil
+	return table, nil
 }
 
 // SetCache attaches a content-addressed artifact cache. Tasks with targets
@@ -203,7 +239,6 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 		key = taskKey(t, deps, valueHashes(t))
 		if a := e.cache.Lookup(key); a != nil {
 			if rerr := e.cache.Restore(a, targets); rerr == nil {
-				e.handOff(targets, a)
 				// A restore never touches the task's inputs, so the hashes
 				// computed for the key are still current — no second pass.
 				e.recordHashes(t, key, deps)
@@ -230,9 +265,7 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	if key != "" {
 		// Publishing is best-effort: a full disk or dead remote must not
 		// fail a build whose artifacts already exist on disk.
-		if a, perr := e.cache.Publish(key, t.Name, targets); perr == nil {
-			e.handOff(targets, a)
-		}
+		e.cache.Publish(key, t.Name, targets)
 	}
 	if err := e.record(t, key); err != nil {
 		return false, err
@@ -241,19 +274,6 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	e.obsReg.Counter("dag_node_builds_total").Inc()
 	span.Attr("outcome", "built")
 	return true, nil
-}
-
-// handOff remembers the digests of the targets a was just published from or
-// restored to (a's outputs are in sortedTargets order, which both Publish
-// and a successful Restore guarantee). A digest that goes stale — something
-// rewrote the target later in the same run — can only cost an extra rebuild:
-// the next run's needsRun hashes the real file.
-func (e *Engine) handOff(targets []string, a *cas.Action) {
-	e.mu.Lock()
-	for i, target := range targets {
-		e.handoff[target] = a.Outputs[i].Digest
-	}
-	e.mu.Unlock()
 }
 
 // cacheable reports whether t participates in the action cache: only tasks
@@ -353,25 +373,19 @@ func (e *Engine) needsRun(t *Task, upstreamRan bool) (bool, error) {
 	return false, nil
 }
 
-// depHashes returns the content hash of every file dependency. A dep that
-// is a target this run already published or restored takes the digest handed
-// off by the cache; everything else — source inputs, any dep when no cache is
-// attached, targets of up-to-date tasks — is read and hashed.
+// depHashes returns the content hash of every file dependency, through the
+// digest cache: a file whose stat is unchanged since it was hashed, or since
+// the artifact cache published or restored it, is not read again.
 func (e *Engine) depHashes(t *Task) (map[string]string, error) {
 	out := make(map[string]string, len(t.FileDeps))
 	var hashed int64
 	for _, dep := range t.FileDeps {
-		e.mu.Lock()
-		h, ok := e.handoff[dep]
-		e.mu.Unlock()
-		if !ok {
-			sum, n, err := hostutil.HashTree(dep)
-			if err != nil {
-				return nil, fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
-			}
-			h, hashed = sum, hashed+n
+		sum, n, err := hostutil.HashTree(dep)
+		hashed += n
+		if err != nil {
+			return nil, fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
 		}
-		out[dep] = h
+		out[dep] = sum
 	}
 	e.obsReg.Counter("dag_dep_bytes_hashed_total").Add(uint64(hashed))
 	return out, nil
@@ -415,13 +429,18 @@ func (e *Engine) Forget(name string) error {
 	return e.save()
 }
 
-// save persists the state database atomically.
+// save persists the state database atomically, with the digest cache's
+// records for the files this work tree's builds used.
 func (e *Engine) save() error {
 	if e.dbPath == "" {
 		return nil
 	}
+	doc := map[string]any{digestsKey: digestTable{Files: e.digests.Records()}}
 	e.mu.Lock()
-	data, err := json.MarshalIndent(e.state, "", "  ")
+	for name, st := range e.state {
+		doc[name] = st
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
 	e.mu.Unlock()
 	if err != nil {
 		return err

@@ -19,10 +19,6 @@ func (e *Engine) RunMany(names []string, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
-	e.mu.Lock()
-	e.handoff = map[string]string{}
-	e.mu.Unlock()
-
 	// Collect the needed task set and check for cycles / unknown tasks.
 	order, err := e.topoOrder(names)
 	if err != nil {

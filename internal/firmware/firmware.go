@@ -151,16 +151,22 @@ func Decode(data []byte) (*BootBinary, error) {
 	if len(data) < 8 || !bytes.Equal(data[:4], magic[:]) {
 		return nil, fmt.Errorf("firmware: bad boot binary magic")
 	}
-	hlen := int(binary.LittleEndian.Uint32(data[4:8]))
-	if 8+hlen > len(data) {
+	// Compared in uint64, not as 8+int(hlen): that wraps on a 32-bit target.
+	hlen := binary.LittleEndian.Uint32(data[4:8])
+	if uint64(hlen) > uint64(len(data)-8) {
 		return nil, fmt.Errorf("firmware: truncated boot binary header")
 	}
+	end := 8 + int(hlen)
 	var hdr header
-	if err := json.Unmarshal(data[8:8+hlen], &hdr); err != nil {
+	if err := json.Unmarshal(data[8:end], &hdr); err != nil {
 		return nil, fmt.Errorf("firmware: bad boot binary header: %w", err)
 	}
-	b := &BootBinary{Kind: hdr.Kind, Version: hdr.Version, BuildArgs: hdr.BuildArgs}
-	payload := data[8+hlen:]
+	b := &BootBinary{Kind: hdr.Kind, Version: hdr.Version}
+	if len(hdr.BuildArgs) > 0 {
+		// An empty list decodes as the absent one Encode writes for it.
+		b.BuildArgs = hdr.BuildArgs
+	}
+	payload := data[end:]
 	if hdr.HasKernel {
 		kimg, err := kernel.Decode(payload)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	casremote "firemarshal/internal/cas/remote"
 	"firemarshal/internal/core"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/launcher"
 	lremote "firemarshal/internal/launcher/remote"
 	"firemarshal/internal/obs"
@@ -36,7 +37,8 @@ func TestCorruptBinaryFailsOnceEverywhere(t *testing.T) {
 	garbage := []byte("this is not a boot binary")
 
 	// marshal launch: a built binary corrupted before the launch (the
-	// up-to-date build does not rewrite it).
+	// up-to-date build does not rewrite it). It is replaced, as an editor
+	// would: the built file is read-only, a hard link to its cache blob.
 	wlDir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(wlDir, "w.json"), []byte(`{"name":"w","base":"br-base","command":"echo x"}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -48,7 +50,7 @@ func TestCorruptBinaryFailsOnceEverywhere(t *testing.T) {
 	if _, err := m.Build("w", core.BuildOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(m.BinPath("w"), garbage, 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(m.BinPath("w"), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Launch("w", core.LaunchOpts{Retries: 3, RetryBackoff: time.Millisecond}); err == nil {
@@ -58,7 +60,7 @@ func TestCorruptBinaryFailsOnceEverywhere(t *testing.T) {
 
 	// firesim: an installed node whose binary is corrupted after install.
 	cfg, _ := buildInstalled(t, `{"name":"w","base":"br-base","command":"echo x"}`, nil)
-	if err := os.WriteFile(cfg.Jobs[0].Bin, garbage, 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(cfg.Jobs[0].Bin, garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out := t.TempDir()
@@ -113,7 +115,7 @@ func TestFailedRunLeavesNoStaleOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cfg.Jobs[0].Bin, good[:len(good)/2], 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(cfg.Jobs[0].Bin, good[:len(good)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: out}); err == nil {

@@ -35,24 +35,35 @@ func HashStrings(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// HashFile returns the hex-encoded SHA-256 of the file's contents.
+// HashFile returns the hex-encoded SHA-256 of the file's contents, read in
+// full every time: an independent check of bytes on disk. What a build asks
+// goes through FileDigest, which answers from the digest cache.
 func HashFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
+	sum, _, err := hashReader(f)
+	if err != nil {
 		return "", fmt.Errorf("hashing %s: %w", path, err)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return sum, nil
 }
 
-// HashDir hashes a directory tree: relative paths, modes, and contents, in
-// sorted order. Missing directories hash to a fixed sentinel so callers can
-// treat "not yet created" as a stable state. A regular file hashes to its
-// HashFile — the digest the content-addressed store files it under.
+// hashReader streams r through SHA-256.
+func hashReader(r io.Reader) (string, int64, error) {
+	h := sha256.New()
+	n, err := io.Copy(h, r)
+	return hex.EncodeToString(h.Sum(nil)), n, err
+}
+
+// HashDir hashes a directory tree: the sorted relative paths and contents of
+// its files. File modes are not hashed, so a change to a file's exec bit alone
+// is not seen — hashing them would change every action key, so it waits for
+// a deliberate key change. Missing directories hash to a fixed sentinel so
+// callers can treat "not yet created" as a stable state. A regular file hashes
+// to its SHA-256 — the digest the content-addressed store files it under.
 func HashDir(dir string) (string, error) {
 	sum, _, err := HashTree(dir)
 	return sum, err
@@ -60,6 +71,8 @@ func HashDir(dir string) (string, error) {
 
 // HashTree is HashDir that also reports how many content bytes it read and
 // hashed — what the dependency tracker's dag_dep_bytes_hashed_total counts.
+// Each file's digest comes from FileDigest, so a file the digest cache knows
+// unchanged is not read.
 func HashTree(dir string) (string, int64, error) {
 	info, err := os.Stat(dir)
 	if os.IsNotExist(err) {
@@ -69,36 +82,39 @@ func HashTree(dir string) (string, int64, error) {
 		return "", 0, err
 	}
 	if !info.IsDir() {
-		sum, err := HashFile(dir)
-		return sum, info.Size(), err
+		return fileDigest(dir, info)
 	}
-	h := sha256.New()
-	var paths []string
+	type file struct {
+		path string
+		info os.FileInfo
+	}
+	var files []file
 	err = filepath.Walk(dir, func(path string, fi os.FileInfo, werr error) error {
 		if werr != nil {
 			return werr
 		}
 		if !fi.IsDir() {
-			paths = append(paths, path)
+			files = append(files, file{path, fi})
 		}
 		return nil
 	})
 	if err != nil {
 		return "", 0, err
 	}
-	sort.Strings(paths)
+	sort.Slice(files, func(i, j int) bool { return files[i].path < files[j].path })
+	h := sha256.New()
 	var total int64
-	for _, p := range paths {
-		rel, err := filepath.Rel(dir, p)
+	for _, f := range files {
+		rel, err := filepath.Rel(dir, f.path)
 		if err != nil {
 			return "", total, err
 		}
-		content, err := os.ReadFile(p)
+		sum, n, err := fileDigest(f.path, f.info)
+		total += n
 		if err != nil {
 			return "", total, err
 		}
-		total += int64(len(content))
-		fmt.Fprintf(h, "%s\x00%s\x00", rel, HashBytes(content))
+		fmt.Fprintf(h, "%s\x00%s\x00", rel, sum)
 	}
 	return hex.EncodeToString(h.Sum(nil)), total, nil
 }
@@ -121,7 +137,7 @@ func DetJitter(key string, attempt int, max time.Duration) time.Duration {
 // WriteFileAtomic writes data to path via a temporary file and rename, so
 // readers never observe a partially written artifact.
 func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
-	return writeAtomic(filepath.Dir(path), path, bytes.NewReader(data), mode)
+	return writeAtomic(filepath.Dir(path), path, bytes.NewReader(data), mode, nil)
 }
 
 // WriteFileAtomicVia is WriteFileAtomic with the temporary file in tmpDir
@@ -129,13 +145,21 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 // every temp file in one directory, where its GC finds the ones a killed
 // writer left.
 func WriteFileAtomicVia(tmpDir, path string, data []byte, mode os.FileMode) error {
-	return writeAtomic(tmpDir, path, bytes.NewReader(data), mode)
+	return writeAtomic(tmpDir, path, bytes.NewReader(data), mode, nil)
 }
 
-// writeAtomic is the temp-then-rename sequence WriteFileAtomic and CopyFile
-// share, with the content taken from a reader: a bytes.Reader lands in one
-// Write, a file through the kernel's file-to-file copy where there is one.
-func writeAtomic(dir, path string, content io.Reader, mode os.FileMode) error {
+// WriteStreamAtomic is WriteFileAtomic with the content read from r, never
+// held whole, and a check that runs once every byte is written, before the
+// rename: an error from it (or from r) leaves no trace of the write.
+func WriteStreamAtomic(path string, r io.Reader, mode os.FileMode, check func() error) error {
+	return writeAtomic(filepath.Dir(path), path, r, mode, check)
+}
+
+// writeAtomic is the temp-then-rename sequence every write of a whole file in
+// the program goes through, with the content taken from a reader: a
+// bytes.Reader lands in one Write, a file through the kernel's file-to-file
+// copy where there is one.
+func writeAtomic(dir, path string, content io.Reader, mode os.FileMode, check func() error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -144,15 +168,21 @@ func writeAtomic(dir, path string, content io.Reader, mode os.FileMode) error {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := io.Copy(tmp, content); err != nil {
+	fail := func(err error) error {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err
 	}
+	if _, err := io.Copy(tmp, content); err != nil {
+		return fail(err)
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return fail(err)
+		}
+	}
 	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
@@ -219,7 +249,7 @@ func CopyFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Dir(dst), dst, in, info.Mode().Perm())
+	return writeAtomic(filepath.Dir(dst), dst, in, info.Mode().Perm(), nil)
 }
 
 // CopyDir recursively copies a directory tree.

@@ -262,12 +262,10 @@ func (r *Run) fleet(ctx context.Context, fresh []int, prior map[string]launcher.
 	}
 	index := map[string]int{}
 	specs := make([]JobSpec, 0, len(fresh))
-	// The jobs of one workload mostly share a boot binary: each distinct
-	// digest is uploaded once per drive.
-	sent := map[string]bool{}
+	shipped := shipped{bare: map[string]bool{}, sent: map[string]bool{}}
 	for _, i := range fresh {
 		j := r.Jobs[i]
-		spec, err := r.jobSpec(ctx, j, sent)
+		spec, err := r.jobSpec(ctx, j, shipped)
 		if err != nil {
 			return nil, err
 		}
@@ -306,9 +304,20 @@ func (r *Run) fleet(ctx context.Context, fresh []int, prior map[string]launcher.
 	return Launch(ctx, specs, opts)
 }
 
-// jobSpec publishes one job's artifacts to the shared cache (those not in
-// sent already) and captures everything a worker needs to execute it.
-func (r *Run) jobSpec(ctx context.Context, j Job, sent map[string]bool) (*JobSpec, error) {
+// shipped is what a drive has sent to the shared cache so far, by digest:
+// the boot binaries, each with whether it boots bare, and the disk images.
+// The jobs of one workload mostly share a boot binary, so each distinct one
+// is read, decoded and uploaded once per drive.
+type shipped struct {
+	bare map[string]bool
+	sent map[string]bool
+}
+
+// jobSpec publishes one job's artifacts to the shared cache (those not
+// shipped already) and captures everything a worker needs to execute it.
+// The artifacts' digests come from the digest cache: a build that just
+// published or restored them leaves nothing to hash.
+func (r *Run) jobSpec(ctx context.Context, j Job, shipped shipped) (*JobSpec, error) {
 	if j.Attach != nil {
 		var probe Exec
 		release, err := j.Attach(&probe)
@@ -325,14 +334,6 @@ func (r *Run) jobSpec(ctx context.Context, j Job, sent map[string]bool) (*JobSpe
 	if err := os.RemoveAll(j.Dir); err != nil {
 		return nil, err
 	}
-	bin, err := os.ReadFile(j.Bin)
-	if err != nil {
-		return nil, fmt.Errorf("job %s has no boot binary (bare-metal base without bin?): %w", j.Name, err)
-	}
-	boot, err := firmware.Decode(bin)
-	if err != nil {
-		return nil, fmt.Errorf("job %s: boot binary: %w", j.Name, err)
-	}
 	spec := &JobSpec{
 		Name:      j.Name,
 		Sim:       j.Sim,
@@ -345,17 +346,41 @@ func (r *Run) jobSpec(ctx context.Context, j Job, sent map[string]bool) (*JobSpe
 	if j.Sim == "rtl" {
 		spec.RTL = NewRTLSpec(j.RTL)
 	}
-	if spec.Bin, err = r.publish(ctx, bin, sent); err != nil {
-		return nil, fmt.Errorf("publishing boot binary for %s: %w", j.Name, err)
+	var err error
+	if spec.Bin, _, err = hostutil.FileDigest(j.Bin); err != nil {
+		return nil, fmt.Errorf("job %s has no boot binary (bare-metal base without bin?): %w", j.Name, err)
 	}
-	if j.Img != "" && !boot.IsBare() {
+	bare, ok := shipped.bare[spec.Bin]
+	if !ok {
+		bin, err := os.ReadFile(j.Bin)
+		if err != nil {
+			return nil, fmt.Errorf("job %s has no boot binary (bare-metal base without bin?): %w", j.Name, err)
+		}
+		boot, err := firmware.Decode(bin)
+		if err != nil {
+			return nil, fmt.Errorf("job %s: boot binary: %w", j.Name, err)
+		}
+		if err := cas.PutBlob(ctx, r.Remote, spec.Bin, bin); err != nil {
+			return nil, fmt.Errorf("publishing boot binary for %s: %w", j.Name, err)
+		}
+		bare = boot.IsBare()
+		shipped.bare[spec.Bin] = bare
+	}
+	if j.Img == "" || bare {
+		return spec, nil
+	}
+	if spec.Img, _, err = hostutil.FileDigest(j.Img); err != nil {
+		return nil, fmt.Errorf("job %s: disk image: %w", j.Name, err)
+	}
+	if !shipped.sent[spec.Img] {
 		img, err := os.ReadFile(j.Img)
 		if err != nil {
 			return nil, fmt.Errorf("job %s: disk image: %w", j.Name, err)
 		}
-		if spec.Img, err = r.publish(ctx, img, sent); err != nil {
+		if err := cas.PutBlob(ctx, r.Remote, spec.Img, img); err != nil {
 			return nil, fmt.Errorf("publishing disk image for %s: %w", j.Name, err)
 		}
+		shipped.sent[spec.Img] = true
 	}
 	return spec, nil
 }
@@ -392,18 +417,6 @@ func (r *Run) materialize(ctx context.Context, j Job, ev Event) (*Result, error)
 func PutBlob(ctx context.Context, rem cas.Remote, data []byte) (string, error) {
 	digest := hostutil.HashBytes(data)
 	return digest, cas.PutBlob(ctx, rem, digest, data)
-}
-
-// publish is PutBlob that skips the upload when sent says this drive already
-// made it.
-func (r *Run) publish(ctx context.Context, data []byte, sent map[string]bool) (string, error) {
-	digest := hostutil.HashBytes(data)
-	if sent[digest] {
-		return digest, nil
-	}
-	err := cas.PutBlob(ctx, r.Remote, digest, data)
-	sent[digest] = err == nil
-	return digest, err
 }
 
 // WriteObsFiles persists a run's observability artifacts: the span trace

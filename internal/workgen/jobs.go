@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"firemarshal/internal/asm"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/isa"
 )
 
@@ -59,7 +60,7 @@ func EmitParallelWorkload(dir string, n int, dataset string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("workgen: assembling %s (%s): %w", j.Name, j.Bench, err)
 		}
-		if err := os.WriteFile(filepath.Join(binDir, j.Name), isa.EncodeExecutable(exe), 0o755); err != nil {
+		if err := hostutil.WriteFileAtomic(filepath.Join(binDir, j.Name), isa.EncodeExecutable(exe), 0o755); err != nil {
 			return "", err
 		}
 		jobLines = append(jobLines, fmt.Sprintf(
@@ -75,7 +76,7 @@ func EmitParallelWorkload(dir string, n int, dataset string) (string, error) {
 }
 `, strings.Join(jobLines, ",\n"))
 	path := filepath.Join(dir, "parjobs.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+	if err := hostutil.WriteFileAtomic(path, []byte(doc), 0o644); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -1,9 +1,11 @@
 package firemarshal
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -163,5 +165,82 @@ func TestFileDataIsWrittenOnlyByFsimg(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArtifactsAreReplacedNeverRewritten keeps the invariant hard-linked
+// artifacts rest on: a work tree's artifact is the same inode as its cache
+// blob, so a write into one is a write into both. Product code opens a file
+// for writing only in hostutil's writeAtomic, whose temporary file is renamed
+// over the path — a new inode, never a rewrite — and in the three append-only
+// logs (the run journal, the cas action log, a job's checkpoint pointer
+// file), which no artifact is, plus `launch -trace`'s trace.log, created new
+// in a run directory each attempt, and the digest cache's timestamp probe, a
+// file no directory lists (or lists only until it is unlinked at once).
+func TestArtifactsAreReplacedNeverRewritten(t *testing.T) {
+	opens := map[string]bool{"WriteFile": true, "Create": true, "CreateTemp": true, "OpenFile": true, "Truncate": true}
+	var found []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == "examples" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !opens[sel.Sel.Name] {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "os" && pkg.Name != "ioutil" {
+					return true
+				}
+				site := fmt.Sprintf("%s:%s:%s.%s", filepath.ToSlash(path), fn.Name.Name, sel.X.(*ast.Ident).Name, sel.Sel.Name)
+				if sel.Sel.Name == "OpenFile" && len(call.Args) > 1 {
+					if flags := types.ExprString(call.Args[1]); !strings.Contains(flags, "O_APPEND") {
+						site += " without O_APPEND"
+					}
+				}
+				found = append(found, site)
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(found)
+	want := []string{
+		"internal/cas/actionlog.go:reopen:os.OpenFile",
+		"internal/checkpoint/pointer.go:appendPointer:os.OpenFile",
+		"internal/core/launch.go:launchJob:os.Create",
+		"internal/hostutil/filekey_linux.go:openProbe:os.CreateTemp",
+		"internal/hostutil/filekey_linux.go:openProbe:os.OpenFile without O_APPEND",
+		"internal/hostutil/hostutil.go:writeAtomic:os.CreateTemp",
+		"internal/launcher/journal.go:OpenJournal:os.OpenFile",
+	}
+	if !reflect.DeepEqual(found, want) {
+		t.Errorf("product code opens files for writing at %v, want exactly %v: write whole files with hostutil.WriteFileAtomic (or WriteStreamAtomic)", found, want)
 	}
 }
