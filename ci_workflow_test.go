@@ -219,8 +219,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 
 	// The fuzz job runs each differential fuzz target of the cycle-exact
-	// tier's kernels, and the decoders', for 30 s, and the targets it names
-	// exist.
+	// tier's kernels and loop, and the decoders', for 30 s, and the targets
+	// it names exist.
 	fuzzJob, ok := jobs["fuzz"].(map[string]any)
 	if !ok {
 		t.Fatalf("jobs.fuzz = %T, want mapping", jobs["fuzz"])
@@ -229,8 +229,10 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	for target, pkg := range map[string]string{
 		"FuzzCacheVsReference": "./internal/sim/cache",
 		"FuzzTageVsReference":  "./internal/sim/bpred",
+		"FuzzTimedVsReference": "./internal/sim/rtlsim",
 		"FuzzDecodeEncode":     "./internal/isa",
 		"FuzzDecode":           "./internal/fsimg",
+		"FuzzDecodeCPIO":       "./internal/fsimg",
 		"FuzzLeaseBody":        "./internal/launcher/remote",
 		"FuzzActionLog":        "./internal/cas",
 		"FuzzLoadPointer":      "./internal/checkpoint",

@@ -103,21 +103,24 @@ func DecodeCPIO(data []byte) (*FS, error) {
 			return nil, fmt.Errorf("fsimg: bad cpio namesize field: %v", err)
 		}
 		off += 110
-		if off+int(namesize) > len(data) {
+		// The sizes are compared with what is left before either is added to
+		// off: a field is up to 2³²−1, which wraps an int on 32-bit builds.
+		if namesize == 0 {
+			return nil, fmt.Errorf("fsimg: cpio entry at offset %d has no name", off-110)
+		}
+		if namesize > uint64(len(data)-off) {
 			return nil, fmt.Errorf("fsimg: truncated cpio name")
 		}
 		name := string(data[off : off+int(namesize)-1]) // strip NUL
-		off += int(namesize)
-		off = align4(off)
+		off = align4(off + int(namesize))
 		if name == cpioTrailer {
 			return fs, nil
 		}
-		if off+int(filesize) > len(data) {
+		if off > len(data) || filesize > uint64(len(data)-off) {
 			return nil, fmt.Errorf("fsimg: truncated cpio data for %q", name)
 		}
 		body := data[off : off+int(filesize)]
-		off += int(filesize)
-		off = align4(off)
+		off = align4(off + int(filesize))
 		switch mode & cpioTypeMask {
 		case cpioTypeDir:
 			if err := fs.MkdirAll("/"+name, uint32(mode)&0o777); err != nil {

@@ -2,13 +2,16 @@ package approxsim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
 	"firemarshal/internal/asm"
 	"firemarshal/internal/isa"
+	"firemarshal/internal/sim"
 	"firemarshal/internal/sim/funcsim"
 	"firemarshal/internal/sim/rtlsim"
+	"firemarshal/internal/workgen"
 )
 
 func build(t *testing.T, src string) *isa.Executable {
@@ -169,5 +172,42 @@ func TestZeroConfigDefaults(t *testing.T) {
 	}
 	if p.Name() != "gem5-approx" || p.CycleExact() {
 		t.Error("identity wrong")
+	}
+}
+
+// TestExecMatchesReferenceLoop: Exec charges the CPI model from the
+// predecoded loop; the same programs retired through RunBatch/StepInto
+// alone must end with the same result, clock and console.
+func TestExecMatchesReferenceLoop(t *testing.T) {
+	srcs := map[string]string{"mixed": mixedProgram}
+	for _, b := range workgen.IntSpeedSuite() {
+		srcs[b.Name] = b.Source("test")
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		srcs[fmt.Sprintf("random-%d", seed)] = workgen.RandomSource(seed)
+	}
+	for name, src := range srcs {
+		exe := build(t, src)
+		fast, ref := New(DefaultConfig()), New(DefaultConfig())
+		var fastOut, refOut bytes.Buffer
+		fastRes, err := fast.Exec(exe, &fastOut)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		refRes, err := ref.Run(exe, &refOut, nil, nil, func(m *sim.Machine) (uint64, error) {
+			for !m.Halted {
+				if _, err := m.RunBatch(4096, ref.charge); err != nil {
+					return 0, err
+				}
+			}
+			return m.Instret, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if *fastRes != *refRes || fast.Cycles() != ref.Cycles() || fastOut.String() != refOut.String() {
+			t.Errorf("%s: Exec %+v (clock %d, %q), reference loop %+v (clock %d, %q)", name,
+				*fastRes, fast.Cycles(), fastOut.String(), *refRes, ref.Cycles(), refOut.String())
+		}
 	}
 }

@@ -118,38 +118,44 @@ const DefaultStackTop = 0x8000000
 // RunFunctional executes the machine until it halts, advancing one cycle
 // per instruction — the functional simulator's notion of time. It returns
 // the number of retired instructions.
-//
-// When no hooks, trace writer, or tamper function are installed it takes
-// the event-free fast loop (see fastpath.go); otherwise it falls back to
-// the reference loop. Both produce identical architectural state.
-func RunFunctional(m *Machine) (uint64, error) {
-	if len(m.Hooks) == 0 && m.Trace == nil && m.TamperFn == nil {
-		start := m.Instret
-		err := m.runFast()
-		return m.Instret - start, err
-	}
-	return RunReference(m)
-}
+func RunFunctional(m *Machine) (uint64, error) { return runToHalt(m, nil, true) }
 
 // RunReference executes the machine until it halts using only the
 // reference StepInto path — the semantics every fast path is differentially
 // tested against. It advances one cycle per instruction, like
 // RunFunctional.
-func RunReference(m *Machine) (uint64, error) { return RunTimed(m, nil) }
+func RunReference(m *Machine) (uint64, error) { return runToHalt(m, nil, false) }
 
-// timedBatch is how many instructions RunTimed retires between polls of
-// the Stop channel, so a killed job stops within that many retirements.
+// RunTimed executes the machine until it halts, advancing m.Now by
+// charge(ev) after each retired instruction — the run loop of the
+// cycle-approximate and cycle-exact platforms, whose charge is their
+// timing model. It takes the predecoded loop unless a memory hook, trace
+// writer or tamper function is installed. charge may read an Event's PC,
+// Instr.Op, Taken, MemAddr, MemSize, MMIO, Extra and Syscall, and must not
+// retain it; a nil charge is RunFunctional. It returns the number of
+// retired instructions.
+func RunTimed(m *Machine, charge func(*Event) uint64) (uint64, error) {
+	return runToHalt(m, charge, true)
+}
+
+// timedBatch is how many instructions a timed or reference run retires
+// between polls of the Stop channel, so a killed job stops within that many
+// retirements.
 const timedBatch = 4096
 
-// RunTimed executes the machine until it halts on the reference StepInto
-// path, advancing m.Now by charge(ev) after each retired instruction (nil:
-// one cycle each) — the run loop of the cycle-approximate and cycle-exact
-// platforms, whose charge is their timing model. It polls the cooperative
-// kill switch between batches, and RunBatch flushes metric shards and
-// fires checkpoint boundaries at the same retired-instruction counts the
-// fast loop stops at. It returns the number of retired instructions.
-func RunTimed(m *Machine, charge func(*Event) uint64) (uint64, error) {
+// runToHalt is the one place a loop is chosen. When fast is set and no memory
+// hook, trace writer or tamper function needs every instruction's full
+// Event, the machine runs on the predecoded loop (see fastpath.go);
+// otherwise it retires through RunBatch/StepInto, polling the kill switch
+// between batches. Both produce identical architectural state and, given
+// the same charge, identical cycles; checkpoints land at the same
+// retired-instruction counts on either.
+func runToHalt(m *Machine, charge func(*Event) uint64, fast bool) (uint64, error) {
 	start := m.Instret
+	if fast && len(m.Hooks) == 0 && m.Trace == nil && m.TamperFn == nil {
+		err := m.runFast(charge)
+		return m.Instret - start, err
+	}
 	for !m.Halted {
 		if m.Interrupted() {
 			return m.Instret - start, ErrStopped

@@ -1,20 +1,22 @@
 // Fast execution paths through the machine.
 //
-// runFast is the functional simulator's hot loop: a dense switch over
-// predecoded, pre-split instructions with architectural state held in
-// locals, the soft-TLB fast path inlined for RAM loads (a store is one
-// call to its width's helper), and a one-comparison device-range
-// pre-check. Anything the inline cases do not cover — syscalls, CSR reads,
-// MMIO, traps, segment switches — is executed by the reference StepInto,
-// one instruction at a time, and the value rules come from semantics.go,
-// so the tricky semantics exist in exactly one place. The differential
-// tests in diff_test.go lock runFast ≡ RunReference on snapshots, console
-// bytes, and retired-instruction counts.
+// runFast is the hot loop of the functional and the timed platforms: a
+// dense switch over predecoded, pre-split instructions with architectural
+// state held in locals, the soft-TLB fast path inlined for RAM loads (a
+// store is one call to its width's helper), and a one-comparison
+// device-range pre-check. Anything the inline cases do not cover —
+// syscalls, CSR reads, MMIO, traps, segment switches — is executed by the
+// reference StepInto, one instruction at a time, and the value rules come
+// from semantics.go, so the tricky semantics exist in exactly one place.
+// A timed run hands the same loop a timing model to charge after every
+// instruction. The differential tests in diff_test.go lock runFast ≡
+// RunReference on snapshots, console bytes, and retired-instruction
+// counts; rtlsim's lock the timed loop to RunBatch's cycles and events.
 //
-// RunBatch is the loop under every timed or observed run: it retires
-// instructions through StepInto (which shares the predecoded fetch path
-// and soft TLB), charging the caller's timing model with each Event as it
-// retires, with the per-batch bookkeeping amortized across the batch.
+// RunBatch is the loop under every observed run: it retires instructions
+// through StepInto (which shares the predecoded fetch path and soft TLB),
+// charging the caller's callback with each full Event as it retires, with
+// the per-batch bookkeeping amortized across the batch.
 package sim
 
 import (
@@ -30,8 +32,9 @@ import (
 const stopPollChunk = 1 << 20
 
 // RunBatch executes up to max instructions and is the one loop that steps
-// the reference path: RunTimed drives it for every StepInto-based run
-// (reference, cycle-approximate, cycle-exact, the farm's event feed).
+// the reference path: runToHalt drives it for every StepInto-based run (the
+// reference tier, and any run with hooks, a trace writer or a tamper
+// function installed), and the farm's event feed calls it directly.
 // After each instruction the timing model is charged: m.Now += charge(ev).
 // The Event is reused from one instruction to the next, so charge must not
 // retain it. A nil charge advances Now by one per instruction (functional
@@ -78,20 +81,20 @@ func (m *Machine) RunBatch(max uint64, charge func(*Event) uint64) (uint64, erro
 }
 
 // chunkBudget returns how many instructions the fast loop may retire
-// before it must surface: what is left of limit, clamped twice. With a
-// kill switch installed the budget counts down in chunks so the channel is
-// polled every stopPollChunk instructions; without one (the common case)
-// it spans the whole run. Checkpointing rides the same mechanism: clamping
-// to the boundary distance makes the loop surface at exact multiples of
-// CkptEvery, where maybeCheckpoint fires with state published. Zero means
-// the limit is reached.
-func (m *Machine) chunkBudget(limit uint64) uint64 {
+// before it must surface: what is left of limit, clamped twice. The loop
+// polls its kill switch every poll instructions — stopPollChunk with one
+// installed, timedBatch on a timed run, unbounded (the whole run) for a
+// functional run without one. Checkpointing rides the same mechanism:
+// clamping to the boundary distance makes the loop surface at exact
+// multiples of CkptEvery, where maybeCheckpoint fires with state
+// published. Zero means the limit is reached.
+func (m *Machine) chunkBudget(limit, poll uint64) uint64 {
 	if limit <= m.Instret {
 		return 0
 	}
 	b := limit - m.Instret
-	if m.Stop != nil && b > stopPollChunk {
-		b = stopPollChunk
+	if b > poll {
+		b = poll
 	}
 	if d := m.ckptDist(); b > d {
 		b = d
@@ -99,11 +102,17 @@ func (m *Machine) chunkBudget(limit uint64) uint64 {
 	return b
 }
 
-// runFast executes until the machine halts, advancing functional time (one
-// cycle per instruction). Callers must ensure no hooks, trace writer, or
-// tamper function are installed; devices are fine (MMIO takes the slow
-// path).
-func (m *Machine) runFast() error {
+// runFast executes until the machine halts. With charge nil it advances
+// functional time (one cycle per instruction); otherwise every retired
+// instruction advances Now by charge(ev), in retirement order, exactly as
+// RunBatch would: an instruction the switch retires inline hands charge an
+// Event holding what a timing model reads (PC, Instr.Op, Taken, MemAddr,
+// MemSize; MMIO, Extra and Syscall are zero), a slow step the full Event
+// StepInto wrote. A timed run keeps the trace tier off and surfaces every
+// timedBatch instructions, as the reference loop's batches do. Callers
+// must ensure no hooks, trace writer, or tamper function are installed;
+// devices are fine (MMIO takes the slow path).
+func (m *Machine) runFast(charge func(*Event) uint64) error {
 	if m.Halted {
 		return nil
 	}
@@ -124,6 +133,15 @@ func (m *Machine) runFast() error {
 	devLo, devSpan := m.devLo, m.devHi-m.devLo
 	predLo, predSpan := m.predLo, m.predHi-m.predLo
 	traceOff := m.TraceOff
+	poll := ^uint64(0)
+	if m.Stop != nil {
+		poll = stopPollChunk
+	}
+	ev := &m.batchEv
+	*ev = Event{}
+	if charge != nil {
+		traceOff, poll = true, timedBatch
+	}
 
 	// Declared out of the loop so goto slowpath never jumps over a
 	// declaration in scope at the label. The current segment's fields are
@@ -133,16 +151,21 @@ func (m *Machine) runFast() error {
 	// Instead of bumping Instret and Now per instruction, the loop counts
 	// a single budget down from the instruction limit; the retired count
 	// is reconstructed whenever state is published at slowpath. Functional
-	// time advances one cycle per instruction, so Now moves in lockstep.
+	// time advances one cycle per instruction, so it is reconstructed the
+	// same way; a timed run sums its charges in now. taken, maddr and
+	// msize carry the inline instruction's event fields to its charge.
 	var (
 		in       uop
 		next     uint64
-		ev       Event
 		segBase  uint64
 		segUops  []uop
 		budget0  uint64
 		budget   uint64
 		consumed uint64
+		now      = m.Now
+		taken    bool
+		maddr    uint64
+		msize    int
 	)
 	if s := m.curSeg; s != nil {
 		segBase, segUops = s.base, s.uops
@@ -150,7 +173,7 @@ func (m *Machine) runFast() error {
 	if err := m.maybeCheckpoint(); err != nil {
 		return err
 	}
-	budget0 = m.chunkBudget(limit)
+	budget0 = m.chunkBudget(limit, poll)
 	budget = budget0
 
 	for {
@@ -161,12 +184,15 @@ func (m *Machine) runFast() error {
 			// raises the instruction-limit trap.
 			m.PC = pc
 			m.Instret += budget0
-			m.Now += budget0
+			if charge == nil {
+				now += budget0
+			}
+			m.Now = now
 			m.flushObs()
 			if err := m.maybeCheckpoint(); err != nil {
 				return err
 			}
-			budget0 = m.chunkBudget(limit)
+			budget0 = m.chunkBudget(limit, poll)
 			if budget0 == 0 {
 				goto slowpath // consumed is now zero; StepInto raises the limit trap
 			}
@@ -308,26 +334,32 @@ func (m *Machine) runFast() error {
 		case isa.OpBEQ:
 			if regs[in.Rs1&31] == regs[in.Rs2&31] {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 		case isa.OpBNE:
 			if regs[in.Rs1&31] != regs[in.Rs2&31] {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 		case isa.OpBLT:
 			if int64(regs[in.Rs1&31]) < int64(regs[in.Rs2&31]) {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 		case isa.OpBGE:
 			if int64(regs[in.Rs1&31]) >= int64(regs[in.Rs2&31]) {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 		case isa.OpBLTU:
 			if regs[in.Rs1&31] < regs[in.Rs2&31] {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 		case isa.OpBGEU:
 			if regs[in.Rs1&31] >= regs[in.Rs2&31] {
 				next = pc + uint64(in.Imm)
+				taken = true
 			}
 
 		case isa.OpLD:
@@ -335,6 +367,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 8
 			var rd uint64
 			if off := addr & (pageSize - 1); off <= pageSize-8 {
 				if p := mem.lookup(addr); p != nil {
@@ -350,6 +383,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 4
 			var v uint32
 			if off := addr & (pageSize - 1); off <= pageSize-4 {
 				if p := mem.lookup(addr); p != nil {
@@ -365,6 +399,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 4
 			var v uint32
 			if off := addr & (pageSize - 1); off <= pageSize-4 {
 				if p := mem.lookup(addr); p != nil {
@@ -380,6 +415,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 2
 			var v uint16
 			if off := addr & (pageSize - 1); off <= pageSize-2 {
 				if p := mem.lookup(addr); p != nil {
@@ -395,6 +431,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 2
 			var v uint16
 			if off := addr & (pageSize - 1); off <= pageSize-2 {
 				if p := mem.lookup(addr); p != nil {
@@ -410,6 +447,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 1
 			var v byte
 			if p := mem.lookup(addr); p != nil {
 				v = p[addr&(pageSize-1)]
@@ -421,6 +459,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 1
 			var v byte
 			if p := mem.lookup(addr); p != nil {
 				v = p[addr&(pageSize-1)]
@@ -433,6 +472,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 8
 			mem.store64(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 8)
@@ -442,6 +482,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 4
 			mem.store32(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 4)
@@ -451,6 +492,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 2
 			mem.store16(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 2)
@@ -460,6 +502,7 @@ func (m *Machine) runFast() error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
+			maddr, msize = addr, 1
 			mem.store8(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 1)
@@ -529,6 +572,11 @@ func (m *Machine) runFast() error {
 			goto slowpath
 		}
 
+		if charge != nil {
+			ev.PC, ev.Instr.Op, ev.Taken, ev.MemAddr, ev.MemSize = pc, in.Op, taken, maddr, msize
+			now += charge(ev)
+			taken, maddr, msize = false, 0, 0
+		}
 		if next <= pc && !traceOff {
 			// A backward (or self) edge was just taken: the landing pc is a
 			// loop-head candidate. Dispatch a compiled superblock when one
@@ -561,31 +609,33 @@ func (m *Machine) runFast() error {
 
 	slowpath:
 		// Publish architectural state, retire exactly one instruction on
-		// the reference path, and resume the fast loop.
+		// the reference path, and resume the fast loop. The slow step is one
+		// of the chunk's instructions, so the chunk still ends on the
+		// instruction limit, the Stop poll and the checkpoint boundary, and
+		// the code at its end handles all three for slow steps too. (A chunk
+		// of zero — the limit — only reaches here for StepInto's trap.)
 		consumed = budget0 - budget
 		m.PC = pc
 		m.Instret += consumed
-		m.Now += consumed
-		if err := m.StepInto(&ev); err != nil {
+		if charge == nil {
+			now += consumed
+		}
+		m.Now = now
+		if err := m.StepInto(ev); err != nil {
 			return err
 		}
-		m.Now++ // RunFunctional charges one cycle per instruction
-		pc = m.PC
-		// The slow step may have landed exactly on a checkpoint boundary.
-		if err := m.maybeCheckpoint(); err != nil {
-			return err
+		if charge == nil {
+			m.Now++ // RunFunctional charges one cycle per instruction
+		} else {
+			m.Now += charge(ev)
+			*ev = Event{} // inline instructions fill only what charge reads
 		}
 		if m.Halted {
 			return nil
 		}
-		// Slow steps (MMIO, syscalls) can dominate some guests' time, so
-		// the kill switch is also polled here — with no Stop channel this
-		// is one nil check per slow step.
-		if m.Interrupted() {
-			return ErrStopped
-		}
-		budget0 = m.chunkBudget(limit)
-		budget = budget0
+		now, pc = m.Now, m.PC
+		budget--
+		budget0 = budget
 		// The slow step may have decoded code at a new address (extending
 		// the store-invalidation guard) or switched curSeg; re-hoist the
 		// loop's cached bounds so fetch and the store guard stay coherent.

@@ -188,8 +188,9 @@ type Machine struct {
 	devHi     uint64
 	devN      int
 
-	// batchEv is the Event RunBatch hands to the timing model, reused
-	// for every instruction; it lives here so a batch allocates nothing.
+	// batchEv is the Event RunBatch and runFast hand to the timing model,
+	// reused for every instruction; it lives here so a run allocates
+	// nothing.
 	batchEv Event
 }
 

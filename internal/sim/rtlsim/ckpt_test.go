@@ -106,20 +106,22 @@ loop:
 
 // ckptRun is one attempt's configuration: which long program follows the
 // short one, how often to snapshot, where the simulated crash strikes (0:
-// run to completion), and whether a small, fast-ageing TAGE replaces the
-// default one.
+// run to completion), whether a small, fast-ageing TAGE replaces the
+// default one, and the loops that drive the straight, the crashed and the
+// resumed attempt (nil: Exec's own).
 type ckptRun struct {
 	long      string
 	every     uint64
 	maxInstrs uint64
 	smallTage bool
+	loops     [3]timedLoop
 }
 
 // ckptAttempt drives the two execs of a simulated node through one
 // platform, mimicking how guestos issues Platform.Exec calls. maxInstrs
 // bounds each exec so a small value kills the long exec mid-flight after
 // several snapshots — the deterministic stand-in for a host crash.
-func ckptAttempt(t *testing.T, store *cas.Store, ptrDir string, resume bool, run ckptRun) (*Platform, []*sim.ExecResult, string, bool) {
+func ckptAttempt(t *testing.T, store *cas.Store, ptrDir string, resume bool, run ckptRun, loop timedLoop) (*Platform, []*sim.ExecResult, string, bool) {
 	t.Helper()
 	rt, err := checkpoint.Open(checkpoint.Config{Store: store, Dir: ptrDir, Job: "node0", Every: run.every}, resume)
 	if err != nil {
@@ -147,7 +149,12 @@ func ckptAttempt(t *testing.T, store *cas.Store, ptrDir string, resume bool, run
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Exec(exe, &console, "prog")
+		var res *sim.ExecResult
+		if loop == nil {
+			res, err = p.Exec(exe, &console, "prog")
+		} else {
+			res, err = execOn(p, loop, &recorder{}, exe, &console, "prog")
+		}
 		if err != nil {
 			// The bounded attempt dying mid-exec is the simulated crash.
 			return p, results, console.String(), true
@@ -204,7 +211,7 @@ func crashResume(t *testing.T, run ckptRun, crashAt uint64) {
 	ptrDir := filepath.Join(dir, "ckpt")
 
 	// Uninterrupted reference run (its own pointer dir).
-	straightP, straightRes, straightConsole, crashed := ckptAttempt(t, store, filepath.Join(dir, "ref-ckpt"), false, run)
+	straightP, straightRes, straightConsole, crashed := ckptAttempt(t, store, filepath.Join(dir, "ref-ckpt"), false, run, run.loops[0])
 	if crashed || len(straightRes) != 2 {
 		t.Fatalf("reference run did not complete: %d execs", len(straightRes))
 	}
@@ -216,7 +223,7 @@ func crashResume(t *testing.T, run ckptRun, crashAt uint64) {
 	// with at least two checkpoints behind it.
 	crash := run
 	crash.maxInstrs = crashAt
-	_, partial, _, crashed := ckptAttempt(t, store, ptrDir, false, crash)
+	_, partial, _, crashed := ckptAttempt(t, store, ptrDir, false, crash, run.loops[1])
 	if !crashed || len(partial) != 1 {
 		t.Fatalf("bounded attempt: crashed=%v after %d execs, want crash after 1", crashed, len(partial))
 	}
@@ -229,7 +236,7 @@ func crashResume(t *testing.T, run ckptRun, crashAt uint64) {
 	}
 
 	// Resume: exec0 replays, exec1 restores and finishes.
-	resumedP, resumedRes, resumedConsole, crashed := ckptAttempt(t, store, ptrDir, true, run)
+	resumedP, resumedRes, resumedConsole, crashed := ckptAttempt(t, store, ptrDir, true, run, run.loops[2])
 	if crashed || len(resumedRes) != 2 {
 		t.Fatalf("resumed run did not complete: %d execs", len(resumedRes))
 	}

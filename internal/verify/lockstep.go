@@ -166,16 +166,22 @@ func (tr *tierRun) step(k uint64) error {
 	return nil
 }
 
-// stepEvents is sim.RunReference with an observer: the same loop, with a
-// charge callback that feeds each event to onEvent and bills the one cycle
-// RunReference would. Architectural state evolves identically; only
-// observation differs.
+// stepEvents is sim.RunReference with an observer: the same loop,
+// RunBatch, with a charge callback that feeds each event to onEvent and
+// bills the one cycle RunReference would. Architectural state evolves
+// identically; only observation differs. (sim.RunTimed would take the
+// predecoded loop, whose events carry only what a timing model reads.)
 func (tr *tierRun) stepEvents() error {
-	_, err := sim.RunTimed(tr.m, func(ev *sim.Event) uint64 {
+	charge := func(ev *sim.Event) uint64 {
 		tr.onEvent(ev)
 		return 1
-	})
-	return err
+	}
+	for !tr.m.Halted {
+		if _, err := tr.m.RunBatch(4096, charge); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run executes the workload to completion (within the budget).

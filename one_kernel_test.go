@@ -14,12 +14,14 @@ import (
 // TestOnePlatformKernelOneRetireLoop keeps the simulator layer at one of
 // each, the way TestOneWayToExecuteAJob does for job execution: one place
 // that builds a machine and speaks the checkpoint protocol (the platform
-// kernel), one loop over StepInto (RunBatch), one definition of every
-// RV64IM rule that is more than an operator (semantics.go), and one device
-// lookup (AddrRange; no Contains). A second copy of any of them fails here
-// instead of drifting from the first. It parses product sources only:
-// tests, benchmark/ and the verification farm (which builds bare machines
-// to compare tiers) may do as they like.
+// kernel), one loop over StepInto (RunBatch), one place that picks a loop
+// (runToHalt), one loop per role that charges a timing model (RunBatch on
+// the reference path, runFast on the predecoded one), one definition of
+// every RV64IM rule that is more than an operator (semantics.go), and one
+// device lookup (AddrRange; no Contains). A second copy of any of them
+// fails here instead of drifting from the first. It parses product sources
+// only: tests, benchmark/ and the verification farm (which builds bare
+// machines to compare tiers) may do as they like.
 func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 	const kernel = "internal/sim/platform/host.go"
 	// call name -> "file:enclosing function" of every call site found.
@@ -27,6 +29,7 @@ func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 	track := map[string]bool{
 		"NewMachine": true, "ReplayNext": true, "BeginExec": true, "FinishExec": true,
 		"LoadExecutable": true, "StepInto": true, "sext32": true,
+		"runFast": true, "charge": true,
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -117,12 +120,23 @@ func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 			"internal/sim/fastpath.go:runFast",  // its slow path: one instruction, then back
 			"internal/sim/machine.go:Step",      // the single-step API
 		},
+		"runFast": {"internal/sim/env.go:runToHalt"},
 	} {
 		got := append([]string(nil), calls[name]...)
 		sort.Strings(got)
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("%s( is called from %v, want exactly %v", name, got, want)
 		}
+	}
+	// A timing model is a charge callback (a platform's charge method, or
+	// the parameter that carries one), and only the two retire loops call
+	// it; runFast calls it twice, for an inline and for a slow step.
+	charged := map[string]bool{}
+	for _, where := range calls["charge"] {
+		charged[where] = true
+	}
+	if len(charged) != 2 || !charged["internal/sim/fastpath.go:RunBatch"] || !charged["internal/sim/fastpath.go:runFast"] {
+		t.Errorf("a timing model is called from %v, want exactly RunBatch and runFast", calls["charge"])
 	}
 	for _, where := range calls["sext32"] {
 		if !strings.HasPrefix(where, "internal/sim/semantics.go:") {
