@@ -65,6 +65,7 @@ import (
 	"firemarshal/internal/obs"
 	"firemarshal/internal/ratelimit"
 	"firemarshal/internal/spec"
+	"firemarshal/internal/verify"
 )
 
 // firemarshalWorkload aliases the spec type for the graph renderer.
@@ -630,20 +631,26 @@ func parseSeeds(s string) ([]int64, error) {
 // tiers, 1 when any divergence signature was found, 2 on usage errors.
 func cmdVerifyFarm(m *core.Marshal, args []string) int {
 	fs := flag.NewFlagSet("verify-farm", flag.ContinueOnError)
-	seedSpec := fs.String("seeds", "1-8", "corpus seeds: comma list and inclusive ranges, e.g. 1,2,10-14")
-	rounds := fs.Int("rounds", 1, "coverage-guided mutation rounds after the seed round")
-	mutations := fs.Int("mutations", 0, "mutants per round (0 = one per seed)")
-	maxEntries := fs.Int("max-entries", 0, "stop after N corpus entries (0 = unbounded)")
-	maxInstrs := fs.Uint64("max-instrs", 0, "per-workload instruction budget (0 = default)")
-	ckptEvery := fs.Uint64("ckpt-every", 0, "bisector coarse checkpoint interval (0 = default)")
-	rtlEvery := fs.Int("rtl-every", 0, "cycle-exact spot-check every Nth clean entry (0 = off)")
-	farmSeed := fs.Int64("farm-seed", 0, "mutation RNG seed (fixed => byte-identical manifests)")
-	fault := fs.String("inject-fault", "", "seeded-fault self-test: tier:instr:reg:xor, e.g. fast:5000:x27:0x1")
-	var jobs int
-	fs.IntVar(&jobs, "j", 0, "evaluation parallelism (0 = GOMAXPROCS)")
-	fs.IntVar(&jobs, "jobs", 0, "alias for -j")
-	timeout := fs.Duration("timeout", 0, "time-box the whole session, e.g. 5m (0 = none)")
-	out := fs.String("out", "", "manifest path (default <workdir>/verify/farm.jsonl)")
+	opts := core.VerifyOpts{Params: verify.Params{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}}
+	fs.Func("seeds", "corpus seeds: comma `list` and inclusive ranges, e.g. 1,2,10-14 (default 1-8)", func(s string) (err error) {
+		opts.Seeds, err = parseSeeds(s)
+		return err
+	})
+	fs.IntVar(&opts.Rounds, "rounds", 1, "coverage-guided mutation rounds after the seed round")
+	fs.IntVar(&opts.Mutations, "mutations", 0, "mutants per round (0 = one per seed)")
+	fs.IntVar(&opts.MaxEntries, "max-entries", 0, "stop after N corpus entries (0 = unbounded)")
+	fs.Uint64Var(&opts.MaxInstrs, "max-instrs", 0, "per-workload instruction budget (0 = default)")
+	fs.Uint64Var(&opts.CkptEvery, "ckpt-every", 0, "bisector coarse checkpoint interval (0 = default)")
+	fs.IntVar(&opts.RTLEvery, "rtl-every", 0, "cycle-exact spot-check every Nth clean entry (0 = off)")
+	fs.Int64Var(&opts.FarmSeed, "farm-seed", 0, "mutation RNG seed (fixed => byte-identical manifests)")
+	fs.Func("inject-fault", "seeded-fault self-test: `tier:instr:reg:xor`, e.g. fast:5000:x27:0x1", func(s string) (err error) {
+		opts.Fault, err = verify.ParseFault(s)
+		return err
+	})
+	fs.IntVar(&opts.Jobs, "j", 0, "evaluation parallelism (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.Jobs, "jobs", 0, "alias for -j")
+	fs.DurationVar(&opts.Timeout, "timeout", 0, "time-box the whole session, e.g. 5m (0 = none)")
+	fs.StringVar(&opts.Out, "out", "", "manifest path (default <workdir>/verify/farm.jsonl)")
 	workers := fs.String("workers", "", "comma-separated worker addresses: shard the corpus across a fleet (requires -remote-cache)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -652,29 +659,11 @@ func cmdVerifyFarm(m *core.Marshal, args []string) int {
 		fmt.Fprintln(os.Stderr, "marshal verify-farm: unexpected arguments (the farm generates its own workloads)")
 		return 2
 	}
-	seeds, err := parseSeeds(*seedSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marshal verify-farm:", err)
-		return 2
-	}
+	opts.Workers = lremote.SplitAddrs(*workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res, err := m.VerifyFarm(ctx, core.VerifyOpts{
-		Seeds:      seeds,
-		Rounds:     *rounds,
-		Mutations:  *mutations,
-		MaxEntries: *maxEntries,
-		MaxInstrs:  *maxInstrs,
-		CkptEvery:  *ckptEvery,
-		RTLEvery:   *rtlEvery,
-		FarmSeed:   *farmSeed,
-		Fault:      *fault,
-		Jobs:       jobs,
-		Timeout:    *timeout,
-		Out:        *out,
-		Workers:    lremote.SplitAddrs(*workers),
-	})
+	res, err := m.VerifyFarm(ctx, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "marshal verify-farm:", err)
 		return 1

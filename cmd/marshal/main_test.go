@@ -146,6 +146,9 @@ func TestCLIVerifyFarm(t *testing.T) {
 	if code := run([]string{"-workdir", workDir, "verify-farm", "-seeds", "1", "extra-arg"}); code != 2 {
 		t.Errorf("stray positional arg exit = %d, want 2", code)
 	}
+	if code := run([]string{"-workdir", workDir, "verify-farm", "-seeds", "1", "-inject-fault", "bogus"}); code != 2 {
+		t.Errorf("bad fault spec exit = %d, want 2", code)
+	}
 }
 
 // TestParseSeeds covers the -seeds grammar, negative seeds included.

@@ -288,3 +288,84 @@ func TestConcurrentCorruptBlobSelfHeal(t *testing.T) {
 		t.Error("corrupt blob was never quarantined")
 	}
 }
+
+// scriptedTamper flips a bit in each of the next flips kept reads and tears
+// each of the next tears writes in half, then passes bytes through.
+type scriptedTamper struct {
+	flips, tears int
+}
+
+func (s *scriptedTamper) ReadBlob(_ string, data []byte) []byte {
+	if s.flips == 0 || len(data) == 0 {
+		return data
+	}
+	s.flips--
+	out := append([]byte(nil), data...)
+	out[0] ^= 1
+	return out
+}
+
+func (s *scriptedTamper) WriteBlob(_ string, data []byte) ([]byte, error) {
+	if s.tears == 0 || len(data) < 2 {
+		return data, nil
+	}
+	s.tears--
+	return data[:len(data)/2], nil
+}
+
+// TestTamperedStoreHeals: the faults a chaos hook injects into a worker's
+// store are healed through the cache like real ones. A flipped read is
+// quarantined and refetched; a torn write-back is never handed out as a
+// blob to link, and the next read quarantines and heals it.
+func TestTamperedStoreHeals(t *testing.T) {
+	want := []byte("the artifact a worker boots from")
+	digest := hostutil.HashBytes(want)
+	setup := func(local bool) (*Store, *scriptedTamper, *Cache) {
+		store, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local {
+			if _, err := store.Put(want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tamper := &scriptedTamper{}
+		store.SetTamper(tamper)
+		rem := newFakeRemote()
+		rem.blobs[digest] = want
+		c := NewCache(store, rem)
+		c.SetObs(obs.NewRegistry())
+		return store, tamper, c
+	}
+	healed := func(t *testing.T, store *Store, c *Cache) {
+		t.Helper()
+		if data, err := c.Blob(digest); err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("Blob = %q, %v", data, err)
+		}
+		if store.Quarantined() != 1 || c.Stats().BlobsHealed != 1 {
+			t.Errorf("quarantined %d, healed %d; want 1 and 1", store.Quarantined(), c.Stats().BlobsHealed)
+		}
+		if data, err := store.Get(digest); err != nil || !bytes.Equal(data, want) {
+			t.Errorf("local blob after heal: %q, %v", data, err)
+		}
+	}
+
+	t.Run("flipped read", func(t *testing.T) {
+		store, tamper, c := setup(true)
+		tamper.flips = 1
+		healed(t, store, c)
+	})
+	t.Run("torn write-back", func(t *testing.T) {
+		store, tamper, c := setup(false)
+		tamper.tears = 1
+		data, fi, err := c.blob(digest, false)
+		if err != nil || !bytes.Equal(data, want) {
+			t.Fatalf("remote fallback = %q, %v", data, err)
+		}
+		if fi != nil {
+			t.Error("a blob written under a tamper hook was handed out to link")
+		}
+		healed(t, store, c)
+	})
+}

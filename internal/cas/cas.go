@@ -94,9 +94,10 @@ type Store struct {
 
 // Tamper is a fault-injection hook on the blob I/O paths, implemented by
 // the chaos package (duck-typed here to keep cas dependency-free).
-// ReadBlob may return altered bytes for what was read from disk;
-// WriteBlob may alter the bytes about to be written or fail the write
-// outright. Production stores leave it nil.
+// ReadBlob may return altered bytes for what a kept read (Get, Cache.Blob)
+// read from disk; WriteBlob may alter the bytes Put is about to write or
+// fail the write outright. Linked, streamed and verify-only paths never
+// consult it. Production stores leave it nil.
 type Tamper interface {
 	ReadBlob(digest string, data []byte) []byte
 	WriteBlob(digest string, data []byte) ([]byte, error)
@@ -321,9 +322,9 @@ func (s *Store) put(digest string, data []byte) error {
 // stat from before: hashed in one streamed pass (none when the digest cache
 // knows it), stripped of its write bits, and linked into the store, which
 // then holds no second copy. A blob already present dedups and leaves the
-// artifact its own inode. Where no link can be made — another file system, a
-// tamper hook that must see the bytes — the artifact is streamed in through
-// PutStream, which refuses it if it no longer hashes to the digest.
+// artifact its own inode. Where no link can be made — another file system —
+// the artifact is streamed in through PutStream, which refuses it if it no
+// longer hashes to the digest.
 func (s *Store) file(path string) (string, os.FileInfo, error) {
 	fi, err := os.Lstat(path)
 	if err != nil {
@@ -341,7 +342,7 @@ func (s *Store) file(path string) (string, os.FileInfo, error) {
 		}
 	}
 	filed := false
-	if s.tamper == nil && fi.Mode().IsRegular() {
+	if fi.Mode().IsRegular() {
 		switch err := os.Link(path, s.blobPath(digest)); {
 		case err == nil:
 			s.count(&s.puts)
@@ -408,8 +409,8 @@ func (s *Store) Get(digest string) ([]byte, error) {
 
 // read is Get that also returns the stat of the blob file it verified, and
 // that, without keep, streams the file through SHA-256 without keeping its
-// bytes, for a caller that only needs them verified. Under a tamper hook the
-// bytes are always kept, so the hook sees them.
+// bytes, for a caller that only needs them verified. A tamper hook sees the
+// bytes of a kept read.
 func (s *Store) read(digest string, keep bool) ([]byte, os.FileInfo, error) {
 	if !validDigest(digest) {
 		return nil, nil, fmt.Errorf("cas: %w: invalid digest %q", ErrNotFound, digest)
@@ -428,7 +429,7 @@ func (s *Store) read(digest string, keep bool) ([]byte, os.FileInfo, error) {
 	}
 	h := sha256.New()
 	var data []byte
-	if s.tamper == nil && !keep {
+	if !keep {
 		_, err = io.Copy(h, f)
 	} else {
 		buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
@@ -477,19 +478,10 @@ func (t *readTracker) Read(p []byte) (int, error) {
 // the lock-free fast path the cache server streams GET bodies from: no
 // verification happens here (re-hashing would mean reading the blob
 // twice), because the remote client re-verifies the digest of every body
-// it receives; `cache verify` covers bit rot at rest. With a chaos tamper
-// hook installed the read degrades to the buffered, verifying Get so fault
-// injection keeps its bite.
+// it receives; `cache verify` covers bit rot at rest.
 func (s *Store) OpenBlob(digest string) (io.ReadCloser, int64, error) {
 	if !validDigest(digest) {
 		return nil, 0, fmt.Errorf("cas: %w: invalid digest %q", ErrNotFound, digest)
-	}
-	if s.tamper != nil {
-		data, err := s.Get(digest)
-		if err != nil {
-			return nil, 0, err
-		}
-		return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
 	}
 	f, err := os.Open(s.blobPath(digest))
 	if os.IsNotExist(err) {
@@ -543,18 +535,6 @@ func (s *Store) PutStream(digest string, r io.Reader) (int64, error) {
 	if fi, err := os.Stat(path); err == nil {
 		s.count(&s.dedups)
 		return fi.Size(), nil
-	}
-	if s.tamper != nil {
-		// Chaos runs buffer so the byte-level tamper hooks still apply.
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return 0, fmt.Errorf("cas: streaming blob %s: %w: %w", digest, ErrRead, err)
-		}
-		if hostutil.HashBytes(data) != digest {
-			return 0, fmt.Errorf("cas: blob %s: streamed bytes do not match digest: %w", digest, ErrCorrupt)
-		}
-		_, err = s.Put(data)
-		return int64(len(data)), err
 	}
 	h := sha256.New()
 	tr := &readTracker{r: r}

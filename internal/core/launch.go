@@ -247,7 +247,6 @@ func (m *Marshal) launchJob(tgt Target, opts LaunchOpts, tee io.Writer) remote.J
 		Bin:     m.BinPath(tgt.Name),
 		Img:     m.ImgPath(tgt.Name),
 		Sim:     "qemu",
-		Args:    args,
 		Outputs: EffectiveOutputs(w),
 		Dir:     runDir,
 		Post:    func() error { return m.runPostRunHook(w, runDir) },

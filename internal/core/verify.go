@@ -19,22 +19,11 @@ import (
 	"firemarshal/internal/verify"
 )
 
-// VerifyOpts configures a farm session.
+// VerifyOpts configures a farm session: its verify.Params plus where it
+// runs and where its manifest lands.
 type VerifyOpts struct {
-	// Seeds generates the round-0 corpus; required.
-	Seeds []int64
-	// Rounds/Mutations/MaxEntries/MaxInstrs/CkptEvery/RTLEvery/FarmSeed
-	// mirror verify.FarmOptions.
-	Rounds     int
-	Mutations  int
-	MaxEntries int
-	MaxInstrs  uint64
-	CkptEvery  uint64
-	RTLEvery   int
-	FarmSeed   int64
-	// Fault is the seeded-fault self-test hook ("tier:instr:reg:xor").
-	Fault string
-	// Jobs is per-machine evaluation parallelism.
+	verify.Params
+	// Jobs is per-machine evaluation parallelism (0 = GOMAXPROCS).
 	Jobs int
 	// Timeout time-boxes the whole session (0 = unbounded).
 	Timeout time.Duration
@@ -59,13 +48,6 @@ type VerifyResult struct {
 func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResult, error) {
 	if len(opts.Seeds) == 0 {
 		return nil, fmt.Errorf("core: verify-farm needs at least one seed (-seeds)")
-	}
-	var fault *verify.Fault
-	if opts.Fault != "" {
-		var err error
-		if fault, err = verify.ParseFault(opts.Fault); err != nil {
-			return nil, err
-		}
 	}
 	out := opts.Out
 	if out == "" {
@@ -97,21 +79,13 @@ func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResul
 	}
 	defer jnl.Close()
 	sum, err := verify.RunFarm(verify.FarmOptions{
-		Store:      cache.Local(),
-		Journal:    jnl,
-		Seeds:      opts.Seeds,
-		Rounds:     opts.Rounds,
-		Mutations:  opts.Mutations,
-		MaxEntries: opts.MaxEntries,
-		MaxInstrs:  opts.MaxInstrs,
-		CkptEvery:  opts.CkptEvery,
-		RTLEvery:   opts.RTLEvery,
-		FarmSeed:   opts.FarmSeed,
-		Fault:      fault,
-		Jobs:       opts.Jobs,
-		Obs:        m.Obs,
-		Log:        m.Log,
-		Ctx:        ctx,
+		Params:  opts.Params,
+		Store:   cache.Local(),
+		Journal: jnl,
+		Jobs:    opts.Jobs,
+		Obs:     m.Obs,
+		Log:     m.Log,
+		Ctx:     ctx,
 	})
 	if err != nil {
 		return nil, err
@@ -134,44 +108,30 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 		return nil, fmt.Errorf("core: distributed verify-farm needs a shared artifact cache: set -remote-cache to a `marshal cache serve` server every worker can reach")
 	}
 
-	nShards := len(opts.Workers)
-	if len(opts.Seeds) < nShards {
-		nShards = len(opts.Seeds)
+	// A capped farm runs on no more shards than the cap: every shard
+	// evaluates at least one entry, since a zero cap means "unlimited".
+	nShards := min(len(opts.Workers), len(opts.Seeds))
+	if opts.MaxEntries > 0 {
+		nShards = min(nShards, opts.MaxEntries)
 	}
 	specs := make([]remote.JobSpec, nShards)
 	for i := range specs {
-		var seeds []int64
+		p := opts.Params
+		p.Seeds = nil
 		for j := i; j < len(opts.Seeds); j += nShards {
-			seeds = append(seeds, opts.Seeds[j])
+			p.Seeds = append(p.Seeds, opts.Seeds[j])
 		}
-		maxEntries := 0
 		if opts.MaxEntries > 0 {
 			// Split the global cap evenly; shard i gets the remainder slot
 			// when the cap does not divide (matches the seed round-robin).
-			maxEntries = opts.MaxEntries / nShards
+			p.MaxEntries = opts.MaxEntries / nShards
 			if i < opts.MaxEntries%nShards {
-				maxEntries++
-			}
-			if maxEntries == 0 {
-				maxEntries = 1
+				p.MaxEntries++
 			}
 		}
-		specs[i] = remote.JobSpec{
-			Name: fmt.Sprintf("verify-shard-%d", i),
-			Sim:  "verify",
-			Verify: &remote.VerifySpec{
-				Seeds:      seeds,
-				Rounds:     opts.Rounds,
-				Mutations:  opts.Mutations,
-				MaxEntries: maxEntries,
-				MaxInstrs:  opts.MaxInstrs,
-				CkptEvery:  opts.CkptEvery,
-				RTLEvery:   opts.RTLEvery,
-				// Offset the farm seed so shards mutate independently.
-				FarmSeed: opts.FarmSeed + int64(i)*1_000_003,
-				Fault:    opts.Fault,
-			},
-		}
+		// Offset the farm seed so shards mutate independently.
+		p.FarmSeed += int64(i) * 1_000_003
+		specs[i] = remote.JobSpec{Name: fmt.Sprintf("verify-shard-%d", i), Sim: "verify", Verify: &p}
 	}
 
 	// Collect each shard's manifest digest; merge AFTER Launch returns so

@@ -15,8 +15,7 @@ import (
 func TestVerifyFarmLocal(t *testing.T) {
 	e := newEnv(t)
 	res, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
-		Seeds:  []int64{1, 2, 3},
-		Rounds: 0,
+		Params: verify.Params{Seeds: []int64{1, 2, 3}, Rounds: 0},
 		Jobs:   2,
 	})
 	if err != nil {
@@ -48,11 +47,6 @@ func TestVerifyFarmBadOpts(t *testing.T) {
 	if _, err := e.m.VerifyFarm(context.Background(), VerifyOpts{}); err == nil {
 		t.Error("no seeds: want error")
 	}
-	if _, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
-		Seeds: []int64{1}, Fault: "bogus",
-	}); err == nil {
-		t.Error("bad fault spec: want error")
-	}
 }
 
 // TestVerifyFarmFleetMatchesLocal: the same corpus evaluated locally and
@@ -67,13 +61,12 @@ func TestVerifyFarmFleetMatchesLocal(t *testing.T) {
 	srv := startSharedCache(t, e.m)
 	addrs, _, _ := startWorkerFleet(t, srv.URL, 2)
 
-	local, err := e.m.VerifyFarm(context.Background(), VerifyOpts{Seeds: seeds, Rounds: 0})
+	local, err := e.m.VerifyFarm(context.Background(), VerifyOpts{Params: verify.Params{Seeds: seeds, Rounds: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fleet, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
-		Seeds:      seeds,
-		Rounds:     0,
+		Params:     verify.Params{Seeds: seeds, Rounds: 0},
 		Workers:    addrs,
 		WorkerPoll: 2 * time.Millisecond,
 	})
@@ -100,6 +93,32 @@ func TestVerifyFarmFleetMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestVerifyFarmFleetHonorsMaxEntries: a capped farm evaluates as many
+// entries on a fleet as it does locally, even when the cap is smaller than
+// the fleet: no shard is handed an entry the cap does not allow.
+func TestVerifyFarmFleetHonorsMaxEntries(t *testing.T) {
+	e := newEnv(t)
+	srv := startSharedCache(t, e.m)
+	addrs, _, _ := startWorkerFleet(t, srv.URL, 2)
+
+	params := verify.Params{Seeds: []int64{1, 2, 3, 4}, Rounds: 0, MaxEntries: 1}
+	local, err := e.m.VerifyFarm(context.Background(), VerifyOpts{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
+		Params:     params,
+		Workers:    addrs,
+		WorkerPoll: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Entries != 1 || fleet.Entries != local.Entries {
+		t.Errorf("MaxEntries 1: fleet evaluated %d entries, local %d", fleet.Entries, local.Entries)
+	}
+}
+
 // TestVerifyFarmFleetDedupAcrossShards is the global-dedup contract: two
 // shards that each catch the SAME injected bug (same seed, same fault)
 // must merge to ONE unique signature, counted once per hit, with a
@@ -112,9 +131,11 @@ func TestVerifyFarmFleetDedupAcrossShards(t *testing.T) {
 	// Four copies of one seed, round-robined two per shard: every entry
 	// diverges identically, on both workers.
 	res, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
-		Seeds:      []int64{7, 7, 7, 7},
-		Rounds:     0,
-		Fault:      "fast:500:x27:0x1",
+		Params: verify.Params{
+			Seeds:  []int64{7, 7, 7, 7},
+			Rounds: 0,
+			Fault:  &verify.Fault{Tier: verify.TierFast, Instr: 500, Reg: 27, Xor: 1},
+		},
 		Workers:    addrs,
 		WorkerPoll: 2 * time.Millisecond,
 	})

@@ -24,11 +24,8 @@ type Job struct {
 	Name string
 	// Bin and Img are the artifact files (Img "" boots without a disk).
 	Bin, Img string
-	// Sim, RTL and Outputs are the kernel's (see Exec). Args, the
-	// workload's qemu-args/spike-args, only travel in a fleet job's spec as
-	// a record: no simulator here reads them.
+	// Sim, RTL and Outputs are the kernel's (see Exec).
 	Sim     string
-	Args    []string
 	RTL     rtlsim.Config
 	Outputs []string
 	// Dir is the job's run directory. It is wiped before every attempt, so
@@ -337,14 +334,13 @@ func (r *Run) jobSpec(ctx context.Context, j Job, shipped shipped) (*JobSpec, er
 	spec := &JobSpec{
 		Name:      j.Name,
 		Sim:       j.Sim,
-		Args:      j.Args,
 		Outputs:   j.Outputs,
 		Timeout:   r.Pool.Timeout,
 		Retries:   r.Pool.Retries,
 		CkptEvery: r.CkptEvery,
 	}
 	if j.Sim == "rtl" {
-		spec.RTL = NewRTLSpec(j.RTL)
+		spec.RTL = &j.RTL
 	}
 	var err error
 	if spec.Bin, _, err = hostutil.FileDigest(j.Bin); err != nil {

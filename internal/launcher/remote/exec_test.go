@@ -3,11 +3,15 @@ package remote_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"firemarshal/internal/asm"
@@ -203,5 +207,40 @@ func TestExecutePermanentFailures(t *testing.T) {
 		if _, _, err := remote.Execute(context.Background(), x); err == nil || !launcher.IsPermanent(err) {
 			t.Errorf("%s: err = %v, want a permanent error", name, err)
 		}
+	}
+}
+
+// TestOlderSpecsFailLoudly: a job spec in the flat wire form of an older
+// coordinator never runs on a wrong configuration. Its rtl caches decode to
+// zero geometry, which the kernel rejects as a permanent hardware
+// configuration error; its verify fault string does not decode, so the
+// lease is refused outright.
+func TestOlderSpecsFailLoudly(t *testing.T) {
+	var spec remote.JobSpec
+	if err := json.Unmarshal([]byte(`{"name":"job","sim":"rtl","bin":"sha256:aa","rtl":{"predictor":"tage",
+	  "icache_size":16384,"icache_line":64,"icache_ways":4,"dcache_size":16384,"dcache_line":64,"dcache_ways":4,
+	  "branch_miss":8,"jalr":2,"icache_miss":20,"dcache_miss":30,"mmio_latency":10,"mul_latency":4,
+	  "div_latency":20,"syscall_penalty":30,"freq_mhz":1000,"max_instrs":500000000}}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	art := buildShapes(t)["disk"]
+	_, _, err := remote.Execute(context.Background(), remote.Exec{
+		Name: spec.Name, Bin: art.bin, Img: func() ([]byte, error) { return art.img, nil },
+		Sim: spec.Sim, RTL: *spec.RTL, Obs: obs.NewRegistry(),
+	})
+	if err == nil || !launcher.IsPermanent(err) || !strings.Contains(err.Error(), "icache") {
+		t.Errorf("flat rtl spec: err = %v, want a permanent icache configuration error", err)
+	}
+
+	w := remote.NewWorker(remote.WorkerConfig{Runner: remote.RunnerFunc(func(context.Context, remote.JobSpec, func(remote.Event)) (*remote.RunOutput, error) {
+		t.Error("a lease with a string fault ran")
+		return &remote.RunOutput{}, nil
+	}), Slots: 1, Obs: obs.NewRegistry()})
+	defer w.Close()
+	rec := httptest.NewRecorder()
+	w.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(
+		`[{"name":"verify-shard-0","sim":"verify","verify":{"seeds":[7],"fault":"fast:500:x27:0x1"}}]`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("verify lease with a string fault answered %d, want 400", rec.Code)
 	}
 }

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"firemarshal/internal/isa"
 	"firemarshal/internal/obs"
+	"firemarshal/internal/sim/rtlsim"
+	"firemarshal/internal/verify"
 )
 
 // FuzzLeaseBody feeds POST /v1/jobs arbitrary bytes: the worker answers 400,
@@ -16,9 +19,17 @@ import (
 // still reaps every lease it started.
 func FuzzLeaseBody(f *testing.F) {
 	good, _ := json.Marshal(specsNamed("a", "b", "a", ""))
+	rtl := rtlsim.DefaultConfig()
+	rtl.FaultMask, rtl.FaultOp = 1, isa.OpMUL
+	rtlSpec, _ := json.Marshal([]JobSpec{{Name: "r", Sim: "rtl", Bin: "sha256:aa", RTL: &rtl}})
+	verifySpec, _ := json.Marshal([]JobSpec{{Name: "v", Sim: "verify", Verify: &verify.Params{
+		Seeds: []int64{7, 8}, Rounds: 1, MaxEntries: 3, RTLEvery: 2, FarmSeed: 42,
+		Fault: &verify.Fault{Tier: verify.TierFast, Instr: 500, Reg: 27, Xor: 1},
+	}}})
 	for _, seed := range [][]byte{
 		good, []byte(`[]`), []byte(`null`), []byte(`{"name":"x"}`), []byte(`[{"name":"x","rtl":{}}]`),
 		[]byte(`[{"name":1}]`), []byte(`[{"name":"x","ckpt":{"job":"x"}}] trailing`), []byte(`[[`), nil,
+		rtlSpec, verifySpec,
 	} {
 		f.Add(seed)
 	}

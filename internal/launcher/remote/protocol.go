@@ -17,7 +17,14 @@
 // Artifacts never travel over this protocol: the coordinator publishes
 // boot binaries and disk images to the shared CAS remote-cache server and
 // job specs carry only digests; workers fetch what they miss and publish
-// consoles, outputs, and checkpoints the same way.
+// consoles, outputs, and checkpoints the same way. A configuration travels
+// as the type that declares it: an rtl job carries its rtlsim.Config and a
+// farm shard its verify.Params, so no field can be dropped in a copy. A
+// worker of another version fails such a job loudly — an older rtl spec
+// decodes to zero cache geometry, which Execute rejects as a permanent
+// hardware-configuration error, and an older verify spec's fault string
+// does not decode, so its lease is answered 400 — never on a wrong
+// configuration.
 //
 // Fault model: a worker that stops answering polls for LeaseTTL forfeits
 // its leases. Each forfeited job is re-leased to a live worker together
@@ -39,9 +46,9 @@ import (
 	"time"
 
 	"firemarshal/internal/checkpoint"
-	"firemarshal/internal/isa"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/sim/rtlsim"
+	"firemarshal/internal/verify"
 )
 
 // JobSpec is one leased job, self-contained modulo CAS digests: a worker
@@ -57,12 +64,13 @@ type JobSpec struct {
 	Bin string `json:"bin"`
 	// Img is the CAS digest of the disk image ("" for no-disk/bare boots).
 	Img string `json:"img,omitempty"`
-	// Args carries the workload's qemu-args/spike-args.
-	Args []string `json:"args,omitempty"`
 	// Outputs lists guest paths to extract from the final filesystem.
 	Outputs []string `json:"outputs,omitempty"`
-	// RTL is the cycle-exact hardware configuration (Sim == "rtl").
-	RTL *RTLSpec `json:"rtl,omitempty"`
+	// RTL is the cycle-exact hardware configuration (Sim == "rtl"), the
+	// same rtlsim.Config a local run simulates; its runtime handles (stop
+	// channel, checkpoint runtime, metrics registry) are the executing
+	// worker's own and never travel.
+	RTL *rtlsim.Config `json:"rtl,omitempty"`
 
 	// Timeout bounds each attempt; Retries re-attempts transient failures
 	// (total attempts = Retries+1). Both run worker-side, through the
@@ -86,101 +94,12 @@ type JobSpec struct {
 	CkptEvery uint64 `json:"ckpt_every,omitempty"`
 
 	// Verify, when set, makes this job one verification-farm shard (Sim
-	// is "verify"; Bin/Img are unused). The spec carries only parameters:
-	// farm workloads regenerate deterministically from seeds, so the
-	// artifact-purity property — a worker needs nothing but the shared
-	// cache — holds trivially. The shard's JSONL manifest is published to
-	// the cache and announced as the "farm.jsonl" output.
-	Verify *VerifySpec `json:"verify,omitempty"`
-}
-
-// VerifySpec parameterizes one verification-farm shard. Fields mirror
-// verify.FarmOptions; Fault is the ParseFault wire form
-// ("tier:instr:reg:xor").
-type VerifySpec struct {
-	Seeds      []int64 `json:"seeds"`
-	Rounds     int     `json:"rounds,omitempty"`
-	Mutations  int     `json:"mutations,omitempty"`
-	MaxEntries int     `json:"max_entries,omitempty"`
-	MaxInstrs  uint64  `json:"max_instrs,omitempty"`
-	CkptEvery  uint64  `json:"ckpt_every,omitempty"`
-	RTLEvery   int     `json:"rtl_every,omitempty"`
-	FarmSeed   int64   `json:"farm_seed,omitempty"`
-	Fault      string  `json:"fault,omitempty"`
-}
-
-// RTLSpec is the serializable subset of rtlsim.Config a job carries (the
-// runtime fields — stop channel, checkpoint runtime, metrics registry —
-// are the executing worker's own).
-type RTLSpec struct {
-	Predictor         string `json:"predictor,omitempty"`
-	ICacheSize        int    `json:"icache_size,omitempty"`
-	ICacheLine        int    `json:"icache_line,omitempty"`
-	ICacheWays        int    `json:"icache_ways,omitempty"`
-	DCacheSize        int    `json:"dcache_size,omitempty"`
-	DCacheLine        int    `json:"dcache_line,omitempty"`
-	DCacheWays        int    `json:"dcache_ways,omitempty"`
-	BranchMissPenalty uint64 `json:"branch_miss,omitempty"`
-	JalrPenalty       uint64 `json:"jalr,omitempty"`
-	ICacheMissPenalty uint64 `json:"icache_miss,omitempty"`
-	DCacheMissPenalty uint64 `json:"dcache_miss,omitempty"`
-	MMIOLatency       uint64 `json:"mmio_latency,omitempty"`
-	MulLatency        uint64 `json:"mul_latency,omitempty"`
-	DivLatency        uint64 `json:"div_latency,omitempty"`
-	SyscallPenalty    uint64 `json:"syscall_penalty,omitempty"`
-	FreqMHz           uint64 `json:"freq_mhz,omitempty"`
-	MaxInstrs         uint64 `json:"max_instrs,omitempty"`
-	// The stuck-at fault of a bring-up run (§VI): dropping it would report
-	// healthy silicon from every worker.
-	FaultMask uint64 `json:"fault_mask,omitempty"`
-	FaultOp   isa.Op `json:"fault_op,omitempty"`
-}
-
-// NewRTLSpec captures the serializable fields of an rtlsim.Config.
-func NewRTLSpec(c rtlsim.Config) *RTLSpec {
-	return &RTLSpec{
-		Predictor:         c.Predictor,
-		ICacheSize:        c.ICache.SizeBytes,
-		ICacheLine:        c.ICache.LineBytes,
-		ICacheWays:        c.ICache.Ways,
-		DCacheSize:        c.DCache.SizeBytes,
-		DCacheLine:        c.DCache.LineBytes,
-		DCacheWays:        c.DCache.Ways,
-		BranchMissPenalty: c.BranchMissPenalty,
-		JalrPenalty:       c.JalrPenalty,
-		ICacheMissPenalty: c.ICacheMissPenalty,
-		DCacheMissPenalty: c.DCacheMissPenalty,
-		MMIOLatency:       c.MMIOLatency,
-		MulLatency:        c.MulLatency,
-		DivLatency:        c.DivLatency,
-		SyscallPenalty:    c.SyscallPenalty,
-		FreqMHz:           c.FreqMHz,
-		MaxInstrs:         c.MaxInstrs,
-		FaultMask:         c.FaultMask,
-		FaultOp:           c.FaultOp,
-	}
-}
-
-// Config reconstructs the rtlsim.Config this spec was captured from.
-func (s *RTLSpec) Config() rtlsim.Config {
-	c := rtlsim.Config{
-		Predictor:         s.Predictor,
-		BranchMissPenalty: s.BranchMissPenalty,
-		JalrPenalty:       s.JalrPenalty,
-		ICacheMissPenalty: s.ICacheMissPenalty,
-		DCacheMissPenalty: s.DCacheMissPenalty,
-		MMIOLatency:       s.MMIOLatency,
-		MulLatency:        s.MulLatency,
-		DivLatency:        s.DivLatency,
-		SyscallPenalty:    s.SyscallPenalty,
-		FreqMHz:           s.FreqMHz,
-		MaxInstrs:         s.MaxInstrs,
-		FaultMask:         s.FaultMask,
-		FaultOp:           s.FaultOp,
-	}
-	c.ICache.SizeBytes, c.ICache.LineBytes, c.ICache.Ways = s.ICacheSize, s.ICacheLine, s.ICacheWays
-	c.DCache.SizeBytes, c.DCache.LineBytes, c.DCache.Ways = s.DCacheSize, s.DCacheLine, s.DCacheWays
-	return c
+	// is "verify"; Bin/Img are unused). The spec carries only the shard's
+	// verify.Params: farm workloads regenerate deterministically from
+	// seeds, so the artifact-purity property — a worker needs nothing but
+	// the shared cache — holds trivially. The shard's JSONL manifest is
+	// published to the cache and announced as the "farm.jsonl" output.
+	Verify *verify.Params `json:"verify,omitempty"`
 }
 
 // Event kinds streamed from worker to coordinator.

@@ -89,7 +89,7 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		x.Img = func() ([]byte, error) { return cache.Blob(spec.Img) }
 	}
 	if spec.RTL != nil {
-		x.RTL = spec.RTL.Config()
+		x.RTL = *spec.RTL
 	}
 
 	// Checkpointing: a handed-off pointer is fetched from the shared cache

@@ -28,15 +28,6 @@ const VerifyManifestOutput = "farm.jsonl"
 // published wholesale; Metrics.Instrs totals the shard's simulated
 // instructions so coordinator summaries show throughput.
 func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
-	vs := spec.Verify
-	var fault *verify.Fault
-	if vs.Fault != "" {
-		var err error
-		if fault, err = verify.ParseFault(vs.Fault); err != nil {
-			return nil, launcher.Permanent(fmt.Errorf("remote: job %s: %w", spec.Name, err))
-		}
-	}
-
 	dir, err := os.MkdirTemp("", "marshal-verify-*")
 	if err != nil {
 		return nil, err
@@ -48,22 +39,14 @@ func (r *ArtifactRunner) runVerify(ctx context.Context, spec JobSpec, emit func(
 		return nil, err
 	}
 
-	logf(r.Log, "remote: job %s running verify-farm shard (%d seeds)", spec.Name, len(vs.Seeds))
+	logf(r.Log, "remote: job %s running verify-farm shard (%d seeds)", spec.Name, len(spec.Verify.Seeds))
 	sum, farmErr := verify.RunFarm(verify.FarmOptions{
-		Store:      r.Store,
-		Journal:    jnl,
-		Seeds:      vs.Seeds,
-		Rounds:     vs.Rounds,
-		Mutations:  vs.Mutations,
-		MaxEntries: vs.MaxEntries,
-		MaxInstrs:  vs.MaxInstrs,
-		CkptEvery:  vs.CkptEvery,
-		RTLEvery:   vs.RTLEvery,
-		FarmSeed:   vs.FarmSeed,
-		Fault:      fault,
-		Obs:        r.Obs,
-		Log:        r.Log,
-		Ctx:        ctx,
+		Params:  *spec.Verify,
+		Store:   r.Store,
+		Journal: jnl,
+		Obs:     r.Obs,
+		Log:     r.Log,
+		Ctx:     ctx,
 	})
 	jnl.Close()
 	if farmErr != nil {

@@ -12,11 +12,11 @@ import (
 // Config describes one cache.
 type Config struct {
 	// SizeBytes is the total capacity.
-	SizeBytes int
+	SizeBytes int `json:"size_bytes"`
 	// LineBytes is the block size (power of two).
-	LineBytes int
+	LineBytes int `json:"line_bytes"`
 	// Ways is the associativity.
-	Ways int
+	Ways int `json:"ways"`
 }
 
 // DefaultL1I returns a typical 16KiB 4-way L1 instruction cache.

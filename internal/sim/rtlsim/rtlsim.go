@@ -27,47 +27,52 @@ import (
 )
 
 // Config parameterizes the timing model. The zero value is not usable; call
-// DefaultConfig and override.
+// DefaultConfig and override. Its JSON form is the hardware configuration a
+// fleet job carries (remote.JobSpec.RTL).
 type Config struct {
 	// Predictor selects the branch predictor: "bimodal", "gshare", "tage",
 	// or "static".
-	Predictor string
+	Predictor string `json:"predictor,omitempty"`
 	// ICache / DCache configure the L1 caches.
-	ICache cache.Config
-	DCache cache.Config
+	ICache cache.Config `json:"icache"`
+	DCache cache.Config `json:"dcache"`
 	// Penalties and latencies, in cycles.
-	BranchMissPenalty uint64
-	JalrPenalty       uint64
-	ICacheMissPenalty uint64
-	DCacheMissPenalty uint64
-	MMIOLatency       uint64
-	MulLatency        uint64
-	DivLatency        uint64
-	SyscallPenalty    uint64
+	BranchMissPenalty uint64 `json:"branch_miss,omitempty"`
+	JalrPenalty       uint64 `json:"jalr,omitempty"`
+	ICacheMissPenalty uint64 `json:"icache_miss,omitempty"`
+	DCacheMissPenalty uint64 `json:"dcache_miss,omitempty"`
+	MMIOLatency       uint64 `json:"mmio_latency,omitempty"`
+	MulLatency        uint64 `json:"mul_latency,omitempty"`
+	DivLatency        uint64 `json:"div_latency,omitempty"`
+	SyscallPenalty    uint64 `json:"syscall_penalty,omitempty"`
 	// FreqMHz converts cycles to wall-clock time in reports.
-	FreqMHz uint64
+	FreqMHz uint64 `json:"freq_mhz,omitempty"`
 	// MaxInstrs bounds each Exec (default 500M).
-	MaxInstrs uint64
+	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 	// FaultMask, when nonzero, injects a deterministic stuck-at fault:
 	// results of FaultOp instructions have these bits forced high —
 	// modelling defective silicon for post-tapeout bring-up triage (§VI).
-	FaultMask uint64
+	FaultMask uint64 `json:"fault_mask,omitempty"`
 	// FaultOp selects the instruction class the fault affects
 	// (default OpMUL when FaultMask is set).
-	FaultOp isa.Op
+	FaultOp isa.Op `json:"fault_op,omitempty"`
+
+	// The runtime handles below belong to the process running the
+	// simulation, so they never travel with a configuration.
+
 	// Stop is the cooperative kill switch threaded into each machine (see
 	// sim.Machine.Stop); sim.RunTimed polls it between instruction
 	// batches, so a killed job stops within a few thousand retired
 	// instructions, cycle-exactly.
-	Stop <-chan struct{}
+	Stop <-chan struct{} `json:"-"`
 	// Ckpt, when set, records completed Execs and snapshots machine plus
 	// timing-model state (predictor tables, cache tags, statistics) at
 	// deterministic instruction boundaries, so an interrupted simulation
 	// resumes with bit-identical cycle counts (see internal/checkpoint).
-	Ckpt *checkpoint.Runtime
+	Ckpt *checkpoint.Runtime `json:"-"`
 	// Obs is the registry sim_rtlsim_* metrics report into; nil resolves
 	// to the process-wide obs.Default.
-	Obs *obs.Registry
+	Obs *obs.Registry `json:"-"`
 }
 
 // DefaultConfig models a BOOM-like core at 1 GHz with 16KiB L1 caches.

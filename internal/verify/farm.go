@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"firemarshal/internal/asm"
@@ -28,35 +29,43 @@ import (
 	"firemarshal/internal/workgen"
 )
 
-// FarmOptions configures one farm session (local run or one fleet shard).
+// Params are a farm session's parameters: everything that decides which
+// workloads it generates and how it judges them. They are the whole of a
+// fleet shard's job spec (remote.JobSpec.Verify), so they travel as JSON.
+type Params struct {
+	// Seeds generate the round-0 corpus via workgen.RandomRecipe.
+	Seeds []int64 `json:"seeds"`
+	// Rounds of coverage-guided mutation after round 0 (default 1).
+	Rounds int `json:"rounds,omitempty"`
+	// Mutations per round (default: len(Seeds)).
+	Mutations int `json:"mutations,omitempty"`
+	// MaxEntries stops the farm after evaluating this many corpus
+	// entries (0 = unlimited).
+	MaxEntries int `json:"max_entries,omitempty"`
+	// MaxInstrs bounds each workload run (0 = the package default).
+	MaxInstrs uint64 `json:"max_instrs,omitempty"`
+	// CkptEvery is the bisector's coarse checkpoint interval.
+	CkptEvery uint64 `json:"ckpt_every,omitempty"`
+	// RTLEvery spot-checks every Nth entry on the cycle-exact rtlsim
+	// platform (0 = off).
+	RTLEvery int `json:"rtl_every,omitempty"`
+	// FarmSeed seeds each round's mutation RNG (FarmSeed + round).
+	FarmSeed int64 `json:"farm_seed,omitempty"`
+	// Fault injects a deterministic divergence — the self-test hook.
+	Fault *Fault `json:"fault,omitempty"`
+}
+
+// FarmOptions configures one farm session (local run or one fleet shard):
+// its Params plus where it runs.
 type FarmOptions struct {
+	Params
 	// Store is the CAS holding checkpoints, repro sources, and manifests.
 	Store *cas.Store
 	// Journal, when set, receives one JSONL record per corpus entry plus
 	// a final summary line (crash-safe: fsync per line).
 	Journal *launcher.Journal
-	// Seeds generate the round-0 corpus via workgen.RandomRecipe.
-	Seeds []int64
-	// Rounds of coverage-guided mutation after round 0 (default 1).
-	Rounds int
-	// Mutations per round (default: len(Seeds)).
-	Mutations int
-	// MaxEntries stops the farm after evaluating this many corpus
-	// entries (0 = unlimited).
-	MaxEntries int
-	// MaxInstrs bounds each workload run (0 = the package default).
-	MaxInstrs uint64
-	// CkptEvery is the bisector's coarse checkpoint interval.
-	CkptEvery uint64
-	// RTLEvery spot-checks every Nth entry on the cycle-exact rtlsim
-	// platform (0 = off).
-	RTLEvery int
-	// FarmSeed seeds each round's mutation RNG (FarmSeed + round).
-	FarmSeed int64
-	// Fault injects a deterministic divergence — the self-test hook.
-	Fault *Fault
-	// Jobs is the evaluation parallelism (default 1; results are merged
-	// in entry order either way).
+	// Jobs is the evaluation parallelism (0 = GOMAXPROCS; results are
+	// merged in entry order either way).
 	Jobs int
 	// Obs receives farm metrics (nil = the process-default registry).
 	Obs *obs.Registry
@@ -220,7 +229,7 @@ func RunFarm(opt FarmOptions) (*FarmSummary, error) {
 	}
 	jobs := opt.Jobs
 	if jobs <= 0 {
-		jobs = 1
+		jobs = runtime.GOMAXPROCS(0)
 	}
 	ctx := opt.Ctx
 	if ctx == nil {

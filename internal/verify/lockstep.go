@@ -9,6 +9,7 @@ package verify
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,31 +52,50 @@ func (f *Fault) String() string {
 // ParseFault parses the -inject-fault CLI form "tier:instr:reg:xor",
 // e.g. "fast:5000:27:0x1".
 func ParseFault(s string) (*Fault, error) {
-	var f Fault
 	parts := strings.Split(s, ":")
 	if len(parts) != 4 {
 		return nil, fmt.Errorf("verify: fault %q: want tier:instr:reg:xor", s)
 	}
-	f.Tier = parts[0]
-	if f.Tier != TierFast && f.Tier != TierTraced {
-		return nil, fmt.Errorf("verify: fault tier %q: want %s or %s", f.Tier, TierFast, TierTraced)
-	}
-	instr, err := strconv.ParseUint(parts[1], 0, 64)
-	if err != nil || instr == 0 {
+	f := Fault{Tier: parts[0]}
+	var err error
+	if f.Instr, err = strconv.ParseUint(parts[1], 0, 64); err != nil {
 		return nil, fmt.Errorf("verify: fault instr %q: want positive integer", parts[1])
 	}
-	f.Instr = instr
-	reg, err := strconv.Atoi(strings.TrimPrefix(parts[2], "x"))
-	if err != nil || reg < 1 || reg > 31 {
+	if f.Reg, err = strconv.Atoi(strings.TrimPrefix(parts[2], "x")); err != nil {
 		return nil, fmt.Errorf("verify: fault reg %q: want x1..x31", parts[2])
 	}
-	f.Reg = reg
-	xor, err := strconv.ParseUint(parts[3], 0, 64)
-	if err != nil || xor == 0 {
+	if f.Xor, err = strconv.ParseUint(parts[3], 0, 64); err != nil {
 		return nil, fmt.Errorf("verify: fault xor %q: want nonzero integer", parts[3])
 	}
-	f.Xor = xor
+	if err := f.validate(); err != nil {
+		return nil, err
+	}
 	return &f, nil
+}
+
+// UnmarshalJSON decodes a fault as a job spec carries it and checks it as
+// ParseFault does: a register out of range would crash the worker that
+// injects it.
+func (f *Fault) UnmarshalJSON(data []byte) error {
+	type plain Fault
+	if err := json.Unmarshal(data, (*plain)(f)); err != nil {
+		return err
+	}
+	return f.validate()
+}
+
+func (f *Fault) validate() error {
+	switch {
+	case f.Tier != TierFast && f.Tier != TierTraced:
+		return fmt.Errorf("verify: fault tier %q: want %s or %s", f.Tier, TierFast, TierTraced)
+	case f.Instr == 0:
+		return fmt.Errorf("verify: fault instr 0: want positive integer")
+	case f.Reg < 1 || f.Reg > 31:
+		return fmt.Errorf("verify: fault reg x%d: want x1..x31", f.Reg)
+	case f.Xor == 0:
+		return fmt.Errorf("verify: fault xor 0: want nonzero integer")
+	}
+	return nil
 }
 
 // maxInstrsDefault bounds each corpus entry; generated workloads retire

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/json"
 	"testing"
 
 	"firemarshal/internal/asm"
@@ -58,6 +59,21 @@ func TestParseFault(t *testing.T) {
 	} {
 		if _, err := ParseFault(bad); err == nil {
 			t.Errorf("ParseFault(%q) accepted", bad)
+		}
+	}
+
+	// A job spec's fault is held to the same rules.
+	var back Fault
+	if data, err := json.Marshal(f); err != nil || json.Unmarshal(data, &back) != nil || back != *f {
+		t.Fatalf("fault %+v did not round-trip: %+v, %v", f, back, err)
+	}
+	for _, bad := range []Fault{
+		{Tier: TierReference, Instr: 1, Reg: 1, Xor: 1}, {Tier: TierFast, Reg: 1, Xor: 1},
+		{Tier: TierFast, Instr: 1, Xor: 1}, {Tier: TierFast, Instr: 1, Reg: 32, Xor: 1}, {Tier: TierFast, Instr: 1, Reg: 1},
+	} {
+		data, _ := json.Marshal(bad)
+		if err := json.Unmarshal(data, new(Fault)); err == nil {
+			t.Errorf("fault %s accepted", data)
 		}
 	}
 }
