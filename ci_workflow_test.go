@@ -238,6 +238,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzLoadPointer":      "./internal/checkpoint",
 		"FuzzDecodePack":       "./internal/checkpoint",
 		"FuzzFirmwareDecode":   "./internal/firmware",
+		"FuzzStateDB":          "./internal/dag",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

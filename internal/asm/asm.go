@@ -35,9 +35,6 @@ import (
 type Options struct {
 	// TextBase is the load address of the .text section (default 0x10000).
 	TextBase uint64
-	// DataBase is the load address of .data; zero places it at the first
-	// 4KiB boundary after text.
-	DataBase uint64
 }
 
 // DefaultTextBase is where guest programs load unless overridden.
@@ -409,10 +406,8 @@ func (a *assembler) layout() error {
 		}
 	}
 	textBase := a.opts.TextBase
-	dataBase := a.opts.DataBase
-	if dataBase == 0 {
-		dataBase = (textBase + textOff + 0xfff) &^ 0xfff
-	}
+	// .data starts at the first 4KiB boundary after text.
+	dataBase := (textBase + textOff + 0xfff) &^ 0xfff
 	// Rebase and define label symbols.
 	for _, it := range a.items {
 		base := textBase

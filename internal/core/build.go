@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 
 	"firemarshal/internal/boards"
 	"firemarshal/internal/dag"
@@ -250,8 +251,15 @@ func (b *builder) registerBin(w *spec.Workload, artifact string, arts, parentArt
 		for _, frag := range w.ConfigFragments() {
 			task.FileDeps = append(task.FileDeps, frag)
 		}
-		for _, dir := range w.Modules() {
-			task.FileDeps = append(task.FileDeps, dir)
+		// Module dirs in name order: the key hashes deps by position.
+		mods := w.Modules()
+		names := make([]string, 0, len(mods))
+		for name := range mods {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			task.FileDeps = append(task.FileDeps, mods[name])
 		}
 		if src := linuxSourcePath(w); src != "" {
 			task.FileDeps = append(task.FileDeps, src)

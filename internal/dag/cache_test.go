@@ -176,7 +176,7 @@ func TestCorruptCacheFallsBackToExecution(t *testing.T) {
 	}
 }
 
-// AlwaysRun and target-less tasks stay out of the action cache.
+// Target-less tasks stay out of the action cache.
 func TestSideEffectTasksNotCached(t *testing.T) {
 	cache := testCache(t)
 	e, _ := NewEngine("")

@@ -2,23 +2,24 @@
 // uses to avoid unnecessary rebuilding ("similar to GNU make ... done with
 // the doit python package", §III-B). Tasks declare file dependencies, value
 // dependencies (configuration that isn't a file), task dependencies, and
-// targets. A persistent state database records the content hashes observed
-// at the last successful run; a task re-executes only when a dependency
-// hash changed, a value dep changed, a target is missing, or an upstream
-// task actually ran.
+// targets. One key states a task's inputs (taskKey): its name, each file
+// dependency's content and exec bit in declaration order, its values by
+// name, and its targets' base names. A persistent state database records
+// the key of each task's last successful run; a task is up to date when no
+// upstream task ran, every target exists, and the key of its current inputs
+// equals the recorded one.
 //
 // Like doit, state is keyed by task name and survives across processes via
 // a JSON database file. The same file persists the work tree's share of the
 // digest cache (hostutil.FileDigest), so a rebuild reads no dependency whose
 // stat is unchanged since it was last hashed.
 //
-// When a content-addressed store is attached (SetCache), the engine also
-// consults an action cache before executing: the task digest — a hash of
-// the task name, its input content hashes, and its output names — is looked
-// up, and on a hit the outputs are restored from the store instead of
-// running the action. Tasks that do execute publish their outputs back, so
-// sibling workloads, fresh checkouts, and remote-cache peers share one copy
-// of every identical artifact.
+// When a content-addressed store is attached (SetCache), the same key names
+// the task in an action cache: a task that is not up to date is looked up,
+// and on a hit its outputs are restored from the store instead of running
+// the action. Tasks that do execute publish their outputs back, so sibling
+// workloads, fresh checkouts, and remote-cache peers share one copy of every
+// identical artifact.
 package dag
 
 import (
@@ -41,11 +42,11 @@ var osStat = os.Stat
 type Task struct {
 	// Name uniquely identifies the task in the graph and the state DB.
 	Name string
-	// FileDeps are files or directories whose content participates in the
-	// up-to-date check.
+	// FileDeps are files or directories whose content (and exec bits) make
+	// part of the task's key, each in its position.
 	FileDeps []string
-	// ValueDeps are non-file inputs (e.g. the resolved workload config).
-	// They are hashed into the up-to-date check.
+	// ValueDeps are non-file inputs (e.g. the resolved workload config),
+	// keyed by name.
 	ValueDeps map[string]string
 	// TaskDeps name tasks that must run (or be confirmed up to date) first.
 	TaskDeps []string
@@ -53,30 +54,24 @@ type Task struct {
 	Targets []string
 	// Action performs the work. It must create every target.
 	Action func() error
-	// AlwaysRun forces execution regardless of recorded state (used for
-	// launch-style tasks that are not cacheable).
-	AlwaysRun bool
 }
 
-// taskState is the persisted per-task record.
-type taskState struct {
-	DepHashes   map[string]string `json:"depHashes"`
-	ValueHashes map[string]string `json:"valueHashes"`
-	TargetsSeen []string          `json:"targetsSeen"`
-	// ActionKey is the action-cache digest the last run was stored under
-	// ("" when no cache was attached). Garbage collection treats the keys
-	// recorded across the state DB as the live set.
-	ActionKey string `json:"actionKey,omitempty"`
+// stateDoc is the state database: the key each task last succeeded with,
+// and the digest cache's records for the files this work tree's builds
+// used. A DB an older version wrote has neither field and reads as empty.
+type stateDoc struct {
+	Tasks map[string]string       `json:"tasks"`
+	Files []hostutil.DigestRecord `json:"files"`
 }
 
 // Engine executes task graphs with persistent up-to-date state.
 //
-// The mutex guards the state map and the stats slices: RunMany workers call
-// needsRun (which reads state) concurrently with record (which writes it).
+// The mutex guards the recorded keys and the stats slices: RunMany workers
+// call needsRun (which reads a key) concurrently with setKey.
 type Engine struct {
 	mu     sync.Mutex
 	dbPath string
-	state  map[string]*taskState
+	keys   map[string]string // task name -> key of its last successful run
 	tasks  map[string]*Task
 	cache  *cas.Cache
 
@@ -98,60 +93,29 @@ type Engine struct {
 	span   *obs.Span
 }
 
-// digestsKey is the state DB entry that holds the digest cache's records
-// instead of a task's state: the empty name, which Register refuses.
-const digestsKey = ""
-
-// digestTable is the value stored under digestsKey.
-type digestTable struct {
-	Files []hostutil.DigestRecord `json:"files"`
-}
-
 // NewEngine loads (or initializes) the state database at dbPath. An empty
 // dbPath keeps state in memory only.
 func NewEngine(dbPath string) (*Engine, error) {
-	e := &Engine{dbPath: dbPath, state: map[string]*taskState{}, tasks: map[string]*Task{}}
+	e := &Engine{dbPath: dbPath, keys: map[string]string{}, tasks: map[string]*Task{}}
 	if dbPath == "" {
 		return e, nil
 	}
-	var table digestTable
+	var doc stateDoc
 	data, err := os.ReadFile(dbPath)
 	switch {
 	case err == nil:
-		if table, err = e.load(data); err != nil {
+		if json.Unmarshal(data, &doc) != nil {
 			// A corrupt DB degrades to a full rebuild, never a failure.
-			e.state, table = map[string]*taskState{}, digestTable{}
+			doc = stateDoc{}
 		}
 	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("dag: reading state db: %w", err)
 	}
-	e.digests = hostutil.OpenDigests(table.Files)
+	if doc.Tasks != nil {
+		e.keys = doc.Tasks
+	}
+	e.digests = hostutil.OpenDigests(doc.Files)
 	return e, nil
-}
-
-// load parses a state DB: one entry per task, and the digest table under
-// digestsKey — absent from a DB an older version wrote, whose every file is
-// then hashed.
-func (e *Engine) load(data []byte) (digestTable, error) {
-	var entries map[string]json.RawMessage
-	var table digestTable
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return table, err
-	}
-	for name, raw := range entries {
-		var err error
-		if name == digestsKey {
-			err = json.Unmarshal(raw, &table)
-		} else {
-			st := &taskState{}
-			err = json.Unmarshal(raw, st)
-			e.state[name] = st
-		}
-		if err != nil {
-			return table, err
-		}
-	}
-	return table, nil
 }
 
 // SetCache attaches a content-addressed artifact cache. Tasks with targets
@@ -180,16 +144,14 @@ func (e *Engine) Register(t *Task) error {
 	return nil
 }
 
-// ActionKeys returns the action-cache keys recorded in the state DB — the
-// live set for cache garbage collection.
+// ActionKeys returns the keys recorded in the state DB — the live set for
+// cache garbage collection.
 func (e *Engine) ActionKeys() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var keys []string
-	for _, st := range e.state {
-		if st.ActionKey != "" {
-			keys = append(keys, st.ActionKey)
-		}
+	keys := make([]string, 0, len(e.keys))
+	for _, key := range e.keys {
+		keys = append(keys, key)
 	}
 	sort.Strings(keys)
 	return keys
@@ -211,10 +173,10 @@ func (e *Engine) Run(name string) (bool, error) {
 // execute applies the up-to-date check, the action cache, and finally the
 // task's action. It returns whether the action actually ran — a restore
 // from the cache reports false, because downstream tasks need no forced
-// rebuild when their input bytes are unchanged (they re-check hashes and
-// hit the cache themselves if state is missing).
+// rebuild when their input bytes are unchanged (they compare their own keys
+// and hit the cache themselves if state is missing).
 func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
-	need, err := e.needsRun(t, upstreamRan)
+	need, key, err := e.needsRun(t, upstreamRan)
 	if err != nil {
 		return false, err
 	}
@@ -228,20 +190,22 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 	span := e.span.Child("node:" + t.Name)
 	defer span.End()
 
-	key := ""
+	// Only a task with declared outputs is safe to satisfy without running
+	// it; a side-effect task (a host-init script) is never cached.
+	cacheable := e.cache != nil && len(t.Targets) > 0
 	var targets []string // in publish/restore order; set when cacheable
-	if e.cacheable(t) {
+	if cacheable {
 		targets = sortedTargets(t)
-		deps, err := e.depHashes(t)
-		if err != nil {
-			return false, err
+		if key == "" {
+			if key, err = e.taskKey(t); err != nil {
+				return false, err
+			}
 		}
-		key = taskKey(t, deps, valueHashes(t))
 		if a := e.cache.Lookup(key); a != nil {
 			if rerr := e.cache.Restore(a, targets); rerr == nil {
-				// A restore never touches the task's inputs, so the hashes
-				// computed for the key are still current — no second pass.
-				e.recordHashes(t, key, deps)
+				// A restore never touches the task's inputs, so the key
+				// computed for the lookup is still current.
+				e.setKey(t.Name, key)
 				e.note(&e.Restored, t.Name)
 				e.obsReg.Counter("dag_node_cache_restores_total").Inc()
 				span.Attr("outcome", "restored")
@@ -252,62 +216,103 @@ func (e *Engine) execute(t *Task, upstreamRan bool) (bool, error) {
 		}
 	}
 
-	if t.Action != nil {
-		if err := t.Action(); err != nil {
-			return false, fmt.Errorf("dag: task %q: %w", t.Name, err)
-		}
+	if err := act(t); err != nil {
+		// The action may have left its targets half made: nothing recorded
+		// for them before holds now.
+		e.setKey(t.Name, "")
+		return false, err
 	}
-	for _, target := range t.Targets {
-		if _, err := osStat(target); err != nil {
-			return false, fmt.Errorf("dag: task %q did not produce target %q", t.Name, target)
-		}
-	}
-	if key != "" {
+	if cacheable {
 		// Publishing is best-effort: a full disk or dead remote must not
 		// fail a build whose artifacts already exist on disk.
 		e.cache.Publish(key, t.Name, targets)
 	}
-	if err := e.record(t, key); err != nil {
+	// The key is taken again after the action ran: an action is allowed to
+	// touch (regenerate) one of its own inputs, and the post-run content is
+	// what the next up-to-date check must compare against.
+	post, err := e.taskKey(t)
+	if err != nil {
 		return false, err
 	}
+	e.setKey(t.Name, post)
 	e.note(&e.Executed, t.Name)
 	e.obsReg.Counter("dag_node_builds_total").Inc()
 	span.Attr("outcome", "built")
 	return true, nil
 }
 
-// cacheable reports whether t participates in the action cache: only tasks
-// with declared outputs are safe to satisfy without running (side-effect
-// tasks like host-init scripts and always-run launches are excluded).
-func (e *Engine) cacheable(t *Task) bool {
-	return e.cache != nil && !t.AlwaysRun && len(t.Targets) > 0
+// act runs t's action and checks that it made every target.
+func act(t *Task) error {
+	if t.Action != nil {
+		if err := t.Action(); err != nil {
+			return fmt.Errorf("dag: task %q: %w", t.Name, err)
+		}
+	}
+	for _, target := range t.Targets {
+		if _, err := osStat(target); err != nil {
+			return fmt.Errorf("dag: task %q did not produce target %q", t.Name, target)
+		}
+	}
+	return nil
 }
 
-// taskKey digests a task's identity and inputs for the action cache. Only
-// content hashes and base names go in — never absolute paths — so two
-// checkouts (or machines) building identical inputs share entries.
-func taskKey(t *Task, deps, vals map[string]string) string {
-	parts := []string{"task", t.Name, "deps"}
-	depHashes := make([]string, 0, len(deps))
-	for _, h := range deps {
-		depHashes = append(depHashes, h)
+// needsRun decides whether t must execute: when an upstream task ran, when
+// a target is missing, or when the key of its current inputs is not the one
+// recorded for it. It returns that key when it computed one.
+func (e *Engine) needsRun(t *Task, upstreamRan bool) (bool, string, error) {
+	if upstreamRan {
+		return true, "", nil
 	}
-	sort.Strings(depHashes)
-	parts = append(parts, depHashes...)
+	for _, target := range t.Targets {
+		if _, err := osStat(target); err != nil {
+			return true, "", nil
+		}
+	}
+	key, err := e.taskKey(t)
+	if err != nil {
+		return false, "", err
+	}
+	e.mu.Lock()
+	recorded := e.keys[t.Name]
+	e.mu.Unlock()
+	return key != recorded, key, nil
+}
+
+// taskKey is the one statement of a task's inputs: the key the up-to-date
+// check compares and the action cache files the outputs under. It holds the
+// task's name, each file dependency's HashTree digest (content, plus the
+// exec bit of each regular file) in its FileDeps position — so two inputs
+// swapping contents change it — the value deps by name, and the targets'
+// base names. No path goes in, so two checkouts (or machines) building
+// identical inputs share entries. Digests come through the digest cache: a
+// file whose stat is unchanged since it was hashed, or since the artifact
+// cache published or restored it, is not read again.
+func (e *Engine) taskKey(t *Task) (string, error) {
+	parts := []string{"task/2", t.Name, "deps"}
+	var hashed int64
+	for _, dep := range t.FileDeps {
+		sum, n, err := hostutil.HashTree(dep)
+		hashed += n
+		if err != nil {
+			return "", fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
+		}
+		parts = append(parts, sum)
+	}
+	e.obsReg.Counter("dag_dep_bytes_hashed_total").Add(uint64(hashed))
 	parts = append(parts, "vals")
-	valKeys := make([]string, 0, len(vals))
-	for k := range vals {
-		valKeys = append(valKeys, k)
+	names := make([]string, 0, len(t.ValueDeps))
+	for name := range t.ValueDeps {
+		names = append(names, name)
 	}
-	sort.Strings(valKeys)
-	for _, k := range valKeys {
-		parts = append(parts, k, vals[k])
+	sort.Strings(names)
+	for _, name := range names {
+		parts = append(parts, name, t.ValueDeps[name])
 	}
 	parts = append(parts, "targets")
 	for _, target := range sortedTargets(t) {
 		parts = append(parts, filepath.Base(target))
 	}
-	return hostutil.HashStrings(parts...)
+	return hostutil.HashStrings(parts...), nil
 }
 
 // sortedTargets returns the task's targets in the canonical (sorted) order
@@ -327,105 +332,20 @@ func (e *Engine) note(slice *[]string, name string) {
 	e.mu.Unlock()
 }
 
-// needsRun decides whether the task must execute.
-func (e *Engine) needsRun(t *Task, upstreamRan bool) (bool, error) {
-	if t.AlwaysRun || upstreamRan {
-		return true, nil
-	}
-	for _, target := range t.Targets {
-		if _, err := osStat(target); err != nil {
-			return true, nil
-		}
-	}
+// setKey records the key of a task's last successful run; "" forgets it.
+func (e *Engine) setKey(name, key string) {
 	e.mu.Lock()
-	st, ok := e.state[t.Name]
-	e.mu.Unlock()
-	if !ok {
-		return true, nil
+	if key == "" {
+		delete(e.keys, name)
+	} else {
+		e.keys[name] = key
 	}
-	// Target set changed since last run.
-	targets := append([]string(nil), t.Targets...)
-	sort.Strings(targets)
-	if !equalSlices(targets, st.TargetsSeen) {
-		return true, nil
-	}
-	cur, err := e.depHashes(t)
-	if err != nil {
-		return false, err
-	}
-	if len(cur) != len(st.DepHashes) {
-		return true, nil
-	}
-	for k, v := range cur {
-		if st.DepHashes[k] != v {
-			return true, nil
-		}
-	}
-	vals := valueHashes(t)
-	if len(vals) != len(st.ValueHashes) {
-		return true, nil
-	}
-	for k, v := range vals {
-		if st.ValueHashes[k] != v {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// depHashes returns the content hash of every file dependency, through the
-// digest cache: a file whose stat is unchanged since it was hashed, or since
-// the artifact cache published or restored it, is not read again.
-func (e *Engine) depHashes(t *Task) (map[string]string, error) {
-	out := make(map[string]string, len(t.FileDeps))
-	var hashed int64
-	for _, dep := range t.FileDeps {
-		sum, n, err := hostutil.HashTree(dep)
-		hashed += n
-		if err != nil {
-			return nil, fmt.Errorf("dag: hashing dep %q of %q: %w", dep, t.Name, err)
-		}
-		out[dep] = sum
-	}
-	e.obsReg.Counter("dag_dep_bytes_hashed_total").Add(uint64(hashed))
-	return out, nil
-}
-
-func valueHashes(t *Task) map[string]string {
-	out := make(map[string]string, len(t.ValueDeps))
-	for k, v := range t.ValueDeps {
-		out[k] = hostutil.HashStrings(v)
-	}
-	return out
-}
-
-func (e *Engine) record(t *Task, actionKey string) error {
-	// Hashes are taken after the action ran: an action is allowed to touch
-	// (regenerate) one of its own inputs, and the post-run content is what
-	// the next up-to-date check must compare against.
-	deps, err := e.depHashes(t)
-	if err != nil {
-		return err
-	}
-	e.recordHashes(t, actionKey, deps)
-	return nil
-}
-
-// recordHashes stores state from already-computed dep hashes (the cache
-// restore path, where inputs provably did not change).
-func (e *Engine) recordHashes(t *Task, actionKey string, deps map[string]string) {
-	targets := append([]string(nil), t.Targets...)
-	sort.Strings(targets)
-	e.mu.Lock()
-	e.state[t.Name] = &taskState{DepHashes: deps, ValueHashes: valueHashes(t), TargetsSeen: targets, ActionKey: actionKey}
 	e.mu.Unlock()
 }
 
 // Forget drops recorded state for a task (used by `marshal clean`).
 func (e *Engine) Forget(name string) error {
-	e.mu.Lock()
-	delete(e.state, name)
-	e.mu.Unlock()
+	e.setKey(name, "")
 	return e.save()
 }
 
@@ -435,27 +355,13 @@ func (e *Engine) save() error {
 	if e.dbPath == "" {
 		return nil
 	}
-	doc := map[string]any{digestsKey: digestTable{Files: e.digests.Records()}}
+	doc := stateDoc{Files: e.digests.Records()}
 	e.mu.Lock()
-	for name, st := range e.state {
-		doc[name] = st
-	}
+	doc.Tasks = e.keys
 	data, err := json.MarshalIndent(doc, "", "  ")
 	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return hostutil.WriteFileAtomic(e.dbPath, data, 0o644)
-}
-
-func equalSlices(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -234,8 +234,8 @@ func TestDeepChainOnlyDirtySuffixRuns(t *testing.T) {
 
 func TestCycleDetection(t *testing.T) {
 	e, _ := NewEngine("")
-	e.Register(&Task{Name: "a", TaskDeps: []string{"b"}, AlwaysRun: true, Action: func() error { return nil }})
-	e.Register(&Task{Name: "b", TaskDeps: []string{"a"}, AlwaysRun: true, Action: func() error { return nil }})
+	e.Register(&Task{Name: "a", TaskDeps: []string{"b"}, Action: func() error { return nil }})
+	e.Register(&Task{Name: "b", TaskDeps: []string{"a"}, Action: func() error { return nil }})
 	if _, err := e.Run("a"); err == nil {
 		t.Error("expected cycle error")
 	}
@@ -250,7 +250,7 @@ func TestUnknownTask(t *testing.T) {
 
 func TestDuplicateRegistration(t *testing.T) {
 	e, _ := NewEngine("")
-	e.Register(&Task{Name: "x", AlwaysRun: true})
+	e.Register(&Task{Name: "x"})
 	if err := e.Register(&Task{Name: "x"}); err == nil {
 		t.Error("expected duplicate task error")
 	}
@@ -310,23 +310,6 @@ func TestCorruptStateDBDegradesToRebuild(t *testing.T) {
 	ran, err := e.Run("t")
 	if err != nil || !ran {
 		t.Errorf("ran=%v err=%v", ran, err)
-	}
-}
-
-func TestAlwaysRun(t *testing.T) {
-	dir := t.TempDir()
-	db := filepath.Join(dir, "db.json")
-	count := 0
-	target := filepath.Join(dir, "out")
-	for i := 0; i < 2; i++ {
-		e, _ := NewEngine(db)
-		task := testTask(t, "launch", nil, target, &count)
-		task.AlwaysRun = true
-		e.Register(task)
-		e.Run("launch")
-	}
-	if count != 2 {
-		t.Errorf("AlwaysRun executed %d times, want 2", count)
 	}
 }
 

@@ -167,22 +167,24 @@ func TestDepHashesReadNoTargetTheCacheHasSeen(t *testing.T) {
 	}
 }
 
-// The action keys below were computed by the commit before digest hand-off
-// existed, which read and hashed every dependency file. A digest the cache
-// answers with must produce the same keys — otherwise every deployed cache
-// goes cold — and a build made with it must be fully restorable by a fresh
-// engine and seen as up to date by one that reads its state back.
+// The action keys below are pinned: they were computed when the key took
+// its present form ("task/2": file deps in their position, with exec bits).
+// The key is the same whether a digest came from Publish, Restore or a read
+// of the file — otherwise every deployed cache goes cold — and a build made
+// with it must be fully restorable by a fresh engine and seen as up to date
+// by one that reads its state back. Only a deliberate key change re-pins
+// them.
 func TestActionKeysAreStableAcrossHandoff(t *testing.T) {
 	pinned := map[string]string{
-		"a0": "364aae75f93d37467eaa221e1664eeaa6334e28ab0ea2147e1e936edf1010e92",
-		"a1": "fae6d3fce356da851deaf575cd90f22ed92a2da5d7683d3cfa8e4075f8813ba2",
-		"a2": "eba01622979fff2ebea410eeb956ae683f83d13a0ccbe2c9595da1814b708b9b",
+		"a0": "55bb2b6922d8fd29a61efc43955576bb78738fd78aa8ca77c3747ad8e7626258",
+		"a1": "fd25914601b198a2276dcff0d1fc1bb154205c345b21655f190d9785a3a5ce25",
+		"a2": "a9c4dc02d870da33f9ba19fe2d00d3bc048ad7b2e54fe47d679a80be88ea8939",
 	}
 	cache := testCache(t)
 	checkKeys := func(e *Engine, how string) {
 		t.Helper()
 		for name, want := range pinned {
-			if got := e.state[name].ActionKey; got != want {
+			if got := e.keys[name]; got != want {
 				t.Errorf("%s: action key of %s = %s, want the pinned %s", how, name, got, want)
 			}
 		}
@@ -368,9 +370,9 @@ func TestDigestCacheSoundness(t *testing.T) {
 	}
 }
 
-// A state DB an older version wrote has no digest table: it is read as it
-// always was, every dependency is hashed, and the decisions are the ones a
-// DB with the table gives.
+// A state DB without its digest table ("files") is read as it always was:
+// every dependency is hashed, and the decisions are the ones a DB with the
+// table gives.
 func TestStateDBWithoutDigestTable(t *testing.T) {
 	decisions := func(strip bool) [][]string {
 		dir := t.TempDir()
@@ -381,12 +383,15 @@ func TestStateDBWithoutDigestTable(t *testing.T) {
 			if strip {
 				data, err := os.ReadFile(db)
 				if err == nil {
-					var entries map[string]json.RawMessage
-					if err := json.Unmarshal(data, &entries); err != nil {
+					var doc map[string]json.RawMessage
+					if err := json.Unmarshal(data, &doc); err != nil {
 						t.Fatal(err)
 					}
-					delete(entries, digestsKey)
-					data, _ = json.Marshal(entries)
+					if _, ok := doc["files"]; !ok {
+						t.Fatal("the state DB has no digest table to strip")
+					}
+					delete(doc, "files")
+					data, _ = json.Marshal(doc)
 					if err := os.WriteFile(db, data, 0o644); err != nil {
 						t.Fatal(err)
 					}

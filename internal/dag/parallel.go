@@ -110,13 +110,12 @@ func (e *Engine) RunMany(names []string, workers int) error {
 	close(ready)
 	wg.Wait()
 
-	if firstErr != nil {
-		return firstErr
+	// What succeeded is saved even when a task failed: the next build skips
+	// it rather than restoring or running it again.
+	if err := e.save(); firstErr == nil {
+		firstErr = err
 	}
-	if remaining != 0 {
-		return fmt.Errorf("dag: internal: %d tasks never became ready", remaining)
-	}
-	return e.save()
+	return firstErr
 }
 
 // topoOrder returns every needed task in dependency order.

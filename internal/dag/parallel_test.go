@@ -126,10 +126,10 @@ func TestRunManyActuallyParallel(t *testing.T) {
 func TestRunManyErrorStopsScheduling(t *testing.T) {
 	e, _ := NewEngine("")
 	ran := int32(0)
-	e.Register(&Task{Name: "bad", AlwaysRun: true, Action: func() error {
+	e.Register(&Task{Name: "bad", Action: func() error {
 		return fmt.Errorf("boom")
 	}})
-	e.Register(&Task{Name: "after", TaskDeps: []string{"bad"}, AlwaysRun: true, Action: func() error {
+	e.Register(&Task{Name: "after", TaskDeps: []string{"bad"}, Action: func() error {
 		atomic.AddInt32(&ran, 1)
 		return nil
 	}})

@@ -63,8 +63,6 @@ type BootOpts struct {
 	Drivers []DriverSpec
 	// PkgRepo backs `pkg install` on distributions that support it.
 	PkgRepo *Repo
-	// RunArgs are passed to the run script (used by guest-init runs).
-	RunArgs []string
 	// OverrideRun, when non-empty, runs this script instead of the baked
 	// run script (used by the build's guest-init phase, §III-B.5b).
 	OverrideRun string
@@ -225,7 +223,7 @@ func Boot(opts BootOpts) (*BootResult, error) {
 	}
 	if script != "" {
 		result.RanScript = true
-		if err := env.Run(script, opts.RunArgs...); err != nil {
+		if err := env.Run(script); err != nil {
 			return nil, fmt.Errorf("guestos: run script: %w", err)
 		}
 		result.ExitCode = env.LastExit

@@ -58,12 +58,13 @@ func hashReader(r io.Reader) (string, int64, error) {
 	return hex.EncodeToString(h.Sum(nil)), n, err
 }
 
-// HashDir hashes a directory tree: the sorted relative paths and contents of
-// its files. File modes are not hashed, so a change to a file's exec bit alone
-// is not seen — hashing them would change every action key, so it waits for
-// a deliberate key change. Missing directories hash to a fixed sentinel so
-// callers can treat "not yet created" as a stable state. A regular file hashes
-// to its SHA-256 — the digest the content-addressed store files it under.
+// HashDir hashes what a build reads from a path: for a directory tree, the
+// sorted relative paths of its files with each file's entry; for a regular
+// file, its entry alone. A file's entry is its SHA-256 — the digest the
+// content-addressed store files it under — marked "+x" when any exec bit is
+// set, the one piece of a file's mode a build carries into a guest image;
+// nothing else about modes is hashed. A missing path hashes to a fixed
+// sentinel, so callers can treat "not yet created" as a stable state.
 func HashDir(dir string) (string, error) {
 	sum, _, err := HashTree(dir)
 	return sum, err
@@ -76,13 +77,13 @@ func HashDir(dir string) (string, error) {
 func HashTree(dir string) (string, int64, error) {
 	info, err := os.Stat(dir)
 	if os.IsNotExist(err) {
-		return HashStrings("absent-dir", dir), 0, nil
+		return HashStrings("absent"), 0, nil
 	}
 	if err != nil {
 		return "", 0, err
 	}
 	if !info.IsDir() {
-		return fileDigest(dir, info)
+		return fileEntry(dir, info)
 	}
 	type file struct {
 		path string
@@ -109,7 +110,7 @@ func HashTree(dir string) (string, int64, error) {
 		if err != nil {
 			return "", total, err
 		}
-		sum, n, err := fileDigest(f.path, f.info)
+		sum, n, err := fileEntry(f.path, f.info)
 		total += n
 		if err != nil {
 			return "", total, err
@@ -117,6 +118,16 @@ func HashTree(dir string) (string, int64, error) {
 		fmt.Fprintf(h, "%s\x00%s\x00", rel, sum)
 	}
 	return hex.EncodeToString(h.Sum(nil)), total, nil
+}
+
+// fileEntry is one file's part of HashTree: its digest, marked "+x" for a
+// regular file with any exec bit set.
+func fileEntry(path string, fi os.FileInfo) (string, int64, error) {
+	sum, n, err := fileDigest(path, fi)
+	if err == nil && fi.Mode().IsRegular() && fi.Mode()&0o111 != 0 {
+		sum += "+x"
+	}
+	return sum, n, err
 }
 
 // DetJitter returns a deterministic pseudo-random duration in [0, max),

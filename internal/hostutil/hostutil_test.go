@@ -249,3 +249,41 @@ func TestWriteFileAtomicConcurrentWriters(t *testing.T) {
 		}
 	}
 }
+
+// Of a file's mode HashDir sees one thing, whether any exec bit is set: the
+// part a build carries into a guest image. It sees it for a file path and
+// for each file of a tree.
+func TestHashDirSeesExecBitsOnly(t *testing.T) {
+	dir := t.TempDir()
+	f := filepath.Join(dir, "f")
+	if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hash := func(mode os.FileMode) (file, tree string) {
+		t.Helper()
+		if err := os.Chmod(f, mode); err != nil {
+			t.Fatal(err)
+		}
+		file, err := HashDir(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err = HashDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return file, tree
+	}
+	plainFile, plainTree := hash(0o644)
+	if plainFile != HashBytes([]byte("x")) {
+		t.Errorf("a file without exec bits hashes to %s, want its SHA-256", plainFile)
+	}
+	if file, tree := hash(0o600); file != plainFile || tree != plainTree {
+		t.Error("a read/write mode change alone changed the hash")
+	}
+	for _, mode := range []os.FileMode{0o755, 0o700, 0o610} {
+		if file, tree := hash(mode); file == plainFile || tree == plainTree {
+			t.Errorf("mode %o: setting an exec bit left the hash unchanged (file %v, tree %v)", mode, file == plainFile, tree == plainTree)
+		}
+	}
+}
