@@ -551,8 +551,6 @@ func cmdWorkerServe(m *core.Marshal, args []string) int {
 	fs := flag.NewFlagSet("worker serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8416", "listen address")
 	slots := fs.Int("slots", 1, "concurrent simulation slots (leases beyond it queue)")
-	timeout := fs.Duration("timeout", 0, "default per-attempt timeout for leases that carry none")
-	retries := fs.Int("retries", 0, "default retry attempts for leases that carry none")
 	limit := limitFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -575,11 +573,9 @@ func cmdWorkerServe(m *core.Marshal, args []string) int {
 			Obs:     m.Obs,
 			Log:     os.Stderr,
 		},
-		Slots:   *slots,
-		Timeout: *timeout,
-		Retries: *retries,
-		Obs:     m.Obs,
-		Log:     os.Stderr,
+		Slots: *slots,
+		Obs:   m.Obs,
+		Log:   os.Stderr,
 	})
 	fmt.Printf("worker: serving on %s (slots=%d, shared cache=%s)\n", *addr, *slots, m.RemoteCache)
 	if err := serveGraceful("marshal worker", *addr, limit(w), w.Close); err != nil {

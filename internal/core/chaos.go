@@ -33,16 +33,18 @@ type ChaosOpts struct {
 	// SlowJobDelay is how long the slow worker stalls each lease before
 	// executing it (default 2s) — what forces a hedge.
 	SlowJobDelay time.Duration
-	// BreakerCooldown shortens the remote-cache breaker's half-open
-	// cooldown so recovery happens within the run (default 300ms).
-	BreakerCooldown time.Duration
-	// WorkerPoll is the coordinator's event-poll cadence (default 25ms).
-	WorkerPoll time.Duration
 	// JobTimeout bounds each job attempt (0 = none).
 	JobTimeout time.Duration
 	// Out receives the report (nil uses the Marshal log).
 	Out io.Writer
 }
+
+// A chaos run is short: the cache breaker recovers and the coordinator
+// polls (lease TTL 100 × 25ms) on a shorter clock than a real fleet's.
+const (
+	chaosBreakerCooldown = 300 * time.Millisecond
+	chaosWorkerPoll      = 25 * time.Millisecond
+)
 
 // ChaosJob is one job's comparable outcome: everything that must be
 // bit-identical between the clean and faulty runs.
@@ -104,12 +106,6 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 	}
 	if opts.SlowJobDelay <= 0 {
 		opts.SlowJobDelay = 2 * time.Second
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 300 * time.Millisecond
-	}
-	if opts.WorkerPoll <= 0 {
-		opts.WorkerPoll = 25 * time.Millisecond
 	}
 	out := opts.Out
 	if out == nil {
@@ -278,7 +274,7 @@ func (m *Marshal) runChaosFleet(ctx context.Context, nameOrPath, dir string, pla
 		return nil, nil, err
 	}
 	if plan != nil {
-		cache.SetBreakerCooldown(opts.BreakerCooldown)
+		cache.SetBreakerCooldown(chaosBreakerCooldown)
 	}
 
 	// Build first: the artifact digests must be known before the workers
@@ -344,7 +340,7 @@ func (m *Marshal) runChaosFleet(ctx context.Context, nameOrPath, dir string, pla
 
 	lopts := LaunchOpts{
 		Workers:    addrs,
-		WorkerPoll: opts.WorkerPoll,
+		WorkerPoll: chaosWorkerPoll,
 		JobTimeout: opts.JobTimeout,
 		Retries:    3,
 		Context:    ctx,

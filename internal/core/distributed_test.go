@@ -209,10 +209,9 @@ func TestDistributedCrashResumeBitIdentical(t *testing.T) {
 		}
 	}()
 	res, err := e.m.Launch("crashy", LaunchOpts{
-		Workers:        addrs,
-		CkptEvery:      100000,
-		WorkerLeaseTTL: 300 * time.Millisecond,
-		WorkerPoll:     2 * time.Millisecond,
+		Workers:    addrs,
+		CkptEvery:  100000,
+		WorkerPoll: 3 * time.Millisecond, // lease TTL 300ms
 	})
 	close(done)
 	<-killed
@@ -327,7 +326,7 @@ func TestDistributedJobsOverlap(t *testing.T) {
 	}()
 
 	running := func(addr string) bool {
-		st, err := lremote.NewWorkerClient(addr, 0).Status(context.Background())
+		st, err := lremote.NewWorkerClient(addr).Status(context.Background())
 		if err != nil {
 			return false
 		}

@@ -12,7 +12,6 @@ import (
 
 	"firemarshal/internal/boards"
 	"firemarshal/internal/hostutil"
-	"firemarshal/internal/launcher"
 	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/obs"
 	"firemarshal/internal/spec"
@@ -45,15 +44,14 @@ type LaunchOpts struct {
 	// a hung job dies without stalling siblings. Timeouts are not retried.
 	JobTimeout time.Duration
 	// Retries re-attempts transiently-failing jobs with exponential
-	// backoff (total attempts = Retries+1).
+	// backoff (total attempts = Retries+1), locally and on a fleet alike.
 	Retries int
-	// RetryBackoff is the base delay between attempts (default 250ms).
-	RetryBackoff time.Duration
 	// Context, when non-nil, kills in-flight jobs on cancellation — the
 	// second-Ctrl-C path.
 	Context context.Context
 	// Drain, when closed, stops starting new jobs while in-flight jobs
-	// run to completion — the first-Ctrl-C path.
+	// run to completion — the first-Ctrl-C path. On a fleet the
+	// coordinator takes back every still-queued lease.
 	Drain <-chan struct{}
 
 	// Workers, when non-empty, distributes the launch across a fleet of
@@ -63,11 +61,10 @@ type LaunchOpts struct {
 	// cache; the coordinator journals every worker event, so `-resume`,
 	// the manifest, and crash recovery behave exactly as locally.
 	Workers []string
-	// WorkerLeaseTTL bounds how long a worker may go silent before the
-	// coordinator declares it dead and re-leases its jobs; WorkerPoll is
-	// the coordinator's event-poll cadence. Zero uses protocol defaults.
-	WorkerLeaseTTL time.Duration
-	WorkerPoll     time.Duration
+	// WorkerPoll is the coordinator's heartbeat (event-poll) bound; a
+	// worker silent for 100 of them forfeits its jobs. Zero uses the
+	// protocol default, 100ms.
+	WorkerPoll time.Duration
 	// WorkerTransport, when set, wraps the coordinator's worker-client
 	// HTTP transport (chaos fault injection).
 	WorkerTransport http.RoundTripper
@@ -181,16 +178,12 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 		Resume:       opts.Resume,
 		CkptDir:      m.CkptDir(),
 		CkptEvery:    opts.CkptEvery,
-		Pool: launcher.Options{
-			Workers: slots,
-			Timeout: opts.JobTimeout,
-			Retries: opts.Retries,
-			Backoff: opts.RetryBackoff,
-			Drain:   opts.Drain,
-		},
+		Timeout:      opts.JobTimeout,
+		Retries:      opts.Retries,
+		Drain:        opts.Drain,
+		Slots:        slots,
 		Fleet: remote.CoordOptions{
 			Workers:    opts.Workers,
-			LeaseTTL:   opts.WorkerLeaseTTL,
 			Poll:       opts.WorkerPoll,
 			Transport:  opts.WorkerTransport,
 			HedgeAfter: opts.HedgeAfter,

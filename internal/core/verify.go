@@ -30,11 +30,10 @@ type VerifyOpts struct {
 	// Out is the merged manifest path (default <workdir>/verify/farm.jsonl).
 	Out string
 
-	// Workers, when non-empty, shards the farm across a fleet; the
-	// remaining fields tune the coordinator exactly as LaunchOpts does.
-	Workers        []string
-	WorkerLeaseTTL time.Duration
-	WorkerPoll     time.Duration
+	// Workers, when non-empty, shards the farm across a fleet; WorkerPoll
+	// is the coordinator's heartbeat bound, as in LaunchOpts.
+	Workers    []string
+	WorkerPoll time.Duration
 }
 
 // VerifyResult is what a farm session (local or fleet) produced.
@@ -144,12 +143,11 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 	defer fleetJnl.Close()
 	manifests := make([]string, nShards)
 	_, err = remote.Launch(ctx, specs, remote.CoordOptions{
-		Workers:  opts.Workers,
-		Journal:  fleetJnl,
-		LeaseTTL: opts.WorkerLeaseTTL,
-		Poll:     opts.WorkerPoll,
-		Obs:      m.Obs,
-		Log:      m.Log,
+		Workers: opts.Workers,
+		Journal: fleetJnl,
+		Poll:    opts.WorkerPoll,
+		Obs:     m.Obs,
+		Log:     m.Log,
 		OnDone: func(ev remote.Event) error {
 			if ev.Record == nil || ev.Record.Status != launcher.StatusOK {
 				return nil

@@ -23,9 +23,10 @@ import (
 )
 
 // startRTLFleet spins up a shared cache server plus n in-process workers,
-// each over its own local store and checkpoint dir. The returned slices
-// are index-aligned so tests can kill a specific worker mid-node.
-func startRTLFleet(t *testing.T, n int) (cacheURL string, addrs []string, workers []*lremote.Worker, servers []*httptest.Server) {
+// each over its own local store and checkpoint dir; wrap, when set, wraps
+// each worker's runner. The returned slices are index-aligned so tests can
+// kill a specific worker mid-node.
+func startRTLFleet(t *testing.T, n int, wrap func(lremote.Runner) lremote.Runner) (cacheURL string, addrs []string, workers []*lremote.Worker, servers []*httptest.Server) {
 	t.Helper()
 	shared, err := cas.Open(t.TempDir())
 	if err != nil {
@@ -38,16 +39,16 @@ func startRTLFleet(t *testing.T, n int) (cacheURL string, addrs []string, worker
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := lremote.NewWorker(lremote.WorkerConfig{
-			Runner: &lremote.ArtifactRunner{
-				Store:   store,
-				Remote:  casremote.NewClient(cacheSrv.URL, 0),
-				CkptDir: t.TempDir(),
-				Obs:     obs.NewRegistry(),
-			},
-			Slots: 1,
-			Obs:   obs.NewRegistry(),
-		})
+		var runner lremote.Runner = &lremote.ArtifactRunner{
+			Store:   store,
+			Remote:  casremote.NewClient(cacheSrv.URL, 0),
+			CkptDir: t.TempDir(),
+			Obs:     obs.NewRegistry(),
+		}
+		if wrap != nil {
+			runner = wrap(runner)
+		}
+		w := lremote.NewWorker(lremote.WorkerConfig{Runner: runner, Slots: 1, Obs: obs.NewRegistry()})
 		srv := httptest.NewServer(w)
 		t.Cleanup(srv.Close)
 		t.Cleanup(w.Close)
@@ -93,7 +94,7 @@ func TestFiresimDistributedCrashResumeCycleExact(t *testing.T) {
 	// on worker 0 and slow on worker 1; the watcher kills worker 1 — HTTP
 	// listener and simulation both — once the coordinator has persisted a
 	// checkpoint pointer for slow.
-	cacheURL, addrs, workers, servers := startRTLFleet(t, 2)
+	cacheURL, addrs, workers, servers := startRTLFleet(t, 2, nil)
 	outDir := t.TempDir() + "/out"
 	manifest := filepath.Join(outDir, "manifest.jsonl")
 	reg := obs.NewRegistry()
@@ -117,15 +118,14 @@ func TestFiresimDistributedCrashResumeCycleExact(t *testing.T) {
 		}
 	}()
 	res, err := Run(cfg, Options{
-		RTL:            rtlsim.DefaultConfig(),
-		OutputDir:      outDir,
-		ManifestPath:   manifest,
-		CkptEvery:      50000,
-		Workers:        addrs,
-		RemoteCache:    cacheURL,
-		WorkerLeaseTTL: 300 * time.Millisecond,
-		WorkerPoll:     2 * time.Millisecond,
-		Obs:            reg,
+		RTL:          rtlsim.DefaultConfig(),
+		OutputDir:    outDir,
+		ManifestPath: manifest,
+		CkptEvery:    50000,
+		Workers:      addrs,
+		RemoteCache:  cacheURL,
+		WorkerPoll:   3 * time.Millisecond, // lease TTL 300ms
+		Obs:          reg,
 	})
 	close(done)
 	<-killed
@@ -190,7 +190,7 @@ func TestFiresimDistributedCrashResumeCycleExact(t *testing.T) {
 func TestFiresimFleetRejectsNetworkedTopology(t *testing.T) {
 	cfg := buildCrashyInstalled(t)
 	cfg.Topology = "simple" // re-arm the fabric the helper disabled
-	_, addrs, _, _ := startRTLFleet(t, 1)
+	_, addrs, _, _ := startRTLFleet(t, 1, nil)
 	_, err := Run(cfg, Options{
 		RTL:         rtlsim.DefaultConfig(),
 		OutputDir:   t.TempDir(),
@@ -246,7 +246,7 @@ _start:
 		t.Fatal(err)
 	}
 	cfg.Topology = "no_net" // independent nodes: a fabric pins them to this host
-	cacheURL, addrs, _, _ := startRTLFleet(t, 1)
+	cacheURL, addrs, _, _ := startRTLFleet(t, 1, nil)
 
 	run := func(rtl rtlsim.Config, opts Options) (console string, cycles uint64) {
 		t.Helper()

@@ -1,15 +1,22 @@
 package fsrun
 
 import (
+	"context"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	casremote "firemarshal/internal/cas/remote"
 	"firemarshal/internal/core"
 	"firemarshal/internal/install"
+	"firemarshal/internal/launcher"
+	lremote "firemarshal/internal/launcher/remote"
 	"firemarshal/internal/sim/rtlsim"
 )
 
@@ -59,7 +66,7 @@ func TestFrontEndsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheURL, addrs, _, _ := startRTLFleet(t, 2)
+	cacheURL, addrs, _, _ := startRTLFleet(t, 2, nil)
 	m.RemoteCache = cacheURL
 
 	launch := func(opts core.LaunchOpts) map[string]jobOutcome {
@@ -118,5 +125,103 @@ func TestFrontEndsEquivalent(t *testing.T) {
 		if fn.Exit != rtl.Exit || !reflect.DeepEqual(fn.Tree, rtl.Tree) {
 			t.Errorf("%s: functional and cycle-exact outputs differ\nfunctional: %+v\ncycle-exact: %+v", name, fn, rtl)
 		}
+	}
+}
+
+// injectedFaults fails job attempts by name: every attempt of a "-broken"
+// job and the first of a "-flaky" one, with an error naming the attempt.
+type injectedFaults struct {
+	mu       sync.Mutex
+	attempts map[string]int
+}
+
+func (f *injectedFaults) attempt(job string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.attempts[job]++
+	n := f.attempts[job]
+	if strings.HasSuffix(job, "-broken") || strings.HasSuffix(job, "-flaky") && n == 1 {
+		return fmt.Errorf("injected transient fault, attempt %d", n)
+	}
+	return nil
+}
+
+// TestFleetAttemptPolicyMatchesLocal: a job is attempted the same way in the
+// local pool and on a worker fleet. Under Retries: 1 a job whose first
+// attempt fails transiently succeeds on its second, one that always fails
+// stops after two, and a sound one runs once; the two manifests agree on
+// every field but the wall-clock ones. The fault is injected where each
+// dispatcher begins an attempt: a local attempt's Attach, a worker's runner.
+func TestFleetAttemptPolicyMatchesLocal(t *testing.T) {
+	cfg, _ := buildInstalled(t, `{"name": "w", "base": "br-base", "jobs": [
+    {"name": "sound", "command": "echo sound"},
+    {"name": "flaky", "command": "echo flaky"},
+    {"name": "broken", "command": "echo broken"}]}`, nil)
+
+	// drive runs every node of cfg under run's policy and returns the
+	// manifest without its wall-clock fields. Non-nil faults are injected
+	// into each local attempt.
+	drive := func(run lremote.Run, faults *injectedFaults) []launcher.Record {
+		t.Helper()
+		dir := t.TempDir()
+		run.ManifestPath = filepath.Join(dir, "manifest.jsonl")
+		for _, job := range cfg.Jobs {
+			j := nodeJob(job, nil, Options{RTL: rtlsim.DefaultConfig(), OutputDir: dir})
+			if attach := j.Attach; faults != nil {
+				j.Attach = func(x *lremote.Exec) (func(), error) {
+					if err := faults.attempt(j.Name); err != nil {
+						return nil, err
+					}
+					return attach(x)
+				}
+			}
+			run.Jobs = append(run.Jobs, j)
+		}
+		if _, _, err := lremote.Drive(context.Background(), run); err == nil {
+			t.Fatal("a drive with an always-failing job succeeded")
+		}
+		recs, _, err := launcher.ReadManifest(run.ManifestPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			recs[i].WallMS, recs[i].SimMIPS = 0, 0
+		}
+		return recs
+	}
+
+	local := drive(lremote.Run{Retries: 1, Slots: len(cfg.Jobs)}, &injectedFaults{attempts: map[string]int{}})
+
+	fleetFaults := &injectedFaults{attempts: map[string]int{}}
+	cacheURL, addrs, _, _ := startRTLFleet(t, 2, func(inner lremote.Runner) lremote.Runner {
+		return lremote.RunnerFunc(func(ctx context.Context, spec lremote.JobSpec, emit func(lremote.Event)) (*lremote.RunOutput, error) {
+			if err := fleetFaults.attempt(spec.Name); err != nil {
+				return nil, err
+			}
+			return inner.Run(ctx, spec, emit)
+		})
+	})
+	fleet := drive(lremote.Run{
+		Retries: 1,
+		Fleet:   lremote.CoordOptions{Workers: addrs, Poll: 5 * time.Millisecond},
+		Remote:  casremote.NewClient(cacheURL, 0),
+	}, nil)
+
+	want := map[string]launcher.Record{
+		"w-sound":  {Status: launcher.StatusOK, Attempts: 1},
+		"w-flaky":  {Status: launcher.StatusOK, Attempts: 2},
+		"w-broken": {Status: launcher.StatusFailed, Attempts: 2, Error: "injected transient fault, attempt 2"},
+	}
+	if len(local) != len(want) {
+		t.Fatalf("local manifest = %+v, want %d jobs", local, len(want))
+	}
+	for _, rec := range local {
+		w := want[rec.Job]
+		if rec.Status != w.Status || rec.Attempts != w.Attempts || rec.Error != w.Error {
+			t.Errorf("local %s = %+v, want status %s, %d attempt(s), error %q", rec.Job, rec, w.Status, w.Attempts, w.Error)
+		}
+	}
+	if !reflect.DeepEqual(local, fleet) {
+		t.Errorf("local and fleet manifests differ\nlocal: %+v\nfleet: %+v", local, fleet)
 	}
 }

@@ -65,11 +65,10 @@ type Options struct {
 	Workers []string
 	// RemoteCache is the shared cache's base URL (required with Workers).
 	RemoteCache string
-	// WorkerLeaseTTL bounds how long a worker may go silent before the
-	// coordinator declares it dead and re-leases its nodes; WorkerPoll is
-	// the coordinator's event-poll cadence. Zero uses protocol defaults.
-	WorkerLeaseTTL time.Duration
-	WorkerPoll     time.Duration
+	// WorkerPoll is the coordinator's heartbeat (event-poll) bound; a
+	// worker silent for 100 of them forfeits its nodes. Zero uses the
+	// protocol default, 100ms.
+	WorkerPoll time.Duration
 
 	// Resume continues an interrupted run (`firesim -resume`): nodes the
 	// run journal records as ok carry their results over, nodes with a live
@@ -151,7 +150,9 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 		CkptDir:   filepath.Join(opts.OutputDir, ".ckpt"),
 		CkptEvery: opts.CkptEvery,
 		Resume:    opts.Resume,
-		Pool:      launcher.Options{Workers: 1, Timeout: opts.Timeout, Drain: opts.Drain},
+		Timeout:   opts.Timeout,
+		Drain:     opts.Drain,
+		Slots:     1,
 		Obs:       opts.Obs,
 		Log:       opts.Log,
 		Span:      runSpan,
@@ -196,9 +197,9 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	// platforms, per-job timeout/retry, deterministic result order.
 	run.Jobs = nodes
 	run.ManifestPath = opts.ManifestPath
-	run.Pool.Retries = opts.Retries
-	run.Pool.Workers = max(opts.Jobs, 1)
-	run.Fleet = remote.CoordOptions{Workers: opts.Workers, LeaseTTL: opts.WorkerLeaseTTL, Poll: opts.WorkerPoll}
+	run.Retries = opts.Retries
+	run.Slots = max(opts.Jobs, 1)
+	run.Fleet = remote.CoordOptions{Workers: opts.Workers, Poll: opts.WorkerPoll}
 	if opts.CkptEvery > 0 || opts.Resume {
 		// Pointers and blobs live outside the per-job output directories,
 		// which every attempt wipes.

@@ -53,7 +53,7 @@ func TestCorruptBinaryFailsOnceEverywhere(t *testing.T) {
 	if err := hostutil.WriteFileAtomic(m.BinPath("w"), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Launch("w", core.LaunchOpts{Retries: 3, RetryBackoff: time.Millisecond}); err == nil {
+	if _, err := m.Launch("w", core.LaunchOpts{Retries: 3}); err == nil {
 		t.Error("launch of a corrupt binary succeeded")
 	}
 	oneFailedAttempt(t, "marshal launch", m.LastManifest)
@@ -71,7 +71,7 @@ func TestCorruptBinaryFailsOnceEverywhere(t *testing.T) {
 	oneFailedAttempt(t, "firesim", manifest)
 
 	// worker: a lease naming a corrupt blob in the shared cache.
-	cacheURL, addrs, _, _ := startRTLFleet(t, 1)
+	cacheURL, addrs, _, _ := startRTLFleet(t, 1, nil)
 	digest, err := lremote.PutBlob(context.Background(), casremote.NewClient(cacheURL, 0), garbage)
 	if err != nil {
 		t.Fatal(err)

@@ -235,7 +235,7 @@ func TestLauncherJournals(t *testing.T) {
 			return Metrics{Cycles: 22}, nil
 		}},
 	}
-	l := New(Options{Workers: 2, Retries: 1, Backoff: time.Millisecond, Journal: j})
+	l := New(Options{Workers: 2, Retries: 1, Journal: j, Sleep: (&recordingSleep{}).sleep})
 	sum := l.Run(context.Background(), jobs)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

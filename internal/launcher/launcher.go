@@ -141,11 +141,8 @@ type Options struct {
 	// after its first failure (total attempts = Retries+1). Errors marked
 	// Permanent and timeouts are not retried.
 	Retries int
-	// Backoff is the delay before the first retry; it doubles per
-	// subsequent retry, capped at 30s. Default 250ms.
-	Backoff time.Duration
 	// Drain, when closed, stops new jobs from starting (in-flight jobs
-	// finish) — equivalent to calling Drain().
+	// finish).
 	Drain <-chan struct{}
 	// Journal, when set, receives a fsynced start record as each attempt
 	// begins and a done record as each job reaches a terminal status, so
@@ -168,9 +165,7 @@ type Options struct {
 
 // Launcher runs job sets through a worker pool.
 type Launcher struct {
-	opts      Options
-	drain     chan struct{}
-	drainOnce sync.Once
+	opts Options
 	// stragglers tracks attempt goroutines abandoned at a timeout or
 	// cancellation; Run joins them before returning so no attempt can
 	// touch caller state after the summary is read.
@@ -179,33 +174,16 @@ type Launcher struct {
 
 // New creates a Launcher.
 func New(opts Options) *Launcher {
-	if opts.Backoff <= 0 {
-		opts.Backoff = 250 * time.Millisecond
-	}
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
 	if opts.Sleep == nil {
 		opts.Sleep = hostutil.SleepCtx
 	}
-	return &Launcher{opts: opts, drain: make(chan struct{})}
-}
-
-// Drain stops new jobs from starting; in-flight jobs run to completion.
-// Safe to call from any goroutine, any number of times.
-func (l *Launcher) Drain() {
-	l.drainOnce.Do(func() { close(l.drain) })
+	return &Launcher{opts: opts}
 }
 
 func (l *Launcher) draining() bool {
-	select {
-	case <-l.drain:
-		return true
-	default:
-	}
-	if l.opts.Drain == nil {
-		return false
-	}
 	select {
 	case <-l.opts.Drain:
 		return true
@@ -266,12 +244,7 @@ func (l *Launcher) Run(ctx context.Context, jobs []Job) *Summary {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(jobs)), 1)
 
 	start := time.Now()
 	results := make([]Result, len(jobs))
@@ -398,14 +371,19 @@ func (l *Launcher) runAttempt(ctx context.Context, job Job, attempt int) (Metric
 	}
 }
 
+// retryBackoff is the delay before a job's first retry; it doubles per
+// subsequent retry, capped at 30s. It is one constant, so a job retries on
+// the same schedule in the local pool and on a worker.
+const retryBackoff = 250 * time.Millisecond
+
 // backoff returns the delay before the retry following `attempt`:
-// Backoff * 2^(attempt-1), capped at 30s, plus up to 25% deterministic
+// retryBackoff * 2^(attempt-1), capped at 30s, plus up to 25% deterministic
 // per-job jitter. The jitter is hashed from (job name, attempt) — no
 // wall clock, no RNG — so N jobs that fail together retry spread out
 // instead of as a thundering herd at `-j N`, while any given run's
 // retry schedule stays bit-reproducible.
 func (l *Launcher) backoff(job string, attempt int) time.Duration {
-	d := l.opts.Backoff
+	d := retryBackoff
 	for i := 1; i < attempt && d < 30*time.Second; i++ {
 		d *= 2
 	}

@@ -80,18 +80,18 @@ func TestLauncherTable(t *testing.T) {
 		{
 			name:         "transient failure retried with backoff, then succeeds",
 			jobs:         []fakeJob{{name: "flaky", failures: 2, cycles: 10}},
-			opts:         Options{Workers: 1, Retries: 3, Backoff: 8 * time.Millisecond},
+			opts:         Options{Workers: 1, Retries: 3},
 			wantStatus:   []Status{StatusOK},
 			wantAttempts: []int{3},
-			wantBackoffs: []time.Duration{8 * time.Millisecond, 16 * time.Millisecond},
+			wantBackoffs: []time.Duration{retryBackoff, 2 * retryBackoff},
 		},
 		{
 			name:         "retries exhausted",
 			jobs:         []fakeJob{{name: "hopeless", failures: 99}},
-			opts:         Options{Workers: 1, Retries: 2, Backoff: time.Millisecond},
+			opts:         Options{Workers: 1, Retries: 2},
 			wantStatus:   []Status{StatusFailed},
 			wantAttempts: []int{3},
-			wantBackoffs: []time.Duration{time.Millisecond, 2 * time.Millisecond},
+			wantBackoffs: []time.Duration{retryBackoff, 2 * retryBackoff},
 			wantErr:      true,
 		},
 		{
@@ -205,10 +205,11 @@ func TestCancellationMidFlight(t *testing.T) {
 // TestDrainFinishesInFlight covers the first-Ctrl-C path: draining lets
 // the running job finish normally and skips everything still queued.
 func TestDrainFinishesInFlight(t *testing.T) {
-	l := New(Options{Workers: 1})
+	drain := make(chan struct{})
+	l := New(Options{Workers: 1, Drain: drain})
 	jobs := []Job{
 		{Name: "a", Run: func(ctx context.Context, attempt int) (Metrics, error) {
-			l.Drain() // the Ctrl-C arrives while a runs
+			close(drain) // the Ctrl-C arrives while a runs
 			return Metrics{Cycles: 1}, nil
 		}},
 		{Name: "b", Run: func(ctx context.Context, attempt int) (Metrics, error) {
@@ -354,8 +355,8 @@ func TestPermanentWrapping(t *testing.T) {
 // distinct jobs spread out (no thundering herd), and the jitter stays
 // within a quarter of the pure exponential delay.
 func TestBackoffDeterministicJitter(t *testing.T) {
-	l := New(Options{Backoff: 80 * time.Millisecond})
-	pure := 80 * time.Millisecond
+	l := New(Options{})
+	pure := retryBackoff
 	if a, b := l.backoff("job-a", 1), l.backoff("job-a", 1); a != b {
 		t.Fatalf("same job+attempt jittered differently: %v vs %v", a, b)
 	}

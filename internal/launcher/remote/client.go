@@ -13,10 +13,10 @@ import (
 	"firemarshal/internal/hostutil"
 )
 
-// DefaultTimeout bounds each coordinator→worker request. It is short:
+// requestTimeout bounds each coordinator→worker request. It is short:
 // requests are tiny control messages, and a worker that cannot answer
 // within it is what the lease TTL exists to detect.
-const DefaultTimeout = 5 * time.Second
+const requestTimeout = 5 * time.Second
 
 // clientRetries bounds per-request retries (see do).
 const clientRetries = 3
@@ -42,12 +42,9 @@ type WorkerClient struct {
 }
 
 // NewWorkerClient returns a client for the worker at addr ("host:port" or
-// a full URL). A zero timeout uses DefaultTimeout.
-func NewWorkerClient(addr string, timeout time.Duration) *WorkerClient {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	return &WorkerClient{Addr: addr, http: hostutil.NewHTTPClient(addr, timeout)}
+// a full URL).
+func NewWorkerClient(addr string) *WorkerClient {
+	return &WorkerClient{Addr: addr, http: hostutil.NewHTTPClient(addr, requestTimeout)}
 }
 
 // SetTransport installs a custom RoundTripper (chaos fault injection).

@@ -25,15 +25,11 @@ type CoordOptions struct {
 	// coordinator's journal/manifest stays the single source of truth,
 	// and `-resume` after a coordinator crash works unchanged.
 	Journal *launcher.Journal
-	// LeaseTTL is how long a worker may go unreachable before its leases
-	// are forfeited and re-assigned (default 10s).
-	LeaseTTL time.Duration
 	// Poll is the heartbeat bound (a worker answers its outstanding event
 	// poll on its next event or after Poll) and the housekeeping cadence —
 	// not event latency: events are handled as they happen (default 100ms).
+	// A worker silent for leaseHeartbeats polls forfeits its leases.
 	Poll time.Duration
-	// RequestTimeout bounds each control request (default DefaultTimeout).
-	RequestTimeout time.Duration
 	// HedgeAfter, when positive, duplicates a started-but-silent job onto
 	// an idle healthy worker once its lease is this old — the straggler
 	// and the hedge race, the first terminal event wins, and determinism
@@ -43,6 +39,9 @@ type CoordOptions struct {
 	// Transport, when set, wraps every worker client's HTTP transport
 	// (chaos fault injection).
 	Transport http.RoundTripper
+	// Drain, when closed, ends leasing (see takeBack): queued jobs are
+	// skipped and running ones finish, as in the local pool.
+	Drain <-chan struct{}
 	// OnCheckpoint runs for each checkpoint a worker announces; Drive
 	// persists the pointer into the run's checkpoint directory so a
 	// coordinator crash resumes from it.
@@ -65,6 +64,9 @@ type CoordOptions struct {
 // rest of the run. Quarantine is sticky: a worker flaky enough to cross
 // the threshold once doesn't get to poison tail latency again.
 const (
+	// leaseHeartbeats × Poll is the lease TTL (10s at the default Poll).
+	leaseHeartbeats = 100
+
 	faultPoll           = 1
 	faultSubmit         = 2
 	quarantineThreshold = 6
@@ -134,6 +136,7 @@ type coordinator struct {
 	landed   chan landed
 	landers  chan struct{} // OnDone runs in flight: one per registered worker
 	landings int           // landers not yet back on the loop
+	draining bool          // Drain closed: nothing is leased again
 }
 
 // Launch distributes specs across the worker fleet and blocks until every
@@ -143,8 +146,9 @@ type coordinator struct {
 // jobs onto healthy ones; a worker unreachable past the lease TTL
 // forfeits its jobs, which re-lease — restoring from the latest
 // replicated checkpoint — onto live workers; an error-prone worker is
-// quarantined from new leases. The returned summary carries each job's
-// verbatim worker record, so manifests compacted from it match
+// quarantined from new leases; closing Drain takes back every queued
+// lease and lets the running jobs finish. The returned summary carries
+// each job's verbatim worker record, so manifests compacted from it match
 // single-machine runs (wall-clock fields aside).
 func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.Summary, error) {
 	if len(opts.Workers) == 0 {
@@ -152,9 +156,6 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 	}
 	if len(specs) == 0 {
 		return &launcher.Summary{}, nil
-	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 10 * time.Second
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 100 * time.Millisecond
@@ -179,7 +180,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 	// the fleet. The run needs at least one.
 	now := time.Now()
 	for _, addr := range opts.Workers {
-		cl := NewWorkerClient(addr, opts.RequestTimeout)
+		cl := NewWorkerClient(addr)
 		if opts.Transport != nil {
 			cl.SetTransport(opts.Transport)
 		}
@@ -201,7 +202,12 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 	c.landers = make(chan struct{}, c.aliveCount())
 
 	start := time.Now()
-	c.leaseAll(ctx)
+	drain := opts.Drain
+	select {
+	case <-drain: // drained before anything was leased: the loop skips every job
+	default:
+		c.leaseAll(ctx)
+	}
 
 	// No event is handled while leasing: the schedule must not depend on how
 	// fast the first jobs finish. Then one poll per live worker, and a ticker.
@@ -224,6 +230,10 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 			c.handlePoll(ctx, p)
 		case l := <-c.landed:
 			c.finishLanding(ctx, l)
+		case <-drain:
+			drain = nil
+			c.logf("coordinator: draining — taking back queued leases; running jobs finish")
+			c.takeBack(ctx)
 		case <-tick.C: // housekeeping
 			for wi, w := range c.workers {
 				if !w.alive {
@@ -231,6 +241,10 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 				} else if w.ticks++; w.ticks%reconcileEvery == 0 {
 					c.reconcile(ctx, wi)
 				}
+			}
+			if c.draining {
+				c.takeBack(ctx)
+				continue
 			}
 			c.reassignOrphans(ctx)
 			c.steal(ctx)
@@ -430,6 +444,10 @@ func (c *coordinator) leased(j *cjob, wi int) {
 // accepts stays unowned and is retried next tick, up to a refusal bound; it
 // fails terminally only with zero live workers or the bound exhausted.
 func (c *coordinator) assign(ctx context.Context, j *cjob) {
+	if c.draining {
+		c.skip(j)
+		return
+	}
 	tried := map[int]bool{}
 	for ctx.Err() == nil {
 		best := c.pick(c.outstanding, tried)
@@ -507,7 +525,7 @@ func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 	w := c.workers[p.wi]
 	if p.err != nil {
 		c.noteFault(p.wi, faultPoll)
-		if time.Since(w.lastOK) > c.opts.LeaseTTL {
+		if time.Since(w.lastOK) > leaseHeartbeats*c.opts.Poll {
 			c.expire(ctx, p.wi)
 			return
 		}
@@ -680,7 +698,7 @@ func (c *coordinator) expire(ctx context.Context, wi int) {
 		}
 	}
 	c.logf("coordinator: worker %s lease expired (silent > %s); re-leasing %d job(s)",
-		w.client.Addr, c.opts.LeaseTTL, len(forfeited))
+		w.client.Addr, leaseHeartbeats*c.opts.Poll, len(forfeited))
 	for _, j := range forfeited {
 		c.opts.Obs.Counter("remote_lease_expiries_total").Inc()
 		if j.hedge >= 0 && c.workers[j.hedge].alive {
@@ -770,6 +788,38 @@ func (c *coordinator) hedgeStragglers(ctx context.Context) {
 			break
 		}
 	}
+}
+
+// takeBack is the fleet's drain: nothing is leased again, and every job not
+// yet started — unowned, or given back by its worker through the steal
+// protocol — is skipped. A job whose worker refuses (it started) or cannot
+// answer keeps its lease; housekeeping tries again each tick.
+func (c *coordinator) takeBack(ctx context.Context) {
+	c.draining = true
+	for _, name := range c.order {
+		j := c.jobs[name]
+		if j.settled() || j.started {
+			continue
+		}
+		if j.worker >= 0 {
+			if ok, err := c.workers[j.worker].client.Steal(ctx, name); err != nil || !ok {
+				continue
+			}
+		}
+		c.skip(j)
+	}
+}
+
+// skip records a drained job as the local pool does: skipped, its
+// checkpoint kept for -resume.
+func (c *coordinator) skip(j *cjob) {
+	c.finishJob(j, launcher.Record{
+		Job:      j.spec.Name,
+		Status:   launcher.StatusSkipped,
+		Attempts: max(j.maxAtt, j.spec.Prior),
+		Resumed:  j.spec.Resumed,
+		Error:    "drained before start",
+	}, nil)
 }
 
 // land takes a job whose done event was honoured off the schedule and runs

@@ -43,7 +43,7 @@ type Job struct {
 }
 
 // Run describes a whole launch for Drive: the jobs, where the run's record
-// is kept, and how the jobs are scheduled.
+// is kept, how each job is attempted, and where the jobs are scheduled.
 type Run struct {
 	Jobs []Job
 	// ManifestPath receives the compacted JSONL manifest; the run journals
@@ -61,13 +61,20 @@ type Run struct {
 	CkptStore *cas.Store
 	CkptEvery uint64
 
-	// Pool schedules the jobs on local simulation slots (Workers of them),
-	// Fleet on `marshal worker serve` daemons when Fleet.Workers is set —
-	// Pool.Timeout and Pool.Retries then travel in each job spec and apply
-	// worker-side, and Remote is the shared cache every artifact, console
-	// and output travels through. Drive fills in both sides' journal,
-	// registry, log, span and hooks.
-	Pool   launcher.Options
+	// The attempt policy, the same wherever a job runs (launcher.Options
+	// documents each). On a fleet Timeout and Retries travel in every
+	// lease and the worker runs them exactly; Drain makes the coordinator
+	// take back the leases still queued.
+	Timeout time.Duration
+	Retries int
+	Drain   <-chan struct{}
+
+	// Slots local simulations run at once (<=0 = GOMAXPROCS) — unless
+	// Fleet.Workers is set: then the jobs run on `marshal worker serve`
+	// daemons, and Remote is the shared cache every artifact, console and
+	// output travels through. Drive fills in both sides' journal, registry,
+	// log, span and hooks.
+	Slots  int
 	Fleet  CoordOptions
 	Remote cas.Remote
 
@@ -187,9 +194,8 @@ func (r *Run) pool(ctx context.Context, fresh []int, prior map[string]launcher.P
 			},
 		})
 	}
-	opts := r.Pool
-	opts.Journal, opts.Obs, opts.Log, opts.Span = jnl, r.Obs, r.Log, r.Span
-	return launcher.New(opts).Run(ctx, jobs)
+	return launcher.New(launcher.Options{Workers: r.Slots, Timeout: r.Timeout, Retries: r.Retries, Drain: r.Drain,
+		Journal: jnl, Obs: r.Obs, Log: r.Log, Span: r.Span}).Run(ctx, jobs)
 }
 
 // attempt runs one job in this process: artifacts from their files through
@@ -282,7 +288,7 @@ func (r *Run) fleet(ctx context.Context, fresh []int, prior map[string]launcher.
 		specs = append(specs, *spec)
 	}
 	opts := r.Fleet
-	opts.Journal, opts.Obs, opts.Log = jnl, r.Obs, r.Log
+	opts.Journal, opts.Drain, opts.Obs, opts.Log = jnl, r.Drain, r.Obs, r.Log
 	opts.OnCheckpoint = func(ptr *checkpoint.Pointer) {
 		// Persisting the pointer coordinator-side is what makes a
 		// COORDINATOR crash resumable too: -resume finds it here.
@@ -335,8 +341,8 @@ func (r *Run) jobSpec(ctx context.Context, j Job, shipped shipped) (*JobSpec, er
 		Name:      j.Name,
 		Sim:       j.Sim,
 		Outputs:   j.Outputs,
-		Timeout:   r.Pool.Timeout,
-		Retries:   r.Pool.Retries,
+		Timeout:   r.Timeout,
+		Retries:   r.Retries,
 		CkptEvery: r.CkptEvery,
 	}
 	if j.Sim == "rtl" {

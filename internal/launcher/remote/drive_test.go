@@ -50,7 +50,7 @@ func TestWorkerClientRetryAfterAbortsOnCancel(t *testing.T) {
 		http.Error(w, "busy", http.StatusTooManyRequests)
 	}))
 	t.Cleanup(srv.Close)
-	c := NewWorkerClient(srv.Listener.Addr().String(), time.Second)
+	c := NewWorkerClient(srv.Listener.Addr().String())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
@@ -312,5 +312,96 @@ func TestFleetResumeAfterCancelMidLanding(t *testing.T) {
 		if want := map[bool]int{true: 0, false: 1}[landed[name]]; again != want {
 			t.Errorf("%s (landed before the cancel: %v) ran %d more time(s) on resume, want %d", name, landed[name], again, want)
 		}
+	}
+}
+
+// TestFleetDrainSkipsQueuedJobs: draining a fleet run — the first Ctrl-C —
+// behaves as it does in the local pool. The coordinator takes back every
+// still-queued lease and journals those jobs skipped; the running job
+// finishes and is journaled ok.
+func TestFleetDrainSkipsQueuedJobs(t *testing.T) {
+	hub, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cacheSrv := httptest.NewServer(casremote.NewServer(hub))
+	t.Cleanup(cacheSrv.Close)
+	rem := casremote.NewClient(cacheSrv.URL, 0)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	ran := map[string]bool{}
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		store, err := cas.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := &ArtifactRunner{Store: store, Remote: rem, Obs: obs.NewRegistry()}
+		return WorkerConfig{Obs: obs.NewRegistry(), Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+			mu.Lock()
+			ran[spec.Name] = true
+			mu.Unlock()
+			if spec.Name == "a" {
+				close(started)
+				<-release
+			}
+			return inner.Run(ctx, spec, emit)
+		})}
+	})
+
+	bin := bareBin(t)
+	root := t.TempDir()
+	drain := make(chan struct{})
+	run := Run{
+		ManifestPath: filepath.Join(root, "runs", "w.manifest.jsonl"),
+		Drain:        drain,
+		Fleet:        CoordOptions{Workers: addrs, Poll: 5 * time.Millisecond},
+		Remote:       rem,
+		Obs:          obs.NewRegistry(),
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		run.Jobs = append(run.Jobs, Job{Name: name, Bin: bin, Sim: "qemu", Dir: filepath.Join(root, "runs", name)})
+	}
+	driven := make(chan error, 1)
+	go func() {
+		_, _, err := Drive(context.Background(), run)
+		driven <- err
+	}()
+
+	// One slot: a runs, b and c wait in the worker's queue. Drain, and give
+	// the coordinator a moment to take b and c back before a may finish.
+	<-started
+	close(drain)
+	c := NewWorkerClient(addrs[0])
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if st, err := c.Status(context.Background()); err == nil && len(st.Jobs) == 1 {
+			break
+		}
+	}
+	close(release)
+	if err := <-driven; err == nil {
+		t.Error("a drained drive reported every job ok")
+	}
+
+	recs, _, err := launcher.ReadManifest(run.ManifestPath)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("manifest = %+v, %v", recs, err)
+	}
+	if recs[0].Status != launcher.StatusOK || recs[0].Attempts != 1 {
+		t.Errorf("running job a = %+v, want ok after 1 attempt", recs[0])
+	}
+	for _, rec := range recs[1:] {
+		// Exactly the record the local pool writes for a job it skips.
+		if want := (launcher.Record{Job: rec.Job, Status: launcher.StatusSkipped, Error: "drained before start"}); rec != want {
+			t.Errorf("queued job %s = %+v, want %+v", rec.Job, rec, want)
+		}
+		if _, err := os.Stat(filepath.Join(root, "runs", rec.Job)); err == nil {
+			t.Errorf("skipped job %s has a run directory", rec.Job)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ran["b"] || ran["c"] {
+		t.Errorf("jobs ran after the drain: %v", ran)
 	}
 }

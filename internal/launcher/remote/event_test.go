@@ -92,7 +92,7 @@ func TestLongPoll(t *testing.T) {
 	defer w.Close()
 	srv := httptest.NewServer(w)
 	defer srv.Close()
-	c := NewWorkerClient(srv.Listener.Addr().String(), 0)
+	c := NewWorkerClient(srv.Listener.Addr().String())
 	const wait = 30 * time.Second
 
 	poll := func(ctx context.Context, since int, wait time.Duration) (<-chan struct{}, *[]Event, *error) {
@@ -391,7 +391,7 @@ func TestWorkerStartsLeasesInRequestOrder(t *testing.T) {
 				return &RunOutput{}, nil
 			})})
 		srv := httptest.NewServer(w)
-		c := NewWorkerClient(srv.Listener.Addr().String(), 0)
+		c := NewWorkerClient(srv.Listener.Addr().String())
 		codes, err := c.Lease(context.Background(), specsNamed(names...))
 		if err != nil || !reflect.DeepEqual(codes, []int{202, 202, 202, 202, 202}) {
 			t.Fatalf("lease = %v, %v", codes, err)
@@ -436,7 +436,7 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 	build := func(n int) *coordinator {
 		c := &coordinator{opts: CoordOptions{Log: io.Discard}, jobs: map[string]*cjob{}}
 		for i := 0; i < nWorkers; i++ {
-			cl := NewWorkerClient(fmt.Sprintf("w%d:1", i), 0)
+			cl := NewWorkerClient(fmt.Sprintf("w%d:1", i))
 			cl.SetTransport(accept)
 			c.workers = append(c.workers, &cworker{client: cl, alive: i != 3, quarantined: i == 1 || i == 6})
 		}

@@ -26,14 +26,16 @@
 // does not decode, so its lease is answered 400 — never on a wrong
 // configuration.
 //
-// Fault model: a worker that stops answering polls for LeaseTTL forfeits
-// its leases. Each forfeited job is re-leased to a live worker together
-// with the latest checkpoint pointer the dead worker managed to announce,
-// so the job restores bit-identically (cycles, stats, console) instead of
-// restarting — exactly the single-machine `-resume` guarantee, stretched
-// across machines. Idle workers steal still-queued jobs from loaded ones;
+// Fault model: a worker silent for 100 heartbeats (100 × Poll: 10 s at the
+// default Poll) forfeits its leases. Each forfeited job is re-leased to a
+// live worker together with the latest checkpoint pointer the dead worker
+// managed to announce, so the job restores bit-identically (cycles, stats,
+// console) instead of restarting — exactly the single-machine `-resume`
+// guarantee, stretched across machines. Idle workers steal still-queued jobs from loaded ones;
 // the queued-only constraint is enforced by the owning worker, so a steal
-// can never duplicate a running simulation.
+// can never duplicate a running simulation. Draining a fleet run (the
+// first Ctrl-C) takes back every still-queued lease the same way and
+// reports those jobs skipped, as the local pool does; running jobs finish.
 //
 // The package also owns the one way to execute a job, which a worker and a
 // local run share: Execute (exec.go) is the kernel every attempt runs
@@ -73,8 +75,9 @@ type JobSpec struct {
 	RTL *rtlsim.Config `json:"rtl,omitempty"`
 
 	// Timeout bounds each attempt; Retries re-attempts transient failures
-	// (total attempts = Retries+1). Both run worker-side, through the
-	// worker's launcher pool.
+	// (total attempts = Retries+1). The lease is the policy: the worker runs
+	// exactly these through its launcher pool — 0 means no timeout and no
+	// retry — so a job is attempted as it would be in the local pool.
 	Timeout time.Duration `json:"timeout,omitempty"`
 	Retries int           `json:"retries,omitempty"`
 
@@ -161,15 +164,4 @@ type WorkerStatus struct {
 	Jobs map[string]JobState `json:"jobs,omitempty"`
 	// Seq is the current end of the event log (next event's Seq).
 	Seq int `json:"seq"`
-}
-
-// Outstanding counts jobs not yet terminal — the scheduler's load metric.
-func (s *WorkerStatus) Outstanding() int {
-	n := 0
-	for _, st := range s.Jobs {
-		if st != JobDone {
-			n++
-		}
-	}
-	return n
 }

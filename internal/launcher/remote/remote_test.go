@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,14 +175,14 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	defer w.Close()
 	srv := httptest.NewServer(w)
 	defer srv.Close()
-	c := NewWorkerClient(srv.Listener.Addr().String(), 0)
+	c := NewWorkerClient(srv.Listener.Addr().String())
 	ctx := context.Background()
 
 	st, err := c.Status(ctx)
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	if st.Slots != 2 || st.Seq != 0 || st.Outstanding() != 0 {
+	if st.Slots != 2 || st.Seq != 0 || len(st.Jobs) != 0 {
 		t.Fatalf("fresh worker status = %+v", st)
 	}
 	if err := c.Submit(ctx, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); err != nil {
@@ -224,6 +226,60 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	}
 }
 
+// TestWorkerRunsLeaseRetriesExactly: the lease is the policy. A failing job
+// is attempted exactly Retries+1 times — once under Retries 0 — since a
+// worker has no timeout or retry default of its own to put in its place.
+func TestWorkerRunsLeaseRetriesExactly(t *testing.T) {
+	var calls sync.Map // job -> *atomic.Int32
+	failing := RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+		n, _ := calls.LoadOrStore(spec.Name, new(atomic.Int32))
+		n.(*atomic.Int32).Add(1)
+		return nil, errors.New("transient fault")
+	})
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{Runner: failing, Slots: 2, Obs: obs.NewRegistry()}
+	})
+	c := NewWorkerClient(addrs[0])
+	ctx := context.Background()
+	specs := []JobSpec{{Name: "once", Sim: "qemu", Bin: "sha256:aa"}, {Name: "twice", Sim: "qemu", Bin: "sha256:aa", Retries: 1}}
+	if codes, err := c.Lease(ctx, specs); err != nil || codes[0] != http.StatusAccepted || codes[1] != http.StatusAccepted {
+		t.Fatalf("lease = %v, %v", codes, err)
+	}
+
+	done := map[string]*launcher.Record{}
+	deadline := time.After(10 * time.Second)
+	for cursor := 0; len(done) < len(specs); {
+		evs, err := c.Events(ctx, cursor, 50*time.Millisecond)
+		if err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		for _, ev := range evs {
+			cursor = ev.Seq + 1
+			if ev.Type == EventDone {
+				done[ev.Job] = ev.Record
+			}
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("jobs never finished; done: %v", done)
+		default:
+		}
+	}
+	for _, spec := range specs {
+		want := spec.Retries + 1
+		got := 0
+		if n, ok := calls.Load(spec.Name); ok {
+			got = int(n.(*atomic.Int32).Load())
+		}
+		if got != want {
+			t.Errorf("%s (retries %d) ran %d time(s), want %d", spec.Name, spec.Retries, got, want)
+		}
+		if rec := done[spec.Name]; rec.Status != launcher.StatusFailed || rec.Attempts != want || rec.Error != "transient fault" {
+			t.Errorf("%s record = %+v, want failed after %d attempt(s)", spec.Name, rec, want)
+		}
+	}
+}
+
 func TestWorkerStealOnlyWhileQueued(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -240,7 +296,7 @@ func TestWorkerStealOnlyWhileQueued(t *testing.T) {
 	defer close(release)
 	srv := httptest.NewServer(w)
 	defer srv.Close()
-	c := NewWorkerClient(srv.Listener.Addr().String(), 0)
+	c := NewWorkerClient(srv.Listener.Addr().String())
 	ctx := context.Background()
 
 	if err := c.Submit(ctx, JobSpec{Name: "running", Sim: "qemu", Bin: "sha256:aa"}); err != nil {
@@ -375,7 +431,7 @@ func TestCoordinatorReleasesOnWorkerDeath(t *testing.T) {
 		defer close(done)
 		sum, lerr = Launch(context.Background(), []JobSpec{{Name: "victim", Sim: "qemu", Bin: "sha256:aa"}},
 			CoordOptions{
-				Workers: addrs, Poll: 5 * time.Millisecond, LeaseTTL: 50 * time.Millisecond,
+				Workers: addrs, Poll: time.Millisecond, // lease TTL 100ms
 				Obs:          reg,
 				OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Store(p) },
 			})
@@ -534,7 +590,7 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 	}
 	// A configured-but-dead fleet is also a hard error.
 	if _, err := Launch(context.Background(), []JobSpec{{Name: "x"}},
-		CoordOptions{Workers: []string{"127.0.0.1:1"}, RequestTimeout: 200 * time.Millisecond}); err == nil {
+		CoordOptions{Workers: []string{"127.0.0.1:1"}}); err == nil {
 		t.Fatal("launch with all-dead fleet succeeded")
 	}
 }

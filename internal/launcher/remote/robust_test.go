@@ -247,7 +247,7 @@ func TestLeaseExpiryRacesCheckpointPublish(t *testing.T) {
 		defer close(done)
 		sum, lerr = Launch(context.Background(), []JobSpec{{Name: "racer", Sim: "qemu", Bin: "sha256:aa"}},
 			CoordOptions{
-				Workers: addrs, Poll: 3 * time.Millisecond, LeaseTTL: 40 * time.Millisecond,
+				Workers: addrs, Poll: time.Millisecond, // lease TTL 100ms
 				Obs:          reg,
 				OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Add(1) },
 			})
@@ -309,7 +309,7 @@ func TestWorkerClient429Backoff(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewWorkerClient(srv.Listener.Addr().String(), 0)
+	c := NewWorkerClient(srv.Listener.Addr().String())
 	var slept []time.Duration
 	c.http.Sleep = func(d time.Duration) { slept = append(slept, d) }
 	st, err := c.Status(context.Background())

@@ -23,10 +23,6 @@ type WorkerConfig struct {
 	// Slots caps concurrent simulations (default 1). Leases beyond it
 	// queue — the queued window is what work-stealing harvests.
 	Slots int
-	// Timeout/Retries are per-attempt defaults applied when a lease
-	// doesn't carry its own.
-	Timeout time.Duration
-	Retries int
 	// Obs is the registry remote_worker_* metrics report into.
 	Obs *obs.Registry
 	// Log receives progress messages.
@@ -52,12 +48,12 @@ type wjob struct {
 //	                             held until there is such an event or wait elapses
 //	DELETE /v1/jobs/{name}       steal a still-queued job (409 otherwise)
 //
-// Each lease runs through its own single-worker launcher pool — reusing
-// the existing retry/timeout/backoff machinery — under a slots semaphore
-// bounding real concurrency; queued leases take slots in the order they
-// were accepted. Every externally observable fact (attempt
-// starts, replicated checkpoints, terminal records) lands in one
-// worker-global event log the coordinator drains with a single cursor.
+// Each lease runs through its own single-worker launcher pool, under the
+// lease's own timeout and retries, and a slots semaphore bounding real
+// concurrency; queued leases take slots in the order they were accepted.
+// Every externally observable fact (attempt starts, replicated
+// checkpoints, terminal records) lands in one worker-global event log the
+// coordinator drains with a single cursor.
 type Worker struct {
 	cfg   WorkerConfig
 	mux   *http.ServeMux
@@ -261,8 +257,8 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 
 // runLease drives one leased job to a terminal state: wait for a
 // simulation slot (the stealable window), then run the job through a
-// single-worker launcher pool so timeout/retry/backoff semantics match a
-// local launch exactly, and finally publish the done event.
+// single-worker launcher pool under exactly the lease's timeout and retries,
+// as a local launch would, and finally publish the done event.
 func (w *Worker) runLease(j *wjob) {
 	defer w.wg.Done()
 	// Leases take slots in the order they were accepted: racing for the
@@ -289,17 +285,10 @@ func (w *Worker) runLease(j *wjob) {
 	defer func() { w.cfg.Obs.Gauge("remote_worker_busy").Set(float64(len(w.slots))) }()
 
 	spec := j.spec
-	timeout, retries := spec.Timeout, spec.Retries
-	if timeout == 0 {
-		timeout = w.cfg.Timeout
-	}
-	if retries == 0 {
-		retries = w.cfg.Retries
-	}
 	pool := launcher.New(launcher.Options{
 		Workers: 1,
-		Timeout: timeout,
-		Retries: retries,
+		Timeout: spec.Timeout,
+		Retries: spec.Retries,
 		Log:     w.cfg.Log,
 		Obs:     w.cfg.Obs,
 	})
