@@ -234,6 +234,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzDecode":           "./internal/fsimg",
 		"FuzzDecodeCPIO":       "./internal/fsimg",
 		"FuzzLeaseBody":        "./internal/launcher/remote",
+		"FuzzEventStream":      "./internal/launcher/remote",
 		"FuzzActionLog":        "./internal/cas",
 		"FuzzLoadPointer":      "./internal/checkpoint",
 		"FuzzDecodePack":       "./internal/checkpoint",

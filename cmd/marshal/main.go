@@ -698,7 +698,6 @@ func cmdChaos(m *core.Marshal, args []string) int {
 	seed := fs.Int64("seed", 1, "fault-schedule seed (same seed = same schedule)")
 	workers := fs.Int("workers", 3, "loopback fleet size")
 	scheduleOnly := fs.Bool("schedule-only", false, "print the seed's fault schedule and exit (no fleet)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "straggler-hedging threshold (default 250ms)")
 	slowDelay := fs.Duration("slow-delay", 0, "injected delay on the slow worker's leases (default 2s)")
 	timeout := fs.Duration("timeout", 0, "per-job simulation timeout (0 = none)")
 	if err := fs.Parse(args); err != nil {
@@ -721,7 +720,6 @@ func cmdChaos(m *core.Marshal, args []string) int {
 	_, err := m.Chaos(ctx, fs.Arg(0), core.ChaosOpts{
 		Seed:         *seed,
 		Workers:      *workers,
-		HedgeAfter:   *hedgeAfter,
 		SlowJobDelay: *slowDelay,
 		JobTimeout:   *timeout,
 		Out:          os.Stdout,

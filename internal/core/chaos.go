@@ -27,11 +27,9 @@ type ChaosOpts struct {
 	// Workers is the loopback fleet size (default 3; minimum 2, so the
 	// flaky worker and the slow worker are distinct machines).
 	Workers int
-	// HedgeAfter is the straggler-hedging threshold for the faulty run
-	// (default 250ms).
-	HedgeAfter time.Duration
 	// SlowJobDelay is how long the slow worker stalls each lease before
-	// executing it (default 2s) — what forces a hedge.
+	// executing it (default 2s): its queued leases are what the idle
+	// workers steal.
 	SlowJobDelay time.Duration
 	// JobTimeout bounds each job attempt (0 = none).
 	JobTimeout time.Duration
@@ -70,7 +68,7 @@ type ChaosReport struct {
 	WritebackFailures uint64  // cas_writeback_failures_total
 	WorkerQuarantines uint64  // remote_worker_quarantines_total
 	QuarantinedNow    float64 // remote_workers_quarantined (gauge)
-	Hedges            uint64  // remote_hedges_total
+	Steals            uint64  // remote_steals_total
 	ReconciledLeases  uint64  // remote_reconciled_leases_total
 	LeaseExpiries     uint64  // remote_lease_expiries_total
 	RateLimited       uint64  // cas_remote_rate_limited_total
@@ -88,7 +86,7 @@ func (r *ChaosReport) Identical() bool { return len(r.Mismatches) == 0 }
 // run it again on an identical fleet under the seed's fault schedule —
 // injected blob corruption in every worker store, dropped/5xx/429/
 // truncated/duplicated HTTP traffic on every edge, one flaky worker the
-// coordinator must quarantine, one slow worker it must hedge around, and
+// coordinator must quarantine, one slow worker whose queue it must steal, and
 // a rate-limited hub — then assert zero lost jobs and bit-identical
 // cycles, exit codes, and console bytes. The fault schedule is a pure
 // function of (seed, site, call index), so the same seed replays the
@@ -100,9 +98,6 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 	}
 	if opts.Workers < 2 {
 		opts.Workers = 2
-	}
-	if opts.HedgeAfter <= 0 {
-		opts.HedgeAfter = 250 * time.Millisecond
 	}
 	if opts.SlowJobDelay <= 0 {
 		opts.SlowJobDelay = 2 * time.Second
@@ -140,7 +135,7 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 	report.WritebackFailures = reg.Counter("cas_writeback_failures_total").Value()
 	report.WorkerQuarantines = reg.Counter("remote_worker_quarantines_total").Value()
 	report.QuarantinedNow = reg.Gauge("remote_workers_quarantined").Value()
-	report.Hedges = reg.Counter("remote_hedges_total").Value()
+	report.Steals = reg.Counter("remote_steals_total").Value()
 	report.ReconciledLeases = reg.Counter("remote_reconciled_leases_total").Value()
 	report.LeaseExpiries = reg.Counter("remote_lease_expiries_total").Value()
 	report.RateLimited = reg.Counter("cas_remote_rate_limited_total").Value()
@@ -167,7 +162,7 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 		{"serve_throttled_total", float64(report.Throttled)},
 		{"remote_worker_quarantines_total", float64(report.WorkerQuarantines)},
 		{"remote_workers_quarantined", report.QuarantinedNow},
-		{"remote_hedges_total", float64(report.Hedges)},
+		{"remote_steals_total", float64(report.Steals)},
 		{"remote_reconciled_leases_total", float64(report.ReconciledLeases)},
 		{"remote_lease_expiries_total", float64(report.LeaseExpiries)},
 	} {
@@ -220,8 +215,8 @@ func compareChaosJobs(clean, faulty []ChaosJob) []string {
 // own fault-injecting site, every worker store gets tamper faults plus a
 // pre-planted corrupt artifact blob (guaranteeing the self-heal path
 // runs), worker 0 becomes the flaky host the coordinator must
-// quarantine, the last worker stalls its leases (the hedged straggler),
-// and the hub is rate-limited.
+// quarantine, the last worker stalls its leases (the straggler whose queue
+// is stolen), and the hub is rate-limited.
 func (m *Marshal) runChaosFleet(ctx context.Context, nameOrPath, dir string, plan *chaos.Plan, opts ChaosOpts) ([]ChaosJob, *obs.Registry, error) {
 	reg := obs.NewRegistry()
 	sub, err := New(filepath.Join(dir, "work"), m.searchPath...)
@@ -354,7 +349,6 @@ func (m *Marshal) runChaosFleet(ctx context.Context, nameOrPath, dir string, pla
 		flaky := *plan
 		flaky.FlakyHosts = map[string]uint32{addrs[0]: 950}
 		lopts.WorkerTransport = flaky.Transport("coord-worker", nil, reg)
-		lopts.HedgeAfter = opts.HedgeAfter
 	}
 
 	results, err := sub.Launch(nameOrPath, lopts)
@@ -382,8 +376,8 @@ func (m *Marshal) runChaosFleet(ctx context.Context, nameOrPath, dir string, pla
 }
 
 // slowRunner stalls every lease before executing it — the chaos fleet's
-// straggler, which the coordinator must hedge onto a healthy worker. The
-// stall honors the attempt context, so worker shutdown isn't delayed.
+// straggler, whose still-queued leases idle workers must steal. The stall
+// honors the attempt context, so worker shutdown isn't delayed.
 type slowRunner struct {
 	inner lremote.Runner
 	delay time.Duration

@@ -29,7 +29,6 @@ func TestChaosRunSurvivesFaultSchedule(t *testing.T) {
 	report, err := e.m.Chaos(context.Background(), "chaoswl", ChaosOpts{
 		Seed:         7,
 		Workers:      3,
-		HedgeAfter:   100 * time.Millisecond,
 		SlowJobDelay: 700 * time.Millisecond,
 		Out:          &out,
 	})

@@ -73,7 +73,7 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 		if !filepath.IsAbs(ref) {
 			ref = filepath.Join(testDir, ref)
 		}
-		cfg.RefDir = ref
+		cfg.RefDir, cfg.Strip = ref, testing.Strip
 	}
 
 	destDir := m.InstallDir(w.Name)

@@ -68,11 +68,6 @@ type LaunchOpts struct {
 	// WorkerTransport, when set, wraps the coordinator's worker-client
 	// HTTP transport (chaos fault injection).
 	WorkerTransport http.RoundTripper
-	// HedgeAfter, when nonzero, duplicates a started job onto an idle
-	// healthy worker once its lease is older than this without a terminal
-	// event — stragglers stop gating the run; determinism makes the
-	// duplicate execution benign (first terminal event wins).
-	HedgeAfter time.Duration
 
 	// Resume continues an interrupted run (`marshal launch -resume`): jobs
 	// the run journal records as ok carry their results over, jobs with a
@@ -183,10 +178,9 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 		Drain:        opts.Drain,
 		Slots:        slots,
 		Fleet: remote.CoordOptions{
-			Workers:    opts.Workers,
-			Poll:       opts.WorkerPoll,
-			Transport:  opts.WorkerTransport,
-			HedgeAfter: opts.HedgeAfter,
+			Workers:   opts.Workers,
+			Poll:      opts.WorkerPoll,
+			Transport: opts.WorkerTransport,
 		},
 		Remote: cache.Remote(),
 		Obs:    m.Obs,

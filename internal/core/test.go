@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"firemarshal/internal/runtest"
-	"firemarshal/internal/spec"
 )
 
 // TestOpts controls the test command (§III-D).
@@ -46,7 +44,7 @@ func (m *Marshal) Test(nameOrPath string, opts TestOpts) ([]*TestResult, error) 
 	}
 
 	if opts.Manual != "" {
-		failures, err := runtest.CompareDirOpt(opts.Manual, refDir, testing.Strip)
+		failures, err := runtest.CompareDir(opts.Manual, refDir, testing.Strip, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -58,20 +56,13 @@ func (m *Marshal) Test(nameOrPath string, opts TestOpts) ([]*TestResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	jobDirs := map[string]bool{}
-	for _, job := range w.Jobs {
-		jobDirs[job.Name] = true
+	var jobs []string
+	for _, run := range runs {
+		jobs = append(jobs, run.Target)
 	}
 	var results []*TestResult
 	for _, run := range runs {
-		ref := refDirForTarget(w, refDir, run.Target)
-		var skip func(string) bool
-		if ref == refDir && len(w.Jobs) > 0 {
-			// Top-level fallback: sibling jobs' reference subdirectories do
-			// not apply to this job.
-			skip = func(name string) bool { return jobDirs[name] }
-		}
-		failures, err := runtest.CompareDirFiltered(run.OutputDir, ref, testing.Strip, skip)
+		failures, err := runtest.CompareJob(run.OutputDir, refDir, w.Name, run.Target, jobs, testing.Strip)
 		if err != nil {
 			return nil, err
 		}
@@ -92,27 +83,4 @@ func (m *Marshal) Test(nameOrPath string, opts TestOpts) ([]*TestResult, error) 
 		})
 	}
 	return results, nil
-}
-
-// refDirForTarget picks the reference directory for a job: multi-job
-// workloads may keep per-job references in subdirectories named after the
-// job; otherwise the top-level refDir applies to every target.
-func refDirForTarget(w *spec.Workload, refDir, target string) string {
-	if len(w.Jobs) == 0 {
-		return refDir
-	}
-	for _, job := range w.Jobs {
-		if w.Name+"-"+job.Name == target {
-			sub := filepath.Join(refDir, job.Name)
-			if dirExists(sub) {
-				return sub
-			}
-		}
-	}
-	return refDir
-}
-
-func dirExists(p string) bool {
-	info, err := os.Stat(p)
-	return err == nil && info.IsDir()
 }

@@ -2,6 +2,7 @@ package fsrun
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -149,18 +150,22 @@ func (f *injectedFaults) attempt(job string) error {
 // TestFleetAttemptPolicyMatchesLocal: a job is attempted the same way in the
 // local pool and on a worker fleet. Under Retries: 1 a job whose first
 // attempt fails transiently succeeds on its second, one that always fails
-// stops after two, and a sound one runs once; the two manifests agree on
-// every field but the wall-clock ones. The fault is injected where each
-// dispatcher begins an attempt: a local attempt's Attach, a worker's runner.
+// stops after two, one whose post-run hook fails once succeeds on its
+// second, and a sound one runs once; the two manifests agree on every field
+// but the wall-clock ones. The fault is injected where each dispatcher
+// begins an attempt: a local attempt's Attach, a worker's runner. The hook
+// runs where the job's files land: inside a local attempt, in the
+// coordinator's landing of a fleet one.
 func TestFleetAttemptPolicyMatchesLocal(t *testing.T) {
 	cfg, _ := buildInstalled(t, `{"name": "w", "base": "br-base", "jobs": [
     {"name": "sound", "command": "echo sound"},
     {"name": "flaky", "command": "echo flaky"},
-    {"name": "broken", "command": "echo broken"}]}`, nil)
+    {"name": "broken", "command": "echo broken"},
+    {"name": "hooked", "command": "echo hooked"}]}`, nil)
 
 	// drive runs every node of cfg under run's policy and returns the
 	// manifest without its wall-clock fields. Non-nil faults are injected
-	// into each local attempt.
+	// into each local attempt; the hooked job's first post-run hook fails.
 	drive := func(run lremote.Run, faults *injectedFaults) []launcher.Record {
 		t.Helper()
 		dir := t.TempDir()
@@ -173,6 +178,15 @@ func TestFleetAttemptPolicyMatchesLocal(t *testing.T) {
 						return nil, err
 					}
 					return attach(x)
+				}
+			}
+			if j.Name == "w-hooked" {
+				hooks := 0
+				j.Post = func() error {
+					if hooks++; hooks == 1 {
+						return errors.New("injected post-run hook fault")
+					}
+					return nil
 				}
 			}
 			run.Jobs = append(run.Jobs, j)
@@ -211,6 +225,7 @@ func TestFleetAttemptPolicyMatchesLocal(t *testing.T) {
 		"w-sound":  {Status: launcher.StatusOK, Attempts: 1},
 		"w-flaky":  {Status: launcher.StatusOK, Attempts: 2},
 		"w-broken": {Status: launcher.StatusFailed, Attempts: 2, Error: "injected transient fault, attempt 2"},
+		"w-hooked": {Status: launcher.StatusOK, Attempts: 2},
 	}
 	if len(local) != len(want) {
 		t.Fatalf("local manifest = %+v, want %d jobs", local, len(want))

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -270,48 +269,24 @@ func TracePath(manifestPath string) string {
 }
 
 // Verify compares every job's output directory against the config's
-// reference directory — the `marshal test --manual` flow of §III-E. A job
-// whose short name matches a refDir subdirectory compares against that
-// subdirectory; other jobs compare against the top-level reference files
-// (sibling jobs' subdirectories are not expected in their outputs).
+// reference directory — the `marshal test --manual` flow of §III-E — by the
+// per-job rule `marshal test` uses (runtest.CompareJob), cleaning outputs as
+// the workload's testing.strip says.
 func Verify(cfg *install.Config, outputDir string) ([]runtest.Failure, error) {
 	if cfg.RefDir == "" {
 		return nil, fmt.Errorf("fsrun: workload has no reference outputs")
 	}
-	jobDirs := map[string]bool{}
+	var jobs []string
 	for _, job := range cfg.Jobs {
-		jobDirs[jobShortName(cfg, job.Name)] = true
+		jobs = append(jobs, job.Name)
 	}
 	var all []runtest.Failure
 	for _, job := range cfg.Jobs {
-		jobOut := filepath.Join(outputDir, job.Name)
-		if sub := filepath.Join(cfg.RefDir, jobShortName(cfg, job.Name)); dirExists(sub) {
-			failures, err := runtest.CompareDir(jobOut, sub)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, failures...)
-			continue
-		}
-		failures, err := runtest.CompareDirFiltered(jobOut, cfg.RefDir, true,
-			func(name string) bool { return jobDirs[name] })
+		failures, err := runtest.CompareJob(filepath.Join(outputDir, job.Name), cfg.RefDir, cfg.Workload, job.Name, jobs, cfg.Strip)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, failures...)
 	}
 	return all, nil
-}
-
-func jobShortName(cfg *install.Config, jobName string) string {
-	prefix := cfg.Workload + "-"
-	if len(jobName) > len(prefix) && jobName[:len(prefix)] == prefix {
-		return jobName[len(prefix):]
-	}
-	return jobName
-}
-
-func dirExists(p string) bool {
-	info, err := os.Stat(p)
-	return err == nil && info.IsDir()
 }

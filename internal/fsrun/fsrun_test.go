@@ -212,6 +212,64 @@ func TestVerifyPerJobSubdirs(t *testing.T) {
 	}
 }
 
+// TestVerifyJudgesAsMarshalTest: `firesim -verify` and `marshal test` judge
+// a run by one rule — the per-job reference directory and the workload's
+// testing.strip. A job reference that differs from the output only by a
+// printk timestamp passes both while outputs are cleaned (strip's default)
+// and fails both under "strip": false.
+func TestVerifyJudgesAsMarshalTest(t *testing.T) {
+	for _, tc := range []struct {
+		strip string
+		pass  bool
+	}{{"", true}, {`, "strip": false`, false}} {
+		wlDir := t.TempDir()
+		for name, content := range map[string]string{
+			"w.json": `{"name": "w", "base": "br-base",
+  "jobs": [{"name": "a", "command": "echo job-a-marker"}, {"name": "b", "command": "echo job-b-marker"}],
+  "testing": {"refDir": "refs"` + tc.strip + `}}`,
+			"refs/a/uartlog": "[    2.000000] job-a-marker\n",
+			"refs/uartlog":   "job-\n",
+		} {
+			os.MkdirAll(filepath.Dir(filepath.Join(wlDir, name)), 0o755)
+			if err := os.WriteFile(filepath.Join(wlDir, name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := core.New(t.TempDir(), wlDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := m.Test("w", core.TestOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tested := len(results) == 2
+		for _, r := range results {
+			tested = tested && r.Passed
+		}
+		dir, err := m.Install("w", core.InstallOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := install.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outDir := t.TempDir() + "/o"
+		if _, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: outDir}); err != nil {
+			t.Fatal(err)
+		}
+		failures, err := Verify(cfg, outDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verified := len(failures) == 0; tested != tc.pass || verified != tc.pass {
+			t.Errorf("testing%s: marshal test passed=%v, firesim -verify passed=%v (%v); want both %v",
+				tc.strip, tested, verified, failures, tc.pass)
+		}
+	}
+}
+
 func TestParallelErrorPropagates(t *testing.T) {
 	cfg, _ := buildInstalled(t, `{
   "name": "w", "base": "br-base",

@@ -52,8 +52,10 @@ type Config struct {
 	PostRunHook string `json:"postRunHook,omitempty"`
 	// PostRunHookDir is the working directory for the hook.
 	PostRunHookDir string `json:"postRunHookDir,omitempty"`
-	// RefDir allows `marshal test --manual` against the run outputs.
+	// RefDir allows `marshal test --manual` against the run outputs, and
+	// Strip cleans the outputs before they are compared (testing.strip).
 	RefDir string `json:"refDir,omitempty"`
+	Strip  bool   `json:"strip,omitempty"`
 }
 
 // ConfigFileName is the file the connector writes.

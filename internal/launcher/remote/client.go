@@ -28,6 +28,10 @@ const clientRetries = 3
 // own retransmit.
 var ErrAlreadyLeased = errors.New("remote: job already leased")
 
+// ErrHeldForOtherWork reports a Submit the worker cannot take yet: it runs or
+// queues other work under that name, a lease an earlier coordinator left.
+var ErrHeldForOtherWork = errors.New("remote: job name held for other work")
+
 // maxAnswerSize bounds a worker's answer (a status, lease codes, a batch of
 // events): small JSON, read whole into memory.
 const maxAnswerSize = 16 << 20
@@ -102,8 +106,8 @@ func (c *WorkerClient) Status(ctx context.Context) (*WorkerStatus, error) {
 
 // Lease offers the worker specs in one request and returns its answer per
 // spec, in order: http.StatusAccepted, http.StatusConflict (it already
-// holds that job — for the coordinator the lease exists: a duplicated or
-// retried request landed twice) or a refusal.
+// holds that job doing the same work — for the coordinator the lease exists),
+// http.StatusLocked (it holds the name for other work) or a refusal.
 func (c *WorkerClient) Lease(ctx context.Context, specs []JobSpec) ([]int, error) {
 	var codes []int
 	code, err := c.do(ctx, 0, http.MethodPost, "/v1/jobs", specs, &codes)
@@ -129,6 +133,8 @@ func (c *WorkerClient) Submit(ctx context.Context, spec JobSpec) error {
 		return nil
 	case http.StatusConflict:
 		return fmt.Errorf("worker %s: submit %s: %w", c.Addr, spec.Name, ErrAlreadyLeased)
+	case http.StatusLocked:
+		return fmt.Errorf("worker %s: submit %s: %w", c.Addr, spec.Name, ErrHeldForOtherWork)
 	}
 	return fmt.Errorf("worker %s: submit %s: HTTP %d", c.Addr, spec.Name, codes[0])
 }

@@ -30,12 +30,6 @@ type CoordOptions struct {
 	// not event latency: events are handled as they happen (default 100ms).
 	// A worker silent for leaseHeartbeats polls forfeits its leases.
 	Poll time.Duration
-	// HedgeAfter, when positive, duplicates a started-but-silent job onto
-	// an idle healthy worker once its lease is this old — the straggler
-	// and the hedge race, the first terminal event wins, and determinism
-	// makes the race benign (both copies compute identical results). Zero
-	// disables hedging.
-	HedgeAfter time.Duration
 	// Transport, when set, wraps every worker client's HTTP transport
 	// (chaos fault injection).
 	Transport http.RoundTripper
@@ -85,11 +79,10 @@ type cjob struct {
 	spec      JobSpec // current lease's spec (Prior/Ckpt evolve across leases)
 	origPrior int     // Prior at entry, for the summary's prior/fresh split
 	worker    int     // owning worker index, -1 when unowned
-	hedge     int     // hedge worker index, -1 when not hedged
-	leased    time.Time
-	started   bool // a start event arrived from the current worker
-	maxAtt    int  // highest absolute attempt observed
-	refusals  int  // failed assignment sweeps (liveness bound)
+	leaseNo   int     // the owner's lease count once it took this lease
+	started   bool    // a start event arrived from the current worker
+	maxAtt    int     // highest absolute attempt observed
+	refusals  int     // failed assignment sweeps (liveness bound)
 	ckpt      *checkpoint.Pointer
 	landing   bool // done event honoured, OnDone running: still load, see settled
 	done      bool
@@ -107,16 +100,18 @@ type cworker struct {
 	faults      int       // leaky fault counter
 	ticks       int       // Poll ticks spent alive (reconcile cadence)
 	cursor      int       // event-log read position
+	leases      int       // leases it accepted, see handlePoll
 	lastOK      time.Time // last successful poll — the lease clock
 }
 
 // polled is one answer to worker wi's event poll (sent at asked), landed one
 // job's OnDone outcome: what the goroutines hand back to the coordinator loop.
 type polled struct {
-	wi    int
-	asked time.Time
-	evs   []Event
-	err   error
+	wi     int
+	asked  time.Time
+	leases int // the worker's lease count when the poll was sent
+	evs    []Event
+	err    error
 }
 type landed struct {
 	j   *cjob
@@ -142,14 +137,15 @@ type coordinator struct {
 // Launch distributes specs across the worker fleet and blocks until every
 // job is terminal (or ctx is cancelled). Scheduling is least-loaded with
 // ties broken by worker order; stragglers are rebalanced by stealing
-// still-queued jobs onto idle workers and by hedging started-but-slow
-// jobs onto healthy ones; a worker unreachable past the lease TTL
-// forfeits its jobs, which re-lease — restoring from the latest
+// still-queued jobs onto idle workers; a worker unreachable past the lease
+// TTL forfeits its jobs, which re-lease — restoring from the latest
 // replicated checkpoint — onto live workers; an error-prone worker is
 // quarantined from new leases; closing Drain takes back every queued
-// lease and lets the running jobs finish. The returned summary carries
-// each job's verbatim worker record, so manifests compacted from it match
-// single-machine runs (wall-clock fields aside).
+// lease and lets the running jobs finish. A job has one owner at a time:
+// it runs twice at once only when a lease expiry re-leases it while the
+// silent owner may still be running it. The returned summary carries
+// each job's worker record (Resumed as the lease says), so manifests
+// compacted from it match single-machine runs (wall-clock fields aside).
 func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.Summary, error) {
 	if len(opts.Workers) == 0 {
 		return nil, fmt.Errorf("remote: no workers configured")
@@ -173,7 +169,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 			return nil, fmt.Errorf("remote: duplicate job name %q", spec.Name)
 		}
 		c.order = append(c.order, spec.Name)
-		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior, worker: -1, hedge: -1}
+		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior, worker: -1}
 	}
 
 	// Registration: probe every worker once; a worker that answers is in
@@ -248,9 +244,6 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 			}
 			c.reassignOrphans(ctx)
 			c.steal(ctx)
-			if opts.HedgeAfter > 0 {
-				c.hedgeStragglers(ctx)
-			}
 		}
 	}
 	for c.landings > 0 {
@@ -356,12 +349,12 @@ func (c *coordinator) allDone() bool {
 	return true
 }
 
-// outstanding counts a worker's not-yet-terminal leases (hedge copies
-// included), the scheduler's load metric.
+// outstanding counts a worker's not-yet-terminal leases, the scheduler's
+// load metric.
 func (c *coordinator) outstanding(wi int) int {
 	n := 0
 	for _, j := range c.jobs {
-		if !j.done && (j.worker == wi || j.hedge == wi) {
+		if !j.done && j.worker == wi {
 			n++
 		}
 	}
@@ -427,13 +420,10 @@ func (c *coordinator) leaseAll(ctx context.Context) {
 
 // leased records that worker wi now holds j's lease.
 func (c *coordinator) leased(j *cjob, wi int) {
-	j.worker = wi
+	c.workers[wi].leases++
+	j.worker, j.leaseNo = wi, c.workers[wi].leases
 	j.started = false
-	j.leased = time.Now()
 	j.refusals = 0
-	if j.hedge == wi {
-		j.hedge = -1
-	}
 	c.opts.Obs.Counter("remote_leases_total").Inc()
 	c.logf("coordinator: leased %s to worker %s", j.spec.Name, c.workers[wi].client.Addr)
 }
@@ -442,20 +432,23 @@ func (c *coordinator) leased(j *cjob, wi int) {
 // lease is charged a fault and skipped for this sweep — transient refusals
 // no longer declare it dead (the lease TTL decides death). A job no worker
 // accepts stays unowned and is retried next tick, up to a refusal bound; it
-// fails terminally only with zero live workers or the bound exhausted.
+// fails terminally only with zero live workers or the bound exhausted. A
+// worker holding the name for other work is no refusal: no fault, no count.
 func (c *coordinator) assign(ctx context.Context, j *cjob) {
 	if c.draining {
 		c.skip(j)
 		return
 	}
-	tried := map[int]bool{}
+	tried, held := map[int]bool{}, false
 	for ctx.Err() == nil {
 		best := c.pick(c.outstanding, tried)
 		if best == -1 {
 			if c.aliveCount() > 0 && len(tried) > 0 {
 				// Every live worker refused this sweep; leave the job
 				// unowned and let the next tick retry with fresh luck.
-				j.refusals++
+				if !held {
+					j.refusals++
+				}
 				if j.refusals <= maxRefusals {
 					j.worker = -1
 					return
@@ -476,9 +469,13 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 				// the job unowned so the summary reports it cancelled.
 				return
 			}
+			tried[best] = true
+			if errors.Is(err, ErrHeldForOtherWork) {
+				held = true
+				continue
+			}
 			c.logf("coordinator: worker %s refused lease for %s: %v", c.workers[best].client.Addr, j.spec.Name, err)
 			c.noteFault(best, faultSubmit)
-			tried[best] = true
 			continue
 		}
 		c.leased(j, best)
@@ -500,7 +497,7 @@ func (c *coordinator) reassignOrphans(ctx context.Context) {
 // goroutine owns nothing but the request and hands the answer to the loop.
 func (c *coordinator) poll(wi int, after time.Time) {
 	w := c.workers[wi]
-	cursor := w.cursor
+	cursor, leases := w.cursor, w.leases
 	c.pollers.Add(1)
 	go func() {
 		defer c.pollers.Done()
@@ -510,7 +507,7 @@ func (c *coordinator) poll(wi int, after time.Time) {
 		asked := time.Now()
 		evs, err := w.client.Events(c.pollCtx, cursor, c.opts.Poll)
 		select {
-		case c.polls <- polled{wi, asked, evs, err}:
+		case c.polls <- polled{wi, asked, leases, evs, err}:
 		case <-c.pollCtx.Done():
 		}
 	}()
@@ -521,6 +518,10 @@ func (c *coordinator) poll(wi int, after time.Time) {
 // leases and is not polled again until it revives. The worker holds an empty
 // answer for Poll: an empty or failed one that comes back sooner (a worker
 // that ignores wait, a dropped request) is paced to one per Poll.
+// A worker serves a re-leased name's events from its lease on, but an answer
+// to a poll sent before the lease may still carry the name's earlier events
+// (an orphan's done): it is read up to the first event of a job leased to
+// the worker since, and the next poll asks again from there.
 func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 	w := c.workers[p.wi]
 	if p.err != nil {
@@ -534,6 +535,9 @@ func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 		c.noteOK(p.wi)
 		c.opts.Obs.Counter("remote_heartbeats_total").Inc()
 		for _, ev := range p.evs {
+			if j := c.jobs[ev.Job]; j != nil && j.worker == p.wi && j.leaseNo > p.leases {
+				break
+			}
 			w.cursor = ev.Seq + 1
 			c.handleEvent(ctx, p.wi, ev)
 		}
@@ -550,7 +554,7 @@ func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 // gone forever: the moment it answers again it rejoins the fleet at its
 // current event cursor. Its forfeited jobs already re-leased elsewhere,
 // and any stale events it emits for them are ignored (handleEvent only
-// honors the current owner and hedge), so rejoining is always safe.
+// honors the current owner), so rejoining is always safe.
 // A quarantine survives revival — flakiness is why it went dark.
 func (c *coordinator) revive(ctx context.Context, wi int) {
 	w := c.workers[wi]
@@ -588,39 +592,27 @@ func (c *coordinator) reconcile(ctx context.Context, wi int) {
 		if j.settled() {
 			continue
 		}
-		if _, held := st.Jobs[name]; held {
+		if _, held := st.Jobs[name]; held || j.worker != wi {
 			continue
 		}
-		switch wi {
-		case j.worker:
-			c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[wi].client.Addr, name)
-			c.opts.Obs.Counter("remote_reconciled_leases_total").Inc()
-			c.relay(ctx, j)
-		case j.hedge:
-			j.hedge = -1
-		}
+		c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[wi].client.Addr, name)
+		c.opts.Obs.Counter("remote_reconciled_leases_total").Inc()
+		c.relay(ctx, j)
 	}
 }
 
 // handleEvent folds one worker event into the journal and run state.
-// Events are honored from the job's owner and its hedge; anything else
-// is stale (the job was re-leased or stolen away since the event).
+// Events are honored from the job's owner only; anything else is stale
+// (the job was re-leased or stolen away since the event).
 func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 	j, ok := c.jobs[ev.Job]
-	if !ok || j.settled() {
-		return
-	}
-	fromOwner := j.worker == wi
-	if !fromOwner && j.hedge != wi {
+	if !ok || j.settled() || j.worker != wi {
 		return
 	}
 	switch ev.Type {
 	case EventStart:
 		if ev.Attempt > j.maxAtt {
 			j.maxAtt = ev.Attempt
-		}
-		if !fromOwner {
-			return // the hedge's start doesn't change the owner lease state
 		}
 		j.started = true
 		if err := c.opts.Journal.Start(ev.Job, ev.Attempt); err != nil {
@@ -639,20 +631,8 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 			return
 		}
 		// A cancelled record from a live worker means the worker is
-		// shutting down gracefully, not that the job failed: drop the
-		// hedge copy, or promote the hedge when the owner forfeits, or
-		// re-lease when there is no hedge.
+		// shutting down gracefully, not that the job failed: re-lease it.
 		if ev.Record.Status == launcher.StatusCancelled && ctx.Err() == nil {
-			if !fromOwner {
-				j.hedge = -1
-				return
-			}
-			if j.hedge >= 0 && c.workers[j.hedge].alive {
-				c.logf("coordinator: worker %s forfeited %s; promoting hedge on %s",
-					c.workers[wi].client.Addr, ev.Job, c.workers[j.hedge].client.Addr)
-				j.worker, j.hedge = j.hedge, -1
-				return
-			}
 			c.logf("coordinator: worker %s forfeited %s (shutting down); re-leasing", c.workers[wi].client.Addr, ev.Job)
 			c.relay(ctx, j)
 			return
@@ -660,7 +640,11 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 		if ev.Record.Attempts > j.maxAtt {
 			j.maxAtt = ev.Record.Attempts
 		}
-		c.land(j, *ev.Record, ev)
+		// A worker counts a lease with prior attempts as resumed; a lease
+		// again after a failed landing is not, and the spec says which.
+		rec := *ev.Record
+		rec.Resumed = j.spec.Resumed
+		c.land(j, rec, ev)
 	}
 }
 
@@ -678,8 +662,7 @@ func (c *coordinator) relay(ctx context.Context, j *cjob) {
 	c.assign(ctx, j)
 }
 
-// expire declares a worker dead and re-leases everything it held — or
-// promotes the hedge copy where one is already running elsewhere.
+// expire declares a worker dead and re-leases everything it held.
 func (c *coordinator) expire(ctx context.Context, wi int) {
 	w := c.workers[wi]
 	w.alive = false
@@ -687,13 +670,7 @@ func (c *coordinator) expire(ctx context.Context, wi int) {
 	var forfeited []*cjob
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.settled() {
-			continue
-		}
-		if j.hedge == wi {
-			j.hedge = -1
-		}
-		if j.worker == wi {
+		if !j.settled() && j.worker == wi {
 			forfeited = append(forfeited, j)
 		}
 	}
@@ -701,12 +678,6 @@ func (c *coordinator) expire(ctx context.Context, wi int) {
 		w.client.Addr, leaseHeartbeats*c.opts.Poll, len(forfeited))
 	for _, j := range forfeited {
 		c.opts.Obs.Counter("remote_lease_expiries_total").Inc()
-		if j.hedge >= 0 && c.workers[j.hedge].alive {
-			c.logf("coordinator: promoting hedge of %s on %s", j.spec.Name, c.workers[j.hedge].client.Addr)
-			j.worker, j.hedge = j.hedge, -1
-			j.started = true // conservative: never steal a possibly-running hedge
-			continue
-		}
 		ckpt := ""
 		if j.ckpt != nil {
 			ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)
@@ -753,38 +724,6 @@ func (c *coordinator) steal(ctx context.Context) {
 				w.client.Addr, name, c.workers[victim].client.Addr)
 			j.worker = -1
 			c.assign(ctx, j)
-			break
-		}
-	}
-}
-
-// hedgeStragglers duplicates started-but-slow jobs onto idle healthy
-// workers. Only running jobs are hedged (queued stragglers are the steal
-// pass's business), the hedge goes to a non-quarantined idle worker, and
-// the first terminal event — owner's or hedge's — wins. Determinism
-// makes the duplicate harmless: both copies compute bit-identical
-// results, so whichever finishes first reports the same record.
-func (c *coordinator) hedgeStragglers(ctx context.Context) {
-	for _, name := range c.order {
-		j := c.jobs[name]
-		if j.settled() || j.worker < 0 || j.hedge >= 0 || !j.started || time.Since(j.leased) < c.opts.HedgeAfter {
-			continue
-		}
-		for hi, h := range c.workers {
-			if hi == j.worker || !h.alive || h.quarantined || c.outstanding(hi) != 0 {
-				continue
-			}
-			spec := j.spec
-			spec.Ckpt = j.ckpt
-			spec.Resumed = spec.Resumed || spec.Ckpt != nil
-			if err := h.client.Submit(ctx, spec); err != nil && !errors.Is(err, ErrAlreadyLeased) {
-				c.noteFault(hi, faultSubmit)
-				continue
-			}
-			j.hedge = hi
-			c.opts.Obs.Counter("remote_hedges_total").Inc()
-			c.logf("coordinator: hedging straggler %s (on %s) onto %s",
-				name, c.workers[j.worker].client.Addr, h.client.Addr)
 			break
 		}
 	}
@@ -840,14 +779,23 @@ func (c *coordinator) land(j *cjob, rec launcher.Record, ev Event) {
 }
 
 // finishLanding is land's other half, back on the loop. A landing cut short
-// by cancellation is no verdict: no done record, so -resume runs the job.
+// by cancellation is no verdict: no done record, so -resume runs the job. A
+// failed landing of an ok result fails the attempt, as a failed post-run
+// hook fails a local one: the job is leased again while attempts are left.
 func (c *coordinator) finishLanding(ctx context.Context, l landed) {
 	c.landings--
-	if l.err != nil && ctx.Err() != nil {
-		l.j.landing = false
-		return
+	j := l.j
+	j.landing = false
+	left := j.spec.Retries - (l.rec.Attempts - j.spec.Prior)
+	switch {
+	case l.err != nil && ctx.Err() != nil:
+	case l.err != nil && l.rec.Status == launcher.StatusOK && left >= 0:
+		c.logf("coordinator: landing %s failed (%v); leasing it again", l.rec.Job, l.err)
+		j.spec.Prior, j.spec.Retries, j.worker = l.rec.Attempts, left, -1
+		c.assign(ctx, j)
+	default:
+		c.finishJob(j, l.rec, l.err)
 	}
-	c.finishJob(l.j, l.rec, l.err)
 }
 
 // finishJob records the job's terminal state. An ok job whose OnDone failed

@@ -394,6 +394,9 @@ func (r *Run) materialize(ctx context.Context, j Job, ev Event) (*Result, error)
 	if ev.Record == nil || ev.Record.Status != launcher.StatusOK {
 		return nil, nil
 	}
+	if err := os.RemoveAll(j.Dir); err != nil { // a failed landing's files
+		return nil, err
+	}
 	files := &Files{Outputs: make(map[string][]byte, len(ev.Outputs))}
 	var err error
 	if files.Console, err = cas.GetBlob(ctx, r.Remote, ev.Console); err != nil {

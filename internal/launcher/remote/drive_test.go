@@ -23,7 +23,7 @@ import (
 )
 
 // bareBin writes a bare-metal boot binary that exits 0 and returns its path.
-func bareBin(t *testing.T) string {
+func bareBin(t testing.TB) string {
 	t.Helper()
 	exe, err := asm.Assemble("_start:\n li a0, 0\n li a7, 93\n ecall\n", asm.Options{})
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -442,7 +441,7 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 		}
 		for _, spec := range specsNamed(jobNames(n)...) {
 			c.order = append(c.order, spec.Name)
-			c.jobs[spec.Name] = &cjob{spec: spec, worker: -1, hedge: -1}
+			c.jobs[spec.Name] = &cjob{spec: spec, worker: -1}
 		}
 		return c
 	}
@@ -487,102 +486,6 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// TestHedgeDoneDuringLandingIsIgnored: the owner's copy finishes and its
-// files are landing when the hedge reports done too; the job lands once and
-// is journaled once.
-func TestHedgeDoneDuringLandingIsIgnored(t *testing.T) {
-	ownerGo, hedgeGo := make(chan struct{}), make(chan struct{})
-	hedgeRunning := make(chan struct{})
-	var consumed atomic.Bool // the coordinator polled worker 1 past its done event
-	mk := func(i int) *Worker {
-		return NewWorker(WorkerConfig{Slots: 1, Obs: obs.NewRegistry(),
-			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
-				wait := ownerGo
-				if i == 1 {
-					close(hedgeRunning)
-					wait = hedgeGo
-				}
-				select {
-				case <-wait:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				return &RunOutput{Metrics: launcher.Metrics{Cycles: 5}}, nil
-			})})
-	}
-	w0, w1 := mk(0), mk(1)
-	srv0 := httptest.NewServer(w0)
-	srv1 := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		// Worker 1's log is start(0), done(1): a poll from cursor 2 means the
-		// coordinator has handled both.
-		if n, _ := strconv.Atoi(r.URL.Query().Get("since")); r.URL.Path == "/v1/events" && n >= 2 {
-			consumed.Store(true)
-		}
-		w1.ServeHTTP(rw, r)
-	}))
-	for _, c := range []func(){w1.Close, w0.Close, srv1.Close, srv0.Close} {
-		t.Cleanup(c)
-	}
-
-	dir := t.TempDir()
-	jnl, err := launcher.OpenJournal(filepath.Join(dir, "m.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-	landing, landGate := make(chan struct{}), make(chan struct{})
-	var lands atomic.Int64
-	reg := obs.NewRegistry()
-	done := make(chan struct{})
-	var sum *launcher.Summary
-	go func() {
-		defer close(done)
-		sum, _ = Launch(context.Background(), specsNamed("twice"), CoordOptions{
-			Workers: []string{srv0.Listener.Addr().String(), srv1.Listener.Addr().String()},
-			Poll:    5 * time.Millisecond, HedgeAfter: 10 * time.Millisecond, Journal: jnl, Obs: reg,
-			OnDone: func(Event) error {
-				if lands.Add(1) == 1 {
-					close(landing)
-				}
-				<-landGate
-				return nil
-			},
-		})
-	}()
-	within(t, hedgeRunning, "the hedge")
-	close(ownerGo)
-	within(t, landing, "the owner's landing")
-	close(hedgeGo)
-	for deadline := time.Now().Add(prompt); !consumed.Load(); {
-		if time.Now().After(deadline) {
-			t.Fatal("the coordinator never read the hedge's done event")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(landGate)
-	within(t, done, "the launch's end")
-	if sum == nil || sum.Err() != nil || sum.Jobs[0].Metrics.Cycles != 5 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if lands.Load() != 1 {
-		t.Errorf("OnDone ran %d times, want once", lands.Load())
-	}
-	jnl.Close()
-	recs, _, err := launcher.ReadJournal(filepath.Join(dir, "m.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dones := 0
-	for _, r := range recs {
-		if r.Event == launcher.EventDone {
-			dones++
-		}
-	}
-	if dones != 1 {
-		t.Errorf("journal has %d done records, want 1", dones)
-	}
-}
 
 // TestCancelMidLandingLeavesNothingBehind: cancelling the run while a job's
 // files are landing returns with the job cancelled (no done record: -resume

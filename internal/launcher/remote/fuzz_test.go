@@ -2,13 +2,21 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"firemarshal/internal/cas"
+	casremote "firemarshal/internal/cas/remote"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/isa"
+	"firemarshal/internal/launcher"
 	"firemarshal/internal/obs"
 	"firemarshal/internal/sim/rtlsim"
 	"firemarshal/internal/verify"
@@ -51,7 +59,7 @@ func FuzzLeaseBody(f *testing.F) {
 			for i, code := range codes {
 				switch {
 				case specs[i].Name == "" && code == http.StatusBadRequest:
-				case specs[i].Name != "" && (code == http.StatusAccepted || code == http.StatusConflict):
+				case specs[i].Name != "" && (code == http.StatusAccepted || code == http.StatusConflict || code == http.StatusLocked):
 				default:
 					t.Errorf("spec %d (%q) answered %d", i, specs[i].Name, code)
 				}
@@ -65,5 +73,82 @@ func FuzzLeaseBody(f *testing.F) {
 		case <-time.After(prompt):
 			t.Fatal("Close never returned: a lease goroutine leaked")
 		}
+	})
+}
+
+// FuzzEventStream feeds a coordinator arbitrary bytes as a registered
+// worker's event stream (every answer to GET /v1/events) during a one-job
+// fleet drive under a short deadline: the drive never panics, ends with a
+// well-formed summary, and writes nothing outside the job's run directory,
+// whatever output keys the events name.
+func FuzzEventStream(f *testing.F) {
+	payload := hostutil.HashBytes([]byte("payload"))
+	done := func(status, outputs string) string {
+		return `{"seq":1,"type":"done","job":"x","record":{"job":"x","status":"` + status +
+			`","attempts":1},"console":"P","outputs":` + outputs + `}`
+	}
+	for _, seed := range []string{
+		`[]`, `null`, `[{`, `{"seq":0}`, `[{"seq":-1,"type":"done","job":"x"}]`,
+		`[{"seq":0,"type":"start","job":"x","attempt":1},` + done("ok", `{"output/r.txt":"P"}`) + `]`,
+		`[` + done("ok", `{"../../escape":"P"}`) + `]`,
+		`[` + done("ok", `{"/abs":"P","ok.txt":"P"}`) + `]`,
+		`[` + done("cancelled", `{}`) + `,` + done("ok", `{}`) + `]`,
+		`[{"seq":0,"type":"checkpoint","job":"x","ckpt":{"job":"x","digest":"P","instret":5}}]`,
+		`[{"seq":0,"type":"done","job":"x","record":null},{"seq":1,"type":"done","job":"y"}]`,
+	} {
+		f.Add([]byte(strings.ReplaceAll(seed, "P", payload)))
+	}
+	bin := bareBin(f)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		store, err := cas.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hub := httptest.NewServer(casremote.NewServer(store))
+		defer hub.Close()
+		rem := casremote.NewClient(hub.URL, 0)
+		if _, err := PutBlob(context.Background(), rem, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		worker := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/status":
+				rw.Write([]byte(`{"slots":1,"jobs":{"x":"running"},"seq":0}`))
+			case "/v1/jobs":
+				rw.Write([]byte(`[202]`))
+			case "/v1/events":
+				rw.Write(stream)
+			default:
+				http.NotFound(rw, r)
+			}
+		}))
+		defer worker.Close()
+
+		top := t.TempDir()
+		root := filepath.Join(top, "a", "b", "c")
+		dir := filepath.Join(root, "runs", "x")
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		_, sum, _ := Drive(ctx, Run{
+			Jobs:         []Job{{Name: "x", Bin: bin, Sim: "qemu", Dir: dir}},
+			ManifestPath: filepath.Join(root, "runs", "w.manifest.jsonl"),
+			Fleet:        CoordOptions{Workers: []string{worker.Listener.Addr().String()}, Poll: 5 * time.Millisecond},
+			Remote:       rem,
+		})
+		if sum == nil || len(sum.Jobs) != 1 || sum.Jobs[0].Name != "x" {
+			t.Fatalf("summary = %+v, want one job x", sum)
+		}
+		switch r := sum.Jobs[0]; r.Status {
+		case launcher.StatusOK, launcher.StatusFailed, launcher.StatusTimeout, launcher.StatusCancelled, launcher.StatusSkipped:
+		default:
+			t.Fatalf("job x ended %q", r.Status)
+		}
+		filepath.WalkDir(top, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && !strings.HasPrefix(p, dir+string(filepath.Separator)) &&
+				!strings.HasPrefix(filepath.Base(p), "w.manifest.jsonl") {
+				t.Errorf("the drive wrote %s, outside the run directory", p)
+			}
+			return nil
+		})
 	})
 }

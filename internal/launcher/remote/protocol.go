@@ -31,9 +31,14 @@
 // live worker together with the latest checkpoint pointer the dead worker
 // managed to announce, so the job restores bit-identically (cycles, stats,
 // console) instead of restarting — exactly the single-machine `-resume`
-// guarantee, stretched across machines. Idle workers steal still-queued jobs from loaded ones;
-// the queued-only constraint is enforced by the owning worker, so a steal
-// can never duplicate a running simulation. Draining a fleet run (the
+// guarantee, stretched across machines. Idle workers steal still-queued
+// jobs from loaded ones; the queued-only constraint is enforced by the
+// owning worker, so a steal can never duplicate a running simulation. A job
+// has one owner at a time: it runs twice at once only when its lease
+// expires on a worker that is slow rather than dead. A lease a coordinator
+// left running is adopted by a later lease of its name (409) only for the
+// same work; a name held for other work is answered 423, and the job waits
+// for it or goes to another worker. Draining a fleet run (the
 // first Ctrl-C) takes back every still-queued lease the same way and
 // reports those jobs skipped, as the local pool does; running jobs finish.
 //

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +325,155 @@ func TestWorkerStealOnlyWhileQueued(t *testing.T) {
 	if _, ok := st.Jobs["queued"]; ok {
 		t.Fatalf("stolen job still tracked: %+v", st.Jobs)
 	}
+}
+
+// TestWorkerAdoptsOnlyTheSameWork: a lease a killed coordinator left
+// running on a worker is a later run's lease of that name only if it does
+// the same work. A re-lease that differs in attempt bookkeeping (a -resume)
+// adopts it; one of other work is answered "held for other work", charged
+// no fault, and goes to another worker or waits for the name — and records
+// its own result, never the earlier run's.
+func TestWorkerAdoptsOnlyTheSameWork(t *testing.T) {
+	ctx := context.Background()
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var oldRuns atomic.Int64
+	addrs, _, _ := fleet(t, 2, func(i int) WorkerConfig {
+		return WorkerConfig{Slots: 1, Obs: obs.NewRegistry(),
+			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+				if spec.Bin != "sha256:old" {
+					return &RunOutput{Metrics: launcher.Metrics{Cycles: 222}}, nil
+				}
+				oldRuns.Add(1)
+				select {
+				case <-release[i]:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return &RunOutput{Metrics: launcher.Metrics{Cycles: 111}}, nil
+			})}
+	})
+	released := []bool{false, false}
+	free := func(i int) {
+		if !released[i] {
+			released[i] = true
+			close(release[i])
+		}
+	}
+	defer free(0)
+	defer free(1)
+
+	old := JobSpec{Name: "x", Sim: "qemu", Bin: "sha256:old"}
+	resumed := old
+	resumed.Prior, resumed.Resumed, resumed.Retries, resumed.Timeout = 1, true, 2, time.Minute
+	resumed.Ckpt = &checkpoint.Pointer{Job: "x", Digest: "sha256:cc", Instret: 9}
+	newer := old
+	newer.Bin = "sha256:new"
+	w0 := NewWorkerClient(addrs[0])
+	if err := w0.Submit(ctx, old); err != nil { // the killed coordinator's lease
+		t.Fatalf("submit: %v", err)
+	}
+	if err := w0.Submit(ctx, resumed); !errors.Is(err, ErrAlreadyLeased) {
+		t.Errorf("re-lease of the same work answered %v, want ErrAlreadyLeased", err)
+	}
+	rtl, params := rtlsim.DefaultConfig(), verify.Params{Seeds: []int64{1}}
+	for what, mod := range map[string]func(*JobSpec){
+		"sim":     func(s *JobSpec) { s.Sim = "spike" },
+		"bin":     func(s *JobSpec) { s.Bin = "sha256:new" },
+		"img":     func(s *JobSpec) { s.Img = "sha256:dd" },
+		"outputs": func(s *JobSpec) { s.Outputs = []string{"/out"} },
+		"rtl":     func(s *JobSpec) { s.RTL = &rtl },
+		"verify":  func(s *JobSpec) { s.Verify = &params },
+	} {
+		other := old
+		mod(&other)
+		if err := w0.Submit(ctx, other); !errors.Is(err, ErrHeldForOtherWork) {
+			t.Errorf("lease with other %s answered %v, want ErrHeldForOtherWork", what, err)
+		}
+	}
+
+	launch := func(spec JobSpec, workers []string, then func(*logTap)) (launcher.Result, string) {
+		t.Helper()
+		log := &logTap{leased: make(chan struct{})}
+		done := make(chan struct{})
+		var sum *launcher.Summary
+		var err error
+		go func() {
+			defer close(done)
+			sum, err = Launch(ctx, []JobSpec{spec}, CoordOptions{Workers: workers, Poll: 5 * time.Millisecond, Log: log})
+		}()
+		then(log)
+		select {
+		case <-done:
+		case <-time.After(prompt): // the earlier run's lease was adopted: let it finish
+			free(0)
+			free(1)
+			<-done
+		}
+		if err != nil {
+			t.Fatalf("launch: %v", err)
+		}
+		return sum.Jobs[0], log.String()
+	}
+	want := func(r launcher.Result, cycles uint64, log string) {
+		t.Helper()
+		if r.Status != launcher.StatusOK || r.Metrics.Cycles != cycles {
+			t.Errorf("%s: %s with %d cycles, want ok with %d\n%s", r.Name, r.Status, r.Metrics.Cycles, cycles, log)
+		}
+		if strings.Contains(log, "refused") {
+			t.Errorf("a worker holding the name for other work was charged a fault:\n%s", log)
+		}
+	}
+
+	// Other work goes to the worker that does not hold the name.
+	r, log := launch(newer, addrs, func(*logTap) {})
+	want(r, 222, log)
+	// With only the holder, it waits for the name, then runs. The holder
+	// finishes once the coordinator has had time to meet it.
+	if err := NewWorkerClient(addrs[1]).Submit(ctx, old); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	r, log = launch(newer, addrs[1:], func(*logTap) { time.Sleep(50 * time.Millisecond); free(1) })
+	want(r, 222, log)
+	// The same work adopts the running lease: no second run, its result.
+	runs := oldRuns.Load()
+	r, log = launch(resumed, addrs[:1], func(l *logTap) {
+		select {
+		case <-l.leased:
+		case <-time.After(prompt):
+		}
+		free(0)
+	})
+	want(r, 111, log)
+	if n := oldRuns.Load() - runs; n != 0 {
+		t.Errorf("the adopted lease ran %d more time(s)", n)
+	}
+}
+
+// logTap is a coordinator log a test reads while the run goes on; leased
+// closes at its first lease.
+type logTap struct {
+	mu     sync.Mutex
+	buf    strings.Builder
+	leased chan struct{}
+}
+
+func (l *logTap) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if strings.Contains(string(p), "coordinator: leased ") {
+		select {
+		case <-l.leased:
+		default:
+			close(l.leased)
+		}
+	}
+	return l.buf.Write(p)
+}
+
+func (l *logTap) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }
 
 func TestCoordinatorSpreadsAndCarriesRecords(t *testing.T) {

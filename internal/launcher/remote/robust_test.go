@@ -80,51 +80,6 @@ func TestCoordinatorQuarantinesErrorProneWorker(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHedgesStraggler: a started-but-silent job is duplicated
-// onto the idle healthy worker after HedgeAfter; the hedge's terminal
-// event wins and the job completes while the straggler is still stuck.
-func TestCoordinatorHedgesStraggler(t *testing.T) {
-	reg := obs.NewRegistry()
-	addrs, _, _ := fleet(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{
-			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
-				if i == 0 {
-					<-ctx.Done() // the straggler never finishes on its own
-					return nil, ctx.Err()
-				}
-				return &RunOutput{Metrics: launcher.Metrics{Cycles: 123}}, nil
-			}),
-			Slots: 1, Obs: obs.NewRegistry(),
-		}
-	})
-
-	done := make(chan struct{})
-	var sum *launcher.Summary
-	var lerr error
-	go func() {
-		defer close(done)
-		sum, lerr = Launch(context.Background(), []JobSpec{{Name: "stuck", Sim: "qemu", Bin: "sha256:aa"}},
-			CoordOptions{
-				Workers: addrs, Poll: 5 * time.Millisecond,
-				HedgeAfter: 30 * time.Millisecond, Obs: reg,
-			})
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("hedge never rescued the straggler")
-	}
-	if lerr != nil {
-		t.Fatalf("launch: %v", lerr)
-	}
-	if sum.Jobs[0].Status != launcher.StatusOK || sum.Jobs[0].Metrics.Cycles != 123 {
-		t.Fatalf("hedged job result = %+v", sum.Jobs[0])
-	}
-	if got := reg.Counter("remote_hedges_total").Value(); got == 0 {
-		t.Error("remote_hedges_total = 0; the job finished without a hedge")
-	}
-}
-
 // TestCoordinatorRevivesLateWorker: a worker that misses the registration
 // probe joins the fleet mid-run the moment it starts answering — the
 // revive pass re-probes dead workers every tick.

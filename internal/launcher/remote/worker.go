@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,6 +36,9 @@ type wjob struct {
 	state  JobState
 	stolen bool
 	out    *RunOutput // last successful attempt's output
+	// since is the event log's length when the lease was accepted: the
+	// events of its name before it are an earlier lease's, never served.
+	since int
 	// The line for slots: ahead closes once the lease accepted before this
 	// one has taken a slot (or given up), turn once this one has.
 	ahead, turn chan struct{}
@@ -116,11 +120,15 @@ func (w *Worker) logf(format string, args ...any) {
 // emit appends one event to the worker-global log, stamping its sequence.
 func (w *Worker) emit(ev Event) {
 	w.mu.Lock()
+	w.emitLocked(ev)
+	w.mu.Unlock()
+}
+
+func (w *Worker) emitLocked(ev Event) {
 	ev.Seq = len(w.events)
 	w.events = append(w.events, ev)
 	close(w.changed)
 	w.changed = make(chan struct{})
-	w.mu.Unlock()
 }
 
 func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
@@ -139,7 +147,8 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease answers an array of specs with one status per spec, in order:
-// 202 accepted, 409 already held (not terminal), 503 shutting down, 400
+// 202 accepted, 409 already held (not terminal) for the same work, 423 the
+// name is held (not terminal) for other work, 503 shutting down, 400
 // nameless. Accepted leases take slots in array order.
 func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -172,12 +181,17 @@ func (w *Worker) lease(spec JobSpec) int {
 	w.mu.Lock()
 	if old, exists := w.jobs[spec.Name]; exists && old.state != JobDone {
 		w.mu.Unlock()
-		return http.StatusConflict
+		// A name outlives its coordinator: the lease one left running is
+		// this lease only if it computes the same result.
+		if sameWork(old.spec, spec) {
+			return http.StatusConflict
+		}
+		return http.StatusLocked
 	}
 	// A terminal entry is re-leasable: the coordinator arbitrates leases,
-	// and re-running is deterministic, so a re-lease (hedge, post-forfeit
-	// retry) just computes the same record again.
-	j := &wjob{spec: spec, state: JobQueued, ahead: w.tail, turn: make(chan struct{})}
+	// and re-running is deterministic, so a re-lease (post-forfeit retry,
+	// the next run of the workload) just computes its record again.
+	j := &wjob{spec: spec, state: JobQueued, since: len(w.events), ahead: w.tail, turn: make(chan struct{})}
 	w.tail = j.turn
 	w.jobs[spec.Name] = j
 	w.mu.Unlock()
@@ -187,6 +201,16 @@ func (w *Worker) lease(spec JobSpec) int {
 	w.wg.Add(1)
 	go w.runLease(j)
 	return http.StatusAccepted
+}
+
+// sameWork reports whether two specs compute the same result: they differ
+// at most in attempt bookkeeping (Prior, Resumed, Ckpt) and the attempt
+// policy (Timeout, Retries), as a `-resume` after a coordinator crash does.
+func sameWork(a, b JobSpec) bool {
+	for _, s := range []*JobSpec{&a, &b} {
+		s.Prior, s.Resumed, s.Ckpt, s.Timeout, s.Retries = 0, false, nil, 0, 0
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 // handleJob routes /v1/jobs/{name}: DELETE is the steal protocol.
@@ -216,9 +240,10 @@ func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusOK)
 }
 
-// handleEvents answers the log from the since cursor. With wait=<ms> an
-// empty answer is held until there is such an event, wait elapses, the
-// request is cancelled or the worker shuts down.
+// handleEvents answers the log from the since cursor, less a re-leased
+// name's events from before its lease. With wait=<ms> an empty answer is
+// held until there is such an event, wait elapses, the request is cancelled
+// or the worker shuts down.
 func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
@@ -236,8 +261,10 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	var evs []Event
 	for {
 		w.mu.Lock()
-		if since < len(w.events) {
-			evs = append(evs, w.events[since:]...)
+		for _, ev := range w.events[min(since, len(w.events)):] {
+			if j := w.jobs[ev.Job]; j == nil || ev.Seq >= j.since {
+				evs = append(evs, ev)
+			}
 		}
 		changed := w.changed
 		w.mu.Unlock()
@@ -323,9 +350,11 @@ func (w *Worker) finishCancelled(j *wjob) {
 	})
 }
 
-// finish marks the job done and publishes its terminal event.
+// finish marks the job done and publishes its terminal event, in one step:
+// a re-lease of the name sees both or neither.
 func (w *Worker) finish(j *wjob, rec launcher.Record) {
 	ev := Event{Type: EventDone, Job: j.spec.Name, Record: &rec}
+	w.cfg.Obs.Counter("remote_worker_jobs_done_total").Inc()
 	w.mu.Lock()
 	j.state = JobDone
 	if j.out != nil {
@@ -333,8 +362,7 @@ func (w *Worker) finish(j *wjob, rec launcher.Record) {
 		ev.Outputs = j.out.Outputs
 		ev.Stats = j.out.Stats
 	}
+	w.emitLocked(ev)
 	w.mu.Unlock()
-	w.cfg.Obs.Counter("remote_worker_jobs_done_total").Inc()
-	w.emit(ev)
 	w.logf("worker: job %s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
 }

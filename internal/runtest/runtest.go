@@ -74,24 +74,36 @@ type Failure struct {
 
 func (f Failure) String() string { return fmt.Sprintf("%s: %s", f.RefFile, f.Detail) }
 
-// CompareDir checks a run-output directory against a reference directory
-// with output cleaning enabled. Every file in refDir must exist in outDir
-// and match as a cleaned subset. Files in outDir without a reference are
-// ignored (references "contain only a subset of the expected output").
-func CompareDir(outDir, refDir string) ([]Failure, error) {
-	return CompareDirOpt(outDir, refDir, true)
+// CompareJob checks one job's run output against its workload's reference
+// directory — the one per-job rule of `marshal test` and `firesim -verify`.
+// job is the job's run name and jobs are all of the run's; the jobs of a
+// multi-job workload are named "<workload>-<name>". Such a job compares
+// against refDir/<name> when that directory exists; any other job compares
+// against the top-level references, less every refDir/<name> directory of
+// the workload's jobs, which are its siblings'.
+func CompareJob(outDir, refDir, workload, job string, jobs []string, clean bool) ([]Failure, error) {
+	names := map[string]bool{}
+	for _, j := range jobs {
+		if name, ok := strings.CutPrefix(j, workload+"-"); ok {
+			names[name] = true
+		}
+	}
+	if name, ok := strings.CutPrefix(job, workload+"-"); ok {
+		sub := filepath.Join(refDir, name)
+		if info, err := os.Stat(sub); err == nil && info.IsDir() {
+			return CompareDir(outDir, sub, clean, nil)
+		}
+	}
+	return CompareDir(outDir, refDir, clean, func(dir string) bool { return names[dir] })
 }
 
-// CompareDirOpt is CompareDir with cleaning controlled by the workload's
-// testing.strip option.
-func CompareDirOpt(outDir, refDir string, clean bool) ([]Failure, error) {
-	return CompareDirFiltered(outDir, refDir, clean, nil)
-}
-
-// CompareDirFiltered additionally skips top-level reference subdirectories
-// for which skipDir returns true — used for multi-job workloads whose
-// refDir holds per-job subdirectories that do not apply to every job.
-func CompareDirFiltered(outDir, refDir string, clean bool, skipDir func(name string) bool) ([]Failure, error) {
+// CompareDir checks a run-output directory against a reference directory.
+// Every file in refDir must exist in outDir and match as a subset, cleaned
+// first when clean is set (the workload's testing.strip); files in outDir
+// without a reference are ignored (references "contain only a subset of the
+// expected output"). Top-level reference subdirectories for which skipDir
+// returns true are skipped.
+func CompareDir(outDir, refDir string, clean bool, skipDir func(name string) bool) ([]Failure, error) {
 	var failures []Failure
 	err := filepath.Walk(refDir, func(path string, info os.FileInfo, werr error) error {
 		if werr != nil {

@@ -84,7 +84,7 @@ func TestCompareDirSuccess(t *testing.T) {
 		"uartlog":        "result: 42\n",
 		"output/res.csv": "bench,1.5\n",
 	})
-	failures, err := CompareDir(out, ref)
+	failures, err := CompareDir(out, ref, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCompareDirSuccess(t *testing.T) {
 func TestCompareDirMissingFile(t *testing.T) {
 	out, ref := t.TempDir(), t.TempDir()
 	writeTree(t, ref, map[string]string{"uartlog": "x\n"})
-	failures, err := CompareDir(out, ref)
+	failures, err := CompareDir(out, ref, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCompareDirContentMismatch(t *testing.T) {
 	out, ref := t.TempDir(), t.TempDir()
 	writeTree(t, out, map[string]string{"uartlog": "got something else\n"})
 	writeTree(t, ref, map[string]string{"uartlog": "expected line\n"})
-	failures, err := CompareDir(out, ref)
+	failures, err := CompareDir(out, ref, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCompareDirContentMismatch(t *testing.T) {
 }
 
 func TestCompareDirMissingRefDir(t *testing.T) {
-	if _, err := CompareDir(t.TempDir(), "/nonexistent-ref"); err == nil {
+	if _, err := CompareDir(t.TempDir(), "/nonexistent-ref", true, nil); err == nil {
 		t.Error("expected error for missing reference dir")
 	}
 }

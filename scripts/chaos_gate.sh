@@ -5,15 +5,16 @@
 #     fault schedule itself (pure function of seed/site/index), breaker
 #     half-open recovery on a fake clock, concurrent readers self-healing
 #     one corrupt blob, 429/Retry-After backoff in both HTTP clients,
-#     per-client rate limiting, coordinator quarantine/hedge/revival, and
-#     a lease expiry racing a checkpoint publish.
+#     per-client rate limiting, coordinator quarantine/revival, and a
+#     lease expiry racing a checkpoint publish.
 #
 #  2. A full `marshal chaos` run over real binaries: a loopback 3-worker
 #     fleet under the pinned default schedule (seed 1) with pre-planted
 #     corrupt blobs, a flaky worker, and a slow straggler. The run must
 #     report bit-identical cycles/exit/console vs the clean baseline,
-#     at least one blob self-heal, and at least one worker quarantine —
-#     all asserted off the `chaos: metric` lines.
+#     at least one blob self-heal, at least one worker quarantine, and at
+#     least one steal of a lease queued behind the straggler — all
+#     asserted off the `chaos: metric` lines.
 #
 #  3. Replayability: `-schedule-only` for one seed printed twice must be
 #     byte-identical, and a different seed must print a different
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos robustness suite (-race, -count=1)"
 go test -race -count=1 \
-    -run 'Chaos|Schedule|Transport|StoreFaults|PlantCorrupt|Breaker|SelfHeal|429|Throttle|TokenBucket|MaxInFlight|Quarantine|Hedge|Revive|LeaseExpiry|RateLimit' \
+    -run 'Chaos|Schedule|Transport|StoreFaults|PlantCorrupt|Breaker|SelfHeal|429|Throttle|TokenBucket|MaxInFlight|Quarantine|Revive|LeaseExpiry|RateLimit' \
     ./internal/chaos/ ./internal/ratelimit/ ./internal/cas/... ./internal/launcher/remote/ ./internal/core/
 
 echo "== loopback chaos fleet (marshal chaos, pinned seed)"
@@ -70,6 +71,7 @@ require_metric_line() {
 
 require_metric cas_blobs_healed_total
 require_metric remote_worker_quarantines_total
+require_metric remote_steals_total
 require_metric chaos_http_faults_total
 require_metric_line cas_remote_breaker_state
 require_metric_line remote_workers_quarantined
