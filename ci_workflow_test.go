@@ -240,6 +240,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzDecodePack":       "./internal/checkpoint",
 		"FuzzFirmwareDecode":   "./internal/firmware",
 		"FuzzStateDB":          "./internal/dag",
+		"FuzzReadManifest":     "./internal/launcher",
+		"FuzzInstallLoad":      "./internal/install",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

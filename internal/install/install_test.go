@@ -1,6 +1,7 @@
 package install
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,4 +141,55 @@ func TestVerilatorRejectsNetworkJobs(t *testing.T) {
 	if err := conn.Install(cfg, t.TempDir()); err == nil {
 		t.Error("verilator cannot simulate networked jobs")
 	}
+}
+
+// FuzzInstallLoad feeds Load arbitrary bytes as an installed config.json: it
+// never panics, and it returns either an error or a config that names a
+// workload and at least one job and reads back unchanged once installed.
+func FuzzInstallLoad(f *testing.F) {
+	good, _ := json.Marshal(sampleConfig())
+	for _, seed := range []string{
+		string(good), `{}`, `null`, `[`, `{"workload":"w","jobs":[]}`, `{"workload":"w","jobs":null}`,
+		`{"workload":"w","jobs":[{}]}`, `{"workload":"","jobs":[{"name":"a"}]}`,
+		`{"workload":"w","jobs":[{"name":"a","outputs":[]}],"strip":true} trailing`,
+		`{"workload":"w","jobs":[{"name":"a","bare":"yes"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ConfigFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := Load(dir)
+		if (cfg == nil) == (err == nil) {
+			t.Fatalf("Load = %+v, %v: want a config or an error", cfg, err)
+		}
+		if err != nil {
+			return
+		}
+		if cfg.Workload == "" || len(cfg.Jobs) == 0 {
+			t.Fatalf("Load accepted a config without a workload or jobs: %+v", cfg)
+		}
+		again := t.TempDir()
+		if err := (FireSimConnector{}).Install(cfg, again); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(again)
+		if err != nil {
+			t.Fatalf("an installed config does not load: %v", err)
+		}
+		if a, b := mustJSON(t, cfg), mustJSON(t, back); a != b {
+			t.Errorf("config changed on install and load:\n%s\n%s", a, b)
+		}
+	})
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -1,6 +1,7 @@
 package launcher
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -304,6 +305,46 @@ func FuzzReadJournal(f *testing.F) {
 		}
 		if torn != nil && torn.Lines == 0 {
 			t.Fatalf("torn report with zero lines: %+v", torn)
+		}
+	})
+}
+
+// FuzzReadManifest feeds ReadManifest arbitrary bytes as a manifest file: it
+// never panics, never fails on a file that exists, and every nonblank line is
+// either a record with a job name or counted as torn.
+func FuzzReadManifest(f *testing.F) {
+	for _, seed := range []string{
+		`{"job":"a","status":"ok","attempts":1,"cycles":9}` + "\n",
+		`{"job":"a","status":"ok"}` + "\n" + `{"job":"b","status":"failed","error":"x"}`,
+		`{"job":""}` + "\n", `{"job":"a"`, "\n\n  \n", `null`, `[1]`,
+		`{"job":"a"}` + "\n\x00garbage\n" + `{"job":"b","attempts":"2"}` + "\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "w.manifest.jsonl")
+		writeFile(t, path, string(data))
+		recs, torn, err := ReadManifest(path)
+		if err != nil {
+			t.Fatalf("reading a manifest that exists: %v", err)
+		}
+		for _, rec := range recs {
+			if rec.Job == "" {
+				t.Errorf("record without a job name: %+v", rec)
+			}
+		}
+		lines := 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				lines++
+			}
+		}
+		bad := 0
+		if torn != nil {
+			bad = torn.Lines
+		}
+		if len(recs)+bad != lines {
+			t.Errorf("%d record(s) + %d torn line(s) from %d nonblank line(s)", len(recs), bad, lines)
 		}
 	})
 }

@@ -32,6 +32,10 @@ var ErrAlreadyLeased = errors.New("remote: job already leased")
 // queues other work under that name, a lease an earlier coordinator left.
 var ErrHeldForOtherWork = errors.New("remote: job name held for other work")
 
+// ErrWorkerRestarted reports an event poll whose cursor is past the end of
+// the worker's log: the process that handed it out is gone with its leases.
+var ErrWorkerRestarted = errors.New("remote: worker restarted")
+
 // maxAnswerSize bounds a worker's answer (a status, lease codes, a batch of
 // events): small JSON, read whole into memory.
 const maxAnswerSize = 16 << 20
@@ -141,7 +145,8 @@ func (c *WorkerClient) Submit(ctx context.Context, spec JobSpec) error {
 
 // Events drains the worker's event log from sequence `since`. A positive
 // wait (whole milliseconds) asks the worker to hold an empty answer that
-// long, until it has an event to report.
+// long, until it has an event to report; a log ending before `since` is
+// ErrWorkerRestarted.
 func (c *WorkerClient) Events(ctx context.Context, since int, wait time.Duration) ([]Event, error) {
 	path := "/v1/events?since=" + strconv.Itoa(since)
 	if ms := wait.Milliseconds(); ms > 0 {
@@ -152,10 +157,13 @@ func (c *WorkerClient) Events(ctx context.Context, since int, wait time.Duration
 	if err != nil {
 		return nil, err
 	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("worker %s: events: HTTP %d", c.Addr, code)
+	switch code {
+	case http.StatusOK:
+		return evs, nil
+	case http.StatusGone:
+		return nil, fmt.Errorf("worker %s: events since %d: %w", c.Addr, since, ErrWorkerRestarted)
 	}
-	return evs, nil
+	return nil, fmt.Errorf("worker %s: events: HTTP %d", c.Addr, code)
 }
 
 // Steal asks the worker to give up a still-queued job. It reports true

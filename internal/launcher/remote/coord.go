@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"time"
@@ -76,11 +77,10 @@ const (
 
 // cjob is the coordinator's view of one job.
 type cjob struct {
-	spec      JobSpec // current lease's spec (Prior/Ckpt evolve across leases)
+	spec      JobSpec // current lease's spec (Lease/Prior/Ckpt evolve across leases)
 	origPrior int     // Prior at entry, for the summary's prior/fresh split
 	worker    int     // owning worker index, -1 when unowned
-	leaseNo   int     // the owner's lease count once it took this lease
-	started   bool    // a start event arrived from the current worker
+	started   bool    // a start event of the current lease arrived
 	maxAtt    int     // highest absolute attempt observed
 	refusals  int     // failed assignment sweeps (liveness bound)
 	ckpt      *checkpoint.Pointer
@@ -97,21 +97,20 @@ type cworker struct {
 	client      *WorkerClient
 	alive       bool
 	quarantined bool
+	retired     bool      // another protocol version: never leased to or revived
 	faults      int       // leaky fault counter
 	ticks       int       // Poll ticks spent alive (reconcile cadence)
 	cursor      int       // event-log read position
-	leases      int       // leases it accepted, see handlePoll
 	lastOK      time.Time // last successful poll — the lease clock
 }
 
 // polled is one answer to worker wi's event poll (sent at asked), landed one
 // job's OnDone outcome: what the goroutines hand back to the coordinator loop.
 type polled struct {
-	wi     int
-	asked  time.Time
-	leases int // the worker's lease count when the poll was sent
-	evs    []Event
-	err    error
+	wi    int
+	asked time.Time
+	evs   []Event
+	err   error
 }
 type landed struct {
 	j   *cjob
@@ -132,6 +131,7 @@ type coordinator struct {
 	landers  chan struct{} // OnDone runs in flight: one per registered worker
 	landings int           // landers not yet back on the loop
 	draining bool          // Drain closed: nothing is leased again
+	lease    uint64        // the last lease id stamped: from a random start, so no run reuses one
 }
 
 // Launch distributes specs across the worker fleet and blocks until every
@@ -163,7 +163,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		ctx = context.Background()
 	}
 
-	c := &coordinator{opts: opts, jobs: map[string]*cjob{}, polls: make(chan polled), landed: make(chan landed)}
+	c := &coordinator{opts: opts, jobs: map[string]*cjob{}, polls: make(chan polled), landed: make(chan landed), lease: rand.Uint64()}
 	for _, spec := range specs {
 		if _, dup := c.jobs[spec.Name]; dup {
 			return nil, fmt.Errorf("remote: duplicate job name %q", spec.Name)
@@ -172,27 +172,24 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior, worker: -1}
 	}
 
-	// Registration: probe every worker once; a worker that answers is in
-	// the fleet. The run needs at least one.
-	now := time.Now()
-	for _, addr := range opts.Workers {
+	// Registration: probe every worker once; a worker that answers with
+	// this protocol version is in the fleet. The run needs at least one.
+	var unregistered []error
+	for wi, addr := range opts.Workers {
 		cl := NewWorkerClient(addr)
 		if opts.Transport != nil {
 			cl.SetTransport(opts.Transport)
 		}
-		w := &cworker{client: cl, lastOK: now}
-		if st, err := w.client.Status(ctx); err == nil {
-			w.alive = true
-			w.cursor = st.Seq
-			c.logf("coordinator: worker %s registered (slots=%d)", addr, st.Slots)
-		} else {
-			c.logf("coordinator: worker %s unreachable at start: %v", addr, err)
+		c.workers = append(c.workers, &cworker{client: cl})
+		if err := c.register(ctx, wi); err != nil {
+			unregistered = append(unregistered, err)
+			if !c.workers[wi].retired {
+				c.logf("coordinator: worker %s unreachable at start: %v", addr, err)
+			}
 		}
-		c.workers = append(c.workers, w)
 	}
-	c.gauges()
 	if c.aliveCount() == 0 {
-		return nil, fmt.Errorf("remote: none of %d workers answered the status probe", len(opts.Workers))
+		return nil, fmt.Errorf("remote: none of %d workers registered: %w", len(opts.Workers), errors.Join(unregistered...))
 	}
 
 	c.landers = make(chan struct{}, c.aliveCount())
@@ -301,21 +298,19 @@ func (c *coordinator) aliveCount() int {
 // quarantined counts and a per-worker 0/1 gauge (registry names are
 // label-free, so the worker address is folded into the metric name).
 func (c *coordinator) gauges() {
-	quarantined := 0
+	up, quarantined := 0, 0
 	for _, w := range c.workers {
-		if w.alive && w.quarantined {
-			quarantined++
-		}
-	}
-	c.opts.Obs.Gauge("remote_workers_up").Set(float64(c.aliveCount()))
-	c.opts.Obs.Gauge("remote_workers_quarantined").Set(float64(quarantined))
-	for _, w := range c.workers {
-		up := 0.0
+		alive := 0.0
 		if w.alive {
-			up = 1.0
+			up, alive = up+1, 1
+			if w.quarantined {
+				quarantined++
+			}
 		}
-		c.opts.Obs.Gauge("remote_worker_up_" + obs.SanitizeName(w.client.Addr)).Set(up)
+		c.opts.Obs.Gauge("remote_worker_up_" + obs.SanitizeName(w.client.Addr)).Set(alive)
 	}
+	c.opts.Obs.Gauge("remote_workers_up").Set(float64(up))
+	c.opts.Obs.Gauge("remote_workers_quarantined").Set(float64(quarantined))
 }
 
 // noteFault charges a worker's leaky fault counter; crossing the
@@ -329,14 +324,6 @@ func (c *coordinator) noteFault(wi, weight int) {
 		c.opts.Obs.Counter("remote_worker_quarantines_total").Inc()
 		c.logf("coordinator: quarantining error-prone worker %s (fault score %d)", w.client.Addr, w.faults)
 		c.gauges()
-	}
-}
-
-// noteOK drains the fault counter on a successful poll (the leak in the
-// leaky bucket; a quarantine itself is sticky).
-func (c *coordinator) noteOK(wi int) {
-	if w := c.workers[wi]; w.faults > 0 {
-		w.faults--
 	}
 }
 
@@ -392,7 +379,7 @@ func (c *coordinator) leaseAll(ctx context.Context) {
 	for _, name := range c.order {
 		if wi := c.pick(func(i int) int { return len(jobs[i]) }, nil); wi != -1 {
 			jobs[wi] = append(jobs[wi], c.jobs[name])
-			specs[wi] = append(specs[wi], c.jobs[name].spec)
+			specs[wi] = append(specs[wi], c.stamp(c.jobs[name]))
 		}
 	}
 	for wi, w := range c.workers {
@@ -418,12 +405,17 @@ func (c *coordinator) leaseAll(ctx context.Context) {
 	c.reassignOrphans(ctx)
 }
 
+// stamp gives j a fresh lease id for its next offer and returns the spec to
+// offer: events of any earlier lease of j are stale from here on.
+func (c *coordinator) stamp(j *cjob) JobSpec {
+	c.lease++
+	j.spec.Lease = c.lease
+	return j.spec
+}
+
 // leased records that worker wi now holds j's lease.
 func (c *coordinator) leased(j *cjob, wi int) {
-	c.workers[wi].leases++
-	j.worker, j.leaseNo = wi, c.workers[wi].leases
-	j.started = false
-	j.refusals = 0
+	j.worker, j.started, j.refusals = wi, false, 0
 	c.opts.Obs.Counter("remote_leases_total").Inc()
 	c.logf("coordinator: leased %s to worker %s", j.spec.Name, c.workers[wi].client.Addr)
 }
@@ -463,7 +455,7 @@ func (c *coordinator) assign(ctx context.Context, j *cjob) {
 			}, nil)
 			return
 		}
-		if err := c.workers[best].client.Submit(ctx, j.spec); err != nil && !errors.Is(err, ErrAlreadyLeased) {
+		if err := c.workers[best].client.Submit(ctx, c.stamp(j)); err != nil && !errors.Is(err, ErrAlreadyLeased) {
 			if ctx.Err() != nil {
 				// The run is being cancelled, not the worker dying: leave
 				// the job unowned so the summary reports it cancelled.
@@ -497,7 +489,7 @@ func (c *coordinator) reassignOrphans(ctx context.Context) {
 // goroutine owns nothing but the request and hands the answer to the loop.
 func (c *coordinator) poll(wi int, after time.Time) {
 	w := c.workers[wi]
-	cursor, leases := w.cursor, w.leases
+	cursor := w.cursor
 	c.pollers.Add(1)
 	go func() {
 		defer c.pollers.Done()
@@ -507,7 +499,7 @@ func (c *coordinator) poll(wi int, after time.Time) {
 		asked := time.Now()
 		evs, err := w.client.Events(c.pollCtx, cursor, c.opts.Poll)
 		select {
-		case c.polls <- polled{wi, asked, leases, evs, err}:
+		case c.polls <- polled{wi, asked, evs, err}:
 		case <-c.pollCtx.Done():
 		}
 	}()
@@ -515,29 +507,34 @@ func (c *coordinator) poll(wi int, after time.Time) {
 
 // handlePoll folds one poll answer into the run and polls again; a successful
 // answer is the heartbeat. A worker silent past the lease TTL forfeits its
-// leases and is not polled again until it revives. The worker holds an empty
-// answer for Poll: an empty or failed one that comes back sooner (a worker
-// that ignores wait, a dropped request) is paced to one per Poll.
-// A worker serves a re-leased name's events from its lease on, but an answer
-// to a poll sent before the lease may still carry the name's earlier events
-// (an orphan's done): it is read up to the first event of a job leased to
-// the worker since, and the next poll asks again from there.
+// leases and is not polled again until it revives. A worker restarted since
+// the cursor was handed out lost its leases with its log: it is registered
+// again and its jobs re-leased, which is no lease expiry. The worker holds
+// an empty answer for Poll: an empty or failed one that comes back sooner (a
+// worker that ignores wait, a dropped request) is paced to one per Poll.
 func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 	w := c.workers[p.wi]
-	if p.err != nil {
+	switch {
+	case errors.Is(p.err, ErrWorkerRestarted):
+		err := c.register(ctx, p.wi)
+		c.forfeit(ctx, p.wi, "restarted")
+		if err != nil {
+			return // not alive: revive polls it once it answers
+		}
+	case p.err != nil:
 		c.noteFault(p.wi, faultPoll)
-		if time.Since(w.lastOK) > leaseHeartbeats*c.opts.Poll {
-			c.expire(ctx, p.wi)
+		if ttl := leaseHeartbeats * c.opts.Poll; time.Since(w.lastOK) > ttl {
+			w.alive = false
+			c.gauges()
+			n := c.forfeit(ctx, p.wi, fmt.Sprintf("lease expired (silent > %s)", ttl))
+			c.opts.Obs.Counter("remote_lease_expiries_total").Add(uint64(n))
 			return
 		}
-	} else {
+	default:
 		w.lastOK = time.Now()
-		c.noteOK(p.wi)
+		w.faults = max(w.faults-1, 0) // the leak; a quarantine is sticky
 		c.opts.Obs.Counter("remote_heartbeats_total").Inc()
 		for _, ev := range p.evs {
-			if j := c.jobs[ev.Job]; j != nil && j.worker == p.wi && j.leaseNo > p.leases {
-				break
-			}
 			w.cursor = ev.Seq + 1
 			c.handleEvent(ctx, p.wi, ev)
 		}
@@ -549,30 +546,42 @@ func (c *coordinator) handlePoll(ctx context.Context, p polled) {
 	c.poll(p.wi, after)
 }
 
+// register probes worker wi and, when it answers with this protocol
+// version, joins it to the fleet at the end of its event log. A worker of
+// another version is retired: logged, never leased to and never revived.
+func (c *coordinator) register(ctx context.Context, wi int) error {
+	w := c.workers[wi]
+	st, err := w.client.Status(ctx)
+	if err == nil && st.Protocol != protocolVersion {
+		w.retired = true
+		err = fmt.Errorf("worker %s speaks protocol %d, not %d: %w", w.client.Addr, st.Protocol, protocolVersion, ErrProtocolVersion)
+		c.logf("coordinator: %v", err)
+	}
+	if w.alive = err == nil; w.alive {
+		w.cursor, w.lastOK = st.Seq, time.Now()
+		c.logf("coordinator: worker %s registered (slots=%d)", w.client.Addr, st.Slots)
+	}
+	c.gauges()
+	return err
+}
+
 // revive re-probes a dead worker each tick. A worker that failed the
 // initial registration probe (or went silent past the lease TTL) is not
 // gone forever: the moment it answers again it rejoins the fleet at its
-// current event cursor. Its forfeited jobs already re-leased elsewhere,
-// and any stale events it emits for them are ignored (handleEvent only
-// honors the current owner), so rejoining is always safe.
-// A quarantine survives revival — flakiness is why it went dark.
+// current event cursor. Its forfeited jobs already re-leased elsewhere, and
+// the events it emits for them carry leases no job holds any more, so
+// rejoining is always safe. A quarantine survives revival — flakiness is
+// why it went dark.
 func (c *coordinator) revive(ctx context.Context, wi int) {
-	w := c.workers[wi]
-	st, err := w.client.Status(ctx)
-	if err != nil {
-		// Failed probes count against the health score: a worker that
-		// repeatedly cannot answer Status is error-prone, and if it ever
-		// does rejoin it should rejoin quarantined rather than poison
-		// tail latency with fresh leases.
+	switch {
+	case c.workers[wi].retired:
+	case c.register(ctx, wi) != nil:
+		// A worker that keeps failing the probe is error-prone: if it
+		// ever rejoins, it rejoins quarantined.
 		c.noteFault(wi, faultPoll)
-		return
+	default:
+		c.poll(wi, time.Time{})
 	}
-	w.alive = true
-	w.cursor = st.Seq
-	w.lastOK = time.Now()
-	c.poll(wi, time.Time{})
-	c.logf("coordinator: worker %s (re)joined the fleet (slots=%d)", w.client.Addr, st.Slots)
-	c.gauges()
 }
 
 // reconcile re-derives lease truth from one worker's own job table. A
@@ -589,10 +598,7 @@ func (c *coordinator) reconcile(ctx context.Context, wi int) {
 	}
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.settled() {
-			continue
-		}
-		if _, held := st.Jobs[name]; held || j.worker != wi {
+		if _, held := st.Jobs[name]; held || j.settled() || j.worker != wi {
 			continue
 		}
 		c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[wi].client.Addr, name)
@@ -602,18 +608,16 @@ func (c *coordinator) reconcile(ctx context.Context, wi int) {
 }
 
 // handleEvent folds one worker event into the journal and run state.
-// Events are honored from the job's owner only; anything else is stale
-// (the job was re-leased or stolen away since the event).
+// Events are honoured for the job's current lease only; anything else is
+// stale (an orphan's, or a lease re-leased or stolen away since).
 func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 	j, ok := c.jobs[ev.Job]
-	if !ok || j.settled() || j.worker != wi {
+	if !ok || j.settled() || ev.Lease != j.spec.Lease {
 		return
 	}
 	switch ev.Type {
 	case EventStart:
-		if ev.Attempt > j.maxAtt {
-			j.maxAtt = ev.Attempt
-		}
+		j.maxAtt = max(j.maxAtt, ev.Attempt)
 		j.started = true
 		if err := c.opts.Journal.Start(ev.Job, ev.Attempt); err != nil {
 			c.logf("coordinator: journal write failed: %v", err)
@@ -637,9 +641,7 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 			c.relay(ctx, j)
 			return
 		}
-		if ev.Record.Attempts > j.maxAtt {
-			j.maxAtt = ev.Record.Attempts
-		}
+		j.maxAtt = max(j.maxAtt, ev.Record.Attempts)
 		// A worker counts a lease with prior attempts as resumed; a lease
 		// again after a failed landing is not, and the spec says which.
 		rec := *ev.Record
@@ -651,40 +653,31 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 // relay re-leases a forfeited job onto a live worker, restoring from the
 // latest replicated checkpoint when one exists.
 func (c *coordinator) relay(ctx context.Context, j *cjob) {
-	spec := j.spec
-	if j.maxAtt > spec.Prior {
-		spec.Prior = j.maxAtt
-	}
-	spec.Ckpt = j.ckpt
-	spec.Resumed = spec.Resumed || spec.Prior > 0 || spec.Ckpt != nil
-	j.spec = spec
+	j.spec.Prior = max(j.spec.Prior, j.maxAtt)
+	j.spec.Ckpt = j.ckpt
+	j.spec.Resumed = j.spec.Resumed || j.spec.Prior > 0 || j.spec.Ckpt != nil
 	j.worker = -1
 	c.assign(ctx, j)
 }
 
-// expire declares a worker dead and re-leases everything it held.
-func (c *coordinator) expire(ctx context.Context, wi int) {
-	w := c.workers[wi]
-	w.alive = false
-	c.gauges()
-	var forfeited []*cjob
+// forfeit re-leases every unsettled job worker wi holds, each restoring from
+// its latest replicated checkpoint, and returns how many there were.
+func (c *coordinator) forfeit(ctx context.Context, wi int, why string) (n int) {
+	c.logf("coordinator: worker %s %s; re-leasing its jobs", c.workers[wi].client.Addr, why)
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if !j.settled() && j.worker == wi {
-			forfeited = append(forfeited, j)
+		if j.settled() || j.worker != wi {
+			continue
 		}
-	}
-	c.logf("coordinator: worker %s lease expired (silent > %s); re-leasing %d job(s)",
-		w.client.Addr, leaseHeartbeats*c.opts.Poll, len(forfeited))
-	for _, j := range forfeited {
-		c.opts.Obs.Counter("remote_lease_expiries_total").Inc()
 		ckpt := ""
 		if j.ckpt != nil {
 			ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)
 		}
 		c.logf("coordinator: re-leasing %s%s", j.spec.Name, ckpt)
 		c.relay(ctx, j)
+		n++
 	}
+	return n
 }
 
 // steal rebalances stragglers: an idle, healthy worker takes a

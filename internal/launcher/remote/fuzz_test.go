@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +32,7 @@ func FuzzLeaseBody(f *testing.F) {
 	rtl := rtlsim.DefaultConfig()
 	rtl.FaultMask, rtl.FaultOp = 1, isa.OpMUL
 	rtlSpec, _ := json.Marshal([]JobSpec{{Name: "r", Sim: "rtl", Bin: "sha256:aa", RTL: &rtl}})
+	leased, _ := json.Marshal([]JobSpec{{Name: "l", Sim: "qemu", Bin: "sha256:aa", Lease: 1<<63 + 5}})
 	verifySpec, _ := json.Marshal([]JobSpec{{Name: "v", Sim: "verify", Verify: &verify.Params{
 		Seeds: []int64{7, 8}, Rounds: 1, MaxEntries: 3, RTLEvery: 2, FarmSeed: 42,
 		Fault: &verify.Fault{Tier: verify.TierFast, Instr: 500, Reg: 27, Xor: 1},
@@ -37,7 +40,7 @@ func FuzzLeaseBody(f *testing.F) {
 	for _, seed := range [][]byte{
 		good, []byte(`[]`), []byte(`null`), []byte(`{"name":"x"}`), []byte(`[{"name":"x","rtl":{}}]`),
 		[]byte(`[{"name":1}]`), []byte(`[{"name":"x","ckpt":{"job":"x"}}] trailing`), []byte(`[[`), nil,
-		rtlSpec, verifySpec,
+		rtlSpec, verifySpec, leased,
 	} {
 		f.Add(seed)
 	}
@@ -80,7 +83,8 @@ func FuzzLeaseBody(f *testing.F) {
 // worker's event stream (every answer to GET /v1/events) during a one-job
 // fleet drive under a short deadline: the drive never panics, ends with a
 // well-formed summary, and writes nothing outside the job's run directory,
-// whatever output keys the events name.
+// whatever output keys the events name. Events that name no lease get the
+// one the worker was offered, so a fuzzed done event is honoured and lands.
 func FuzzEventStream(f *testing.F) {
 	payload := hostutil.HashBytes([]byte("payload"))
 	done := func(status, outputs string) string {
@@ -110,14 +114,19 @@ func FuzzEventStream(f *testing.F) {
 		if _, err := PutBlob(context.Background(), rem, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
+		var lease atomic.Uint64
 		worker := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/status":
-				rw.Write([]byte(`{"slots":1,"jobs":{"x":"running"},"seq":0}`))
+				fmt.Fprintf(rw, `{"protocol":%d,"slots":1,"jobs":{"x":"running"},"seq":0}`, protocolVersion)
 			case "/v1/jobs":
+				var specs []JobSpec
+				if json.NewDecoder(r.Body).Decode(&specs) == nil && len(specs) == 1 {
+					lease.Store(specs[0].Lease)
+				}
 				rw.Write([]byte(`[202]`))
 			case "/v1/events":
-				rw.Write(stream)
+				rw.Write(withLease(stream, lease.Load()))
 			default:
 				http.NotFound(rw, r)
 			}
@@ -151,4 +160,20 @@ func FuzzEventStream(f *testing.F) {
 			return nil
 		})
 	})
+}
+
+// withLease puts lease on every event of stream that names none; a stream
+// that does not decode as events is passed on as it is.
+func withLease(stream []byte, lease uint64) []byte {
+	var evs []Event
+	if json.Unmarshal(stream, &evs) != nil {
+		return stream
+	}
+	for i := range evs {
+		if evs[i].Lease == 0 {
+			evs[i].Lease = lease
+		}
+	}
+	out, _ := json.Marshal(evs)
+	return out
 }

@@ -19,12 +19,14 @@
 // job specs carry only digests; workers fetch what they miss and publish
 // consoles, outputs, and checkpoints the same way. A configuration travels
 // as the type that declares it: an rtl job carries its rtlsim.Config and a
-// farm shard its verify.Params, so no field can be dropped in a copy. A
-// worker of another version fails such a job loudly — an older rtl spec
-// decodes to zero cache geometry, which Execute rejects as a permanent
-// hardware-configuration error, and an older verify spec's fault string
-// does not decode, so its lease is answered 400 — never on a wrong
-// configuration.
+// farm shard its verify.Params, so no field can be dropped in a copy. One
+// protocol version, in GET /v1/status, is checked once, at registration: a
+// worker of another version is never leased to (ErrProtocolVersion). Every
+// offer of a job carries a fresh lease id, unique across runs, that the
+// worker echoes on each event of that lease; the coordinator honours only
+// events of a job's current lease, whatever name they carry. A poll cursor
+// past the end of a worker's log (410) means the worker restarted: it is
+// registered again and the jobs it held are re-leased.
 //
 // Fault model: a worker silent for 100 heartbeats (100 × Poll: 10 s at the
 // default Poll) forfeits its leases. Each forfeited job is re-leased to a
@@ -37,10 +39,11 @@
 // has one owner at a time: it runs twice at once only when its lease
 // expires on a worker that is slow rather than dead. A lease a coordinator
 // left running is adopted by a later lease of its name (409) only for the
-// same work; a name held for other work is answered 423, and the job waits
-// for it or goes to another worker. Draining a fleet run (the
-// first Ctrl-C) takes back every still-queued lease the same way and
-// reports those jobs skipped, as the local pool does; running jobs finish.
+// same work, and takes the adopter's lease id; a name held for other work is
+// answered 423, and the job waits for it or goes to another worker. Draining
+// a fleet run (the first Ctrl-C) takes back every still-queued lease the
+// same way and reports those jobs skipped, as the local pool does; running
+// jobs finish.
 //
 // The package also owns the one way to execute a job, which a worker and a
 // local run share: Execute (exec.go) is the kernel every attempt runs
@@ -50,6 +53,7 @@
 package remote
 
 import (
+	"errors"
 	"time"
 
 	"firemarshal/internal/checkpoint"
@@ -86,6 +90,8 @@ type JobSpec struct {
 	Timeout time.Duration `json:"timeout,omitempty"`
 	Retries int           `json:"retries,omitempty"`
 
+	// Lease identifies this offer of the job; its events echo it.
+	Lease uint64 `json:"lease,omitempty"`
 	// Prior is the attempt count already consumed by earlier leases or an
 	// interrupted earlier run; start events and the final record count
 	// attempts on top of it, so manifests show totals across handoffs.
@@ -132,6 +138,8 @@ type Event struct {
 	Seq  int    `json:"seq"`
 	Type string `json:"type"`
 	Job  string `json:"job"`
+	// Lease is the id of the lease the event belongs to (JobSpec.Lease).
+	Lease uint64 `json:"lease,omitempty"`
 	// Attempt is set on start events (absolute, Prior included).
 	Attempt int `json:"attempt,omitempty"`
 	// Ckpt is set on checkpoint events.
@@ -160,9 +168,18 @@ const (
 	JobDone JobState = "done"
 )
 
+// protocolVersion is the fleet protocol's version, reported by a worker's
+// status and checked once, when the coordinator registers the worker.
+const protocolVersion = 1
+
+// ErrProtocolVersion reports a worker that speaks another protocol version.
+var ErrProtocolVersion = errors.New("remote: worker speaks another protocol version")
+
 // WorkerStatus is GET /v1/status: the registration probe, the heartbeat
 // payload, and the scheduler's load signal all in one.
 type WorkerStatus struct {
+	// Protocol is the worker's protocolVersion.
+	Protocol int `json:"protocol"`
 	// Slots is the worker's simulation concurrency.
 	Slots int `json:"slots"`
 	// Jobs maps each known job to its state.

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -281,5 +282,119 @@ func TestWorkerClient429Backoff(t *testing.T) {
 		if d < time.Second {
 			t.Errorf("backoff %d = %v, want >= the 1s Retry-After hint", i, d)
 		}
+	}
+}
+
+// TestWorkerRestartedInsideTheTTL: a worker restarted at the same address
+// inside the lease TTL lost the lease it held. Its new log ends before the
+// coordinator's cursor, so the next poll is answered 410 and the coordinator
+// registers the worker again and re-leases the job, instead of reading an
+// empty log, heartbeat after heartbeat, until the run is cancelled. A restart
+// is no lease expiry.
+func TestWorkerRestartedInsideTheTTL(t *testing.T) {
+	first := NewWorker(WorkerConfig{Slots: 4, Obs: obs.NewRegistry(),
+		Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+			if spec.Name == "last" { // held until the test ends: the restart takes it
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return &RunOutput{Metrics: launcher.Metrics{Cycles: 7}}, nil
+		})})
+	defer first.Close()
+	restarted := NewWorker(WorkerConfig{Runner: okRunner(8), Slots: 4, Obs: obs.NewRegistry()})
+	defer restarted.Close()
+	var serving atomic.Pointer[Worker]
+	serving.Store(first)
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		serving.Load().ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+
+	landedFour := make(chan struct{})
+	var landed atomic.Int64
+	reg := obs.NewRegistry()
+	ctx, cancel := context.WithTimeout(context.Background(), prompt)
+	defer cancel()
+	done := make(chan struct{})
+	var sum *launcher.Summary
+	var err error
+	go func() {
+		defer close(done)
+		sum, err = Launch(ctx, specsNamed("a", "b", "c", "d", "last"), CoordOptions{
+			Workers: []string{srv.Listener.Addr().String()}, Poll: 5 * time.Millisecond, Obs: reg,
+			OnDone: func(ev Event) error {
+				if landed.Add(1) == 4 {
+					close(landedFour)
+				}
+				return nil
+			},
+		})
+	}()
+	within(t, landedFour, "a-d landing")
+	serving.Store(restarted)
+	<-done
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	for _, r := range sum.Jobs {
+		if r.Status != launcher.StatusOK {
+			t.Errorf("%s: %s (%s), want ok", r.Name, r.Status, r.Err)
+		}
+	}
+	if r := sum.Jobs[4]; r.Metrics.Cycles != 8 {
+		t.Errorf("last ran %d cycles, want the restarted worker's 8", r.Metrics.Cycles)
+	}
+	if n := reg.Counter("remote_lease_expiries_total").Value(); n != 0 {
+		t.Errorf("remote_lease_expiries_total = %d, want 0: a restart is no expiry", n)
+	}
+}
+
+// TestCoordinatorRegistersOnlyItsProtocolVersion: a worker whose status
+// names no protocol version, as one from before the version existed, is
+// never leased to and never probed again. Alone it fails the launch with
+// ErrProtocolVersion before any lease; beside a current worker, the run goes
+// to that worker alone.
+func TestCoordinatorRegistersOnlyItsProtocolVersion(t *testing.T) {
+	var probes, leases atomic.Int64
+	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/status":
+			probes.Add(1)
+			rw.Write([]byte(`{"slots":4,"seq":0}`))
+		case "/v1/jobs":
+			leases.Add(1)
+			rw.Write([]byte(`[202]`))
+		default:
+			rw.Write([]byte(`[]`))
+		}
+	}))
+	defer old.Close()
+	oldAddr := old.Listener.Addr().String()
+	launch := func(workers []string, jobs ...string) (*launcher.Summary, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), prompt)
+		defer cancel()
+		return Launch(ctx, specsNamed(jobs...), CoordOptions{Workers: workers, Poll: 5 * time.Millisecond})
+	}
+
+	if _, err := launch([]string{oldAddr}, "x"); !errors.Is(err, ErrProtocolVersion) {
+		t.Errorf("launch on an older worker alone = %v, want ErrProtocolVersion", err)
+	}
+
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{Slots: 1, Obs: obs.NewRegistry(),
+			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+				time.Sleep(25 * time.Millisecond) // a few Poll ticks, each one a chance to revive
+				return &RunOutput{}, nil
+			})}
+	})
+	sum, err := launch([]string{oldAddr, addrs[0]}, "a", "b")
+	if err != nil || sum.Err() != nil {
+		t.Fatalf("launch beside a current worker: %v, %+v", err, sum)
+	}
+	if n := leases.Load(); n != 0 {
+		t.Errorf("the older worker got %d lease request(s), want none", n)
+	}
+	if n := probes.Load(); n != 2 {
+		t.Errorf("the older worker was probed %d times in two runs, want once per run", n)
 	}
 }

@@ -32,13 +32,10 @@ type WorkerConfig struct {
 
 // wjob is one lease's worker-side state.
 type wjob struct {
-	spec   JobSpec
+	spec   JobSpec // spec.Lease changes only under Worker.mu, on adoption
 	state  JobState
 	stolen bool
 	out    *RunOutput // last successful attempt's output
-	// since is the event log's length when the lease was accepted: the
-	// events of its name before it are an earlier lease's, never served.
-	since int
 	// The line for slots: ahead closes once the lease accepted before this
 	// one has taken a slot (or given up), turn once this one has.
 	ahead, turn chan struct{}
@@ -49,7 +46,8 @@ type wjob struct {
 //	GET    /v1/status            registration probe / load
 //	POST   /v1/jobs              lease jobs (body: []JobSpec; answer: one status per spec)
 //	GET    /v1/events?since=N    the event log from sequence N; with &wait=<ms>
-//	                             held until there is such an event or wait elapses
+//	                             held until there is such an event or wait elapses;
+//	                             410 when N is past the log's end (a restart)
 //	DELETE /v1/jobs/{name}       steal a still-queued job (409 otherwise)
 //
 // Each lease runs through its own single-worker launcher pool, under the
@@ -57,7 +55,7 @@ type wjob struct {
 // concurrency; queued leases take slots in the order they were accepted.
 // Every externally observable fact (attempt starts, replicated
 // checkpoints, terminal records) lands in one worker-global event log the
-// coordinator drains with a single cursor.
+// coordinator drains with a single cursor, each event stamped with its lease.
 type Worker struct {
 	cfg   WorkerConfig
 	mux   *http.ServeMux
@@ -117,15 +115,16 @@ func (w *Worker) logf(format string, args ...any) {
 	fmt.Fprintf(w.cfg.Log, format+"\n", args...)
 }
 
-// emit appends one event to the worker-global log, stamping its sequence.
-func (w *Worker) emit(ev Event) {
+// emit appends one event of lease j to the worker-global log, stamping its
+// sequence and the lease's id.
+func (w *Worker) emit(j *wjob, ev Event) {
 	w.mu.Lock()
-	w.emitLocked(ev)
+	w.emitLocked(j, ev)
 	w.mu.Unlock()
 }
 
-func (w *Worker) emitLocked(ev Event) {
-	ev.Seq = len(w.events)
+func (w *Worker) emitLocked(j *wjob, ev Event) {
+	ev.Seq, ev.Lease = len(w.events), j.spec.Lease
 	w.events = append(w.events, ev)
 	close(w.changed)
 	w.changed = make(chan struct{})
@@ -137,7 +136,7 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	st := WorkerStatus{Slots: w.cfg.Slots, Jobs: map[string]JobState{}, Seq: len(w.events)}
+	st := WorkerStatus{Protocol: protocolVersion, Slots: w.cfg.Slots, Jobs: map[string]JobState{}, Seq: len(w.events)}
 	for name, j := range w.jobs {
 		st.Jobs[name] = j.state
 	}
@@ -147,9 +146,9 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease answers an array of specs with one status per spec, in order:
-// 202 accepted, 409 already held (not terminal) for the same work, 423 the
-// name is held (not terminal) for other work, 503 shutting down, 400
-// nameless. Accepted leases take slots in array order.
+// 202 accepted, 409 already held (not terminal) for the same work, which takes
+// the new lease id, 423 the name is held (not terminal) for other work, 503
+// shutting down, 400 nameless. Accepted leases take slots in array order.
 func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
@@ -180,10 +179,11 @@ func (w *Worker) lease(spec JobSpec) int {
 	}
 	w.mu.Lock()
 	if old, exists := w.jobs[spec.Name]; exists && old.state != JobDone {
-		w.mu.Unlock()
+		defer w.mu.Unlock()
 		// A name outlives its coordinator: the lease one left running is
-		// this lease only if it computes the same result.
+		// this lease, and carries its id, only if it does the same work.
 		if sameWork(old.spec, spec) {
+			old.spec.Lease = spec.Lease
 			return http.StatusConflict
 		}
 		return http.StatusLocked
@@ -191,7 +191,7 @@ func (w *Worker) lease(spec JobSpec) int {
 	// A terminal entry is re-leasable: the coordinator arbitrates leases,
 	// and re-running is deterministic, so a re-lease (post-forfeit retry,
 	// the next run of the workload) just computes its record again.
-	j := &wjob{spec: spec, state: JobQueued, since: len(w.events), ahead: w.tail, turn: make(chan struct{})}
+	j := &wjob{spec: spec, state: JobQueued, ahead: w.tail, turn: make(chan struct{})}
 	w.tail = j.turn
 	w.jobs[spec.Name] = j
 	w.mu.Unlock()
@@ -204,11 +204,11 @@ func (w *Worker) lease(spec JobSpec) int {
 }
 
 // sameWork reports whether two specs compute the same result: they differ
-// at most in attempt bookkeeping (Prior, Resumed, Ckpt) and the attempt
+// at most in Lease, attempt bookkeeping (Prior, Resumed, Ckpt) and the attempt
 // policy (Timeout, Retries), as a `-resume` after a coordinator crash does.
 func sameWork(a, b JobSpec) bool {
 	for _, s := range []*JobSpec{&a, &b} {
-		s.Prior, s.Resumed, s.Ckpt, s.Timeout, s.Retries = 0, false, nil, 0, 0
+		s.Lease, s.Prior, s.Resumed, s.Ckpt, s.Timeout, s.Retries = 0, 0, false, nil, 0, 0
 	}
 	return reflect.DeepEqual(a, b)
 }
@@ -240,10 +240,10 @@ func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusOK)
 }
 
-// handleEvents answers the log from the since cursor, less a re-leased
-// name's events from before its lease. With wait=<ms> an empty answer is
-// held until there is such an event, wait elapses, the request is cancelled
-// or the worker shuts down.
+// handleEvents answers the log from the since cursor. With wait=<ms> an
+// empty answer is held until there is an event, wait elapses, the request is
+// cancelled or the worker shuts down. A cursor past the log's end was handed
+// out by an earlier process at this address: it is answered 410.
 func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
@@ -261,11 +261,12 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	var evs []Event
 	for {
 		w.mu.Lock()
-		for _, ev := range w.events[min(since, len(w.events)):] {
-			if j := w.jobs[ev.Job]; j == nil || ev.Seq >= j.since {
-				evs = append(evs, ev)
-			}
+		if since > len(w.events) {
+			w.mu.Unlock()
+			http.Error(rw, "cursor past the event log: the worker restarted", http.StatusGone)
+			return
 		}
+		evs = w.events[since:]
 		changed := w.changed
 		w.mu.Unlock()
 		if len(evs) > 0 || held.Err() != nil {
@@ -307,11 +308,11 @@ func (w *Worker) runLease(j *wjob) {
 		return
 	}
 	j.state = JobRunning
+	spec := j.spec
 	w.mu.Unlock()
 	w.cfg.Obs.Gauge("remote_worker_busy").Set(float64(len(w.slots)))
 	defer func() { w.cfg.Obs.Gauge("remote_worker_busy").Set(float64(len(w.slots))) }()
 
-	spec := j.spec
 	pool := launcher.New(launcher.Options{
 		Workers: 1,
 		Timeout: spec.Timeout,
@@ -324,8 +325,8 @@ func (w *Worker) runLease(j *wjob) {
 		Prior:   spec.Prior,
 		Resumed: spec.Resumed,
 		Run: func(ctx context.Context, attempt int) (launcher.Metrics, error) {
-			w.emit(Event{Type: EventStart, Job: spec.Name, Attempt: spec.Prior + attempt})
-			out, err := w.cfg.Runner.Run(ctx, spec, w.emit)
+			w.emit(j, Event{Type: EventStart, Job: spec.Name, Attempt: spec.Prior + attempt})
+			out, err := w.cfg.Runner.Run(ctx, spec, func(ev Event) { w.emit(j, ev) })
 			if err != nil {
 				return launcher.Metrics{}, err
 			}
@@ -351,7 +352,7 @@ func (w *Worker) finishCancelled(j *wjob) {
 }
 
 // finish marks the job done and publishes its terminal event, in one step:
-// a re-lease of the name sees both or neither.
+// an adoption sees both or neither, so the event carries the adopter's id.
 func (w *Worker) finish(j *wjob, rec launcher.Record) {
 	ev := Event{Type: EventDone, Job: j.spec.Name, Record: &rec}
 	w.cfg.Obs.Counter("remote_worker_jobs_done_total").Inc()
@@ -362,7 +363,7 @@ func (w *Worker) finish(j *wjob, rec launcher.Record) {
 		ev.Outputs = j.out.Outputs
 		ev.Stats = j.out.Stats
 	}
-	w.emitLocked(ev)
+	w.emitLocked(j, ev)
 	w.mu.Unlock()
 	w.logf("worker: job %s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
 }
