@@ -291,7 +291,7 @@ func BenchmarkJobParallelism(b *testing.B) {
 	_ = wlDir
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serial, err := RunInstalled(cfg, SimOptions{RTL: DefaultRTLConfig(), OutputDir: filepath.Join(b.TempDir(), "s")})
+		serial, err := RunInstalled(cfg, SimOptions{RTL: DefaultRTLConfig(), Jobs: 1, OutputDir: filepath.Join(b.TempDir(), "s")})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func run(args []string) (code int) {
 	icacheKiB := fs.Int("icache-kib", 16, "L1 instruction cache size (KiB)")
 	dcacheKiB := fs.Int("dcache-kib", 16, "L1 data cache size (KiB)")
 	var jobs int
-	fs.IntVar(&jobs, "j", 0, "number of concurrent job simulations (0 = sequential)")
+	fs.IntVar(&jobs, "j", 0, "number of concurrent job simulations (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&jobs, "jobs", 0, "alias for -j")
 	timeout := fs.Duration("timeout", 0, "per-job simulation timeout (0 = none)")
 	retries := fs.Int("retries", 0, "retry transiently-failing jobs up to N times")

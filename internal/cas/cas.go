@@ -40,6 +40,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"firemarshal/internal/hostutil"
@@ -62,6 +63,7 @@ var ErrInvalid = errors.New("cas: invalid key")
 //	                      temp files of writes in flight (.tmp-*) sit beside them
 //	<dir>/actions         the action log: one CRC-framed record per line
 //	<dir>/quarantine/     corrupt blobs moved aside
+//	<dir>/old-layout/     an older version's store, set aside unread by Open
 //
 // One inode per distinct artifact and one for all action records. A Store
 // has no Close: its one descriptor, the log's, goes with it.
@@ -148,28 +150,58 @@ type GCStats struct {
 }
 
 // Open initializes (or reuses) a store at dir. A store in an older layout
-// is migrated first, once (migrate.go); one announcing a newer layout is
-// refused.
+// reads as empty (setAside); one announcing a newer layout is refused.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cas: empty store directory")
+	}
+	locked, err := setAside(dir)
+	defer locked.Close() // nil, or dir under its flock until the fresh log exists
+	if err != nil {
+		return nil, fmt.Errorf("cas: setting aside the older layout of %s: %w", dir, err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("cas: opening store: %w", err)
 	}
 	s := &Store{dir: dir, held: map[string]int{}}
 	s.log.path = filepath.Join(dir, "actions")
-	if fi, err := os.Stat(s.log.path); err != nil || fi.IsDir() {
-		// No log yet: a fresh store, an older layout, or a migration a
-		// crash cut short.
-		if err := migrate(dir); err != nil {
-			return nil, fmt.Errorf("cas: migrating %s to layout %d: %w", dir, layoutVersion, err)
-		}
-	}
 	if _, err := s.log.reopen(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// setAside moves an older layout — an actions/ tree (layouts 1 and 2) or the
+// actions.new a crash left mid-migration — and blobs/, unread, into
+// <dir>/old-layout for GC to remove: no key in it can hit any more. The
+// markers move last, so no opener takes the old blobs/ for a fresh store's.
+// Openers take turns under a flock on dir, returned for Open to hold until its
+// fresh log exists, and check again under it: that log must stay, or its
+// handle would append where nothing reads.
+func setAside(dir string) (locked *os.File, err error) {
+	older := func() bool {
+		fi, err := os.Stat(filepath.Join(dir, "actions"))
+		_, leftover := os.Lstat(filepath.Join(dir, "actions.new"))
+		return err == nil && fi.IsDir() || leftover == nil
+	}
+	if !older() {
+		return nil, nil
+	}
+	if locked, err = os.Open(dir); err != nil {
+		return nil, err
+	}
+	if err := flock(locked, syscall.LOCK_EX); err != nil || !older() {
+		return locked, err
+	}
+	aside := filepath.Join(dir, "old-layout")
+	os.Mkdir(aside, 0o755) // present after a set-aside a crash cut short
+	for _, name := range []string{"blobs", "actions", "actions.new"} {
+		os.RemoveAll(filepath.Join(aside, name)) // what it moved there: garbage either way
+		if err := os.Rename(filepath.Join(dir, name), filepath.Join(aside, name)); err != nil && !os.IsNotExist(err) {
+			return locked, err
+		}
+	}
+	return locked, nil
 }
 
 // Dir returns the store's root directory.
@@ -674,13 +706,16 @@ const staleTempAge = time.Hour
 //
 // Anything spared by a guard is simply unreferenced garbage to the NEXT
 // collection if it really was garbage — the guards only delay
-// reclamation, never leak it. The sweep also removes temp files more than
-// staleTempAge old, which only a killed writer leaves. Collections on one
-// Store handle are serialized.
+// reclamation, never leak it. GC also removes an older layout Open set
+// aside, and temp files more than staleTempAge old, which only a killed
+// writer leaves. Collections on one Store handle are serialized.
 func (s *Store) GC(live, pinned map[string]bool) (GCStats, error) {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
 	var st GCStats
+	if err := os.RemoveAll(filepath.Join(s.dir, "old-layout")); err != nil {
+		return st, err
+	}
 	start := time.Now()
 	referenced, removed, err := s.log.compact(filepath.Join(s.dir, "blobs"), func(key string, at int64) bool {
 		return live[key] || at >= start.UnixNano() // appended mid-collection: the snapshot can't judge it

@@ -11,8 +11,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +20,8 @@ import (
 )
 
 // Store layout v3: the action log shared between handles and processes,
-// its salvaging reader, compaction, and the one-shot migration.
+// its salvaging reader, compaction, and what Open does with an older or a
+// newer layout.
 
 const (
 	helperEnv     = "CAS_TEST_APPEND_HELPER" // "<store dir>:<process id>"
@@ -46,19 +47,23 @@ func helperAction(proc, i int) *Action {
 	}
 }
 
-// appendHelper opens the store, says so, waits for its stdin to close (the
-// start signal, so both helpers append at once) and appends its records.
+// appendHelper says it is up, opens the store on a line from its stdin, says
+// so, waits for its stdin to close (the start signal, so both helpers append
+// at once) and appends its records.
 func appendHelper(spec string) int {
 	dir, id, _ := strings.Cut(spec, ":")
 	var proc int
 	fmt.Sscan(id, &proc)
+	in := bufio.NewReader(os.Stdin)
+	fmt.Println("up")
+	in.ReadString('\n')
 	s, err := Open(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
 		return 1
 	}
 	fmt.Println("ready")
-	io.Copy(io.Discard, os.Stdin)
+	io.Copy(io.Discard, in)
 	for i := 0; i < helperRecords; i++ {
 		if err := s.PutAction(helperAction(proc, i)); err != nil {
 			fmt.Fprintln(os.Stderr, "helper:", err)
@@ -69,11 +74,18 @@ func appendHelper(spec string) int {
 }
 
 // startAppenders starts two helper processes on dir and returns once both
-// have the store open; release starts their appends and wait collects them.
-func startAppenders(t *testing.T, dir string) (release func(), wait func()) {
+// have the store open; they open it at once, while each alongside runs
+// here. release starts their appends and wait collects them.
+func startAppenders(t *testing.T, dir string, alongside ...func()) (release func(), wait func()) {
 	t.Helper()
 	var cmds []*exec.Cmd
-	var stdins []io.Closer
+	var stdins []io.WriteCloser
+	var outs []*bufio.Reader
+	expect := func(proc int, want string) {
+		if line, err := outs[proc].ReadString('\n'); err != nil || line != want {
+			t.Fatalf("helper %d: %q, %v; want %q", proc, line, err, want)
+		}
+	}
 	for proc := 0; proc < 2; proc++ {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%s:%d", helperEnv, dir, proc))
@@ -89,10 +101,17 @@ func startAppenders(t *testing.T, dir string) (release func(), wait func()) {
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if line, err := bufio.NewReader(out).ReadString('\n'); err != nil || line != "ready\n" {
-			t.Fatalf("helper %d did not come up: %q, %v", proc, line, err)
-		}
-		cmds, stdins = append(cmds, cmd), append(stdins, in)
+		cmds, stdins, outs = append(cmds, cmd), append(stdins, in), append(outs, bufio.NewReader(out))
+		expect(proc, "up\n")
+	}
+	for _, in := range stdins {
+		io.WriteString(in, "open\n")
+	}
+	for _, f := range alongside {
+		f()
+	}
+	for proc := range cmds {
+		expect(proc, "ready\n")
 	}
 	release = func() {
 		for _, in := range stdins {
@@ -434,7 +453,7 @@ func TestGCRemovesStaleTempFiles(t *testing.T) {
 	}
 }
 
-// --- migration ---
+// --- older layouts ---
 
 // oldStore writes a layout 1 (flat) or layout 2 (sharded) store by hand,
 // as the binaries of that time did, with a killed writer's temp file in it.
@@ -470,12 +489,16 @@ func oldStore(t *testing.T, dir string, sharded bool, blobs [][]byte, actions []
 	}
 }
 
-// TestMigrationMatrix: a layout 2 store, a layout 1 store, a store whose
-// migration died at each step, and a layout 3 store all open to the same
-// actions, usage and blob bytes, in the one layout.
-func TestMigrationMatrix(t *testing.T) {
+// TestOlderLayoutReadsAsEmpty: a layout 1 store, a layout 2 store, and the
+// two states an older version's migration left when a crash cut it short
+// (its folded log actions.new beside the actions/ tree, or alone) each open
+// as an empty layout 3 store, with nothing of the old one left after a GC.
+// Eight handles here and two processes opening one at once all land on one
+// log: every handle sees every handle's records.
+func TestOlderLayoutReadsAsEmpty(t *testing.T) {
 	var blobs [][]byte
 	var actions []*Action
+	folded := headerLine()
 	for i := 0; i < 6; i++ {
 		data := []byte(fmt.Sprintf("artifact %d of an old store", i))
 		blobs = append(blobs, data)
@@ -484,135 +507,111 @@ func TestMigrationMatrix(t *testing.T) {
 			Task:    fmt.Sprintf("bin:%d", i),
 			Outputs: []Output{{Name: "out", Digest: hostutil.HashBytes(data), Mode: 0o755, Size: int64(len(data))}},
 		})
-	}
-	actions = append(actions, &Action{Key: hostutil.HashBytes([]byte("probe")), Task: "probe"})
-	v2 := func(t *testing.T, dir string) { oldStore(t, dir, true, blobs, actions) }
-	folded := func(t *testing.T, dir string) {
-		v2(t, dir)
-		if err := flattenBlobs(filepath.Join(dir, "blobs")); err != nil {
-			t.Fatal(err)
-		}
-		if err := foldActionFiles(filepath.Join(dir, "actions"), filepath.Join(dir, "actions.new"), filepath.Join(dir, "blobs")); err != nil {
-			t.Fatal(err)
-		}
+		payload, _ := json.Marshal(actions[i])
+		folded = frame(folded, 1, payload)
 	}
 	cases := []struct {
-		name  string
-		build func(t *testing.T, dir string)
+		name     string
+		sharded  bool      // blobs/<aa>/ and actions/<aa>/, or flat
+		tree     []*Action // the actions/ tree's records
+		leftover bool      // actions.new
 	}{
-		{"layout 2", v2},
-		{"layout 1", func(t *testing.T, dir string) { oldStore(t, dir, false, blobs, actions) }},
-		{"killed while flattening blobs", func(t *testing.T, dir string) {
-			v2(t, dir)
-			first := hostutil.HashBytes(blobs[0])
-			sharded, err := filepath.Glob(filepath.Join(dir, "blobs", "*", first))
-			if err != nil || len(sharded) != 1 {
-				t.Fatal(sharded, err)
-			}
-			if err := os.Rename(sharded[0], BlobPath(dir, first)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"killed with the log folded", folded},
-		{"killed while removing the old tree", func(t *testing.T, dir string) {
-			folded(t, dir)
-			shards, err := os.ReadDir(filepath.Join(dir, "actions"))
-			if err != nil || len(shards) < 2 {
-				t.Fatal(shards, err)
-			}
-			if err := os.RemoveAll(filepath.Join(dir, "actions", shards[0].Name())); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"killed before the last rename", func(t *testing.T, dir string) {
-			folded(t, dir)
-			if err := os.RemoveAll(filepath.Join(dir, "actions")); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"layout 3", func(t *testing.T, dir string) {
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, data := range blobs {
-				if _, err := s.Put(data); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, a := range actions {
-				if err := s.PutAction(a); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}},
+		{"layout 1", false, actions, false},
+		{"layout 2", true, actions, false},
+		{"actions tree and actions.new", true, actions, true},
+		{"actions.new alone", false, nil, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			c.build(t, dir)
+			oldStore(t, dir, c.sharded, blobs, c.tree)
+			if c.leftover {
+				if err := os.WriteFile(filepath.Join(dir, "actions.new"), folded, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			s, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			logBytes, err := os.ReadFile(filepath.Join(dir, "actions"))
-			if err != nil {
-				t.Fatalf("no action log after Open: %v", err)
+			got, aerr := s.Actions()
+			u, uerr := s.Usage()
+			problems, verr := s.Verify()
+			if err := errors.Join(aerr, uerr, verr); len(got) != 0 || u != (Usage{}) || len(problems) != 0 || err != nil {
+				t.Errorf("%d actions, Usage() = %+v, Verify() = %q, %v; want an empty, clean store", len(got), u, problems, err)
 			}
-			got, err := s.Actions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := json.Marshal(sortedByKey(actions))
-			if have, _ := json.Marshal(got); !bytes.Equal(have, want) {
-				t.Errorf("Actions() = %s\nwant %s", have, want)
-			}
-			var total int64
-			for _, data := range blobs {
-				total += int64(len(data))
-				if have, err := s.Get(hostutil.HashBytes(data)); err != nil || !bytes.Equal(have, data) {
-					t.Errorf("blob %q: %v", data, err)
-				}
-			}
-			if u, err := s.Usage(); err != nil || u != (Usage{Blobs: len(blobs), BlobBytes: total, Actions: len(actions)}) {
-				t.Errorf("Usage() = %+v, %v", u, err)
-			}
-			if problems, err := s.Verify(); err != nil || len(problems) != 0 {
-				t.Errorf("Verify() = %q, %v", problems, err)
-			}
-			// One layout: the log, the flat blobs, and nothing of the old ones.
-			top, _ := os.ReadDir(dir)
-			for _, e := range top {
-				if e.Name() != "actions" && e.Name() != "blobs" {
-					t.Errorf("left behind: %s", e.Name())
-				}
-			}
-			entries, _ := os.ReadDir(filepath.Join(dir, "blobs"))
-			for _, e := range entries {
-				if !e.Type().IsRegular() || !validDigest(e.Name()) && !isTemp(e.Name()) {
-					t.Errorf("blobs/%s is neither a blob nor a temp file", e.Name())
-				}
-			}
-			// What stops the parent commit's binary: its Open starts with
-			// MkdirAll(<dir>/actions).
-			if err := os.MkdirAll(filepath.Join(dir, "actions"), 0o755); err == nil {
-				t.Error("MkdirAll(<dir>/actions) succeeded on a layout 3 store")
-			}
-			// Opening again is a no-op.
+			// A second Open leaves the log alone; a layout 1 or 2 binary's,
+			// which begins with MkdirAll(<dir>/actions), fails.
+			log := filepath.Join(dir, "actions")
+			logBytes, _ := os.ReadFile(log)
 			if _, err := Open(dir); err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := os.ReadFile(filepath.Join(dir, "actions")); !bytes.Equal(again, logBytes) {
+			if fi, err := os.Stat(log); err != nil || !fi.Mode().IsRegular() || os.MkdirAll(log, 0o755) == nil {
+				t.Fatalf("actions after Open: %v, %v; want a regular file that MkdirAll fails on", fi, err)
+			}
+			if again, _ := os.ReadFile(log); !bytes.Equal(again, logBytes) {
 				t.Error("a second Open rewrote the log")
+			}
+			if _, err := s.GC(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if top, _ := os.ReadDir(dir); len(top) != 2 || top[0].Name() != "actions" || top[1].Name() != "blobs" {
+				t.Errorf("after GC the store holds %v, want [actions blobs/]", top)
+			}
+			digest, err := s.Put(blobs[0])
+			if err := errors.Join(err, s.PutAction(actions[0])); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := fresh.Get(digest)
+			a, aerr := fresh.GetAction(actions[0].Key)
+			if !bytes.Equal(data, blobs[0]) || !reflect.DeepEqual(a, actions[0]) {
+				t.Errorf("put after the set-aside: blob %q, %v; action %+v, %v", data, err, a, aerr)
 			}
 		})
 	}
-}
-
-func sortedByKey(actions []*Action) []*Action {
-	out := append([]*Action(nil), actions...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	t.Run("opened at once", func(t *testing.T) {
+		dir := t.TempDir()
+		oldStore(t, dir, true, blobs, actions)
+		handles := make([]*Store, 8)
+		errs := make([]error, len(handles))
+		release, wait := startAppenders(t, dir, func() {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := range handles {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					handles[i], errs[i] = Open(dir)
+				}()
+			}
+			close(start)
+			wg.Wait()
+		})
+		release()
+		wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range handles {
+			if err := s.PutAction(helperAction(2+i, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range handles {
+			checkHelperRecords(t, s)
+			for i := range handles {
+				if _, err := s.GetAction(helperAction(2+i, 0).Key); err != nil {
+					t.Errorf("handle %d's record: %v", i, err)
+				}
+			}
+		}
+	})
 }
 
 // TestNewerLayoutRefused: a store whose log announces a layout this binary

@@ -34,7 +34,7 @@ type Options struct {
 	// RTL is the hardware configuration (predictor, caches, ...).
 	RTL rtlsim.Config
 	// Jobs caps how many independent OS jobs simulate concurrently on the
-	// host (`firesim -j N`). <=0 means sequential.
+	// host (`firesim -j N`). <=0 means GOMAXPROCS; 1 runs sequentially.
 	Jobs int
 	// Timeout kills any single job attempt that exceeds it (0 = none).
 	// The kill is cooperative: the RTL platform polls its Stop channel
@@ -197,7 +197,7 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	run.Jobs = nodes
 	run.ManifestPath = opts.ManifestPath
 	run.Retries = opts.Retries
-	run.Slots = max(opts.Jobs, 1)
+	run.Slots = opts.Jobs
 	run.Fleet = remote.CoordOptions{Workers: opts.Workers, Poll: opts.WorkerPoll}
 	if opts.CkptEvery > 0 || opts.Resume {
 		// Pointers and blobs live outside the per-job output directories,

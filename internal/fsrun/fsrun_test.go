@@ -97,7 +97,7 @@ func TestMultiJobParallelMatchesSerial(t *testing.T) {
     {"name": "b", "command": "echo job-b > /output/r.txt", "outputs": ["/output/r.txt"]},
     {"name": "c", "command": "echo job-c > /output/r.txt", "outputs": ["/output/r.txt"]}
   ]}`, nil)
-	serial, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/s"})
+	serial, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/s", Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +117,22 @@ func TestMultiJobParallelMatchesSerial(t *testing.T) {
 		if sc[j.Name] != j.Cycles {
 			t.Errorf("job %s cycles differ: serial=%d parallel=%d", j.Name, sc[j.Name], j.Cycles)
 		}
+	}
+}
+
+// TestJobsZeroMeansGOMAXPROCS: Jobs 0 runs as many OS jobs at once as
+// GOMAXPROCS allows, as `marshal launch -j 0` does.
+func TestJobsZeroMeansGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg, _ := buildInstalled(t, `{
+  "name": "w", "base": "br-base",
+  "jobs": [{"name": "a", "command": "echo a"}, {"name": "b", "command": "echo b"}, {"name": "c", "command": "echo c"}]}`, nil)
+	res, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir() + "/o"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Workers != 2 {
+		t.Fatalf("Jobs 0 under GOMAXPROCS 2 ran %d at once, want 2", res.Summary.Workers)
 	}
 }
 

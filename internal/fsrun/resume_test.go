@@ -115,6 +115,7 @@ func TestFiresimCrashResumeCycleExact(t *testing.T) {
 	}()
 	_, err = Run(cfg, Options{
 		RTL:          rtlsim.DefaultConfig(),
+		Jobs:         1,
 		OutputDir:    outDir,
 		ManifestPath: manifest,
 		Context:      ctx,
