@@ -227,21 +227,23 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 	fuzzSteps, _ := fuzzJob["steps"].([]any)
 	for target, pkg := range map[string]string{
-		"FuzzCacheVsReference": "./internal/sim/cache",
-		"FuzzTageVsReference":  "./internal/sim/bpred",
-		"FuzzTimedVsReference": "./internal/sim/rtlsim",
-		"FuzzDecodeEncode":     "./internal/isa",
-		"FuzzDecode":           "./internal/fsimg",
-		"FuzzDecodeCPIO":       "./internal/fsimg",
-		"FuzzLeaseBody":        "./internal/launcher/remote",
-		"FuzzEventStream":      "./internal/launcher/remote",
-		"FuzzActionLog":        "./internal/cas",
-		"FuzzLoadPointer":      "./internal/checkpoint",
-		"FuzzDecodePack":       "./internal/checkpoint",
-		"FuzzFirmwareDecode":   "./internal/firmware",
-		"FuzzStateDB":          "./internal/dag",
-		"FuzzReadManifest":     "./internal/launcher",
-		"FuzzInstallLoad":      "./internal/install",
+		"FuzzCacheVsReference":     "./internal/sim/cache",
+		"FuzzTageVsReference":      "./internal/sim/bpred",
+		"FuzzTimedVsReference":     "./internal/sim/rtlsim",
+		"FuzzFastVsReference":      "./internal/sim",
+		"FuzzTraceTierVsReference": "./internal/sim",
+		"FuzzDecodeEncode":         "./internal/isa",
+		"FuzzDecode":               "./internal/fsimg",
+		"FuzzDecodeCPIO":           "./internal/fsimg",
+		"FuzzLeaseBody":            "./internal/launcher/remote",
+		"FuzzEventStream":          "./internal/launcher/remote",
+		"FuzzActionLog":            "./internal/cas",
+		"FuzzLoadPointer":          "./internal/checkpoint",
+		"FuzzDecodePack":           "./internal/checkpoint",
+		"FuzzFirmwareDecode":       "./internal/firmware",
+		"FuzzStateDB":              "./internal/dag",
+		"FuzzReadManifest":         "./internal/launcher",
+		"FuzzInstallLoad":          "./internal/install",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

@@ -2,71 +2,133 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"firemarshal/internal/asm"
+	"firemarshal/internal/isa"
 	"firemarshal/internal/workgen"
 )
 
-// diffRun executes src on two fresh machines — one through the reference
-// StepInto loop, one through the predecoded fast path — and asserts the
-// two end in bit-identical architectural state with identical console
-// output, exit code, and retired-instruction / cycle counts. This is the
-// harness that locks "fast ≡ reference": any divergence in the fast
-// loop's semantics is a test failure, not a silent mis-simulation.
+// recBase is where the recording test device sits; a load or store at
+// recFault makes it fail.
+const (
+	recBase  = 0x55000000
+	recFault = recBase + 0x38
+)
+
+// devAccess is one access the recording device saw, with the machine
+// state a device is shown at the access.
+type devAccess struct {
+	PC, Instret, Now, Addr uint64
+	Size                   int
+	Val                    uint64
+	Store                  bool
+}
+
+// recDev is a test device that logs every access. A load returns a value
+// derived from the published Instret, so a wrong count changes what the
+// guest computes, not only the log.
+type recDev struct{ log []devAccess }
+
+func (d *recDev) Name() string                { return "rec0" }
+func (d *recDev) AddrRange() (uint64, uint64) { return recBase, recBase + 0x40 }
+
+func (d *recDev) Load(m *Machine, addr uint64, size int) (uint64, uint64, error) {
+	v := m.Instret*0x9e3779b1 ^ addr
+	d.log = append(d.log, devAccess{m.PC, m.Instret, m.Now, addr, size, v, false})
+	if addr == recFault {
+		return 0, 0, fmt.Errorf("rec0: load fault at %#x", addr)
+	}
+	return v, 0, nil
+}
+
+func (d *recDev) Store(m *Machine, addr uint64, size int, val uint64) (uint64, error) {
+	d.log = append(d.log, devAccess{m.PC, m.Instret, m.Now, addr, size, val, true})
+	if addr == recFault {
+		return 0, fmt.Errorf("rec0: store fault at %#x", addr)
+	}
+	return 0, nil
+}
+
+// legResult is everything a run leg leaves behind that another leg must
+// reproduce.
+type legResult struct {
+	m       *Machine
+	n       uint64
+	err     error
+	console []byte
+	log     []devAccess
+}
+
+// runLeg executes exe on a fresh machine with a UART and the recording
+// device, through run.
+func runLeg(exe *isa.Executable, run func(*Machine) (uint64, error), traceOff bool) legResult {
+	m := NewMachine()
+	var console bytes.Buffer
+	dev := &recDev{}
+	m.Console = &console
+	m.SyscallFn = BareSyscalls()
+	m.Devices = []Device{&UART{}, dev}
+	m.MaxInstrs = 50_000_000
+	m.TraceOff = traceOff
+	m.LoadExecutable(exe, DefaultStackTop)
+	n, err := run(m)
+	return legResult{m: m, n: n, err: err, console: console.Bytes(), log: dev.log}
+}
+
+// diffRun executes src on three fresh machines — the reference StepInto
+// loop, the predecoded fast loop with the trace tier off, and the fast
+// loop with traces — and asserts all three end in bit-identical
+// architectural state with identical errors, console output, exit code,
+// retired-instruction / cycle counts and device-access logs (each access
+// with the PC, Instret and Now the device saw). This is the harness that
+// locks "fast ≡ traced ≡ reference": any divergence in either fast
+// executor is a test failure, not a silent mis-simulation.
 func diffRun(t testing.TB, src string) {
 	t.Helper()
 	exe, err := asm.Assemble(src, asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-
-	mk := func() (*Machine, *bytes.Buffer) {
-		m := NewMachine()
-		var console bytes.Buffer
-		m.Console = &console
-		m.SyscallFn = BareSyscalls()
-		m.Devices = []Device{&UART{}}
-		m.MaxInstrs = 50_000_000
-		m.LoadExecutable(exe, DefaultStackTop)
-		return m, &console
-	}
-
-	ref, refOut := mk()
-	refN, refErr := RunReference(ref)
-
-	fast, fastOut := mk()
-	// RunFunctional selects the fast loop when no hooks/trace/tamper are
-	// installed; fail loudly if that precondition ever changes.
-	if fast.Hooks != nil || fast.Trace != nil || fast.TamperFn != nil {
-		t.Fatal("diffRun machine unexpectedly has hooks; fast path not exercised")
-	}
-	fastN, fastErr := RunFunctional(fast)
-
-	if (refErr == nil) != (fastErr == nil) {
-		t.Fatalf("error divergence: reference=%v fast=%v", refErr, fastErr)
-	}
-	if refN != fastN {
-		t.Errorf("retired count divergence: reference=%d fast=%d", refN, fastN)
-	}
-	if ref.Instret != fast.Instret {
-		t.Errorf("Instret divergence: reference=%d fast=%d", ref.Instret, fast.Instret)
-	}
-	if ref.Now != fast.Now {
-		t.Errorf("Now divergence: reference=%d fast=%d", ref.Now, fast.Now)
-	}
-	if ref.ExitCode != fast.ExitCode {
-		t.Errorf("exit code divergence: reference=%d fast=%d", ref.ExitCode, fast.ExitCode)
-	}
-	if ref.Halted != fast.Halted {
-		t.Errorf("halt divergence: reference=%v fast=%v", ref.Halted, fast.Halted)
-	}
-	if rs, fs := ref.Snap(), fast.Snap(); rs != fs {
-		t.Errorf("snapshot divergence:\n  reference: %+v\n  fast:      %+v", rs, fs)
-	}
-	if !bytes.Equal(refOut.Bytes(), fastOut.Bytes()) {
-		t.Errorf("console divergence:\n  reference: %q\n  fast:      %q",
-			refOut.String(), fastOut.String())
+	ref := runLeg(exe, RunReference, false)
+	for _, leg := range []struct {
+		name     string
+		traceOff bool
+	}{{"fast", true}, {"traced", false}} {
+		// RunFunctional takes the fast loop because runLeg installs no
+		// hook, trace writer or tamper function.
+		got := runLeg(exe, RunFunctional, leg.traceOff)
+		if fmt.Sprint(ref.err) != fmt.Sprint(got.err) {
+			t.Fatalf("error divergence: reference=%v %s=%v", ref.err, leg.name, got.err)
+		}
+		if ref.n != got.n {
+			t.Errorf("retired count divergence: reference=%d %s=%d", ref.n, leg.name, got.n)
+		}
+		if ref.m.Now != got.m.Now {
+			t.Errorf("Now divergence: reference=%d %s=%d", ref.m.Now, leg.name, got.m.Now)
+		}
+		if ref.m.ExitCode != got.m.ExitCode || ref.m.Halted != got.m.Halted {
+			t.Errorf("exit divergence: reference=%v/%d %s=%v/%d",
+				ref.m.Halted, ref.m.ExitCode, leg.name, got.m.Halted, got.m.ExitCode)
+		}
+		if rs, gs := ref.m.Snap(), got.m.Snap(); rs != gs {
+			t.Errorf("snapshot divergence:\n  reference: %+v\n  %s: %+v", rs, leg.name, gs)
+		}
+		if !bytes.Equal(ref.console, got.console) {
+			t.Errorf("console divergence:\n  reference: %q\n  %s: %q", ref.console, leg.name, got.console)
+		}
+		if !slices.Equal(ref.log, got.log) {
+			i := 0
+			for i < len(ref.log) && i < len(got.log) && ref.log[i] == got.log[i] {
+				i++
+			}
+			t.Errorf("device log divergence at access %d of %d/%d (reference/%s)", i, len(ref.log), len(got.log), leg.name)
+			if i < len(ref.log) && i < len(got.log) {
+				t.Errorf("  reference: %+v\n  %s: %+v", ref.log[i], leg.name, got.log[i])
+			}
+		}
 	}
 }
 

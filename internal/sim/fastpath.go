@@ -594,9 +594,19 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 					m.traceHits++
 					m.fusionSeen |= t.fusion
 					var nret uint64
-					pc, nret = m.runTrace(t, regs, mem, devLo, devSpan, predLo, predSpan, budget)
+					var err error
+					m.traceDone = budget0 - budget
+					pc, nret, err = m.runTrace(t, regs, mem, devLo, devSpan, predLo, predSpan, budget)
 					budget -= nret
 					m.traceInstrs += nret
+					if err != nil {
+						return err // a device op published state as a slow step does
+					}
+					t.dispatches++
+					t.yield += nret
+					if t.dispatches == traceWindow {
+						m.judgeTrace(t)
+					}
 				}
 			} else {
 				m.noteHot(pc)

@@ -155,11 +155,15 @@ type Machine struct {
 	predLo, predHi   uint64
 
 	// hotTab counts executions of backward-branch targets; traceTab is
-	// the direct-mapped superblock cache compiled from them (trace.go).
-	// Both are pure caches over the predecoded segments: reset on load
-	// and restore, dropped by invalidateCode, never serialized.
-	hotTab   *[hotTabSize]hotEntry
-	traceTab *[traceTabSize]*trace
+	// the direct-mapped superblock cache compiled from them (trace.go),
+	// traceLive a bit per occupied slot, and learnTab the side exits
+	// learned from dropped traces. All are pure caches over the
+	// predecoded segments: reset on load and restore, dropped by
+	// invalidateCode, never serialized.
+	hotTab    *[hotTabSize]hotEntry
+	traceTab  *[traceTabSize]*trace
+	traceLive [traceTabSize / 64]uint64
+	learnTab  *[learnTabSize]learnEntry
 	// Machine-lifetime trace-cache stats. tracesBuilt/traceHits/
 	// traceInvals flush as deltas to the attached shards
 	// (AttachTraceObs); traceInstrs feeds the coverage gauge (fraction
@@ -172,6 +176,14 @@ type Machine struct {
 	// trace — one OR per dispatch, read by TraceFusionKinds for the
 	// verification farm's coverage model.
 	fusionSeen uint32
+	// traceDone is how many instructions runFast had retired without
+	// publishing Instret when it dispatched the running trace, so a device
+	// op can publish the count as of its access. exitPC/exitKind is the
+	// last side exit any trace took, learned when the yield rule drops a
+	// trace (exitNone before any).
+	traceDone uint64
+	exitPC    uint64
+	exitKind  uint8
 
 	// dcache is a small direct-mapped decode cache for code executed
 	// outside the predecoded segments (runtime-written code, misaligned
@@ -394,20 +406,33 @@ func packUop(in isa.Instr) uop {
 	return uop{Op: in.Op, Rd: in.Rd, Rs1: in.Rs1, Rs2: in.Rs2, Imm: int32(in.Imm)}
 }
 
+// segFor returns the predecoded segment containing pc, if any.
+func (m *Machine) segFor(pc uint64) *segCode {
+	for i := range m.segs {
+		s := &m.segs[i]
+		if pc-s.base < s.limit-s.base {
+			return s
+		}
+	}
+	return nil
+}
+
 // fetchSlow is the out-of-line remainder of StepInto's fetch, which tries
 // the current predecoded segment inline: segment switch, then the bounded
-// decode cache, and finally a fresh decode from memory.
+// decode cache, and finally a fresh decode from memory. An empty slot of
+// a segment (a word a store invalidated) is decoded from memory in place,
+// so rewritten code runs predecoded again: a slot is empty or holds the
+// decode of its memory word.
 func (m *Machine) fetchSlow(pc uint64) (isa.Instr, error) {
-	if pc&3 == 0 && pc-m.predLo < m.predHi-m.predLo {
-		for i := range m.segs {
-			s := &m.segs[i]
-			if pc-s.base < s.limit-s.base {
-				if in := s.instrs[(pc-s.base)>>2]; in.Op != isa.OpInvalid {
-					m.curSeg = s
-					return in, nil
-				}
-				break
-			}
+	if s := m.segFor(pc); s != nil && pc&3 == 0 {
+		i := (pc - s.base) >> 2
+		if s.instrs[i].Op == isa.OpInvalid {
+			m.predecode(s, i, uint32(m.Mem.Read(pc, 4)))
+			m.updateCodeGuard()
+		}
+		if in := s.instrs[i]; in.Op != isa.OpInvalid {
+			m.curSeg = s
+			return in, nil
 		}
 	}
 	if m.dcache != nil {

@@ -13,42 +13,65 @@
 // Formation. runFast counts executions of backward-branch targets (the
 // classic loop-head heuristic) in a small direct-mapped table; at
 // hotThreshold the head is compiled. Compilation walks the predecoded
-// uops from the head, assuming every conditional branch goes its static
-// likely direction (backward = taken, forward = not taken) and recording
-// that assumption as the guard's expected outcome, following JALs, and
-// stopping at the first indirect branch, environment instruction
-// (ECALL/EBREAK/CSR), undecodable word, segment exit, or traceMaxOps.
-// If the walk returns to the head the trace is a closed loop and one
-// dispatch runs many iterations. Adjacent instruction pairs with
-// combinable semantics are fused into single trace ops (macro-op
-// fusion): lui+addi (link-time constant), addi+ld / addi+sd (address
-// bump + access), slt[u]+beqz/bnez (compare-and-branch), add+add
-// (compute + accumulate), addi+addi (independent induction bumps). A
-// fused op retires both guest instructions but pays one dispatch.
+// uops from the head, following JALs, and stopping at the first indirect
+// branch, environment instruction (ECALL/EBREAK/CSR), undecodable word,
+// segment exit, or traceMaxOps. Each conditional branch becomes a guard
+// expecting the direction the guest was last seen to take there (see
+// Yield below), or, for a branch never seen to exit a trace, its static
+// likely direction (backward = taken, forward = not taken). If the walk
+// returns to the head the trace is a closed loop and one dispatch runs
+// many iterations. Adjacent instruction pairs with combinable semantics
+// are fused into single trace ops (macro-op fusion): lui+addi (link-time
+// constant), addi+ld / addi+sd (address bump + access), slt[u]+beqz/bnez
+// (compare-and-branch), add+add (compute + accumulate), addi+addi
+// (independent induction bumps). A fused op retires both guest
+// instructions but pays one dispatch.
+//
+// Yield. A trace pays only if its dispatches retire enough instructions
+// to amortize them. runFast counts each trace's dispatches and what they
+// retire; every traceWindow dispatches a trace that retired fewer than
+// traceMinYield instructions per dispatch is dropped. Its last side exit
+// is learned in a direct-mapped table keyed by the exiting op's pc — a
+// guard's observed direction, or a load/store that found a device — and
+// the head recompiles with it. After traceMaxRecompiles recompiles the
+// head gets the n == 0 sentinel and runs on the plain fast loop. The rule
+// judges yield, not the side-exit rate: a trace that exits every pass
+// but retires a long prefix first still pays.
 //
 // Safety invariants (the differential suite enforces all of these):
 //   - Guards: a mispredicted branch exits the trace having retired
 //     exactly the instructions up to and including the branch, with the
 //     architecturally correct next pc. Re-entry goes through runFast.
-//   - MMIO: loads/stores re-check the device range and exit *before*
-//     executing the access (nothing from the op, fused or not, has
-//     retired), so runFast re-executes it and routes to the slow path.
+//   - MMIO: a RAM load/store re-checks the device range and exits
+//     *before* executing the access (nothing from the op, fused or not,
+//     has retired), so runFast re-executes it and routes to the slow
+//     path. An op learned to hit a device compiles to one out-of-line
+//     device op instead: it publishes PC, Instret and Now as of the
+//     access, as StepInto shows a device, goes through m.load/m.store,
+//     and resumes the trace. On a RAM address it exits before the op; a
+//     device error is returned with that state published, exactly as a
+//     slow step leaves it.
 //   - Self-modifying code: traces record the [lo,hi) span of every word
-//     they were compiled from; invalidateCode drops overlapping traces,
-//     and an in-trace store that hits the code guard exits the trace
-//     right after the store retires — even when it just invalidated the
-//     trace it is running in.
+//     they were compiled from; invalidateCode drops overlapping traces
+//     (scanning only the installed slots), and an in-trace store that
+//     hits the code guard exits the trace right after the store retires —
+//     even when it just invalidated the trace it is running in. The
+//     next fetch of the rewritten word decodes it back into its
+//     predecoded slot, so the head compiles again.
 //   - Accounting: dispatch requires budget >= one full pass, and side
 //     exits retire fewer, so a trace can never run past an instruction
 //     limit, Stop-poll chunk, or checkpoint boundary (the budget is
 //     already clamped to all three).
 //   - Checkpoints: the tables are pure caches over predecoded code.
 //     LoadExecutable and RebuildCode reset them, so a restored run
-//     re-detects hotness from scratch and stays bit-identical.
+//     re-learns hotness, directions and device ops from scratch and
+//     stays bit-identical.
 package sim
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"firemarshal/internal/isa"
 )
@@ -66,6 +89,22 @@ const (
 	// traceMaxOps caps superblock length in trace ops (a fused pair is
 	// one op), bounding compile time and mispredict cost.
 	traceMaxOps = 64
+	// learnTabSize is the size of the direct-mapped table of side exits
+	// learned from dropped traces (power of two).
+	learnTabSize = 512
+	// The yield rule (see Yield above): every traceWindow dispatches, a
+	// trace that retired fewer than traceMinYield instructions per
+	// dispatch is dropped and its head recompiled, at most
+	// traceMaxRecompiles times. Chosen from the benchmark's ten shapes and
+	// four mixes at 3 M instructions, traced against the fast loop: 8 is
+	// where a dispatch starts to pay (call_heavy's 4.5 and divide's 3.4
+	// instructions per dispatch lost to the fast loop, branchy's 13 won);
+	// 32 dispatches judge a trace within a few hundred instructions of its
+	// compile; 3 recompiles learn the mmio loop's two device ops and the
+	// smc loop's guard, and stop a head whose exits keep moving.
+	traceWindow        = 32
+	traceMinYield      = 8
+	traceMaxRecompiles = 3
 )
 
 // Synthetic trace-only opcodes, placed above the architectural isa.Op
@@ -92,16 +131,37 @@ const (
 	// topAddiAddi is two independent addis: rd = rs1 + imm and
 	// rd2 = rs2 + imm2, where the second does not read the first's rd.
 	topAddiAddi
+	// topDevice is a load or store learned to hit a device, performed
+	// out of line through traceDevice; imm2 holds its isa.Op. It is not a
+	// fusion kind, so it sits past FusionKindNames.
+	topDevice
 )
 
 // The synthetic opcode space starts at 0x80; the architectural space
 // must stay below it (negative array length here if it ever grows past).
 var _ [0x80 - int(isa.OpREMUW) - 1]struct{}
 
-// hotEntry is one direct-mapped execution counter for a loop-head pc.
+// hotEntry is one direct-mapped execution counter for a loop-head pc,
+// and how often the yield rule has recompiled that head.
 type hotEntry struct {
-	pc    uint64
-	count uint32
+	pc         uint64
+	count      uint32
+	recompiles uint8
+}
+
+// What a trace's side exit teaches about the op at its pc.
+const (
+	exitNone        uint8 = iota
+	exitTaken             // a guard's branch was taken
+	exitFallThrough       // a guard's branch fell through
+	exitDevice            // a RAM load/store found a device
+	exitRAM               // a device op found RAM
+)
+
+// learnEntry is one direct-mapped learned side exit.
+type learnEntry struct {
+	pc   uint64
+	kind uint8
 }
 
 // traceOp is one step of a compiled superblock. Register fields are
@@ -112,7 +172,7 @@ type traceOp struct {
 	pc     uint64 // guest pc of (the first instruction of) this op
 	target uint64 // branch target, JAL link, or precomputed constant
 	imm    int32
-	imm2   int32  // fused second immediate, or topCmpBranch flags
+	imm2   int32  // fused second immediate, topCmpBranch flags, or topDevice's op
 	cum    uint16 // guest instructions retired through this op in a pass
 	op     isa.Op
 	rd     uint8
@@ -129,8 +189,12 @@ type trace struct {
 	next   uint64 // pc after a full pass; == head for a closed loop
 	lo, hi uint64 // [lo, hi) span of every guest word compiled in
 	n      uint64 // guest instructions retired by one full pass; 0 = uncompilable sentinel
-	fusion uint32 // bit (op - topNop) set per synthetic op kind compiled in
+	fusion uint32 // bit (op - topNop) set per fusion kind compiled in
 	ops    []traceOp
+	// dispatches and yield count the current window's dispatches and the
+	// instructions they retired.
+	dispatches uint32
+	yield      uint64
 }
 
 // FusionKindNames names the synthetic trace-op kinds, indexed by the bit
@@ -173,10 +237,11 @@ func (m *Machine) noteHot(pc uint64) {
 	if m.hotTab == nil {
 		m.hotTab = new([hotTabSize]hotEntry)
 		m.traceTab = new([traceTabSize]*trace)
+		m.learnTab = new([learnTabSize]learnEntry)
 	}
 	e := &m.hotTab[(pc>>2)&(hotTabSize-1)]
 	if e.pc != pc {
-		e.pc, e.count = pc, 1
+		*e = hotEntry{pc: pc, count: 1}
 		return
 	}
 	e.count++
@@ -184,24 +249,73 @@ func (m *Machine) noteHot(pc uint64) {
 		return
 	}
 	e.count = 0
-	t := m.compileTrace(pc)
+	m.installTrace(m.compileTrace(pc))
+}
+
+// installTrace puts t in its head's slot, evicting whatever was there,
+// and marks the slot installed. Compiled traces count as built;
+// sentinels do not.
+func (m *Machine) installTrace(t *trace) {
+	i := (t.head >> 2) & (traceTabSize - 1)
 	if t.n != 0 {
 		m.tracesBuilt++
 	}
-	m.traceTab[(pc>>2)&(traceTabSize-1)] = t
+	m.traceTab[i] = t
+	m.traceLive[i/64] |= 1 << (i % 64)
+}
+
+// judgeTrace closes t's yield window, right after t's last dispatch. A
+// trace whose dispatches retired fewer than traceMinYield instructions
+// each is dropped: the last side exit is learned — for a trace that keeps
+// exiting, its own; any other is still what the guest last did at that
+// pc — and its head is recompiled with it, or, once the head has been
+// recompiled traceMaxRecompiles times, gets the sentinel.
+func (m *Machine) judgeTrace(t *trace) {
+	poor := t.yield < traceMinYield*traceWindow
+	t.dispatches, t.yield = 0, 0
+	if !poor || m.traceTab[(t.head>>2)&(traceTabSize-1)] != t {
+		return // paying, or a store into its code already dropped it
+	}
+	if m.exitKind != exitNone {
+		m.learnTab[(m.exitPC>>2)&(learnTabSize-1)] = learnEntry{pc: m.exitPC, kind: m.exitKind}
+	}
+	e := &m.hotTab[(t.head>>2)&(hotTabSize-1)]
+	if e.pc != t.head {
+		*e = hotEntry{pc: t.head}
+	}
+	if e.recompiles == traceMaxRecompiles {
+		m.installTrace(sentinel(t.head))
+		return
+	}
+	e.recompiles++
+	m.installTrace(m.compileTrace(t.head))
+}
+
+// learned returns what a dropped trace's side exit taught about the op
+// at pc, or exitNone.
+func (m *Machine) learned(pc uint64) uint8 {
+	if e := &m.learnTab[(pc>>2)&(learnTabSize-1)]; e.pc == pc {
+		return e.kind
+	}
+	return exitNone
 }
 
 // invalidateTraces drops every trace compiled from a word in [first,
-// last). invalidateCode calls it before touching the uop arrays, so a
-// store into code can never leave a stale superblock installed.
+// last), scanning only the installed slots. invalidateCode calls it
+// before touching the uop arrays, so a store into code can never leave a
+// stale superblock installed. A dropped sentinel is not an invalidation:
+// it was never a built trace.
 func (m *Machine) invalidateTraces(first, last uint64) {
-	if m.traceTab == nil {
-		return
-	}
-	for i, t := range m.traceTab {
-		if t != nil && first < t.hi && last > t.lo {
-			m.traceTab[i] = nil
-			m.traceInvals++
+	for w, live := range m.traceLive {
+		for ; live != 0; live &= live - 1 {
+			i := w*64 + bits.TrailingZeros64(live)
+			if t := m.traceTab[i]; first < t.hi && last > t.lo {
+				m.traceTab[i] = nil
+				m.traceLive[w] &^= 1 << (i % 64)
+				if t.n != 0 {
+					m.traceInvals++
+				}
+			}
 		}
 	}
 }
@@ -213,24 +327,22 @@ func (m *Machine) invalidateTraces(first, last uint64) {
 func (m *Machine) resetTraces() {
 	m.hotTab = nil
 	m.traceTab = nil
+	m.learnTab = nil
+	m.traceLive = [traceTabSize / 64]uint64{}
+	m.exitKind = exitNone
 }
 
-// segFor returns the predecoded segment containing pc, if any.
-func (m *Machine) segFor(pc uint64) *segCode {
-	for i := range m.segs {
-		s := &m.segs[i]
-		if pc-s.base < s.limit-s.base {
-			return s
-		}
-	}
-	return nil
+// sentinel returns the n == 0 trace installed at a head that is not
+// worth compiling, so it stops paying the hotness counter.
+func sentinel(head uint64) *trace {
+	return &trace{head: head, next: head, lo: head, hi: head + 4}
 }
 
 // compileTrace builds a superblock starting at head by walking the
-// predecoded uops along the statically likely path. It always returns a
-// trace; an uncompilable head yields a sentinel with n == 0.
+// predecoded uops along the learned, else statically likely, path. It
+// always returns a trace; an uncompilable head yields a sentinel.
 func (m *Machine) compileTrace(head uint64) *trace {
-	t := &trace{head: head, next: head, lo: head, hi: head + 4}
+	t := sentinel(head)
 	s := m.segFor(head)
 	if s == nil || head&3 != 0 {
 		return t
@@ -242,13 +354,29 @@ func (m *Machine) compileTrace(head uint64) *trace {
 		u := s.uops[(pc-s.base)>>2]
 		return u, u.Op != isa.OpInvalid
 	}
+	// expect is the direction a guard at branch pc bpc with target bt
+	// assumes: the one learned from a side exit there, else the static
+	// guess (backward = taken).
+	expect := func(bpc, bt uint64) bool {
+		switch m.learned(bpc) {
+		case exitTaken:
+			return true
+		case exitFallThrough:
+			return false
+		}
+		return bt <= bpc
+	}
+	// The ops are built on the stack and copied out once at their final
+	// length: a loop whose code is rewritten recompiles on every rewrite.
+	var buf [traceMaxOps]traceOp
+	ops := buf[:0]
 	pc := head
 build:
 	for {
-		if len(t.ops) > 0 && pc == head {
+		if len(ops) > 0 && pc == head {
 			break // closed loop: a full pass re-enters the trace
 		}
-		if len(t.ops) >= traceMaxOps {
+		if len(ops) >= traceMaxOps {
 			break
 		}
 		u, ok := peek(pc)
@@ -302,11 +430,13 @@ build:
 				break
 			}
 			u2, ok2 := peek(pc + 4)
+			// An access learned to hit a device stays a device op.
+			ram := ok2 && m.learned(pc+4) != exitDevice
 			switch {
 			// addi rt, ra, i1 + ld rd, i2(rt) → fused address bump +
 			// load. Both destinations written in architectural order,
 			// so rd == rt stays correct.
-			case ok2 && u2.Op == isa.OpLD && u2.Rs1&31 == op.rd:
+			case ram && u2.Op == isa.OpLD && u2.Rs1&31 == op.rd:
 				op.op = topAddiLd
 				op.rd2 = u2.Rd & 31
 				op.imm2 = u2.Imm
@@ -315,7 +445,7 @@ build:
 			// addi rt, ra, i1 + sd rs, i2(rt) → fused bump + store.
 			// Skipped when rs == rt: the reference order reads the
 			// store value after the bump writes it.
-			case ok2 && u2.Op == isa.OpSD && u2.Rs1&31 == op.rd && u2.Rs2&31 != op.rd:
+			case ram && u2.Op == isa.OpSD && u2.Rs1&31 == op.rd && u2.Rs2&31 != op.rd:
 				op.op = topAddiSd
 				op.rs2 = u2.Rs2 & 31
 				op.imm2 = u2.Imm
@@ -368,7 +498,7 @@ build:
 				op.op = topCmpBranch
 				op.imm2 = flags
 				op.target = bt
-				op.expect = bt <= pc+4 // backward = likely taken
+				op.expect = expect(pc+4, bt)
 				op.n = 2
 				if op.expect {
 					flow = bt
@@ -378,16 +508,22 @@ build:
 			}
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
 			op.target = pc + uint64(u.Imm)
-			op.expect = op.target <= pc // backward = likely taken
+			op.expect = expect(pc, op.target)
 			if op.expect {
 				flow = op.target
 			} else {
 				flow = pc + 4
 			}
+		case isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLD, isa.OpLBU, isa.OpLHU, isa.OpLWU,
+			isa.OpSB, isa.OpSH, isa.OpSW, isa.OpSD:
+			// Loads and stores always stay live (MMIO side effects).
+			if m.learned(pc) == exitDevice {
+				op.op = topDevice
+				op.imm2 = int32(u.Op)
+			}
 		default:
-			// Plain ALU ops writing x0 are architectural nops. Loads
-			// and stores always stay live (MMIO side effects).
-			if op.rd == 0 && !u.Op.IsLoad() && !u.Op.IsStore() {
+			// Plain ALU ops writing x0 are architectural nops.
+			if op.rd == 0 {
 				op.op = topNop
 			}
 		}
@@ -397,19 +533,20 @@ build:
 		if end := op.pc + 4*uint64(op.n); end > t.hi {
 			t.hi = end
 		}
-		t.ops = append(t.ops, op)
+		ops = append(ops, op)
 		pc = flow
 	}
 	t.next = pc
 	var cum uint16
-	for i := range t.ops {
-		cum += uint16(t.ops[i].n)
-		t.ops[i].cum = cum
-		if op := t.ops[i].op; op >= topNop {
+	for i := range ops {
+		cum += uint16(ops[i].n)
+		ops[i].cum = cum
+		if op := ops[i].op; op >= topNop && op < topDevice {
 			t.fusion |= 1 << (op - topNop)
 		}
 	}
 	t.n = uint64(cum)
+	t.ops = slices.Clone(ops)
 	return t
 }
 
@@ -417,8 +554,10 @@ build:
 // while the trace closes on itself and the budget allows another one.
 // It returns the next pc and the number of guest instructions retired.
 // The caller guarantees budget >= t.n, so at least one pass (or a side
-// exit short of one) always fits; retired never exceeds budget.
-func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSpan, predLo, predSpan, budget uint64) (uint64, uint64) {
+// exit short of one) always fits; retired never exceeds budget. A device
+// error is returned with the state as of the access published, the op
+// not retired.
+func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSpan, predLo, predSpan, budget uint64) (uint64, uint64, error) {
 	var retired uint64
 	// Hoisted: the m.invalidateCode call below would otherwise force a
 	// reload of every trace field on each pass (the compiler must assume
@@ -450,17 +589,13 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				}
 				regs[op.rd] = c
 				if ((c != 0) == (op.imm2&2 != 0)) != op.expect {
-					retired += uint64(op.cum)
-					if op.expect {
-						return op.pc + 8, retired // predicted taken, fell through
-					}
-					return op.target, retired
+					return m.guardExit(op, op.pc+4, retired)
 				}
 			case topAddiLd:
 				a := regs[op.rs1] + uint64(op.imm)
 				addr := a + uint64(op.imm2)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc+4, retired)
 				}
 				var v uint64
 				if off := addr & (pageSize - 1); off <= pageSize-8 {
@@ -477,13 +612,23 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 				a := regs[op.rs1] + uint64(op.imm)
 				addr := a + uint64(op.imm2)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc+4, retired)
 				}
 				mem.store64(addr, regs[op.rs2])
 				regs[op.rd] = a
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 8)
-					return op.pc + 8, retired + uint64(op.cum)
+					return op.pc + 8, retired + uint64(op.cum), nil
+				}
+			case topDevice:
+				addr := regs[op.rs1] + uint64(op.imm)
+				before := retired + uint64(op.cum) - 1
+				if addr-devLo >= devSpan {
+					m.exitPC, m.exitKind = op.pc, exitRAM
+					return op.pc, before, nil
+				}
+				if err := m.traceDevice(op, regs, addr, before); err != nil {
+					return op.pc, before, err
 				}
 
 			case isa.OpADD:
@@ -543,33 +688,33 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 
 			case isa.OpBEQ:
 				if (regs[op.rs1] == regs[op.rs2]) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 			case isa.OpBNE:
 				if (regs[op.rs1] != regs[op.rs2]) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 			case isa.OpBLT:
 				if (int64(regs[op.rs1]) < int64(regs[op.rs2])) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 			case isa.OpBGE:
 				if (int64(regs[op.rs1]) >= int64(regs[op.rs2])) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 			case isa.OpBLTU:
 				if (regs[op.rs1] < regs[op.rs2]) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 			case isa.OpBGEU:
 				if (regs[op.rs1] >= regs[op.rs2]) != op.expect {
-					return m.traceExit(op, retired)
+					return m.guardExit(op, op.pc, retired)
 				}
 
 			case isa.OpLD:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var rd uint64
 				if off := addr & (pageSize - 1); off <= pageSize-8 {
@@ -584,7 +729,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLW:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v uint32
 				if off := addr & (pageSize - 1); off <= pageSize-4 {
@@ -599,7 +744,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLWU:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v uint32
 				if off := addr & (pageSize - 1); off <= pageSize-4 {
@@ -614,7 +759,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLH:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v uint16
 				if off := addr & (pageSize - 1); off <= pageSize-2 {
@@ -629,7 +774,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLHU:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v uint16
 				if off := addr & (pageSize - 1); off <= pageSize-2 {
@@ -644,7 +789,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLB:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v byte
 				if p := mem.lookup(addr); p != nil {
@@ -655,7 +800,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpLBU:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				var v byte
 				if p := mem.lookup(addr); p != nil {
@@ -667,42 +812,42 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 			case isa.OpSD:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				mem.store64(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 8)
-					return op.pc + 4, retired + uint64(op.cum)
+					return op.pc + 4, retired + uint64(op.cum), nil
 				}
 			case isa.OpSW:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				mem.store32(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 4)
-					return op.pc + 4, retired + uint64(op.cum)
+					return op.pc + 4, retired + uint64(op.cum), nil
 				}
 			case isa.OpSH:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				mem.store16(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 2)
-					return op.pc + 4, retired + uint64(op.cum)
+					return op.pc + 4, retired + uint64(op.cum), nil
 				}
 			case isa.OpSB:
 				addr := regs[op.rs1] + uint64(op.imm)
 				if addr-devLo < devSpan {
-					return op.pc, retired + uint64(op.cum) - uint64(op.n)
+					return m.deviceExit(op, op.pc, retired)
 				}
 				mem.store8(addr, regs[op.rs2])
 				if addr-predLo < predSpan {
 					m.invalidateCode(addr, 1)
-					return op.pc + 4, retired + uint64(op.cum)
+					return op.pc + 4, retired + uint64(op.cum), nil
 				}
 
 			case isa.OpADDW:
@@ -737,18 +882,58 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 		}
 		retired += tn
 		if tnext != thead {
-			return tnext, retired
+			return tnext, retired, nil
 		}
 	}
-	return thead, retired
+	return thead, retired, nil
 }
 
-// traceExit resolves a mispredicted plain-branch guard: the branch
-// itself retires, and control resumes on the unexpected edge.
-func (m *Machine) traceExit(op *traceOp, retired uint64) (uint64, uint64) {
-	retired += uint64(op.cum)
+// guardExit resolves a mispredicted guard on the branch at bpc: the
+// branch itself retires, control resumes on the unexpected edge, and the
+// direction seen is recorded as the last side exit.
+func (m *Machine) guardExit(op *traceOp, bpc, retired uint64) (uint64, uint64, error) {
+	m.exitPC = bpc
 	if op.expect {
-		return op.pc + 4, retired // predicted taken, fell through
+		m.exitKind = exitFallThrough
+		return bpc + 4, retired + uint64(op.cum), nil
 	}
-	return op.target, retired
+	m.exitKind = exitTaken
+	return op.target, retired + uint64(op.cum), nil
+}
+
+// deviceExit leaves before op, whose access at mpc found a device:
+// nothing of op has retired, and the device access is recorded as the
+// last side exit.
+func (m *Machine) deviceExit(op *traceOp, mpc, retired uint64) (uint64, uint64, error) {
+	m.exitPC, m.exitKind = mpc, exitDevice
+	return op.pc, retired + uint64(op.cum) - uint64(op.n), nil
+}
+
+// traceDevice performs a topDevice op's access at addr, before of the
+// dispatch's instructions having retired, as a slow step would: PC,
+// Instret and Now are published as of the access (the trace tier runs in
+// functional time, one cycle per instruction, so Now moves with
+// Instret), and the access goes through m.load/m.store. On an error that
+// state stays published, as StepInto leaves it; otherwise the fast loop's
+// unpublished bases are put back.
+func (m *Machine) traceDevice(op *traceOp, regs *[32]uint64, addr, before uint64) error {
+	pc, instret, now := m.PC, m.Instret, m.Now
+	done := m.traceDone + before
+	m.PC, m.Instret, m.Now = op.pc, instret+done, now+done
+	o := isa.Op(op.imm2)
+	size := accessSize(o)
+	if o.IsStore() {
+		if _, _, err := m.store(addr, size, regs[op.rs2]); err != nil {
+			return err
+		}
+	} else {
+		_, v, _, err := m.load(addr, size)
+		if err != nil {
+			return err
+		}
+		regs[op.rd] = extendLoad(o, v)
+		regs[0] = 0
+	}
+	m.PC, m.Instret, m.Now = pc, instret, now
+	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"firemarshal/internal/asm"
@@ -194,10 +195,8 @@ func TestTraceInvalidateOverlap(t *testing.T) {
 	m := NewMachine()
 	m.traceTab = new([traceTabSize]*trace)
 	install := func(lo, hi uint64) int {
-		tr := &trace{head: lo, lo: lo, hi: hi, n: 1}
-		i := int((lo >> 2) & (traceTabSize - 1))
-		m.traceTab[i] = tr
-		return i
+		m.installTrace(&trace{head: lo, lo: lo, hi: hi, n: 1})
+		return int((lo >> 2) & (traceTabSize - 1))
 	}
 	cases := []struct {
 		name        string
@@ -315,4 +314,231 @@ func TestTraceCheckpointRestoreMidTrace(t *testing.T) {
 	if resumed.tracesBuilt == 0 {
 		t.Error("resumed run never rebuilt traces")
 	}
+}
+
+// mmioLoopSource polls the device at base every iteration: a byte load
+// folded into the checksum and a byte store of the counter. When the
+// counter reaches faultAt (never, if it is past iters) the store's base
+// moves onto recFault, so the next store raises the recording device's
+// error from the middle of the loop.
+func mmioLoopSource(base uint64, iters, faultAt int) string {
+	return fmt.Sprintf(`
+_start:
+    li t5, %#x
+    li s0, 0
+    li s1, %d
+    li s5, %d
+    li s11, 0
+m_loop:
+    lbu t2, 5(t5)
+    add s11, s11, t2
+    sb s0, 7(t5)
+    addi s0, s0, 1
+    bne s0, s5, m_next
+    li t5, %#x
+m_next:
+    blt s0, s1, m_loop
+    andi a0, s11, 255
+    li a7, 93
+    ecall
+`, base, iters, faultAt, recFault-7)
+}
+
+// smcLoopSource is a loop whose head is rewritten every 64 iterations,
+// toggling `addi s11, s11, 1` and `addi s11, s11, 2`.
+func smcLoopSource(iters int) string {
+	return fmt.Sprintf(`
+_start:
+    li s11, 0
+    la t1, s_loop
+    li t3, 0x001d8d93
+    li t4, 0x00300000
+    li s0, 0
+    li s1, %d
+s_loop:
+    addi s11, s11, 1
+    addi s0, s0, 1
+    andi t0, s0, 63
+    bnez t0, s_next
+    xor t3, t3, t4
+    sw t3, 0(t1)
+s_next:
+    blt s0, s1, s_loop
+    andi a0, s11, 255
+    li a7, 93
+    ecall
+`, iters)
+}
+
+// fwdBranchSource is a loop with a forward branch that is always taken,
+// the direction a static guess gets wrong.
+func fwdBranchSource(iters int) string {
+	return fmt.Sprintf(`
+_start:
+    li s11, 0
+    li s0, 0
+    li s1, %d
+f_loop:
+    addi s11, s11, 3
+    xor s11, s11, s0
+    bnez s1, f_ok
+    li s11, 0
+f_ok:
+    addi s0, s0, 1
+    blt s0, s1, f_loop
+    andi a0, s11, 255
+    li a7, 93
+    ecall
+`, iters)
+}
+
+// TestDiffTraceTierShapes locks fast ≡ traced ≡ reference, device log
+// included, on the three loops the trace tier learns its way through:
+// device accesses, a rewritten head, and an always-taken forward branch.
+func TestDiffTraceTierShapes(t *testing.T) {
+	for name, src := range map[string]string{
+		"mmio":       mmioLoopSource(recBase, 2000, 1<<30),
+		"smc":        smcLoopSource(2000),
+		"fwd-branch": fwdBranchSource(2000),
+	} {
+		t.Run(name, func(t *testing.T) { diffRun(t, src) })
+	}
+}
+
+// TestDiffDeviceErrorInTrace raises a device error from a device op in
+// the middle of a trace: every leg must return the same error with the
+// same PC, Instret and Now published, after the same device accesses.
+func TestDiffDeviceErrorInTrace(t *testing.T) {
+	src := mmioLoopSource(recBase, 2000, 500)
+	diffRun(t, src)
+	exe, err := asm.Assemble(src, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := runLeg(exe, RunFunctional, false)
+	if got.err == nil {
+		t.Fatal("traced run did not fail")
+	}
+	var device bool
+	for _, tr := range got.m.traceTab {
+		for _, op := range tr.opsOrNil() {
+			device = device || op.op == topDevice
+		}
+	}
+	if !device {
+		t.Error("no device op compiled; the error was not raised inside a trace")
+	}
+}
+
+// opsOrNil returns t's ops, or nil for an empty slot.
+func (t *trace) opsOrNil() []traceOp {
+	if t == nil {
+		return nil
+	}
+	return t.ops
+}
+
+// TestTraceTierPays holds the trace tier to its yield on the loops the
+// static compiler lost on: at 3 M instructions, most instructions retire
+// inside traces.
+func TestTraceTierPays(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		src    string
+		minCov float64
+	}{
+		{"mmio", mmioLoopSource(UARTBase, 500_000, 1<<30), 0.9},
+		{"smc", smcLoopSource(594_000), 0.6},
+		{"fwd-branch", fwdBranchSource(500_000), 0.9},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			exe, err := asm.Assemble(c.src, asm.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runLeg(exe, RunFunctional, false)
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			built, hits, invals, traced := got.m.TraceStats()
+			if cov := float64(traced) / float64(got.n); cov < c.minCov {
+				t.Errorf("coverage %.2f over %d instructions, want >= %.2f (built %d, dispatches %d, invalidations %d)",
+					cov, got.n, c.minCov, built, hits, invals)
+			}
+		})
+	}
+}
+
+// TestTraceInvalidationsCountBuiltTraces checks sim_trace_invalidations
+// counts only compiled traces a store dropped: on a loop whose head is
+// rewritten every 64 iterations, every invalidation drops a trace that
+// was built, so there can be no more invalidations than traces built.
+func TestTraceInvalidationsCountBuiltTraces(t *testing.T) {
+	m := traceRun(t, smcLoopSource(20_000))
+	built, _, invals, _ := m.TraceStats()
+	if invals == 0 {
+		t.Fatal("no invalidation; the rewrite missed the trace")
+	}
+	if invals > built {
+		t.Errorf("%d invalidations > %d traces built: a sentinel was counted", invals, built)
+	}
+}
+
+// FuzzTraceTierVsReference fuzzes fast ≡ traced ≡ reference over one loop
+// template whose device-access period, store-into-code period and
+// forward-branch bias come from the fuzz bytes (0 = never), so guards
+// flip, device ops get learned and retired, and traces are rewritten
+// under one another in every proportion.
+func FuzzTraceTierVsReference(f *testing.F) {
+	for _, seed := range [][3]uint8{{0, 0, 0}, {1, 0, 0}, {0, 64, 0}, {0, 0, 1}, {3, 17, 2}, {64, 1, 255}, {255, 255, 255}} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, mmio, smc, bias uint8) {
+		const iters = 2000
+		period := func(b uint8) int {
+			if b == 0 {
+				return iters + 1
+			}
+			return int(b)
+		}
+		diffRun(t, fmt.Sprintf(`
+_start:
+    li s11, 0
+    li s0, 0
+    li s1, %[1]d
+    li t5, %#[2]x
+    la t1, z_site
+    li t3, 0x001d8d93
+    li t4, 0x00300000
+    li s2, %[3]d
+    li s3, %[4]d
+    li s4, %[5]d
+z_loop:
+z_site:
+    addi s11, s11, 1
+    addi s0, s0, 1
+    addi s2, s2, -1
+    bnez s2, z_nodev
+    li s2, %[3]d
+    lbu t2, 5(t5)
+    add s11, s11, t2
+    sb s0, 7(t5)
+z_nodev:
+    addi s3, s3, -1
+    bnez s3, z_nosmc
+    li s3, %[4]d
+    xor t3, t3, t4
+    sw t3, 0(t1)
+z_nosmc:
+    addi s4, s4, -1
+    bnez s4, z_nobias
+    li s4, %[5]d
+    xori s11, s11, 0x55
+z_nobias:
+    blt s0, s1, z_loop
+    andi a0, s11, 255
+    li a7, 93
+    ecall
+`, iters, recBase, period(mmio), period(smc), period(bias)))
+	})
 }
