@@ -627,7 +627,7 @@ func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSp
 					m.exitPC, m.exitKind = op.pc, exitRAM
 					return op.pc, before, nil
 				}
-				if err := m.traceDevice(op, regs, addr, before); err != nil {
+				if err := m.traceDevice(op, addr, before); err != nil {
 					return op.pc, before, err
 				}
 
@@ -909,21 +909,21 @@ func (m *Machine) deviceExit(op *traceOp, mpc, retired uint64) (uint64, uint64, 
 	return op.pc, retired + uint64(op.cum) - uint64(op.n), nil
 }
 
-// traceDevice performs a topDevice op's access at addr, before of the
-// dispatch's instructions having retired, as a slow step would: PC,
-// Instret and Now are published as of the access (the trace tier runs in
-// functional time, one cycle per instruction, so Now moves with
-// Instret), and the access goes through m.load/m.store. On an error that
-// state stays published, as StepInto leaves it; otherwise the fast loop's
-// unpublished bases are put back.
-func (m *Machine) traceDevice(op *traceOp, regs *[32]uint64, addr, before uint64) error {
+// traceDevice performs a topDevice op's access at addr, with before
+// instructions of the current dispatch retired ahead of it, as a slow
+// step would: PC, Instret and Now are published as of the access (the
+// trace tier runs in functional time, one cycle per instruction, so Now
+// moves with Instret), and the access goes through m.load/m.store. On an
+// error that state stays published, as StepInto leaves it; otherwise the
+// fast loop's unpublished values are put back.
+func (m *Machine) traceDevice(op *traceOp, addr, before uint64) error {
 	pc, instret, now := m.PC, m.Instret, m.Now
 	done := m.traceDone + before
 	m.PC, m.Instret, m.Now = op.pc, instret+done, now+done
 	o := isa.Op(op.imm2)
 	size := accessSize(o)
 	if o.IsStore() {
-		if _, _, err := m.store(addr, size, regs[op.rs2]); err != nil {
+		if _, _, err := m.store(addr, size, m.Regs[op.rs2]); err != nil {
 			return err
 		}
 	} else {
@@ -931,8 +931,8 @@ func (m *Machine) traceDevice(op *traceOp, regs *[32]uint64, addr, before uint64
 		if err != nil {
 			return err
 		}
-		regs[op.rd] = extendLoad(o, v)
-		regs[0] = 0
+		m.Regs[op.rd] = extendLoad(o, v)
+		m.Regs[0] = 0
 	}
 	m.PC, m.Instret, m.Now = pc, instret, now
 	return nil

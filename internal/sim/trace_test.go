@@ -421,21 +421,16 @@ func TestDiffDeviceErrorInTrace(t *testing.T) {
 	}
 	var device bool
 	for _, tr := range got.m.traceTab {
-		for _, op := range tr.opsOrNil() {
+		if tr == nil {
+			continue
+		}
+		for _, op := range tr.ops {
 			device = device || op.op == topDevice
 		}
 	}
 	if !device {
 		t.Error("no device op compiled; the error was not raised inside a trace")
 	}
-}
-
-// opsOrNil returns t's ops, or nil for an empty slot.
-func (t *trace) opsOrNil() []traceOp {
-	if t == nil {
-		return nil
-	}
-	return t.ops
 }
 
 // TestTraceTierPays holds the trace tier to its yield on the loops the
