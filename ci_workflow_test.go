@@ -219,8 +219,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 
 	// The fuzz job runs each differential fuzz target of the cycle-exact
-	// tier's kernels and loop, and the decoders', for 30 s, and the targets
-	// it names exist.
+	// tier's kernels and loop, the assembler's and the decoders', for 30 s,
+	// and the targets it names exist.
 	fuzzJob, ok := jobs["fuzz"].(map[string]any)
 	if !ok {
 		t.Fatalf("jobs.fuzz = %T, want mapping", jobs["fuzz"])
@@ -233,6 +233,8 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzFastVsReference":      "./internal/sim",
 		"FuzzTraceTierVsReference": "./internal/sim",
 		"FuzzDecodeEncode":         "./internal/isa",
+		"FuzzAssemble":             "./internal/asm",
+		"FuzzAssembleVsReference":  "./internal/asm",
 		"FuzzDecode":               "./internal/fsimg",
 		"FuzzDecodeCPIO":           "./internal/fsimg",
 		"FuzzLeaseBody":            "./internal/launcher/remote",

@@ -25,8 +25,10 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"firemarshal/internal/isa"
 )
@@ -39,6 +41,11 @@ type Options struct {
 
 // DefaultTextBase is where guest programs load unless overridden.
 const DefaultTextBase = 0x10000
+
+// maxSection bounds a section's size. .space is the one directive whose
+// output is not bounded by the source's own length, and a few bytes of
+// source must not make Assemble allocate gigabytes.
+const maxSection = 64 << 20
 
 // Error is an assembly error with source position.
 type Error struct {
@@ -93,6 +100,7 @@ type item struct {
 type dataRef struct {
 	off    int // byte offset within item data
 	width  int
+	line   int // the directive's line: an item may span many
 	sym    string
 	addend int64
 }
@@ -112,84 +120,113 @@ type assembler struct {
 
 // ---------- pass 0: parsing ----------
 
+// parse walks the source once, a line at a time, without splitting it.
 func (a *assembler) parse(src string) error {
 	sec := secText
-	for i, raw := range strings.Split(src, "\n") {
-		lineNo := i + 1
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Labels (possibly several, possibly followed by a statement).
-		for {
-			idx := strings.Index(line, ":")
-			if idx < 0 {
-				break
-			}
-			head := strings.TrimSpace(line[:idx])
-			if !isIdent(head) {
-				break
-			}
-			a.items = append(a.items, &item{line: lineNo, sec: sec, label: head, align: -1})
-			line = strings.TrimSpace(line[idx+1:])
-		}
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ".") {
-			var err error
-			sec, err = a.parseDirective(line, lineNo, sec)
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		mnem, ops, err := splitStatement(line, lineNo)
-		if err != nil {
+	for lineNo := 1; ; lineNo++ {
+		line, rest, more := strings.Cut(src, "\n")
+		var err error
+		if sec, err = a.parseLine(line, lineNo, sec); err != nil {
 			return err
 		}
-		if sec != secText {
-			return errf(lineNo, "instruction %q outside .text", mnem)
+		if !more {
+			return nil
 		}
-		a.items = append(a.items, &item{line: lineNo, sec: sec, mnem: mnem, ops: ops, align: -1})
+		src = rest
 	}
-	return nil
+}
+
+func (a *assembler) parseLine(line string, lineNo int, sec section) (section, error) {
+	line = strings.TrimSpace(stripComment(line))
+	// Labels (possibly several, possibly followed by a statement).
+	for {
+		idx := strings.IndexByte(line, ':')
+		if idx < 0 {
+			break
+		}
+		head := strings.TrimSpace(line[:idx])
+		if !isIdent(head) {
+			break
+		}
+		a.items = append(a.items, &item{line: lineNo, sec: sec, label: head, align: -1})
+		line = strings.TrimSpace(line[idx+1:])
+	}
+	if line == "" {
+		return sec, nil
+	}
+	if line[0] == '.' {
+		return a.parseDirective(line, lineNo, sec)
+	}
+	mnem, ops, err := splitStatement(line, lineNo)
+	if err != nil {
+		return sec, err
+	}
+	if sec != secText {
+		return sec, errf(lineNo, "instruction %q outside .text", mnem)
+	}
+	a.items = append(a.items, &item{line: lineNo, sec: sec, mnem: mnem, ops: ops, align: -1})
+	return sec, nil
+}
+
+// codeIndex returns the index of the first c1 or c2 in s that lies outside
+// every character ('c') and string ("s") literal, or -1. Inside a literal
+// a backslash escapes the byte after it; an unterminated literal runs to
+// the end of s. Comment stripping, operand splitting and data-field
+// splitting all scan with it, so a '#', "//" or ',' inside a literal is
+// never taken for syntax.
+func codeIndex(s string, c1, c2 byte) int {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '"', '\'':
+			for i++; i < len(s) && s[i] != c; i++ {
+				if s[i] == '\\' {
+					i++
+				}
+			}
+		case c1, c2:
+			return i
+		}
+	}
+	return -1
 }
 
 func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == '"' && (i == 0 || line[i-1] != '\\') {
-			inStr = !inStr
+	for i := 0; ; i++ {
+		j := codeIndex(line[i:], '#', '/')
+		if j < 0 {
+			return line
 		}
-		if inStr {
-			continue
-		}
-		if c == '#' {
-			return line[:i]
-		}
-		if c == '/' && i+1 < len(line) && line[i+1] == '/' {
+		i += j
+		if line[i] == '#' || i+1 < len(line) && line[i+1] == '/' {
 			return line[:i]
 		}
 	}
-	return line
+}
+
+// cutField cuts s around its first comma outside a literal.
+func cutField(s string) (field, rest string, found bool) {
+	if i := codeIndex(s, ',', ','); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return s, "", false
 }
 
 func isIdent(s string) bool {
-	if s == "" {
+	if s == "" || !isIdentStart(s[0]) {
 		return false
 	}
-	for i, r := range s {
-		ok := r == '_' || r == '.' || r == '$' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if !ok {
+	for i := 1; i < len(s); i++ {
+		if c := s[i]; !isIdentStart(c) && (c < '0' || c > '9') {
 			return false
 		}
 	}
 	return true
+}
+
+// isIdentStart reports whether c can begin an identifier; an integer
+// literal never begins with one.
+func isIdentStart(c byte) bool {
+	return c == '_' || c == '.' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
 func splitStatement(line string, lineNo int) (string, []string, error) {
@@ -203,36 +240,30 @@ func splitStatement(line string, lineNo int) (string, []string, error) {
 		return mnem, nil, nil
 	}
 	var ops []string
-	inQuote := byte(0)
-	last := 0
-	flush := func(end int) error {
-		op := strings.TrimSpace(rest[last:end])
-		if op == "" {
-			return errf(lineNo, "empty operand in %q", line)
+	for more := true; more; {
+		var op string
+		op, rest, more = cutField(rest)
+		if op = strings.TrimSpace(op); op == "" {
+			return "", nil, errf(lineNo, "empty operand in %q", line)
 		}
 		ops = append(ops, op)
-		return nil
-	}
-	for i := 0; i < len(rest); i++ {
-		c := rest[i]
-		switch {
-		case inQuote != 0:
-			if c == inQuote && (inQuote != '"' || rest[i-1] != '\\') {
-				inQuote = 0
-			}
-		case c == '\'' || c == '"':
-			inQuote = c
-		case c == ',':
-			if err := flush(i); err != nil {
-				return "", nil, err
-			}
-			last = i + 1
-		}
-	}
-	if err := flush(len(rest)); err != nil {
-		return "", nil, err
 	}
 	return mnem, ops, nil
+}
+
+// dataItem returns the item a data directive at lineNo appends to: the
+// last item when it holds data of the same section — no label, .align,
+// .space or instruction came between — or else a new one. A run of data
+// lines is one item however long; its symbol references keep their lines.
+func (a *assembler) dataItem(sec section, lineNo int) *item {
+	if n := len(a.items); n > 0 {
+		if last := a.items[n-1]; last.sec == sec && last.data != nil {
+			return last
+		}
+	}
+	it := &item{line: lineNo, sec: sec, data: []byte{}, align: -1}
+	a.items = append(a.items, it)
+	return it
 }
 
 func (a *assembler) parseDirective(line string, lineNo int, sec section) (section, error) {
@@ -269,42 +300,32 @@ func (a *assembler) parseDirective(line string, lineNo int, sec section) (sectio
 		a.items = append(a.items, &item{line: lineNo, sec: sec, space: n, align: -1})
 		return sec, nil
 	case ".byte", ".half", ".word", ".dword", ".quad":
-		width := map[string]int{".byte": 1, ".half": 2, ".word": 4, ".dword": 8, ".quad": 8}[name]
-		it := &item{line: lineNo, sec: sec, align: -1}
-		for _, field := range strings.Split(rest, ",") {
-			field = strings.TrimSpace(field)
-			if v, err := parseInt(field); err == nil {
-				it.data = appendInt(it.data, v, width)
-			} else if sym, addend, serr := parseSymExpr(field); serr == nil {
-				it.dataSym = append(it.dataSym, dataRef{off: len(it.data), width: width, sym: sym, addend: addend})
-				it.data = appendInt(it.data, 0, width)
-			} else {
-				return sec, errf(lineNo, "bad %s value %q", name, field)
-			}
-		}
-		a.items = append(a.items, it)
-		return sec, nil
+		return sec, a.parseData(name, rest, lineNo, sec)
 	case ".ascii", ".asciz", ".string":
 		s, err := strconv.Unquote(rest)
 		if err != nil {
 			return sec, errf(lineNo, "bad string %q: %v", rest, err)
 		}
-		data := []byte(s)
+		it := a.dataItem(sec, lineNo)
+		it.data = append(it.data, s...)
 		if name != ".ascii" {
-			data = append(data, 0)
+			it.data = append(it.data, 0)
 		}
-		a.items = append(a.items, &item{line: lineNo, sec: sec, data: data, align: -1})
 		return sec, nil
 	case ".equ", ".set":
-		parts := strings.SplitN(rest, ",", 2)
-		if len(parts) != 2 || !isIdent(strings.TrimSpace(parts[0])) {
+		symName, val, ok := strings.Cut(rest, ",")
+		symName, val = strings.TrimSpace(symName), strings.TrimSpace(val)
+		if !ok || !isIdent(symName) {
 			return sec, errf(lineNo, "bad %s syntax", name)
 		}
-		v, err := parseInt(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return sec, errf(lineNo, "bad %s value: %v", name, err)
+		v, ok := parseInt(val)
+		if !ok {
+			what := "integer"
+			if isCharLit(val) {
+				what = "char literal"
+			}
+			return sec, errf(lineNo, "bad %s value: bad %s %q", name, what, val)
 		}
-		symName := strings.TrimSpace(parts[0])
 		if old, exists := a.symbols[symName]; exists && old.defined {
 			return sec, errf(lineNo, "symbol %q redefined", symName)
 		}
@@ -315,6 +336,43 @@ func (a *assembler) parseDirective(line string, lineNo int, sec section) (sectio
 	}
 }
 
+// parseData parses the fields of a .byte/.half/.word/.dword/.quad line in
+// place onto the data item it extends.
+func (a *assembler) parseData(name, rest string, lineNo int, sec section) error {
+	var width int
+	switch name {
+	case ".byte":
+		width = 1
+	case ".half":
+		width = 2
+	case ".word":
+		width = 4
+	default:
+		width = 8
+	}
+	it := a.dataItem(sec, lineNo)
+	for more := true; more; {
+		var field string
+		field, rest, more = cutField(rest)
+		field = strings.TrimSpace(field)
+		if field != "" && isIdentStart(field[0]) {
+			sym, addend, ok := parseSymExpr(field)
+			if !ok {
+				return errf(lineNo, "bad %s value %q", name, field)
+			}
+			it.dataSym = append(it.dataSym, dataRef{off: len(it.data), width: width, line: lineNo, sym: sym, addend: addend})
+			it.data = appendInt(it.data, 0, width)
+			continue
+		}
+		v, ok := parseInt(field)
+		if !ok {
+			return errf(lineNo, "bad %s value %q", name, field)
+		}
+		it.data = appendInt(it.data, v, width)
+	}
+	return nil
+}
+
 func appendInt(b []byte, v int64, width int) []byte {
 	for i := 0; i < width; i++ {
 		b = append(b, byte(uint64(v)>>(8*i)))
@@ -322,29 +380,97 @@ func appendInt(b []byte, v int64, width int) []byte {
 	return b
 }
 
-// parseInt parses decimal, hex (0x), octal (0o), binary (0b), and character
-// ('c') literals with an optional leading minus.
-func parseInt(s string) (int64, error) {
+func putInt(b []byte, v int64, width int) {
+	for i := 0; i < width; i++ {
+		b[i] = byte(uint64(v) >> (8 * i))
+	}
+}
+
+func isCharLit(s string) bool {
+	return len(s) >= 3 && s[0] == '\'' && s[len(s)-1] == '\''
+}
+
+// parseInt parses an integer literal the way strconv.ParseInt(s, 0, 64)
+// does — decimal, 0x hex, 0o or leading-0 octal, 0b binary, an optional
+// sign, underscores between digits — or an unsigned one up to 1<<64-1,
+// or a character literal ('c', one byte after escapes). It reports
+// failure without allocating: data fields and operands try it on every
+// field, and the caller that reports a failure builds the message.
+func parseInt(s string) (int64, bool) {
 	s = strings.TrimSpace(s)
-	if len(s) >= 3 && s[0] == '\'' && s[len(s)-1] == '\'' {
-		body, err := strconv.Unquote(s)
-		if err != nil || len(body) != 1 {
-			return 0, fmt.Errorf("bad char literal %q", s)
+	if isCharLit(s) {
+		v, multibyte, tail, err := strconv.UnquoteChar(s[1:len(s)-1], '\'')
+		if err != nil || tail != "" || multibyte && v >= utf8.RuneSelf {
+			return 0, false
 		}
-		return int64(body[0]), nil
+		return int64(v), true
 	}
-	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
-		return v, nil
+	if s == "" {
+		return 0, false
 	}
-	// Allow full-range unsigned hex (e.g. 0xffffffffffffffff).
-	if u, err := strconv.ParseUint(s, 0, 64); err == nil {
-		return int64(u), nil
+	switch s[0] {
+	case '+':
+		u, ok := parseUint(s[1:])
+		return int64(u), ok && u <= math.MaxInt64
+	case '-':
+		u, ok := parseUint(s[1:])
+		return -int64(u), ok && u <= 1<<63
 	}
-	return 0, fmt.Errorf("bad integer %q", s)
+	u, ok := parseUint(s)
+	return int64(u), ok
+}
+
+// parseUint is strconv.ParseUint(s, 0, 64) without the error value. An
+// underscore must sit between two digits, or between the base prefix (or
+// an octal literal's leading 0) and a digit.
+func parseUint(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	body, base := s, uint64(10)
+	if s[0] == '0' {
+		base, body = 8, s[1:]
+		if len(s) >= 3 {
+			switch s[1] | 0x20 {
+			case 'b':
+				base, body = 2, s[2:]
+			case 'o':
+				base, body = 8, s[2:]
+			case 'x':
+				base, body = 16, s[2:]
+			}
+		}
+	}
+	var n uint64
+	afterDigit := len(body) < len(s) // a prefix or leading 0 counts as a digit
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		var d uint64
+		switch {
+		case c == '_':
+			if !afterDigit {
+				return 0, false
+			}
+			afterDigit = false
+			continue
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c|0x20 && c|0x20 <= 'z':
+			d = uint64(c|0x20-'a') + 10
+		default:
+			return 0, false
+		}
+		if d >= base || n > (math.MaxUint64-d)/base {
+			return 0, false
+		}
+		n = n*base + d
+		afterDigit = true
+	}
+	return n, afterDigit
 }
 
 // parseSymExpr parses "sym", "sym+N", or "sym-N".
-func parseSymExpr(s string) (string, int64, error) {
+func parseSymExpr(s string) (string, int64, bool) {
 	s = strings.TrimSpace(s)
 	for i := 1; i < len(s); i++ {
 		if s[i] == '+' || s[i] == '-' {
@@ -352,20 +478,14 @@ func parseSymExpr(s string) (string, int64, error) {
 			if !isIdent(sym) {
 				break
 			}
-			off, err := parseInt(s[i+1:])
-			if err != nil {
-				return "", 0, err
-			}
+			off, ok := parseInt(s[i+1:])
 			if s[i] == '-' {
 				off = -off
 			}
-			return sym, off, nil
+			return sym, off, ok
 		}
 	}
-	if !isIdent(s) {
-		return "", 0, fmt.Errorf("bad symbol expression %q", s)
-	}
-	return s, 0, nil
+	return s, 0, isIdent(s)
 }
 
 // ---------- pass 1: layout ----------
@@ -388,6 +508,9 @@ func (a *assembler) layout() error {
 			it.addr = *off
 			it.size = it.space
 			*off += uint64(it.space)
+			if *off > maxSection {
+				return errf(it.line, ".space grows the section past %d bytes", maxSection)
+			}
 		case it.data != nil:
 			it.addr = *off
 			it.size = len(it.data)
@@ -428,14 +551,6 @@ func (a *assembler) layout() error {
 // ---------- pass 2: emission ----------
 
 func (a *assembler) emit() (*isa.Executable, error) {
-	var text, data []byte
-	appendTo := func(sec section, addr uint64, b []byte, base uint64, buf *[]byte) {
-		off := addr - base
-		for uint64(len(*buf)) < off {
-			*buf = append(*buf, 0)
-		}
-		*buf = append((*buf)[:off], b...)
-	}
 	textBase := a.opts.TextBase
 	var dataBase uint64
 	for _, it := range a.items {
@@ -449,40 +564,34 @@ func (a *assembler) emit() (*isa.Executable, error) {
 		dataBase = textBase // no data section
 	}
 
+	var text, data []byte
 	for _, it := range a.items {
+		buf, base := &text, textBase
+		if it.sec == secData {
+			buf, base = &data, dataBase
+		}
 		switch {
 		case it.mnem != "":
 			words, err := a.encodeInstr(it)
 			if err != nil {
 				return nil, err
 			}
-			var b []byte
-			for _, w := range words {
-				b = appendInt(b, int64(w), 4)
+			b := place(buf, it.addr-base, 4*len(words))
+			for i, w := range words {
+				putInt(b[4*i:], int64(w), 4)
 			}
-			appendTo(it.sec, it.addr, b, textBase, &text)
 		case it.data != nil:
-			b := append([]byte(nil), it.data...)
+			b := place(buf, it.addr-base, len(it.data))
+			copy(b, it.data)
 			for _, ref := range it.dataSym {
 				sym, ok := a.symbols[ref.sym]
 				if !ok || !sym.defined {
-					return nil, errf(it.line, "undefined symbol %q", ref.sym)
+					return nil, errf(ref.line, "undefined symbol %q", ref.sym)
 				}
-				v := int64(sym.addr) + ref.addend
-				copy(b[ref.off:], appendInt(nil, v, ref.width))
-			}
-			if it.sec == secText {
-				appendTo(it.sec, it.addr, b, textBase, &text)
-			} else {
-				appendTo(it.sec, it.addr, b, dataBase, &data)
+				putInt(b[ref.off:], int64(sym.addr)+ref.addend, ref.width)
 			}
 		case it.space > 0:
-			b := make([]byte, it.space)
-			if it.sec == secText {
-				appendTo(it.sec, it.addr, b, textBase, &text)
-			} else {
-				appendTo(it.sec, it.addr, b, dataBase, &data)
-			}
+			place(buf, it.addr-base, it.space)
 		}
 	}
 
@@ -504,4 +613,16 @@ func (a *assembler) emit() (*isa.Executable, error) {
 		exe.Segments = append(exe.Segments, isa.Segment{Addr: dataBase, Data: data})
 	}
 	return exe, nil
+}
+
+// place cuts or zero-pads *buf to off, extends it by n zero bytes and
+// returns those n bytes for the caller to fill.
+func place(buf *[]byte, off uint64, n int) []byte {
+	b := *buf
+	if off > uint64(len(b)) {
+		b = append(b, make([]byte, off-uint64(len(b)))...)
+	}
+	b = append(b[:off], make([]byte, n)...)
+	*buf = b
+	return b[off:]
 }

@@ -65,7 +65,7 @@ func regOperand(op string, line int) (uint8, error) {
 // constOperand resolves an operand that must be a constant: an integer
 // literal or an .equ symbol.
 func (a *assembler) constOperand(op string, line int) (int64, error) {
-	if v, err := parseInt(op); err == nil {
+	if v, ok := parseInt(op); ok {
 		return v, nil
 	}
 	if sv, ok := a.symbols[op]; ok && sv.defined && sv.isEqu {
@@ -77,10 +77,10 @@ func (a *assembler) constOperand(op string, line int) (int64, error) {
 // immOperand resolves an immediate: integer literal, .equ constant, or
 // (for data addressing contexts) a defined symbol.
 func (a *assembler) immOperand(op string, line int) (int64, error) {
-	if v, err := parseInt(op); err == nil {
+	if v, ok := parseInt(op); ok {
 		return v, nil
 	}
-	if sym, addend, err := parseSymExpr(op); err == nil {
+	if sym, addend, ok := parseSymExpr(op); ok {
 		if sv, ok := a.symbols[sym]; ok && sv.defined {
 			return int64(sv.addr) + addend, nil
 		}
@@ -90,11 +90,11 @@ func (a *assembler) immOperand(op string, line int) (int64, error) {
 
 // branchTarget resolves a label to a pc-relative offset.
 func (a *assembler) branchTarget(op string, pc uint64, line int) (int64, error) {
-	if v, err := parseInt(op); err == nil {
+	if v, ok := parseInt(op); ok {
 		return v, nil // raw offset
 	}
-	sym, addend, err := parseSymExpr(op)
-	if err != nil {
+	sym, addend, ok := parseSymExpr(op)
+	if !ok {
 		return 0, errf(line, "bad branch target %q", op)
 	}
 	sv, ok := a.symbols[sym]

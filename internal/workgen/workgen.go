@@ -15,6 +15,7 @@ package workgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -83,17 +84,17 @@ func (p *program) kid() string {
 func (p *program) patternBranch(iters, period int, seed int64) {
 	id := p.kid()
 	rng := rand.New(rand.NewSource(seed))
-	var rows []string
-	for i := 0; i < period; i++ {
-		rows = append(rows, fmt.Sprint(rng.Intn(2)))
-	}
 	p.data.WriteString(id + "_pat:\n")
-	for i := 0; i < len(rows); i += 16 {
-		end := i + 16
-		if end > len(rows) {
-			end = len(rows)
+	for i := 0; i < period; i++ { // 16 bytes a line
+		if i%16 == 0 {
+			p.data.WriteString("    .byte ")
+		} else {
+			p.data.WriteString(", ")
 		}
-		p.data.WriteString("    .byte " + strings.Join(rows[i:end], ", ") + "\n")
+		p.data.WriteByte(byte('0' + rng.Intn(2)))
+		if i%16 == 15 || i == period-1 {
+			p.data.WriteByte('\n')
+		}
 	}
 	fmt.Fprintf(&p.text, `
     # pattern-branch kernel %[1]s: iters=%[2]d period=%[3]d
@@ -125,9 +126,15 @@ func (p *program) pointerChase(steps, nodes int, seed int64) {
 	for i := 0; i < nodes; i++ {
 		next[perm[i]] = perm[(i+1)%nodes]
 	}
-	p.data.WriteString(fmt.Sprintf("    .align 3\n%s_chain:\n", id))
+	p.data.WriteString("    .align 3\n" + id + "_chain:\n")
+	prefix := "    .dword " + id + "_chain+"
+	p.data.Grow(nodes * (len(prefix) + 8))
+	var off []byte
 	for _, n := range next {
-		p.data.WriteString(fmt.Sprintf("    .dword %s_chain+%d\n", id, n*8))
+		p.data.WriteString(prefix)
+		off = strconv.AppendInt(off[:0], int64(n*8), 10)
+		p.data.Write(off)
+		p.data.WriteByte('\n')
 	}
 	fmt.Fprintf(&p.text, `
     # pointer-chase kernel %[1]s: steps=%[2]d nodes=%[3]d
