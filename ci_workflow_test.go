@@ -281,10 +281,11 @@ func TestNightlyWorkflowParses(t *testing.T) {
 // the `check` job runs — to its inlining gate: one -m=2 build of
 // internal/sim whose report on semantics.go must show the value rules
 // inlining, with only the four store helpers excused, and whose report on
-// memory.go must show the two soft-TLB probes inlining. Without it a later
+// memory.go must show the three soft-TLB probes inlining. Without it a later
 // edit could turn a shared instruction rule, or every guest load and store,
 // into a call per retired instruction on every tier and no test would
-// notice.
+// notice. The same script must run the trace tier's no-call test without
+// the race detector, which would otherwise skip it.
 func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("scripts", "check.sh"))
 	if err != nil {
@@ -301,8 +302,9 @@ func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
 		`"can inline slt "`,       // proof the report was produced at all
 		`(semantics|memory)\.go:`, // the hot memory path is gated too
 		`"can inline (*Memory).$probe "`,
-		"for probe in lookup storeHit",
+		"for probe in lookup storeHit loadHit",
 		"exit 1",
+		"go test -count=1 -run '^TestPassLoopMakesNoCall$' ./internal/sim",
 	} {
 		if !strings.Contains(script, want) {
 			t.Errorf("check.sh's inlining gate lacks %q", want)

@@ -18,9 +18,12 @@
 // segment exit, or traceMaxOps. Each conditional branch becomes a guard
 // expecting the direction the guest was last seen to take there (see
 // Yield below), or, for a branch never seen to exit a trace, its static
-// likely direction (backward = taken, forward = not taken). If the walk
-// returns to the head the trace is a closed loop and one dispatch runs
-// many iterations. Adjacent instruction pairs with combinable semantics
+// likely direction (backward = taken, forward = not taken). A hammock — a
+// branch to pc+8 over one plain ALU op writing a register — is
+// if-converted instead: a skip op and then its body, and the trace goes on
+// at the join whichever way the branch goes. If the walk returns to the
+// head the trace is a closed loop and one dispatch runs many iterations.
+// Adjacent instruction pairs with combinable semantics
 // are fused into single trace ops (macro-op fusion): lui+addi (link-time
 // constant), addi+ld / addi+sd (address bump + access), slt[u]+beqz/bnez
 // (compare-and-branch), add+add (compute + accumulate), addi+addi
@@ -37,6 +40,12 @@
 // head gets the n == 0 sentinel and runs on the plain fast loop. The rule
 // judges yield, not the side-exit rate: a trace that exits every pass
 // but retires a long prefix first still pays.
+//
+// Execution. runPasses runs the passes in a loop with no call in it, so
+// Go keeps the loop's state in registers; it leaves, naming the op, for a
+// side exit and for whatever needs a call (a soft-TLB miss, a straddling
+// access, the first store to a clean page, a store into the code guard, a
+// device op), and runTrace performs that op and re-enters at the next.
 //
 // Safety invariants (the differential suite enforces all of these):
 //   - Guards: a mispredicted branch exits the trace having retired
@@ -57,11 +66,14 @@
 //     hits the code guard exits the trace right after the store retires —
 //     even when it just invalidated the trace it is running in. The
 //     next fetch of the rewritten word decodes it back into its
-//     predecoded slot, so the head compiles again.
+//     predecoded slot, and so does compilation; the dropped trace's head
+//     is re-armed, so its next arrival compiles the rewritten code.
 //   - Accounting: dispatch requires budget >= one full pass, and side
 //     exits retire fewer, so a trace can never run past an instruction
 //     limit, Stop-poll chunk, or checkpoint boundary (the budget is
-//     already clamped to all three).
+//     already clamped to all three). A pass that skips hammock bodies
+//     retires t.n less the bodies skipped, and so does each side exit in
+//     it: t.n is the most a pass can retire.
 //   - Checkpoints: the tables are pure caches over predecoded code.
 //     LoadExecutable and RebuildCode reset them, so a restored run
 //     re-learns hotness, directions and device ops from scratch and
@@ -132,9 +144,13 @@ const (
 	// rd2 = rs2 + imm2, where the second does not read the first's rd.
 	topAddiAddi
 	// topDevice is a load or store learned to hit a device, performed
-	// out of line through traceDevice; imm2 holds its isa.Op. It is not a
+	// out of line by runTrace; imm2 holds its isa.Op. It is not a
 	// fusion kind, so it sits past FusionKindNames.
 	topDevice
+	// topSkip is a hammock's branch: taken, it skips the next op, its
+	// body, and the trace goes on at the join either way. imm2 holds the
+	// branch's isa.Op. Not a fusion kind either.
+	topSkip
 )
 
 // The synthetic opcode space starts at 0x80; the architectural space
@@ -303,8 +319,11 @@ func (m *Machine) learned(pc uint64) uint8 {
 // invalidateTraces drops every trace compiled from a word in [first,
 // last), scanning only the installed slots. invalidateCode calls it
 // before touching the uop arrays, so a store into code can never leave a
-// stale superblock installed. A dropped sentinel is not an invalidation:
-// it was never a built trace.
+// stale superblock installed. A dropped built trace counts as an
+// invalidation and re-arms its head: the head's hot entry is primed so
+// its next arrival compiles the rewritten code at once, instead of after
+// hotThreshold more. A dropped sentinel is neither: it was never a built
+// trace.
 func (m *Machine) invalidateTraces(first, last uint64) {
 	for w, live := range m.traceLive {
 		for ; live != 0; live &= live - 1 {
@@ -314,6 +333,11 @@ func (m *Machine) invalidateTraces(first, last uint64) {
 				m.traceLive[w] &^= 1 << (i % 64)
 				if t.n != 0 {
 					m.traceInvals++
+					e := &m.hotTab[(t.head>>2)&(hotTabSize-1)]
+					if e.pc != t.head {
+						*e = hotEntry{pc: t.head}
+					}
+					e.count = hotThreshold - 1
 				}
 			}
 		}
@@ -351,8 +375,28 @@ func (m *Machine) compileTrace(head uint64) *trace {
 		if pc&3 != 0 || pc-s.base >= s.limit-s.base {
 			return uop{}, false
 		}
-		u := s.uops[(pc-s.base)>>2]
+		i := (pc - s.base) >> 2
+		// A word a store emptied is decoded back into its slot, as its next
+		// fetch would (fetchSlow), so a re-armed head compiles the rewritten
+		// code. Only inside the decoded range: there a decode cannot widen
+		// the code guard runFast holds.
+		if s.uops[i].Op == isa.OpInvalid && pc-m.codeMin < m.codeMax-m.codeMin {
+			m.predecode(s, i, uint32(m.Mem.Read(pc, 4)))
+		}
+		u := s.uops[i]
 		return u, u.Op != isa.OpInvalid
+	}
+	// hammock reports whether the branch at bpc, whose target is t, jumps
+	// over exactly one plain ALU op writing a register (not the head, so a
+	// closed loop stays closed): its body, returned.
+	hammock := func(bpc, t uint64) (uop, bool) {
+		if t != bpc+8 || bpc+4 == head {
+			return uop{}, false
+		}
+		b, ok := peek(bpc + 4)
+		f := b.Op.Format()
+		return b, ok && b.Rd&31 != 0 &&
+			(f == isa.FmtR || f == isa.FmtI || f == isa.FmtShift || b.Op == isa.OpLUI)
 	}
 	// expect is the direction a guard at branch pc bpc with target bt
 	// assumes: the one learned from a side exit there, else the static
@@ -485,9 +529,13 @@ build:
 			}
 			// slt[u] rd + beqz/bnez rd → compare-and-branch. rd is
 			// still written (architecturally visible) before the guard.
+			// A hammock's branch stays alone (see below).
 			if u2, ok2 := peek(pc + 4); ok2 && (u2.Op == isa.OpBEQ || u2.Op == isa.OpBNE) &&
 				u2.Rs1&31 == op.rd && u2.Rs2&31 == 0 {
 				bt := pc + 4 + uint64(u2.Imm)
+				if _, ok := hammock(pc+4, bt); ok {
+					break
+				}
 				var flags int32
 				if u.Op == isa.OpSLTU {
 					flags |= 1
@@ -508,6 +556,20 @@ build:
 			}
 		case isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
 			op.target = pc + uint64(u.Imm)
+			// A hammock (a forward branch over one ALU op) is if-converted:
+			// a skip op and then its body, each alone, and the trace goes
+			// on at the join with no guard, whichever way the branch goes.
+			if b, ok := hammock(pc, op.target); ok && len(ops)+2 <= traceMaxOps {
+				op.op = topSkip
+				op.imm2 = int32(u.Op)
+				ops = append(ops, op)
+				op = traceOp{
+					op: b.Op, pc: pc + 4, imm: b.Imm, n: 1,
+					rd: b.Rd & 31, rs1: b.Rs1 & 31, rs2: b.Rs2 & 31,
+				}
+				flow = pc + 8
+				break
+			}
 			op.expect = expect(pc, op.target)
 			if op.expect {
 				flow = op.target
@@ -527,8 +589,8 @@ build:
 				op.op = topNop
 			}
 		}
-		if op.pc < t.lo {
-			t.lo = op.pc
+		if pc < t.lo {
+			t.lo = pc
 		}
 		if end := op.pc + 4*uint64(op.n); end > t.hi {
 			t.hi = end
@@ -550,6 +612,48 @@ build:
 	return t
 }
 
+// Why runPasses left the pass loop. Every reason but passEnd names the op
+// the loop stopped at, none of which has executed.
+const (
+	// passEnd: the dispatch is done, after one pass of an open trace or as
+	// many passes of a closed one as the budget holds.
+	passEnd uint8 = iota
+	// passGuard: the op's guard saw the other direction.
+	passGuard
+	// passDevice: the op's RAM load or store found a device.
+	passDevice
+	// passCall: the op is a load or store that needs a call: it missed the
+	// soft TLB, straddles a page, is the first store to a clean page, or
+	// stores into the code guard.
+	passCall
+	// passDeviceOp: the op is a device op, its address in p.addr.
+	passDeviceOp
+	// passRAM: the op is a device op whose address is RAM.
+	passRAM
+)
+
+// pass is one dispatch's state, shared by runTrace and runPasses, so a
+// re-entry after an op performed out of line costs a return, a call and a
+// few loads.
+type pass struct {
+	ops              []traceOp
+	regs             *[32]uint64
+	mem              *Memory
+	devLo, devSpan   uint64
+	predLo, predSpan uint64
+	// tn is the trace's t.n, the most one pass retires. A further pass
+	// starts only while base <= room; room is 0 for an open trace, whose
+	// one pass always retires at least one instruction.
+	tn, room uint64
+	// base is what the dispatch retired before the current pass, less the
+	// hammock bodies skipped in it so far: through op i the dispatch has
+	// retired base + ops[i].cum. (A skip may take it below zero mid-pass;
+	// the sums are exact modulo 2^64.)
+	base uint64
+	// addr is a device op's address, when runPasses leaves for one.
+	addr uint64
+}
+
 // runTrace executes the trace starting at t.head, repeating full passes
 // while the trace closes on itself and the budget allows another one.
 // It returns the next pc and the number of guest instructions retired.
@@ -557,383 +661,503 @@ build:
 // exit short of one) always fits; retired never exceeds budget. A device
 // error is returned with the state as of the access published, the op
 // not retired.
+//
+// The passes themselves run in runPasses, which has no call in it. This
+// loop performs each op runPasses leaves for with the general helpers and
+// re-enters at the next op, or ends the dispatch at a side exit.
 func (m *Machine) runTrace(t *trace, regs *[32]uint64, mem *Memory, devLo, devSpan, predLo, predSpan, budget uint64) (uint64, uint64, error) {
-	var retired uint64
-	// Hoisted: the m.invalidateCode call below would otherwise force a
-	// reload of every trace field on each pass (the compiler must assume
-	// the method clobbers them; execution never mutates a trace).
-	ops := t.ops
-	tn, tnext, thead := t.n, t.next, t.head
-	for retired+tn <= budget {
-		for i := range ops {
+	p := pass{
+		ops: t.ops, regs: regs, mem: mem,
+		devLo: devLo, devSpan: devSpan, predLo: predLo, predSpan: predSpan,
+		tn: t.n, room: budget - t.n,
+	}
+	if t.next != t.head {
+		p.room = 0
+	}
+	for i := 0; ; i++ {
+		var why uint8
+		if i, why = runPasses(&p, i); why == passEnd {
+			return t.next, p.base, nil
+		}
+		op := &p.ops[i]
+		// done counts the dispatch's instructions through op.
+		done := p.base + uint64(op.cum)
+		switch why {
+		case passDeviceOp:
+			// The access, as a slow step makes it: PC, Instret and Now
+			// published as of it (functional time: Now moves with
+			// Instret), through m.load/m.store. An error leaves that state
+			// published, as StepInto does; otherwise the fast loop's
+			// unpublished values go back. It is written here, not called:
+			// a device op already costs a return from runPasses and a call
+			// back into it.
+			pc, instret, now := m.PC, m.Instret, m.Now
+			before := m.traceDone + done - 1
+			m.PC, m.Instret, m.Now = op.pc, instret+before, now+before
+			o := isa.Op(op.imm2)
+			size := accessSize(o)
+			if o.IsStore() {
+				if _, _, err := m.store(p.addr, size, regs[op.rs2&31]); err != nil {
+					return op.pc, done - 1, err
+				}
+			} else {
+				_, v, _, err := m.load(p.addr, size)
+				if err != nil {
+					return op.pc, done - 1, err
+				}
+				regs[op.rd&31] = extendLoad(o, v)
+				regs[0] = 0
+			}
+			m.PC, m.Instret, m.Now = pc, instret, now
+		case passRAM:
+			// A device op found RAM: leave before it.
+			m.exitPC, m.exitKind = op.pc, exitRAM
+			return op.pc, done - 1, nil
+		case passCall:
+			if store, addr, size := op.access(regs, mem); store && addr-predLo < predSpan {
+				// A store into decoded code retires, then leaves.
+				m.invalidateCode(addr, size)
+				return op.pc + 4*uint64(op.n), done, nil
+			}
+		case passGuard:
+			return m.guardExit(op, op.pc+4*uint64(op.n-1)), done, nil
+		default:
+			// A RAM access found a device: leave before op, none of it
+			// retired. The access is op's last instruction.
+			m.exitPC, m.exitKind = op.pc+4*uint64(op.n-1), exitDevice
+			return op.pc, done - uint64(op.n), nil
+		}
+	}
+}
+
+// runPasses runs p's passes from op i until the dispatch ends or an op
+// needs what the loop does not do, and returns that op's index and the
+// reason (see passEnd). It contains no call, so Go keeps its loop state in
+// registers: a RAM access is taken only on the soft-TLB hit the call-free
+// loadHit and storeHit see, a store only on a dirty page outside the code
+// guard, and register indexes are masked so they need no bounds check.
+// scripts/check.sh fails if a call appears in it.
+func runPasses(p *pass, i int) (int, uint8) {
+	// Only what every op or every pass uses is copied into locals: the
+	// rest is read through p where it is used, which costs what a reload
+	// from a spill slot would and spares each entry the spill.
+	ops, regs, mem := p.ops, p.regs, p.mem
+	base := p.base
+	var why uint8
+	for {
+		for ; uint(i) < uint(len(ops)); i++ {
 			op := &ops[i]
 			switch op.op {
 			case topNop:
 			case topJalLink, topAuipc, topLuiAddi:
-				regs[op.rd] = op.target
+				regs[op.rd&31] = op.target
 			case topAddAdd:
-				v := regs[op.rs1] + regs[op.rs2]
-				regs[op.rd] = v
-				regs[op.rd2] += v
+				v := regs[op.rs1&31] + regs[op.rs2&31]
+				regs[op.rd&31] = v
+				regs[op.rd2&31] += v
 			case topAddiAddi:
-				v := regs[op.rs1] + uint64(op.imm)
-				v2 := regs[op.rs2] + uint64(op.imm2)
-				regs[op.rd] = v
-				regs[op.rd2] = v2
+				v := regs[op.rs1&31] + uint64(op.imm)
+				v2 := regs[op.rs2&31] + uint64(op.imm2)
+				regs[op.rd&31] = v
+				regs[op.rd2&31] = v2
 			case topCmpBranch:
 				var c uint64
 				if op.imm2&1 != 0 {
-					c = sltu(regs[op.rs1], regs[op.rs2])
+					c = sltu(regs[op.rs1&31], regs[op.rs2&31])
 				} else {
-					c = slt(regs[op.rs1], regs[op.rs2])
+					c = slt(regs[op.rs1&31], regs[op.rs2&31])
 				}
-				regs[op.rd] = c
+				regs[op.rd&31] = c
 				if ((c != 0) == (op.imm2&2 != 0)) != op.expect {
-					return m.guardExit(op, op.pc+4, retired)
+					why = passGuard
+					goto leave
+				}
+			case topSkip:
+				// A taken hammock branch skips its body, the next op.
+				if taken(isa.Op(op.imm2), regs[op.rs1&31], regs[op.rs2&31]) {
+					i++
+					base--
 				}
 			case topAddiLd:
-				a := regs[op.rs1] + uint64(op.imm)
+				a := regs[op.rs1&31] + uint64(op.imm)
 				addr := a + uint64(op.imm2)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc+4, retired)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v uint64
-				if off := addr & (pageSize - 1); off <= pageSize-8 {
-					if p := mem.lookup(addr); p != nil {
-						v = binary.LittleEndian.Uint64(p[off:])
-					}
-				} else {
-					v = mem.Read(addr, 8)
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-8 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = a
-				regs[op.rd2] = v
+				v := binary.LittleEndian.Uint64(pg[off:])
+				regs[op.rd&31] = a
+				regs[op.rd2&31] = v
 				regs[0] = 0
 			case topAddiSd:
-				a := regs[op.rs1] + uint64(op.imm)
+				a := regs[op.rs1&31] + uint64(op.imm)
 				addr := a + uint64(op.imm2)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc+4, retired)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				mem.store64(addr, regs[op.rs2])
-				regs[op.rd] = a
-				if addr-predLo < predSpan {
-					m.invalidateCode(addr, 8)
-					return op.pc + 8, retired + uint64(op.cum), nil
+				// Tested on its own: folded into the test below, it
+				// leaves one value too many live and gives runPasses a
+				// stack frame.
+				if addr-p.predLo < p.predSpan {
+					why = passCall
+					goto leave
 				}
+				off := addr & (pageSize - 1)
+				pg := mem.storeHit(addr)
+				if pg == nil || off > pageSize-8 {
+					why = passCall
+					goto leave
+				}
+				binary.LittleEndian.PutUint64(pg[off:], regs[op.rs2&31])
+				regs[op.rd&31] = a
 			case topDevice:
-				addr := regs[op.rs1] + uint64(op.imm)
-				before := retired + uint64(op.cum) - 1
-				if addr-devLo >= devSpan {
-					m.exitPC, m.exitKind = op.pc, exitRAM
-					return op.pc, before, nil
+				p.addr = regs[op.rs1&31] + uint64(op.imm)
+				why = passDeviceOp
+				if p.addr-p.devLo >= p.devSpan {
+					why = passRAM
 				}
-				if err := m.traceDevice(op, addr, before); err != nil {
-					return op.pc, before, err
-				}
+				goto leave
 
 			case isa.OpADD:
-				regs[op.rd] = regs[op.rs1] + regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] + regs[op.rs2&31]
 			case isa.OpSUB:
-				regs[op.rd] = regs[op.rs1] - regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] - regs[op.rs2&31]
 			case isa.OpSLL:
-				regs[op.rd] = sll(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = sll(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSLT:
-				regs[op.rd] = slt(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = slt(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSLTU:
-				regs[op.rd] = sltu(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = sltu(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpXOR:
-				regs[op.rd] = regs[op.rs1] ^ regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] ^ regs[op.rs2&31]
 			case isa.OpSRL:
-				regs[op.rd] = srl(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = srl(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSRA:
-				regs[op.rd] = sra(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = sra(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpOR:
-				regs[op.rd] = regs[op.rs1] | regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] | regs[op.rs2&31]
 			case isa.OpAND:
-				regs[op.rd] = regs[op.rs1] & regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] & regs[op.rs2&31]
 			case isa.OpMUL:
-				regs[op.rd] = regs[op.rs1] * regs[op.rs2]
+				regs[op.rd&31] = regs[op.rs1&31] * regs[op.rs2&31]
 			case isa.OpMULH:
-				regs[op.rd] = mulh(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = mulh(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpMULHU:
-				regs[op.rd] = mulhu(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = mulhu(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpDIV:
-				regs[op.rd] = div(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = div(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpDIVU:
-				regs[op.rd] = divu(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = divu(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpREM:
-				regs[op.rd] = rem(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = rem(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpREMU:
-				regs[op.rd] = remu(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = remu(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpADDI:
-				regs[op.rd] = regs[op.rs1] + uint64(op.imm)
+				regs[op.rd&31] = regs[op.rs1&31] + uint64(op.imm)
 			case isa.OpSLTI:
-				regs[op.rd] = slt(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = slt(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSLTIU:
-				regs[op.rd] = sltu(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = sltu(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpXORI:
-				regs[op.rd] = regs[op.rs1] ^ uint64(op.imm)
+				regs[op.rd&31] = regs[op.rs1&31] ^ uint64(op.imm)
 			case isa.OpORI:
-				regs[op.rd] = regs[op.rs1] | uint64(op.imm)
+				regs[op.rd&31] = regs[op.rs1&31] | uint64(op.imm)
 			case isa.OpANDI:
-				regs[op.rd] = regs[op.rs1] & uint64(op.imm)
+				regs[op.rd&31] = regs[op.rs1&31] & uint64(op.imm)
 			case isa.OpSLLI:
-				regs[op.rd] = sll(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = sll(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSRLI:
-				regs[op.rd] = srl(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = srl(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSRAI:
-				regs[op.rd] = sra(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = sra(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpLUI:
-				regs[op.rd] = uint64(op.imm)
+				regs[op.rd&31] = uint64(op.imm)
 
 			case isa.OpBEQ:
-				if (regs[op.rs1] == regs[op.rs2]) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (regs[op.rs1&31] == regs[op.rs2&31]) != op.expect {
+					why = passGuard
+					goto leave
 				}
 			case isa.OpBNE:
-				if (regs[op.rs1] != regs[op.rs2]) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (regs[op.rs1&31] != regs[op.rs2&31]) != op.expect {
+					why = passGuard
+					goto leave
 				}
 			case isa.OpBLT:
-				if (int64(regs[op.rs1]) < int64(regs[op.rs2])) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (int64(regs[op.rs1&31]) < int64(regs[op.rs2&31])) != op.expect {
+					why = passGuard
+					goto leave
 				}
 			case isa.OpBGE:
-				if (int64(regs[op.rs1]) >= int64(regs[op.rs2])) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (int64(regs[op.rs1&31]) >= int64(regs[op.rs2&31])) != op.expect {
+					why = passGuard
+					goto leave
 				}
 			case isa.OpBLTU:
-				if (regs[op.rs1] < regs[op.rs2]) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (regs[op.rs1&31] < regs[op.rs2&31]) != op.expect {
+					why = passGuard
+					goto leave
 				}
 			case isa.OpBGEU:
-				if (regs[op.rs1] >= regs[op.rs2]) != op.expect {
-					return m.guardExit(op, op.pc, retired)
+				if (regs[op.rs1&31] >= regs[op.rs2&31]) != op.expect {
+					why = passGuard
+					goto leave
 				}
 
+			// A load or store leaves for runTrace unless it is a RAM access
+			// on a soft-TLB hit within one page (a store: a dirty page
+			// outside the code guard).
 			case isa.OpLD:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var rd uint64
-				if off := addr & (pageSize - 1); off <= pageSize-8 {
-					if p := mem.lookup(addr); p != nil {
-						rd = binary.LittleEndian.Uint64(p[off:])
-					}
-				} else {
-					rd = mem.Read(addr, 8)
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-8 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = rd
+				regs[op.rd&31] = binary.LittleEndian.Uint64(pg[off:])
 				regs[0] = 0
 			case isa.OpLW:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v uint32
-				if off := addr & (pageSize - 1); off <= pageSize-4 {
-					if p := mem.lookup(addr); p != nil {
-						v = binary.LittleEndian.Uint32(p[off:])
-					}
-				} else {
-					v = uint32(mem.Read(addr, 4))
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-4 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = extendLoad(isa.OpLW, uint64(v))
+				regs[op.rd&31] = extendLoad(isa.OpLW, uint64(binary.LittleEndian.Uint32(pg[off:])))
 				regs[0] = 0
 			case isa.OpLWU:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v uint32
-				if off := addr & (pageSize - 1); off <= pageSize-4 {
-					if p := mem.lookup(addr); p != nil {
-						v = binary.LittleEndian.Uint32(p[off:])
-					}
-				} else {
-					v = uint32(mem.Read(addr, 4))
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-4 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = uint64(v)
+				regs[op.rd&31] = uint64(binary.LittleEndian.Uint32(pg[off:]))
 				regs[0] = 0
 			case isa.OpLH:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v uint16
-				if off := addr & (pageSize - 1); off <= pageSize-2 {
-					if p := mem.lookup(addr); p != nil {
-						v = binary.LittleEndian.Uint16(p[off:])
-					}
-				} else {
-					v = uint16(mem.Read(addr, 2))
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-2 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = extendLoad(isa.OpLH, uint64(v))
+				regs[op.rd&31] = extendLoad(isa.OpLH, uint64(binary.LittleEndian.Uint16(pg[off:])))
 				regs[0] = 0
 			case isa.OpLHU:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v uint16
-				if off := addr & (pageSize - 1); off <= pageSize-2 {
-					if p := mem.lookup(addr); p != nil {
-						v = binary.LittleEndian.Uint16(p[off:])
-					}
-				} else {
-					v = uint16(mem.Read(addr, 2))
+				off := addr & (pageSize - 1)
+				pg, hit := mem.loadHit(addr)
+				if !hit || off > pageSize-2 {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = uint64(v)
+				regs[op.rd&31] = uint64(binary.LittleEndian.Uint16(pg[off:]))
 				regs[0] = 0
 			case isa.OpLB:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v byte
-				if p := mem.lookup(addr); p != nil {
-					v = p[addr&(pageSize-1)]
+				pg, hit := mem.loadHit(addr)
+				if !hit {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = extendLoad(isa.OpLB, uint64(v))
+				regs[op.rd&31] = extendLoad(isa.OpLB, uint64(pg[addr&(pageSize-1)]))
 				regs[0] = 0
 			case isa.OpLBU:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				var v byte
-				if p := mem.lookup(addr); p != nil {
-					v = p[addr&(pageSize-1)]
+				pg, hit := mem.loadHit(addr)
+				if !hit {
+					why = passCall
+					goto leave
 				}
-				regs[op.rd] = uint64(v)
+				regs[op.rd&31] = uint64(pg[addr&(pageSize-1)])
 				regs[0] = 0
 
 			case isa.OpSD:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				mem.store64(addr, regs[op.rs2])
-				if addr-predLo < predSpan {
-					m.invalidateCode(addr, 8)
-					return op.pc + 4, retired + uint64(op.cum), nil
+				off := addr & (pageSize - 1)
+				pg := mem.storeHit(addr)
+				if pg == nil || off > pageSize-8 || addr-p.predLo < p.predSpan {
+					why = passCall
+					goto leave
 				}
+				binary.LittleEndian.PutUint64(pg[off:], regs[op.rs2&31])
 			case isa.OpSW:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				mem.store32(addr, regs[op.rs2])
-				if addr-predLo < predSpan {
-					m.invalidateCode(addr, 4)
-					return op.pc + 4, retired + uint64(op.cum), nil
+				off := addr & (pageSize - 1)
+				pg := mem.storeHit(addr)
+				if pg == nil || off > pageSize-4 || addr-p.predLo < p.predSpan {
+					why = passCall
+					goto leave
 				}
+				binary.LittleEndian.PutUint32(pg[off:], uint32(regs[op.rs2&31]))
 			case isa.OpSH:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				mem.store16(addr, regs[op.rs2])
-				if addr-predLo < predSpan {
-					m.invalidateCode(addr, 2)
-					return op.pc + 4, retired + uint64(op.cum), nil
+				off := addr & (pageSize - 1)
+				pg := mem.storeHit(addr)
+				if pg == nil || off > pageSize-2 || addr-p.predLo < p.predSpan {
+					why = passCall
+					goto leave
 				}
+				binary.LittleEndian.PutUint16(pg[off:], uint16(regs[op.rs2&31]))
 			case isa.OpSB:
-				addr := regs[op.rs1] + uint64(op.imm)
-				if addr-devLo < devSpan {
-					return m.deviceExit(op, op.pc, retired)
+				addr := regs[op.rs1&31] + uint64(op.imm)
+				if addr-p.devLo < p.devSpan {
+					why = passDevice
+					goto leave
 				}
-				mem.store8(addr, regs[op.rs2])
-				if addr-predLo < predSpan {
-					m.invalidateCode(addr, 1)
-					return op.pc + 4, retired + uint64(op.cum), nil
+				pg := mem.storeHit(addr)
+				if pg == nil || addr-p.predLo < p.predSpan {
+					why = passCall
+					goto leave
 				}
+				pg[addr&(pageSize-1)] = byte(regs[op.rs2&31])
 
 			case isa.OpADDW:
-				regs[op.rd] = addw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = addw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSUBW:
-				regs[op.rd] = subw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = subw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSLLW:
-				regs[op.rd] = sllw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = sllw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSRLW:
-				regs[op.rd] = srlw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = srlw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpSRAW:
-				regs[op.rd] = sraw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = sraw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpADDIW:
-				regs[op.rd] = addw(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = addw(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSLLIW:
-				regs[op.rd] = sllw(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = sllw(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSRLIW:
-				regs[op.rd] = srlw(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = srlw(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpSRAIW:
-				regs[op.rd] = sraw(regs[op.rs1], uint64(op.imm))
+				regs[op.rd&31] = sraw(regs[op.rs1&31], uint64(op.imm))
 			case isa.OpMULW:
-				regs[op.rd] = mulw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = mulw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpDIVW:
-				regs[op.rd] = divw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = divw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpDIVUW:
-				regs[op.rd] = divuw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = divuw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpREMW:
-				regs[op.rd] = remw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = remw(regs[op.rs1&31], regs[op.rs2&31])
 			case isa.OpREMUW:
-				regs[op.rd] = remuw(regs[op.rs1], regs[op.rs2])
+				regs[op.rd&31] = remuw(regs[op.rs1&31], regs[op.rs2&31])
 			}
 		}
-		retired += tn
-		if tnext != thead {
-			return tnext, retired, nil
+		base += p.tn
+		if base > p.room {
+			break // passEnd
 		}
+		i = 0
 	}
-	return thead, retired, nil
+leave:
+	p.base = base
+	return i, why
 }
 
-// guardExit resolves a mispredicted guard on the branch at bpc: the
-// branch itself retires, control resumes on the unexpected edge, and the
-// direction seen is recorded as the last side exit.
-func (m *Machine) guardExit(op *traceOp, bpc, retired uint64) (uint64, uint64, error) {
+// taken reports whether the conditional branch o goes to its target on
+// operands a and b.
+func taken(o isa.Op, a, b uint64) bool {
+	switch o {
+	case isa.OpBEQ:
+		return a == b
+	case isa.OpBNE:
+		return a != b
+	case isa.OpBLT:
+		return int64(a) < int64(b)
+	case isa.OpBGE:
+		return int64(a) >= int64(b)
+	case isa.OpBLTU:
+		return a < b
+	}
+	return a >= b
+}
+
+// access performs op, a RAM load or store runPasses left for, through the
+// general memory helpers: a TLB miss refills, an unmapped page reads as
+// zero or is allocated, a page-straddling access goes bytewise, and a
+// store marks its page dirty. It returns whether op stored, and where.
+func (op *traceOp) access(regs *[32]uint64, mem *Memory) (store bool, addr uint64, size int) {
+	addr = regs[op.rs1&31] + uint64(op.imm)
+	o, dst := op.op, op.rd
+	switch o {
+	case topAddiLd:
+		o, dst = isa.OpLD, op.rd2
+		regs[op.rd&31] = addr
+		addr += uint64(op.imm2)
+	case topAddiSd:
+		o = isa.OpSD
+		regs[op.rd&31] = addr
+		addr += uint64(op.imm2)
+	}
+	size = accessSize(o)
+	if o.IsStore() {
+		mem.Write(addr, size, regs[op.rs2&31])
+		return true, addr, size
+	}
+	regs[dst&31] = extendLoad(o, mem.Read(addr, size))
+	regs[0] = 0
+	return false, addr, size
+}
+
+// guardExit resolves a mispredicted guard on the branch at bpc: control
+// resumes on the unexpected edge, and the direction seen is recorded as
+// the last side exit.
+func (m *Machine) guardExit(op *traceOp, bpc uint64) uint64 {
 	m.exitPC = bpc
 	if op.expect {
 		m.exitKind = exitFallThrough
-		return bpc + 4, retired + uint64(op.cum), nil
+		return bpc + 4
 	}
 	m.exitKind = exitTaken
-	return op.target, retired + uint64(op.cum), nil
-}
-
-// deviceExit leaves before op, whose access at mpc found a device:
-// nothing of op has retired, and the device access is recorded as the
-// last side exit.
-func (m *Machine) deviceExit(op *traceOp, mpc, retired uint64) (uint64, uint64, error) {
-	m.exitPC, m.exitKind = mpc, exitDevice
-	return op.pc, retired + uint64(op.cum) - uint64(op.n), nil
-}
-
-// traceDevice performs a topDevice op's access at addr, with before
-// instructions of the current dispatch retired ahead of it, as a slow
-// step would: PC, Instret and Now are published as of the access (the
-// trace tier runs in functional time, one cycle per instruction, so Now
-// moves with Instret), and the access goes through m.load/m.store. On an
-// error that state stays published, as StepInto leaves it; otherwise the
-// fast loop's unpublished values are put back.
-func (m *Machine) traceDevice(op *traceOp, addr, before uint64) error {
-	pc, instret, now := m.PC, m.Instret, m.Now
-	done := m.traceDone + before
-	m.PC, m.Instret, m.Now = op.pc, instret+done, now+done
-	o := isa.Op(op.imm2)
-	size := accessSize(o)
-	if o.IsStore() {
-		if _, _, err := m.store(addr, size, m.Regs[op.rs2]); err != nil {
-			return err
-		}
-	} else {
-		_, v, _, err := m.load(addr, size)
-		if err != nil {
-			return err
-		}
-		m.Regs[op.rd] = extendLoad(o, v)
-		m.Regs[0] = 0
-	}
-	m.PC, m.Instret, m.Now = pc, instret, now
-	return nil
+	return op.target
 }

@@ -61,7 +61,8 @@ func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 				}
 				where := path + ":" + decl.Name.Name
 				executor := strings.HasPrefix(path, "internal/sim/") &&
-					(decl.Name.Name == "StepInto" || decl.Name.Name == "runFast" || decl.Name.Name == "runTrace")
+					(decl.Name.Name == "StepInto" || decl.Name.Name == "runFast" || decl.Name.Name == "runTrace" ||
+						decl.Name.Name == "runPasses")
 				ast.Inspect(decl.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.CallExpr:

@@ -27,10 +27,11 @@ echo "== inlining of the shared RV64IM rules and the soft-TLB probes (internal/s
 # instruction, so one that stops inlining silently becomes a call each. The
 # four store helpers are calls by design (their TLB-hit test is what
 # inlines), so they are the only functions of that file allowed here.
-# memory.go's lookup and storeHit, the soft-TLB hit tests every guest load
-# and store starts with, must be reported inlinable for the same reason.
+# memory.go's lookup, storeHit and loadHit, the soft-TLB hit tests every
+# guest load and store starts with, must be reported inlinable for the same
+# reason (loadHit is also what keeps the trace tier's pass loop call-free).
 REPORT="$(go build -gcflags=-m=2 ./internal/sim 2>&1 | grep -E '(semantics|memory)\.go:.*inline' || true)"
-for probe in lookup storeHit; do
+for probe in lookup storeHit loadHit; do
     case "$REPORT" in
     *"can inline (*Memory).$probe "*) ;;
     *)
@@ -54,6 +55,13 @@ if [ -n "$NOINLINE" ]; then
     printf '%s\n' "$NOINLINE" >&2
     exit 1
 fi
+
+echo "== the trace tier's pass loop makes no call (internal/sim runPasses)"
+# Go keeps no register live across a call, so a call anywhere in runPasses
+# sends the loop's state through the stack on every op. The test reads the
+# compiler's assembly; the race detector adds calls to every function, so
+# it runs here, before and without -race.
+go test -count=1 -run '^TestPassLoopMakesNoCall$' ./internal/sim
 
 echo "== go test -race -shuffle=on"
 # POSIX sh has no pipefail: capture output to a file so the exit status
