@@ -219,8 +219,9 @@ func TestNightlyWorkflowParses(t *testing.T) {
 	}
 
 	// The fuzz job runs each differential fuzz target of the cycle-exact
-	// tier's kernels and loop, the assembler's and the decoders', for 30 s,
-	// and the targets it names exist.
+	// tier's kernels and loop, the assembler's and the decoders', and the
+	// workload spec's inheritance merge, for 30 s, and the targets it names
+	// exist.
 	fuzzJob, ok := jobs["fuzz"].(map[string]any)
 	if !ok {
 		t.Fatalf("jobs.fuzz = %T, want mapping", jobs["fuzz"])
@@ -246,6 +247,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzStateDB":              "./internal/dag",
 		"FuzzReadManifest":         "./internal/launcher",
 		"FuzzInstallLoad":          "./internal/install",
+		"FuzzResolve":              "./internal/spec",
 	} {
 		found := false
 		for _, s := range fuzzSteps {

@@ -68,9 +68,6 @@ import (
 	"firemarshal/internal/verify"
 )
 
-// firemarshalWorkload aliases the spec type for the graph renderer.
-type firemarshalWorkload = spec.Workload
-
 // drainTimeout bounds how long a serving command waits for in-flight
 // requests after SIGINT/SIGTERM before giving up on them.
 const drainTimeout = 5 * time.Second
@@ -763,7 +760,7 @@ func cmdGraph(m *core.Marshal, args []string) int {
 		fmt.Fprintln(os.Stderr, "marshal graph:", err)
 		return 1
 	}
-	chain := w.Chain()
+	chain := w.Effective.Levels
 	for i, c := range chain {
 		indent := strings.Repeat("  ", i)
 		details := describeWorkload(c)
@@ -780,44 +777,8 @@ func cmdGraph(m *core.Marshal, args []string) int {
 }
 
 // describeWorkload summarizes the options a workload adds over its base.
-func describeWorkload(w *firemarshalWorkload) string {
-	var opts []string
-	if w.Command != "" {
-		opts = append(opts, "command")
-	}
-	if w.Run != "" {
-		opts = append(opts, "run")
-	}
-	if w.Overlay != "" {
-		opts = append(opts, "overlay")
-	}
-	if len(w.Files) > 0 {
-		opts = append(opts, "files")
-	}
-	if w.HostInit != "" {
-		opts = append(opts, "host-init")
-	}
-	if w.GuestInit != "" {
-		opts = append(opts, "guest-init")
-	}
-	if w.Linux != nil {
-		opts = append(opts, "linux")
-	}
-	if w.Firmware != nil {
-		opts = append(opts, "firmware")
-	}
-	if w.Spike != "" {
-		opts = append(opts, "spike")
-	}
-	if w.Bin != "" {
-		opts = append(opts, "bin")
-	}
-	if w.Img != "" {
-		opts = append(opts, "img")
-	}
-	if w.Distro != "" {
-		opts = append(opts, "distro="+w.Distro)
-	}
+func describeWorkload(w *spec.Workload) string {
+	opts := w.Describe()
 	if len(opts) == 0 {
 		return ""
 	}

@@ -31,8 +31,8 @@ func TestRegisterBuiltins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.EffectiveDistro() != "br" {
-		t.Errorf("buildroot alias distro = %q", w.EffectiveDistro())
+	if w.Effective.Distro != "br" {
+		t.Errorf("buildroot alias distro = %q", w.Effective.Distro)
 	}
 }
 
@@ -130,10 +130,10 @@ func TestOpenPitonBoard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.EffectiveBoard() != OpenPitonBoard {
-		t.Errorf("board = %q", w.EffectiveBoard())
+	if w.Effective.Board != OpenPitonBoard {
+		t.Errorf("board = %q", w.Effective.Board)
 	}
-	if w.EffectiveFirmware() != "bbl" {
-		t.Errorf("op-base firmware = %q, want bbl", w.EffectiveFirmware())
+	if w.Effective.FirmwareKind != "bbl" {
+		t.Errorf("op-base firmware = %q, want bbl", w.Effective.FirmwareKind)
 	}
 }

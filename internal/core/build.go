@@ -136,7 +136,8 @@ func (b *builder) register(w *spec.Workload, artifact string) (*chainArtifacts, 
 		return arts, nil
 	}
 	var parentArts *chainArtifacts
-	if p := w.Parent(); p != nil {
+	if levels := w.Effective.Levels; len(levels) > 1 {
+		p := levels[len(levels)-2]
 		pa, err := b.register(p, p.Name)
 		if err != nil {
 			return nil, err
@@ -198,7 +199,7 @@ func (b *builder) register(w *spec.Workload, artifact string) (*chainArtifacts, 
 }
 
 func (b *builder) registerBin(w *spec.Workload, artifact string, arts, parentArts *chainArtifacts, specHash string, hostDeps []string) error {
-	distro := w.EffectiveDistro()
+	distro := w.Effective.Distro
 	hardBin := w.Bin != ""
 	parentHasBin := parentArts != nil && parentArts.binTask != ""
 	if distro == "bare" && !hardBin {
@@ -247,22 +248,20 @@ func (b *builder) registerBin(w *spec.Workload, artifact string, arts, parentArt
 			return hostutil.LinkOrCopy(parentBin, b.m.BinPath(artifact))
 		}
 	default:
-		// Full kernel + firmware build.
-		for _, frag := range w.ConfigFragments() {
-			task.FileDeps = append(task.FileDeps, frag)
-		}
-		// Module dirs in name order: the key hashes deps by position.
-		mods := w.Modules()
-		names := make([]string, 0, len(mods))
-		for name := range mods {
+		// Full kernel + firmware build. Module dirs go in name order: the
+		// key hashes deps by position.
+		eff := w.Effective
+		task.FileDeps = append(task.FileDeps, eff.ConfigFragments...)
+		names := make([]string, 0, len(eff.Modules))
+		for name := range eff.Modules {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			task.FileDeps = append(task.FileDeps, mods[name])
+			task.FileDeps = append(task.FileDeps, eff.Modules[name])
 		}
-		if src := linuxSourcePath(w); src != "" {
-			task.FileDeps = append(task.FileDeps, src)
+		if eff.LinuxSource != "" {
+			task.FileDeps = append(task.FileDeps, eff.LinuxSource)
 		}
 		task.Action = func() error {
 			b.m.logf("building boot binary for %s", artifact)
@@ -286,22 +285,13 @@ func binInputsDiffer(w *spec.Workload) bool {
 	return w.Linux != nil || w.Firmware != nil
 }
 
-// linuxSourcePath resolves the effective custom kernel source directory.
-func linuxSourcePath(w *spec.Workload) string {
-	for c := w; c != nil; c = c.Parent() {
-		if c.Linux != nil && c.Linux.Source != "" {
-			return c.HostPath(c.Linux.Source)
-		}
-	}
-	return ""
-}
-
 // buildBootBinary performs kernel configuration, module build, initramfs
 // generation, kernel compilation, and firmware linking (§III-B.1 steps
 // 4a-4e). extraInitramfs embeds a rootfs for --no-disk builds.
 func (b *builder) buildBootBinary(w *spec.Workload, extraInitramfs *fsimg.FS) (*firmware.BootBinary, error) {
+	eff := w.Effective
 	var frags []*kconfig.Config
-	for _, fragPath := range w.ConfigFragments() {
+	for _, fragPath := range eff.ConfigFragments {
 		data, err := os.ReadFile(fragPath)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading config fragment: %w", err)
@@ -313,26 +303,19 @@ func (b *builder) buildBootBinary(w *spec.Workload, extraInitramfs *fsimg.FS) (*
 		frags = append(frags, frag)
 	}
 	kimg, err := kernel.Build(kernel.BuildOpts{
-		SourceDir:      linuxSourcePath(w),
+		SourceDir:      eff.LinuxSource,
 		Fragments:      frags,
-		Modules:        w.Modules(),
+		Modules:        eff.Modules,
 		ExtraInitramfs: extraInitramfs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var fwArgs []string
-	for _, c := range w.Chain() {
-		if c.Firmware != nil {
-			fwArgs = append(fwArgs, c.Firmware.BuildArgs...)
-		}
-	}
-	return firmware.Build(w.EffectiveFirmware(), fwArgs, kimg)
+	return firmware.Build(eff.FirmwareKind, eff.FirmwareArgs, kimg)
 }
 
 func (b *builder) registerImg(w *spec.Workload, artifact string, arts, parentArts *chainArtifacts, specHash string, hostDeps []string) error {
-	distro := w.EffectiveDistro()
-	if distro == "bare" && w.Img == "" {
+	if w.Effective.Distro == "bare" && w.Img == "" {
 		return nil // bare-metal workloads have no disk image
 	}
 	arts.imgTask = "img:" + artifact
@@ -400,14 +383,14 @@ func (b *builder) buildImage(w *spec.Workload, artifact string, parentArts *chai
 		fs = parentFS.Clone()
 	default:
 		// Root of the chain: a builtin distribution base.
-		base, err := boards.BaseImage(w.EffectiveDistro())
+		base, err := boards.BaseImage(w.Effective.Distro)
 		if err != nil {
 			return nil, fmt.Errorf("core: workload %q: %w", w.Name, err)
 		}
 		fs = base
 	}
 
-	if sizeStr := w.EffectiveRootfsSize(); sizeStr != "" {
+	if sizeStr := w.Effective.RootfsSize; sizeStr != "" {
 		size, err := spec.ParseRootfsSize(sizeStr)
 		if err != nil {
 			return nil, err
@@ -467,7 +450,7 @@ func bakeRunScript(fs *fsimg.FS, w *spec.Workload) error {
 	}
 	// On the Fedora base the hook is a systemd unit; on Buildroot it is an
 	// init script. Both point at the same baked script.
-	if w.EffectiveDistro() == "fedora" {
+	if w.Effective.Distro == "fedora" {
 		unit := "[Unit]\nDescription=FireMarshal workload\n[Service]\nExecStart=" + guestos.RunScriptPath + "\n"
 		return fs.WriteFile("/etc/systemd/system/marshal.service", []byte(unit), 0o644)
 	}

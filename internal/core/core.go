@@ -433,43 +433,6 @@ func (m *Marshal) Clean(nameOrPath string) (cas.GCStats, error) {
 	return gc, nil
 }
 
-// EffectiveOutputs collects output paths across the inheritance chain.
-func EffectiveOutputs(w *spec.Workload) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range w.Chain() {
-		for _, o := range c.Outputs {
-			if !seen[o] {
-				seen[o] = true
-				out = append(out, o)
-			}
-		}
-	}
-	return out
-}
-
-// EffectivePostRunHook returns the nearest post-run-hook in the chain and
-// the directory it resolves host paths against.
-func EffectivePostRunHook(w *spec.Workload) (script, dir string) {
-	for c := w; c != nil; c = c.Parent() {
-		if c.PostRunHook != "" {
-			return c.PostRunHook, c.Dir
-		}
-	}
-	return "", ""
-}
-
-// EffectiveTesting returns the nearest testing options in the chain along
-// with the workload directory they belong to.
-func EffectiveTesting(w *spec.Workload) (*spec.TestingOpts, string) {
-	for c := w; c != nil; c = c.Parent() {
-		if c.Testing != nil {
-			return c.Testing, c.Dir
-		}
-	}
-	return nil, ""
-}
-
 // sortedUnique returns a sorted, de-duplicated copy.
 func sortedUnique(xs []string) []string {
 	seen := map[string]bool{}
@@ -487,7 +450,7 @@ func sortedUnique(xs []string) []string {
 // describeChain renders the inheritance chain for logs.
 func describeChain(w *spec.Workload) string {
 	var names []string
-	for _, c := range w.Chain() {
+	for _, c := range w.Effective.Levels {
 		names = append(names, c.Name)
 	}
 	return strings.Join(names, " -> ")

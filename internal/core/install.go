@@ -50,7 +50,7 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 	// A bare-metal job acts as the RDMA memory server for PFA nodes.
 	serverNode := ""
 	for _, tgt := range targets {
-		if tgt.Workload.EffectiveDistro() == "bare" {
+		if tgt.Workload.Effective.Distro == "bare" {
 			serverNode = tgt.Name
 			break
 		}
@@ -64,16 +64,9 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 		cfg.Jobs = append(cfg.Jobs, *job)
 	}
 
-	if hook, dir := EffectivePostRunHook(w); hook != "" {
-		cfg.PostRunHook = hook
-		cfg.PostRunHookDir = dir
-	}
-	if testing, testDir := EffectiveTesting(w); testing != nil && testing.RefDir != "" {
-		ref := testing.RefDir
-		if !filepath.IsAbs(ref) {
-			ref = filepath.Join(testDir, ref)
-		}
-		cfg.RefDir, cfg.Strip = ref, testing.Strip
+	cfg.PostRunHook, cfg.PostRunHookDir = w.Effective.PostRunHook.Line, w.Effective.PostRunHook.Dir
+	if t := w.Effective.Testing; t != nil && t.RefDir != "" {
+		cfg.RefDir, cfg.Strip = t.RefDir, t.Strip
 	}
 
 	destDir := m.InstallDir(w.Name)
@@ -100,8 +93,8 @@ func (m *Marshal) jobConfig(tgt Target, opts InstallOpts, serverNode string) (*i
 	job := &install.JobConfig{
 		Name:    tgt.Name,
 		Bin:     absBin,
-		Outputs: EffectiveOutputs(w),
-		Bare:    w.EffectiveDistro() == "bare",
+		Outputs: w.Effective.Outputs,
+		Bare:    w.Effective.Distro == "bare",
 	}
 	if !opts.NoDisk {
 		if imgPath := m.ImgPath(tgt.Name); fileExists(imgPath) {
@@ -122,7 +115,7 @@ func (m *Marshal) jobConfig(tgt Target, opts InstallOpts, serverNode string) (*i
 // PFA-equipped SoC fetches over the real (simulated) network when a memory
 // server node exists, and falls back to the golden model otherwise.
 func rtlDeviceProfile(w *spec.Workload, serverNode string) string {
-	switch w.EffectiveSpike() {
+	switch w.Effective.Spike {
 	case "pfa-spike", "pfa-golden":
 		if serverNode != "" {
 			return "pfa-rdma"

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"firemarshal/internal/boards"
@@ -228,25 +229,26 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 func (m *Marshal) launchJob(tgt Target, opts LaunchOpts, tee io.Writer) remote.Job {
 	w := tgt.Workload
 	runDir := m.RunDir(tgt.Name)
-	args := append(w.EffectiveQemuArgs(), w.EffectiveSpikeArgs()...)
+	eff := w.Effective
+	args := slices.Concat(eff.QemuArgs, eff.SpikeArgs)
 	job := remote.Job{
 		Name:    tgt.Name,
 		Bin:     m.BinPath(tgt.Name),
 		Img:     m.ImgPath(tgt.Name),
 		Sim:     "qemu",
-		Outputs: EffectiveOutputs(w),
+		Outputs: eff.Outputs,
 		Dir:     runDir,
 		Post:    func() error { return m.runPostRunHook(w, runDir) },
 	}
 	if opts.NoDisk {
 		job.Bin, job.Img = m.NoDiskBinPath(tgt.Name), ""
 	}
-	if opts.Spike || w.EffectiveSpike() != "" {
+	if opts.Spike || eff.Spike != "" {
 		job.Sim = "spike"
 	}
 	job.Attach = func(x *remote.Exec) (release func(), err error) {
 		x.Tee = tee
-		x.Drivers, err = boards.DeviceProfile(w.EffectiveSpike(), boards.ProfileOpts{
+		x.Drivers, err = boards.DeviceProfile(eff.Spike, boards.ProfileOpts{
 			RemotePages: pfaPagesFromArgs(args),
 		})
 		if err != nil || !opts.Trace {
@@ -280,16 +282,16 @@ func pfaPagesFromArgs(args []string) int {
 // runPostRunHook executes the workload's post-run hook against the run
 // output directory.
 func (m *Marshal) runPostRunHook(w *spec.Workload, runDir string) error {
-	hook, dir := EffectivePostRunHook(w)
-	if hook == "" {
+	hook := w.Effective.PostRunHook
+	if hook.Line == "" {
 		return nil
 	}
-	m.logf("running post-run-hook %s", hook)
+	m.logf("running post-run-hook %s", hook.Line)
 	abs, err := filepath.Abs(runDir)
 	if err != nil {
 		return err
 	}
-	if _, err := hostutil.RunHostScript(hook, dir, abs); err != nil {
+	if _, err := hostutil.RunHostScript(hook.Line, hook.Dir, abs); err != nil {
 		return fmt.Errorf("core: post-run-hook: %w", err)
 	}
 	return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"firemarshal/internal/runtest"
 )
@@ -34,14 +33,11 @@ func (m *Marshal) Test(nameOrPath string, opts TestOpts) ([]*TestResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	testing, testDir := EffectiveTesting(w)
+	testing := w.Effective.Testing
 	if testing == nil || testing.RefDir == "" {
 		return nil, fmt.Errorf("core: workload %q has no testing.refDir", w.Name)
 	}
 	refDir := testing.RefDir
-	if !filepath.IsAbs(refDir) {
-		refDir = filepath.Join(testDir, refDir)
-	}
 
 	if opts.Manual != "" {
 		failures, err := runtest.CompareDir(opts.Manual, refDir, testing.Strip, nil)

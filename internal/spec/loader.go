@@ -37,24 +37,11 @@ func (l *Loader) RegisterBuiltin(w *Workload) error {
 
 // Builtins lists registered builtin workload names, sorted.
 func (l *Loader) Builtins() []string {
-	return sortedKeys2(l.builtins)
+	return sortedKeys(l.builtins)
 }
 
-func sortedKeys2(m map[string]*Workload) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// Load locates nameOrPath, parses it, resolves its inheritance chain, and
-// resolves its jobs.
+// Load locates nameOrPath, parses it, links and resolves its inheritance
+// chain, and does the same for its jobs.
 func (l *Loader) Load(nameOrPath string) (*Workload, error) {
 	return l.load(nameOrPath, map[string]bool{})
 }
@@ -78,6 +65,7 @@ func (l *Loader) load(nameOrPath string, visiting map[string]bool) (*Workload, e
 		}
 		w.parent = parent
 	}
+	Resolve(w)
 	if err := l.resolveJobs(w, visiting); err != nil {
 		return nil, err
 	}
@@ -137,107 +125,7 @@ func (l *Loader) resolveJobs(w *Workload, visiting map[string]bool) error {
 			}
 			job.parent = parent
 		}
+		Resolve(job)
 	}
 	return nil
-}
-
-// ---- effective (inherited) option accessors ----
-
-// EffectiveDistro walks the chain for the distribution ("br", "fedora",
-// "bare").
-func (w *Workload) EffectiveDistro() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Distro != "" {
-			return c.Distro
-		}
-	}
-	return ""
-}
-
-// EffectiveBoard walks the chain for the target board.
-func (w *Workload) EffectiveBoard() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Board != "" {
-			return c.Board
-		}
-	}
-	return ""
-}
-
-// EffectiveFirmware walks the chain for the firmware kind.
-func (w *Workload) EffectiveFirmware() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Firmware != nil && c.Firmware.Kind != "" {
-			return c.Firmware.Kind
-		}
-	}
-	return ""
-}
-
-// EffectiveSpike walks the chain for the custom functional simulator.
-func (w *Workload) EffectiveSpike() string {
-	for c := w; c != nil; c = c.parent {
-		if c.Spike != "" {
-			return c.Spike
-		}
-	}
-	return ""
-}
-
-// EffectiveRootfsSize walks the chain for the image size limit.
-func (w *Workload) EffectiveRootfsSize() string {
-	for c := w; c != nil; c = c.parent {
-		if c.RootfsSize != "" {
-			return c.RootfsSize
-		}
-	}
-	return ""
-}
-
-// ConfigFragments collects kernel config fragment paths, parents first, as
-// the merge order requires (§III-B.4a).
-func (w *Workload) ConfigFragments() []string {
-	var out []string
-	for _, c := range w.Chain() {
-		if c.Linux == nil {
-			continue
-		}
-		for _, frag := range c.Linux.Config {
-			out = append(out, c.HostPath(frag))
-		}
-	}
-	return out
-}
-
-// Modules collects kernel modules across the chain (children override
-// parents' module of the same name).
-func (w *Workload) Modules() map[string]string {
-	out := map[string]string{}
-	for _, c := range w.Chain() {
-		if c.Linux == nil {
-			continue
-		}
-		for name, src := range c.Linux.Modules {
-			out[name] = c.HostPath(src)
-		}
-	}
-	return out
-}
-
-// EffectiveSpikeArgs concatenates simulator args across the chain.
-func (w *Workload) EffectiveSpikeArgs() []string {
-	var out []string
-	for _, c := range w.Chain() {
-		out = append(out, c.SpikeArgs...)
-	}
-	return out
-}
-
-// EffectiveQemuArgs concatenates simulator args across the chain.
-func (w *Workload) EffectiveQemuArgs() []string {
-	var out []string
-	for _, c := range w.Chain() {
-		out = append(out, c.QemuArgs...)
-	}
-	return out
 }

@@ -1,16 +1,20 @@
 // Package spec implements FireMarshal workload descriptions (§III-A): the
 // JSON/YAML configuration files users write, the option set of Table II,
 // the PATH-like workload search order, recursive inheritance through the
-// `base` option, and multi-node `jobs`. A resolved Workload chain is the
-// input to the build pipeline in internal/core.
+// `base` option, and multi-node `jobs`. One table (options.go) declares
+// every option with its decoder and its inheritance rule; a loaded
+// Workload carries its merged Effective options into internal/core.
 package spec
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"firemarshal/internal/hostutil"
@@ -89,6 +93,10 @@ type Workload struct {
 	// relative to it.
 	Dir string
 
+	// Effective is the workload with its chain merged, set by Resolve
+	// when Loader.Load has linked the chain.
+	Effective *Effective
+
 	// parent is the resolved base workload.
 	parent *Workload
 
@@ -96,22 +104,15 @@ type Workload struct {
 	raw string
 }
 
-// Parent returns the resolved base workload (nil for roots).
-func (w *Workload) Parent() *Workload { return w.parent }
-
-// Chain returns the inheritance chain, root base first, w last.
-func (w *Workload) Chain() []*Workload {
-	if w.parent == nil {
-		return []*Workload{w}
-	}
-	return append(w.parent.Chain(), w)
-}
-
 // Hash fingerprints the workload document and its ancestry for dependency
 // tracking. It is content-based — the host directory the document lives in
 // is deliberately excluded, so identical workloads in different checkouts
 // produce identical hashes and can share artifact-cache entries (referenced
-// host files are hashed separately as file dependencies).
+// host files are hashed separately as file dependencies). Every build task
+// keys on it whole, so any byte of a level's file re-runs every task under
+// it; keying each task on only the Effective fields it reads would move
+// the pinned task keys and the benchmark's leaf-edit golden, and waits for
+// a change that re-records that golden.
 func (w *Workload) Hash() string {
 	parts := []string{w.raw, w.Name}
 	if w.parent != nil {
@@ -126,20 +127,6 @@ func (w *Workload) HostPath(p string) string {
 		return p
 	}
 	return filepath.Join(w.Dir, p)
-}
-
-// knownKeys is the exhaustive option set (Table II plus supporting options);
-// unknown keys are rejected so workload files stay unambiguous.
-var knownKeys = map[string]bool{
-	"name": true, "base": true, "board": true, "distro": true,
-	"overlay": true, "files": true,
-	"host-init": true, "guest-init": true,
-	"run": true, "command": true,
-	"outputs": true, "post-run-hook": true,
-	"rootfs-size": true, "bin": true, "img": true, "no-disk": true,
-	"linux": true, "firmware": true,
-	"spike": true, "spike-args": true, "qemu-args": true,
-	"jobs": true, "testing": true,
 }
 
 // ParseFile reads and parses a workload file (JSON or YAML by extension).
@@ -187,235 +174,179 @@ func Parse(data []byte, isYAML bool) (*Workload, error) {
 }
 
 func fromMap(m map[string]any) (*Workload, error) {
-	for k := range m {
-		if !knownKeys[k] {
-			return nil, fmt.Errorf("spec: unknown option %q (known options: %s)", k, strings.Join(sortedKeys(knownKeys), ", "))
-		}
-	}
 	w := &Workload{}
-	var err error
-	if w.Name, err = optString(m, "name"); err != nil {
+	if err := decodeRows(w, options, "", m); err != nil {
 		return nil, err
-	}
-	if w.Base, err = optString(m, "base"); err != nil {
-		return nil, err
-	}
-	if w.Board, err = optString(m, "board"); err != nil {
-		return nil, err
-	}
-	if w.Distro, err = optString(m, "distro"); err != nil {
-		return nil, err
-	}
-	if w.Overlay, err = optString(m, "overlay"); err != nil {
-		return nil, err
-	}
-	if w.HostInit, err = optString(m, "host-init"); err != nil {
-		return nil, err
-	}
-	if w.GuestInit, err = optString(m, "guest-init"); err != nil {
-		return nil, err
-	}
-	if w.Run, err = optString(m, "run"); err != nil {
-		return nil, err
-	}
-	if w.Command, err = optString(m, "command"); err != nil {
-		return nil, err
-	}
-	if w.PostRunHook, err = optString(m, "post-run-hook"); err != nil {
-		return nil, err
-	}
-	if w.RootfsSize, err = optString(m, "rootfs-size"); err != nil {
-		return nil, err
-	}
-	if w.Bin, err = optString(m, "bin"); err != nil {
-		return nil, err
-	}
-	if w.Img, err = optString(m, "img"); err != nil {
-		return nil, err
-	}
-	if w.Spike, err = optString(m, "spike"); err != nil {
-		return nil, err
-	}
-	if w.Outputs, err = optStrings(m, "outputs"); err != nil {
-		return nil, err
-	}
-	if w.SpikeArgs, err = optStrings(m, "spike-args"); err != nil {
-		return nil, err
-	}
-	if w.QemuArgs, err = optStrings(m, "qemu-args"); err != nil {
-		return nil, err
-	}
-	if v, ok := m["no-disk"]; ok {
-		b, isB := v.(bool)
-		if !isB {
-			return nil, fmt.Errorf("spec: no-disk must be a boolean")
-		}
-		w.NoDisk = b
 	}
 	if w.Run != "" && w.Command != "" {
 		return nil, fmt.Errorf("spec: run and command are mutually exclusive")
 	}
-	if v, ok := m["files"]; ok {
-		list, isL := v.([]any)
-		if !isL {
-			return nil, fmt.Errorf("spec: files must be a list")
+	return w, nil
+}
+
+// decodeRows reads the options of rows that m sets into w, in table order.
+// prefix qualifies a sub-map's keys in messages ("linux.").
+func decodeRows(w *Workload, rows []option, prefix string, m map[string]any) error {
+	for k := range m {
+		if !slices.ContainsFunc(rows, func(o option) bool { return o.key == k }) {
+			if prefix == "" {
+				return fmt.Errorf("spec: unknown option %q (known options: %s)", k, strings.Join(sortedKeys(knownKeys), ", "))
+			}
+			return fmt.Errorf("spec: unknown %s option %q", strings.TrimSuffix(prefix, "."), k)
+		}
+	}
+	for i := range rows {
+		if v, ok := m[rows[i].key]; ok {
+			if err := rows[i].decode(w, prefix+rows[i].key, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// decode stores the document value v of option o (named name in messages)
+// into level w; the type of o's field says how v is read.
+func (o *option) decode(w *Workload, name string, v any) error {
+	switch p := o.at(w).(type) {
+	case *string:
+		if v == nil {
+			return nil
+		}
+		s, ok := v.(string)
+		if !ok {
+			return fmt.Errorf("spec: option %q must be a string, got %T", o.key, v)
+		}
+		*p = s
+	case *[]string:
+		if name == "linux.config" {
+			return decodeFragments(p, v)
+		}
+		list, err := stringList(o.key, v)
+		*p = list
+		return err
+	case *bool:
+		b, ok := v.(bool)
+		if !ok {
+			return fmt.Errorf("spec: %s must be a boolean", name)
+		}
+		*p = b
+	case *int: // testing.timeout, whole seconds of guest time
+		f, ok := v.(float64)
+		if !ok || f < 0 {
+			return fmt.Errorf("spec: %s must be a non-negative number", name)
+		}
+		if f != math.Trunc(f) || f > maxTimeoutSec {
+			return fmt.Errorf("spec: %s must be a whole number of seconds no larger than %d", name, uint64(maxTimeoutSec))
+		}
+		*p = int(f)
+	case *map[string]string:
+		mm, ok := v.(map[string]any)
+		if !ok {
+			return fmt.Errorf("spec: %s must be a mapping", name)
+		}
+		*p = map[string]string{}
+		for k, src := range mm {
+			s, ok := src.(string)
+			if !ok {
+				return fmt.Errorf("spec: %s values must be strings", name)
+			}
+			(*p)[k] = s
+		}
+	case *[]FilePair:
+		list, ok := v.([]any)
+		if !ok {
+			return fmt.Errorf("spec: files must be a list")
 		}
 		for _, item := range list {
-			pair, isP := item.([]any)
-			if !isP || len(pair) != 2 {
-				return nil, fmt.Errorf("spec: each files entry must be a [src, dst] pair")
+			pair, ok := item.([]any)
+			if !ok || len(pair) != 2 {
+				return fmt.Errorf("spec: each files entry must be a [src, dst] pair")
 			}
 			src, ok1 := pair[0].(string)
 			dst, ok2 := pair[1].(string)
 			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("spec: files entries must be strings")
+				return fmt.Errorf("spec: files entries must be strings")
 			}
-			w.Files = append(w.Files, FilePair{Src: src, Dst: dst})
+			*p = append(*p, FilePair{Src: src, Dst: dst})
 		}
+	case *[]*Workload:
+		return decodeJobs(p, v)
+	default: // a sub-map
+		sub, ok := v.(map[string]any)
+		if !ok {
+			return fmt.Errorf("spec: %s must be a mapping", name)
+		}
+		switch b := p.(type) {
+		case **LinuxOpts:
+			*b = &LinuxOpts{}
+		case **FirmwareOpts:
+			*b = &FirmwareOpts{}
+		case **TestingOpts:
+			*b = &TestingOpts{Strip: true}
+		}
+		return decodeRows(w, o.fields, name+".", sub)
 	}
-	if v, ok := m["linux"]; ok {
-		lm, isM := v.(map[string]any)
-		if !isM {
-			return nil, fmt.Errorf("spec: linux must be a mapping")
-		}
-		w.Linux = &LinuxOpts{}
-		if w.Linux.Source, err = optString(lm, "source"); err != nil {
-			return nil, err
-		}
-		// config accepts a single string or a list of fragments.
-		switch cv := lm["config"].(type) {
-		case nil:
-		case string:
-			w.Linux.Config = []string{cv}
-		case []any:
-			for _, c := range cv {
-				s, isS := c.(string)
-				if !isS {
-					return nil, fmt.Errorf("spec: linux.config entries must be strings")
-				}
-				w.Linux.Config = append(w.Linux.Config, s)
-			}
-		default:
-			return nil, fmt.Errorf("spec: linux.config must be a string or list")
-		}
-		if mv, ok := lm["modules"]; ok {
-			mm, isM := mv.(map[string]any)
-			if !isM {
-				return nil, fmt.Errorf("spec: linux.modules must be a mapping")
-			}
-			w.Linux.Modules = map[string]string{}
-			for name, src := range mm {
-				s, isS := src.(string)
-				if !isS {
-					return nil, fmt.Errorf("spec: linux.modules values must be strings")
-				}
-				w.Linux.Modules[name] = s
-			}
-		}
-		for k := range lm {
-			if k != "source" && k != "config" && k != "modules" {
-				return nil, fmt.Errorf("spec: unknown linux option %q", k)
-			}
-		}
-	}
-	if v, ok := m["firmware"]; ok {
-		fm, isM := v.(map[string]any)
-		if !isM {
-			return nil, fmt.Errorf("spec: firmware must be a mapping")
-		}
-		w.Firmware = &FirmwareOpts{}
-		if w.Firmware.Kind, err = optString(fm, "kind"); err != nil {
-			return nil, err
-		}
-		if w.Firmware.BuildArgs, err = optStrings(fm, "build-args"); err != nil {
-			return nil, err
-		}
-		for k := range fm {
-			if k != "kind" && k != "build-args" {
-				return nil, fmt.Errorf("spec: unknown firmware option %q", k)
-			}
-		}
-	}
-	if v, ok := m["testing"]; ok {
-		tm, isM := v.(map[string]any)
-		if !isM {
-			return nil, fmt.Errorf("spec: testing must be a mapping")
-		}
-		w.Testing = &TestingOpts{Strip: true}
-		if w.Testing.RefDir, err = optString(tm, "refDir"); err != nil {
-			return nil, err
-		}
-		if tv, ok := tm["timeout"]; ok {
-			f, isF := tv.(float64)
-			if !isF || f < 0 {
-				return nil, fmt.Errorf("spec: testing.timeout must be a non-negative number")
-			}
-			w.Testing.TimeoutSec = int(f)
-		}
-		if sv, ok := tm["strip"]; ok {
-			b, isB := sv.(bool)
-			if !isB {
-				return nil, fmt.Errorf("spec: testing.strip must be a boolean")
-			}
-			w.Testing.Strip = b
-		}
-		for k := range tm {
-			if k != "refDir" && k != "timeout" && k != "strip" {
-				return nil, fmt.Errorf("spec: unknown testing option %q", k)
-			}
-		}
-	}
-	if v, ok := m["jobs"]; ok {
-		list, isL := v.([]any)
-		if !isL {
-			return nil, fmt.Errorf("spec: jobs must be a list")
-		}
-		for i, item := range list {
-			jm, isM := item.(map[string]any)
-			if !isM {
-				return nil, fmt.Errorf("spec: job %d must be a mapping", i)
-			}
-			jw, jerr := fromMap(jm)
-			if jerr != nil {
-				return nil, fmt.Errorf("spec: job %d: %w", i, jerr)
-			}
-			if jw.Name == "" {
-				return nil, fmt.Errorf("spec: job %d has no name", i)
-			}
-			if len(jw.Jobs) > 0 {
-				return nil, fmt.Errorf("spec: job %q: jobs cannot nest", jw.Name)
-			}
-			w.Jobs = append(w.Jobs, jw)
-		}
-	}
-	return w, nil
+	return nil
 }
 
-func optString(m map[string]any, key string) (string, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
-		return "", nil
+func decodeJobs(jobs *[]*Workload, v any) error {
+	list, ok := v.([]any)
+	if !ok {
+		return fmt.Errorf("spec: jobs must be a list")
 	}
-	s, isS := v.(string)
-	if !isS {
-		return "", fmt.Errorf("spec: option %q must be a string, got %T", key, v)
+	for i, item := range list {
+		jm, ok := item.(map[string]any)
+		if !ok {
+			return fmt.Errorf("spec: job %d must be a mapping", i)
+		}
+		jw, err := fromMap(jm)
+		if err != nil {
+			return fmt.Errorf("spec: job %d: %w", i, err)
+		}
+		if jw.Name == "" {
+			return fmt.Errorf("spec: job %d has no name", i)
+		}
+		if len(jw.Jobs) > 0 {
+			return fmt.Errorf("spec: job %q: jobs cannot nest", jw.Name)
+		}
+		*jobs = append(*jobs, jw)
 	}
-	return s, nil
+	return nil
 }
 
-func optStrings(m map[string]any, key string) ([]string, error) {
-	v, ok := m[key]
-	if !ok || v == nil {
+// decodeFragments reads linux.config: one fragment or a list of them.
+func decodeFragments(frags *[]string, v any) error {
+	switch cv := v.(type) {
+	case nil:
+	case string:
+		*frags = []string{cv}
+	case []any:
+		for _, c := range cv {
+			s, ok := c.(string)
+			if !ok {
+				return fmt.Errorf("spec: linux.config entries must be strings")
+			}
+			*frags = append(*frags, s)
+		}
+	default:
+		return fmt.Errorf("spec: linux.config must be a string or list")
+	}
+	return nil
+}
+
+func stringList(key string, v any) ([]string, error) {
+	if v == nil {
 		return nil, nil
 	}
-	list, isL := v.([]any)
-	if !isL {
+	list, ok := v.([]any)
+	if !ok {
 		return nil, fmt.Errorf("spec: option %q must be a list", key)
 	}
 	out := make([]string, 0, len(list))
 	for _, item := range list {
-		s, isS := item.(string)
-		if !isS {
+		s, ok := item.(string)
+		if !ok {
 			return nil, fmt.Errorf("spec: option %q entries must be strings", key)
 		}
 		out = append(out, s)
@@ -423,7 +354,7 @@ func optStrings(m map[string]any, key string) ([]string, error) {
 	return out, nil
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -453,12 +384,15 @@ func ParseRootfsSize(s string) (int64, error) {
 			break
 		}
 	}
-	var n int64
-	if _, err := fmt.Sscanf(strings.TrimSpace(upper), "%d", &n); err != nil {
+	n, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
+	if err != nil {
 		return 0, fmt.Errorf("spec: bad rootfs-size %q", s)
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("spec: rootfs-size must be positive")
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("spec: rootfs-size %q is too large", s)
 	}
 	return n * mult, nil
 }

@@ -109,6 +109,10 @@ func TestTypeErrors(t *testing.T) {
 		`{"no-disk": "yes"}`,
 		`{"run": "a.sh", "command": "echo hi"}`,
 		`{"testing": {"timeout": -1}}`,
+		// A timeout is whole seconds, and its cycle budget fits in a uint64.
+		`{"testing": {"timeout": 2.7}}`,
+		`{"testing": {"timeout": 1e30}}`,
+		`{"testing": {"timeout": 18446744074}}`,
 		`[1,2,3]`,
 	}
 	for _, src := range bad {
@@ -177,20 +181,20 @@ func TestLoadWithInheritance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := w.Chain()
+	chain := w.Effective.Levels
 	if len(chain) != 3 {
 		t.Fatalf("chain length %d", len(chain))
 	}
 	if chain[0].Name != "br-base" || chain[1].Name != "parent" || chain[2].Name != "child" {
 		t.Errorf("chain order: %s %s %s", chain[0].Name, chain[1].Name, chain[2].Name)
 	}
-	if w.EffectiveDistro() != "br" {
-		t.Errorf("distro = %q", w.EffectiveDistro())
+	if w.Effective.Distro != "br" {
+		t.Errorf("distro = %q", w.Effective.Distro)
 	}
-	if w.EffectiveRootfsSize() != "1GiB" {
-		t.Errorf("rootfs-size = %q", w.EffectiveRootfsSize())
+	if w.Effective.RootfsSize != "1GiB" {
+		t.Errorf("rootfs-size = %q", w.Effective.RootfsSize)
 	}
-	frags := w.ConfigFragments()
+	frags := w.Effective.ConfigFragments
 	if len(frags) != 2 || !strings.HasSuffix(frags[0], "p.kfrag") || !strings.HasSuffix(frags[1], "c.kfrag") {
 		t.Errorf("fragments = %v (parents must come first)", frags)
 	}
@@ -272,18 +276,18 @@ func TestJobsImplicitBase(t *testing.T) {
 	}
 	client, server := w.Jobs[0], w.Jobs[1]
 	// "Jobs are implicitly based on the top level workload description".
-	if client.Parent() != w {
+	if levels := client.Effective.Levels; levels[len(levels)-2] != w {
 		t.Error("client should inherit from top-level workload")
 	}
-	if client.EffectiveRootfsSize() != "2GiB" {
-		t.Errorf("client rootfs = %q", client.EffectiveRootfsSize())
+	if client.Effective.RootfsSize != "2GiB" {
+		t.Errorf("client rootfs = %q", client.Effective.RootfsSize)
 	}
-	if client.EffectiveDistro() != "br" {
-		t.Errorf("client distro = %q", client.EffectiveDistro())
+	if client.Effective.Distro != "br" {
+		t.Errorf("client distro = %q", client.Effective.Distro)
 	}
 	// Explicit base overrides the implicit one.
-	if server.EffectiveDistro() != "bare" {
-		t.Errorf("server distro = %q", server.EffectiveDistro())
+	if server.Effective.Distro != "bare" {
+		t.Errorf("server distro = %q", server.Effective.Distro)
 	}
 }
 
@@ -334,7 +338,7 @@ func TestModulesMergeAcrossChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mods := w.Modules()
+	mods := w.Effective.Modules
 	if len(mods) != 2 {
 		t.Fatalf("modules = %v", mods)
 	}
@@ -350,6 +354,8 @@ func TestParseRootfsSize(t *testing.T) {
 		"1k":     1 << 10,
 		"4096":   4096,
 		"2GB":    2 << 30,
+		// The largest size whose byte count fits in an int64.
+		"8589934591GiB": (1<<33 - 1) << 30,
 	}
 	for in, want := range cases {
 		got, err := ParseRootfsSize(in)
@@ -357,7 +363,8 @@ func TestParseRootfsSize(t *testing.T) {
 			t.Errorf("ParseRootfsSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"abc", "-5MiB", "0"} {
+	// A size is a whole number, and its byte count must fit in an int64.
+	for _, bad := range []string{"abc", "-5MiB", "0", "1.5GiB", "12xyz", "9999999999GiB", "8589934592GiB", "99999999999999999999"} {
 		if _, err := ParseRootfsSize(bad); err == nil {
 			t.Errorf("ParseRootfsSize(%q): expected error", bad)
 		}
@@ -373,7 +380,7 @@ func TestEffectiveArgsConcatenate(t *testing.T) {
 	writeFile(t, dir, "c.json", `{"name":"c","base":"p","qemu-args":["-smp","2"]}`)
 	l := newTestLoader(t, dir)
 	w, _ := l.Load("c")
-	args := w.EffectiveQemuArgs()
+	args := w.Effective.QemuArgs
 	want := []string{"-m", "4G", "-smp", "2"}
 	if len(args) != 4 {
 		t.Fatalf("args = %v", args)
@@ -419,7 +426,7 @@ command: |-
 }
 
 // Property: for random inheritance chains, effective options resolve to the
-// nearest definition and Chain() has the right shape.
+// nearest definition and the chain has the right shape.
 func TestQuickInheritanceResolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -456,10 +463,10 @@ func TestQuickInheritanceResolution(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(w.Chain()) != depth+1 {
+		if len(w.Effective.Levels) != depth+1 {
 			return false
 		}
-		return w.EffectiveRootfsSize() == wantSize
+		return w.Effective.RootfsSize == wantSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -10,7 +10,7 @@
 // The farm turns the repo's core invariant — every fast path is
 // architecturally equivalent to the reference interpreter — from a
 // point-in-time test suite into a continuously running, coverage-measured
-// service (ROADMAP item 4).
+// service.
 package verify
 
 import (
