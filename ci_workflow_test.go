@@ -240,6 +240,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzDecodeCPIO":           "./internal/fsimg",
 		"FuzzLeaseBody":            "./internal/launcher/remote",
 		"FuzzEventStream":          "./internal/launcher/remote",
+		"FuzzFleetSchedule":        "./internal/launcher/remote",
 		"FuzzActionLog":            "./internal/cas",
 		"FuzzLoadPointer":          "./internal/checkpoint",
 		"FuzzDecodePack":           "./internal/checkpoint",

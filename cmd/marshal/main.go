@@ -1,6 +1,6 @@
 // Command marshal is the FireMarshal CLI (Table I): build, launch, test,
 // and install software workloads for RISC-V full-stack simulation, plus the
-// supporting clean, list, and status commands.
+// supporting clean, list, status, and graph commands.
 //
 // Usage:
 //
@@ -17,13 +17,15 @@
 // Commands:
 //
 //	build [-nodisk] <workload>          construct the boot binary + image
-//	launch [-job J] [-spike] [-resume] [-ckpt-every N] [-metrics FILE] <workload>
+//	launch [-job J] [-spike] [-nodisk] [-trace] [-j N] [-timeout D] [-retries N]
+//	       [-resume] [-ckpt-every N] [-metrics FILE] [-workers ADDRS] <workload>
 //	                                    run in functional simulation
 //	test [-manual DIR] <workload>       build, launch, compare outputs
 //	install [-nodisk] <workload>        emit cycle-exact simulator config
 //	clean <workload>                    drop artifacts and build state
 //	list                                list known workloads
 //	status <workload>                   show build state for a workload
+//	graph <workload>                    show the inheritance chain and jobs
 //	cache stats|gc|verify [-repair]|serve [-hub URL]  manage the artifact cache
 //	metrics serve [-addr]               Prometheus endpoint + cache server
 //	worker serve [-addr] [-slots N]     distributed-launch worker daemon

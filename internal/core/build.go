@@ -23,7 +23,8 @@ import (
 // BuildOpts controls a build.
 type BuildOpts struct {
 	// NoDisk additionally produces the initramfs-embedded boot binary
-	// (`marshal build --no-disk`, Fig. 3).
+	// (`marshal build --no-disk`, Fig. 3) — as a workload's no-disk option
+	// does for its own targets.
 	NoDisk bool
 	// Jobs bounds how many build tasks run concurrently (the dag engine's
 	// worker count). <=0 means NumCPU. Per-job build targets are claimed
@@ -37,7 +38,7 @@ type BuildResult struct {
 	Target    string
 	Bin       string // boot binary path ("" for image-only targets)
 	Img       string // disk image path ("" for bare-metal targets)
-	NoDiskBin string // set when BuildOpts.NoDisk
+	NoDiskBin string // set when no-disk was asked for and the target has an image to embed
 }
 
 // Build constructs the boot binary and disk image for a workload and all of
@@ -87,7 +88,7 @@ func (m *Marshal) BuildWorkload(w *spec.Workload, opts BuildOpts) ([]BuildResult
 			res.Img = m.ImgPath(tgt.Name)
 			finalTasks = append(finalTasks, arts.imgTask)
 		}
-		if opts.NoDisk && arts.noDiskTask != "" {
+		if arts.noDiskTask != "" {
 			res.NoDiskBin = m.NoDiskBinPath(tgt.Name)
 			finalTasks = append(finalTasks, arts.noDiskTask)
 		}
@@ -181,7 +182,7 @@ func (b *builder) register(w *spec.Workload, artifact string) (*chainArtifacts, 
 	}
 
 	// --- initramfs-embedded build (§III-B.1 step 6) ---
-	if b.opts.NoDisk && arts.imgTask != "" && arts.binTask != "" {
+	if (b.opts.NoDisk || w.Effective.NoDisk) && arts.imgTask != "" && arts.binTask != "" {
 		arts.noDiskTask = "nodisk:" + artifact
 		task := &dag.Task{
 			Name:      arts.noDiskTask,

@@ -130,6 +130,19 @@ func (m *Marshal) NoDiskBinPath(target string) string {
 	return filepath.Join(m.imagesDir(), target+"-bin-nodisk")
 }
 
+// bootFiles is the one rule for what a target boots, given what the build
+// made: its no-disk binary and no disk where the build made one (no-disk
+// was asked for, by --no-disk or the workload's option, and the target has
+// an image to embed), else its own binary and image.
+func (m *Marshal) bootFiles(tgt Target, built []BuildResult) (bin, img string) {
+	for _, res := range built {
+		if res.Target == tgt.Name && res.NoDiskBin != "" {
+			return res.NoDiskBin, ""
+		}
+	}
+	return m.BinPath(tgt.Name), m.ImgPath(tgt.Name)
+}
+
 // RunDir returns the launch output directory for a target.
 func (m *Marshal) RunDir(target string) string {
 	return filepath.Join(m.WorkDir, "runs", target)

@@ -269,6 +269,88 @@ func TestNoDisk(t *testing.T) {
 	}
 }
 
+// TestNoDiskWithBareMetalJob: --no-disk on Listing 1's shape, a Linux client
+// beside a bare-metal server. The client boots its initramfs-embedded
+// binary; the server, which has no image to embed, boots its own binary.
+func TestNoDiskWithBareMetalJob(t *testing.T) {
+	e := newEnv(t)
+	os.WriteFile(filepath.Join(e.wlDir, "serve"), buildTrivialExe(t), 0o755)
+	e.write(t, "lm.json", `{
+  "name": "lm", "base": "br-base",
+  "jobs": [
+    {"name": "client", "command": "echo client-run"},
+    {"name": "server", "base": "bare-metal", "bin": "serve"}
+  ]}`)
+	runs, err := e.m.Launch("lm", LaunchOpts{NoDisk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range runs {
+		uart, _ := os.ReadFile(run.Uartlog)
+		if run.ExitCode != 0 {
+			t.Errorf("%s: exit %d\n%s", run.Target, run.ExitCode, uart)
+		}
+		if run.Target == "lm-client" && !strings.Contains(string(uart), "Mounted root (initramfs)") {
+			t.Errorf("the client did not boot its no-disk binary:\n%s", uart)
+		}
+	}
+	dir, err := e.m.Install("lm", InstallOpts{NoDisk: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := install.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"lm-client": e.m.NoDiskBinPath("lm-client"), "lm-server": e.m.BinPath("lm-server")}
+	for _, job := range cfg.Jobs {
+		if abs, _ := filepath.Abs(want[job.Name]); job.Bin != abs || job.Img != "" {
+			t.Errorf("%s installed with bin %s, img %q; want bin %s and no image", job.Name, job.Bin, job.Img, abs)
+		}
+	}
+}
+
+// TestNoDiskWorkloadOption: a workload that sets no-disk builds, launches
+// and installs as --no-disk does, and a level below may turn it off.
+func TestNoDiskWorkloadOption(t *testing.T) {
+	e := newEnv(t)
+	e.write(t, "p.json", `{"name":"p","base":"br-base","no-disk":true,"command":"echo nodisk-run"}`)
+	e.write(t, "c.json", `{"name":"c","base":"p","no-disk":false,"command":"echo disk-run"}`)
+	results, err := e.m.Build("p", BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].NoDiskBin != e.m.NoDiskBinPath("p") {
+		t.Fatalf("build of a no-disk workload made no no-disk binary: %+v", results[0])
+	}
+	runs, err := e.m.Launch("p", LaunchOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uart, _ := os.ReadFile(runs[0].Uartlog); !strings.Contains(string(uart), "Mounted root (initramfs)") {
+		t.Errorf("a no-disk workload did not boot from its initramfs:\n%s", uart)
+	}
+	dir, err := e.m.Install("p", InstallOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := install.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if abs, _ := filepath.Abs(e.m.NoDiskBinPath("p")); cfg.Jobs[0].Bin != abs || cfg.Jobs[0].Img != "" {
+		t.Errorf("installed bin %s, img %q; want %s and no image", cfg.Jobs[0].Bin, cfg.Jobs[0].Img, abs)
+	}
+
+	results, err = e.m.Build("c", BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].NoDiskBin != "" {
+		t.Errorf("a level that turns no-disk off got a no-disk binary")
+	}
+}
+
 func TestIncrementalRebuildSkips(t *testing.T) {
 	e := newEnv(t)
 	e.write(t, "w.json", `{"name":"w","base":"br-base","command":"echo x"}`)

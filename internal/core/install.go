@@ -35,7 +35,8 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 	}
 	// Build the workload loaded above — a spec edited mid-command cannot
 	// desynchronize the installed config from its artifacts.
-	if _, err := m.BuildWorkload(w, BuildOpts{NoDisk: opts.NoDisk}); err != nil {
+	built, err := m.BuildWorkload(w, BuildOpts{NoDisk: opts.NoDisk})
+	if err != nil {
 		return "", err
 	}
 
@@ -57,7 +58,7 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 	}
 
 	for _, tgt := range targets {
-		job, err := m.jobConfig(tgt, opts, serverNode)
+		job, err := m.jobConfig(tgt, built, serverNode)
 		if err != nil {
 			return "", err
 		}
@@ -77,12 +78,9 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 	return destDir, nil
 }
 
-func (m *Marshal) jobConfig(tgt Target, opts InstallOpts, serverNode string) (*install.JobConfig, error) {
+func (m *Marshal) jobConfig(tgt Target, built []BuildResult, serverNode string) (*install.JobConfig, error) {
 	w := tgt.Workload
-	binPath := m.BinPath(tgt.Name)
-	if opts.NoDisk {
-		binPath = m.NoDiskBinPath(tgt.Name)
-	}
+	binPath, imgPath := m.bootFiles(tgt, built)
 	absBin, err := filepath.Abs(binPath)
 	if err != nil {
 		return nil, err
@@ -96,11 +94,9 @@ func (m *Marshal) jobConfig(tgt Target, opts InstallOpts, serverNode string) (*i
 		Outputs: w.Effective.Outputs,
 		Bare:    w.Effective.Distro == "bare",
 	}
-	if !opts.NoDisk {
-		if imgPath := m.ImgPath(tgt.Name); fileExists(imgPath) {
-			if job.Img, err = filepath.Abs(imgPath); err != nil {
-				return nil, err
-			}
+	if imgPath != "" && fileExists(imgPath) {
+		if job.Img, err = filepath.Abs(imgPath); err != nil {
+			return nil, err
 		}
 	}
 	job.Devices = rtlDeviceProfile(w, serverNode)

@@ -141,7 +141,8 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 	cache.SetContext(ctx)
 	defer cache.SetContext(nil)
 
-	if _, err := m.BuildWorkload(w, BuildOpts{NoDisk: opts.NoDisk, Jobs: opts.Jobs}); err != nil {
+	built, err := m.BuildWorkload(w, BuildOpts{NoDisk: opts.NoDisk, Jobs: opts.Jobs})
+	if err != nil {
 		return nil, err
 	}
 
@@ -192,7 +193,7 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 		run.CkptStore = cache.Local()
 	}
 	for _, tgt := range targets {
-		run.Jobs = append(run.Jobs, m.launchJob(tgt, opts, tee))
+		run.Jobs = append(run.Jobs, m.launchJob(tgt, built, opts, tee))
 	}
 	results, summary, err := remote.Drive(ctx, run)
 	if summary == nil {
@@ -226,22 +227,20 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 // the functional simulator variant, and the host-local extras its board
 // profile and the launch options call for. Device-driver hooks run host-side
 // callbacks that exist only in this process; each attempt gets a fresh set.
-func (m *Marshal) launchJob(tgt Target, opts LaunchOpts, tee io.Writer) remote.Job {
+func (m *Marshal) launchJob(tgt Target, built []BuildResult, opts LaunchOpts, tee io.Writer) remote.Job {
 	w := tgt.Workload
 	runDir := m.RunDir(tgt.Name)
 	eff := w.Effective
 	args := slices.Concat(eff.QemuArgs, eff.SpikeArgs)
+	bin, img := m.bootFiles(tgt, built)
 	job := remote.Job{
 		Name:    tgt.Name,
-		Bin:     m.BinPath(tgt.Name),
-		Img:     m.ImgPath(tgt.Name),
+		Bin:     bin,
+		Img:     img,
 		Sim:     "qemu",
 		Outputs: eff.Outputs,
 		Dir:     runDir,
 		Post:    func() error { return m.runPostRunHook(w, runDir) },
-	}
-	if opts.NoDisk {
-		job.Bin, job.Img = m.NoDiskBinPath(tgt.Name), ""
 	}
 	if opts.Spike || eff.Spike != "" {
 		job.Sim = "spike"

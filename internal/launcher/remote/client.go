@@ -13,24 +13,12 @@ import (
 	"firemarshal/internal/hostutil"
 )
 
-// requestTimeout bounds each coordinator→worker request. It is short:
-// requests are tiny control messages, and a worker that cannot answer
-// within it is what the lease TTL exists to detect.
+// requestTimeout bounds each attempt of a coordinator→worker request: they
+// are tiny control messages. A request out holds up nothing but its answer.
 const requestTimeout = 5 * time.Second
 
 // clientRetries bounds per-request retries (see do).
 const clientRetries = 3
-
-// ErrAlreadyLeased reports a Submit refused because the worker already
-// holds that job — for the coordinator this is success-shaped (the lease
-// exists; a duplicated or retried Submit landed twice), distinguished
-// from real refusals so health scoring doesn't punish the worker for our
-// own retransmit.
-var ErrAlreadyLeased = errors.New("remote: job already leased")
-
-// ErrHeldForOtherWork reports a Submit the worker cannot take yet: it runs or
-// queues other work under that name, a lease an earlier coordinator left.
-var ErrHeldForOtherWork = errors.New("remote: job name held for other work")
 
 // ErrWorkerRestarted reports an event poll whose cursor is past the end of
 // the worker's log: the process that handed it out is gone with its leases.
@@ -61,14 +49,10 @@ func (c *WorkerClient) SetTransport(rt http.RoundTripper) { c.http.SetTransport(
 
 // do sends one JSON request — hold is how long the worker was asked to keep
 // it open — under the shared retry policy (hostutil.Retry), decoding a 200
-// answer into out when non-nil: 429 throttles wait out the worker's
-// Retry-After hint, and failures of idempotent calls are retried after a
-// short jittered wait (POST /v1/jobs is idempotent too: a duplicate lands as
-// 409, which reads as leased). DELETE is never blind-retried: a Steal whose
-// response was lost may have succeeded, and re-sending it could "succeed"
-// against a job the worker re-acquired — the coordinator's reconcile pass
-// resolves that ambiguity instead. Every wait ends with ctx, so a cancelled
-// coordinator does not sit out a worker's hint.
+// answer into out when non-nil. Failures are retried (a duplicate POST
+// /v1/jobs lands as 409, which reads as leased), except DELETE's: a steal
+// whose answer was lost may have succeeded, which the coordinator's
+// reconcile pass resolves. Every wait ends with ctx.
 func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path string, body any, out any) (int, error) {
 	req := hostutil.Request{Method: method, Path: path, Hold: hold}
 	if body != nil {
@@ -122,25 +106,6 @@ func (c *WorkerClient) Lease(ctx context.Context, specs []JobSpec) ([]int, error
 		return nil, fmt.Errorf("worker %s: lease of %d job(s): HTTP %d with %d answer(s)", c.Addr, len(specs), code, len(codes))
 	}
 	return codes, nil
-}
-
-// Submit leases one job to the worker: Lease of one. A worker that already
-// holds the job is surfaced as ErrAlreadyLeased (success-shaped for the
-// coordinator, error-shaped for anyone double-leasing by mistake).
-func (c *WorkerClient) Submit(ctx context.Context, spec JobSpec) error {
-	codes, err := c.Lease(ctx, []JobSpec{spec})
-	if err != nil {
-		return err
-	}
-	switch codes[0] {
-	case http.StatusAccepted:
-		return nil
-	case http.StatusConflict:
-		return fmt.Errorf("worker %s: submit %s: %w", c.Addr, spec.Name, ErrAlreadyLeased)
-	case http.StatusLocked:
-		return fmt.Errorf("worker %s: submit %s: %w", c.Addr, spec.Name, ErrHeldForOtherWork)
-	}
-	return fmt.Errorf("worker %s: submit %s: HTTP %d", c.Addr, spec.Name, codes[0])
 }
 
 // Events drains the worker's event log from sequence `since`. A positive

@@ -7,7 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sync"
+	"slices"
 	"time"
 
 	"firemarshal/internal/checkpoint"
@@ -22,14 +22,10 @@ type CoordOptions struct {
 	// answer the initial status probe.
 	Workers []string
 	// Journal, when set, receives a start record per attempt and a done
-	// record per terminal job, exactly as a local launch journals — the
-	// coordinator's journal/manifest stays the single source of truth,
-	// and `-resume` after a coordinator crash works unchanged.
+	// record per terminal job, exactly as a local launch journals.
 	Journal *launcher.Journal
-	// Poll is the heartbeat bound (a worker answers its outstanding event
-	// poll on its next event or after Poll) and the housekeeping cadence —
-	// not event latency: events are handled as they happen (default 100ms).
-	// A worker silent for leaseHeartbeats polls forfeits its leases.
+	// Poll is the heartbeat bound (a worker answers a held event poll after
+	// Poll at the latest) and the housekeeping cadence (default 100ms).
 	Poll time.Duration
 	// Transport, when set, wraps every worker client's HTTP transport
 	// (chaos fault injection).
@@ -38,13 +34,11 @@ type CoordOptions struct {
 	// skipped and running ones finish, as in the local pool.
 	Drain <-chan struct{}
 	// OnCheckpoint runs for each checkpoint a worker announces; Drive
-	// persists the pointer into the run's checkpoint directory so a
-	// coordinator crash resumes from it.
+	// persists the pointer so a coordinator crash resumes from it.
 	OnCheckpoint func(ptr *checkpoint.Pointer)
-	// OnDone runs for each terminal job (once), with its done event, before
-	// the job is journaled; Drive materializes the console and outputs from
-	// the remote cache into the job's run directory. An error fails an
-	// otherwise ok job. Runs off the coordinator loop, one per worker at a time.
+	// OnDone runs once per terminal job, off the loop and one per worker at
+	// a time, before the job is journaled; Drive materializes the job's
+	// files with it. An error fails an otherwise ok job.
 	OnDone func(ev Event) error
 	// Obs is the registry remote_* fleet metrics report into.
 	Obs *obs.Registry
@@ -52,39 +46,83 @@ type CoordOptions struct {
 	Log io.Writer
 }
 
-// Worker health scoring: a leaky fault counter per worker. Poll and
-// submit failures add, successful polls drain, and crossing the
-// threshold quarantines the worker — it keeps its running leases (the
-// TTL remains the only forfeit path) but receives no new ones for the
-// rest of the run. Quarantine is sticky: a worker flaky enough to cross
-// the threshold once doesn't get to poison tail latency again.
+// Worker health is a leaky fault counter: poll and lease failures add,
+// successful polls drain, and crossing the threshold quarantines the worker
+// for the run. It keeps its leases and gets new ones only as a last resort.
 const (
-	// leaseHeartbeats × Poll is the lease TTL (10s at the default Poll).
-	leaseHeartbeats = 100
-
+	leaseHeartbeats     = 100 // × Poll is the lease TTL
 	faultPoll           = 1
 	faultSubmit         = 2
 	quarantineThreshold = 6
-	// reconcileEvery is the cadence, in Poll ticks, of the reconcile
-	// pass: a Status fetch that re-derives lease truth from the worker
-	// (a job we think it owns but it doesn't hold was lost in transit —
-	// e.g. a steal whose response dropped — and must be re-leased).
-	reconcileEvery = 8
-	// maxRefusals bounds how many full assignment sweeps a job survives
-	// without any worker accepting it before it fails terminally.
-	maxRefusals = 50
+	reconcileEvery      = 8  // ticks between status fetches that re-derive lease truth
+	maxRefusals         = 50 // sweeps every worker refuses before a job fails
 )
 
-// cjob is the coordinator's view of one job.
+// kind names what a msg asks of the driver, or an input of the driver's
+// own (tick, drain, end). The driver runs start, done and ckpt — journal
+// writes and OnCheckpoint — on its loop, in order; the rest off it.
+type kind int
+
+const (
+	probe     kind = iota // GET /v1/status: (re-)registration
+	reconcile             // GET /v1/status: lease truth
+	lease                 // POST /v1/jobs
+	poll                  // GET /v1/events
+	steal                 // DELETE /v1/jobs/{name}
+	land                  // OnDone
+	start
+	done
+	ckpt
+	tick // Poll elapsed: housekeeping
+	drain
+	end // the run was cancelled
+)
+
+// msg is an action the step asks for and, its answer filled in at driver
+// time now, the input that hands the answer back; or a tick, drain or end.
+type msg struct {
+	kind  kind
+	wi    int       // the worker asked
+	specs []JobSpec // lease: the offers of one request
+	after time.Time // poll: not sent before
+	from  int       // poll: the cursor; reconcile: the step that asked
+	job   string    // steal, start, land
+	lease uint64    // steal: the lease taken back
+	thief int       // steal: the idle worker it rebalances to, -1 for the drain
+	n     int       // start: the attempt
+	ev    Event     // land
+	rec   launcher.Record
+	ptr   *checkpoint.Pointer
+	// The answer, at driver time now; asked is when a poll was sent.
+	now, asked time.Time
+	st         *WorkerStatus
+	codes      []int
+	evs        []Event
+	stolen     bool
+	err        error
+}
+
+// cjob is the coordinator's view of one job. A placement sweep offers it
+// worker after worker until one accepts: tried are the workers that refused,
+// held says one holds its name for other work (423), alone that a batch did
+// not place it (its next offer is a request of its own), and idle that every
+// live worker refused (it waits for the tick).
 type cjob struct {
 	spec      JobSpec // current lease's spec (Lease/Prior/Ckpt evolve across leases)
 	origPrior int     // Prior at entry, for the summary's prior/fresh split
-	worker    int     // owning worker index, -1 when unowned
+	worker    int     // owning (or offered-to) worker, -1 when unowned
+	offered   bool    // the lease request is out
 	started   bool    // a start event of the current lease arrived
+	stealing  bool    // a steal of the current lease is out
+	leasedAt  int     // the step that saw the current lease accepted
 	maxAtt    int     // highest absolute attempt observed
-	refusals  int     // failed assignment sweeps (liveness bound)
+	refusals  int     // exhausted sweeps (liveness bound)
+	tried     map[int]bool
+	held      bool
+	alone     bool
+	idle      bool
 	ckpt      *checkpoint.Pointer
-	landing   bool // done event honoured, OnDone running: still load, see settled
+	landing   bool // done event honoured, OnDone pending: still load, see settled
 	done      bool
 	rec       launcher.Record
 }
@@ -92,66 +130,62 @@ type cjob struct {
 // settled: the job's outcome is decided; scheduling and events pass it by.
 func (j *cjob) settled() bool { return j.done || j.landing }
 
+// leasedTo: worker wi accepted j's current lease and j is not settled.
+func (j *cjob) leasedTo(wi int) bool { return !j.settled() && j.worker == wi && !j.offered }
+
 // cworker is the coordinator's view of one worker.
 type cworker struct {
-	client      *WorkerClient
-	alive       bool
-	quarantined bool
-	retired     bool      // another protocol version: never leased to or revived
-	faults      int       // leaky fault counter
-	ticks       int       // Poll ticks spent alive (reconcile cadence)
-	cursor      int       // event-log read position
-	lastOK      time.Time // last successful poll — the lease clock
+	client                *WorkerClient
+	alive, quarantined    bool
+	retired               bool // another protocol version: never leased to or revived
+	restarted             bool // answered 410: re-registration is out
+	asking, leasing       bool // a status, a lease request is out
+	faults, ticks, cursor int  // fault score, ticks alive, event-log position
+	lastOK                time.Time
 }
 
-// polled is one answer to worker wi's event poll (sent at asked), landed one
-// job's OnDone outcome: what the goroutines hand back to the coordinator loop.
-type polled struct {
-	wi    int
-	asked time.Time
-	evs   []Event
-	err   error
-}
-type landed struct {
-	j   *cjob
-	rec launcher.Record
-	err error
-}
-
-// coordinator drives one fleet launch.
+// coordinator is one fleet launch: its state, and step, the one decision
+// function — an input in, the actions it calls for out. step starts no
+// goroutine, sends no request and reads no clock; the driver does all three.
 type coordinator struct {
-	opts     CoordOptions
-	order    []string
-	jobs     map[string]*cjob
-	workers  []*cworker
-	polls    chan polled
-	pollCtx  context.Context // ends every poll in flight before Launch returns
-	pollers  sync.WaitGroup
-	landed   chan landed
-	landers  chan struct{} // OnDone runs in flight: one per registered worker
-	landings int           // landers not yet back on the loop
-	draining bool          // Drain closed: nothing is leased again
-	lease    uint64        // the last lease id stamped: from a random start, so no run reuses one
+	opts             CoordOptions
+	order            []string
+	jobs             map[string]*cjob
+	workers          []*cworker
+	out              []msg // the current step's actions
+	now              time.Time
+	steps, probing   int     // steps taken; registration probes not yet answered
+	begun, over      bool    // registration is over; nothing more is sent
+	draining         bool    // Drain closed: nothing is leased again
+	err              error   // no worker registered
+	joinErrs         []error // why each unregistered worker did not
+	landCap, landers int     // OnDone calls allowed at once (one per worker), out
+	landQ            []msg
+	lease            uint64 // the last lease id stamped: from a random start, so no run reuses one
 }
 
 // Launch distributes specs across the worker fleet and blocks until every
-// job is terminal (or ctx is cancelled). Scheduling is least-loaded with
-// ties broken by worker order; stragglers are rebalanced by stealing
-// still-queued jobs onto idle workers; a worker unreachable past the lease
-// TTL forfeits its jobs, which re-lease — restoring from the latest
-// replicated checkpoint — onto live workers; an error-prone worker is
-// quarantined from new leases; closing Drain takes back every queued
-// lease and lets the running jobs finish. A job has one owner at a time:
-// it runs twice at once only when a lease expiry re-leases it while the
-// silent owner may still be running it. The returned summary carries
-// each job's worker record (Resumed as the lease says), so manifests
-// compacted from it match single-machine runs (wall-clock fields aside).
+// job is terminal (or ctx is cancelled). A job runs twice at once only when
+// a lease expiry re-leases it while its silent owner may still run it. The
+// summary carries each job's worker record, so its manifest matches a
+// single-machine run's, wall clock aside.
 func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.Summary, error) {
-	if len(opts.Workers) == 0 {
-		return nil, fmt.Errorf("remote: no workers configured")
+	c, err := newCoordinator(specs, opts)
+	if err != nil {
+		return nil, err
 	}
 	if len(specs) == 0 {
 		return &launcher.Summary{}, nil
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return c.drive(ctx)
+}
+
+func newCoordinator(specs []JobSpec, opts CoordOptions) (*coordinator, error) {
+	if len(opts.Workers) == 0 {
+		return nil, fmt.Errorf("remote: no workers configured")
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 100 * time.Millisecond
@@ -159,11 +193,7 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 	if opts.Log == nil {
 		opts.Log = io.Discard
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
-	c := &coordinator{opts: opts, jobs: map[string]*cjob{}, polls: make(chan polled), landed: make(chan landed), lease: rand.Uint64()}
+	c := &coordinator{opts: opts, jobs: map[string]*cjob{}, lease: rand.Uint64()}
 	for _, spec := range specs {
 		if _, dup := c.jobs[spec.Name]; dup {
 			return nil, fmt.Errorf("remote: duplicate job name %q", spec.Name)
@@ -171,132 +201,194 @@ func Launch(ctx context.Context, specs []JobSpec, opts CoordOptions) (*launcher.
 		c.order = append(c.order, spec.Name)
 		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior, worker: -1}
 	}
-
-	// Registration: probe every worker once; a worker that answers with
-	// this protocol version is in the fleet. The run needs at least one.
-	var unregistered []error
-	for wi, addr := range opts.Workers {
+	for _, addr := range opts.Workers {
 		cl := NewWorkerClient(addr)
-		if opts.Transport != nil {
-			cl.SetTransport(opts.Transport)
-		}
+		cl.SetTransport(opts.Transport) // nil: the default
 		c.workers = append(c.workers, &cworker{client: cl})
-		if err := c.register(ctx, wi); err != nil {
-			unregistered = append(unregistered, err)
-			if !c.workers[wi].retired {
-				c.logf("coordinator: worker %s unreachable at start: %v", addr, err)
-			}
+	}
+	return c, nil
+}
+
+// drive is the only code that starts a goroutine, sends a request or reads
+// the clock. Each request and OnDone runs off the loop and comes back as
+// the next input, so a worker that does not answer holds up nothing else.
+func (c *coordinator) drive(ctx context.Context) (*launcher.Summary, error) {
+	reqCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	answers, out := make(chan msg), 0 // out: goroutines not yet back
+	step := func(in msg) {
+		if ctx.Err() != nil && !c.over {
+			c.step(msg{kind: end})
 		}
-	}
-	if c.aliveCount() == 0 {
-		return nil, fmt.Errorf("remote: none of %d workers registered: %w", len(opts.Workers), errors.Join(unregistered...))
-	}
-
-	c.landers = make(chan struct{}, c.aliveCount())
-
-	start := time.Now()
-	drain := opts.Drain
-	select {
-	case <-drain: // drained before anything was leased: the loop skips every job
-	default:
-		c.leaseAll(ctx)
-	}
-
-	// No event is handled while leasing: the schedule must not depend on how
-	// fast the first jobs finish. Then one poll per live worker, and a ticker.
-	var stopPolls context.CancelFunc
-	c.pollCtx, stopPolls = context.WithCancel(ctx)
-	defer func() { stopPolls(); c.pollers.Wait() }()
-	for wi, w := range c.workers {
-		if w.alive {
-			c.poll(wi, time.Time{})
-		}
-	}
-	tick := time.NewTicker(opts.Poll)
-	defer tick.Stop()
-	cancelled := false
-	for !c.allDone() && !cancelled {
-		select {
-		case <-ctx.Done():
-			cancelled = true
-		case p := <-c.polls:
-			c.handlePoll(ctx, p)
-		case l := <-c.landed:
-			c.finishLanding(ctx, l)
-		case <-drain:
-			drain = nil
-			c.logf("coordinator: draining — taking back queued leases; running jobs finish")
-			c.takeBack(ctx)
-		case <-tick.C: // housekeeping
-			for wi, w := range c.workers {
-				if !w.alive {
-					c.revive(ctx, wi)
-				} else if w.ticks++; w.ticks%reconcileEvery == 0 {
-					c.reconcile(ctx, wi)
-				}
-			}
-			if c.draining {
-				c.takeBack(ctx)
+		in.now = time.Now()
+		for _, a := range c.step(in) {
+			if c.write(a) {
 				continue
 			}
-			c.reassignOrphans(ctx)
-			c.steal(ctx)
+			out++
+			go func() {
+				if a.kind == poll && hostutil.SleepCtx(reqCtx, time.Until(a.after)) != nil {
+					a.err = reqCtx.Err()
+				} else {
+					a.asked = time.Now()
+					a = c.perform(reqCtx, a)
+				}
+				answers <- a
+			}()
 		}
 	}
-	for c.landings > 0 {
-		c.finishLanding(ctx, <-c.landed)
-	}
-
-	sum := &launcher.Summary{Wall: time.Since(start), Workers: max(c.aliveCount(), 1)}
-	for _, name := range c.order {
-		j := c.jobs[name]
-		if j.done {
-			rec := j.rec
-			sum.Jobs = append(sum.Jobs, launcher.Result{
-				Name:     name,
-				Status:   rec.Status,
-				Attempts: rec.Attempts - j.origPrior,
-				Prior:    j.origPrior,
-				Resumed:  rec.Resumed,
-				Err:      rec.Error,
-				Metrics:  launcher.Metrics{ExitCode: rec.Exit, Cycles: rec.Cycles, Instrs: rec.Instrs},
-				Wall:     time.Duration(rec.WallMS * float64(time.Millisecond)),
-				Carried:  &rec,
-			})
-			continue
+	started := time.Now()
+	step(msg{kind: tick})
+	ticker := time.NewTicker(c.opts.Poll)
+	defer ticker.Stop()
+	drained := c.opts.Drain
+	for !c.over {
+		select {
+		case <-ctx.Done():
+			step(msg{kind: end})
+		case in := <-answers:
+			out--
+			step(in)
+		case <-drained:
+			drained = nil
+			step(msg{kind: drain})
+		case <-ticker.C:
+			step(msg{kind: tick})
 		}
-		// Not terminal when the loop ended: the run was cancelled. No
-		// done record is journaled, so `-resume` re-runs (or restores)
-		// these jobs.
-		sum.Jobs = append(sum.Jobs, launcher.Result{
-			Name:     name,
-			Status:   launcher.StatusCancelled,
-			Attempts: j.maxAtt - j.origPrior,
-			Prior:    j.origPrior,
-			Resumed:  j.spec.Resumed,
-			Err:      "run cancelled with job on worker fleet",
-		})
 	}
-	return sum, nil
+	// Requests still out are cut short; landings still out are waited for.
+	stop()
+	for ; out > 0; out-- {
+		step(<-answers)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.summary(time.Since(started)), nil
 }
+
+// write runs a journal write or OnCheckpoint; it reports whether a was one.
+func (c *coordinator) write(a msg) bool {
+	var err error
+	switch a.kind {
+	case start:
+		err = c.opts.Journal.Start(a.job, a.n)
+	case done:
+		err = c.opts.Journal.Done(a.rec)
+	case ckpt:
+		if c.opts.OnCheckpoint != nil {
+			c.opts.OnCheckpoint(a.ptr)
+		}
+	default:
+		return false
+	}
+	if err != nil {
+		c.logf("coordinator: journal write failed: %v", err)
+	}
+	return true
+}
+
+// perform sends a's request, or runs OnDone, and returns a with the answer.
+func (c *coordinator) perform(ctx context.Context, a msg) msg {
+	switch cl := c.workers[a.wi].client; a.kind {
+	case probe, reconcile:
+		a.st, a.err = cl.Status(ctx)
+	case lease:
+		a.codes, a.err = cl.Lease(ctx, a.specs)
+	case poll:
+		a.evs, a.err = cl.Events(ctx, a.from, c.opts.Poll)
+	case steal:
+		a.stolen, a.err = cl.Steal(ctx, a.job)
+	case land:
+		a.err = c.opts.OnDone(a.ev)
+	}
+	return a
+}
+
+// step folds one input into the run and returns the actions it calls for.
+// Once the run is over only landings are folded in.
+func (c *coordinator) step(in msg) []msg {
+	c.out, c.now = nil, in.now
+	c.steps++
+	if c.over && in.kind != land {
+		return nil
+	}
+	switch in.kind {
+	case probe:
+		c.probed(in)
+	case reconcile:
+		c.reconciled(in)
+	case lease:
+		c.leaseAnswered(in)
+	case poll:
+		c.polled(in)
+	case steal:
+		c.stealAnswered(in)
+	case land:
+		c.landed(in)
+	case drain:
+		c.logf("coordinator: draining — taking back queued leases; running jobs finish")
+		c.draining = true
+		c.takeBack()
+	case end:
+		c.over = true
+	case tick:
+		c.housekeep()
+	}
+	if c.begun && !c.over {
+		c.place() // the run is over once every job is done and every lease answer is in
+		c.over = !slices.ContainsFunc(c.order, func(n string) bool { return !c.jobs[n].done }) &&
+			!slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.leasing })
+	}
+	return c.out
+}
+
+func (c *coordinator) emit(a msg) { c.out = append(c.out, a) }
 
 func (c *coordinator) logf(format string, args ...any) {
 	fmt.Fprintf(c.opts.Log, format+"\n", args...)
 }
 
-func (c *coordinator) aliveCount() int {
-	n := 0
-	for _, w := range c.workers {
-		if w.alive {
-			n++
-		}
-	}
-	return n
+// ask sends worker wi a status request.
+func (c *coordinator) ask(k kind, wi int) {
+	c.workers[wi].asking = true
+	c.emit(msg{kind: k, wi: wi, from: c.steps})
 }
 
-// gauges refreshes the fleet-health gauges: the aggregate up and
-// quarantined counts and a per-worker 0/1 gauge (registry names are
-// label-free, so the worker address is folded into the metric name).
+// housekeep is a tick: the first sends the registration probes. Later ones
+// probe dead workers, reconcile live ones, give refused jobs a new sweep,
+// and steal queued jobs for idle workers, or take them back when draining.
+func (c *coordinator) housekeep() {
+	for wi, w := range c.workers {
+		switch {
+		case !c.begun && c.steps == 1:
+			c.ask(probe, wi)
+			c.probing++
+		case !c.begun || w.asking || w.retired:
+		case !w.alive:
+			c.ask(probe, wi)
+		case w.ticks+1 == reconcileEvery:
+			w.ticks = 0
+			c.ask(reconcile, wi)
+		default:
+			w.ticks++
+		}
+	}
+	for _, j := range c.jobs {
+		j.idle = false
+	}
+	if c.draining {
+		c.takeBack()
+	} else {
+		c.steal()
+	}
+}
+
+func (c *coordinator) aliveCount() int {
+	return len(slices.DeleteFunc(slices.Clone(c.workers), func(w *cworker) bool { return !w.alive }))
+}
+
+// gauges refreshes the fleet-health gauges (per worker by name: label-free).
 func (c *coordinator) gauges() {
 	up, quarantined := 0, 0
 	for _, w := range c.workers {
@@ -313,9 +405,7 @@ func (c *coordinator) gauges() {
 	c.opts.Obs.Gauge("remote_workers_quarantined").Set(float64(quarantined))
 }
 
-// noteFault charges a worker's leaky fault counter; crossing the
-// threshold quarantines it (no new leases; running leases keep going —
-// the lease TTL stays the only forfeit path).
+// noteFault charges a worker's fault counter, quarantining it at the threshold.
 func (c *coordinator) noteFault(wi, weight int) {
 	w := c.workers[wi]
 	w.faults += weight
@@ -327,38 +417,27 @@ func (c *coordinator) noteFault(wi, weight int) {
 	}
 }
 
-func (c *coordinator) allDone() bool {
+// load counts each worker's unfinished leases and offers.
+func (c *coordinator) load() []int {
+	n := make([]int, len(c.workers))
 	for _, j := range c.jobs {
-		if !j.done {
-			return false
-		}
-	}
-	return true
-}
-
-// outstanding counts a worker's not-yet-terminal leases, the scheduler's
-// load metric.
-func (c *coordinator) outstanding(wi int) int {
-	n := 0
-	for _, j := range c.jobs {
-		if !j.done && j.worker == wi {
-			n++
+		if !j.done && j.worker >= 0 {
+			n[j.worker]++
 		}
 	}
 	return n
 }
 
-// pick is the placement rule: the live worker with the least load, ties to
-// the lowest index (schedules are deterministic given worker order),
-// quarantined workers only when no healthy one is left. skip names workers
-// already tried; -1 means nobody is left.
-func (c *coordinator) pick(load func(wi int) int, skip map[int]bool) int {
+// pick is the placement rule: the live worker not in skip with the least
+// load, ties to the lowest index, quarantined workers only when no healthy
+// one is left; -1 when nobody is.
+func (c *coordinator) pick(load []int, skip map[int]bool) int {
 	best, least := -1, 0
 	for i, w := range c.workers {
 		if !w.alive || skip[i] {
 			continue
 		}
-		n := load(i)
+		n := load[i]
 		if w.quarantined {
 			n += 1 << 30 // behind every healthy worker
 		}
@@ -369,248 +448,205 @@ func (c *coordinator) pick(load func(wi int) int, skip map[int]bool) int {
 	return best
 }
 
-// leaseAll starts the run: every job is placed by pick — bookkeeping, so the
-// schedule is the one job-at-a-time assignment produces — and each worker
-// is leased its share in one request. Whatever it did not accept, or all of
-// a failed request (one fault), goes through assign and its fault charging.
-func (c *coordinator) leaseAll(ctx context.Context) {
-	jobs := make([][]*cjob, len(c.workers)) // a worker's share is its load: nothing is leased yet
-	specs := make([][]JobSpec, len(c.workers))
+// place is the one leasing path. Each unowned job goes where pick puts it,
+// offers counted as load, so placing a run at once lands jobs where one at
+// a time would; a worker's share goes in one request. A job a batch did not
+// place is offered alone, one at a time. A worker has one lease request out
+// at a time; a job pick puts on a worker still to answer waits for it. A
+// sweep every live worker refused waits for the tick, up to maxRefusals.
+func (c *coordinator) place() {
+	load := c.load()
+	solo := slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].offered && c.jobs[n].alone })
+	batch := make([][]JobSpec, len(c.workers))
+	closed := make([]bool, len(c.workers)) // it carries a job offered alone
 	for _, name := range c.order {
-		if wi := c.pick(func(i int) int { return len(jobs[i]) }, nil); wi != -1 {
-			jobs[wi] = append(jobs[wi], c.jobs[name])
-			specs[wi] = append(specs[wi], c.stamp(c.jobs[name]))
-		}
-	}
-	for wi, w := range c.workers {
-		if len(jobs[wi]) == 0 {
+		j := c.jobs[name]
+		if j.settled() || j.worker >= 0 || j.idle {
 			continue
 		}
-		codes, err := w.client.Lease(ctx, specs[wi])
-		if ctx.Err() != nil {
-			return // cancelled: the summary reports unleased jobs cancelled
-		}
-		if err != nil {
-			c.logf("coordinator: worker %s refused a lease of %d job(s): %v", w.client.Addr, len(jobs[wi]), err)
-			c.noteFault(wi, faultSubmit)
+		if c.draining {
+			c.skip(j)
 			continue
 		}
-		for i, j := range jobs[wi] {
-			if codes[i] == http.StatusAccepted || codes[i] == http.StatusConflict {
-				c.leased(j, wi)
+		switch wi := c.pick(load, j.tried); {
+		case wi == -1 && c.aliveCount() > 0 && j.refusals < maxRefusals:
+			if !j.held {
+				j.refusals++
 			}
+			j.tried, j.held, j.idle = nil, false, true
+		case wi == -1:
+			c.finishJob(j, launcher.Record{Job: name, Status: launcher.StatusFailed, Attempts: j.spec.Prior,
+				Resumed: j.spec.Resumed, Error: "remote: no live workers to lease the job to"}, nil)
+		case c.workers[wi].leasing || closed[wi] || j.alone && (solo || len(batch[wi]) > 0):
+		default:
+			c.lease++
+			j.spec.Lease, j.started, j.worker, j.offered = c.lease, false, wi, true
+			batch[wi] = append(batch[wi], j.spec)
+			load[wi]++
+			closed[wi], solo = j.alone, solo || j.alone
 		}
-		c.opts.Obs.Gauge("remote_worker_queue_" + obs.SanitizeName(w.client.Addr)).Set(float64(c.outstanding(wi)))
 	}
-	c.reassignOrphans(ctx)
-}
-
-// stamp gives j a fresh lease id for its next offer and returns the spec to
-// offer: events of any earlier lease of j are stale from here on.
-func (c *coordinator) stamp(j *cjob) JobSpec {
-	c.lease++
-	j.spec.Lease = c.lease
-	return j.spec
-}
-
-// leased records that worker wi now holds j's lease.
-func (c *coordinator) leased(j *cjob, wi int) {
-	j.worker, j.started, j.refusals = wi, false, 0
-	c.opts.Obs.Counter("remote_leases_total").Inc()
-	c.logf("coordinator: leased %s to worker %s", j.spec.Name, c.workers[wi].client.Addr)
-}
-
-// assign leases one job by the placement rule. A worker that refuses the
-// lease is charged a fault and skipped for this sweep — transient refusals
-// no longer declare it dead (the lease TTL decides death). A job no worker
-// accepts stays unowned and is retried next tick, up to a refusal bound; it
-// fails terminally only with zero live workers or the bound exhausted. A
-// worker holding the name for other work is no refusal: no fault, no count.
-func (c *coordinator) assign(ctx context.Context, j *cjob) {
-	if c.draining {
-		c.skip(j)
-		return
-	}
-	tried, held := map[int]bool{}, false
-	for ctx.Err() == nil {
-		best := c.pick(c.outstanding, tried)
-		if best == -1 {
-			if c.aliveCount() > 0 && len(tried) > 0 {
-				// Every live worker refused this sweep; leave the job
-				// unowned and let the next tick retry with fresh luck.
-				if !held {
-					j.refusals++
-				}
-				if j.refusals <= maxRefusals {
-					j.worker = -1
-					return
-				}
-			}
-			c.finishJob(j, launcher.Record{
-				Job:      j.spec.Name,
-				Status:   launcher.StatusFailed,
-				Attempts: j.spec.Prior,
-				Resumed:  j.spec.Resumed,
-				Error:    "remote: no live workers to lease the job to",
-			}, nil)
-			return
+	for wi, specs := range batch {
+		if len(specs) > 0 {
+			c.workers[wi].leasing = true
+			c.emit(msg{kind: lease, wi: wi, specs: specs})
 		}
-		if err := c.workers[best].client.Submit(ctx, c.stamp(j)); err != nil && !errors.Is(err, ErrAlreadyLeased) {
-			if ctx.Err() != nil {
-				// The run is being cancelled, not the worker dying: leave
-				// the job unowned so the summary reports it cancelled.
-				return
-			}
-			tried[best] = true
-			if errors.Is(err, ErrHeldForOtherWork) {
-				held = true
-				continue
-			}
-			c.logf("coordinator: worker %s refused lease for %s: %v", c.workers[best].client.Addr, j.spec.Name, err)
-			c.noteFault(best, faultSubmit)
+	}
+}
+
+// leaseAnswered folds a lease request's answer: 202 and 409 (held for the
+// same work already) are leases; a failed request costs one fault. A job
+// offered alone and not placed is refused there for this sweep, at one
+// fault unless the worker holds its name for other work (423).
+func (c *coordinator) leaseAnswered(in msg) {
+	w, codes := c.workers[in.wi], in.codes
+	w.leasing = false
+	if in.err != nil {
+		c.logf("coordinator: worker %s refused a lease of %d job(s): %v", w.client.Addr, len(in.specs), in.err)
+		c.noteFault(in.wi, faultSubmit)
+		codes = make([]int, len(in.specs))
+	}
+	for i, spec := range in.specs {
+		j, code := c.jobs[spec.Name], codes[i]
+		if j.spec.Lease != spec.Lease {
 			continue
 		}
-		c.leased(j, best)
-		c.opts.Obs.Gauge("remote_worker_queue_" + obs.SanitizeName(c.workers[best].client.Addr)).Set(float64(c.outstanding(best)))
-		return
-	}
-}
-
-// reassignOrphans retries jobs left unowned by an all-refused sweep.
-func (c *coordinator) reassignOrphans(ctx context.Context) {
-	for _, name := range c.order {
-		if j := c.jobs[name]; !j.settled() && j.worker == -1 {
-			c.assign(ctx, j)
+		if j.offered = false; code == http.StatusAccepted || code == http.StatusConflict {
+			j.tried, j.held, j.alone, j.refusals, j.leasedAt = nil, false, false, 0, c.steps
+			c.opts.Obs.Counter("remote_leases_total").Inc()
+			c.logf("coordinator: leased %s to worker %s", j.spec.Name, w.client.Addr)
+			continue
+		}
+		if j.worker = -1; len(in.specs) > 1 {
+			j.alone = true
+			continue
+		}
+		if j.tried == nil {
+			j.tried = map[int]bool{}
+		}
+		j.tried[in.wi] = true
+		switch {
+		case code == http.StatusLocked:
+			j.held = true
+		case in.err == nil:
+			c.logf("coordinator: worker %s refused lease for %s: HTTP %d", w.client.Addr, j.spec.Name, code)
+			c.noteFault(in.wi, faultSubmit)
 		}
 	}
+	c.opts.Obs.Gauge("remote_worker_queue_" + obs.SanitizeName(w.client.Addr)).Set(float64(c.load()[in.wi]))
 }
 
-// poll puts worker wi's next event poll in flight, not before after; the
-// goroutine owns nothing but the request and hands the answer to the loop.
-func (c *coordinator) poll(wi int, after time.Time) {
-	w := c.workers[wi]
-	cursor := w.cursor
-	c.pollers.Add(1)
-	go func() {
-		defer c.pollers.Done()
-		if hostutil.SleepCtx(c.pollCtx, time.Until(after)) != nil {
-			return
-		}
-		asked := time.Now()
-		evs, err := w.client.Events(c.pollCtx, cursor, c.opts.Poll)
-		select {
-		case c.polls <- polled{wi, asked, evs, err}:
-		case <-c.pollCtx.Done():
-		}
-	}()
-}
-
-// handlePoll folds one poll answer into the run and polls again; a successful
-// answer is the heartbeat. A worker silent past the lease TTL forfeits its
-// leases and is not polled again until it revives. A worker restarted since
-// the cursor was handed out lost its leases with its log: it is registered
-// again and its jobs re-leased, which is no lease expiry. The worker holds
-// an empty answer for Poll: an empty or failed one that comes back sooner (a
-// worker that ignores wait, a dropped request) is paced to one per Poll.
-func (c *coordinator) handlePoll(ctx context.Context, p polled) {
-	w := c.workers[p.wi]
+// probed folds a probe's answer: a worker of this protocol version joins at
+// the end of its event log, one of another is retired. Registration waits
+// for every answer and needs one worker; every job is placed before any
+// event is handled. Later, a restarted worker's jobs re-lease, and a dead
+// worker rejoins (its old leases are stale), still quarantined if it was.
+func (c *coordinator) probed(in msg) {
+	w, err := c.workers[in.wi], in.err
+	w.asking = false
+	if err == nil && in.st.Protocol != protocolVersion {
+		w.retired = true
+		err = fmt.Errorf("worker %s speaks protocol %d, not %d: %w", w.client.Addr, in.st.Protocol, protocolVersion, ErrProtocolVersion)
+		c.logf("coordinator: %v", err)
+	}
+	if w.alive = err == nil; w.alive {
+		w.cursor, w.lastOK = in.st.Seq, c.now
+		c.logf("coordinator: worker %s registered (slots=%d)", w.client.Addr, in.st.Slots)
+	}
+	c.gauges()
 	switch {
-	case errors.Is(p.err, ErrWorkerRestarted):
-		err := c.register(ctx, p.wi)
-		c.forfeit(ctx, p.wi, "restarted")
+	case !c.begun:
 		if err != nil {
-			return // not alive: revive polls it once it answers
+			c.joinErrs = append(c.joinErrs, err)
+			if !w.retired {
+				c.logf("coordinator: worker %s unreachable at start: %v", w.client.Addr, err)
+			}
 		}
-	case p.err != nil:
-		c.noteFault(p.wi, faultPoll)
-		if ttl := leaseHeartbeats * c.opts.Poll; time.Since(w.lastOK) > ttl {
+		if c.probing--; c.probing > 0 {
+			return
+		}
+		if c.landCap = c.aliveCount(); c.landCap == 0 {
+			c.err = fmt.Errorf("remote: none of %d workers registered: %w", len(c.workers), errors.Join(c.joinErrs...))
+			c.over = true
+			return
+		}
+		c.begun = true
+		for wi, w := range c.workers {
+			if w.alive {
+				c.emit(msg{kind: poll, wi: wi, from: w.cursor})
+			}
+		}
+		return
+	case w.restarted:
+		w.restarted = false
+		c.forfeit(in.wi, "restarted")
+	case err != nil && !w.retired:
+		c.noteFault(in.wi, faultPoll) // if it ever rejoins, it rejoins quarantined
+	}
+	if w.alive {
+		c.emit(msg{kind: poll, wi: in.wi, from: w.cursor})
+	}
+}
+
+// polled folds a poll answer, the heartbeat, and polls again. A worker
+// silent past the lease TTL forfeits its leases; one restarted under its
+// cursor (410) is probed again, which is no expiry. An empty or failed
+// answer is paced to one poll per Poll.
+func (c *coordinator) polled(in msg) {
+	w := c.workers[in.wi]
+	switch {
+	case errors.Is(in.err, ErrWorkerRestarted):
+		w.restarted = true
+		c.ask(probe, in.wi)
+		return
+	case in.err != nil:
+		c.noteFault(in.wi, faultPoll)
+		if ttl := leaseHeartbeats * c.opts.Poll; c.now.Sub(w.lastOK) > ttl {
 			w.alive = false
 			c.gauges()
-			n := c.forfeit(ctx, p.wi, fmt.Sprintf("lease expired (silent > %s)", ttl))
+			n := c.forfeit(in.wi, fmt.Sprintf("lease expired (silent > %s)", ttl))
 			c.opts.Obs.Counter("remote_lease_expiries_total").Add(uint64(n))
 			return
 		}
 	default:
-		w.lastOK = time.Now()
+		w.lastOK = c.now
 		w.faults = max(w.faults-1, 0) // the leak; a quarantine is sticky
 		c.opts.Obs.Counter("remote_heartbeats_total").Inc()
-		for _, ev := range p.evs {
+		for _, ev := range in.evs {
 			w.cursor = ev.Seq + 1
-			c.handleEvent(ctx, p.wi, ev)
+			c.event(in.wi, ev)
 		}
 	}
-	after := time.Time{}
-	if p.err != nil || len(p.evs) == 0 {
-		after = p.asked.Add(c.opts.Poll)
+	next := msg{kind: poll, wi: in.wi, from: w.cursor}
+	if in.err != nil || len(in.evs) == 0 {
+		next.after = in.asked.Add(c.opts.Poll)
 	}
-	c.poll(p.wi, after)
+	c.emit(next)
 }
 
-// register probes worker wi and, when it answers with this protocol
-// version, joins it to the fleet at the end of its event log. A worker of
-// another version is retired: logged, never leased to and never revived.
-func (c *coordinator) register(ctx context.Context, wi int) error {
-	w := c.workers[wi]
-	st, err := w.client.Status(ctx)
-	if err == nil && st.Protocol != protocolVersion {
-		w.retired = true
-		err = fmt.Errorf("worker %s speaks protocol %d, not %d: %w", w.client.Addr, st.Protocol, protocolVersion, ErrProtocolVersion)
-		c.logf("coordinator: %v", err)
-	}
-	if w.alive = err == nil; w.alive {
-		w.cursor, w.lastOK = st.Seq, time.Now()
-		c.logf("coordinator: worker %s registered (slots=%d)", w.client.Addr, st.Slots)
-	}
-	c.gauges()
-	return err
-}
-
-// revive re-probes a dead worker each tick. A worker that failed the
-// initial registration probe (or went silent past the lease TTL) is not
-// gone forever: the moment it answers again it rejoins the fleet at its
-// current event cursor. Its forfeited jobs already re-leased elsewhere, and
-// the events it emits for them carry leases no job holds any more, so
-// rejoining is always safe. A quarantine survives revival — flakiness is
-// why it went dark.
-func (c *coordinator) revive(ctx context.Context, wi int) {
-	switch {
-	case c.workers[wi].retired:
-	case c.register(ctx, wi) != nil:
-		// A worker that keeps failing the probe is error-prone: if it
-		// ever rejoins, it rejoins quarantined.
-		c.noteFault(wi, faultPoll)
-	default:
-		c.poll(wi, time.Time{})
-	}
-}
-
-// reconcile re-derives lease truth from one worker's own job table. A
-// job we believe it owns that is absent there was lost in transit — the
-// canonical case is a Steal whose success response dropped, leaving the
-// worker without the job while we still charge it to the victim. Workers
-// keep finished jobs in their table (only a steal removes an entry), so
-// absence is unambiguous: the lease is gone, re-lease it.
-func (c *coordinator) reconcile(ctx context.Context, wi int) {
-	st, err := c.workers[wi].client.Status(ctx)
-	if err != nil {
-		c.noteFault(wi, faultPoll)
+// reconciled re-leases a job the worker's table lacks though it accepted the
+// lease before the status was asked for: lost in transit, as a steal whose
+// answer dropped (workers keep finished jobs in their table).
+func (c *coordinator) reconciled(in msg) {
+	c.workers[in.wi].asking = false
+	if in.err != nil {
+		c.noteFault(in.wi, faultPoll)
 		return
 	}
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if _, held := st.Jobs[name]; held || j.settled() || j.worker != wi {
+		if _, held := in.st.Jobs[name]; held || !j.leasedTo(in.wi) || j.leasedAt >= in.from {
 			continue
 		}
-		c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[wi].client.Addr, name)
+		c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[in.wi].client.Addr, name)
 		c.opts.Obs.Counter("remote_reconciled_leases_total").Inc()
-		c.relay(ctx, j)
+		c.relay(j)
 	}
 }
 
-// handleEvent folds one worker event into the journal and run state.
-// Events are honoured for the job's current lease only; anything else is
-// stale (an orphan's, or a lease re-leased or stolen away since).
-func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
+// event folds one worker event into the journal and run state. Events are
+// honoured for the job's current lease only; anything else is stale.
+func (c *coordinator) event(wi int, ev Event) {
 	j, ok := c.jobs[ev.Job]
 	if !ok || j.settled() || ev.Lease != j.spec.Lease {
 		return
@@ -619,16 +655,12 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 	case EventStart:
 		j.maxAtt = max(j.maxAtt, ev.Attempt)
 		j.started = true
-		if err := c.opts.Journal.Start(ev.Job, ev.Attempt); err != nil {
-			c.logf("coordinator: journal write failed: %v", err)
-		}
+		c.emit(msg{kind: start, job: ev.Job, n: ev.Attempt})
 	case EventCheckpoint:
 		if ev.Ckpt != nil {
 			j.ckpt = ev.Ckpt
 			c.opts.Obs.Counter("remote_checkpoints_total").Inc()
-			if c.opts.OnCheckpoint != nil {
-				c.opts.OnCheckpoint(ev.Ckpt)
-			}
+			c.emit(msg{kind: ckpt, ptr: ev.Ckpt})
 		}
 	case EventDone:
 		if ev.Record == nil {
@@ -636,164 +668,147 @@ func (c *coordinator) handleEvent(ctx context.Context, wi int, ev Event) {
 		}
 		// A cancelled record from a live worker means the worker is
 		// shutting down gracefully, not that the job failed: re-lease it.
-		if ev.Record.Status == launcher.StatusCancelled && ctx.Err() == nil {
+		if ev.Record.Status == launcher.StatusCancelled {
 			c.logf("coordinator: worker %s forfeited %s (shutting down); re-leasing", c.workers[wi].client.Addr, ev.Job)
-			c.relay(ctx, j)
+			c.relay(j)
 			return
 		}
 		j.maxAtt = max(j.maxAtt, ev.Record.Attempts)
-		// A worker counts a lease with prior attempts as resumed; a lease
-		// again after a failed landing is not, and the spec says which.
+		// The record is the job's, whatever name it carries; Resumed is as
+		// the lease says (a lease again after a failed landing is not).
 		rec := *ev.Record
-		rec.Resumed = j.spec.Resumed
-		c.land(j, rec, ev)
+		rec.Job, rec.Resumed = ev.Job, j.spec.Resumed
+		if rec.Status != launcher.StatusOK && rec.Status != launcher.StatusFailed && rec.Status != launcher.StatusTimeout {
+			rec.Status, rec.Error = launcher.StatusFailed, fmt.Sprintf("worker reported status %q", ev.Record.Status)
+		}
+		if c.opts.OnDone == nil {
+			c.finishJob(j, rec, nil)
+			return
+		}
+		j.landing = true
+		c.landQ = append(c.landQ, msg{kind: land, job: ev.Job, ev: ev, rec: rec})
+		c.startLandings()
 	}
 }
 
-// relay re-leases a forfeited job onto a live worker, restoring from the
-// latest replicated checkpoint when one exists.
-func (c *coordinator) relay(ctx context.Context, j *cjob) {
+// relay re-leases a forfeited job from its latest replicated checkpoint.
+func (c *coordinator) relay(j *cjob) {
 	j.spec.Prior = max(j.spec.Prior, j.maxAtt)
 	j.spec.Ckpt = j.ckpt
 	j.spec.Resumed = j.spec.Resumed || j.spec.Prior > 0 || j.spec.Ckpt != nil
-	j.worker = -1
-	c.assign(ctx, j)
+	j.worker, j.offered, j.stealing = -1, false, false
 }
 
-// forfeit re-leases every unsettled job worker wi holds, each restoring from
-// its latest replicated checkpoint, and returns how many there were.
-func (c *coordinator) forfeit(ctx context.Context, wi int, why string) (n int) {
+// forfeit re-leases every job worker wi holds, and returns how many.
+func (c *coordinator) forfeit(wi int, why string) (n int) {
 	c.logf("coordinator: worker %s %s; re-leasing its jobs", c.workers[wi].client.Addr, why)
 	for _, name := range c.order {
-		j := c.jobs[name]
-		if j.settled() || j.worker != wi {
-			continue
+		if j := c.jobs[name]; j.leasedTo(wi) {
+			ckpt := ""
+			if j.ckpt != nil {
+				ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)
+			}
+			c.logf("coordinator: re-leasing %s%s", name, ckpt)
+			c.relay(j)
+			n++
 		}
-		ckpt := ""
-		if j.ckpt != nil {
-			ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)
-		}
-		c.logf("coordinator: re-leasing %s%s", j.spec.Name, ckpt)
-		c.relay(ctx, j)
-		n++
 	}
 	return n
 }
 
-// steal rebalances stragglers: an idle, healthy worker takes a
-// still-queued job from the most-loaded worker. The owning worker
-// arbitrates (409 once the job started), so a steal never duplicates a
-// running simulation.
-func (c *coordinator) steal(ctx context.Context) {
+// steal has an idle, healthy worker take a queued job from the most loaded
+// one, holding two at least; the owner refuses once the job started (409).
+func (c *coordinator) steal() {
+	load := c.load()
 	for wi, w := range c.workers {
-		if !w.alive || w.quarantined || c.outstanding(wi) != 0 {
+		if !w.alive || w.quarantined || load[wi] != 0 {
 			continue
 		}
-		// Victim: the live worker with the most outstanding leases, at
-		// least two (stealing a worker's only job would just move it).
 		victim := -1
 		for vi, v := range c.workers {
-			if vi == wi || !v.alive || c.outstanding(vi) < 2 {
-				continue
-			}
-			if victim == -1 || c.outstanding(vi) > c.outstanding(victim) {
+			if vi != wi && v.alive && load[vi] >= 2 && (victim == -1 || load[vi] > load[victim]) {
 				victim = vi
 			}
 		}
-		if victim == -1 {
-			continue
-		}
 		for _, name := range c.order {
-			j := c.jobs[name]
-			if j.settled() || j.worker != victim || j.started {
-				continue
+			if j := c.jobs[name]; victim >= 0 && j.leasedTo(victim) && !j.started && !j.stealing {
+				j.stealing = true
+				c.emit(msg{kind: steal, wi: victim, job: name, lease: j.spec.Lease, thief: wi})
+				break
 			}
-			ok, err := c.workers[victim].client.Steal(ctx, name)
-			if err != nil || !ok {
-				continue
-			}
-			c.opts.Obs.Counter("remote_steals_total").Inc()
-			c.logf("coordinator: worker %s stole %s from %s",
-				w.client.Addr, name, c.workers[victim].client.Addr)
-			j.worker = -1
-			c.assign(ctx, j)
-			break
 		}
 	}
 }
 
-// takeBack is the fleet's drain: nothing is leased again, and every job not
-// yet started — unowned, or given back by its worker through the steal
-// protocol — is skipped. A job whose worker refuses (it started) or cannot
-// answer keeps its lease; housekeeping tries again each tick.
-func (c *coordinator) takeBack(ctx context.Context) {
-	c.draining = true
-	for _, name := range c.order {
-		j := c.jobs[name]
-		if j.settled() || j.started {
-			continue
-		}
-		if j.worker >= 0 {
-			if ok, err := c.workers[j.worker].client.Steal(ctx, name); err != nil || !ok {
-				continue
-			}
-		}
-		c.skip(j)
-	}
-}
-
-// skip records a drained job as the local pool does: skipped, its
-// checkpoint kept for -resume.
-func (c *coordinator) skip(j *cjob) {
-	c.finishJob(j, launcher.Record{
-		Job:      j.spec.Name,
-		Status:   launcher.StatusSkipped,
-		Attempts: max(j.maxAtt, j.spec.Prior),
-		Resumed:  j.spec.Resumed,
-		Error:    "drained before start",
-	}, nil)
-}
-
-// land takes a job whose done event was honoured off the schedule and runs
-// its OnDone off the loop.
-func (c *coordinator) land(j *cjob, rec launcher.Record, ev Event) {
-	if c.opts.OnDone == nil {
-		c.finishJob(j, rec, nil)
+// stealAnswered folds a steal's answer: a job its worker gave up is unowned
+// again — placed anew, or skipped when draining.
+func (c *coordinator) stealAnswered(in msg) {
+	j := c.jobs[in.job]
+	if j.spec.Lease != in.lease || !j.stealing {
 		return
 	}
-	j.landing = true
-	c.landings++
-	go func() {
-		c.landers <- struct{}{}
-		err := c.opts.OnDone(ev)
-		<-c.landers
-		c.landed <- landed{j, rec, err}
-	}()
+	if j.stealing = false; in.err != nil || !in.stolen || !j.leasedTo(in.wi) {
+		return
+	}
+	if in.thief >= 0 {
+		c.opts.Obs.Counter("remote_steals_total").Inc()
+		c.logf("coordinator: worker %s stole %s from %s",
+			c.workers[in.thief].client.Addr, j.spec.Name, c.workers[in.wi].client.Addr)
+	}
+	j.worker = -1
 }
 
-// finishLanding is land's other half, back on the loop. A landing cut short
-// by cancellation is no verdict: no done record, so -resume runs the job. A
-// failed landing of an ok result fails the attempt, as a failed post-run
-// hook fails a local one: the job is leased again while attempts are left.
-func (c *coordinator) finishLanding(ctx context.Context, l landed) {
-	c.landings--
-	j := l.j
-	j.landing = false
-	left := j.spec.Retries - (l.rec.Attempts - j.spec.Prior)
-	switch {
-	case l.err != nil && ctx.Err() != nil:
-	case l.err != nil && l.rec.Status == launcher.StatusOK && left >= 0:
-		c.logf("coordinator: landing %s failed (%v); leasing it again", l.rec.Job, l.err)
-		j.spec.Prior, j.spec.Retries, j.worker = l.rec.Attempts, left, -1
-		c.assign(ctx, j)
-	default:
-		c.finishJob(j, l.rec, l.err)
+// takeBack is the drain: every job not yet started, unowned or given back
+// by its worker as a steal, is skipped; the next tick asks again for those
+// whose worker did not answer, and an offer out waits for its answer.
+func (c *coordinator) takeBack() {
+	for _, name := range c.order {
+		switch j := c.jobs[name]; {
+		case j.settled() || j.started || j.offered || j.stealing:
+		case j.worker >= 0:
+			j.stealing = true
+			c.emit(msg{kind: steal, wi: j.worker, job: name, lease: j.spec.Lease, thief: -1})
+		default:
+			c.skip(j)
+		}
 	}
 }
 
-// finishJob records the job's terminal state. An ok job whose OnDone failed
-// is recorded as failed: a result that could not be materialized is not a
-// result, and a failed record is what makes -resume run the job again.
+// skip records a drained job skipped, as the local pool does.
+func (c *coordinator) skip(j *cjob) {
+	c.finishJob(j, launcher.Record{Job: j.spec.Name, Status: launcher.StatusSkipped,
+		Attempts: max(j.maxAtt, j.spec.Prior), Resumed: j.spec.Resumed, Error: "drained before start"}, nil)
+}
+
+// startLandings hands queued landings to free landers.
+func (c *coordinator) startLandings() {
+	for ; len(c.landQ) > 0 && c.landers < c.landCap && !c.over; c.landers++ {
+		c.emit(c.landQ[0])
+		c.landQ = c.landQ[1:]
+	}
+}
+
+// landed folds an OnDone outcome. One cut short by the end of the run is no
+// verdict; a failed landing of an ok result fails the attempt, as a failed
+// post-run hook does, and the job is leased again while attempts are left.
+func (c *coordinator) landed(in msg) {
+	c.landers--
+	c.startLandings()
+	j, rec := c.jobs[in.job], in.rec
+	j.landing = false
+	left := j.spec.Retries - (rec.Attempts - j.spec.Prior)
+	switch {
+	case in.err != nil && c.over:
+	case in.err != nil && rec.Status == launcher.StatusOK && left >= 0:
+		c.logf("coordinator: landing %s failed (%v); leasing it again", rec.Job, in.err)
+		j.spec.Prior, j.spec.Retries, j.worker, j.offered = rec.Attempts, left, -1, false
+	default:
+		c.finishJob(j, rec, in.err)
+	}
+}
+
+// finishJob records the job's terminal state; an ok job whose files could
+// not be materialized is failed, so -resume runs it again.
 func (c *coordinator) finishJob(j *cjob, rec launcher.Record, landErr error) {
 	if landErr != nil {
 		c.logf("coordinator: materializing %s: %v", rec.Job, landErr)
@@ -801,11 +816,26 @@ func (c *coordinator) finishJob(j *cjob, rec launcher.Record, landErr error) {
 			rec.Status, rec.Error = launcher.StatusFailed, landErr.Error()
 		}
 	}
-	j.done = true
-	j.rec = rec
-	if err := c.opts.Journal.Done(rec); err != nil {
-		c.logf("coordinator: journal write failed: %v", err)
-	}
+	j.done, j.rec = true, rec
+	c.emit(msg{kind: done, rec: rec})
 	c.opts.Obs.Counter("remote_jobs_done_total").Inc()
 	c.logf("coordinator: job %-24s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
+}
+
+// summary reports each job's record; a job not terminal is cancelled.
+func (c *coordinator) summary(wall time.Duration) *launcher.Summary {
+	sum := &launcher.Summary{Wall: wall, Workers: max(c.aliveCount(), 1)}
+	for _, name := range c.order {
+		j := c.jobs[name]
+		res := launcher.Result{Name: name, Status: launcher.StatusCancelled, Attempts: j.maxAtt - j.origPrior,
+			Prior: j.origPrior, Resumed: j.spec.Resumed, Err: "run cancelled with job on worker fleet"}
+		if rec := j.rec; j.done {
+			res = launcher.Result{Name: name, Status: rec.Status, Attempts: rec.Attempts - j.origPrior,
+				Prior: j.origPrior, Resumed: rec.Resumed, Err: rec.Error,
+				Metrics: launcher.Metrics{ExitCode: rec.Exit, Cycles: rec.Cycles, Instrs: rec.Instrs},
+				Wall:    time.Duration(rec.WallMS * float64(time.Millisecond)), Carried: &rec}
+		}
+		sum.Jobs = append(sum.Jobs, res)
+	}
+	return sum
 }

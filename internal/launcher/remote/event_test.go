@@ -119,7 +119,7 @@ func TestLongPoll(t *testing.T) {
 		t.Fatalf("a held poll answered with nothing to say: %v, %v", *evs, *err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if err := c.Submit(context.Background(), specsNamed("a")[0]); err != nil {
+	if _, err := c.Lease(context.Background(), specsNamed("a")); err != nil {
 		t.Fatal(err)
 	}
 	within(t, done, "the answer to a held poll after an event")
@@ -448,7 +448,7 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 
 	c := build(nJobs)
 	start := time.Now()
-	c.leaseAll(context.Background())
+	leaseAll(c)
 	if took := time.Since(start); took > 3*time.Second {
 		t.Errorf("leasing %d jobs took %s", nJobs, took)
 	}
@@ -456,17 +456,18 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 		t.Errorf("%d lease requests for 5 healthy workers", got)
 	}
 	for _, wi := range []int{1, 3, 6} {
-		if n := c.outstanding(wi); n != 0 {
+		if n := c.load()[wi]; n != 0 {
 			t.Errorf("worker %d (dead or quarantined) was leased %d jobs", wi, n)
 		}
 	}
 
 	// Sequential assign is quadratic (a scan of every job per candidate), so
 	// it replays a prefix: the rule is greedy, hence prefix-independent.
-	seq := build(600)
-	for _, name := range seq.order {
-		j := seq.jobs[name]
-		seq.assign(context.Background(), j)
+	seq := build(0)
+	for _, spec := range specsNamed(jobNames(600)...) {
+		name, j := spec.Name, &cjob{spec: spec, worker: -1}
+		seq.order, seq.jobs[name] = append(seq.order, name), j
+		leaseAll(seq)
 		if want := c.jobs[name].worker; j.worker != want || want == -1 {
 			t.Fatalf("%s: assign chose worker %d, the one-pass placement %d", name, j.worker, want)
 		}
@@ -477,9 +478,21 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 	for _, wi := range []int{0, 2, 4, 5, 7} {
 		q.workers[wi].alive = false
 	}
-	q.leaseAll(context.Background())
-	if a, b := q.outstanding(1), q.outstanding(6); a != 5 || b != 5 {
+	leaseAll(q)
+	if a, b := q.load()[1], q.load()[6]; a != 5 || b != 5 {
 		t.Errorf("quarantined fallback leased %d + %d of 10 jobs, want 5 + 5", a, b)
+	}
+}
+
+// leaseAll places c's unowned jobs and sends the lease requests that takes,
+// one at a time, folding each answer in as the driver would.
+func leaseAll(c *coordinator) {
+	c.begun, c.out = true, nil
+	c.place()
+	for acts := c.out; len(acts) > 0; acts = acts[1:] {
+		if acts[0].kind == lease {
+			acts = append(acts, c.step(c.perform(context.Background(), acts[0]))...)
+		}
 	}
 }
 
@@ -633,5 +646,73 @@ func TestArtifactRunnerCacheTraffic(t *testing.T) {
 	}
 	if _, err := store.Get(binDigest); err != nil {
 		t.Errorf("healed boot binary unreadable: %v", err)
+	}
+}
+
+// TestHungLeaseRequestHoldsUpOnlyItsWorker: worker 0 accepts connections but
+// never answers POST /v1/jobs. Its share waits for that answer; the healthy
+// worker's jobs are journaled done before the hung request's first attempt
+// times out, because the loop handles events while a request is out.
+func TestHungLeaseRequestHoldsUpOnlyItsWorker(t *testing.T) {
+	hung := NewWorker(WorkerConfig{Runner: okRunner(1), Slots: 1, Obs: obs.NewRegistry()})
+	defer hung.Close()
+	stop := make(chan struct{})
+	hungSrv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs" && r.Method == http.MethodPost {
+			io.Copy(io.Discard, r.Body)
+			select {
+			case <-r.Context().Done():
+			case <-stop:
+			}
+			return
+		}
+		hung.ServeHTTP(rw, r)
+	}))
+	defer hungSrv.Close()
+	defer close(stop)
+	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+		return WorkerConfig{Runner: okRunner(1), Slots: 1, Obs: obs.NewRegistry()}
+	})
+	path := filepath.Join(t.TempDir(), "m.journal")
+	jnl, err := launcher.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	var sum *launcher.Summary
+	begin := time.Now()
+	go func() {
+		defer close(done)
+		sum, _ = Launch(ctx, specsNamed(jobNames(4)...), CoordOptions{
+			Workers: []string{hungSrv.Listener.Addr().String(), addrs[0]},
+			Poll:    5 * time.Millisecond, Journal: jnl, Obs: obs.NewRegistry()})
+	}()
+	healthy := map[string]bool{"job-1": true, "job-3": true} // pick's share for worker 1
+	for {
+		recs, _, _ := launcher.ReadJournal(path)
+		n := 0
+		for _, r := range recs {
+			if r.Event == launcher.EventDone && healthy[r.Job] {
+				n++
+			}
+		}
+		if n == len(healthy) {
+			break
+		}
+		if took := time.Since(begin); took >= requestTimeout {
+			t.Fatalf("the healthy worker's jobs were not done %s into the run: a hung lease request held up the loop", took)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	within(t, done, "the cancelled launch's return")
+	for _, r := range sum.Jobs {
+		if want := map[bool]launcher.Status{true: launcher.StatusOK, false: launcher.StatusCancelled}[healthy[r.Name]]; r.Status != want {
+			t.Errorf("%s: %s, want %s", r.Name, r.Status, want)
+		}
 	}
 }

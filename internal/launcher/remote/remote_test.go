@@ -47,6 +47,15 @@ func fleet(t *testing.T, n int, mk func(i int) WorkerConfig) (addrs []string, wo
 	return addrs, workers, servers
 }
 
+// leaseOne offers a worker one spec and returns its answer for it.
+func leaseOne(ctx context.Context, c *WorkerClient, spec JobSpec) (int, error) {
+	codes, err := c.Lease(ctx, []JobSpec{spec})
+	if err != nil {
+		return 0, err
+	}
+	return codes[0], nil
+}
+
 func TestJobSpecRoundTrip(t *testing.T) {
 	spec := JobSpec{
 		Name: "br-sweep-0", Sim: "rtl", Bin: "sha256:ab", Img: "sha256:cd",
@@ -186,13 +195,13 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	if st.Slots != 2 || st.Seq != 0 || len(st.Jobs) != 0 {
 		t.Fatalf("fresh worker status = %+v", st)
 	}
-	if err := c.Submit(ctx, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); err != nil {
-		t.Fatalf("submit: %v", err)
+	if code, err := leaseOne(ctx, c, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit: %d, %v", code, err)
 	}
-	// Double-lease of a live job must be refused, with the sentinel the
+	// Double-lease of a live job must be refused, with the answer the
 	// coordinator uses to recognize its own retransmits.
-	if err := c.Submit(ctx, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); !errors.Is(err, ErrAlreadyLeased) {
-		t.Fatalf("duplicate lease err = %v, want ErrAlreadyLeased", err)
+	if code, err := leaseOne(ctx, c, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); err != nil || code != http.StatusConflict {
+		t.Fatalf("duplicate lease = %d, %v; want 409", code, err)
 	}
 	close(release)
 
@@ -300,12 +309,12 @@ func TestWorkerStealOnlyWhileQueued(t *testing.T) {
 	c := NewWorkerClient(srv.Listener.Addr().String())
 	ctx := context.Background()
 
-	if err := c.Submit(ctx, JobSpec{Name: "running", Sim: "qemu", Bin: "sha256:aa"}); err != nil {
-		t.Fatalf("submit: %v", err)
+	if code, err := leaseOne(ctx, c, JobSpec{Name: "running", Sim: "qemu", Bin: "sha256:aa"}); err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit: %d, %v", code, err)
 	}
 	<-started // "running" holds the only slot
-	if err := c.Submit(ctx, JobSpec{Name: "queued", Sim: "qemu", Bin: "sha256:bb"}); err != nil {
-		t.Fatalf("submit: %v", err)
+	if code, err := leaseOne(ctx, c, JobSpec{Name: "queued", Sim: "qemu", Bin: "sha256:bb"}); err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit: %d, %v", code, err)
 	}
 
 	if ok, err := c.Steal(ctx, "running"); err != nil || ok {
@@ -369,11 +378,11 @@ func TestWorkerAdoptsOnlyTheSameWork(t *testing.T) {
 	newer := old
 	newer.Bin = "sha256:new"
 	w0 := NewWorkerClient(addrs[0])
-	if err := w0.Submit(ctx, old); err != nil { // the killed coordinator's lease
-		t.Fatalf("submit: %v", err)
+	if code, err := leaseOne(ctx, w0, old); err != nil || code != http.StatusAccepted { // the killed coordinator's lease
+		t.Fatalf("submit: %d, %v", code, err)
 	}
-	if err := w0.Submit(ctx, resumed); !errors.Is(err, ErrAlreadyLeased) {
-		t.Errorf("re-lease of the same work answered %v, want ErrAlreadyLeased", err)
+	if code, err := leaseOne(ctx, w0, resumed); err != nil || code != http.StatusConflict {
+		t.Errorf("re-lease of the same work answered %d, %v, want 409", code, err)
 	}
 	rtl, params := rtlsim.DefaultConfig(), verify.Params{Seeds: []int64{1}}
 	for what, mod := range map[string]func(*JobSpec){
@@ -386,8 +395,8 @@ func TestWorkerAdoptsOnlyTheSameWork(t *testing.T) {
 	} {
 		other := old
 		mod(&other)
-		if err := w0.Submit(ctx, other); !errors.Is(err, ErrHeldForOtherWork) {
-			t.Errorf("lease with other %s answered %v, want ErrHeldForOtherWork", what, err)
+		if code, err := leaseOne(ctx, w0, other); err != nil || code != http.StatusLocked {
+			t.Errorf("lease with other %s answered %d, %v, want 423", what, code, err)
 		}
 	}
 
@@ -429,8 +438,8 @@ func TestWorkerAdoptsOnlyTheSameWork(t *testing.T) {
 	want(r, 222, log)
 	// With only the holder, it waits for the name, then runs. The holder
 	// finishes once the coordinator has had time to meet it.
-	if err := NewWorkerClient(addrs[1]).Submit(ctx, old); err != nil {
-		t.Fatalf("submit: %v", err)
+	if code, err := leaseOne(ctx, NewWorkerClient(addrs[1]), old); err != nil || code != http.StatusAccepted {
+		t.Fatalf("submit: %d, %v", code, err)
 	}
 	r, log = launch(newer, addrs[1:], func(*logTap) { time.Sleep(50 * time.Millisecond); free(1) })
 	want(r, 222, log)
@@ -548,59 +557,36 @@ func TestCoordinatorSpreadsAndCarriesRecords(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReleasesOnWorkerDeath: worker 0 announces a checkpoint and
+// then hangs; once the pointer reached the coordinator the worker dies hard.
+// After the lease TTL, on virtual time, the job re-leases onto worker 1
+// carrying its attempt history and the checkpoint.
 func TestCoordinatorReleasesOnWorkerDeath(t *testing.T) {
 	reg := obs.NewRegistry()
 	ptr := checkpoint.Pointer{Job: "victim", Digest: "sha256:cc", Exec: 1, Instret: 9000}
-	hung := make(chan struct{})
 
 	// Worker 0 announces a checkpoint then hangs; worker 1 finishes
 	// anything, proving the re-leased spec carried Prior and Ckpt.
 	var release atomic.Pointer[JobSpec]
-	addrs, workers, servers := fleet(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{
-			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
-				if i == 0 {
-					emit(Event{Type: EventCheckpoint, Job: spec.Name, Ckpt: &ptr})
-					close(hung)
-					<-ctx.Done()
-					return nil, ctx.Err()
-				}
-				s := spec
-				release.Store(&s)
-				return &RunOutput{Metrics: launcher.Metrics{Cycles: 777}}, nil
-			}),
-			Slots: 1, Obs: obs.NewRegistry(),
+	h := newSimFleet(t, 1, 2, func(h *simFleet, i int) RunnerFunc {
+		return func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+			if i == 0 {
+				emit(Event{Type: EventCheckpoint, Job: spec.Name, Ckpt: &ptr})
+				return nil, h.hold(ctx, 0, spec.Name, -1)
+			}
+			s := spec
+			release.Store(&s)
+			return &RunOutput{Metrics: launcher.Metrics{Cycles: 777}}, nil
 		}
 	})
-
 	var persisted atomic.Pointer[checkpoint.Pointer]
-	done := make(chan struct{})
-	var sum *launcher.Summary
-	var lerr error
-	go func() {
-		defer close(done)
-		sum, lerr = Launch(context.Background(), []JobSpec{{Name: "victim", Sim: "qemu", Bin: "sha256:aa"}},
-			CoordOptions{
-				Workers: addrs, Poll: time.Millisecond, // lease TTL 100ms
-				Obs:          reg,
-				OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Store(p) },
-			})
-	}()
-
-	<-hung // job is on worker 0 and checkpointed
-	// Give the poll loop a beat to observe the checkpoint event, then
-	// kill worker 0 hard: server down, simulation reaped.
-	for i := 0; i < 400 && persisted.Load() == nil; i++ {
-		time.Sleep(5 * time.Millisecond)
-	}
-	servers[0].Close()
-	workers[0].Close()
-
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator never recovered from worker death")
-	}
+	// Once the coordinator has the checkpoint, kill worker 0 hard: off the
+	// network, simulation reaped.
+	h.when(func() bool { return persisted.Load() != nil }, func() { h.kill(0) })
+	sum, lerr := h.launch([]JobSpec{{Name: "victim", Sim: "qemu", Bin: "sha256:aa"}}, CoordOptions{
+		Obs:          reg,
+		OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Store(p) },
+	})
 	if lerr != nil {
 		t.Fatalf("launch: %v", lerr)
 	}
@@ -625,6 +611,9 @@ func TestCoordinatorReleasesOnWorkerDeath(t *testing.T) {
 	}
 	if reg.Gauge("remote_workers_up").Value() != 1 {
 		t.Fatalf("remote_workers_up = %v after death", reg.Gauge("remote_workers_up").Value())
+	}
+	if ttl := leaseHeartbeats * h.poll; sum.Wall < ttl {
+		t.Errorf("the job re-leased %s into the run, inside the %s lease TTL", sum.Wall, ttl)
 	}
 }
 

@@ -160,91 +160,57 @@ func TestCoordinatorRevivesLateWorker(t *testing.T) {
 }
 
 // TestLeaseExpiryRacesCheckpointPublish: worker 0 streams checkpoint
-// events continuously while the test kills it hard, so the lease expiry
-// races the checkpoint-publish handling in the poll loop. The job must
-// re-lease onto worker 1 carrying some replicated checkpoint, complete
-// exactly once, and the whole dance must be race-clean (the chaos gate
-// runs this under -race).
+// events while it is killed, so the lease expiry races the checkpoint
+// handling in the poll loop — in the orders of 20 seeds, on virtual time.
+// The job must re-lease onto worker 1 carrying some replicated checkpoint and
+// complete exactly once (the chaos gate runs this under -race).
 func TestLeaseExpiryRacesCheckpointPublish(t *testing.T) {
-	reg := obs.NewRegistry()
-	var relayed atomic.Pointer[JobSpec]
-	var persisted atomic.Int64
-	streaming := make(chan struct{}, 1)
-	addrs, workers, servers := fleet(t, 2, func(i int) WorkerConfig {
-		return WorkerConfig{
-			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		reg := obs.NewRegistry()
+		var relayed atomic.Pointer[JobSpec]
+		var persisted, ran atomic.Int64
+		h := newSimFleet(t, seed, 2, func(h *simFleet, i int) RunnerFunc {
+			return func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
 				if i == 0 {
 					for n := uint64(1); ; n++ {
-						select {
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						case <-time.After(time.Millisecond):
-							emit(Event{Type: EventCheckpoint, Job: spec.Name,
-								Ckpt: &checkpoint.Pointer{Job: spec.Name, Digest: "sha256:ff", Exec: 1, Instret: 1000 * n}})
-							select {
-							case streaming <- struct{}{}:
-							default:
-							}
+						if err := h.hold(ctx, 0, spec.Name, time.Millisecond); err != nil {
+							return nil, err
 						}
+						emit(Event{Type: EventCheckpoint, Job: spec.Name,
+							Ckpt: &checkpoint.Pointer{Job: spec.Name, Digest: "sha256:ff", Exec: 1, Instret: 1000 * n}})
 					}
 				}
 				s := spec
 				relayed.Store(&s)
+				ran.Add(1)
 				return &RunOutput{Metrics: launcher.Metrics{Cycles: 31337}}, nil
-			}),
-			Slots: 1, Obs: obs.NewRegistry(),
+			}
+		})
+		// Let a few checkpoints land, then kill the worker mid-stream.
+		h.when(func() bool { return persisted.Load() >= 3 }, func() { h.kill(0) })
+		sum, lerr := h.launch([]JobSpec{{Name: "racer", Sim: "qemu", Bin: "sha256:aa"}}, CoordOptions{
+			Obs:          reg,
+			OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Add(1) },
+		})
+		if lerr != nil {
+			t.Fatalf("seed %d: launch: %v", seed, lerr)
 		}
-	})
-
-	done := make(chan struct{})
-	var sum *launcher.Summary
-	var lerr error
-	go func() {
-		defer close(done)
-		sum, lerr = Launch(context.Background(), []JobSpec{{Name: "racer", Sim: "qemu", Bin: "sha256:aa"}},
-			CoordOptions{
-				Workers: addrs, Poll: time.Millisecond, // lease TTL 100ms
-				Obs:          reg,
-				OnCheckpoint: func(p *checkpoint.Pointer) { persisted.Add(1) },
-			})
-	}()
-
-	<-streaming // the job is on worker 0 and checkpoints are flowing
-	// Let a few checkpoint polls land, then kill the worker mid-stream.
-	deadline := time.After(5 * time.Second)
-	for persisted.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("no checkpoint ever reached the coordinator")
-		case <-time.After(2 * time.Millisecond):
+		if sum.Jobs[0].Status != launcher.StatusOK || sum.Jobs[0].Metrics.Cycles != 31337 {
+			t.Fatalf("seed %d: recovered job result = %+v", seed, sum.Jobs[0])
 		}
-	}
-	servers[0].Close()
-	workers[0].Close()
-
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("coordinator never recovered the job")
-	}
-	if lerr != nil {
-		t.Fatalf("launch: %v", lerr)
-	}
-	if sum.Jobs[0].Status != launcher.StatusOK || sum.Jobs[0].Metrics.Cycles != 31337 {
-		t.Fatalf("recovered job result = %+v", sum.Jobs[0])
-	}
-	got := relayed.Load()
-	if got == nil {
-		t.Fatal("job never reached worker 1")
-	}
-	if got.Ckpt == nil || got.Ckpt.Instret == 0 {
-		t.Fatalf("re-leased spec lost the checkpoint stream: %+v", got.Ckpt)
-	}
-	if !got.Resumed {
-		t.Error("re-leased spec not marked resumed despite a checkpoint")
-	}
-	if reg.Counter("remote_lease_expiries_total").Value() == 0 {
-		t.Error("remote_lease_expiries_total = 0; the recovery path was not lease expiry")
+		got := relayed.Load()
+		if got == nil || ran.Load() != 1 {
+			t.Fatalf("seed %d: job ran %d times on worker 1, want once", seed, ran.Load())
+		}
+		if got.Ckpt == nil || got.Ckpt.Instret == 0 {
+			t.Fatalf("seed %d: re-leased spec lost the checkpoint stream: %+v", seed, got.Ckpt)
+		}
+		if !got.Resumed {
+			t.Errorf("seed %d: re-leased spec not marked resumed despite a checkpoint", seed)
+		}
+		if reg.Counter("remote_lease_expiries_total").Value() == 0 {
+			t.Errorf("seed %d: remote_lease_expiries_total = 0; the recovery path was not lease expiry", seed)
+		}
 	}
 }
 

@@ -42,7 +42,11 @@ type option struct {
 	// hostPath marks values that name host files, resolved against the
 	// directory of the level that declared them.
 	hostPath bool
-	fields   []option
+	// boolean marks a nearest-wins switch: written as a boolean, kept in
+	// the level as "true" or "false", so that a level that leaves it unset
+	// ("") is told apart from one that turns it off.
+	boolean bool
+	fields  []option
 }
 
 // options is Table II, declared once: fromMap decodes by it, Resolve merges
@@ -73,7 +77,8 @@ var options = []option{
 		into: func(e *Effective) any { return &e.RootfsSize }},
 	{key: "bin", at: func(w *Workload) any { return &w.Bin }},
 	{key: "img", at: func(w *Workload) any { return &w.Img }},
-	{key: "no-disk", at: func(w *Workload) any { return &w.NoDisk }},
+	{key: "no-disk", rule: nearest, boolean: true, at: func(w *Workload) any { return &w.NoDisk },
+		into: func(e *Effective) any { return &e.NoDisk }},
 	{key: "linux", at: func(w *Workload) any { return &w.Linux }, fields: []option{
 		{key: "source", rule: nearest, hostPath: true, at: func(w *Workload) any { return &w.Linux.Source },
 			into: func(e *Effective) any { return &e.LinuxSource }},
@@ -136,6 +141,7 @@ type Effective struct {
 	Board       string
 	Distro      string // "br", "fedora", or "bare"
 	RootfsSize  string
+	NoDisk      bool // boot the initramfs-embedded binary, as --no-disk
 	Outputs     []string
 	PostRunHook HostCommand
 	Spike       string
@@ -191,6 +197,10 @@ func (o *option) fold(e *Effective, w *Workload) {
 		case *string:
 			if s := *o.at(w).(*string); s != "" {
 				*dst = path(s)
+			}
+		case *bool:
+			if s := *o.at(w).(*string); s != "" {
+				*dst = s == "true"
 			}
 		case *HostCommand:
 			if s := *o.at(w).(*string); s != "" {

@@ -76,7 +76,7 @@ type Workload struct {
 	RootfsSize string
 	Bin        string
 	Img        string
-	NoDisk     bool
+	NoDisk     string // "true", "false", or "" when the level leaves it unset
 
 	Linux    *LinuxOpts
 	Firmware *FirmwareOpts
@@ -211,6 +211,14 @@ func (o *option) decode(w *Workload, name string, v any) error {
 	switch p := o.at(w).(type) {
 	case *string:
 		if v == nil {
+			return nil
+		}
+		if o.boolean {
+			b, ok := v.(bool)
+			if !ok {
+				return fmt.Errorf("spec: %s must be a boolean", name)
+			}
+			*p = strconv.FormatBool(b)
 			return nil
 		}
 		s, ok := v.(string)

@@ -5,8 +5,11 @@
 #     fault schedule itself (pure function of seed/site/index), breaker
 #     half-open recovery on a fake clock, concurrent readers self-healing
 #     one corrupt blob, 429/Retry-After backoff in both HTTP clients,
-#     per-client rate limiting, coordinator quarantine/revival, and a
-#     lease expiry racing a checkpoint publish.
+#     per-client rate limiting, coordinator quarantine/revival, a lease
+#     expiry racing a checkpoint publish, and the seeded fleet harness's
+#     determinism property (each seed's run, twice, writes the same
+#     journal, manifest and coordinator log, and ends every job as the
+#     clean run does).
 #
 #  2. A full `marshal chaos` run over real binaries: a loopback 3-worker
 #     fleet under the pinned default schedule (seed 1) with pre-planted
@@ -24,7 +27,7 @@ cd "$(dirname "$0")/.."
 
 echo "== chaos robustness suite (-race, -count=1)"
 go test -race -count=1 \
-    -run 'Chaos|Schedule|Transport|StoreFaults|PlantCorrupt|Breaker|SelfHeal|429|Throttle|TokenBucket|MaxInFlight|Quarantine|Revive|LeaseExpiry|RateLimit' \
+    -run 'Chaos|Schedule|Transport|StoreFaults|PlantCorrupt|Breaker|SelfHeal|429|Throttle|TokenBucket|MaxInFlight|Quarantine|Revive|LeaseExpiry|RateLimit|FleetReplaysFromSeed' \
     ./internal/chaos/ ./internal/ratelimit/ ./internal/cas/... ./internal/launcher/remote/ ./internal/core/
 
 echo "== loopback chaos fleet (marshal chaos, pinned seed)"
