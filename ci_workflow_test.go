@@ -241,6 +241,7 @@ func TestNightlyWorkflowParses(t *testing.T) {
 		"FuzzLeaseBody":            "./internal/launcher/remote",
 		"FuzzEventStream":          "./internal/launcher/remote",
 		"FuzzFleetSchedule":        "./internal/launcher/remote",
+		"FuzzLandingOutputs":       "./internal/launcher/remote",
 		"FuzzActionLog":            "./internal/cas",
 		"FuzzLoadPointer":          "./internal/checkpoint",
 		"FuzzDecodePack":           "./internal/checkpoint",

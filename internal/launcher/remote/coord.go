@@ -451,14 +451,14 @@ func (c *coordinator) pick(load []int, skip map[int]bool) int {
 // place is the one leasing path. Each unowned job goes where pick puts it,
 // offers counted as load, so placing a run at once lands jobs where one at
 // a time would; a worker's share goes in one request. A job a batch did not
-// place is offered alone, one at a time. A worker has one lease request out
+// place is offered alone, in a request of its own, one such job at a time
+// (as placing one job at a time would). A worker has one lease request out
 // at a time; a job pick puts on a worker still to answer waits for it. A
 // sweep every live worker refused waits for the tick, up to maxRefusals.
 func (c *coordinator) place() {
 	load := c.load()
 	solo := slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].offered && c.jobs[n].alone })
 	batch := make([][]JobSpec, len(c.workers))
-	closed := make([]bool, len(c.workers)) // it carries a job offered alone
 	for _, name := range c.order {
 		j := c.jobs[name]
 		if j.settled() || j.worker >= 0 || j.idle {
@@ -477,27 +477,35 @@ func (c *coordinator) place() {
 		case wi == -1:
 			c.finishJob(j, launcher.Record{Job: name, Status: launcher.StatusFailed, Attempts: j.spec.Prior,
 				Resumed: j.spec.Resumed, Error: "remote: no live workers to lease the job to"}, nil)
-		case c.workers[wi].leasing || closed[wi] || j.alone && (solo || len(batch[wi]) > 0):
+		case c.workers[wi].leasing || j.alone && (solo || len(batch[wi]) > 0):
 		default:
 			c.lease++
 			j.spec.Lease, j.started, j.worker, j.offered = c.lease, false, wi, true
-			batch[wi] = append(batch[wi], j.spec)
 			load[wi]++
-			closed[wi], solo = j.alone, solo || j.alone
+			if batch[wi] = append(batch[wi], j.spec); j.alone {
+				c.offer(wi, batch[wi])
+				solo = true
+			}
 		}
 	}
 	for wi, specs := range batch {
-		if len(specs) > 0 {
-			c.workers[wi].leasing = true
-			c.emit(msg{kind: lease, wi: wi, specs: specs})
+		if len(specs) > 0 && !c.workers[wi].leasing {
+			c.offer(wi, specs)
 		}
 	}
+}
+
+// offer sends worker wi one lease request; it answers it before the next.
+func (c *coordinator) offer(wi int, specs []JobSpec) {
+	c.workers[wi].leasing = true
+	c.emit(msg{kind: lease, wi: wi, specs: specs})
 }
 
 // leaseAnswered folds a lease request's answer: 202 and 409 (held for the
 // same work already) are leases; a failed request costs one fault. A job
 // offered alone and not placed is refused there for this sweep, at one
-// fault unless the worker holds its name for other work (423).
+// fault unless the worker holds its name for other work (423). An offer the
+// worker forfeited while the answer was out is no longer the job's.
 func (c *coordinator) leaseAnswered(in msg) {
 	w, codes := c.workers[in.wi], in.codes
 	w.leasing = false
@@ -508,7 +516,7 @@ func (c *coordinator) leaseAnswered(in msg) {
 	}
 	for i, spec := range in.specs {
 		j, code := c.jobs[spec.Name], codes[i]
-		if j.spec.Lease != spec.Lease {
+		if j.spec.Lease != spec.Lease || !j.offered {
 			continue
 		}
 		if j.offered = false; code == http.StatusAccepted || code == http.StatusConflict {
@@ -699,11 +707,12 @@ func (c *coordinator) relay(j *cjob) {
 	j.worker, j.offered, j.stealing = -1, false, false
 }
 
-// forfeit re-leases every job worker wi holds, and returns how many.
+// forfeit re-leases every job worker wi holds or was offered, and returns
+// how many: a lease answer still out cannot make a job the lost worker's.
 func (c *coordinator) forfeit(wi int, why string) (n int) {
 	c.logf("coordinator: worker %s %s; re-leasing its jobs", c.workers[wi].client.Addr, why)
 	for _, name := range c.order {
-		if j := c.jobs[name]; j.leasedTo(wi) {
+		if j := c.jobs[name]; !j.settled() && j.worker == wi {
 			ckpt := ""
 			if j.ckpt != nil {
 				ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -55,9 +56,14 @@ type simFleet struct {
 type simNode struct {
 	w          *Worker
 	gen        int
-	down       bool
-	refuse     int // answer the next offers of this many requests 503
-	failLeases int // fail this many lease requests outright (500)
+	down       bool // closed: its jobs are reaped
+	cut        bool // off the network, its jobs still running
+	refuse     int  // answer the next offers of this many requests 503
+	failLeases int  // fail this many lease requests outright (500)
+	// late: the answer to the next lease request it serves arrives this
+	// much later, and lateThen runs as soon as it has served it.
+	late     time.Duration
+	lateThen func()
 }
 
 // simHold is a runner waiting at the gate until released or its worker dies.
@@ -261,7 +267,7 @@ func (h *simFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("dial %s: no such host", r.URL.Host)
 	}
 	n := h.nodes[wi]
-	if n.down {
+	if n.down || n.cut {
 		return nil, fmt.Errorf("dial %s: connection refused", r.URL.Host)
 	}
 	rec := httptest.NewRecorder()
@@ -361,7 +367,8 @@ func (h *simFleet) launch(specs []JobSpec, opts CoordOptions) (*launcher.Summary
 
 // deliver hands the step an input at the current virtual time and turns its
 // actions into pending items: a request is answered after a seed-drawn
-// latency below Poll, a poll no earlier than its after.
+// latency below Poll (a late lease answer after the node's late), a poll no
+// earlier than its after.
 func (h *simFleet) deliver(in msg) {
 	in.now = h.now
 	for _, a := range h.c.step(in) {
@@ -375,7 +382,15 @@ func (h *simFleet) deliver(in msg) {
 		a := a
 		h.push(sent.Add(time.Duration(h.rng.IntN(10))*h.poll/10), func() {
 			a.asked = sent
-			h.deliver(h.c.perform(context.Background(), a))
+			ans := h.c.perform(context.Background(), a)
+			if n := h.nodes[a.wi]; a.kind == lease && n.late > 0 && ans.err == nil {
+				late := n.late
+				n.late = 0
+				n.lateThen()
+				h.push(h.now.Add(late), func() { h.deliver(ans) })
+				return
+			}
+			h.deliver(ans)
 		})
 	}
 }
@@ -387,8 +402,8 @@ type simRun struct {
 }
 
 // simScript is a fault script: scripted worker deaths, restarts, refusals
-// and lease-request failures, the chaos plan's HTTP faults, and landings
-// that fail once.
+// and lease-request failures, a lease answer that arrives after the lease
+// TTL, the chaos plan's HTTP faults, and landings that fail once.
 type simScript struct {
 	seed              uint64
 	kill, restart     int // a worker killed for good, one restarted in place (-1: none)
@@ -397,7 +412,23 @@ type simScript struct {
 	failLease         []int  // per worker: lease requests failed (500), first
 	chaos             bool   // the chaos plan's HTTP faults, by seed
 	failLand          string // a job whose first landing fails
+	late              int    // a worker whose first lease answer outlasts the TTL (-1: none)
+	lateFate          lateFate
 }
+
+// lateFate is what becomes of a worker once it has served the lease request
+// whose answer arrives late.
+type lateFate int
+
+const (
+	lateDies     lateFate = iota // killed for good
+	lateCut                      // off the network past the answer, then back with its jobs
+	lateRestarts                 // restarted in place
+)
+
+// lateBy is how late the late lease answer arrives: 1.5 lease TTLs at the
+// harness's Poll.
+const lateBy = 150 * 10 * time.Millisecond
 
 // scriptFor draws a fault script from seed. Worker 0 is never killed, so a
 // live worker is always left to finish the run.
@@ -416,6 +447,10 @@ func scriptFor(seed uint64, workers int) simScript {
 	}
 	if r.IntN(2) == 0 {
 		s.failLand = fmt.Sprintf("job-%d", r.IntN(simJobs))
+	}
+	s.late = -1
+	if r.IntN(3) == 0 {
+		s.late, s.lateFate = 1+r.IntN(workers-1), lateFate(r.IntN(3))
 	}
 	return s
 }
@@ -460,6 +495,14 @@ func runScript(t testing.TB, s *simScript) simRun {
 		if s.restart >= 0 {
 			h.at(s.restartAt, func() { h.restart(s.restart) })
 		}
+		if wi := s.late; wi >= 0 {
+			n := h.nodes[wi]
+			n.late, n.lateThen = lateBy, map[lateFate]func(){
+				lateDies:     func() { h.kill(wi) },
+				lateCut:      func() { n.cut = true; h.push(h.now.Add(lateBy+h.poll), func() { n.cut = false }) },
+				lateRestarts: func() { h.restart(wi) },
+			}[s.lateFate]
+		}
 	}
 	specs := specsNamed(jobNames(simJobs)...)
 	for i := range specs {
@@ -479,8 +522,8 @@ func runScript(t testing.TB, s *simScript) simRun {
 
 // checkReplay is the determinism property: a seed's run, twice, gives a
 // byte-identical journal, manifest and coordinator log, and every job ends
-// with the clean run's status, exit code and cycles.
-func checkReplay(t testing.TB, clean simRun, s simScript) {
+// with the clean run's status, exit code and cycles. It returns the run.
+func checkReplay(t testing.TB, clean simRun, s simScript) simRun {
 	a, b := runScript(t, &s), runScript(t, &s)
 	for _, f := range []struct {
 		what string
@@ -498,6 +541,7 @@ func checkReplay(t testing.TB, clean simRun, s simScript) {
 				want.Status, want.Metrics.ExitCode, want.Metrics.Cycles, a.log)
 		}
 	}
+	return a
 }
 
 // TestFleetReplaysFromSeed runs the determinism property over 100 seeds of
@@ -513,18 +557,41 @@ func TestFleetReplaysFromSeed(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
-	var faults = map[string]uint64{}
+	seen := map[string]int{}
 	for seed := 1; seed <= seeds; seed++ {
-		s := scriptFor(uint64(seed), simWorkers)
-		checkReplay(t, clean, s)
-		if s.kill >= 0 {
-			faults["kill"]++
-		}
-		if s.restart >= 0 {
-			faults["restart"]++
+		run := checkReplay(t, clean, scriptFor(uint64(seed), simWorkers))
+		for _, what := range []string{"lease expired", "restarted", "quarantining", " stole ", "no longer holds"} {
+			seen[what] += bytes.Count(run.log, []byte(what))
 		}
 	}
-	t.Logf("%d seeds: %v", seeds, faults)
+	t.Logf("%d seeds, coordinator log lines: %v", seeds, seen)
+}
+
+// TestFleetLeaseExpiryBeforeLeaseAnswer: worker 1 serves its first lease request,
+// then dies, drops off the network past the answer (and comes back with its
+// jobs run), or restarts; the answer reaches the coordinator 1.5 lease TTLs
+// later. A dead or cut-off worker has forfeited its jobs by then, offers
+// included, so the late 202s lease nothing; a restarted one's are re-leased
+// when it answers 410 or its status lacks them. Every job ends as in the
+// clean run, and each seed replays.
+func TestFleetLeaseExpiryBeforeLeaseAnswer(t *testing.T) {
+	clean := runScript(t, nil)
+	for _, c := range []struct {
+		fate lateFate
+		logs *regexp.Regexp
+	}{
+		{lateDies, regexp.MustCompile(`worker sim-1:1 lease expired`)},
+		{lateCut, regexp.MustCompile(`worker sim-1:1 lease expired`)},
+		{lateRestarts, regexp.MustCompile(`worker sim-1:1 (restarted|no longer holds)`)},
+	} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			s := simScript{seed: seed, kill: -1, restart: -1, late: 1, lateFate: c.fate,
+				refuse: make([]int, simWorkers), failLease: make([]int, simWorkers)}
+			if run := checkReplay(t, clean, s); !c.logs.Match(run.log) {
+				t.Fatalf("fate %d, seed %d: worker 1 gave nothing up (no %q):\n%s", c.fate, seed, c.logs, run.log)
+			}
+		}
+	}
 }
 
 // FuzzFleetSchedule drives the harness over random fault scripts and

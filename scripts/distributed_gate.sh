@@ -12,8 +12,9 @@
 #
 #     The event-driven protocol's own tests (long-poll, array lease, slot
 #     order, landing off the loop, poller/lander shutdown) then run three
-#     times over: the pollers and landers are the coordinator's only
-#     goroutines, and a race there shows up as a rare interleaving.
+#     times over: the driver's request and landing goroutines are the
+#     coordinator's only ones, and a race there shows up as a rare
+#     interleaving.
 #
 #  2. A loopback smoke over real binaries: `marshal cache serve` plus
 #     three `marshal worker serve` daemons on 127.0.0.1, and one
