@@ -57,24 +57,52 @@ func DefaultConfig() Config {
 }
 
 // Platform is a cycle-approximate simulation node: the shared kernel plus
-// the fixed-point accumulator the CPI model charges into.
+// the CPI model its runs charge.
 type Platform struct {
 	platform.Host
+	model model
+}
+
+// model is the CPI model sim.RunTimed charges: a fixed-point cycle
+// accumulator, and a log whose Cost table holds each op's class cost. It
+// reads no fetches or records, so the predecoded loop only sums Cost.
+type model struct {
 	cfg       Config
 	cycles256 uint64 // fixed-point cycle accumulator
 	charged   uint64 // whole cycles already pushed to the node clock
+	log       *sim.TimedLog
 }
 
-var _ sim.Platform = (*Platform)(nil)
+var (
+	_ sim.Platform    = (*Platform)(nil)
+	_ sim.TimingModel = (*model)(nil)
+)
 
 // New creates a cycle-approximate platform.
 func New(cfg Config) *Platform {
 	if cfg.BaseCPI256 == 0 {
 		cfg.BaseCPI256 = 256
 	}
+	l := &sim.TimedLog{LineMask: ^uint64(0)}
+	for i := range l.Cost {
+		switch op := isa.Op(i); {
+		case op.IsBranch():
+			l.Cost[i] = cfg.BranchCPI256
+		case op.IsLoad():
+			l.Cost[i] = cfg.LoadCPI256
+		case op.IsStore():
+			l.Cost[i] = cfg.StoreCPI256
+		case op.IsMul():
+			l.Cost[i] = cfg.MulCPI256
+		case op.IsMulDiv():
+			l.Cost[i] = cfg.DivCPI256
+		default:
+			l.Cost[i] = cfg.BaseCPI256
+		}
+	}
 	return &Platform{
-		Host: platform.New(platform.Options{Name: "gem5-approx", Kind: "approxsim", MaxInstrs: cfg.MaxInstrs}),
-		cfg:  cfg,
+		Host:  platform.New(platform.Options{Name: "gem5-approx", Kind: "approxsim", MaxInstrs: cfg.MaxInstrs}),
+		model: model{cfg: cfg, log: l},
 	}
 }
 
@@ -85,43 +113,39 @@ func (p *Platform) CycleExact() bool { return false }
 // Exec implements sim.Platform.
 func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) (*sim.ExecResult, error) {
 	return p.Run(exe, console, args, nil, func(m *sim.Machine) (uint64, error) {
-		return sim.RunTimed(m, p.charge)
+		return sim.RunTimed(m, &p.model)
 	})
 }
 
-// charge adds one instruction's fixed-point cost to the accumulator and
-// returns the whole cycles that completes, which is what the clock moves by.
-func (p *Platform) charge(ev *sim.Event) uint64 {
-	p.cycles256 += p.cost256(ev)
-	whole := p.cycles256/256 - p.charged
-	p.charged += whole
-	return whole
-}
-
-func (p *Platform) cost256(ev *sim.Event) uint64 {
-	op := ev.Instr.Op
-	cost := p.cfg.BaseCPI256
-	switch {
-	case op.IsBranch():
-		cost = p.cfg.BranchCPI256
-	case op.IsLoad():
-		cost = p.cfg.LoadCPI256
-		if ev.MMIO {
-			cost = p.cfg.MMIOCPI256
-		}
-	case op.IsStore():
-		cost = p.cfg.StoreCPI256
-		if ev.MMIO {
-			cost = p.cfg.MMIOCPI256
-		}
-	case op.IsMul():
-		cost = p.cfg.MulCPI256
-	case op.IsMulDiv():
-		cost = p.cfg.DivCPI256
+// ChargeEvent implements sim.TimingModel: one instruction's class cost,
+// or the MMIO cost for a device access, plus trap and device stalls.
+func (t *model) ChargeEvent(ev *sim.Event) uint64 {
+	cost := t.log.Cost[ev.Instr.Op]
+	if ev.MMIO {
+		cost = t.cfg.MMIOCPI256
 	}
 	if ev.Syscall {
-		cost += p.cfg.SyscallCPI256
+		cost += t.cfg.SyscallCPI256
 	}
 	// Device/hook stalls are modeled exactly (they are already estimates).
-	return cost + ev.Extra*256
+	t.cycles256 += cost + ev.Extra*256
+	return t.whole()
+}
+
+// Log implements sim.TimingModel.
+func (t *model) Log() *sim.TimedLog { return t.log }
+
+// Replay implements sim.TimingModel: the logged instructions' costs.
+func (t *model) Replay() uint64 {
+	t.cycles256 += t.log.Static
+	t.log.Reset()
+	return t.whole()
+}
+
+// whole returns the whole cycles the accumulator has completed since the
+// last call, which is what the clock moves by.
+func (t *model) whole() uint64 {
+	whole := t.cycles256/256 - t.charged
+	t.charged += whole
+	return whole
 }

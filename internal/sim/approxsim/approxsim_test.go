@@ -196,7 +196,7 @@ func TestExecMatchesReferenceLoop(t *testing.T) {
 		}
 		refRes, err := ref.Run(exe, &refOut, nil, nil, func(m *sim.Machine) (uint64, error) {
 			for !m.Halted {
-				if _, err := m.RunBatch(4096, ref.charge); err != nil {
+				if _, err := m.RunBatch(4096, ref.model.ChargeEvent); err != nil {
 					return 0, err
 				}
 			}

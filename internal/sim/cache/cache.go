@@ -93,6 +93,11 @@ func (c *Cache) Access(addr uint64) bool {
 	return true
 }
 
+// Repeat counts n more accesses to the line the latest access touched:
+// the hits Access would take through the memo, without calling it n
+// times.
+func (c *Cache) Repeat(n uint64) { c.Hits += n }
+
 // settle gives the memo line the stamp of the latest access, which was to
 // it: the one stamp the memo's hits deferred.
 func (c *Cache) settle() {

@@ -126,16 +126,15 @@ func RunFunctional(m *Machine) (uint64, error) { return runToHalt(m, nil, true) 
 // RunFunctional.
 func RunReference(m *Machine) (uint64, error) { return runToHalt(m, nil, false) }
 
-// RunTimed executes the machine until it halts, advancing m.Now by
-// charge(ev) after each retired instruction — the run loop of the
-// cycle-approximate and cycle-exact platforms, whose charge is their
-// timing model. It takes the predecoded loop unless a memory hook, trace
-// writer or tamper function is installed. charge may read an Event's PC,
-// Instr.Op, Taken, MemAddr, MemSize, MMIO, Extra and Syscall, and must not
-// retain it; a nil charge is RunFunctional. It returns the number of
-// retired instructions.
-func RunTimed(m *Machine, charge func(*Event) uint64) (uint64, error) {
-	return runToHalt(m, charge, true)
+// RunTimed executes the machine until it halts, advancing m.Now by what
+// the timing model tm charges for each retired instruction — the run loop
+// of the cycle-approximate and cycle-exact platforms. It takes the
+// predecoded loop, which charges tm through its TimedLog, unless a memory
+// hook, trace writer or tamper function is installed; then every
+// instruction's full Event goes to tm.ChargeEvent. A nil tm is RunFunctional.
+// It returns the number of retired instructions.
+func RunTimed(m *Machine, tm TimingModel) (uint64, error) {
+	return runToHalt(m, tm, true)
 }
 
 // timedBatch is how many instructions a timed or reference run retires
@@ -148,13 +147,22 @@ const timedBatch = 4096
 // Event, the machine runs on the predecoded loop (see fastpath.go);
 // otherwise it retires through RunBatch/StepInto, polling the kill switch
 // between batches. Both produce identical architectural state and, given
-// the same charge, identical cycles; checkpoints land at the same
+// the same timing model, identical cycles; checkpoints land at the same
 // retired-instruction counts on either.
-func runToHalt(m *Machine, charge func(*Event) uint64, fast bool) (uint64, error) {
+func runToHalt(m *Machine, tm TimingModel, fast bool) (uint64, error) {
 	start := m.Instret
 	if fast && len(m.Hooks) == 0 && m.Trace == nil && m.TamperFn == nil {
-		err := m.runFast(charge)
+		var tl *TimedLog
+		if tm != nil {
+			tl = tm.Log()
+			tl.model = tm
+		}
+		err := m.runFast(tl)
 		return m.Instret - start, err
+	}
+	var charge func(*Event) uint64
+	if tm != nil {
+		charge = tm.ChargeEvent
 	}
 	for !m.Halted {
 		if m.Interrupted() {

@@ -8,8 +8,10 @@
 // syscalls, CSR reads, MMIO, traps, segment switches — is executed by the
 // reference StepInto, one instruction at a time, and the value rules come
 // from semantics.go, so the tricky semantics exist in exactly one place.
-// A timed run hands the same loop a timing model to charge after every
-// instruction. The differential tests in diff_test.go lock runFast ≡
+// A timed run hands the same loop a timing model: each instruction the
+// switch retires adds its op's static cycles and writes the model's
+// TimedLog, which the model replays once per chunk and before each slow
+// step. The differential tests in diff_test.go lock runFast ≡
 // RunReference on snapshots, console bytes, and retired-instruction
 // counts; rtlsim's lock the timed loop to RunBatch's cycles and events.
 //
@@ -102,17 +104,21 @@ func (m *Machine) chunkBudget(limit, poll uint64) uint64 {
 	return b
 }
 
-// runFast executes until the machine halts. With charge nil it advances
-// functional time (one cycle per instruction); otherwise every retired
-// instruction advances Now by charge(ev), in retirement order, exactly as
-// RunBatch would: an instruction the switch retires inline hands charge an
-// Event holding what a timing model reads (PC, Instr.Op, Taken, MemAddr,
-// MemSize; MMIO, Extra and Syscall are zero), a slow step the full Event
+// runFast executes until the machine halts. With tl nil it advances
+// functional time (one cycle per instruction); otherwise Now advances by
+// what tl's model charges, and every clock, snapshot and statistic it
+// publishes is the one RunBatch would have reached: an instruction the
+// switch retires inline adds its op's Cost to the log's Static sum, counts
+// or logs its fetch, and logs its branch outcome or RAM address (see
+// TimedLog); the model replays the log in retirement order at every chunk
+// end and before every slow step, which it charges with the full Event
 // StepInto wrote. A timed run keeps the trace tier off and surfaces every
-// timedBatch instructions, as the reference loop's batches do. Callers
-// must ensure no hooks, trace writer, or tamper function are installed;
-// devices are fine (MMIO takes the slow path).
-func (m *Machine) runFast(charge func(*Event) uint64) error {
+// timedBatch instructions, as the reference loop's batches do, so the log
+// holds at most two records per instruction of one batch. The log is the
+// loop's one timed local, which a functional run tests once per
+// instruction. Callers must ensure no hooks, trace writer, or tamper
+// function are installed; devices are fine (MMIO takes the slow path).
+func (m *Machine) runFast(tl *TimedLog) error {
 	if m.Halted {
 		return nil
 	}
@@ -138,8 +144,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 		poll = stopPollChunk
 	}
 	ev := &m.batchEv
-	*ev = Event{}
-	if charge != nil {
+	if tl != nil {
 		traceOff, poll = true, timedBatch
 	}
 
@@ -152,8 +157,9 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 	// a single budget down from the instruction limit; the retired count
 	// is reconstructed whenever state is published at slowpath. Functional
 	// time advances one cycle per instruction, so it is reconstructed the
-	// same way; a timed run sums its charges in now. taken, maddr and
-	// msize carry the inline instruction's event fields to its charge.
+	// same way; a timed run adds each replay of its log to now. taken and
+	// maddr carry the inline instruction's branch outcome and RAM address
+	// to its log records.
 	var (
 		in       uop
 		next     uint64
@@ -165,7 +171,6 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 		now      = m.Now
 		taken    bool
 		maddr    uint64
-		msize    int
 	)
 	if s := m.curSeg; s != nil {
 		segBase, segUops = s.base, s.uops
@@ -184,8 +189,10 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			// raises the instruction-limit trap.
 			m.PC = pc
 			m.Instret += budget0
-			if charge == nil {
+			if tl == nil {
 				now += budget0
+			} else {
+				now += tl.model.Replay()
 			}
 			m.Now = now
 			m.flushObs()
@@ -367,7 +374,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 8
+			maddr = addr
 			var rd uint64
 			if off := addr & (pageSize - 1); off <= pageSize-8 {
 				if p := mem.lookup(addr); p != nil {
@@ -383,7 +390,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 4
+			maddr = addr
 			var v uint32
 			if off := addr & (pageSize - 1); off <= pageSize-4 {
 				if p := mem.lookup(addr); p != nil {
@@ -399,7 +406,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 4
+			maddr = addr
 			var v uint32
 			if off := addr & (pageSize - 1); off <= pageSize-4 {
 				if p := mem.lookup(addr); p != nil {
@@ -415,7 +422,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 2
+			maddr = addr
 			var v uint16
 			if off := addr & (pageSize - 1); off <= pageSize-2 {
 				if p := mem.lookup(addr); p != nil {
@@ -431,7 +438,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 2
+			maddr = addr
 			var v uint16
 			if off := addr & (pageSize - 1); off <= pageSize-2 {
 				if p := mem.lookup(addr); p != nil {
@@ -447,7 +454,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 1
+			maddr = addr
 			var v byte
 			if p := mem.lookup(addr); p != nil {
 				v = p[addr&(pageSize-1)]
@@ -459,7 +466,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 1
+			maddr = addr
 			var v byte
 			if p := mem.lookup(addr); p != nil {
 				v = p[addr&(pageSize-1)]
@@ -472,7 +479,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 8
+			maddr = addr
 			mem.store64(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 8)
@@ -482,7 +489,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 4
+			maddr = addr
 			mem.store32(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 4)
@@ -492,7 +499,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 2
+			maddr = addr
 			mem.store16(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 2)
@@ -502,7 +509,7 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			if addr-devLo < devSpan {
 				goto slowpath
 			}
-			maddr, msize = addr, 1
+			maddr = addr
 			mem.store8(addr, regs[in.Rs2&31])
 			if addr-predLo < predSpan {
 				m.invalidateCode(addr, 1)
@@ -572,10 +579,29 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 			goto slowpath
 		}
 
-		if charge != nil {
-			ev.PC, ev.Instr.Op, ev.Taken, ev.MemAddr, ev.MemSize = pc, in.Op, taken, maddr, msize
-			now += charge(ev)
-			taken, maddr, msize = false, 0, 0
+		if tl != nil {
+			tl.Static += tl.Cost[in.Op]
+			if line := pc &^ tl.LineMask; line != tl.Line {
+				tl.Line = line
+				tl.Recs[tl.N] = TimedRec{Addr: pc, N: uint32(tl.Hits), Kind: RecFetch}
+				tl.N++
+				tl.Hits = 0
+			} else {
+				tl.Hits++
+			}
+			switch tl.Kind[in.Op] {
+			case RecBranch:
+				var t uint32
+				if taken {
+					t = 1
+				}
+				tl.Recs[tl.N] = TimedRec{Addr: pc, N: t, Kind: RecBranch}
+				tl.N++
+			case RecMem:
+				tl.Recs[tl.N] = TimedRec{Addr: maddr, Kind: RecMem}
+				tl.N++
+			}
+			taken = false
 		}
 		if next <= pc && !traceOff {
 			// A backward (or self) edge was just taken: the landing pc is a
@@ -627,18 +653,19 @@ func (m *Machine) runFast(charge func(*Event) uint64) error {
 		consumed = budget0 - budget
 		m.PC = pc
 		m.Instret += consumed
-		if charge == nil {
+		if tl == nil {
 			now += consumed
+		} else {
+			now += tl.model.Replay()
 		}
 		m.Now = now
 		if err := m.StepInto(ev); err != nil {
 			return err
 		}
-		if charge == nil {
+		if tl == nil {
 			m.Now++ // RunFunctional charges one cycle per instruction
 		} else {
-			m.Now += charge(ev)
-			*ev = Event{} // inline instructions fill only what charge reads
+			m.Now += tl.model.ChargeEvent(ev)
 		}
 		if m.Halted {
 			return nil

@@ -3,6 +3,7 @@ package rtlsim
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -184,7 +185,7 @@ func TestCrashResumeCycleExact(t *testing.T) {
 		{"branchy-small-tage", ckptProgBranchy, 15, true},
 		{"sequential", ckptProgSequential, 102, false},
 	}
-	for _, every := range []uint64{1, 1000, 4095, 10007} {
+	for _, every := range []uint64{1, 1000, 4095, 4096, 4097, 10007} {
 		for _, tc := range cases {
 			// The crash lands two and a half intervals in, the program
 			// ends after four; every=1 snapshots per instruction, so it
@@ -255,5 +256,66 @@ func crashResume(t *testing.T, run ckptRun, crashAt uint64) {
 	}
 	if resumedConsole != straightConsole {
 		t.Errorf("console = %q, want %q", resumedConsole, straightConsole)
+	}
+}
+
+// TestRestoreIntoUsedPlatform restores a cold timing state into a platform
+// that has just run a program and into a fresh one, then runs a second
+// program on both. Nothing of the first run may survive the restore: the
+// first program ends with an ecall on its entry line, and the second
+// starts on that line and leaves it with no slow step, so a timed log
+// that still held the entry line as its latest fetch would count those
+// fetches as repeats and never look the line up in the restored (empty)
+// I-cache. Both must charge the same cycles and end with the same
+// statistics and Save bytes.
+func TestRestoreIntoUsedPlatform(t *testing.T) {
+	first := build(t, ckptProgShort)
+	exe := build(t, `
+_start:
+    li a0, 0
+    j next
+    .align 6
+next:
+    li a7, 93
+    ecall
+`)
+	var ps [3]*Platform
+	for i := range ps {
+		p, err := New(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	cold, used, fresh := ps[0], ps[1], ps[2]
+	state, err := cold.saveExtra()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := used.Exec(first, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var res [2]*sim.ExecResult
+	for i, p := range []*Platform{used, fresh} {
+		if err := p.restoreExtra(state); err != nil {
+			t.Fatal(err)
+		}
+		if res[i], err = p.Exec(exe, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *res[0] != *res[1] || used.Stats() != fresh.Stats() {
+		t.Errorf("after a restore, a used platform ran %+v (%+v), a fresh one %+v (%+v)", *res[0], used.Stats(), *res[1], fresh.Stats())
+	}
+	a, err := used.saveExtra()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fresh.saveExtra()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a["rtlsim"], b["rtlsim"]) {
+		t.Error("after a restore and the same exec, the used platform's timing state differs from the fresh one's")
 	}
 }

@@ -94,38 +94,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// timingClass is everything charge needs to know about an operation's
-// kind, decided once per op instead of once per retired instruction.
-type timingClass uint8
-
-const (
-	classPlain timingClass = iota
-	classBranch
-	classJALR
-	classMem
-	classMul
-	classDiv
-)
-
-// classOf maps every isa.Op to its timing class.
-var classOf = func() (tab [256]timingClass) {
-	for i := range tab {
-		switch op := isa.Op(i); {
-		case op.IsBranch():
-			tab[i] = classBranch
-		case op == isa.OpJALR:
-			tab[i] = classJALR
-		case op.IsLoad() || op.IsStore():
-			tab[i] = classMem
-		case op.IsMul():
-			tab[i] = classMul
-		case op.IsMulDiv():
-			tab[i] = classDiv
-		}
-	}
-	return tab
-}()
-
 // Stats accumulates timing statistics across a platform's executions.
 type Stats struct {
 	Cycles       uint64
@@ -157,28 +125,40 @@ func (s Stats) MispredictRate() float64 {
 }
 
 // Platform is one cycle-exact simulation node: the shared kernel plus the
-// timing model charge consults.
+// timing model its runs charge.
 type Platform struct {
 	platform.Host
-	cfg  Config
-	pred bpred.Predictor
-	// tage is pred when that is a *bpred.Tage, so charge reaches the
-	// default predictor without an interface call per branch.
-	tage   *bpred.Tage
-	icache *cache.Cache
-	dcache *cache.Cache
+	model model
 
 	// NodeName identifies this node on the network fabric.
 	NodeName string
-
-	stats Stats
 }
 
-var _ sim.Platform = (*Platform)(nil)
+// model is the timing model sim.RunTimed charges: the caches, the branch
+// predictor, fixed latencies and the statistics, plus the log the
+// predecoded loop writes for it. ChargeEvent prices one full Event; Replay
+// prices the log with the same three parts — an op's static cycles from
+// log.Cost, its fetch, and its branch or memory access.
+type model struct {
+	cfg  Config
+	pred bpred.Predictor
+	// tage is pred when that is a *bpred.Tage, so a branch reaches the
+	// default predictor without an interface call.
+	tage   *bpred.Tage
+	icache *cache.Cache
+	dcache *cache.Cache
+	stats  Stats
+	log    *sim.TimedLog
+}
+
+var (
+	_ sim.Platform    = (*Platform)(nil)
+	_ sim.TimingModel = (*model)(nil)
+)
 
 // New builds a cycle-exact platform.
 func New(cfg Config) (*Platform, error) {
-	// charge() bills multiply/divide ops as latency-1 on top of the base
+	// A multiply/divide op costs its latency, 1 of which is the base
 	// cycle; a user config with a zero latency would wrap uint64. Clamp to
 	// the 1-cycle minimum a real pipeline pays.
 	if cfg.MulLatency == 0 {
@@ -204,7 +184,7 @@ func New(cfg Config) (*Platform, error) {
 			Name: "firesim", Kind: "rtlsim",
 			MaxInstrs: cfg.MaxInstrs, Stop: cfg.Stop, Ckpt: cfg.Ckpt, Obs: cfg.Obs,
 		}),
-		cfg: cfg, icache: ic, dcache: dc,
+		model: model{cfg: cfg, icache: ic, dcache: dc, log: newLog(cfg)},
 	}
 	p.SetPredictor(pred)
 	if cfg.Ckpt != nil {
@@ -214,23 +194,49 @@ func New(cfg Config) (*Platform, error) {
 	return p, nil
 }
 
+// newLog builds the timed loop's log for cfg, allocated once per platform
+// so an Exec allocates nothing for it: every op costs 1 cycle, a JALR its
+// penalty more and a multiply or divide its latency; branches log their
+// outcome and loads and stores their address.
+func newLog(cfg Config) *sim.TimedLog {
+	l := sim.NewTimedLog(cfg.ICache.LineBytes)
+	for i := range l.Cost {
+		l.Cost[i] = 1
+		switch op := isa.Op(i); {
+		case op.IsBranch():
+			l.Kind[i] = sim.RecBranch
+		case op == isa.OpJALR:
+			l.Cost[i] += cfg.JalrPenalty
+		case op.IsLoad() || op.IsStore():
+			l.Kind[i] = sim.RecMem
+		case op.IsMul():
+			l.Cost[i] += cfg.MulLatency - 1
+		case op.IsMulDiv():
+			l.Cost[i] += cfg.DivLatency - 1
+		}
+	}
+	return l
+}
+
 // CycleExact implements sim.Platform.
 func (p *Platform) CycleExact() bool { return true }
 
 // Stats returns accumulated statistics. The cache models count their own
-// hits and misses, so charge does not count them a second time.
+// hits and misses, so the model does not count them a second time.
 func (p *Platform) Stats() Stats {
-	st := p.stats
-	st.ICacheHits, st.ICacheMisses = p.icache.Hits, p.icache.Misses
-	st.DCacheHits, st.DCacheMisses = p.dcache.Hits, p.dcache.Misses
+	t := &p.model
+	st := t.stats
+	st.ICacheHits, st.ICacheMisses = t.icache.Hits, t.icache.Misses
+	st.DCacheHits, st.DCacheMisses = t.dcache.Hits, t.dcache.Misses
 	return st
 }
 
 // Config returns the platform's timing configuration.
-func (p *Platform) Config() Config { return p.cfg }
+func (p *Platform) Config() Config { return p.model.cfg }
 
 // extraState is the timing-model state a checkpoint carries beyond the
-// machine's architectural state: everything charge() reads or writes.
+// machine's architectural state: everything the model reads or writes
+// except its log, which is empty whenever a snapshot is taken.
 type extraState struct {
 	Pred   []byte
 	ICache []byte
@@ -239,18 +245,20 @@ type extraState struct {
 }
 
 // saveExtra serializes the timing model for a snapshot. Snapshots fire at
-// batch boundaries, after every retired event has been charged, so the
-// predictor is between branches (its Save precondition).
+// batch boundaries, after the log has been replayed and every retired
+// event charged, so the predictor is between branches (its Save
+// precondition).
 func (p *Platform) saveExtra() (map[string][]byte, error) {
+	t := &p.model
 	var st extraState
 	var err error
-	if st.Pred, err = p.pred.Save(); err != nil {
+	if st.Pred, err = t.pred.Save(); err != nil {
 		return nil, fmt.Errorf("rtlsim: predictor: %w", err)
 	}
-	if st.ICache, err = p.icache.Save(); err != nil {
+	if st.ICache, err = t.icache.Save(); err != nil {
 		return nil, fmt.Errorf("rtlsim: icache: %w", err)
 	}
-	if st.DCache, err = p.dcache.Save(); err != nil {
+	if st.DCache, err = t.dcache.Save(); err != nil {
 		return nil, fmt.Errorf("rtlsim: dcache: %w", err)
 	}
 	st.Stats = p.Stats()
@@ -272,50 +280,53 @@ func (p *Platform) restoreExtra(extra map[string][]byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("rtlsim: decoding timing-model state: %w", err)
 	}
-	if err := p.pred.Restore(st.Pred); err != nil {
+	t := &p.model
+	if err := t.pred.Restore(st.Pred); err != nil {
 		return fmt.Errorf("rtlsim: predictor: %w", err)
 	}
-	if err := p.icache.Restore(st.ICache); err != nil {
+	if err := t.icache.Restore(st.ICache); err != nil {
 		return fmt.Errorf("rtlsim: icache: %w", err)
 	}
-	if err := p.dcache.Restore(st.DCache); err != nil {
+	if err := t.dcache.Restore(st.DCache); err != nil {
 		return fmt.Errorf("rtlsim: dcache: %w", err)
 	}
-	p.stats = st.Stats
+	t.stats = st.Stats
+	// The restored I-cache has no latest access, so the next fetch is
+	// logged and looked up, never counted as a repeat.
+	t.log.Line = ^uint64(0)
 	return nil
 }
 
 // Exec implements sim.Platform: run the executable cycle-exactly, every
-// retired instruction's event charged to the timing model in retirement
-// order. A resumed run restores machine and timing-model state from its
-// latest snapshot (saveExtra/restoreExtra), so its cycle counts are
+// retired instruction charged to the timing model in retirement order. A
+// resumed run restores machine and timing-model state from its latest
+// snapshot (saveExtra/restoreExtra), so its cycle counts are
 // bit-identical to an uninterrupted run's.
 func (p *Platform) Exec(exe *isa.Executable, console io.Writer, args ...string) (*sim.ExecResult, error) {
 	res, err := p.Run(exe, console, args, p.injectFault, func(m *sim.Machine) (uint64, error) {
-		// The method value is bound once per exec: binding it per batch
-		// allocates.
-		return sim.RunTimed(m, p.charge)
+		return sim.RunTimed(m, &p.model)
 	})
 	if err == nil {
 		// An exec replayed from its record counts here too; the in-flight
 		// restore that always follows a replay installs the snapshot's
 		// statistics wholesale, and those already include it.
-		p.stats.Instrs += res.Instrs
-		p.stats.Cycles += res.Cycles
+		p.model.stats.Instrs += res.Instrs
+		p.model.stats.Cycles += res.Cycles
 	}
 	return res, err
 }
 
 // injectFault installs the configured stuck-at fault on a fresh machine.
 func (p *Platform) injectFault(m *sim.Machine) {
-	if p.cfg.FaultMask == 0 {
+	cfg := &p.model.cfg
+	if cfg.FaultMask == 0 {
 		return
 	}
-	faultOp := p.cfg.FaultOp
+	faultOp := cfg.FaultOp
 	if faultOp == isa.OpInvalid {
 		faultOp = isa.OpMUL
 	}
-	mask := p.cfg.FaultMask
+	mask := cfg.FaultMask
 	m.TamperFn = func(pc uint64, op isa.Op, rd uint64) uint64 {
 		if op == faultOp {
 			return rd | mask
@@ -324,60 +335,104 @@ func (p *Platform) injectFault(m *sim.Machine) {
 	}
 }
 
-// charge computes the cycle cost of one executed instruction.
-func (p *Platform) charge(ev *sim.Event) uint64 {
-	cost := uint64(1)
-
-	// Instruction fetch.
-	if !p.icache.Access(ev.PC) {
-		cost += p.cfg.ICacheMissPenalty
-	}
-
-	switch classOf[ev.Instr.Op] {
-	case classBranch:
-		p.stats.Branches++
-		var pred bool
-		if p.tage != nil {
-			pred = p.tage.PredictUpdate(ev.PC, ev.Taken)
-		} else {
-			pred = p.pred.Predict(ev.PC)
-			p.pred.Update(ev.PC, ev.Taken)
-		}
-		if pred != ev.Taken {
-			p.stats.Mispredicts++
-			cost += p.cfg.BranchMissPenalty
-		}
-	case classJALR:
-		cost += p.cfg.JalrPenalty
-	case classMem:
+// ChargeEvent implements sim.TimingModel: one instruction's cycles from its
+// full Event, as the sum of the parts Replay charges a logged instruction
+// with, plus what only a full Event carries — MMIO, a syscall, device
+// stalls. It leaves the fetched line as the log's latest, as the I-cache's
+// memo now is.
+func (t *model) ChargeEvent(ev *sim.Event) uint64 {
+	op := ev.Instr.Op
+	t.log.Line = ev.PC &^ t.log.LineMask
+	cost := t.log.Cost[op] + t.fetch(ev.PC)
+	switch t.log.Kind[op] {
+	case sim.RecBranch:
+		cost += t.branch(ev.PC, ev.Taken)
+	case sim.RecMem:
 		if ev.MMIO {
-			p.stats.MMIOAccesses++
-			cost += p.cfg.MMIOLatency
-		} else if !p.dcache.Access(ev.MemAddr) {
-			cost += p.cfg.DCacheMissPenalty
+			t.stats.MMIOAccesses++
+			cost += t.cfg.MMIOLatency
+		} else {
+			cost += t.data(ev.MemAddr)
 		}
-	case classMul:
-		cost += p.cfg.MulLatency - 1
-	case classDiv:
-		cost += p.cfg.DivLatency - 1
 	}
 	if ev.Syscall {
-		p.stats.Syscalls++
-		cost += p.cfg.SyscallPenalty
+		t.stats.Syscalls++
+		cost += t.cfg.SyscallPenalty
 	}
 	// Device/hook-imposed stall cycles (e.g. a remote page fetch).
-	cost += ev.Extra
-	return cost
+	return cost + ev.Extra
+}
+
+// Log implements sim.TimingModel.
+func (t *model) Log() *sim.TimedLog { return t.log }
+
+// Replay implements sim.TimingModel: the log's static cycles plus each
+// record in retirement order. Each structure sees exactly its own accesses
+// in the order ChargeEvent would have shown them, and the same-line fetches
+// before a record are counted as I-cache hits before its way search (the
+// LRU clock is Hits + Misses), so every cycle, statistic and Save byte is
+// the per-instruction one.
+func (t *model) Replay() uint64 {
+	l := t.log
+	cycles := l.Static
+	for _, r := range l.Recs[:l.N] {
+		switch r.Kind {
+		case sim.RecFetch:
+			t.icache.Repeat(uint64(r.N))
+			cycles += t.fetch(r.Addr)
+		case sim.RecBranch:
+			cycles += t.branch(r.Addr, r.N != 0)
+		default:
+			cycles += t.data(r.Addr)
+		}
+	}
+	t.icache.Repeat(l.Hits)
+	l.Reset()
+	return cycles
+}
+
+// fetch charges an instruction fetch.
+func (t *model) fetch(pc uint64) uint64 {
+	if t.icache.Access(pc) {
+		return 0
+	}
+	return t.cfg.ICacheMissPenalty
+}
+
+// branch predicts and trains on one conditional branch and charges a
+// mispredict.
+func (t *model) branch(pc uint64, taken bool) uint64 {
+	t.stats.Branches++
+	var pred bool
+	if t.tage != nil {
+		pred = t.tage.PredictUpdate(pc, taken)
+	} else {
+		pred = t.pred.Predict(pc)
+		t.pred.Update(pc, taken)
+	}
+	if pred == taken {
+		return 0
+	}
+	t.stats.Mispredicts++
+	return t.cfg.BranchMissPenalty
+}
+
+// data charges a load or store to RAM.
+func (t *model) data(addr uint64) uint64 {
+	if t.dcache.Access(addr) {
+		return 0
+	}
+	return t.cfg.DCacheMissPenalty
 }
 
 // SecondsAt converts cycles to seconds at the configured frequency.
 func (p *Platform) SecondsAt(cycles uint64) float64 {
-	return float64(cycles) / (float64(p.cfg.FreqMHz) * 1e6)
+	return float64(cycles) / (float64(p.model.cfg.FreqMHz) * 1e6)
 }
 
 // SetPredictor swaps the branch predictor, supporting ablation studies
 // that sweep predictor configurations beyond the named presets.
 func (p *Platform) SetPredictor(pred bpred.Predictor) {
-	p.pred = pred
-	p.tage, _ = pred.(*bpred.Tage)
+	p.model.pred = pred
+	p.model.tage, _ = pred.(*bpred.Tage)
 }

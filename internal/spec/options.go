@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -33,20 +34,17 @@ type option struct {
 	key  string
 	rule rule
 	// at returns the option's field in one level. Its type is the option's
-	// decoder: *string, *[]string, *bool, *int, *map[string]string,
-	// *[]FilePair, *[]*Workload, or the **LinuxOpts, **FirmwareOpts or
-	// **TestingOpts of a sub-map, whose own rows are fields.
+	// decoder: *string, *[]string, *bool, **bool (a switch a level may
+	// leave unset), *int, *map[string]string, *[]FilePair, *[]*Workload, or
+	// the **LinuxOpts, **FirmwareOpts or **TestingOpts of a sub-map, whose
+	// own rows are fields.
 	at func(w *Workload) any
 	// into returns the Effective field an inherited option merges into.
 	into func(e *Effective) any
 	// hostPath marks values that name host files, resolved against the
 	// directory of the level that declared them.
 	hostPath bool
-	// boolean marks a nearest-wins switch: written as a boolean, kept in
-	// the level as "true" or "false", so that a level that leaves it unset
-	// ("") is told apart from one that turns it off.
-	boolean bool
-	fields  []option
+	fields   []option
 }
 
 // options is Table II, declared once: fromMap decodes by it, Resolve merges
@@ -77,7 +75,7 @@ var options = []option{
 		into: func(e *Effective) any { return &e.RootfsSize }},
 	{key: "bin", at: func(w *Workload) any { return &w.Bin }},
 	{key: "img", at: func(w *Workload) any { return &w.Img }},
-	{key: "no-disk", rule: nearest, boolean: true, at: func(w *Workload) any { return &w.NoDisk },
+	{key: "no-disk", rule: nearest, at: func(w *Workload) any { return &w.NoDisk },
 		into: func(e *Effective) any { return &e.NoDisk }},
 	{key: "linux", at: func(w *Workload) any { return &w.Linux }, fields: []option{
 		{key: "source", rule: nearest, hostPath: true, at: func(w *Workload) any { return &w.Linux.Source },
@@ -199,8 +197,8 @@ func (o *option) fold(e *Effective, w *Workload) {
 				*dst = path(s)
 			}
 		case *bool:
-			if s := *o.at(w).(*string); s != "" {
-				*dst = s == "true"
+			if b := *o.at(w).(**bool); b != nil {
+				*dst = *b
 			}
 		case *HostCommand:
 			if s := *o.at(w).(*string); s != "" {
@@ -245,7 +243,8 @@ func (w *Workload) Describe() []string {
 		switch {
 		case o.key == "name" || o.key == "base" || o.key == "jobs" || !isSet(p):
 		case o.rule == nearest && o.fields == nil:
-			out = append(out, o.key+"="+*p.(*string))
+			// The value, read through the *bool of a switch.
+			out = append(out, fmt.Sprintf("%s=%v", o.key, reflect.Indirect(reflect.ValueOf(p).Elem())))
 		default:
 			out = append(out, o.key)
 		}

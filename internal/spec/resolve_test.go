@@ -56,7 +56,12 @@ func TestOptionTable(t *testing.T) {
 			var ok bool
 			switch o.rule {
 			case own, nearest:
-				ok = o.rule == own || reflect.TypeOf(field) == reflect.TypeOf(new(string))
+				switch field.(type) {
+				case *string, **bool:
+					ok = true
+				default:
+					ok = o.rule == own
+				}
 			case concat, union:
 				_, ok = field.(*[]string)
 			case mapOverride:
@@ -68,6 +73,29 @@ func TestOptionTable(t *testing.T) {
 		}
 	}
 	check("", options, own)
+}
+
+// TestDescribeListsSwitchValues: a level lists a nearest-wins option with
+// its value — a switch's read through its *bool, whether on or off — and
+// leaves out a switch it does not set.
+func TestDescribeListsSwitchValues(t *testing.T) {
+	for doc, want := range map[string][]string{
+		`{"name":"a","board":"b1","no-disk":false}`: {"board=b1", "no-disk=false"},
+		`{"name":"a","command":"x","no-disk":true}`: {"command", "no-disk=true"},
+		`{"name":"a","command":"x","no-disk":null}`: {"command"},
+		`{"name":"a","rootfs-size":"1GiB"}`:         {"rootfs-size=1GiB"},
+	} {
+		w, err := Parse([]byte(doc), false)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		if got := w.Describe(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Describe() = %q, want %q", doc, got, want)
+		}
+	}
+	if _, err := Parse([]byte(`{"name":"a","no-disk":"true"}`), false); err == nil || !strings.Contains(err.Error(), "no-disk must be a boolean") {
+		t.Errorf("a string no-disk parsed with error %v, want \"no-disk must be a boolean\"", err)
+	}
 }
 
 // genChain turns fuzz bytes into a chain of up to 4 workload documents,

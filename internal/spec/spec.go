@@ -76,7 +76,7 @@ type Workload struct {
 	RootfsSize string
 	Bin        string
 	Img        string
-	NoDisk     string // "true", "false", or "" when the level leaves it unset
+	NoDisk     *bool // nil when the level leaves it unset
 
 	Linux    *LinuxOpts
 	Firmware *FirmwareOpts
@@ -213,14 +213,6 @@ func (o *option) decode(w *Workload, name string, v any) error {
 		if v == nil {
 			return nil
 		}
-		if o.boolean {
-			b, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("spec: %s must be a boolean", name)
-			}
-			*p = strconv.FormatBool(b)
-			return nil
-		}
 		s, ok := v.(string)
 		if !ok {
 			return fmt.Errorf("spec: option %q must be a string, got %T", o.key, v)
@@ -239,6 +231,15 @@ func (o *option) decode(w *Workload, name string, v any) error {
 			return fmt.Errorf("spec: %s must be a boolean", name)
 		}
 		*p = b
+	case **bool: // a nearest-wins switch: nil is "this level leaves it unset"
+		if v == nil {
+			return nil
+		}
+		b, ok := v.(bool)
+		if !ok {
+			return fmt.Errorf("spec: %s must be a boolean", name)
+		}
+		*p = &b
 	case *int: // testing.timeout, whole seconds of guest time
 		f, ok := v.(float64)
 		if !ok || f < 0 {

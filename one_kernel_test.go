@@ -16,7 +16,8 @@ import (
 // that builds a machine and speaks the checkpoint protocol (the platform
 // kernel), one loop over StepInto (RunBatch), one place that picks a loop
 // (runToHalt), one loop per role that charges a timing model (RunBatch on
-// the reference path, runFast on the predecoded one), one definition of
+// the reference path, runFast on the predecoded one, which alone replays
+// a model's log), one definition of
 // every RV64IM rule that is more than an operator (semantics.go), and one
 // device lookup (AddrRange; no Contains). A second copy of any of them
 // fails here instead of drifting from the first. It parses product sources
@@ -29,7 +30,7 @@ func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 	track := map[string]bool{
 		"NewMachine": true, "ReplayNext": true, "BeginExec": true, "FinishExec": true,
 		"LoadExecutable": true, "StepInto": true, "sext32": true,
-		"runFast": true, "charge": true,
+		"runFast": true, "charge": true, "ChargeEvent": true, "Replay": true,
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -129,15 +130,17 @@ func TestOnePlatformKernelOneRetireLoop(t *testing.T) {
 			t.Errorf("%s( is called from %v, want exactly %v", name, got, want)
 		}
 	}
-	// A timing model is a charge callback (a platform's charge method, or
-	// the parameter that carries one), and only the two retire loops call
-	// it; runFast calls it twice, for an inline and for a slow step.
-	charged := map[string]bool{}
-	for _, where := range calls["charge"] {
-		charged[where] = true
+	// A timing model is charged per event (RunBatch's charge parameter, or
+	// a model's ChargeEvent) only by the two retire loops: RunBatch for
+	// every instruction, runFast for a slow step. Its log is replayed only
+	// by runFast, at a chunk end and before a slow step.
+	perEvent := append(append([]string(nil), calls["charge"]...), calls["ChargeEvent"]...)
+	sort.Strings(perEvent)
+	if want := "internal/sim/fastpath.go:RunBatch internal/sim/fastpath.go:runFast"; strings.Join(perEvent, " ") != want {
+		t.Errorf("a timing model is charged per event from %v, want exactly RunBatch and runFast once each", perEvent)
 	}
-	if len(charged) != 2 || !charged["internal/sim/fastpath.go:RunBatch"] || !charged["internal/sim/fastpath.go:runFast"] {
-		t.Errorf("a timing model is called from %v, want exactly RunBatch and runFast", calls["charge"])
+	if got := strings.Join(calls["Replay"], " "); got != "internal/sim/fastpath.go:runFast internal/sim/fastpath.go:runFast" {
+		t.Errorf("a timing model's log is replayed from %v, want runFast twice", calls["Replay"])
 	}
 	for _, where := range calls["sext32"] {
 		if !strings.HasPrefix(where, "internal/sim/semantics.go:") {
