@@ -255,8 +255,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return truncateBody(resp)
 	case FaultDuplicate:
 		// The lost-response shape: the request lands twice and the caller
-		// only sees the second answer. Idempotent protocols shrug; the
-		// coordinator's reconcile pass covers the rest.
+		// only sees the second answer. Every fleet request is idempotent: a
+		// second lease answers 409 (leased), a second steal 404 (given back).
 		t.count(FaultDuplicate)
 		dup, err := cloneRequest(req)
 		if err == nil {

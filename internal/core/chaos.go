@@ -69,7 +69,6 @@ type ChaosReport struct {
 	WorkerQuarantines uint64  // remote_worker_quarantines_total
 	QuarantinedNow    float64 // remote_workers_quarantined (gauge)
 	Steals            uint64  // remote_steals_total
-	ReconciledLeases  uint64  // remote_reconciled_leases_total
 	LeaseExpiries     uint64  // remote_lease_expiries_total
 	RateLimited       uint64  // cas_remote_rate_limited_total
 	Throttled         uint64  // serve_throttled_total
@@ -136,7 +135,6 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 	report.WorkerQuarantines = reg.Counter("remote_worker_quarantines_total").Value()
 	report.QuarantinedNow = reg.Gauge("remote_workers_quarantined").Value()
 	report.Steals = reg.Counter("remote_steals_total").Value()
-	report.ReconciledLeases = reg.Counter("remote_reconciled_leases_total").Value()
 	report.LeaseExpiries = reg.Counter("remote_lease_expiries_total").Value()
 	report.RateLimited = reg.Counter("cas_remote_rate_limited_total").Value()
 	report.Throttled = reg.Counter("serve_throttled_total").Value()
@@ -163,7 +161,6 @@ func (m *Marshal) Chaos(ctx context.Context, nameOrPath string, opts ChaosOpts) 
 		{"remote_worker_quarantines_total", float64(report.WorkerQuarantines)},
 		{"remote_workers_quarantined", report.QuarantinedNow},
 		{"remote_steals_total", float64(report.Steals)},
-		{"remote_reconciled_leases_total", float64(report.ReconciledLeases)},
 		{"remote_lease_expiries_total", float64(report.LeaseExpiries)},
 	} {
 		fmt.Fprintf(out, "chaos: metric %s %g\n", line.name, line.value)

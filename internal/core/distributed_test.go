@@ -319,28 +319,40 @@ func TestDistributedJobsOverlap(t *testing.T) {
   ]}`)
 
 	addrs, _, _ := startWorkerFleet(t, srv.URL, 2)
+	// A job runs on a worker from its start event to its done event: each
+	// worker's log is read from where it stood before the launch.
+	clients, cursors, jobs := make([]*lremote.WorkerClient, 2), make([]int, 2), make([]map[string]bool, 2)
+	for i, addr := range addrs {
+		clients[i], jobs[i] = lremote.NewWorkerClient(addr), map[string]bool{}
+		st, err := clients[i].Status(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursors[i] = st.Seq
+	}
 	launched := make(chan error, 1)
 	go func() {
 		_, err := e.m.Launch("par2", LaunchOpts{Workers: addrs, WorkerPoll: 2 * time.Millisecond})
 		launched <- err
 	}()
 
-	running := func(addr string) bool {
-		st, err := lremote.NewWorkerClient(addr).Status(context.Background())
-		if err != nil {
-			return false
-		}
-		for _, s := range st.Jobs {
-			if s == lremote.JobRunning {
-				return true
+	running := func(i int) bool {
+		evs, _ := clients[i].Events(context.Background(), cursors[i], 0)
+		for _, ev := range evs {
+			cursors[i] = ev.Seq + 1
+			switch ev.Type {
+			case lremote.EventStart:
+				jobs[i][ev.Job] = true
+			case lremote.EventDone:
+				delete(jobs[i], ev.Job)
 			}
 		}
-		return false
+		return len(jobs[i]) > 0
 	}
 	overlapped := false
 	deadline := time.Now().Add(10 * time.Second)
 	for !overlapped && time.Now().Before(deadline) {
-		if running(addrs[0]) && running(addrs[1]) {
+		if running(0) && running(1) {
 			overlapped = true
 		}
 		time.Sleep(time.Millisecond)

@@ -44,9 +44,8 @@ type Retry struct {
 	// Attempts is the total number of calls (first try included).
 	Attempts int
 	// Transport allows retrying errors other than Throttled. Leave it
-	// false for a request that must never be blindly re-sent (a steal whose
-	// answer was lost may have succeeded), or when a layer above — the
-	// cache's circuit breaker — owns transport failures.
+	// false for a request that must never be blindly re-sent, or when a
+	// layer above — the cache's circuit breaker — owns transport failures.
 	Transport bool
 	// Sleep, when set, replaces the real timer (tests).
 	Sleep func(time.Duration)

@@ -20,8 +20,8 @@ const requestTimeout = 5 * time.Second
 // clientRetries bounds per-request retries (see do).
 const clientRetries = 3
 
-// ErrWorkerRestarted reports an event poll whose cursor is past the end of
-// the worker's log: the process that handed it out is gone with its leases.
+// ErrWorkerRestarted reports an event poll whose cursor is outside the
+// worker's log: the process that handed it out is gone with its leases.
 var ErrWorkerRestarted = errors.New("remote: worker restarted")
 
 // maxAnswerSize bounds a worker's answer (a status, lease codes, a batch of
@@ -49,10 +49,10 @@ func (c *WorkerClient) SetTransport(rt http.RoundTripper) { c.http.SetTransport(
 
 // do sends one JSON request — hold is how long the worker was asked to keep
 // it open — under the shared retry policy (hostutil.Retry), decoding a 200
-// answer into out when non-nil. Failures are retried (a duplicate POST
-// /v1/jobs lands as 409, which reads as leased), except DELETE's: a steal
-// whose answer was lost may have succeeded, which the coordinator's
-// reconcile pass resolves. Every wait ends with ctx.
+// answer into out when non-nil. Every request is idempotent, so every
+// failure is retried: a duplicate POST /v1/jobs lands as 409, which reads as
+// leased, and a duplicate DELETE as 404, which reads as given back. Every
+// wait ends with ctx.
 func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path string, body any, out any) (int, error) {
 	req := hostutil.Request{Method: method, Path: path, Hold: hold}
 	if body != nil {
@@ -71,8 +71,7 @@ func (c *WorkerClient) do(ctx context.Context, hold time.Duration, method, path 
 			return json.Unmarshal(data, out)
 		}
 	}
-	policy := hostutil.Retry{Attempts: clientRetries + 1, Transport: method != http.MethodDelete}
-	code, _, err := c.http.Do(ctx, req, policy)
+	code, _, err := c.http.Do(ctx, req, hostutil.Retry{Attempts: clientRetries + 1, Transport: true})
 	if err != nil {
 		err = fmt.Errorf("worker %s: %w", c.Addr, err)
 	}
@@ -110,8 +109,8 @@ func (c *WorkerClient) Lease(ctx context.Context, specs []JobSpec) ([]int, error
 
 // Events drains the worker's event log from sequence `since`. A positive
 // wait (whole milliseconds) asks the worker to hold an empty answer that
-// long, until it has an event to report; a log ending before `since` is
-// ErrWorkerRestarted.
+// long, until it has an event to report; a cursor outside the worker's log
+// is ErrWorkerRestarted.
 func (c *WorkerClient) Events(ctx context.Context, since int, wait time.Duration) ([]Event, error) {
 	path := "/v1/events?since=" + strconv.Itoa(since)
 	if ms := wait.Milliseconds(); ms > 0 {
@@ -131,18 +130,21 @@ func (c *WorkerClient) Events(ctx context.Context, since int, wait time.Duration
 	return nil, fmt.Errorf("worker %s: events: HTTP %d", c.Addr, code)
 }
 
-// Steal asks the worker to give up a still-queued job. It reports true
-// when the worker agreed (the job is now unowned and may be re-leased);
-// false when the job already started or finished there.
-func (c *WorkerClient) Steal(ctx context.Context, job string) (bool, error) {
-	code, err := c.do(ctx, 0, http.MethodDelete, "/v1/jobs/"+job, nil, nil)
+// Steal asks the worker to give up lease `lease` of a still-queued job. It
+// reports true when the lease is not held there (the job is unowned and may
+// be re-leased): the worker gave it up (200) or does not hold it (404:
+// stolen already, or leased to an earlier process); false when the job
+// already started or finished there (409).
+func (c *WorkerClient) Steal(ctx context.Context, job string, lease uint64) (bool, error) {
+	path := "/v1/jobs/" + job + "?lease=" + strconv.FormatUint(lease, 10)
+	code, err := c.do(ctx, 0, http.MethodDelete, path, nil, nil)
 	if err != nil {
 		return false, err
 	}
 	switch code {
-	case http.StatusOK:
+	case http.StatusOK, http.StatusNotFound:
 		return true, nil
-	case http.StatusConflict, http.StatusNotFound:
+	case http.StatusConflict:
 		return false, nil
 	}
 	return false, fmt.Errorf("worker %s: steal %s: HTTP %d", c.Addr, job, code)

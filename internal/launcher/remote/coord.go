@@ -54,7 +54,6 @@ const (
 	faultPoll           = 1
 	faultSubmit         = 2
 	quarantineThreshold = 6
-	reconcileEvery      = 8  // ticks between status fetches that re-derive lease truth
 	maxRefusals         = 50 // sweeps every worker refuses before a job fails
 )
 
@@ -64,12 +63,11 @@ const (
 type kind int
 
 const (
-	probe     kind = iota // GET /v1/status: (re-)registration
-	reconcile             // GET /v1/status: lease truth
-	lease                 // POST /v1/jobs
-	poll                  // GET /v1/events
-	steal                 // DELETE /v1/jobs/{name}
-	land                  // OnDone
+	probe kind = iota // GET /v1/status: (re-)registration
+	lease             // POST /v1/jobs
+	poll              // GET /v1/events
+	steal             // DELETE /v1/jobs/{name}
+	land              // OnDone
 	start
 	done
 	ckpt
@@ -84,8 +82,8 @@ type msg struct {
 	kind  kind
 	wi    int       // the worker asked
 	specs []JobSpec // lease: the offers of one request
-	after time.Time // poll: not sent before
-	from  int       // poll: the cursor; reconcile: the step that asked
+	after time.Time // poll, steal: not sent before
+	from  int       // poll: the cursor
 	job   string    // steal, start, land
 	lease uint64    // steal: the lease taken back
 	thief int       // steal: the idle worker it rebalances to, -1 for the drain
@@ -93,7 +91,7 @@ type msg struct {
 	ev    Event     // land
 	rec   launcher.Record
 	ptr   *checkpoint.Pointer
-	// The answer, at driver time now; asked is when a poll was sent.
+	// The answer, at driver time now; asked is when the request was sent.
 	now, asked time.Time
 	st         *WorkerStatus
 	codes      []int
@@ -114,7 +112,6 @@ type cjob struct {
 	offered   bool    // the lease request is out
 	started   bool    // a start event of the current lease arrived
 	stealing  bool    // a steal of the current lease is out
-	leasedAt  int     // the step that saw the current lease accepted
 	maxAtt    int     // highest absolute attempt observed
 	refusals  int     // exhausted sweeps (liveness bound)
 	tried     map[int]bool
@@ -135,13 +132,13 @@ func (j *cjob) leasedTo(wi int) bool { return !j.settled() && j.worker == wi && 
 
 // cworker is the coordinator's view of one worker.
 type cworker struct {
-	client                *WorkerClient
-	alive, quarantined    bool
-	retired               bool // another protocol version: never leased to or revived
-	restarted             bool // answered 410: re-registration is out
-	asking, leasing       bool // a status, a lease request is out
-	faults, ticks, cursor int  // fault score, ticks alive, event-log position
-	lastOK                time.Time
+	client             *WorkerClient
+	alive, quarantined bool
+	retired            bool // another protocol version: never leased to or revived
+	restarted          bool // answered 410: re-registration is out
+	asking, leasing    bool // a probe, a lease request is out
+	faults, cursor     int  // fault score, event-log position
+	lastOK             time.Time
 }
 
 // coordinator is one fleet launch: its state, and step, the one decision
@@ -154,7 +151,7 @@ type coordinator struct {
 	workers          []*cworker
 	out              []msg // the current step's actions
 	now              time.Time
-	steps, probing   int     // steps taken; registration probes not yet answered
+	probing          int     // registration probes not yet answered
 	begun, over      bool    // registration is over; nothing more is sent
 	draining         bool    // Drain closed: nothing is leased again
 	err              error   // no worker registered
@@ -227,7 +224,7 @@ func (c *coordinator) drive(ctx context.Context) (*launcher.Summary, error) {
 			}
 			out++
 			go func() {
-				if a.kind == poll && hostutil.SleepCtx(reqCtx, time.Until(a.after)) != nil {
+				if !a.after.IsZero() && hostutil.SleepCtx(reqCtx, time.Until(a.after)) != nil {
 					a.err = reqCtx.Err()
 				} else {
 					a.asked = time.Now()
@@ -291,14 +288,14 @@ func (c *coordinator) write(a msg) bool {
 // perform sends a's request, or runs OnDone, and returns a with the answer.
 func (c *coordinator) perform(ctx context.Context, a msg) msg {
 	switch cl := c.workers[a.wi].client; a.kind {
-	case probe, reconcile:
+	case probe:
 		a.st, a.err = cl.Status(ctx)
 	case lease:
 		a.codes, a.err = cl.Lease(ctx, a.specs)
 	case poll:
 		a.evs, a.err = cl.Events(ctx, a.from, c.opts.Poll)
 	case steal:
-		a.stolen, a.err = cl.Steal(ctx, a.job)
+		a.stolen, a.err = cl.Steal(ctx, a.job, a.lease)
 	case land:
 		a.err = c.opts.OnDone(a.ev)
 	}
@@ -309,15 +306,12 @@ func (c *coordinator) perform(ctx context.Context, a msg) msg {
 // Once the run is over only landings are folded in.
 func (c *coordinator) step(in msg) []msg {
 	c.out, c.now = nil, in.now
-	c.steps++
 	if c.over && in.kind != land {
 		return nil
 	}
 	switch in.kind {
 	case probe:
 		c.probed(in)
-	case reconcile:
-		c.reconciled(in)
 	case lease:
 		c.leaseAnswered(in)
 	case poll:
@@ -349,30 +343,24 @@ func (c *coordinator) logf(format string, args ...any) {
 	fmt.Fprintf(c.opts.Log, format+"\n", args...)
 }
 
-// ask sends worker wi a status request.
-func (c *coordinator) ask(k kind, wi int) {
+// ask sends worker wi a registration probe.
+func (c *coordinator) ask(wi int) {
 	c.workers[wi].asking = true
-	c.emit(msg{kind: k, wi: wi, from: c.steps})
+	c.emit(msg{kind: probe, wi: wi})
 }
 
 // housekeep is a tick: the first sends the registration probes. Later ones
-// probe dead workers, reconcile live ones, give refused jobs a new sweep,
-// and steal queued jobs for idle workers, or take them back when draining.
+// probe dead workers, give refused jobs a new sweep, and steal queued jobs
+// for idle workers, or take them back when draining.
 func (c *coordinator) housekeep() {
+	first := !c.begun && c.probing == 0
 	for wi, w := range c.workers {
-		switch {
-		case !c.begun && c.steps == 1:
-			c.ask(probe, wi)
-			c.probing++
-		case !c.begun || w.asking || w.retired:
-		case !w.alive:
-			c.ask(probe, wi)
-		case w.ticks+1 == reconcileEvery:
-			w.ticks = 0
-			c.ask(reconcile, wi)
-		default:
-			w.ticks++
+		if first || c.begun && !w.alive && !w.asking && !w.retired {
+			c.ask(wi)
 		}
+	}
+	if first {
+		c.probing = len(c.workers)
 	}
 	for _, j := range c.jobs {
 		j.idle = false
@@ -520,7 +508,7 @@ func (c *coordinator) leaseAnswered(in msg) {
 			continue
 		}
 		if j.offered = false; code == http.StatusAccepted || code == http.StatusConflict {
-			j.tried, j.held, j.alone, j.refusals, j.leasedAt = nil, false, false, 0, c.steps
+			j.tried, j.held, j.alone, j.refusals = nil, false, false, 0
 			c.opts.Obs.Counter("remote_leases_total").Inc()
 			c.logf("coordinator: leased %s to worker %s", j.spec.Name, w.client.Addr)
 			continue
@@ -605,7 +593,7 @@ func (c *coordinator) polled(in msg) {
 	switch {
 	case errors.Is(in.err, ErrWorkerRestarted):
 		w.restarted = true
-		c.ask(probe, in.wi)
+		c.ask(in.wi)
 		return
 	case in.err != nil:
 		c.noteFault(in.wi, faultPoll)
@@ -630,26 +618,6 @@ func (c *coordinator) polled(in msg) {
 		next.after = in.asked.Add(c.opts.Poll)
 	}
 	c.emit(next)
-}
-
-// reconciled re-leases a job the worker's table lacks though it accepted the
-// lease before the status was asked for: lost in transit, as a steal whose
-// answer dropped (workers keep finished jobs in their table).
-func (c *coordinator) reconciled(in msg) {
-	c.workers[in.wi].asking = false
-	if in.err != nil {
-		c.noteFault(in.wi, faultPoll)
-		return
-	}
-	for _, name := range c.order {
-		j := c.jobs[name]
-		if _, held := in.st.Jobs[name]; held || !j.leasedTo(in.wi) || j.leasedAt >= in.from {
-			continue
-		}
-		c.logf("coordinator: worker %s no longer holds %s; re-leasing", c.workers[in.wi].client.Addr, name)
-		c.opts.Obs.Counter("remote_reconciled_leases_total").Inc()
-		c.relay(j)
-	}
 }
 
 // event folds one worker event into the journal and run state. Events are
@@ -749,11 +717,17 @@ func (c *coordinator) steal() {
 	}
 }
 
-// stealAnswered folds a steal's answer: a job its worker gave up is unowned
-// again — placed anew, or skipped when draining.
+// stealAnswered folds a steal's answer: a job its worker gave up, or does
+// not hold (404), is unowned again — placed anew, or skipped when draining.
+// A steal with no answer may have landed, so it stays out and is asked again
+// one Poll later, until it is answered or its worker is given up (relay).
 func (c *coordinator) stealAnswered(in msg) {
 	j := c.jobs[in.job]
 	if j.spec.Lease != in.lease || !j.stealing {
+		return
+	}
+	if in.err != nil && j.leasedTo(in.wi) {
+		c.emit(msg{kind: steal, wi: in.wi, job: in.job, lease: in.lease, thief: in.thief, after: in.asked.Add(c.opts.Poll)})
 		return
 	}
 	if j.stealing = false; in.err != nil || !in.stolen || !j.leasedTo(in.wi) {
@@ -769,7 +743,7 @@ func (c *coordinator) stealAnswered(in msg) {
 
 // takeBack is the drain: every job not yet started, unowned or given back
 // by its worker as a steal, is skipped; the next tick asks again for those
-// whose worker did not answer, and an offer out waits for its answer.
+// whose worker refused (409), and an offer out waits for its answer.
 func (c *coordinator) takeBack() {
 	for _, name := range c.order {
 		switch j := c.jobs[name]; {
@@ -836,7 +810,7 @@ func (c *coordinator) summary(wall time.Duration) *launcher.Summary {
 	sum := &launcher.Summary{Wall: wall, Workers: max(c.aliveCount(), 1)}
 	for _, name := range c.order {
 		j := c.jobs[name]
-		res := launcher.Result{Name: name, Status: launcher.StatusCancelled, Attempts: j.maxAtt - j.origPrior,
+		res := launcher.Result{Name: name, Status: launcher.StatusCancelled, Attempts: max(j.maxAtt, j.origPrior) - j.origPrior,
 			Prior: j.origPrior, Resumed: j.spec.Resumed, Err: "run cancelled with job on worker fleet"}
 		if rec := j.rec; j.done {
 			res = launcher.Result{Name: name, Status: rec.Status, Attempts: rec.Attempts - j.origPrior,

@@ -331,7 +331,7 @@ func TestFleetDrainSkipsQueuedJobs(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	ran := map[string]bool{}
-	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
+	addrs, workers, _ := fleet(t, 1, func(int) WorkerConfig {
 		store, err := cas.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -372,11 +372,14 @@ func TestFleetDrainSkipsQueuedJobs(t *testing.T) {
 	// the coordinator a moment to take b and c back before a may finish.
 	<-started
 	close(drain)
-	c := NewWorkerClient(addrs[0])
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if st, err := c.Status(context.Background()); err == nil && len(st.Jobs) == 1 {
-			break
-		}
+	held := func() int {
+		w := workers[0]
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.jobs)
+	}
+	for deadline := time.Now().Add(2 * time.Second); held() != 1 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
 	}
 	close(release)
 	if err := <-driven; err == nil {

@@ -93,6 +93,11 @@ func TestLongPoll(t *testing.T) {
 	defer srv.Close()
 	c := NewWorkerClient(srv.Listener.Addr().String())
 	const wait = 30 * time.Second
+	st, serr := c.Status(context.Background())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	base := st.Seq // a fresh worker's log starts here
 
 	poll := func(ctx context.Context, since int, wait time.Duration) (<-chan struct{}, *[]Event, *error) {
 		done := make(chan struct{})
@@ -106,14 +111,14 @@ func TestLongPoll(t *testing.T) {
 	}
 
 	// No wait: today's immediate (empty) answer.
-	done, evs, err := poll(context.Background(), 0, 0)
+	done, evs, err := poll(context.Background(), base, 0)
 	within(t, done, "the answer to a poll without wait")
 	if *err != nil || len(*evs) != 0 {
 		t.Fatalf("poll without wait = %v, %v; want empty", *evs, *err)
 	}
 
 	// A held poll answers when an event appears.
-	done, evs, err = poll(context.Background(), 0, wait)
+	done, evs, err = poll(context.Background(), base, wait)
 	select {
 	case <-done:
 		t.Fatalf("a held poll answered with nothing to say: %v, %v", *evs, *err)
@@ -128,7 +133,7 @@ func TestLongPoll(t *testing.T) {
 	}
 
 	// ... and one that has events to report is never held.
-	done, evs, err = poll(context.Background(), 0, wait)
+	done, evs, err = poll(context.Background(), base, wait)
 	within(t, done, "the answer to a poll with events behind the cursor")
 	if *err != nil || len(*evs) == 0 {
 		t.Fatalf("poll behind the log = %v, %v", *evs, *err)
@@ -391,6 +396,10 @@ func TestWorkerStartsLeasesInRequestOrder(t *testing.T) {
 			})})
 		srv := httptest.NewServer(w)
 		c := NewWorkerClient(srv.Listener.Addr().String())
+		st, err := c.Status(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		codes, err := c.Lease(context.Background(), specsNamed(names...))
 		if err != nil || !reflect.DeepEqual(codes, []int{202, 202, 202, 202, 202}) {
 			t.Fatalf("lease = %v, %v", codes, err)
@@ -399,7 +408,7 @@ func TestWorkerStartsLeasesInRequestOrder(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("the five jobs never finished")
 			}
-			evs, err := c.Events(context.Background(), seen, time.Second)
+			evs, err := c.Events(context.Background(), st.Seq+seen, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -203,7 +203,7 @@ func FuzzLandingOutputs(f *testing.F) {
 		worker := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			switch r.URL.Path {
 			case "/v1/status":
-				fmt.Fprintf(rw, `{"protocol":%d,"slots":1,"jobs":{"x":"running"},"seq":0}`, protocolVersion)
+				fmt.Fprintf(rw, `{"protocol":%d,"slots":1,"seq":0}`, protocolVersion)
 			case "/v1/jobs":
 				var specs []JobSpec
 				if json.NewDecoder(r.Body).Decode(&specs) == nil && len(specs) == 1 {

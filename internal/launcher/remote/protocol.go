@@ -24,19 +24,26 @@
 // worker of another version is never leased to (ErrProtocolVersion). Every
 // offer of a job carries a fresh lease id, unique across runs, that the
 // worker echoes on each event of that lease; the coordinator honours only
-// events of a job's current lease, whatever name they carry. A poll cursor
-// past the end of a worker's log (410) means the worker restarted: it is
-// registered again and the jobs it held are re-leased.
+// events of a job's current lease, whatever name they carry. A worker's
+// event log is numbered from a random base for each process, and a poll
+// cursor outside [base, end] is answered 410: the worker restarted. It is
+// registered again at the next poll and the jobs it held are re-leased.
 //
-// Fault model: a worker silent for 100 heartbeats (100 × Poll: 10 s at the
-// default Poll) forfeits its leases. Each forfeited job is re-leased to a
-// live worker together with the latest checkpoint pointer the dead worker
-// managed to announce, so the job restores bit-identically (cycles, stats,
-// console) instead of restarting — exactly the single-machine `-resume`
-// guarantee, stretched across machines. Idle workers steal still-queued
-// jobs from loaded ones; the queued-only constraint is enforced by the
-// owning worker, so a steal can never duplicate a running simulation. A job
-// has one owner at a time: it runs twice at once only when its lease
+// Fault model: the event log and the steal answer are the whole truth about
+// which worker holds a lease; nothing is re-derived from a status poll. A
+// worker silent for 100 heartbeats (100 × Poll: 10 s at the default Poll)
+// forfeits its leases, and a restarted one forfeits them at its next poll.
+// Each forfeited job is re-leased to a live worker together with the latest
+// checkpoint pointer the dead worker managed to announce, so the job
+// restores bit-identically (cycles, stats, console) instead of restarting —
+// exactly the single-machine `-resume` guarantee, stretched across
+// machines. Idle workers steal still-queued jobs from loaded ones; the
+// queued-only constraint is enforced by the owning worker, so a steal can
+// never duplicate a running simulation. A steal names the lease it takes
+// back and is idempotent: 404 ("lease not held here") reads as given back,
+// so a steal whose answer was lost is retried like every request, then
+// asked again once per Poll until it is answered or its worker is given up.
+// A job has one owner at a time: it runs twice at once only when its lease
 // expires on a worker that is slow rather than dead. A lease a coordinator
 // left running is adopted by a later lease of its name (409) only for the
 // same work, and takes the adopter's lease id; a name held for other work is
@@ -132,8 +139,9 @@ const (
 )
 
 // Event is one entry of a worker's event log, streamed to the coordinator
-// via GET /v1/events?since=N[&wait=ms]. Seq is worker-global and monotonic,
-// so a single cursor per worker resumes the stream exactly.
+// via GET /v1/events?since=N[&wait=ms]. Seq is worker-global and monotonic
+// from a random base per worker process, so a single cursor per worker
+// resumes the stream exactly and is never valid at a restarted process.
 type Event struct {
 	Seq  int    `json:"seq"`
 	Type string `json:"type"`
@@ -156,34 +164,21 @@ type Event struct {
 	Stats *rtlsim.Stats `json:"stats,omitempty"`
 }
 
-// JobState classifies a job on a worker, reported by GET /v1/status.
-type JobState string
-
-const (
-	// JobQueued: leased but not yet started — the stealable window.
-	JobQueued JobState = "queued"
-	// JobRunning: executing (or retrying) on a simulation slot.
-	JobRunning JobState = "running"
-	// JobDone: terminal; its done event is in the log.
-	JobDone JobState = "done"
-)
-
 // protocolVersion is the fleet protocol's version, reported by a worker's
 // status and checked once, when the coordinator registers the worker.
-const protocolVersion = 1
+// Version 2 numbers each process's log from a random base and steals by
+// lease: a version-1 worker's restart can go unseen.
+const protocolVersion = 2
 
 // ErrProtocolVersion reports a worker that speaks another protocol version.
 var ErrProtocolVersion = errors.New("remote: worker speaks another protocol version")
 
-// WorkerStatus is GET /v1/status: the registration probe, the heartbeat
-// payload, and the scheduler's load signal all in one.
+// WorkerStatus is GET /v1/status, the registration probe.
 type WorkerStatus struct {
 	// Protocol is the worker's protocolVersion.
 	Protocol int `json:"protocol"`
 	// Slots is the worker's simulation concurrency.
 	Slots int `json:"slots"`
-	// Jobs maps each known job to its state.
-	Jobs map[string]JobState `json:"jobs,omitempty"`
 	// Seq is the current end of the event log (next event's Seq).
 	Seq int `json:"seq"`
 }

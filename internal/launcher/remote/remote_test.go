@@ -192,7 +192,7 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	if st.Slots != 2 || st.Seq != 0 || len(st.Jobs) != 0 {
+	if st.Slots != 2 || st.Protocol != protocolVersion {
 		t.Fatalf("fresh worker status = %+v", st)
 	}
 	if code, err := leaseOne(ctx, c, JobSpec{Name: "job-a", Sim: "qemu", Bin: "sha256:aa"}); err != nil || code != http.StatusAccepted {
@@ -208,7 +208,7 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	var evs []Event
 	for {
-		if evs, err = c.Events(ctx, 0, 0); err != nil {
+		if evs, err = c.Events(ctx, st.Seq, 0); err != nil {
 			t.Fatalf("events: %v", err)
 		}
 		if len(evs) >= 2 {
@@ -220,7 +220,7 @@ func TestWorkerLeaseToDone(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if evs[0].Type != EventStart || evs[0].Job != "job-a" || evs[0].Attempt != 1 {
+	if evs[0].Seq != st.Seq || evs[0].Type != EventStart || evs[0].Job != "job-a" || evs[0].Attempt != 1 {
 		t.Fatalf("first event = %+v, want start attempt 1", evs[0])
 	}
 	done := evs[len(evs)-1]
@@ -230,9 +230,15 @@ func TestWorkerLeaseToDone(t *testing.T) {
 	if done.Record.Status != launcher.StatusOK || done.Record.Cycles != 4242 {
 		t.Fatalf("done record = %+v", done.Record)
 	}
-	// The cursor protocol: asking from the end returns nothing.
+	// The cursor protocol: asking from the end returns nothing, and a cursor
+	// outside [base, end] is one this process never handed out.
 	if evs, err = c.Events(ctx, done.Seq+1, 0); err != nil || len(evs) != 0 {
 		t.Fatalf("events past end = %v, %v", evs, err)
+	}
+	for _, since := range []int{st.Seq - 1, done.Seq + 2} {
+		if _, err = c.Events(ctx, since, 0); !errors.Is(err, ErrWorkerRestarted) {
+			t.Fatalf("events since %d (log %d..%d) = %v, want ErrWorkerRestarted", since, st.Seq, done.Seq+1, err)
+		}
 	}
 }
 
@@ -251,6 +257,10 @@ func TestWorkerRunsLeaseRetriesExactly(t *testing.T) {
 	})
 	c := NewWorkerClient(addrs[0])
 	ctx := context.Background()
+	st, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	specs := []JobSpec{{Name: "once", Sim: "qemu", Bin: "sha256:aa"}, {Name: "twice", Sim: "qemu", Bin: "sha256:aa", Retries: 1}}
 	if codes, err := c.Lease(ctx, specs); err != nil || codes[0] != http.StatusAccepted || codes[1] != http.StatusAccepted {
 		t.Fatalf("lease = %v, %v", codes, err)
@@ -258,7 +268,7 @@ func TestWorkerRunsLeaseRetriesExactly(t *testing.T) {
 
 	done := map[string]*launcher.Record{}
 	deadline := time.After(10 * time.Second)
-	for cursor := 0; len(done) < len(specs); {
+	for cursor := st.Seq; len(done) < len(specs); {
 		evs, err := c.Events(ctx, cursor, 50*time.Millisecond)
 		if err != nil {
 			t.Fatalf("events: %v", err)
@@ -317,22 +327,32 @@ func TestWorkerStealOnlyWhileQueued(t *testing.T) {
 		t.Fatalf("submit: %d, %v", code, err)
 	}
 
-	if ok, err := c.Steal(ctx, "running"); err != nil || ok {
+	tracked := func(name string) bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		_, ok := w.jobs[name]
+		return ok
+	}
+
+	if ok, err := c.Steal(ctx, "running", 0); err != nil || ok {
 		t.Fatalf("steal of running job = %v, %v; want refused", ok, err)
 	}
-	if ok, err := c.Steal(ctx, "queued"); err != nil || !ok {
+	// A steal names its lease: one the worker does not hold, as a late
+	// duplicate of a steal of an earlier lease, leaves the job where it is.
+	if ok, err := c.Steal(ctx, "queued", 1); err != nil || !ok || !tracked("queued") {
+		t.Fatalf("steal of another lease = %v, %v, tracked %v; want not held, job kept", ok, err, tracked("queued"))
+	}
+	if ok, err := c.Steal(ctx, "queued", 0); err != nil || !ok {
 		t.Fatalf("steal of queued job = %v, %v; want granted", ok, err)
 	}
-	if ok, err := c.Steal(ctx, "queued"); err != nil || ok {
-		t.Fatalf("second steal = %v, %v; want unknown-job refusal", ok, err)
+	// A steal is idempotent: a second DELETE, a retried one whose first
+	// answer was lost, finds the lease not held here (404), which is given back.
+	if ok, err := c.Steal(ctx, "queued", 0); err != nil || !ok {
+		t.Fatalf("second steal = %v, %v; want not held (given back)", ok, err)
 	}
 	// The stolen job must never start even once the slot frees.
-	st, err := c.Status(ctx)
-	if err != nil {
-		t.Fatalf("status: %v", err)
-	}
-	if _, ok := st.Jobs["queued"]; ok {
-		t.Fatalf("stolen job still tracked: %+v", st.Jobs)
+	if tracked("queued") {
+		t.Fatal("stolen job still tracked")
 	}
 }
 
@@ -759,6 +779,28 @@ func TestCoordinatorCancelLeavesJobsResumable(t *testing.T) {
 	<-done
 	if sum == nil || len(sum.Jobs) != 1 || sum.Jobs[0].Status != launcher.StatusCancelled {
 		t.Fatalf("cancelled summary = %+v", sum)
+	}
+}
+
+// TestCoordinatorCancelBeforeStartKeepsPriorAttempts: a resumed job (two
+// attempts already used) that a cancelled fleet run never started is
+// recorded as the local pool records it: cancelled, with its prior attempts,
+// so a later -resume reads the same count either way.
+func TestCoordinatorCancelBeforeStartKeepsPriorAttempts(t *testing.T) {
+	c, err := newCoordinator([]JobSpec{{Name: "resumed", Prior: 2, Resumed: true}}, CoordOptions{Workers: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetRec := c.summary(0).Records()[0]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	local := launcher.New(launcher.Options{Workers: 1}).Run(ctx, []launcher.Job{{Name: "resumed", Prior: 2, Resumed: true,
+		Run: func(context.Context, int) (launcher.Metrics, error) { return launcher.Metrics{}, nil }}})
+	localRec := local.Records()[0]
+
+	if fleetRec.Status != localRec.Status || fleetRec.Attempts != localRec.Attempts || fleetRec.Resumed != localRec.Resumed || localRec.Attempts != 2 {
+		t.Fatalf("fleet record %+v, local pool record %+v: want both cancelled with 2 attempts, resumed", fleetRec, localRec)
 	}
 }
 

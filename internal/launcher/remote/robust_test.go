@@ -252,8 +252,9 @@ func TestWorkerClient429Backoff(t *testing.T) {
 }
 
 // TestWorkerRestartedInsideTheTTL: a worker restarted at the same address
-// inside the lease TTL lost the lease it held. Its new log ends before the
-// coordinator's cursor, so the next poll is answered 410 and the coordinator
+// inside the lease TTL lost the lease it held. Its new log starts at a base
+// of its own, so the coordinator's cursor is outside it: the next poll is
+// answered 410 and the coordinator
 // registers the worker again and re-leases the job, instead of reading an
 // empty log, heartbeat after heartbeat, until the run is cancelled. A restart
 // is no lease expiry.
@@ -316,36 +317,12 @@ func TestWorkerRestartedInsideTheTTL(t *testing.T) {
 }
 
 // TestCoordinatorRegistersOnlyItsProtocolVersion: a worker whose status
-// names no protocol version, as one from before the version existed, is
-// never leased to and never probed again. Alone it fails the launch with
+// names no protocol version, as one from before the version existed, or
+// version 1, whose log restarts where a cursor may still fit, is never
+// leased to and never probed again. Alone it fails the launch with
 // ErrProtocolVersion before any lease; beside a current worker, the run goes
 // to that worker alone.
 func TestCoordinatorRegistersOnlyItsProtocolVersion(t *testing.T) {
-	var probes, leases atomic.Int64
-	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/status":
-			probes.Add(1)
-			rw.Write([]byte(`{"slots":4,"seq":0}`))
-		case "/v1/jobs":
-			leases.Add(1)
-			rw.Write([]byte(`[202]`))
-		default:
-			rw.Write([]byte(`[]`))
-		}
-	}))
-	defer old.Close()
-	oldAddr := old.Listener.Addr().String()
-	launch := func(workers []string, jobs ...string) (*launcher.Summary, error) {
-		ctx, cancel := context.WithTimeout(context.Background(), prompt)
-		defer cancel()
-		return Launch(ctx, specsNamed(jobs...), CoordOptions{Workers: workers, Poll: 5 * time.Millisecond})
-	}
-
-	if _, err := launch([]string{oldAddr}, "x"); !errors.Is(err, ErrProtocolVersion) {
-		t.Errorf("launch on an older worker alone = %v, want ErrProtocolVersion", err)
-	}
-
 	addrs, _, _ := fleet(t, 1, func(int) WorkerConfig {
 		return WorkerConfig{Slots: 1, Obs: obs.NewRegistry(),
 			Runner: RunnerFunc(func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
@@ -353,14 +330,40 @@ func TestCoordinatorRegistersOnlyItsProtocolVersion(t *testing.T) {
 				return &RunOutput{}, nil
 			})}
 	})
-	sum, err := launch([]string{oldAddr, addrs[0]}, "a", "b")
-	if err != nil || sum.Err() != nil {
-		t.Fatalf("launch beside a current worker: %v, %+v", err, sum)
+	launch := func(workers []string, jobs ...string) (*launcher.Summary, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), prompt)
+		defer cancel()
+		return Launch(ctx, specsNamed(jobs...), CoordOptions{Workers: workers, Poll: 5 * time.Millisecond})
 	}
-	if n := leases.Load(); n != 0 {
-		t.Errorf("the older worker got %d lease request(s), want none", n)
-	}
-	if n := probes.Load(); n != 2 {
-		t.Errorf("the older worker was probed %d times in two runs, want once per run", n)
+	for _, status := range []string{`{"slots":4,"seq":0}`, `{"protocol":1,"slots":4,"seq":0}`} {
+		var probes, leases atomic.Int64
+		old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/status":
+				probes.Add(1)
+				rw.Write([]byte(status))
+			case "/v1/jobs":
+				leases.Add(1)
+				rw.Write([]byte(`[202]`))
+			default:
+				rw.Write([]byte(`[]`))
+			}
+		}))
+		defer old.Close()
+		oldAddr := old.Listener.Addr().String()
+
+		if _, err := launch([]string{oldAddr}, "x"); !errors.Is(err, ErrProtocolVersion) {
+			t.Errorf("status %s: launch on an older worker alone = %v, want ErrProtocolVersion", status, err)
+		}
+		sum, err := launch([]string{oldAddr, addrs[0]}, "a", "b")
+		if err != nil || sum.Err() != nil {
+			t.Fatalf("status %s: launch beside a current worker: %v, %+v", status, err, sum)
+		}
+		if n := leases.Load(); n != 0 {
+			t.Errorf("status %s: the older worker got %d lease request(s), want none", status, n)
+		}
+		if n := probes.Load(); n != 2 {
+			t.Errorf("status %s: the older worker was probed %d times in two runs, want once per run", status, n)
+		}
 	}
 }

@@ -60,6 +60,11 @@ type simNode struct {
 	cut        bool // off the network, its jobs still running
 	refuse     int  // answer the next offers of this many requests 503
 	failLeases int  // fail this many lease requests outright (500)
+	// The next steals: the answers of this many are lost after the worker
+	// served them; dupSteal serves the next one twice and answers the second.
+	loseSteals int
+	dupSteal   bool
+	statuses   int // GET /v1/status requests served
 	// late: the answer to the next lease request it serves arrives this
 	// much later, and lateThen runs as soon as it has served it.
 	late     time.Duration
@@ -201,9 +206,9 @@ func (h *simFleet) settle() {
 			n.w.mu.Lock()
 			for _, j := range n.w.jobs {
 				switch j.state {
-				case JobRunning:
+				case jobRunning:
 					running++
-				case JobQueued:
+				case jobQueued:
 					queued++
 				}
 			}
@@ -258,9 +263,9 @@ func cmpInts(a, b, then int) int {
 }
 
 // RoundTrip is the in-memory network: a request to a live worker is served
-// by its handler at once, with the scripted lease faults applied; a long
-// poll is answered without holding (the harness owns time); and wall-clock
-// fields of the records in an event answer read zero.
+// by its handler at once, with the scripted lease and steal faults applied;
+// a long poll is answered without holding (the harness owns time); and
+// wall-clock fields of the records in an event answer read zero.
 func (h *simFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 	var wi int
 	if _, err := fmt.Sscanf(r.URL.Host, "sim-%d:1", &wi); err != nil || wi >= len(h.nodes) {
@@ -286,6 +291,15 @@ func (h *simFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 		}
 		json.NewEncoder(rec).Encode(codes)
 		return rec.Result(), nil
+	case r.Method == http.MethodDelete && n.loseSteals > 0:
+		n.loseSteals--
+		n.w.ServeHTTP(httptest.NewRecorder(), r)
+		return nil, fmt.Errorf("read %s: connection reset by peer", r.URL.Host)
+	case r.Method == http.MethodDelete && n.dupSteal:
+		n.dupSteal = false
+		n.w.ServeHTTP(httptest.NewRecorder(), r) // the first landing: its answer is lost
+	case r.URL.Path == "/v1/status":
+		n.statuses++
 	case r.URL.Path == "/v1/events":
 		q := r.URL.Query()
 		q.Del("wait")
@@ -560,7 +574,7 @@ func TestFleetReplaysFromSeed(t *testing.T) {
 	seen := map[string]int{}
 	for seed := 1; seed <= seeds; seed++ {
 		run := checkReplay(t, clean, scriptFor(uint64(seed), simWorkers))
-		for _, what := range []string{"lease expired", "restarted", "quarantining", " stole ", "no longer holds"} {
+		for _, what := range []string{"lease expired", "restarted", "quarantining", " stole "} {
 			seen[what] += bytes.Count(run.log, []byte(what))
 		}
 	}
@@ -572,8 +586,8 @@ func TestFleetReplaysFromSeed(t *testing.T) {
 // jobs run), or restarts; the answer reaches the coordinator 1.5 lease TTLs
 // later. A dead or cut-off worker has forfeited its jobs by then, offers
 // included, so the late 202s lease nothing; a restarted one's are re-leased
-// when it answers 410 or its status lacks them. Every job ends as in the
-// clean run, and each seed replays.
+// when it answers 410. Every job ends as in the clean run, and each seed
+// replays.
 func TestFleetLeaseExpiryBeforeLeaseAnswer(t *testing.T) {
 	clean := runScript(t, nil)
 	for _, c := range []struct {
@@ -582,13 +596,136 @@ func TestFleetLeaseExpiryBeforeLeaseAnswer(t *testing.T) {
 	}{
 		{lateDies, regexp.MustCompile(`worker sim-1:1 lease expired`)},
 		{lateCut, regexp.MustCompile(`worker sim-1:1 lease expired`)},
-		{lateRestarts, regexp.MustCompile(`worker sim-1:1 (restarted|no longer holds)`)},
+		{lateRestarts, regexp.MustCompile(`worker sim-1:1 restarted`)},
 	} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			s := simScript{seed: seed, kill: -1, restart: -1, late: 1, lateFate: c.fate,
 				refuse: make([]int, simWorkers), failLease: make([]int, simWorkers)}
 			if run := checkReplay(t, clean, s); !c.logs.Match(run.log) {
 				t.Fatalf("fate %d, seed %d: worker 1 gave nothing up (no %q):\n%s", c.fate, seed, c.logs, run.log)
+			}
+		}
+	}
+}
+
+// logAt is a coordinator log that notes the virtual time at which a line
+// containing what is first written.
+type logAt struct {
+	bytes.Buffer
+	h    *simFleet
+	what string
+	at   time.Time
+}
+
+func (l *logAt) Write(p []byte) (int, error) {
+	if l.at.IsZero() && bytes.Contains(p, []byte(l.what)) {
+		l.at = l.h.now
+	}
+	return l.Buffer.Write(p)
+}
+
+// TestFleetRestartCaughtAtTheLog: worker 1 restarts in place while it holds
+// a lease, its new log either empty (the coordinator had read nothing of the
+// old one) or as long as the part of the old log the coordinator had read.
+// Either way the coordinator's cursor is outside the new log, so the restart
+// is caught at the next poll: logged "restarted" within three Polls of
+// virtual time (the pacing of the next poll, then the latencies of the poll
+// and the re-registration probe, each under one Poll). Every job ends as in
+// a clean run, and no lease expires.
+func TestFleetRestartCaughtAtTheLog(t *testing.T) {
+	for _, fill := range []bool{false, true} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			h := newSimFleet(t, seed, 2, func(h *simFleet, wi int) RunnerFunc { return h.run(wi) })
+			// read counts the events of worker 1's log below the coordinator's cursor.
+			read := func() int {
+				w, cursor := h.nodes[1].w, h.c.workers[1].cursor
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return len(slices.DeleteFunc(slices.Clone(w.events), func(ev Event) bool { return ev.Seq >= cursor }))
+			}
+			var restartAt time.Time
+			h.when(func() bool {
+				holds := slices.ContainsFunc(h.c.order, func(n string) bool { return h.c.jobs[n].leasedTo(1) })
+				return h.c.begun && holds && (read() > 0) == fill
+			}, func() {
+				k := read()
+				h.restart(1)
+				for range k { // another coordinator's events, say
+					h.nodes[1].w.emit(&wjob{}, Event{Type: EventCheckpoint, Job: "elsewhere"})
+				}
+				restartAt = h.now
+			})
+			log := &logAt{h: h, what: "worker sim-1:1 restarted"}
+			reg := obs.NewRegistry()
+			sum, err := h.launch(specsNamed(jobNames(4)...), CoordOptions{Obs: reg, Log: log})
+			if err != nil {
+				t.Fatalf("fill %v, seed %d: launch: %v", fill, seed, err)
+			}
+			if restartAt.IsZero() {
+				t.Fatalf("fill %v, seed %d: worker 1 never held a lease in the state to restart in:\n%s", fill, seed, log.String())
+			}
+			if log.at.IsZero() || log.at.Sub(restartAt) >= 3*h.poll {
+				t.Fatalf("fill %v, seed %d: restart at %s not logged within 3 Polls:\n%s",
+					fill, seed, restartAt.Sub(h.epoch), log.String())
+			}
+			for _, r := range sum.Jobs {
+				if want := simMetrics(r.Name); r.Status != launcher.StatusOK || r.Metrics != want {
+					t.Errorf("fill %v, seed %d: %s ended %s %+v, want ok %+v", fill, seed, r.Name, r.Status, r.Metrics, want)
+				}
+			}
+			if n := reg.Counter("remote_lease_expiries_total").Value(); n != 0 {
+				t.Errorf("fill %v, seed %d: %d lease expiries, want none: a restart is no expiry", fill, seed, n)
+			}
+		}
+	}
+}
+
+// TestFleetStealAnswerLostEndsAsASteal: worker 1 goes idle while worker 0
+// runs one long job and holds another queued, so worker 1 steals the queued
+// one. The steal's answer is lost after worker 0 gave the job up: dropped
+// once (the request is retried), dropped on every attempt (the steal is
+// asked again a Poll later), or the DELETE lands twice and the second
+// answer, 404, is the one seen. Each ends as one steal, every job ok, and
+// no status request after registration.
+func TestFleetStealAnswerLostEndsAsASteal(t *testing.T) {
+	for _, fault := range []struct {
+		what string
+		lose int
+		dup  bool
+	}{{"dropped once", 1, false}, {"dropped on every attempt", clientRetries + 1, false}, {"duplicated", 0, true}} {
+		h := newSimFleet(t, 1, 2, func(h *simFleet, wi int) RunnerFunc {
+			return func(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+				d := h.poll
+				if wi == 0 {
+					d = 50 * h.poll
+				}
+				if err := h.hold(ctx, wi, spec.Name, d); err != nil {
+					return nil, err
+				}
+				return &RunOutput{Metrics: simMetrics(spec.Name)}, nil
+			}
+		})
+		h.nodes[0].loseSteals, h.nodes[0].dupSteal = fault.lose, fault.dup
+		var log bytes.Buffer
+		reg := obs.NewRegistry()
+		sum, err := h.launch(specsNamed(jobNames(4)...), CoordOptions{Obs: reg, Log: &log})
+		if err != nil {
+			t.Fatalf("%s: launch: %v", fault.what, err)
+		}
+		if !strings.Contains(log.String(), "worker sim-1:1 stole job-2 from sim-0:1") {
+			t.Errorf("%s: job-2 was not stolen:\n%s", fault.what, log.String())
+		}
+		for _, r := range sum.Jobs {
+			if want := simMetrics(r.Name); r.Status != launcher.StatusOK || r.Metrics != want {
+				t.Errorf("%s: %s ended %s %+v, want ok %+v", fault.what, r.Name, r.Status, r.Metrics, want)
+			}
+		}
+		if n := reg.Counter("remote_steals_total").Value(); n != 1 {
+			t.Errorf("%s: %d steals, want 1", fault.what, n)
+		}
+		for wi, n := range h.nodes {
+			if n.statuses != 1 {
+				t.Errorf("%s: worker %d was asked its status %d times, want once (registration)", fault.what, wi, n.statuses)
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"reflect"
 	"strconv"
@@ -30,10 +32,22 @@ type WorkerConfig struct {
 	Log io.Writer
 }
 
+// jobState classifies a job on a worker.
+type jobState string
+
+const (
+	// jobQueued: leased but not yet started — the stealable window.
+	jobQueued jobState = "queued"
+	// jobRunning: executing (or retrying) on a simulation slot.
+	jobRunning jobState = "running"
+	// jobDone: terminal; its done event is in the log.
+	jobDone jobState = "done"
+)
+
 // wjob is one lease's worker-side state.
 type wjob struct {
 	spec   JobSpec // spec.Lease changes only under Worker.mu, on adoption
-	state  JobState
+	state  jobState
 	stolen bool
 	out    *RunOutput // last successful attempt's output
 	// The line for slots: ahead closes once the lease accepted before this
@@ -43,12 +57,13 @@ type wjob struct {
 
 // Worker executes leased jobs and serves the fleet protocol over HTTP:
 //
-//	GET    /v1/status            registration probe / load
-//	POST   /v1/jobs              lease jobs (body: []JobSpec; answer: one status per spec)
-//	GET    /v1/events?since=N    the event log from sequence N; with &wait=<ms>
-//	                             held until there is such an event or wait elapses;
-//	                             410 when N is past the log's end (a restart)
-//	DELETE /v1/jobs/{name}       steal a still-queued job (409 otherwise)
+//	GET    /v1/status                registration probe
+//	POST   /v1/jobs                  lease jobs (body: []JobSpec; answer: one status per spec)
+//	GET    /v1/events?since=N        the event log from sequence N; with &wait=<ms>
+//	                                 held until there is such an event or wait elapses;
+//	                                 410 when N is outside this process's log (a restart)
+//	DELETE /v1/jobs/{name}?lease=L   steal lease L of a still-queued job (409 once
+//	                                 started, 404 when L is not held here)
 //
 // Each lease runs through its own single-worker launcher pool, under the
 // lease's own timeout and retries, and a slots semaphore bounding real
@@ -67,6 +82,7 @@ type Worker struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*wjob
+	base    int // Seq of events[0], random per process: no earlier process's cursor is in the log
 	events  []Event
 	changed chan struct{} // closed and replaced by every emit: wakes held polls
 	tail    chan struct{} // the newest lease's turn: the end of the line for slots
@@ -87,6 +103,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   map[string]*wjob{},
+		base:   rand.IntN(math.MaxInt / 2),
 
 		changed: make(chan struct{}),
 		tail:    make(chan struct{}),
@@ -124,7 +141,7 @@ func (w *Worker) emit(j *wjob, ev Event) {
 }
 
 func (w *Worker) emitLocked(j *wjob, ev Event) {
-	ev.Seq, ev.Lease = len(w.events), j.spec.Lease
+	ev.Seq, ev.Lease = w.base+len(w.events), j.spec.Lease
 	w.events = append(w.events, ev)
 	close(w.changed)
 	w.changed = make(chan struct{})
@@ -136,10 +153,7 @@ func (w *Worker) handleStatus(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.mu.Lock()
-	st := WorkerStatus{Protocol: protocolVersion, Slots: w.cfg.Slots, Jobs: map[string]JobState{}, Seq: len(w.events)}
-	for name, j := range w.jobs {
-		st.Jobs[name] = j.state
-	}
+	st := WorkerStatus{Protocol: protocolVersion, Slots: w.cfg.Slots, Seq: w.base + len(w.events)}
 	w.mu.Unlock()
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(&st)
@@ -178,7 +192,7 @@ func (w *Worker) lease(spec JobSpec) int {
 		return http.StatusServiceUnavailable
 	}
 	w.mu.Lock()
-	if old, exists := w.jobs[spec.Name]; exists && old.state != JobDone {
+	if old, exists := w.jobs[spec.Name]; exists && old.state != jobDone {
 		defer w.mu.Unlock()
 		// A name outlives its coordinator: the lease one left running is
 		// this lease, and carries its id, only if it does the same work.
@@ -191,7 +205,7 @@ func (w *Worker) lease(spec JobSpec) int {
 	// A terminal entry is re-leasable: the coordinator arbitrates leases,
 	// and re-running is deterministic, so a re-lease (post-forfeit retry,
 	// the next run of the workload) just computes its record again.
-	j := &wjob{spec: spec, state: JobQueued, ahead: w.tail, turn: make(chan struct{})}
+	j := &wjob{spec: spec, state: jobQueued, ahead: w.tail, turn: make(chan struct{})}
 	w.tail = j.turn
 	w.jobs[spec.Name] = j
 	w.mu.Unlock()
@@ -213,24 +227,32 @@ func sameWork(a, b JobSpec) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// handleJob routes /v1/jobs/{name}: DELETE is the steal protocol.
+// handleJob routes /v1/jobs/{name}: DELETE is the steal protocol. A steal
+// names its lease, so it is idempotent: a lease not held here (stolen
+// already, or never this process's) is answered 404, and a late duplicate
+// never takes a later lease of the name.
 func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 	if r.Method != http.MethodDelete {
 		http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	lease, err := strconv.ParseUint(r.URL.Query().Get("lease"), 10, 64)
+	if err != nil {
+		http.Error(rw, "bad lease", http.StatusBadRequest)
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	j, ok := w.jobs[name]
-	if !ok {
-		http.Error(rw, "unknown job", http.StatusNotFound)
+	if !ok || j.spec.Lease != lease {
+		http.Error(rw, "lease not held", http.StatusNotFound)
 		return
 	}
 	// Only a job that has not started may leave: the owning worker is the
 	// arbiter, so a steal can never race a running simulation into
 	// duplicate execution.
-	if j.state != JobQueued {
+	if j.state != jobQueued {
 		http.Error(rw, "job already "+string(j.state), http.StatusConflict)
 		return
 	}
@@ -242,7 +264,7 @@ func (w *Worker) handleJob(rw http.ResponseWriter, r *http.Request) {
 
 // handleEvents answers the log from the since cursor. With wait=<ms> an
 // empty answer is held until there is an event, wait elapses, the request is
-// cancelled or the worker shuts down. A cursor past the log's end was handed
+// cancelled or the worker shuts down. A cursor outside [base, end] was handed
 // out by an earlier process at this address: it is answered 410.
 func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -250,9 +272,9 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	since, err := strconv.Atoi(cmp.Or(q.Get("since"), "0"))
+	since, err := strconv.Atoi(q.Get("since"))
 	wait, werr := strconv.Atoi(cmp.Or(q.Get("wait"), "0"))
-	if err != nil || werr != nil || since < 0 || wait < 0 {
+	if err != nil || werr != nil || wait < 0 {
 		http.Error(rw, "bad since cursor or wait", http.StatusBadRequest)
 		return
 	}
@@ -261,12 +283,12 @@ func (w *Worker) handleEvents(rw http.ResponseWriter, r *http.Request) {
 	var evs []Event
 	for {
 		w.mu.Lock()
-		if since > len(w.events) {
+		if since < w.base || since > w.base+len(w.events) {
 			w.mu.Unlock()
-			http.Error(rw, "cursor past the event log: the worker restarted", http.StatusGone)
+			http.Error(rw, "cursor outside the event log: the worker restarted", http.StatusGone)
 			return
 		}
-		evs = w.events[since:]
+		evs = w.events[since-w.base:]
 		changed := w.changed
 		w.mu.Unlock()
 		if len(evs) > 0 || held.Err() != nil {
@@ -307,7 +329,7 @@ func (w *Worker) runLease(j *wjob) {
 		w.mu.Unlock()
 		return
 	}
-	j.state = JobRunning
+	j.state = jobRunning
 	spec := j.spec
 	w.mu.Unlock()
 	w.cfg.Obs.Gauge("remote_worker_busy").Set(float64(len(w.slots)))
@@ -357,7 +379,7 @@ func (w *Worker) finish(j *wjob, rec launcher.Record) {
 	ev := Event{Type: EventDone, Job: j.spec.Name, Record: &rec}
 	w.cfg.Obs.Counter("remote_worker_jobs_done_total").Inc()
 	w.mu.Lock()
-	j.state = JobDone
+	j.state = jobDone
 	if j.out != nil {
 		ev.Console = j.out.Console
 		ev.Outputs = j.out.Outputs
