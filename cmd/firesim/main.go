@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"firemarshal/internal/fsrun"
@@ -31,6 +32,17 @@ import (
 	"firemarshal/internal/sim/rtlsim"
 )
 
+// kib is a size in bytes, set by a flag given in KiB.
+type kib int
+
+func (k *kib) String() string { return strconv.Itoa(int(*k) >> 10) }
+
+func (k *kib) Set(s string) error {
+	n, err := strconv.Atoi(s)
+	*k = kib(n << 10)
+	return err
+}
+
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -39,9 +51,11 @@ func run(args []string) (code int) {
 	fs := flag.NewFlagSet("firesim", flag.ContinueOnError)
 	configDir := fs.String("config", "", "installed workload directory (from `marshal install`)")
 	outputDir := fs.String("output", "", "directory for per-job run outputs")
-	predictor := fs.String("predictor", "tage", "branch predictor: bimodal, gshare, tage, static")
-	icacheKiB := fs.Int("icache-kib", 16, "L1 instruction cache size (KiB)")
-	dcacheKiB := fs.Int("dcache-kib", 16, "L1 data cache size (KiB)")
+	// The hardware flags set the one configuration the run simulates.
+	rtl := rtlsim.DefaultConfig()
+	fs.StringVar(&rtl.Predictor, "predictor", rtl.Predictor, "branch predictor: bimodal, gshare, tage, static")
+	fs.Var((*kib)(&rtl.ICache.SizeBytes), "icache-kib", "L1 instruction cache size (`KiB`)")
+	fs.Var((*kib)(&rtl.DCache.SizeBytes), "dcache-kib", "L1 data cache size (`KiB`)")
 	var jobs int
 	fs.IntVar(&jobs, "j", 0, "number of concurrent job simulations (0 = GOMAXPROCS, 1 = sequential)")
 	fs.IntVar(&jobs, "jobs", 0, "alias for -j")
@@ -72,11 +86,6 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "firesim:", err)
 		return 1
 	}
-
-	rtl := rtlsim.DefaultConfig()
-	rtl.Predictor = *predictor
-	rtl.ICache.SizeBytes = *icacheKiB << 10
-	rtl.DCache.SizeBytes = *dcacheKiB << 10
 
 	// Two-stage Ctrl-C, as in `marshal launch`: a drained run still
 	// returns through the deferred profile flushes below.

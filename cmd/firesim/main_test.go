@@ -78,6 +78,28 @@ func TestFireSimCLIPredictorFlag(t *testing.T) {
 	}
 }
 
+// TestFireSimCLICacheFlags: -icache-kib and -dcache-kib reach the
+// configuration the run simulates. 3 KiB of 64-byte lines in 4 ways is 12
+// sets, which the cache model refuses; a size that is not a number is a
+// usage error.
+func TestFireSimCLICacheFlags(t *testing.T) {
+	configDir, outDir := installedWorkload(t,
+		`{"name":"w","base":"br-base","command":"echo x"}`, nil)
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-icache-kib", "8", "-dcache-kib", "32"}, 0},
+		{[]string{"-icache-kib", "3"}, 1},
+		{[]string{"-dcache-kib", "3"}, 1},
+		{[]string{"-icache-kib", "x"}, 2},
+	} {
+		if code := run(append([]string{"-config", configDir, "-output", outDir}, tc.args...)); code != tc.code {
+			t.Errorf("%v: exit %d, want %d", tc.args, code, tc.code)
+		}
+	}
+}
+
 // TestFireSimCLIProfiles checks -cpuprofile and -memprofile both flush
 // non-empty pprof files when the run returns — the same deferred path an
 // interrupt drain exits through.

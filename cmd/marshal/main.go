@@ -623,7 +623,8 @@ func parseSeeds(s string) ([]int64, error) {
 
 // cmdVerifyFarm runs one differential-verification farm session and
 // reports its findings. Exit status: 0 when every workload agreed across
-// tiers, 1 when any divergence signature was found, 2 on usage errors.
+// tiers, 1 when any divergence signature was found or a fleet shard did
+// not finish ok (failed, or cancelled by -timeout), 2 on usage errors.
 func cmdVerifyFarm(m *core.Marshal, args []string) int {
 	fs := flag.NewFlagSet("verify-farm", flag.ContinueOnError)
 	opts := core.VerifyOpts{Params: verify.Params{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}}}
@@ -644,9 +645,9 @@ func cmdVerifyFarm(m *core.Marshal, args []string) int {
 	})
 	fs.IntVar(&opts.Jobs, "j", 0, "evaluation parallelism (0 = GOMAXPROCS)")
 	fs.IntVar(&opts.Jobs, "jobs", 0, "alias for -j")
-	fs.DurationVar(&opts.Timeout, "timeout", 0, "time-box the whole session, e.g. 5m (0 = none)")
+	fs.DurationVar(&opts.Timeout, "timeout", 0, "time-box the whole session, e.g. 5m (0 = none; locally the entries checked by then are kept, on a fleet an unfinished shard fails the session)")
 	fs.StringVar(&opts.Out, "out", "", "manifest path (default <workdir>/verify/farm.jsonl)")
-	workers := fs.String("workers", "", "comma-separated worker addresses: shard the corpus across a fleet (requires -remote-cache)")
+	workers := fs.String("workers", "", "comma-separated worker addresses: shard the corpus across a fleet (requires -remote-cache); a shard that does not finish ok fails the session (exit 1)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

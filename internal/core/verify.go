@@ -1,9 +1,9 @@
 // `marshal verify-farm`: the continuous differential-verification farm.
 // Locally it runs verify.RunFarm straight against this checkout's cache;
-// with -workers it shards the seed list across a worker fleet via the
-// distributed launcher, then merges the shard manifests into one global
-// view (coverage unioned, signatures re-deduped). Either way the result
-// is a JSONL farm manifest plus minimized repro workloads in the CAS.
+// with -workers it shards the seed list across a worker fleet, one
+// launch-driver job per shard, then merges the shard manifests into one
+// global view (coverage unioned, signatures re-deduped). Either way the
+// result is a JSONL farm manifest plus minimized repro workloads in the CAS.
 package core
 
 import (
@@ -13,7 +13,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"firemarshal/internal/cas"
+	"firemarshal/internal/hostutil"
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/launcher/remote"
 	"firemarshal/internal/verify"
@@ -55,6 +55,11 @@ func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResul
 	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
 		return nil, err
 	}
+	// A fresh session's manifest must not append to a prior one's, nor a
+	// failed session leave a prior one's to be read as its own.
+	if err := os.Remove(out); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
@@ -66,10 +71,6 @@ func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResul
 
 	cache, err := m.Cache()
 	if err != nil {
-		return nil, err
-	}
-	// A fresh session's manifest must not append to a prior one's.
-	if err := os.Remove(out); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	jnl, err := launcher.OpenJournal(out)
@@ -93,18 +94,16 @@ func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResul
 }
 
 // verifyFleet shards the seed list round-robin across the fleet, runs
-// each shard as one distributed job, and merges the shard manifests.
-// Workloads regenerate deterministically from seeds on the worker, so
-// shard specs carry parameters only — no artifacts are published
-// forward, yet repros and manifests flow back through the shared cache
-// like any job output.
+// each shard as one job through the launch driver, and merges the shard
+// manifests. Workloads regenerate deterministically from seeds on the
+// worker, so shards ship no artifacts; each shard's manifest and repros
+// come back as its outputs, landed in its run directory like any job's.
+// A shard that is not ok fails the session: a merge without it would
+// report a clean farm for workloads nobody checked.
 func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) (*VerifyResult, error) {
 	cache, err := m.Cache()
 	if err != nil {
 		return nil, err
-	}
-	if cache.Remote() == nil {
-		return nil, fmt.Errorf("core: distributed verify-farm needs a shared artifact cache: set -remote-cache to a `marshal cache serve` server every worker can reach")
 	}
 
 	// A capped farm runs on no more shards than the cap: every shard
@@ -113,8 +112,15 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 	if opts.MaxEntries > 0 {
 		nShards = min(nShards, opts.MaxEntries)
 	}
-	specs := make([]remote.JobSpec, nShards)
-	for i := range specs {
+	dir := filepath.Dir(out)
+	run := remote.Run{
+		ManifestPath: filepath.Join(dir, "fleet.jsonl"),
+		Fleet:        remote.CoordOptions{Workers: opts.Workers, Poll: opts.WorkerPoll},
+		Remote:       cache.Remote(),
+		Obs:          m.Obs,
+		Log:          m.Log,
+	}
+	for i := range nShards {
 		p := opts.Params
 		p.Seeds = nil
 		for j := i; j < len(opts.Seeds); j += nShards {
@@ -130,92 +136,55 @@ func (m *Marshal) verifyFleet(ctx context.Context, opts VerifyOpts, out string) 
 		}
 		// Offset the farm seed so shards mutate independently.
 		p.FarmSeed += int64(i) * 1_000_003
-		specs[i] = remote.JobSpec{Name: fmt.Sprintf("verify-shard-%d", i), Sim: "verify", Verify: &p}
+		name := fmt.Sprintf("verify-shard-%d", i)
+		run.Jobs = append(run.Jobs, remote.Job{Name: name, Sim: "verify", Verify: &p, Dir: filepath.Join(dir, "shards", name)})
+	}
+	if _, _, err := remote.Drive(ctx, run); err != nil {
+		return nil, fmt.Errorf("core: verify-farm: %w", err)
 	}
 
-	// Collect each shard's manifest digest; merge AFTER Launch returns so
-	// the merged manifest is deterministic in shard order, not completion
-	// order.
-	fleetJnl, err := launcher.OpenJournal(filepath.Join(filepath.Dir(out), "fleet.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	defer fleetJnl.Close()
-	manifests := make([]string, nShards)
-	_, err = remote.Launch(ctx, specs, remote.CoordOptions{
-		Workers: opts.Workers,
-		Journal: fleetJnl,
-		Poll:    opts.WorkerPoll,
-		Obs:     m.Obs,
-		Log:     m.Log,
-		OnDone: func(ev remote.Event) error {
-			if ev.Record == nil || ev.Record.Status != launcher.StatusOK {
-				return nil
-			}
-			var i int
-			if _, err := fmt.Sscanf(ev.Job, "verify-shard-%d", &i); err != nil || i < 0 || i >= nShards {
-				return nil
-			}
-			manifests[i] = ev.Outputs[remote.VerifyManifestOutput]
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	shards := make([][]verify.FarmRecord, 0, nShards)
-	sums := make([]*verify.FarmSummaryRecord, 0, nShards)
-	for i, digest := range manifests {
-		if digest == "" {
-			m.logf("verify-farm: shard %d produced no manifest (failed or cancelled)", i)
-			continue
-		}
-		data, err := cas.GetBlob(ctx, cache.Remote(), digest)
+	// Merge in shard order, not completion order: the merged manifest is
+	// deterministic.
+	shards := make([][]verify.FarmRecord, nShards)
+	sums := make([]*verify.FarmSummaryRecord, nShards)
+	reproDir := map[string]string{} // repro digest → the first shard directory holding it
+	for i, j := range run.Jobs {
+		data, err := os.ReadFile(filepath.Join(j.Dir, remote.VerifyManifestOutput))
 		if err != nil {
-			return nil, fmt.Errorf("core: fetching shard %d manifest: %w", i, err)
+			return nil, err
 		}
-		recs, sum, err := verify.ParseManifest(data)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d manifest: %w", i, err)
+		if shards[i], sums[i], err = verify.ParseManifest(data); err != nil {
+			return nil, fmt.Errorf("core: %s manifest: %w", j.Name, err)
 		}
-		shards = append(shards, recs)
-		sums = append(sums, sum)
+		for _, rec := range shards[i] {
+			if rec.Repro != "" && reproDir[rec.Repro] == "" {
+				reproDir[rec.Repro] = j.Dir
+			}
+		}
 	}
 	merged := verify.MergeShards(shards, sums)
 
-	// Pull every repro into the local store, then write the merged
-	// manifest: entries in shard order plus a global summary line.
-	for sig, digest := range merged.Repros {
-		data, err := cas.GetBlob(ctx, cache.Remote(), digest)
-		if err == nil {
-			_, err = cache.Local().Put(data)
-		}
+	// Store every repro the merged manifest keeps in the local store, then
+	// write the merged manifest: entries in shard order plus a global
+	// summary line. A repro crossed the wire as a shard output: bytes that
+	// do not hash to the name its manifest gives them fail the session.
+	for _, digest := range merged.Repros {
+		data, err := os.ReadFile(filepath.Join(reproDir[digest], remote.ReproOutput+digest))
 		if err != nil {
-			return nil, fmt.Errorf("core: fetching repro for %s: %w", sig, err)
+			return nil, err
 		}
-	}
-	if err := os.Remove(out); err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-	jnl, err := launcher.OpenJournal(out)
-	if err != nil {
-		return nil, err
-	}
-	defer jnl.Close()
-	for _, rec := range merged.Records {
-		if err := jnl.AppendLine(rec); err != nil {
+		if got := hostutil.HashBytes(data); got != digest {
+			return nil, fmt.Errorf("core: repro %s landed from %s hashes to %s", digest, reproDir[digest], got)
+		}
+		if _, err := cache.Local().Put(data); err != nil {
 			return nil, err
 		}
 	}
-	if err := jnl.AppendLine(verify.FarmSummaryRecord{
-		Event:       "summary",
-		Entries:     merged.Entries,
-		Divergences: merged.Divergences,
-		Signatures:  merged.Signatures,
-		Coverage:    merged.Coverage,
-		Ratio:       merged.Coverage.Ratio(),
-	}); err != nil {
+	manifest, err := merged.Manifest()
+	if err != nil {
+		return nil, err
+	}
+	if err := hostutil.WriteFileAtomic(out, manifest, 0o644); err != nil {
 		return nil, err
 	}
 	return &VerifyResult{FarmSummary: merged, Manifest: out}, nil

@@ -2,10 +2,20 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	casremote "firemarshal/internal/cas/remote"
+	"firemarshal/internal/hostutil"
+	lremote "firemarshal/internal/launcher/remote"
+	"firemarshal/internal/obs"
 	"firemarshal/internal/verify"
 )
 
@@ -189,5 +199,121 @@ func TestVerifyFarmFleetDedupAcrossShards(t *testing.T) {
 	}
 	if len(recs) != 4 || sum == nil || len(sum.Signatures) != 1 {
 		t.Errorf("merged manifest: %d records, summary %+v", len(recs), sum)
+	}
+}
+
+// startRunnerFleet starts n in-process worker daemons that run every job
+// through runner instead of the production ArtifactRunner.
+func startRunnerFleet(t *testing.T, runner lremote.RunnerFunc, n int) (addrs []string) {
+	t.Helper()
+	for range n {
+		w := lremote.NewWorker(lremote.WorkerConfig{Runner: runner, Slots: 1, Obs: obs.NewRegistry()})
+		srv := httptest.NewServer(w)
+		t.Cleanup(srv.Close)
+		t.Cleanup(w.Close)
+		addrs = append(addrs, srv.Listener.Addr().String())
+	}
+	return addrs
+}
+
+// TestVerifyFarmFleetFailedShardsFail: a fleet farm whose shards all fail
+// has checked nothing, and says so. The session fails naming every shard
+// instead of merging zero entries into a clean verdict.
+func TestVerifyFarmFleetFailedShardsFail(t *testing.T) {
+	e := newEnv(t)
+	startSharedCache(t, e.m)
+	addrs := startRunnerFleet(t, func(ctx context.Context, spec lremote.JobSpec, emit func(lremote.Event)) (*lremote.RunOutput, error) {
+		return nil, errors.New("shard lost")
+	}, 2)
+	// A prior session's manifest must not survive to be read as this one's.
+	stale := filepath.Join(e.workDir, "verify", "farm.jsonl")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stale, []byte(`{"event":"summary","entries":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
+		Params:     verify.Params{Seeds: []int64{1, 2, 3, 4}, Rounds: 0},
+		Workers:    addrs,
+		WorkerPoll: 2 * time.Millisecond,
+	})
+	if err == nil {
+		t.Fatalf("every shard failed, yet the farm passed with %d entries", res.Entries)
+	}
+	for _, shard := range []string{"verify-shard-0", "verify-shard-1"} {
+		if !strings.Contains(err.Error(), shard) {
+			t.Errorf("error %q does not name %s", err, shard)
+		}
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("the failed session left a prior manifest at %s (stat: %v)", stale, err)
+	}
+}
+
+// TestVerifyFarmFleetChecksLandedRepros: a repro crosses the wire as a
+// shard output, so the coordinator checks it where it lands. A shard
+// whose repros/<D> holds bytes that do not hash to D fails the session
+// and leaves nothing under D in the local store; the true bytes pass and
+// are stored.
+func TestVerifyFarmFleetChecksLandedRepros(t *testing.T) {
+	e := newEnv(t)
+	srv := startSharedCache(t, e.m)
+	rem := casremote.NewClient(srv.URL, 0)
+	repro := []byte("_start:\n li a0, 1\n")
+	d := hostutil.HashBytes(repro)
+	var manifest []byte
+	for _, line := range []any{
+		verify.FarmRecord{Event: "entry", Name: "seed-1", Seed: 1, Status: "diverged", Sig: "sig", NewSig: true, Repro: d},
+		verify.FarmSummaryRecord{Event: "summary", Entries: 1, Divergences: 1, Signatures: map[string]int{"sig": 1}},
+	} {
+		data, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest = append(append(manifest, data...), '\n')
+	}
+	var landed atomic.Value // the bytes the shard lands as repros/<d>
+	addrs := startRunnerFleet(t, func(ctx context.Context, spec lremote.JobSpec, emit func(lremote.Event)) (*lremote.RunOutput, error) {
+		out := &lremote.RunOutput{Outputs: map[string]string{}}
+		var err error
+		if out.Console, err = lremote.PutBlob(ctx, rem, []byte("shard\n")); err != nil {
+			return nil, err
+		}
+		if out.Outputs[lremote.VerifyManifestOutput], err = lremote.PutBlob(ctx, rem, manifest); err != nil {
+			return nil, err
+		}
+		if out.Outputs[lremote.ReproOutput+d], err = lremote.PutBlob(ctx, rem, landed.Load().([]byte)); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}, 1)
+	cache, err := e.m.Cache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	farm := func() error {
+		_, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
+			Params:     verify.Params{Seeds: []int64{1}, Rounds: 0},
+			Workers:    addrs,
+			WorkerPoll: 2 * time.Millisecond,
+		})
+		return err
+	}
+
+	landed.Store([]byte("other bytes"))
+	if err := farm(); err == nil || !strings.Contains(err.Error(), d) {
+		t.Errorf("repro %s landed with other bytes: err = %v, want one naming it", d, err)
+	}
+	if cache.Local().Has(d) {
+		t.Errorf("repro %s is in the local store after its bytes failed the check", d)
+	}
+	landed.Store(repro)
+	if err := farm(); err != nil {
+		t.Fatalf("true repro bytes: %v", err)
+	}
+	if !cache.Local().Has(d) {
+		t.Errorf("repro %s not stored", d)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"firemarshal/internal/launcher"
 	"firemarshal/internal/obs"
 	"firemarshal/internal/sim/rtlsim"
+	"firemarshal/internal/verify"
 )
 
 // Job is one job of a run as a front end declares it: where its artifacts
@@ -28,6 +29,10 @@ type Job struct {
 	Sim     string
 	RTL     rtlsim.Config
 	Outputs []string
+	// Verify, when set, makes the job one verification-farm shard (Sim
+	// "verify"; no artifacts): it runs on a fleet only, and its manifest
+	// and repros land in Dir as its outputs (see JobSpec.Verify).
+	Verify *verify.Params
 	// Dir is the job's run directory. It is wiped before every attempt, so
 	// a failed attempt never leaves an earlier one's outputs looking
 	// current.
@@ -344,6 +349,10 @@ func (r *Run) jobSpec(ctx context.Context, j Job, shipped shipped) (*JobSpec, er
 		Timeout:   r.Timeout,
 		Retries:   r.Retries,
 		CkptEvery: r.CkptEvery,
+		Verify:    j.Verify,
+	}
+	if j.Verify != nil { // a farm shard regenerates its workloads from seeds
+		return spec, nil
 	}
 	if j.Sim == "rtl" {
 		spec.RTL = &j.RTL

@@ -55,8 +55,11 @@
 // The package also owns the one way to execute a job, which a worker and a
 // local run share: Execute (exec.go) is the kernel every attempt runs
 // through — on a worker via ArtifactRunner, in-process via Drive — and
-// Drive (drive.go) is the launch driver behind `marshal launch` and
-// `firesim`: journal, resume, local pool or fleet, manifest.
+// Drive (drive.go) is the launch driver behind `marshal launch`, `firesim`
+// and `marshal verify-farm -workers`: journal, resume, local pool or fleet,
+// manifest. A verification-farm shard (verify.go) is an ordinary fleet job
+// whose result is its farm manifest and repros, published and landed as
+// its outputs; Drive is the only caller of Launch outside tests.
 package remote
 
 import (
@@ -118,8 +121,8 @@ type JobSpec struct {
 	// is "verify"; Bin/Img are unused). The spec carries only the shard's
 	// verify.Params: farm workloads regenerate deterministically from
 	// seeds, so the artifact-purity property — a worker needs nothing but
-	// the shared cache — holds trivially. The shard's JSONL manifest is
-	// published to the cache and announced as the "farm.jsonl" output.
+	// the shared cache — holds trivially. The shard's JSONL manifest and
+	// repros are its outputs (VerifyManifestOutput, ReproOutput+digest).
 	Verify *verify.Params `json:"verify,omitempty"`
 }
 

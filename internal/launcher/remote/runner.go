@@ -43,9 +43,9 @@ func (f RunnerFunc) Run(ctx context.Context, spec JobSpec, emit func(Event)) (*R
 // ArtifactRunner is the production Runner: it materializes a job's boot
 // binary and disk image from the shared remote cache into the worker's
 // local store, simulates the job (functional or cycle-exact per the
-// spec), checkpoints into the shared cache when asked, and publishes the
-// console and extracted outputs there (and only there). It holds no
-// per-job state — one runner serves every lease a worker accepts,
+// spec) or runs its farm shard, checkpoints into the shared cache when
+// asked, and publishes the console and outputs there (and only there). It
+// holds no per-job state — one runner serves every lease a worker accepts,
 // concurrently.
 type ArtifactRunner struct {
 	// Store is the worker's local CAS (artifact staging + checkpoints).
@@ -61,13 +61,39 @@ type ArtifactRunner struct {
 	Log io.Writer
 }
 
-// Run executes one attempt of the spec'd job: artifacts come out of the
-// shared cache, the attempt runs through the execution kernel, and the
-// console and outputs go back into the cache.
+// Run executes one attempt of the spec'd job — a guest through the
+// execution kernel, or a farm shard — and publishes its console and
+// outputs to the shared cache.
 func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)) (*RunOutput, error) {
+	var res *Result
+	var files *Files
+	var err error
 	if spec.Verify != nil {
-		return r.runVerify(ctx, spec, emit)
+		res, files, err = r.runShard(ctx, spec)
+	} else {
+		res, files, err = r.execute(ctx, spec, emit)
 	}
+	if err != nil {
+		return nil, err
+	}
+	out := &RunOutput{Metrics: res.metrics(), Stats: res.Stats}
+	if out.Console, err = PutBlob(ctx, r.Remote, files.Console); err != nil {
+		return nil, fmt.Errorf("remote: job %s: publishing console: %w", spec.Name, err)
+	}
+	if len(files.Outputs) > 0 {
+		out.Outputs = make(map[string]string, len(files.Outputs))
+	}
+	for rel, data := range files.Outputs {
+		if out.Outputs[rel], err = PutBlob(ctx, r.Remote, data); err != nil {
+			return nil, fmt.Errorf("remote: job %s: publishing output %s: %w", spec.Name, rel, err)
+		}
+	}
+	return out, nil
+}
+
+// execute runs one attempt of a guest job: artifacts come out of the
+// shared cache, the attempt runs through the execution kernel.
+func (r *ArtifactRunner) execute(ctx context.Context, spec JobSpec, emit func(Event)) (*Result, *Files, error) {
 	// Artifacts come by cas.Cache's rule: local first, remote fallback with
 	// write-back, a corrupt local copy healed (cas_blobs_healed_total).
 	cache := cas.NewCache(r.Store, r.Remote)
@@ -75,7 +101,7 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	cache.SetContext(ctx)
 	bin, err := cache.Blob(spec.Bin)
 	if err != nil {
-		return nil, fmt.Errorf("remote: job %s: boot binary: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("remote: job %s: boot binary: %w", spec.Name, err)
 	}
 	x := Exec{
 		Name:    spec.Name,
@@ -103,7 +129,7 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 	if spec.Ckpt != nil {
 		cp, err := checkpoint.Fetch(ctx, r.Store, r.Remote, spec.Ckpt)
 		if err != nil {
-			return nil, fmt.Errorf("remote: job %s: fetching checkpoint: %w", spec.Name, err)
+			return nil, nil, fmt.Errorf("remote: job %s: fetching checkpoint: %w", spec.Name, err)
 		}
 		for _, digest := range cp.Refs() {
 			sent[digest] = true
@@ -111,10 +137,10 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		// The staged file is the handed-off pointer alone, whatever an
 		// earlier attempt at this job left on this worker.
 		if err := checkpoint.Clear(r.CkptDir, spec.Name); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := checkpoint.WritePointer(r.CkptDir, spec.Ckpt); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		logf(r.Log, "remote: job %s restoring from handed-off checkpoint (exec %d, instret %d)",
 			spec.Name, spec.Ckpt.Exec, spec.Ckpt.Instret)
@@ -135,21 +161,5 @@ func (r *ArtifactRunner) Run(ctx context.Context, spec JobSpec, emit func(Event)
 		}
 	}
 
-	res, files, err := Execute(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	out := &RunOutput{Metrics: res.metrics(), Stats: res.Stats}
-	if out.Console, err = PutBlob(ctx, r.Remote, files.Console); err != nil {
-		return nil, fmt.Errorf("remote: job %s: publishing console: %w", spec.Name, err)
-	}
-	if len(files.Outputs) > 0 {
-		out.Outputs = make(map[string]string, len(files.Outputs))
-	}
-	for rel, data := range files.Outputs {
-		if out.Outputs[rel], err = PutBlob(ctx, r.Remote, data); err != nil {
-			return nil, fmt.Errorf("remote: job %s: publishing output %s: %w", spec.Name, rel, err)
-		}
-	}
-	return out, nil
+	return Execute(ctx, x)
 }

@@ -133,6 +133,18 @@ type FarmSummary struct {
 	Repros map[string]string
 }
 
+// Record is the summary as its manifest line.
+func (s *FarmSummary) Record() FarmSummaryRecord {
+	return FarmSummaryRecord{
+		Event:       "summary",
+		Entries:     s.Entries,
+		Divergences: s.Divergences,
+		Signatures:  s.Signatures,
+		Coverage:    s.Coverage,
+		Ratio:       s.Coverage.Ratio(),
+	}
+}
+
 // entryEval is one corpus entry's evaluation — pure (no shared state),
 // so entries evaluate in parallel and merge deterministically.
 type entryEval struct {
@@ -317,14 +329,7 @@ func RunFarm(opt FarmOptions) (*FarmSummary, error) {
 
 	opt.Obs.Gauge("verify_coverage_ratio").Set(sum.Coverage.Ratio())
 	opt.Obs.Gauge("verify_signatures_unique").Set(float64(len(sum.Signatures)))
-	if err := opt.Journal.AppendLine(FarmSummaryRecord{
-		Event:       "summary",
-		Entries:     sum.Entries,
-		Divergences: sum.Divergences,
-		Signatures:  sum.Signatures,
-		Coverage:    sum.Coverage,
-		Ratio:       sum.Coverage.Ratio(),
-	}); err != nil {
+	if err := opt.Journal.AppendLine(sum.Record()); err != nil {
 		return sum, err
 	}
 	logf("farm done: %d entries, %d divergences, %d unique signatures, coverage %.1f%%",

@@ -99,6 +99,29 @@ func TestFarmSeededFaultDedup(t *testing.T) {
 	}
 }
 
+// TestFarmManifestMatchesJournal: a summary encoded whole is the manifest
+// RunFarm journaled line by line, divergences and repros included — so a
+// fleet shard's manifest output and a merged manifest read exactly like a
+// local farm's.
+func TestFarmManifestMatchesJournal(t *testing.T) {
+	seed := int64(5)
+	n := refInstret(t, workgen.RandomRecipe(seed))
+	sum, journaled := runFarmWithJournal(t, FarmOptions{
+		Params: Params{Seeds: []int64{seed, seed, 1}, Fault: &Fault{Tier: TierFast, Instr: n / 2, Reg: 27, Xor: 1}},
+		Store:  testStore(t),
+	})
+	if sum.Divergences == 0 {
+		t.Fatal("the fault diverged nothing")
+	}
+	manifest, err := sum.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(manifest, journaled) {
+		t.Fatalf("encoded manifest differs from the journal:\n%s\n--- vs ---\n%s", manifest, journaled)
+	}
+}
+
 // TestFarmDeterministic: the same seeds, farm seed, and options produce
 // byte-identical generated workloads and manifests across runs — whatever
 // the evaluation parallelism, GOMAXPROCS-wide (Jobs 0) included, and with

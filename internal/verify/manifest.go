@@ -1,7 +1,8 @@
-// Farm-manifest parsing: the reverse of the journal writes in farm.go.
-// Fleet coordinators pull each worker shard's manifest out of the shared
-// cache and fold the shards into one global view — entries concatenated
-// in shard order, coverage merged, signatures re-deduped globally.
+// Farm manifests as bytes: a summary encoded whole, and parsed back. A
+// fleet shard's manifest is one of its outputs; the coordinator parses
+// each landed one and folds the shards into one global view — entries
+// concatenated in shard order, coverage merged, signatures re-deduped
+// globally.
 package verify
 
 import (
@@ -9,6 +10,22 @@ import (
 	"encoding/json"
 	"fmt"
 )
+
+// Manifest encodes the summary as farm-manifest JSONL, byte for byte what
+// RunFarm journals for it: each record, then the summary line.
+func (s *FarmSummary) Manifest() ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range s.Records {
+		if err := enc.Encode(rec); err != nil {
+			return nil, err
+		}
+	}
+	if err := enc.Encode(s.Record()); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 // ParseManifest decodes farm-manifest JSONL: entry records in order plus
 // the trailing summary. A manifest truncated before its summary line

@@ -17,9 +17,11 @@
 #     interleaving.
 #
 #  2. A loopback smoke over real binaries: `marshal cache serve` plus
-#     three `marshal worker serve` daemons on 127.0.0.1, and one
+#     three `marshal worker serve` daemons on 127.0.0.1, one
 #     `marshal launch -workers` that leases a 3-job workgen workload
-#     across them and materializes every uartlog on the coordinator.
+#     across them and materializes every uartlog on the coordinator, and
+#     one `marshal verify-farm -workers` that shards six seeds across the
+#     same daemons and lands every shard's manifest on the coordinator.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -81,6 +83,27 @@ for job in job00 job01 job02; do
     LOG="$TMP/coord/runs/parjobs-$job/uartlog"
     if [ ! -s "$LOG" ]; then
         echo "distributed_gate.sh: FAIL (missing or empty $LOG)"
+        exit 1
+    fi
+done
+
+echo "== loopback fleet verify-farm smoke (3 shards over the same daemons)"
+if ! "$TMP/marshal" -workdir "$TMP/coord" -remote-cache "$CACHE_URL" \
+    verify-farm -workers "$WORKERS" -seeds 1-6 -rounds 0 >"$TMP/farm.out" 2>&1; then
+    cat "$TMP/farm.out"
+    echo "distributed_gate.sh: FAIL (fleet verify-farm exited non-zero)"
+    exit 1
+fi
+cat "$TMP/farm.out"
+if ! grep -q '^verify-farm: 6 entries, 0 divergences' "$TMP/farm.out" ||
+    ! grep -q '^PASS' "$TMP/farm.out"; then
+    echo "distributed_gate.sh: FAIL (fleet verify-farm did not check 6 clean entries)"
+    exit 1
+fi
+for shard in 0 1 2; do
+    MANIFEST="$TMP/coord/verify/shards/verify-shard-$shard/farm.jsonl"
+    if [ ! -s "$MANIFEST" ]; then
+        echo "distributed_gate.sh: FAIL (missing or empty $MANIFEST)"
         exit 1
     fi
 done
