@@ -49,7 +49,7 @@ func once(name string, f func()) {
 	}
 }
 
-func mustAssemble(b *testing.B, src string) *isa.Executable {
+func mustAssemble(b testing.TB, src string) *isa.Executable {
 	b.Helper()
 	exe, err := asm.Assemble(src, asm.Options{})
 	if err != nil {
@@ -918,10 +918,11 @@ func abs(x float64) float64 {
 
 // ---------------------------------------------------------------------------
 // Interpreter hot loop — simulated MIPS of the functional fast path, the
-// reference StepInto loop, and the cycle-exact platform on a mixed
-// ALU/load/store/branch workload. The functional loop must run with zero
-// steady-state allocations; scripts/bench.sh tracks these numbers against a
-// committed baseline.
+// reference StepInto loop, and the cycle-exact platform on one mixed
+// ALU/load/store/branch workload. Throughput is judged by the benchmark
+// harness (`go run ./benchmark`) on paired runs; what a number here could
+// only hint at, that the functional loop allocates nothing in its steady
+// state, TestSimMIPSLoopAllocatesNothing pins on any host.
 // ---------------------------------------------------------------------------
 
 const mipsWorkloadSrc = `
@@ -956,43 +957,69 @@ skip:
 arr: .space 2048
 `
 
+// mipsMachine loads exe on a bare machine and returns it with a reset
+// that restores the entry state, so one machine runs the workload again
+// and again and the steady state exercises only the interpreter loop.
+func mipsMachine(exe *isa.Executable) (*sim.Machine, func()) {
+	m := sim.NewMachine()
+	m.Console = io.Discard
+	m.Devices = []sim.Device{&sim.UART{}}
+	m.SyscallFn = sim.BareSyscalls()
+	m.MaxInstrs = 500_000_000
+	m.LoadExecutable(exe, sim.DefaultStackTop)
+	pc0, regs0 := m.PC, m.Regs
+	return m, func() {
+		m.PC, m.Regs, m.Halted = pc0, regs0, false
+		m.Instret, m.Now = 0, 0
+	}
+}
+
+// TestSimMIPSLoopAllocatesNothing: a warmed functional run of the mixed
+// workload allocates nothing, with and without obs counter shards
+// attached (the wiring funcsim uses). The shards flush once per ~1 Mi
+// instructions, so an allocation there, or anywhere in the loop, shows as
+// a nonzero count here, whatever the host's speed.
+func TestSimMIPSLoopAllocatesNothing(t *testing.T) {
+	exe := mustAssemble(t, mipsWorkloadSrc)
+	reg := obs.NewRegistry()
+	for _, c := range []struct {
+		name           string
+		instrs, cycles *obs.Shard
+	}{
+		{"bare", nil, nil},
+		{"obs", reg.Counter("sim_funcsim_instrs_total").Shard(), reg.Counter("sim_funcsim_cycles_total").Shard()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, reset := mipsMachine(exe)
+			allocs := testing.AllocsPerRun(3, func() {
+				reset()
+				if c.instrs != nil {
+					// Re-attach after the counter reset so the flush
+					// deltas restart from the fresh baselines.
+					m.AttachObs(c.instrs, c.cycles)
+				}
+				if _, err := sim.RunFunctional(m); err != nil || m.ExitCode != 0 {
+					t.Fatalf("run: err %v, exit code %d", err, m.ExitCode)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a warmed functional run allocates %.0f times, want 0", allocs)
+			}
+			if c.instrs != nil && reg.Counter("sim_funcsim_instrs_total").Value() == 0 {
+				t.Error("the attached shards saw no instructions")
+			}
+		})
+	}
+}
+
 func BenchmarkSimMIPS(b *testing.B) {
 	exe := mustAssemble(b, mipsWorkloadSrc)
-	// BENCH_METRICS=1 runs the same loop with obs counter shards attached
-	// (the exact wiring funcsim uses), so scripts/check.sh can gate the
-	// metrics-enabled hot loop against the metrics-free baseline.
-	var instrShard, cycleShard *obs.Shard
-	if os.Getenv("BENCH_METRICS") != "" {
-		reg := obs.NewRegistry()
-		instrShard = reg.Counter("sim_funcsim_instrs_total").Shard()
-		cycleShard = reg.Counter("sim_funcsim_cycles_total").Shard()
-	}
-	// The functional-traced tier runs the loop-heavy workgen workload:
-	// nearly every instruction retires inside a compiled superblock, so
-	// this measures the trace compiler's speed tier (the plain functional
-	// tier's mixed workload keeps measuring the general fast path).
-	tracedExe := mustAssemble(b, workgen.LoopHeavySource(2048, 64))
-	// runLoop drives one machine through b.N executions of the workload,
-	// resetting architectural state between runs so the steady state
-	// exercises only the interpreter loop (and its 0 allocs/op).
-	runLoop := func(b *testing.B, exe *isa.Executable, run func(m *sim.Machine) (uint64, error)) {
-		m := sim.NewMachine()
-		m.Console = io.Discard
-		m.Devices = []sim.Device{&sim.UART{}}
-		m.SyscallFn = sim.BareSyscalls()
-		m.MaxInstrs = 500_000_000
-		m.LoadExecutable(exe, sim.DefaultStackTop)
-		pc0, regs0 := m.PC, m.Regs
+	runLoop := func(b *testing.B, run func(m *sim.Machine) (uint64, error)) {
+		m, reset := mipsMachine(exe)
 		var instrs uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.PC, m.Regs, m.Halted = pc0, regs0, false
-			m.Instret, m.Now = 0, 0
-			if instrShard != nil {
-				// Re-attach after the counter reset so the flush deltas
-				// restart from the fresh baselines.
-				m.AttachObs(instrShard, cycleShard)
-			}
+			reset()
 			n, err := run(m)
 			if err != nil {
 				b.Fatal(err)
@@ -1005,9 +1032,8 @@ func BenchmarkSimMIPS(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "sim-MIPS")
 	}
-	b.Run("functional", func(b *testing.B) { runLoop(b, exe, sim.RunFunctional) })
-	b.Run("functional-traced", func(b *testing.B) { runLoop(b, tracedExe, sim.RunFunctional) })
-	b.Run("reference", func(b *testing.B) { runLoop(b, exe, sim.RunReference) })
+	b.Run("functional", func(b *testing.B) { runLoop(b, sim.RunFunctional) })
+	b.Run("reference", func(b *testing.B) { runLoop(b, sim.RunReference) })
 	b.Run("cycle-exact", func(b *testing.B) {
 		// Each run gets a cold platform, built with the clock stopped:
 		// predictor and cache allocation is rtlsim.New's cost, not the

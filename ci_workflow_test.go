@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // TestCIWorkflowParses is an act-style dry parse of the CI workflow: the
 // file must be valid YAML (per the same parser the spec loader uses),
-// declare both gate jobs, and every `run:` step must reference a script
-// that exists and is executable. A broken workflow edit fails here, in
+// declare exactly the gate jobs below, and every `run:` step must
+// reference a script that exists and is executable. A broken workflow edit fails here, in
 // `go test`, instead of silently skipping CI on the hosted runner.
 func TestCIWorkflowParses(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
@@ -52,20 +53,25 @@ func TestCIWorkflowParses(t *testing.T) {
 		t.Fatalf("jobs = %T, want mapping", wf["jobs"])
 	}
 	usesRe := regexp.MustCompile(`^[\w.-]+/[\w.-]+@v\d+`)
+	// wantRun is the whole job set, each job with the gate it runs: a job
+	// added to or dropped from ci.yml without this table fails here.
 	wantRun := map[string]string{
 		"check":       "scripts/check.sh",
-		"bench":       "scripts/bench.sh",
-		"metrics":     "scripts/bench.sh",
 		"resume":      "scripts/resume_gate.sh",
 		"distributed": "scripts/distributed_gate.sh",
 		"verify-farm": "scripts/verify_gate.sh",
 		"chaos":       "scripts/chaos_gate.sh",
-		"cache":       "scripts/cache_gate.sh",
 	}
-	for _, name := range []string{"check", "bench", "metrics", "resume", "distributed", "verify-farm", "chaos", "cache"} {
+	for name := range jobs {
+		if _, ok := wantRun[name]; !ok {
+			t.Errorf("ci.yml has job %q, which this test does not know", name)
+		}
+	}
+	for name, gate := range wantRun {
 		job, ok := jobs[name].(map[string]any)
 		if !ok {
-			t.Fatalf("jobs.%s = %T, want mapping", name, jobs[name])
+			t.Errorf("jobs.%s = %T, want mapping", name, jobs[name])
+			continue
 		}
 		if job["runs-on"] != "ubuntu-latest" {
 			t.Errorf("jobs.%s.runs-on = %v", name, job["runs-on"])
@@ -74,7 +80,7 @@ func TestCIWorkflowParses(t *testing.T) {
 		if !ok || len(steps) == 0 {
 			t.Fatalf("jobs.%s.steps = %v", name, job["steps"])
 		}
-		var sawGate, sawSetupGo, sawTracedGate bool
+		var sawGate, sawSetupGo bool
 		for i, s := range steps {
 			step, ok := s.(map[string]any)
 			if !ok {
@@ -106,31 +112,13 @@ func TestCIWorkflowParses(t *testing.T) {
 			} else if info.Mode()&0o111 == 0 {
 				t.Errorf("jobs.%s script %q is not executable", name, script)
 			}
-			if script == "scripts/traced_gate.sh" {
-				sawTracedGate = true
-			}
-			if script == wantRun[name] {
-				sawGate = true
-				// The metrics job is the bench gate re-run with the obs
-				// shards attached; without the env it measures nothing new.
-				if name == "metrics" {
-					env, _ := step["env"].(map[string]any)
-					if env["BENCH_METRICS"] != "1" {
-						t.Errorf("jobs.metrics gate step does not set BENCH_METRICS=1: env = %v", env)
-					}
-				}
-			}
+			sawGate = sawGate || script == gate
 		}
 		if !sawSetupGo {
 			t.Errorf("jobs.%s does not set up Go", name)
 		}
 		if !sawGate {
-			t.Errorf("jobs.%s never runs its gate %s", name, wantRun[name])
-		}
-		// The bench job also gates the trace-compiled tier: the loop-heavy
-		// workload under superblock dispatch, same 30% regression rule.
-		if name == "bench" && !sawTracedGate {
-			t.Error("jobs.bench never runs scripts/traced_gate.sh")
+			t.Errorf("jobs.%s never runs its gate %s", name, gate)
 		}
 	}
 }
@@ -316,5 +304,52 @@ func TestCheckScriptGatesSemanticsInlining(t *testing.T) {
 	}
 	if gate, test := strings.Index(script, "-gcflags=-m=2"), strings.Index(script, "go test -race"); gate < 0 || gate > test {
 		t.Error("check.sh must run the inlining gate before the test suite")
+	}
+}
+
+// TestCheckScriptRerunsCacheSmokes holds scripts/check.sh's uncached spot
+// check to the cache-service resilience smokes: each named test must exist
+// in its package and be named by a `go test -race -count=1 -run` line over
+// that package. A -run pattern that matches nothing passes silently, so a
+// renamed test would otherwise drop out of the spot check unnoticed.
+func TestCheckScriptRerunsCacheSmokes(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("scripts", "check.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := strings.ReplaceAll(string(src), "\\\n", " ")
+	runRe := regexp.MustCompile(`(?m)^go test -race -count=1 -run '([^']+)'((?: +\./\S+)+)$`)
+	runs := runRe.FindAllStringSubmatch(script, -1)
+	for pkg, names := range map[string][]string{
+		"./internal/cas/remote/": {"TestTornPutLeavesNothingThenRetrySucceeds", "TestContentRangePutRefused"},
+		"./internal/cas/": {"TestGCUnderConcurrentTraffic", "TestGCSweepSparesConcurrentWrites",
+			"TestGCHoldProtectsPublishWindow", "TestActionLogSharedByProcesses",
+			"TestOlderLayoutReadsAsEmpty", "TestCompactionLosesNoConcurrentAppend"},
+	} {
+		tests, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var defs strings.Builder
+		for _, f := range tests {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defs.Write(src)
+		}
+		for _, name := range names {
+			if !strings.Contains(defs.String(), "func "+name+"(t *testing.T)") {
+				t.Errorf("%s does not define %s", pkg, name)
+			}
+			found := false
+			for _, run := range runs {
+				found = found || slices.Contains(strings.Split(run[1], "|"), name) &&
+					slices.Contains(strings.Fields(run[2]), pkg)
+			}
+			if !found {
+				t.Errorf("check.sh's -count=1 spot check never runs %s in %s", name, pkg)
+			}
+		}
 	}
 }

@@ -643,7 +643,7 @@ func cmdVerifyFarm(m *core.Marshal, args []string) int {
 		opts.Fault, err = verify.ParseFault(s)
 		return err
 	})
-	fs.IntVar(&opts.Jobs, "j", 0, "evaluation parallelism (0 = GOMAXPROCS)")
+	fs.IntVar(&opts.Jobs, "j", 0, "evaluation parallelism of a local farm (0 = GOMAXPROCS); an error with -workers, whose shards run at each worker's GOMAXPROCS")
 	fs.IntVar(&opts.Jobs, "jobs", 0, "alias for -j")
 	fs.DurationVar(&opts.Timeout, "timeout", 0, "time-box the whole session, e.g. 5m (0 = none; locally the entries checked by then are kept, on a fleet an unfinished shard fails the session)")
 	fs.StringVar(&opts.Out, "out", "", "manifest path (default <workdir>/verify/farm.jsonl)")

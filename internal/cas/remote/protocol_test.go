@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -237,6 +238,64 @@ func TestContentRangePutRefused(t *testing.T) {
 	if files := storeFiles(t, store); len(files) != 0 {
 		t.Fatalf("refused chunk left files under the store: %v", files)
 	}
+}
+
+// TestBlobBodiesStream holds both blob directions to streaming: a GET and a
+// PUT of an 8 MiB blob through a live server each allocate under 1 MiB in
+// the whole process, where buffering the body once, on either side, costs
+// at least 8 MiB. The client here streams too (a reader out, a discard
+// in), so the count is the server's. Each figure is the least of three
+// requests on a warm connection, so a stray goroutine of another test
+// cannot fail it; the PUT's blob is removed before each request, so every
+// one reaches the store's streaming write.
+func TestBlobBodiesStream(t *testing.T) {
+	const size, limit = 8 << 20, 1 << 20
+	store := newStore(t)
+	srv, _ := serve(t, store)
+	data := payload(size)
+	digest := hostutil.HashBytes(data)
+	do := func(method string, body io.Reader, want int) {
+		req, err := http.NewRequest(method, srv.URL+blobPath(digest), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != want || method == http.MethodGet && n != size {
+			t.Fatalf("%s = %d with %d body bytes (err %v), want %d", method, resp.StatusCode, n, err, want)
+		}
+	}
+	allocated := func(op func()) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	do(http.MethodHead, nil, http.StatusNotFound) // open the connection
+
+	put := allocated(func() {
+		if err := os.Remove(cas.BlobPath(store.Dir(), digest)); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		do(http.MethodPut, bytes.NewReader(data), http.StatusCreated)
+	})
+	get := allocated(func() { do(http.MethodGet, nil, http.StatusOK) })
+	if put >= limit {
+		t.Errorf("a %d MiB PUT allocated %d bytes, want < %d: the body was buffered", size>>20, put, limit)
+	}
+	if get >= limit {
+		t.Errorf("a %d MiB GET allocated %d bytes, want < %d: the body was buffered", size>>20, get, limit)
+	}
+	t.Logf("allocated per request: PUT %d bytes, GET %d bytes", put, get)
 }
 
 // tornPuts forwards requests, cutting the body of the first n PUTs halfway —

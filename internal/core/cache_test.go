@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,7 +14,9 @@ import (
 
 	"firemarshal/internal/cas"
 	"firemarshal/internal/cas/remote"
+	"firemarshal/internal/checkpoint"
 	"firemarshal/internal/hostutil"
+	"firemarshal/internal/sim"
 )
 
 // cacheEnv is a testEnv whose Marshal uses an explicit (shareable) cache
@@ -436,5 +440,110 @@ func TestArtifactRewrittenInPlaceIsNeverRestored(t *testing.T) {
 	}
 	if problems, err := b.m.CacheVerify(); err != nil || len(problems) != 0 {
 		t.Errorf("cache verify after the rebuild: %v, %v", problems, err)
+	}
+}
+
+// TestCacheRepair: `cache verify -repair` heals a blob the store is
+// supposed to hold — an action's output, or a blob a live checkpoint
+// references (a completed exec's console) — by refetching it from the
+// remote cache; with no remote configured, each missing blob is counted
+// unhealed.
+func TestCacheRepair(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		remote                   bool
+		dropOutput, dropConsole  bool
+		wantHealed, wantUnhealed int
+	}{
+		{"action-output", true, true, false, 1, 0},
+		{"checkpoint-ref", true, false, true, 1, 0},
+		{"no-remote", false, true, true, 0, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			remoteStore, err := cas.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(remote.NewServer(remoteStore))
+			defer srv.Close()
+			e := newEnv(t)
+			if c.remote {
+				e.m.RemoteCache = srv.URL
+			}
+			cache, err := e.m.Cache()
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := cache.Local()
+
+			output := []byte("an action's output")
+			outDigest, err := store.Put(output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = store.PutAction(&cas.Action{Key: hostutil.HashBytes([]byte("task")), Task: "task",
+				Outputs: []cas.Output{{Name: "out", Digest: outDigest, Mode: 0o644, Size: int64(len(output))}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// A job that finished one exec and was snapshotted inside its
+			// second: its pointer stays live and its checkpoint names the
+			// first exec's console.
+			rt, err := checkpoint.Open(checkpoint.Config{Store: store, Dir: e.m.CkptDir(), Job: "job", Every: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sim.NewMachine()
+			w, _, err := rt.BeginExec("exec-0", m, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			console := []byte("the first exec's console")
+			if _, err := w.Write(console); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.FinishExec(0, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := rt.BeginExec("exec-1", m, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CkptFn(m); err != nil {
+				t.Fatal(err)
+			}
+			consoleDigest := rt.Execs()[0].Console
+
+			for _, blob := range [][]byte{output, console} {
+				if _, err := remoteStore.Put(blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var dropped []string
+			if c.dropOutput {
+				dropped = append(dropped, outDigest)
+			}
+			if c.dropConsole {
+				dropped = append(dropped, consoleDigest)
+			}
+			for _, d := range dropped {
+				if err := os.Remove(cas.BlobPath(store.Dir(), d)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			_, healed, unhealed, err := e.m.CacheRepair(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if healed != c.wantHealed || unhealed != c.wantUnhealed {
+				t.Errorf("healed %d, unhealed %d; want %d, %d", healed, unhealed, c.wantHealed, c.wantUnhealed)
+			}
+			for _, d := range dropped {
+				if store.Has(d) != c.remote {
+					t.Errorf("blob %.12s present = %v after repair, want %v", d, store.Has(d), c.remote)
+				}
+			}
+		})
 	}
 }

@@ -326,8 +326,12 @@ func (m *Marshal) CacheRepair(ctx context.Context) (problems []string, healed, u
 	}
 	store := c.Local()
 
-	// Collect every digest the store is supposed to hold.
-	want := map[string]bool{}
+	// Every digest the store is supposed to hold: what live checkpoints
+	// pin, plus every action output.
+	want, err := m.pinnedBlobs(store)
+	if err != nil {
+		return problems, 0, 0, err
+	}
 	actions, err := store.Actions()
 	if err != nil {
 		return problems, 0, 0, err
@@ -335,18 +339,6 @@ func (m *Marshal) CacheRepair(ctx context.Context) (problems []string, healed, u
 	for _, a := range actions {
 		for _, o := range a.Outputs {
 			want[o.Digest] = true
-		}
-	}
-	ptrs, err := checkpoint.Pointers(m.CkptDir())
-	if err != nil {
-		return problems, 0, 0, err
-	}
-	for _, ptr := range ptrs {
-		want[ptr.Digest] = true
-		if cp, err := checkpoint.Load(store, ptr); err == nil {
-			for _, d := range cp.Refs() {
-				want[d] = true
-			}
 		}
 	}
 

@@ -23,7 +23,9 @@ import (
 // runs and where its manifest lands.
 type VerifyOpts struct {
 	verify.Params
-	// Jobs is per-machine evaluation parallelism (0 = GOMAXPROCS).
+	// Jobs is a local farm's evaluation parallelism (0 = GOMAXPROCS). A
+	// fleet shard runs at its worker's GOMAXPROCS, so Jobs with Workers is
+	// an error.
 	Jobs int
 	// Timeout time-boxes the whole session (0 = unbounded).
 	Timeout time.Duration
@@ -47,6 +49,9 @@ type VerifyResult struct {
 func (m *Marshal) VerifyFarm(ctx context.Context, opts VerifyOpts) (*VerifyResult, error) {
 	if len(opts.Seeds) == 0 {
 		return nil, fmt.Errorf("core: verify-farm needs at least one seed (-seeds)")
+	}
+	if opts.Jobs != 0 && len(opts.Workers) > 0 {
+		return nil, fmt.Errorf("core: verify-farm -j sets a local farm's parallelism; with -workers each shard runs at its worker's GOMAXPROCS (drop -j or -workers)")
 	}
 	out := opts.Out
 	if out == "" {

@@ -51,11 +51,25 @@ func TestVerifyFarmLocal(t *testing.T) {
 	}
 }
 
-// TestVerifyFarmBadOpts: usage errors surface before any simulation.
+// TestVerifyFarmBadOpts: usage errors surface before any simulation. A
+// fleet farm has no -j to honour (each shard runs at its worker's
+// parallelism), so asking for one is an error that names the flag, not a
+// setting dropped without a word.
 func TestVerifyFarmBadOpts(t *testing.T) {
 	e := newEnv(t)
 	if _, err := e.m.VerifyFarm(context.Background(), VerifyOpts{}); err == nil {
 		t.Error("no seeds: want error")
+	}
+	dead := httptest.NewServer(nil)
+	dead.Close()
+	_, err := e.m.VerifyFarm(context.Background(), VerifyOpts{
+		Params:  verify.Params{Seeds: []int64{1}, Rounds: 0},
+		Jobs:    2,
+		Workers: []string{dead.URL},
+		Timeout: 5 * time.Second,
+	})
+	if err == nil || !strings.Contains(err.Error(), "-j") {
+		t.Errorf("-j with -workers: err = %v, want an error naming -j", err)
 	}
 }
 

@@ -236,7 +236,7 @@ func (p *program) storeFill(iters, words int) {
 // superblock covers nearly every retired instruction and every inner
 // op is a fused pair. This is the loop-dominated shape (inference
 // kernels, stream processing) that trace dispatch accelerates most;
-// BenchmarkSimMIPS runs it as the functional-traced tier.
+// internal/sim's TestTraceTierPays holds the trace tier's coverage on it.
 func (p *program) loopHeavy(outer, inner int) {
 	id := p.kid()
 	p.data.WriteString(fmt.Sprintf("    .align 3\n%s_buf: .space %d\n", id, (inner+1)*8))

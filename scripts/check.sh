@@ -4,7 +4,10 @@
 # (the dag engine and the launcher run worker goroutines against shared
 # state; -race keeps that honest, -shuffle flushes out order coupling).
 # Ends with a per-package timing summary, slowest first, so CI time sinks
-# are visible instead of buried in the log.
+# are visible instead of buried in the log. It compares no timings:
+# throughput is judged by the benchmark harness (`go run ./benchmark`) on
+# interleaved parent/change pairs, so this gate passes on a correct tree on
+# any host.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -89,6 +92,19 @@ echo "== crash-recovery resume determinism (-count=1)"
 go test -race -count=1 -run 'CrashResume' \
     ./internal/checkpoint/ ./internal/sim/rtlsim/ ./internal/core/ ./internal/fsrun/
 
+# Cache-service resilience spot check, un-cached for the same reason: a
+# torn upload leaves nothing and its whole-blob retry lands (an old
+# client's Content-Range chunk is refused, not stored short), a GC
+# sweeping under concurrent publish traffic loses nothing, the action log
+# shared by two appending processes loses and tears nothing, with or
+# without a compaction racing them, and an older store opened by many
+# handles at once is set aside once.
+echo "== cache-service resilience smokes (-count=1)"
+go test -race -count=1 -run 'TestTornPutLeavesNothingThenRetrySucceeds|TestContentRangePutRefused' \
+    ./internal/cas/remote/
+go test -race -count=1 -run 'TestGCUnderConcurrentTraffic|TestGCSweepSparesConcurrentWrites|TestGCHoldProtectsPublishWindow|TestActionLogSharedByProcesses|TestOlderLayoutReadsAsEmpty|TestCompactionLosesNoConcurrentAppend' \
+    ./internal/cas/
+
 # Opt-in gates: each mirrors a CI job that always runs it, but costs too
 # much (or needs loopback ports) to force on every local check. The
 # summary at the end lists which ran and which were skipped, with the
@@ -107,16 +123,6 @@ else
     GATES_SKIPPED="$GATES_SKIPPED distributed(CHECK_DISTRIBUTED=1)"
 fi
 
-# Trace-compiler gate: it adds a second multi-second benchmark run; CI's
-# `bench` job always runs it.
-if [ -n "$CHECK_TRACED" ]; then
-    echo "== trace-compiler throughput gate (loop-heavy superblock tier)"
-    scripts/traced_gate.sh
-    GATES_RAN="$GATES_RAN traced"
-else
-    GATES_SKIPPED="$GATES_SKIPPED traced(CHECK_TRACED=1)"
-fi
-
 # Chaos gate: a seed-driven fault schedule against a loopback fleet (two
 # full fleet runs, compared bit-for-bit); CI's `chaos` job always runs it.
 if [ -n "$CHECK_CHAOS" ]; then
@@ -125,17 +131,6 @@ if [ -n "$CHECK_CHAOS" ]; then
     GATES_RAN="$GATES_RAN chaos"
 else
     GATES_SKIPPED="$GATES_SKIPPED chaos(CHECK_CHAOS=1)"
-fi
-
-# Cache-service gate: the saturation benchmark (another multi-second
-# bench run) plus the torn-upload-retry, GC-race and two-process action-log
-# smokes; CI's `cache` job always runs it.
-if [ -n "$CHECK_CACHE" ]; then
-    echo "== cache-service gate (saturation bench + torn-upload/GC-race/action-log smokes)"
-    scripts/cache_gate.sh
-    GATES_RAN="$GATES_RAN cache"
-else
-    GATES_SKIPPED="$GATES_SKIPPED cache(CHECK_CACHE=1)"
 fi
 
 # Verification-farm gate: a time-boxed differential farm plus the
@@ -148,16 +143,8 @@ else
     GATES_SKIPPED="$GATES_SKIPPED verify(CHECK_VERIFY=1)"
 fi
 
-# Metrics-overhead gate: re-run the hot-loop benchmark with obs counter
-# shards attached (BENCH_METRICS=1) and hold it to the same BENCH_sim.json
-# baseline and 30% rule as the plain bench. Instrumentation that slows the
-# interpreter measurably fails here, not in a later profiling session.
-echo "== metrics-overhead gate (BenchmarkSimMIPS with metrics enabled)"
-BENCH_METRICS=1 scripts/bench.sh
-GATES_RAN="$GATES_RAN metrics-overhead"
-
 echo "== gate summary"
-echo "  ran:    $GATES_RAN"
+echo "  ran:   ${GATES_RAN:- none}"
 if [ -n "$GATES_SKIPPED" ]; then
     echo "  skipped:$GATES_SKIPPED  (CI runs these; set the listed variable to include one locally)"
 fi
