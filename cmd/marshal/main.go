@@ -31,8 +31,6 @@
 //	worker serve [-addr] [-slots N]     distributed-launch worker daemon
 //	verify-farm [-seeds RANGE] [-rounds N] [-workers ...]
 //	                                    differential-verification farm
-//	chaos [-seed N] [-schedule-only] <workload>
-//	                                    fault-injected loopback fleet run
 //
 // Every serve command takes -rate/-burst/-max-inflight backpressure flags:
 // over-budget clients get 429 with a Retry-After hint the fleet clients
@@ -60,7 +58,6 @@ import (
 
 	"firemarshal/internal/cas"
 	"firemarshal/internal/cas/remote"
-	"firemarshal/internal/chaos"
 	"firemarshal/internal/core"
 	"firemarshal/internal/launcher"
 	lremote "firemarshal/internal/launcher/remote"
@@ -161,8 +158,6 @@ func run(args []string) int {
 		return cmdWorker(m, rest)
 	case "verify-farm":
 		return cmdVerifyFarm(m, rest)
-	case "chaos":
-		return cmdChaos(m, rest)
 	default:
 		fmt.Fprintf(os.Stderr, "marshal: unknown command %q\n", cmd)
 		usage(global)
@@ -197,9 +192,6 @@ Commands (Table I):
             lockstep-compare simulator tiers, bisect divergences to the
             exact instruction, dedup by signature (-workers shards the
             corpus across a fleet; exits 1 if any divergence is found)
-  chaos     Run the workload on clean and fault-injected loopback fleets
-            and assert bit-identical results (-seed names the schedule;
-            -schedule-only prints it for replay diffing)
 
 Serve commands accept -rate/-burst/-max-inflight per-client backpressure.
 
@@ -686,49 +678,6 @@ func cmdVerifyFarm(m *core.Marshal, args []string) int {
 		fmt.Println()
 	}
 	return 1
-}
-
-// cmdChaos runs the chaos gate: a clean loopback worker fleet and a
-// fault-injected one, asserting the workload survives the schedule with
-// bit-identical results. -schedule-only prints the seed's deterministic
-// fault schedule without running anything — diffing two invocations is
-// the replay check.
-func cmdChaos(m *core.Marshal, args []string) int {
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "fault-schedule seed (same seed = same schedule)")
-	workers := fs.Int("workers", 3, "loopback fleet size")
-	scheduleOnly := fs.Bool("schedule-only", false, "print the seed's fault schedule and exit (no fleet)")
-	slowDelay := fs.Duration("slow-delay", 0, "injected delay on the slow worker's leases (default 2s)")
-	timeout := fs.Duration("timeout", 0, "per-job simulation timeout (0 = none)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *scheduleOnly {
-		plan := chaos.DefaultPlan(*seed)
-		fmt.Printf("seed %d fingerprint %s\n", *seed, plan.Fingerprint())
-		for _, site := range []string{"coord-cache", "coord-worker", "worker0-cache", "worker0-store"} {
-			plan.Describe(os.Stdout, site, 32)
-		}
-		return 0
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "marshal chaos: expected exactly one workload argument")
-		return 2
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	_, err := m.Chaos(ctx, fs.Arg(0), core.ChaosOpts{
-		Seed:         *seed,
-		Workers:      *workers,
-		SlowJobDelay: *slowDelay,
-		JobTimeout:   *timeout,
-		Out:          os.Stdout,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marshal chaos:", err)
-		return 1
-	}
-	return 0
 }
 
 func cmdList(m *core.Marshal) int {

@@ -123,8 +123,8 @@ func NewCache(local *Store, remote Remote) *Cache {
 	}
 }
 
-// SetBreakerCooldown overrides the half-open cooldown (chaos runs and
-// tests shrink it; <= 0 keeps the default).
+// SetBreakerCooldown overrides the half-open cooldown (tests shrink it;
+// <= 0 keeps the default).
 func (c *Cache) SetBreakerCooldown(d time.Duration) {
 	if d <= 0 {
 		return
@@ -144,8 +144,15 @@ func (c *Cache) Local() *Store { return c.local }
 func (c *Cache) Remote() Remote { return c.remote }
 
 // SetObs directs the cache's cas_* metrics at a specific registry (nil
-// keeps the process-wide obs.Default).
-func (c *Cache) SetObs(r *obs.Registry) { c.obsReg = r }
+// keeps the process-wide obs.Default). A cache with a remote publishes
+// its breaker state there at once: the gauge is otherwise set only on a
+// transition, and a breaker that never trips is still a reading.
+func (c *Cache) SetObs(r *obs.Registry) {
+	c.obsReg = r
+	if c.remote != nil {
+		r.Gauge("cas_remote_breaker_state").Set(float64(c.BreakerState()))
+	}
+}
 
 // SetContext installs the context remote calls run under. Cancelling it
 // aborts in-flight remote requests promptly — a hung server can no longer

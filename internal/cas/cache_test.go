@@ -98,6 +98,9 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	c := NewCache(store, rem)
 	reg := obs.NewRegistry()
 	c.SetObs(reg)
+	if g, ok := reg.Snapshot().Gauges["cas_remote_breaker_state"]; !ok || g != breakerClosed {
+		t.Errorf("after SetObs cas_remote_breaker_state = %g (present %v), want %d", g, ok, breakerClosed)
+	}
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
 	key := hostutil.HashBytes([]byte("missing-action"))

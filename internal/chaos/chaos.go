@@ -6,8 +6,9 @@
 // (plan seed, site name, per-site call index) — no wall clock, no global
 // RNG — so a chaos run's fault schedule is bit-replayable: the same seed
 // against the same call sequence injects exactly the same faults, which
-// is what lets `marshal chaos` demand bit-identical results from a run
-// that survived them.
+// is what lets a faulted fleet run be held to bit-identical results
+// (internal/core's TestChaosRunSurvivesFaultSchedule). Only tests import
+// it.
 package chaos
 
 import (
@@ -57,7 +58,7 @@ type Plan struct {
 	NoSpacePM   uint32 // the write fails with an ENOSPC-shaped error
 }
 
-// DefaultPlan is the named schedule `marshal chaos` runs under: every
+// DefaultPlan is the named schedule the chaos tests run under: every
 // fault kind enabled at rates the hardened stack must absorb without
 // losing a job or changing a single output bit.
 func DefaultPlan(seed int64) Plan {
@@ -136,8 +137,7 @@ func (p *Plan) Kind(site string, index uint64) string {
 // Fingerprint digests the plan's rates plus the first decisions of a
 // fixed probe-site set into a short hex string. Two runs with the same
 // seed and rates print the same fingerprint; any drift in the schedule
-// function or the rates changes it — the replay assertion `marshal
-// chaos -schedule-only` is built on.
+// function or the rates changes it (TestFingerprint).
 func (p *Plan) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%s|",
@@ -159,14 +159,6 @@ func (p *Plan) Fingerprint() string {
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// Describe prints the schedule's first n decisions at site, one per
-// line — the human-readable half of the replay assertion.
-func (p *Plan) Describe(w io.Writer, site string, n int) {
-	for i := uint64(0); i < uint64(n); i++ {
-		fmt.Fprintf(w, "%s #%d %s\n", site, i, p.Kind(site, i))
-	}
 }
 
 // delay draws the injected latency for one call: [1ms, DelayMax].

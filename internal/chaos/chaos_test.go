@@ -95,19 +95,6 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-func TestDescribeReplays(t *testing.T) {
-	var a, b bytes.Buffer
-	p := DefaultPlan(21)
-	p.Describe(&a, "site", 32)
-	p.Describe(&b, "site", 32)
-	if a.String() != b.String() {
-		t.Errorf("Describe is not replayable:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	if lines := strings.Count(a.String(), "\n"); lines != 32 {
-		t.Errorf("Describe printed %d lines, want 32", lines)
-	}
-}
-
 // transportForKind builds a plan whose every call at the site draws the
 // one requested fault, a backing test server, and a client using the
 // fault transport.

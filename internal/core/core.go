@@ -45,9 +45,9 @@ type Marshal struct {
 	// ("" disables the remote tier). An unreachable remote degrades the
 	// build to local-only caching, never fails it.
 	RemoteCache string
-	// RemoteTransport, when set, wraps the remote-cache client's HTTP
-	// transport (chaos fault injection).
-	RemoteTransport http.RoundTripper
+	// remoteTransport, when set, wraps the remote-cache client's HTTP
+	// transport (tests inject faults through it).
+	remoteTransport http.RoundTripper
 
 	// LastBuildStats reports what the dependency tracker did on the most
 	// recent Build (for `marshal status` and the rebuild benchmarks).
@@ -70,11 +70,6 @@ type Marshal struct {
 	// by that launch nest under it. Nil outside a launch — span methods
 	// are nil-safe, so standalone builds trace nothing at no cost.
 	runSpan *obs.Span
-
-	// searchPath remembers the loader's workload search path so derived
-	// instances (the chaos harness's sandboxed fleets) resolve the same
-	// workloads.
-	searchPath []string
 
 	cache *cas.Cache
 }
@@ -103,7 +98,7 @@ func New(workDir string, searchPath ...string) (*Marshal, error) {
 	if err := boards.RegisterBuiltins(l); err != nil {
 		return nil, err
 	}
-	return &Marshal{Loader: l, WorkDir: workDir, Log: io.Discard, searchPath: searchPath}, nil
+	return &Marshal{Loader: l, WorkDir: workDir, Log: io.Discard}, nil
 }
 
 func (m *Marshal) logf(format string, args ...any) {
@@ -201,8 +196,8 @@ func (m *Marshal) Cache() (*cas.Cache, error) {
 	var rem cas.Remote
 	if m.RemoteCache != "" {
 		cl := remote.NewClient(m.RemoteCache, 0)
-		if m.RemoteTransport != nil {
-			cl.SetTransport(m.RemoteTransport)
+		if m.remoteTransport != nil {
+			cl.SetTransport(m.remoteTransport)
 		}
 		rem = cl
 	}
@@ -221,11 +216,7 @@ func (m *Marshal) HubCache(hubURL string) (*cas.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := remote.NewClient(hubURL, 0)
-	if m.RemoteTransport != nil {
-		cl.SetTransport(m.RemoteTransport)
-	}
-	hub := cas.NewCache(c.Local(), cl)
+	hub := cas.NewCache(c.Local(), remote.NewClient(hubURL, 0))
 	hub.SetObs(m.Obs)
 	return hub, nil
 }

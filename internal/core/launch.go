@@ -66,9 +66,9 @@ type LaunchOpts struct {
 	// worker silent for 100 of them forfeits its jobs. Zero uses the
 	// protocol default, 100ms.
 	WorkerPoll time.Duration
-	// WorkerTransport, when set, wraps the coordinator's worker-client
-	// HTTP transport (chaos fault injection).
-	WorkerTransport http.RoundTripper
+	// workerTransport, when set, wraps the coordinator's worker-client
+	// HTTP transport (tests inject faults through it).
+	workerTransport http.RoundTripper
 
 	// Resume continues an interrupted run (`marshal launch -resume`): jobs
 	// the run journal records as ok carry their results over, jobs with a
@@ -182,7 +182,7 @@ func (m *Marshal) LaunchWorkload(w *spec.Workload, opts LaunchOpts) ([]*RunResul
 		Fleet: remote.CoordOptions{
 			Workers:   opts.Workers,
 			Poll:      opts.WorkerPoll,
-			Transport: opts.WorkerTransport,
+			Transport: opts.workerTransport,
 		},
 		Remote: cache.Remote(),
 		Obs:    m.Obs,

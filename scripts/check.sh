@@ -123,8 +123,9 @@ else
     GATES_SKIPPED="$GATES_SKIPPED distributed(CHECK_DISTRIBUTED=1)"
 fi
 
-# Chaos gate: a seed-driven fault schedule against a loopback fleet (two
-# full fleet runs, compared bit-for-bit); CI's `chaos` job always runs it.
+# Chaos gate: the fault-injection suite under -race, whose longest test
+# runs a loopback fleet under a seed-driven fault schedule against a clean
+# local run, bit-for-bit; CI's `chaos` job always runs it.
 if [ -n "$CHECK_CHAOS" ]; then
     echo "== chaos gate (deterministic fault injection + self-healing)"
     scripts/chaos_gate.sh
