@@ -436,10 +436,14 @@ func (c *Cache) restore(o Output, target string) (int64, error) {
 			return 0, err
 		}
 	}
-	if err := hostutil.WriteFileAtomic(target, data, perm); err != nil {
+	placed, err := hostutil.WriteAtomic(target, perm, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	hostutil.NoteDigest(target, o.Digest, nil)
+	hostutil.NoteDigest(target, o.Digest, placed)
 	return int64(len(data)), nil
 }
 

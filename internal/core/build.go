@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 
 	"firemarshal/internal/boards"
 	"firemarshal/internal/dag"
@@ -70,7 +72,7 @@ func (m *Marshal) BuildWorkload(w *spec.Workload, opts BuildOpts) ([]BuildResult
 	buildSpan := m.runSpan.Child("build")
 	defer buildSpan.End()
 	eng.SetObs(m.Obs, buildSpan)
-	b := &builder{m: m, eng: eng, opts: opts, registered: map[string]bool{}, artifacts: map[string]*chainArtifacts{}}
+	b := &builder{m: m, eng: eng, opts: opts, artifacts: map[string]*chainArtifacts{}, trees: map[string]*fsimg.FS{}}
 
 	var results []BuildResult
 	var finalTasks []string
@@ -119,14 +121,54 @@ type chainArtifacts struct {
 	imgTask    string // "" when the workload has no disk image
 	noDiskTask string
 	artifact   string // artifact (target) name
+	derived    bool   // a task of this build derives from the image: a child's, or the no-disk binary
 }
 
 type builder struct {
-	m          *Marshal
-	eng        *dag.Engine
-	opts       BuildOpts
-	registered map[string]bool
-	artifacts  map[string]*chainArtifacts
+	m         *Marshal
+	eng       *dag.Engine
+	opts      BuildOpts
+	artifacts map[string]*chainArtifacts
+
+	// trees holds, for one Build, the tree of every image a task derives
+	// from, keyed by the digest of the image's bytes: the tree an img: task
+	// built and wrote, or one decoded from the file once. A task looks its
+	// input up by the digest the file has when it runs, so a file replaced
+	// since is read, never stood in for. A tree is never written: a task
+	// that derives an image clones it.
+	mu    sync.Mutex
+	trees map[string]*fsimg.FS
+}
+
+// keep files the tree fs of an image whose bytes hash to digest.
+func (b *builder) keep(digest string, fs *fsimg.FS) {
+	b.mu.Lock()
+	b.trees[digest] = fs
+	b.mu.Unlock()
+}
+
+// tree returns the tree of the image file at path: the one this build kept
+// for the digest the file has now, or else the file decoded, once per digest
+// (an image restored from the cache or left up to date).
+func (b *builder) tree(path string) (*fsimg.FS, error) {
+	digest, _, err := hostutil.FileDigest(path)
+	if err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if fs := b.trees[digest]; fs != nil {
+		return fs, nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := fsimg.Decode(data)
+	if err == nil {
+		b.trees[digest] = fs
+	}
+	return fs, err
 }
 
 // register sets up build tasks for w (and, recursively, its parents) under
@@ -184,6 +226,7 @@ func (b *builder) register(w *spec.Workload, artifact string) (*chainArtifacts, 
 	// --- initramfs-embedded build (§III-B.1 step 6) ---
 	if (b.opts.NoDisk || w.Effective.NoDisk) && arts.imgTask != "" && arts.binTask != "" {
 		arts.noDiskTask = "nodisk:" + artifact
+		arts.derived = true
 		task := &dag.Task{
 			Name:      arts.noDiskTask,
 			TaskDeps:  []string{arts.imgTask, arts.binTask},
@@ -342,6 +385,7 @@ func (b *builder) registerImg(w *spec.Workload, artifact string, arts, parentArt
 		task.FileDeps = append(task.FileDeps, w.HostPath(w.Img))
 	}
 	if parentArts != nil && parentArts.imgTask != "" {
+		parentArts.derived = true
 		task.TaskDeps = append(task.TaskDeps, parentArts.imgTask)
 		task.FileDeps = append(task.FileDeps, b.m.ImgPath(parentArts.artifact))
 	}
@@ -355,7 +399,15 @@ func (b *builder) registerImg(w *spec.Workload, artifact string, arts, parentArt
 		if err != nil {
 			return err
 		}
-		return hostutil.WriteFileAtomic(b.m.ImgPath(artifact), fs.Encode(), 0o644)
+		// The image streams to its file once, hashed on the way.
+		digest, err := hostutil.WriteHashedAtomic(b.m.ImgPath(artifact), 0o644, func(out io.Writer) error {
+			_, err := fs.WriteTo(out)
+			return err
+		})
+		if err == nil && arts.derived {
+			b.keep(digest, fs)
+		}
+		return err
 	}
 	return b.eng.Register(task)
 }
@@ -373,11 +425,7 @@ func (b *builder) buildImage(w *spec.Workload, artifact string, parentArts *chai
 		return fsimg.Decode(data)
 	case parentArts != nil && parentArts.imgTask != "":
 		// Step 5a: copy the parent's image.
-		data, err := os.ReadFile(b.m.ImgPath(parentArts.artifact))
-		if err != nil {
-			return nil, err
-		}
-		parentFS, err := fsimg.Decode(data)
+		parentFS, err := b.tree(b.m.ImgPath(parentArts.artifact))
 		if err != nil {
 			return nil, fmt.Errorf("core: parent image: %w", err)
 		}
@@ -493,11 +541,7 @@ func (b *builder) runGuestInit(w *spec.Workload, artifact string, fs *fsimg.FS, 
 // its initramfs payload (§III-B.1 step 6).
 func (b *builder) buildNoDisk(w *spec.Workload, artifact string) error {
 	b.m.logf("building no-disk boot binary for %s", artifact)
-	imgData, err := os.ReadFile(b.m.ImgPath(artifact))
-	if err != nil {
-		return err
-	}
-	rootfs, err := fsimg.Decode(imgData)
+	rootfs, err := b.tree(b.m.ImgPath(artifact))
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,12 @@
 package fsimg
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Binary image format ("MFS1"):
@@ -23,44 +25,67 @@ import (
 
 var magic = [4]byte{'M', 'F', 'S', '1'}
 
-// Encode serializes the image to its deterministic binary form. One walk
-// collects the entries and the exact output size, so the buffer is allocated
-// once and every file's bytes are copied once.
-func (fs *FS) Encode() []byte {
+// WriteTo streams the image's deterministic binary form to w, computing the
+// CRC as the bytes go by: no whole-image buffer exists, and each file's
+// bytes are handed on once, through a fixed buffer or straight from Data.
+// Its allocations depend on how many entries the image has, never on how
+// many bytes they hold.
+func (fs *FS) WriteTo(w io.Writer) (int64, error) {
 	type entry struct {
 		path string
 		f    *File
 	}
 	var entries []entry
-	size := len(magic) + 8 + 4 + 4 // magic, limit, count ... crc
 	fs.Walk(func(p string, f *File) error {
 		entries = append(entries, entry{p, f})
-		size += 4 + len(p) + 4 + 8
-		if !f.IsDir() {
-			size += len(f.Data)
-		}
 		return nil
 	})
+	bw := bufio.NewWriterSize(w, 64<<10)
+	cw := &crcWriter{w: bw}
 	le := binary.LittleEndian
-	buf := make([]byte, 0, size)
-	buf = append(buf, magic[:]...)
-	buf = le.AppendUint64(buf, uint64(fs.SizeLimit))
-	buf = le.AppendUint32(buf, uint32(len(entries)))
+	hdr := append(make([]byte, 0, 64), magic[:]...)
+	hdr = le.AppendUint64(hdr, uint64(fs.SizeLimit))
+	_, err := cw.Write(le.AppendUint32(hdr, uint32(len(entries))))
 	for _, e := range entries {
-		buf = le.AppendUint32(buf, uint32(len(e.path)))
-		buf = append(buf, e.path...)
-		buf = le.AppendUint32(buf, e.f.Mode)
-		if e.f.IsDir() {
-			buf = le.AppendUint64(buf, 0)
-		} else {
-			buf = le.AppendUint64(buf, uint64(len(e.f.Data)))
-			buf = append(buf, e.f.Data...)
+		if err != nil {
+			break
+		}
+		var data []byte
+		if !e.f.IsDir() {
+			data = e.f.Data
+		}
+		hdr = le.AppendUint32(hdr[:0], uint32(len(e.path)))
+		hdr = append(hdr, e.path...)
+		hdr = le.AppendUint32(hdr, e.f.Mode)
+		hdr = le.AppendUint64(hdr, uint64(len(data)))
+		if _, err = cw.Write(hdr); err == nil {
+			_, err = cw.Write(data)
 		}
 	}
-	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	if err == nil {
+		_, err = cw.Write(le.AppendUint32(hdr[:0], cw.crc))
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	return cw.n, err
 }
 
-// Decode parses a binary image produced by Encode. The returned image's
+// crcWriter is WriteTo's sink: it counts and checksums what it passes on.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// Decode parses a binary image produced by WriteTo. The returned image's
 // files are slices of data (each capped at its own length), not copies: the
 // caller hands the buffer over and must not write to it afterwards, as
 // File.Data's contract says of any Data.

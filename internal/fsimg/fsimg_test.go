@@ -2,9 +2,12 @@ package fsimg
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -215,7 +218,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	fs.WriteFile("/etc/conf", []byte("key=value\n"), 0o644)
 	fs.WriteFile("/etc/empty", nil, 0o600)
 	fs.MkdirAll("/empty/dir", 0o700)
-	enc := fs.Encode()
+	enc := encode(fs)
 	back, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -233,14 +236,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if f := back.Lookup("/etc/empty"); f == nil || f.IsDir() || len(f.Data) != 0 || f.Mode != 0o600 {
 		t.Errorf("empty file not preserved: %+v", f)
 	}
-	if !bytes.Equal(back.Encode(), enc) {
-		t.Error("Encode(Decode(b)) != b")
+	if !bytes.Equal(encode(back), enc) {
+		t.Error("WriteTo(Decode(b)) != b")
 	}
 	// A clone of the decoded image, written to, still encodes from the
 	// shared bytes; the image it came from encodes as before.
 	cp := back.Clone()
 	cp.WriteFile("/etc/conf", []byte("key=other\n"), 0o644)
-	if !bytes.Equal(back.Encode(), enc) {
+	if !bytes.Equal(encode(back), enc) {
 		t.Error("writing through a clone changed what the decoded image encodes to")
 	}
 }
@@ -251,7 +254,7 @@ func TestDecodeSharesItsInput(t *testing.T) {
 	fs := New()
 	fs.WriteFile("/a", []byte("first"), 0o644)
 	fs.WriteFile("/b", []byte("second"), 0o644)
-	enc := fs.Encode()
+	enc := encode(fs)
 	back, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +268,45 @@ func TestDecodeSharesItsInput(t *testing.T) {
 	}
 }
 
-// Encode sizes its output with one walk and allocates it once: how many
-// allocations it makes depends on how many entries the image has, never on
-// how many bytes they hold.
-func TestEncodeAllocatesItsOutputOnce(t *testing.T) {
+// encode is the image's bytes as WriteTo streams them.
+func encode(fs *FS) []byte {
+	var b bytes.Buffer
+	if _, err := fs.WriteTo(&b); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// WriteTo emits the MFS1 bytes the format has always had: the digest below
+// is of this image as encoded before the encoder streamed, and every
+// artifact digest in a deployed cache rests on it. The 200 KiB file is
+// larger than the stream's buffer, so it goes to the writer past the buffer.
+func TestWriteToMatchesPinnedDigest(t *testing.T) {
+	fs := New()
+	fs.SizeLimit = 1 << 20
+	fs.WriteFile("/bin/bench", []byte{0x7f, 0x45, 0x4c, 0x46, 0, 1, 2, 3}, 0o755)
+	fs.WriteFile("/etc/conf", []byte("key=value\n"), 0o644)
+	fs.WriteFile("/etc/empty", nil, 0o600)
+	fs.MkdirAll("/empty/dir", 0o700)
+	big := make([]byte, 200<<10)
+	for i := range big {
+		big[i] = byte(i * 7 / 3)
+	}
+	fs.WriteFile("/var/big", big, 0o644)
+	h := sha256.New()
+	n, err := fs.WriteTo(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "7971b3d2d9ce7da325e100715ac9d9ca9adb47be8551abd54e2cb405cd3b1b9d"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || n != 205047 {
+		t.Errorf("WriteTo wrote %d bytes hashing to %s, want 205047 bytes hashing to %s", n, got, want)
+	}
+}
+
+// WriteTo holds no copy of the image: how many allocations it makes depends
+// on how many entries the image has, never on how many bytes they hold.
+func TestWriteToAllocationsDoNotGrowWithImageSize(t *testing.T) {
 	mk := func(fileBytes int) *FS {
 		fs := New()
 		for i := 0; i < 8; i++ {
@@ -277,12 +315,12 @@ func TestEncodeAllocatesItsOutputOnce(t *testing.T) {
 		return fs
 	}
 	small, large := mk(1), mk(1<<20)
-	allocsSmall := testing.AllocsPerRun(5, func() { small.Encode() })
-	allocsLarge := testing.AllocsPerRun(5, func() { large.Encode() })
-	// AllocsPerRun counts the whole process: leave room for the collector
-	// cycle an 8 MiB allocation can set off. A doubling buffer costs ~20.
-	if allocsLarge > allocsSmall+2 {
-		t.Errorf("Encode made %.0f allocations for 8 files of 1 MiB but %.0f for 8 files of 1 byte: the output buffer is growing", allocsLarge, allocsSmall)
+	allocsSmall := testing.AllocsPerRun(5, func() { small.WriteTo(io.Discard) })
+	allocsLarge := testing.AllocsPerRun(5, func() { large.WriteTo(io.Discard) })
+	// Nothing large is allocated, so no collector cycle is set off: a
+	// whole-image buffer would be one allocation more, a doubling one ~20.
+	if allocsLarge > allocsSmall {
+		t.Errorf("WriteTo made %.0f allocations for 8 files of 1 MiB but %.0f for 8 files of 1 byte: something grows with the bytes", allocsLarge, allocsSmall)
 	}
 }
 
@@ -297,8 +335,8 @@ func FuzzDecode(f *testing.F) {
 	fs.WriteFile("/bin/tool", []byte("MEX1...."), 0o755)
 	fs.WriteFile("/etc/empty", nil, 0o644)
 	fs.MkdirAll("/var/empty", 0o700)
-	f.Add(fs.Encode())
-	f.Add(New().Encode())
+	f.Add(encode(fs))
+	f.Add(encode(New()))
 	f.Add([]byte("MFS1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(img []byte) {
@@ -307,15 +345,15 @@ func FuzzDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
-			back, err := Decode(fs.Encode())
+			back, err := Decode(encode(fs))
 			if err != nil {
-				t.Fatalf("Encode of a decoded image does not decode: %v", err)
+				t.Fatalf("WriteTo of a decoded image does not decode: %v", err)
 			}
 			if back.Hash() != fs.Hash() {
-				t.Fatal("Encode of a decoded image decodes to different contents")
+				t.Fatal("WriteTo of a decoded image decodes to different contents")
 			}
 			if !bytes.Equal(img, kept) {
-				t.Fatal("Decode or Encode wrote to Decode's input")
+				t.Fatal("Decode or WriteTo wrote to Decode's input")
 			}
 		}
 		check(data)
@@ -336,7 +374,7 @@ func TestEncodeDeterministic(t *testing.T) {
 		}
 		return fs
 	}
-	if !bytes.Equal(mk().Encode(), mk().Encode()) {
+	if !bytes.Equal(encode(mk()), encode(mk())) {
 		t.Error("encoding is not deterministic")
 	}
 }
@@ -344,7 +382,7 @@ func TestEncodeDeterministic(t *testing.T) {
 func TestDecodeCorruption(t *testing.T) {
 	fs := New()
 	fs.WriteFile("/a", []byte("hello"), 0o644)
-	enc := fs.Encode()
+	enc := encode(fs)
 
 	flip := append([]byte(nil), enc...)
 	flip[len(flip)/2] ^= 0xff
@@ -434,7 +472,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		bin, err := Decode(fs.Encode())
+		bin, err := Decode(encode(fs))
 		if err != nil || bin.Hash() != fs.Hash() {
 			return false
 		}

@@ -186,17 +186,14 @@ func fileDigest(path string, fi os.FileInfo) (string, int64, error) {
 }
 
 // NoteDigest records that the regular file at path holds the bytes digest
-// names, for a caller that has just put them there. With from nil, the
-// caller wrote path from bytes it had verified. Otherwise from is the file
-// whose bytes the caller hashed or verified and then linked, renamed or
-// chmodded to path; those move nothing but its ctime, so the note is taken
-// only if path is still that file with the same size and mtime.
+// names, for a caller that has just put them there. from is the stat of the
+// file whose bytes the caller wrote, hashed or verified, taken before it
+// linked, renamed or chmodded that file to path; those move nothing but its
+// ctime, so the note is taken only if path is still that file with the same
+// size and mtime. A file put at path since is not vouched for.
 func NoteDigest(path, digest string, from os.FileInfo) {
 	fi, err := os.Stat(path)
-	if err != nil {
-		return
-	}
-	if from != nil && (!os.SameFile(from, fi) || from.Size() != fi.Size() || !from.ModTime().Equal(fi.ModTime())) {
+	if err != nil || !os.SameFile(from, fi) || from.Size() != fi.Size() || !from.ModTime().Equal(fi.ModTime()) {
 		return
 	}
 	id, st, ok := fileKey(fi)

@@ -3,6 +3,7 @@ package hostutil
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -235,11 +236,61 @@ func TestNoteDigest(t *testing.T) {
 	if d, _, _ := FileDigest(dst); d == digest {
 		t.Error("a digest was carried over to a file rewritten since")
 	}
-	// From nil: the caller vouches for bytes it wrote.
+	// A note names the file it is for: with none, nothing is vouched for,
+	// not even a file just written.
 	WriteFileAtomic(dst, []byte("vouched bytes"), 0o444)
 	NoteDigest(dst, "vouched", nil)
-	if d, n, _ := FileDigest(dst); taken && (d != "vouched" || n != 0) {
-		t.Errorf("a note for bytes the caller placed was not taken: %s", d)
+	if d, _, _ := FileDigest(dst); d == "vouched" {
+		t.Error("a note naming no file was taken for whatever file was at the path")
+	}
+}
+
+// WriteHashedAtomic hashes the bytes as they stream into the file, and the
+// digest cache learns them for that file: asking for its digest next reads
+// nothing. A file renamed over the path afterwards is not vouched for,
+// neither by the write's note nor by a later note naming the written file.
+func TestWriteHashedAtomicNotesTheFileItWrote(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "img")
+	taken := notesTaken(t, dir)
+	digest, err := WriteHashedAtomic(p, 0o444, func(w io.Writer) error {
+		_, err := io.WriteString(w, "streamed ")
+		if err == nil {
+			_, err = io.WriteString(w, "bytes")
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := HashBytes([]byte("streamed bytes")); digest != want {
+		t.Fatalf("WriteHashedAtomic returned %s, want the bytes' digest %s", digest, want)
+	}
+	if got, _ := os.ReadFile(p); string(got) != "streamed bytes" {
+		t.Fatalf("wrote %q", got)
+	}
+	written, _ := os.Stat(p)
+	if d, n, _ := FileDigest(p); d != digest || taken && n != 0 {
+		t.Errorf("FileDigest after the hashed write: %s, read %d bytes; want %s from the cache", d, n, digest)
+	}
+
+	other := filepath.Join(dir, "other")
+	os.WriteFile(other, []byte("other bytes!!!"), 0o444)
+	if err := os.Rename(other, p); err != nil {
+		t.Fatal(err)
+	}
+	NoteDigest(p, digest, written)
+	if d, n, _ := FileDigest(p); d != HashBytes([]byte("other bytes!!!")) || n != 14 {
+		t.Errorf("FileDigest of a file renamed over the written one: %s, read %d bytes; want it read and hashed", d, n)
+	}
+
+	// A refused write leaves no file and no note.
+	refuse := errors.New("refused")
+	if _, err := WriteHashedAtomic(filepath.Join(dir, "no"), 0o444, func(io.Writer) error { return refuse }); !errors.Is(err, refuse) {
+		t.Fatalf("WriteHashedAtomic = %v, want the writer's error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "no")); !os.IsNotExist(err) {
+		t.Errorf("a refused hashed write left a file: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@
 package hostutil
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -148,7 +147,7 @@ func DetJitter(key string, attempt int, max time.Duration) time.Duration {
 // WriteFileAtomic writes data to path via a temporary file and rename, so
 // readers never observe a partially written artifact.
 func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
-	return writeAtomic(filepath.Dir(path), path, bytes.NewReader(data), mode, nil)
+	return writeAtomic(filepath.Dir(path), path, mode, writeBytes(data))
 }
 
 // WriteFileAtomicVia is WriteFileAtomic with the temporary file in tmpDir
@@ -156,21 +155,72 @@ func WriteFileAtomic(path string, data []byte, mode os.FileMode) error {
 // every temp file in one directory, where its GC finds the ones a killed
 // writer left.
 func WriteFileAtomicVia(tmpDir, path string, data []byte, mode os.FileMode) error {
-	return writeAtomic(tmpDir, path, bytes.NewReader(data), mode, nil)
+	return writeAtomic(tmpDir, path, mode, writeBytes(data))
 }
 
 // WriteStreamAtomic is WriteFileAtomic with the content read from r, never
 // held whole, and a check that runs once every byte is written, before the
-// rename: an error from it (or from r) leaves no trace of the write.
+// rename: an error from it (or from r) leaves no trace of the write. A file
+// reaches the temp file through the kernel's file-to-file copy where there
+// is one.
 func WriteStreamAtomic(path string, r io.Reader, mode os.FileMode, check func() error) error {
-	return writeAtomic(filepath.Dir(path), path, r, mode, check)
+	return writeAtomic(filepath.Dir(path), path, mode, func(f *os.File) error {
+		if _, err := io.Copy(f, r); err != nil {
+			return err
+		}
+		if check != nil {
+			return check()
+		}
+		return nil
+	})
+}
+
+// WriteAtomic is WriteFileAtomic with the content written by write, and it
+// returns the stat of the file it placed, taken once the bytes are in: what
+// NoteDigest needs to vouch for the bytes at path, and for no file put there
+// since. The chmod and rename that follow move nothing of it but its mode
+// and ctime.
+func WriteAtomic(path string, mode os.FileMode, write func(*os.File) error) (placed os.FileInfo, err error) {
+	err = writeAtomic(filepath.Dir(path), path, mode, func(f *os.File) error {
+		if err := write(f); err != nil {
+			return err
+		}
+		placed, err = f.Stat()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return placed, nil
+}
+
+// WriteHashedAtomic is WriteAtomic that hashes the bytes on their way into
+// the file and returns their SHA-256: the digest cache learns it for the
+// file placed, so hashing or publishing it next reads nothing.
+func WriteHashedAtomic(path string, mode os.FileMode, write func(io.Writer) error) (string, error) {
+	h := sha256.New()
+	placed, err := WriteAtomic(path, mode, func(f *os.File) error {
+		return write(io.MultiWriter(f, h))
+	})
+	if err != nil {
+		return "", err
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	NoteDigest(path, digest, placed)
+	return digest, nil
+}
+
+func writeBytes(data []byte) func(*os.File) error {
+	return func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	}
 }
 
 // writeAtomic is the temp-then-rename sequence every write of a whole file in
-// the program goes through, with the content taken from a reader: a
-// bytes.Reader lands in one Write, a file through the kernel's file-to-file
-// copy where there is one.
-func writeAtomic(dir, path string, content io.Reader, mode os.FileMode, check func() error) error {
+// the program goes through: write fills the temp file in dir, which is then
+// given its mode and renamed to path. An error from write leaves no trace.
+func writeAtomic(dir, path string, mode os.FileMode, write func(*os.File) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -184,13 +234,8 @@ func writeAtomic(dir, path string, content io.Reader, mode os.FileMode, check fu
 		os.Remove(tmpName)
 		return err
 	}
-	if _, err := io.Copy(tmp, content); err != nil {
+	if err := write(tmp); err != nil {
 		return fail(err)
-	}
-	if check != nil {
-		if err := check(); err != nil {
-			return fail(err)
-		}
 	}
 	if err := tmp.Chmod(mode); err != nil {
 		return fail(err)
@@ -260,7 +305,7 @@ func CopyFile(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Dir(dst), dst, in, info.Mode().Perm(), nil)
+	return WriteStreamAtomic(dst, in, info.Mode().Perm(), nil)
 }
 
 // CopyDir recursively copies a directory tree.

@@ -151,9 +151,11 @@ type coordinator struct {
 	workers          []*cworker
 	out              []msg // the current step's actions
 	now              time.Time
-	probing          int     // registration probes not yet answered
-	begun, over      bool    // registration is over; nothing more is sent
-	draining         bool    // Drain closed: nothing is leased again
+	probing          int  // registration probes not yet answered
+	begun, over      bool // registration is over; nothing more is sent
+	draining         bool // Drain closed: nothing is leased again
+	ended            bool // cancelled: queued leases are taken back until endBy
+	endBy            time.Time
 	err              error   // no worker registered
 	joinErrs         []error // why each unregistered worker did not
 	landCap, landers int     // OnDone calls allowed at once (one per worker), out
@@ -162,7 +164,8 @@ type coordinator struct {
 }
 
 // Launch distributes specs across the worker fleet and blocks until every
-// job is terminal (or ctx is cancelled). A job runs twice at once only when
+// job is terminal, or ctx is cancelled and the jobs queued on workers are
+// taken back (a lease TTL at most). A job runs twice at once only when
 // a lease expiry re-leases it while its silent owner may still run it. The
 // summary carries each job's worker record, so its manifest matches a
 // single-machine run's, wall clock aside.
@@ -209,14 +212,13 @@ func newCoordinator(specs []JobSpec, opts CoordOptions) (*coordinator, error) {
 // drive is the only code that starts a goroutine, sends a request or reads
 // the clock. Each request and OnDone runs off the loop and comes back as
 // the next input, so a worker that does not answer holds up nothing else.
+// Requests outlive ctx: a cancelled run still takes its queued leases back
+// (see end), and what is out when the run is over is cut short then.
 func (c *coordinator) drive(ctx context.Context) (*launcher.Summary, error) {
-	reqCtx, stop := context.WithCancel(ctx)
+	reqCtx, stop := context.WithCancel(context.WithoutCancel(ctx))
 	defer stop()
 	answers, out := make(chan msg), 0 // out: goroutines not yet back
-	step := func(in msg) {
-		if ctx.Err() != nil && !c.over {
-			c.step(msg{kind: end})
-		}
+	fold := func(in msg) {
 		in.now = time.Now()
 		for _, a := range c.step(in) {
 			if c.write(a) {
@@ -234,6 +236,15 @@ func (c *coordinator) drive(ctx context.Context) (*launcher.Summary, error) {
 			}()
 		}
 	}
+	// The cancel is folded in once, before any input that comes after it.
+	cancelled := ctx.Done()
+	step := func(in msg) {
+		if cancelled != nil && ctx.Err() != nil {
+			cancelled = nil
+			fold(msg{kind: end})
+		}
+		fold(in)
+	}
 	started := time.Now()
 	step(msg{kind: tick})
 	ticker := time.NewTicker(c.opts.Poll)
@@ -241,8 +252,9 @@ func (c *coordinator) drive(ctx context.Context) (*launcher.Summary, error) {
 	drained := c.opts.Drain
 	for !c.over {
 		select {
-		case <-ctx.Done():
-			step(msg{kind: end})
+		case <-cancelled:
+			cancelled = nil
+			fold(msg{kind: end})
 		case in := <-answers:
 			out--
 			step(in)
@@ -303,10 +315,11 @@ func (c *coordinator) perform(ctx context.Context, a msg) msg {
 }
 
 // step folds one input into the run and returns the actions it calls for.
-// Once the run is over only landings are folded in.
+// Once the run is over only landings are folded in; once it is cancelled,
+// only landings and the answers to leases and take-backs.
 func (c *coordinator) step(in msg) []msg {
 	c.out, c.now = nil, in.now
-	if c.over && in.kind != land {
+	if c.over && in.kind != land || c.ended && (in.kind == probe || in.kind == poll) {
 		return nil
 	}
 	switch in.kind {
@@ -325,11 +338,26 @@ func (c *coordinator) step(in msg) []msg {
 		c.draining = true
 		c.takeBack()
 	case end:
-		c.over = true
+		c.logf("coordinator: cancelled — taking back queued leases")
+		c.ended, c.endBy = true, c.now.Add(leaseHeartbeats*c.opts.Poll)
+		c.over = !c.begun
 	case tick:
-		c.housekeep()
+		if !c.ended {
+			c.housekeep()
+		}
 	}
-	if c.begun && !c.over {
+	switch {
+	case c.over || !c.begun:
+	case c.ended:
+		// A cancelled run leaves no job queued on a worker to start after
+		// it returns: it is over once every lease answer is in and every
+		// lease not started is taken back, or after a lease TTL, by which
+		// a worker that does not answer has given its leases up.
+		c.takeBack()
+		c.over = !c.now.Before(c.endBy) ||
+			!slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].stealing }) &&
+				!slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.leasing })
+	default:
 		c.place() // the run is over once every job is done and every lease answer is in
 		c.over = !slices.ContainsFunc(c.order, func(n string) bool { return !c.jobs[n].done }) &&
 			!slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.leasing })
@@ -730,10 +758,13 @@ func (c *coordinator) stealAnswered(in msg) {
 		c.emit(msg{kind: steal, wi: in.wi, job: in.job, lease: in.lease, thief: in.thief, after: in.asked.Add(c.opts.Poll)})
 		return
 	}
-	if j.stealing = false; in.err != nil || !in.stolen || !j.leasedTo(in.wi) {
+	if j.stealing = false; c.ended && in.err == nil && !in.stolen {
+		j.started = true // refused (409): it runs, and no poll will say so now
+	}
+	if in.err != nil || !in.stolen || !j.leasedTo(in.wi) {
 		return
 	}
-	if in.thief >= 0 {
+	if in.thief >= 0 && !c.ended { // a cancelled run places nothing
 		c.opts.Obs.Counter("remote_steals_total").Inc()
 		c.logf("coordinator: worker %s stole %s from %s",
 			c.workers[in.thief].client.Addr, j.spec.Name, c.workers[in.wi].client.Addr)
@@ -741,9 +772,11 @@ func (c *coordinator) stealAnswered(in msg) {
 	j.worker = -1
 }
 
-// takeBack is the drain: every job not yet started, unowned or given back
-// by its worker as a steal, is skipped; the next tick asks again for those
-// whose worker refused (409), and an offer out waits for its answer.
+// takeBack is the drain and the cancel: every job leased and not yet
+// started is asked back from its worker; an offer out waits for its answer.
+// Draining, a job unowned or given back is skipped, and the next tick asks
+// again for those whose worker refused (409). Cancelled, it is left
+// unfinished, and a refusal means the job started.
 func (c *coordinator) takeBack() {
 	for _, name := range c.order {
 		switch j := c.jobs[name]; {
@@ -751,7 +784,7 @@ func (c *coordinator) takeBack() {
 		case j.worker >= 0:
 			j.stealing = true
 			c.emit(msg{kind: steal, wi: j.worker, job: name, lease: j.spec.Lease, thief: -1})
-		default:
+		case !c.ended:
 			c.skip(j)
 		}
 	}
@@ -765,7 +798,7 @@ func (c *coordinator) skip(j *cjob) {
 
 // startLandings hands queued landings to free landers.
 func (c *coordinator) startLandings() {
-	for ; len(c.landQ) > 0 && c.landers < c.landCap && !c.over; c.landers++ {
+	for ; len(c.landQ) > 0 && c.landers < c.landCap && !c.ended; c.landers++ {
 		c.emit(c.landQ[0])
 		c.landQ = c.landQ[1:]
 	}
@@ -781,7 +814,7 @@ func (c *coordinator) landed(in msg) {
 	j.landing = false
 	left := j.spec.Retries - (rec.Attempts - j.spec.Prior)
 	switch {
-	case in.err != nil && c.over:
+	case in.err != nil && c.ended:
 	case in.err != nil && rec.Status == launcher.StatusOK && left >= 0:
 		c.logf("coordinator: landing %s failed (%v); leasing it again", rec.Job, in.err)
 		j.spec.Prior, j.spec.Retries, j.worker, j.offered = rec.Attempts, left, -1, false

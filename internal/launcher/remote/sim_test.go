@@ -47,6 +47,7 @@ type simFleet struct {
 	seq    int
 	whens  []*simWhen
 	c      *coordinator
+	atEnd  func() // runs once the run is over, before the workers are killed
 
 	mu    sync.Mutex
 	holds []*simHold // runners at the harness's gate
@@ -375,6 +376,10 @@ func (h *simFleet) launch(specs []JobSpec, opts CoordOptions) (*launcher.Summary
 		it := ready[h.rng.IntN(len(ready))]
 		h.queue = slices.DeleteFunc(h.queue, func(x *simItem) bool { return x == it })
 		it.do()
+	}
+	if h.atEnd != nil {
+		h.settle()
+		h.atEnd()
 	}
 	return c.summary(h.now.Sub(h.epoch)), c.err
 }
@@ -727,6 +732,85 @@ func TestFleetStealAnswerLostEndsAsASteal(t *testing.T) {
 			if n.statuses != 1 {
 				t.Errorf("%s: worker %d was asked its status %d times, want once (registration)", fault.what, wi, n.statuses)
 			}
+		}
+	}
+}
+
+// queued counts the jobs worker wi holds leased and not started.
+func (h *simFleet) queued(wi int) int {
+	n := h.nodes[wi]
+	if n.down {
+		return 0
+	}
+	n.w.mu.Lock()
+	defer n.w.mu.Unlock()
+	q := 0
+	for _, j := range n.w.jobs {
+		if j.state == jobQueued {
+			q++
+		}
+	}
+	return q
+}
+
+// TestFleetCancelTakesBackQueuedLeases: the run is cancelled while both
+// workers hold jobs queued behind the one they run. The cancelled
+// coordinator takes back every lease not started before it returns, so no
+// worker holds a queued job then, and none starts one after the run:
+// -resume runs such a job once, not twice. No job is journaled done by the
+// cancel, and each seed replays byte for byte. With worker 1 cut off the
+// network at the cancel, the run waits one lease TTL for it, no longer.
+func TestFleetCancelTakesBackQueuedLeases(t *testing.T) {
+	run := func(seed uint64, cut bool) simRun {
+		h := newSimFleet(t, seed, 2, func(h *simFleet, wi int) RunnerFunc { return h.run(wi) })
+		var cancelAt time.Time
+		h.when(func() bool { return h.c.begun && h.queued(0) > 0 && h.queued(1) > 0 }, func() {
+			h.nodes[1].cut, cancelAt = cut, h.now
+			h.deliver(msg{kind: end})
+		})
+		h.atEnd = func() {
+			if !h.c.ended {
+				t.Fatalf("seed %d: the run ended without the cancel", seed)
+			}
+			for wi := range h.nodes {
+				if q := h.queued(wi); q > 0 && !(cut && wi == 1) {
+					t.Errorf("seed %d: worker %d still holds %d queued job(s) after the cancelled run", seed, wi, q)
+				}
+			}
+			if ttl := leaseHeartbeats * h.poll; h.now.Sub(cancelAt) > ttl+h.poll || cut && h.now.Sub(cancelAt) < ttl {
+				t.Errorf("seed %d (cut %v): the run ended %s after the cancel; the lease TTL is %s", seed, cut, h.now.Sub(cancelAt), ttl)
+			}
+		}
+		dir := t.TempDir()
+		jnl, err := launcher.OpenJournal(filepath.Join(dir, "j"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		sum, err := h.launch(specsNamed(jobNames(simJobs)...), CoordOptions{Journal: jnl, Obs: obs.NewRegistry(), Log: &log,
+			OnDone: func(Event) error { return nil }})
+		if err != nil {
+			t.Fatalf("seed %d: launch: %v", seed, err)
+		}
+		jnl.Close()
+		journal, err := os.ReadFile(filepath.Join(dir, "j"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range sum.Jobs {
+			if r.Status != launcher.StatusOK && r.Status != launcher.StatusCancelled {
+				t.Errorf("seed %d: %s ended %s (%s); a cancel journals nothing but what finished before it", seed, r.Name, r.Status, r.Err)
+			}
+		}
+		return simRun{sum: sum, journal: journal, manifest: launcher.EncodeManifest(sum), log: log.Bytes()}
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		a, b := run(seed, seed > 15), run(seed, seed > 15)
+		if !bytes.Equal(a.journal, b.journal) || !bytes.Equal(a.manifest, b.manifest) || !bytes.Equal(a.log, b.log) {
+			t.Fatalf("seed %d: two cancelled runs differ:\n%s\n----\n%s", seed, a.log, b.log)
+		}
+		if !bytes.Contains(a.log, []byte("cancelled — taking back queued leases")) {
+			t.Fatalf("seed %d: the cancel was not logged:\n%s", seed, a.log)
 		}
 	}
 }

@@ -105,6 +105,13 @@ go test -race -count=1 -run 'TestTornPutLeavesNothingThenRetrySucceeds|TestConte
 go test -race -count=1 -run 'TestGCUnderConcurrentTraffic|TestGCSweepSparesConcurrentWrites|TestGCHoldProtectsPublishWindow|TestActionLogSharedByProcesses|TestOlderLayoutReadsAsEmpty|TestCompactionLosesNoConcurrentAppend' \
     ./internal/cas/
 
+# Fleet cancel spot check, un-cached and repeated: a cancelled drive takes
+# back the leases still queued on its workers before it returns, so a
+# -resume runs each unfinished job once more, not twice. The race it closes
+# showed only on a loaded host, a few runs in a hundred.
+echo "== fleet cancel takes back queued leases (-count=50)"
+go test -race -count=50 -run '^TestFleetResumeAfterCancelMidLanding$' ./internal/launcher/remote/
+
 # Opt-in gates: each mirrors a CI job that always runs it, but costs too
 # much (or needs loopback ports) to force on every local check. The
 # summary at the end lists which ran and which were skipped, with the
