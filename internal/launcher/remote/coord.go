@@ -100,35 +100,40 @@ type msg struct {
 	err        error
 }
 
-// cjob is the coordinator's view of one job. A placement sweep offers it
-// worker after worker until one accepts: tried are the workers that refused,
-// held says one holds its name for other work (423), alone that a batch did
-// not place it (its next offer is a request of its own), and idle that every
-// live worker refused (it waits for the tick).
+// phase is how far a job has come under its current lease. A request about
+// the lease being out is held apart (cjob.out): a start event can come
+// before the lease's answer, and a steal can be out when the job starts.
+type phase int
+
+const (
+	unowned  phase = iota // to be placed
+	queued                // offered to or leased by its worker, not started
+	running               // its worker reported the lease's start
+	landing               // its done event is honoured, OnDone is out: still load
+	finished              // terminal: rec is its record
+)
+
+// sweep is a job's placement since its last lease was accepted. A sweep
+// offers it worker after worker, pick skipping those that refused; once every
+// live worker has, the job waits for the tick, which starts the next sweep.
+type sweep struct {
+	refused map[int]int // this sweep: the code of each worker that refused the job alone (0: no answer)
+	ended   int         // sweeps every live worker refused, none with 423 (the liveness bound)
+	alone   bool        // a batch did not place the job: each offer is a request of its own
+}
+
+// cjob is the coordinator's view of one job.
 type cjob struct {
 	spec      JobSpec // current lease's spec (Lease/Prior/Ckpt evolve across leases)
 	origPrior int     // Prior at entry, for the summary's prior/fresh split
-	worker    int     // owning (or offered-to) worker, -1 when unowned
-	offered   bool    // the lease request is out
-	started   bool    // a start event of the current lease arrived
-	stealing  bool    // a steal of the current lease is out
-	maxAtt    int     // highest absolute attempt observed
-	refusals  int     // exhausted sweeps (liveness bound)
-	tried     map[int]bool
-	held      bool
-	alone     bool
-	idle      bool
+	phase     phase
+	worker    int  // queued, running, landing: the lease's worker
+	out       bool // a request about the current lease is out: its lease request or a steal
+	sweep     sweep
+	maxAtt    int // highest absolute attempt observed
 	ckpt      *checkpoint.Pointer
-	landing   bool // done event honoured, OnDone pending: still load, see settled
-	done      bool
 	rec       launcher.Record
 }
-
-// settled: the job's outcome is decided; scheduling and events pass it by.
-func (j *cjob) settled() bool { return j.done || j.landing }
-
-// leasedTo: worker wi accepted j's current lease and j is not settled.
-func (j *cjob) leasedTo(wi int) bool { return !j.settled() && j.worker == wi && !j.offered }
 
 // cworker is the coordinator's view of one worker.
 type cworker struct {
@@ -151,7 +156,6 @@ type coordinator struct {
 	workers          []*cworker
 	out              []msg // the current step's actions
 	now              time.Time
-	probing          int  // registration probes not yet answered
 	begun, over      bool // registration is over; nothing more is sent
 	draining         bool // Drain closed: nothing is leased again
 	ended            bool // cancelled: queued leases are taken back until endBy
@@ -199,7 +203,7 @@ func newCoordinator(specs []JobSpec, opts CoordOptions) (*coordinator, error) {
 			return nil, fmt.Errorf("remote: duplicate job name %q", spec.Name)
 		}
 		c.order = append(c.order, spec.Name)
-		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior, worker: -1}
+		c.jobs[spec.Name] = &cjob{spec: spec, origPrior: spec.Prior}
 	}
 	for _, addr := range opts.Workers {
 		cl := NewWorkerClient(addr)
@@ -355,11 +359,11 @@ func (c *coordinator) step(in msg) []msg {
 		// a worker that does not answer has given its leases up.
 		c.takeBack()
 		c.over = !c.now.Before(c.endBy) ||
-			!slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].stealing }) &&
+			!slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].out }) &&
 				!slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.leasing })
 	default:
 		c.place() // the run is over once every job is done and every lease answer is in
-		c.over = !slices.ContainsFunc(c.order, func(n string) bool { return !c.jobs[n].done }) &&
+		c.over = !slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].phase != finished }) &&
 			!slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.leasing })
 	}
 	return c.out
@@ -378,30 +382,42 @@ func (c *coordinator) ask(wi int) {
 }
 
 // housekeep is a tick: the first sends the registration probes. Later ones
-// probe dead workers, give refused jobs a new sweep, and steal queued jobs
-// for idle workers, or take them back when draining.
+// probe dead workers, give jobs every live worker refused a new sweep, and
+// steal queued jobs for idle workers, or take them back when draining.
 func (c *coordinator) housekeep() {
-	first := !c.begun && c.probing == 0
+	first := !c.begun && !slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.asking })
 	for wi, w := range c.workers {
 		if first || c.begun && !w.alive && !w.asking && !w.retired {
 			c.ask(wi)
 		}
 	}
-	if first {
-		c.probing = len(c.workers)
-	}
+	load := c.load()
 	for _, j := range c.jobs {
-		j.idle = false
+		if s := &j.sweep; j.phase == unowned && len(s.refused) > 0 && c.pick(load, s.refused) == -1 {
+			held := false // a worker holds the name for other work (423): no refusal
+			for _, code := range s.refused {
+				held = held || code == http.StatusLocked
+			}
+			if !held {
+				s.ended++
+			}
+			s.refused = nil
+		}
 	}
 	if c.draining {
 		c.takeBack()
 	} else {
-		c.steal()
+		c.steal(load)
 	}
 }
 
-func (c *coordinator) aliveCount() int {
-	return len(slices.DeleteFunc(slices.Clone(c.workers), func(w *cworker) bool { return !w.alive }))
+func (c *coordinator) aliveCount() (n int) {
+	for _, w := range c.workers {
+		if w.alive {
+			n++
+		}
+	}
+	return n
 }
 
 // gauges refreshes the fleet-health gauges (per worker by name: label-free).
@@ -437,20 +453,20 @@ func (c *coordinator) noteFault(wi, weight int) {
 func (c *coordinator) load() []int {
 	n := make([]int, len(c.workers))
 	for _, j := range c.jobs {
-		if !j.done && j.worker >= 0 {
+		if j.phase > unowned && j.phase < finished {
 			n[j.worker]++
 		}
 	}
 	return n
 }
 
-// pick is the placement rule: the live worker not in skip with the least
-// load, ties to the lowest index, quarantined workers only when no healthy
-// one is left; -1 when nobody is.
-func (c *coordinator) pick(load []int, skip map[int]bool) int {
+// pick is the placement rule: the live worker that has not refused the
+// job with the least load, ties to the lowest index, quarantined workers
+// only when no healthy one is left; -1 when nobody is.
+func (c *coordinator) pick(load []int, refused map[int]int) int {
 	best, least := -1, 0
 	for i, w := range c.workers {
-		if !w.alive || skip[i] {
+		if _, no := refused[i]; !w.alive || no {
 			continue
 		}
 		n := load[i]
@@ -470,35 +486,36 @@ func (c *coordinator) pick(load []int, skip map[int]bool) int {
 // place is offered alone, in a request of its own, one such job at a time
 // (as placing one job at a time would). A worker has one lease request out
 // at a time; a job pick puts on a worker still to answer waits for it. A
-// sweep every live worker refused waits for the tick, up to maxRefusals.
+// job every live worker refused waits for the tick, for maxRefusals sweeps.
 func (c *coordinator) place() {
 	load := c.load()
-	solo := slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].offered && c.jobs[n].alone })
+	solo := slices.ContainsFunc(c.order, func(n string) bool { return c.jobs[n].out && c.jobs[n].sweep.alone })
 	batch := make([][]JobSpec, len(c.workers))
 	for _, name := range c.order {
 		j := c.jobs[name]
-		if j.settled() || j.worker >= 0 || j.idle {
+		if j.phase != unowned {
 			continue
 		}
-		if c.draining {
+		switch wi := c.pick(load, j.sweep.refused); {
+		case c.draining:
 			c.skip(j)
-			continue
-		}
-		switch wi := c.pick(load, j.tried); {
-		case wi == -1 && c.aliveCount() > 0 && j.refusals < maxRefusals:
-			if !j.held {
-				j.refusals++
-			}
-			j.tried, j.held, j.idle = nil, false, true
 		case wi == -1:
+			why := "remote: no live workers to lease the job to"
+			if c.aliveCount() > 0 {
+				if j.sweep.ended < maxRefusals {
+					continue // waits for the tick
+				}
+				why = fmt.Sprintf("remote: every live worker refused the job, %d sweeps over (the last sweep's HTTP codes by worker, 0 for no answer: %v)",
+					j.sweep.ended+1, j.sweep.refused)
+			}
 			c.finishJob(j, launcher.Record{Job: name, Status: launcher.StatusFailed, Attempts: j.spec.Prior,
-				Resumed: j.spec.Resumed, Error: "remote: no live workers to lease the job to"}, nil)
-		case c.workers[wi].leasing || j.alone && (solo || len(batch[wi]) > 0):
+				Resumed: j.spec.Resumed, Error: why}, nil)
+		case c.workers[wi].leasing || j.sweep.alone && (solo || len(batch[wi]) > 0):
 		default:
 			c.lease++
-			j.spec.Lease, j.started, j.worker, j.offered = c.lease, false, wi, true
+			j.spec.Lease, j.phase, j.worker, j.out = c.lease, queued, wi, true
 			load[wi]++
-			if batch[wi] = append(batch[wi], j.spec); j.alone {
+			if batch[wi] = append(batch[wi], j.spec); j.sweep.alone {
 				c.offer(wi, batch[wi])
 				solo = true
 			}
@@ -532,27 +549,26 @@ func (c *coordinator) leaseAnswered(in msg) {
 	}
 	for i, spec := range in.specs {
 		j, code := c.jobs[spec.Name], codes[i]
-		if j.spec.Lease != spec.Lease || !j.offered {
+		if j.spec.Lease != spec.Lease || !j.out {
 			continue
 		}
-		if j.offered = false; code == http.StatusAccepted || code == http.StatusConflict {
-			j.tried, j.held, j.alone, j.refusals = nil, false, false, 0
+		if j.out = false; code == http.StatusAccepted || code == http.StatusConflict {
+			j.sweep = sweep{}
 			c.opts.Obs.Counter("remote_leases_total").Inc()
 			c.logf("coordinator: leased %s to worker %s", j.spec.Name, w.client.Addr)
 			continue
 		}
-		if j.worker = -1; len(in.specs) > 1 {
-			j.alone = true
+		if j.phase < landing {
+			j.phase = unowned
+		}
+		if len(in.specs) > 1 {
+			j.sweep.alone = true
 			continue
 		}
-		if j.tried == nil {
-			j.tried = map[int]bool{}
+		if j.sweep.refused == nil {
+			j.sweep.refused = map[int]int{}
 		}
-		j.tried[in.wi] = true
-		switch {
-		case code == http.StatusLocked:
-			j.held = true
-		case in.err == nil:
+		if j.sweep.refused[in.wi] = code; code != http.StatusLocked && in.err == nil {
 			c.logf("coordinator: worker %s refused lease for %s: HTTP %d", w.client.Addr, j.spec.Name, code)
 			c.noteFault(in.wi, faultSubmit)
 		}
@@ -586,8 +602,8 @@ func (c *coordinator) probed(in msg) {
 				c.logf("coordinator: worker %s unreachable at start: %v", w.client.Addr, err)
 			}
 		}
-		if c.probing--; c.probing > 0 {
-			return
+		if slices.ContainsFunc(c.workers, func(w *cworker) bool { return w.asking }) {
+			return // registration waits for every answer
 		}
 		if c.landCap = c.aliveCount(); c.landCap == 0 {
 			c.err = fmt.Errorf("remote: none of %d workers registered: %w", len(c.workers), errors.Join(c.joinErrs...))
@@ -652,13 +668,15 @@ func (c *coordinator) polled(in msg) {
 // honoured for the job's current lease only; anything else is stale.
 func (c *coordinator) event(wi int, ev Event) {
 	j, ok := c.jobs[ev.Job]
-	if !ok || j.settled() || ev.Lease != j.spec.Lease {
+	if !ok || j.phase >= landing || ev.Lease != j.spec.Lease {
 		return
 	}
 	switch ev.Type {
 	case EventStart:
 		j.maxAtt = max(j.maxAtt, ev.Attempt)
-		j.started = true
+		if j.phase == queued {
+			j.phase = running
+		}
 		c.emit(msg{kind: start, job: ev.Job, n: ev.Attempt})
 	case EventCheckpoint:
 		if ev.Ckpt != nil {
@@ -689,7 +707,7 @@ func (c *coordinator) event(wi int, ev Event) {
 			c.finishJob(j, rec, nil)
 			return
 		}
-		j.landing = true
+		j.phase = landing
 		c.landQ = append(c.landQ, msg{kind: land, job: ev.Job, ev: ev, rec: rec})
 		c.startLandings()
 	}
@@ -700,7 +718,7 @@ func (c *coordinator) relay(j *cjob) {
 	j.spec.Prior = max(j.spec.Prior, j.maxAtt)
 	j.spec.Ckpt = j.ckpt
 	j.spec.Resumed = j.spec.Resumed || j.spec.Prior > 0 || j.spec.Ckpt != nil
-	j.worker, j.offered, j.stealing = -1, false, false
+	j.phase, j.out = unowned, false
 }
 
 // forfeit re-leases every job worker wi holds or was offered, and returns
@@ -708,7 +726,7 @@ func (c *coordinator) relay(j *cjob) {
 func (c *coordinator) forfeit(wi int, why string) (n int) {
 	c.logf("coordinator: worker %s %s; re-leasing its jobs", c.workers[wi].client.Addr, why)
 	for _, name := range c.order {
-		if j := c.jobs[name]; !j.settled() && j.worker == wi {
+		if j := c.jobs[name]; (j.phase == queued || j.phase == running) && j.worker == wi {
 			ckpt := ""
 			if j.ckpt != nil {
 				ckpt = fmt.Sprintf(" (restoring from checkpoint at instret %d)", j.ckpt.Instret)
@@ -723,8 +741,7 @@ func (c *coordinator) forfeit(wi int, why string) (n int) {
 
 // steal has an idle, healthy worker take a queued job from the most loaded
 // one, holding two at least; the owner refuses once the job started (409).
-func (c *coordinator) steal() {
-	load := c.load()
+func (c *coordinator) steal(load []int) {
 	for wi, w := range c.workers {
 		if !w.alive || w.quarantined || load[wi] != 0 {
 			continue
@@ -736,8 +753,8 @@ func (c *coordinator) steal() {
 			}
 		}
 		for _, name := range c.order {
-			if j := c.jobs[name]; victim >= 0 && j.leasedTo(victim) && !j.started && !j.stealing {
-				j.stealing = true
+			if j := c.jobs[name]; victim >= 0 && j.phase == queued && j.worker == victim && !j.out {
+				j.out = true
 				c.emit(msg{kind: steal, wi: victim, job: name, lease: j.spec.Lease, thief: wi})
 				break
 			}
@@ -751,17 +768,17 @@ func (c *coordinator) steal() {
 // one Poll later, until it is answered or its worker is given up (relay).
 func (c *coordinator) stealAnswered(in msg) {
 	j := c.jobs[in.job]
-	if j.spec.Lease != in.lease || !j.stealing {
+	if j.spec.Lease != in.lease || !j.out {
 		return
 	}
-	if in.err != nil && j.leasedTo(in.wi) {
+	if in.err != nil && j.phase < landing {
 		c.emit(msg{kind: steal, wi: in.wi, job: in.job, lease: in.lease, thief: in.thief, after: in.asked.Add(c.opts.Poll)})
 		return
 	}
-	if j.stealing = false; c.ended && in.err == nil && !in.stolen {
-		j.started = true // refused (409): it runs, and no poll will say so now
+	if j.out = false; c.ended && in.err == nil && !in.stolen && j.phase == queued {
+		j.phase = running // refused (409): it runs, and no poll will say so now
 	}
-	if in.err != nil || !in.stolen || !j.leasedTo(in.wi) {
+	if in.err != nil || !in.stolen || j.phase >= landing {
 		return
 	}
 	if in.thief >= 0 && !c.ended { // a cancelled run places nothing
@@ -769,7 +786,7 @@ func (c *coordinator) stealAnswered(in msg) {
 		c.logf("coordinator: worker %s stole %s from %s",
 			c.workers[in.thief].client.Addr, j.spec.Name, c.workers[in.wi].client.Addr)
 	}
-	j.worker = -1
+	j.phase = unowned
 }
 
 // takeBack is the drain and the cancel: every job leased and not yet
@@ -780,11 +797,10 @@ func (c *coordinator) stealAnswered(in msg) {
 func (c *coordinator) takeBack() {
 	for _, name := range c.order {
 		switch j := c.jobs[name]; {
-		case j.settled() || j.started || j.offered || j.stealing:
-		case j.worker >= 0:
-			j.stealing = true
+		case j.phase == queued && !j.out:
+			j.out = true
 			c.emit(msg{kind: steal, wi: j.worker, job: name, lease: j.spec.Lease, thief: -1})
-		case !c.ended:
+		case j.phase == unowned && !c.ended:
 			c.skip(j)
 		}
 	}
@@ -811,13 +827,12 @@ func (c *coordinator) landed(in msg) {
 	c.landers--
 	c.startLandings()
 	j, rec := c.jobs[in.job], in.rec
-	j.landing = false
 	left := j.spec.Retries - (rec.Attempts - j.spec.Prior)
 	switch {
 	case in.err != nil && c.ended:
 	case in.err != nil && rec.Status == launcher.StatusOK && left >= 0:
 		c.logf("coordinator: landing %s failed (%v); leasing it again", rec.Job, in.err)
-		j.spec.Prior, j.spec.Retries, j.worker, j.offered = rec.Attempts, left, -1, false
+		j.spec.Prior, j.spec.Retries, j.phase, j.out = rec.Attempts, left, unowned, false
 	default:
 		c.finishJob(j, rec, in.err)
 	}
@@ -832,7 +847,7 @@ func (c *coordinator) finishJob(j *cjob, rec launcher.Record, landErr error) {
 			rec.Status, rec.Error = launcher.StatusFailed, landErr.Error()
 		}
 	}
-	j.done, j.rec = true, rec
+	j.phase, j.rec = finished, rec
 	c.emit(msg{kind: done, rec: rec})
 	c.opts.Obs.Counter("remote_jobs_done_total").Inc()
 	c.logf("coordinator: job %-24s %s (attempts=%d)", rec.Job, rec.Status, rec.Attempts)
@@ -845,7 +860,7 @@ func (c *coordinator) summary(wall time.Duration) *launcher.Summary {
 		j := c.jobs[name]
 		res := launcher.Result{Name: name, Status: launcher.StatusCancelled, Attempts: max(j.maxAtt, j.origPrior) - j.origPrior,
 			Prior: j.origPrior, Resumed: j.spec.Resumed, Err: "run cancelled with job on worker fleet"}
-		if rec := j.rec; j.done {
+		if rec := j.rec; j.phase == finished {
 			res = launcher.Result{Name: name, Status: rec.Status, Attempts: rec.Attempts - j.origPrior,
 				Prior: j.origPrior, Resumed: rec.Resumed, Err: rec.Error,
 				Metrics: launcher.Metrics{ExitCode: rec.Exit, Cycles: rec.Cycles, Instrs: rec.Instrs},

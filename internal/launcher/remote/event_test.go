@@ -450,7 +450,7 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 		}
 		for _, spec := range specsNamed(jobNames(n)...) {
 			c.order = append(c.order, spec.Name)
-			c.jobs[spec.Name] = &cjob{spec: spec, worker: -1}
+			c.jobs[spec.Name] = &cjob{spec: spec}
 		}
 		return c
 	}
@@ -474,11 +474,12 @@ func TestPlacementMatchesSequentialAssign(t *testing.T) {
 	// it replays a prefix: the rule is greedy, hence prefix-independent.
 	seq := build(0)
 	for _, spec := range specsNamed(jobNames(600)...) {
-		name, j := spec.Name, &cjob{spec: spec, worker: -1}
+		name, j := spec.Name, &cjob{spec: spec}
 		seq.order, seq.jobs[name] = append(seq.order, name), j
 		leaseAll(seq)
-		if want := c.jobs[name].worker; j.worker != want || want == -1 {
-			t.Fatalf("%s: assign chose worker %d, the one-pass placement %d", name, j.worker, want)
+		if p := c.jobs[name]; j.worker != p.worker || j.phase == unowned || p.phase == unowned {
+			t.Fatalf("%s: assign chose worker %d (placed: %v), the one-pass placement %d (placed: %v)",
+				name, j.worker, j.phase != unowned, p.worker, p.phase != unowned)
 		}
 	}
 

@@ -2,10 +2,13 @@ package remote
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,6 +81,50 @@ func TestCoordinatorQuarantinesErrorProneWorker(t *testing.T) {
 	}
 	if got := reg.Gauge("remote_workers_quarantined").Value(); got != 1 {
 		t.Errorf("remote_workers_quarantined = %g, want 1", got)
+	}
+}
+
+// TestCoordinatorFailsAJobEveryWorkerRefuses: a live worker that answers
+// every lease with 503 is offered the job once a sweep, a tick apart. After
+// maxRefusals sweeps the job fails, and its error says that every live
+// worker refused it, in how many sweeps and with what code: a worker was
+// alive all along.
+func TestCoordinatorFailsAJobEveryWorkerRefuses(t *testing.T) {
+	w := NewWorker(WorkerConfig{Runner: okRunner(1), Slots: 1, Obs: obs.NewRegistry()})
+	defer w.Close()
+	var leases atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/jobs" {
+			w.ServeHTTP(rw, r)
+			return
+		}
+		leases.Add(1)
+		var specs []JobSpec
+		if err := json.NewDecoder(r.Body).Decode(&specs); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		codes := make([]int, len(specs))
+		for i := range codes {
+			codes[i] = http.StatusServiceUnavailable
+		}
+		json.NewEncoder(rw).Encode(codes)
+	}))
+	defer srv.Close()
+
+	sum, err := Launch(context.Background(), []JobSpec{{Name: "r-0", Sim: "qemu", Bin: "sha256:aa"}}, CoordOptions{
+		Workers: []string{srv.Listener.Addr().String()}, Poll: time.Millisecond, Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	r := sum.Jobs[0]
+	want := fmt.Sprintf("every live worker refused the job, %d sweeps over", maxRefusals+1)
+	if r.Status != launcher.StatusFailed || !strings.Contains(r.Err, want) || !strings.Contains(r.Err, "0:503") {
+		t.Errorf("job ended %s (%q), want failed: %q, naming the last refusal (0:503)", r.Status, r.Err, want)
+	}
+	if n := leases.Load(); n != maxRefusals+1 {
+		t.Errorf("%d lease requests, want %d: one a sweep", n, maxRefusals+1)
 	}
 }
 

@@ -3,6 +3,8 @@ package remote
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -13,6 +15,7 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -564,8 +567,20 @@ func checkReplay(t testing.TB, clean simRun, s simScript) simRun {
 }
 
 // TestFleetReplaysFromSeed runs the determinism property over 100 seeds of
-// fault scripts and delivery orders.
+// fault scripts and delivery orders, and pins each seed's run:
+// testdata/fleet_seeds.json holds the SHA-256 of its journal, manifest and
+// coordinator log, so a change to the coordinator that makes any decision
+// differently, in any seed, fails here. On a mismatch the test logs every
+// digest it got.
 func TestFleetReplaysFromSeed(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "fleet_seeds.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]string
+	if err := json.Unmarshal(data, &pinned); err != nil {
+		t.Fatal(err)
+	}
 	clean := runScript(t, nil)
 	for _, r := range clean.sum.Jobs {
 		if r.Status != launcher.StatusOK {
@@ -576,12 +591,22 @@ func TestFleetReplaysFromSeed(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
-	seen := map[string]int{}
+	seen, got, moved := map[string]int{}, map[string]string{}, false
 	for seed := 1; seed <= seeds; seed++ {
 		run := checkReplay(t, clean, scriptFor(uint64(seed), simWorkers))
 		for _, what := range []string{"lease expired", "restarted", "quarantining", " stole "} {
 			seen[what] += bytes.Count(run.log, []byte(what))
 		}
+		sum := sha256.Sum256(slices.Concat(run.journal, run.manifest, run.log))
+		k := strconv.Itoa(seed)
+		if got[k] = hex.EncodeToString(sum[:]); got[k] != pinned[k] {
+			t.Errorf("seed %d: run digest %s, pinned %s", seed, got[k], pinned[k])
+			moved = true
+		}
+	}
+	if moved {
+		all, _ := json.MarshalIndent(got, "", "  ")
+		t.Logf("got:\n%s", all)
 	}
 	t.Logf("%d seeds, coordinator log lines: %v", seeds, seen)
 }
@@ -650,7 +675,10 @@ func TestFleetRestartCaughtAtTheLog(t *testing.T) {
 			}
 			var restartAt time.Time
 			h.when(func() bool {
-				holds := slices.ContainsFunc(h.c.order, func(n string) bool { return h.c.jobs[n].leasedTo(1) })
+				holds := slices.ContainsFunc(h.c.order, func(n string) bool {
+					j := h.c.jobs[n]
+					return (j.phase == queued || j.phase == running) && j.worker == 1 && !j.out
+				})
 				return h.c.begun && holds && (read() > 0) == fill
 			}, func() {
 				k := read()

@@ -1,5 +1,5 @@
 #!/bin/sh
-# distributed_gate.sh — the worker-fleet gate. Two layers:
+# distributed_gate.sh — the worker-fleet gate. Three layers:
 #
 #  1. The in-process fault-injection suite under the race detector:
 #     coordinator/worker protocol tests, lease expiry and work stealing,
@@ -16,7 +16,11 @@
 #     coordinator's only ones, and a race there shows up as a rare
 #     interleaving.
 #
-#  2. A loopback smoke over real binaries: `marshal cache serve` plus
+#  2. A short fuzz of the seeded fleet harness: random fault scripts and
+#     delivery orders, each of which must replay byte for byte and end
+#     every job as a clean run does.
+#
+#  3. A loopback smoke over real binaries: `marshal cache serve` plus
 #     three `marshal worker serve` daemons on 127.0.0.1, one
 #     `marshal launch -workers` that leases a 3-job workgen workload
 #     across them and materializes every uartlog on the coordinator, and
@@ -34,6 +38,9 @@ echo "== event-driven fleet protocol (-race, -count=3)"
 go test -race -count=3 \
     -run 'LongPoll|WaitForPoll|IgnoresWait|BatchedLease|RequestOrder|Placement|Landing' \
     ./internal/launcher/remote/
+
+echo "== fuzz the fleet schedule (short CI smoke)"
+go test -run '^$' -fuzz '^FuzzFleetSchedule$' -fuzztime 10s ./internal/launcher/remote/
 
 echo "== loopback 3-worker fleet smoke (real binaries over HTTP)"
 TMP="$(mktemp -d)"
