@@ -167,6 +167,18 @@ func TestPFAEndToEndMultiNode(t *testing.T) {
 		t.Error("fetch latency missing")
 	}
 
+	// Fig. 5 pinned: the cycle-exact per-step series and both nodes' cycle
+	// counts, as literals. Any change to how the fabric is built, carried
+	// or read must leave them byte-identical.
+	const wantCSV = "page,detect,walk,rdma,install,total\n" +
+		"0,3,24,912,8,979\n1,3,24,912,8,979\n2,3,24,912,8,979\n3,3,24,912,8,979\n"
+	if string(rtlCSV) != wantCSV {
+		t.Errorf("client latency.csv = %q, want %q", rtlCSV, wantCSV)
+	}
+	if client.Cycles != 2313880 || server.Cycles != 89856 {
+		t.Errorf("cycles: client=%d server=%d, want client=2313880 server=89856", client.Cycles, server.Cycles)
+	}
+
 	// Determinism: a second cycle-exact run gives identical cycles.
 	res2, err := RunInstalled(cfg, SimOptions{RTL: DefaultRTLConfig(), OutputDir: filepath.Join(t.TempDir(), "sim2")})
 	if err != nil {
