@@ -10,6 +10,7 @@
 //
 //	firesim -config DIR -output DIR [-predictor tage] [-j N] [-verify]
 //	        [-resume] [-ckpt-every N] [-metrics FILE]
+//	        [-workers HOST:PORT,... -remote-cache URL]
 package main
 
 import (

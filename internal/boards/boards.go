@@ -100,7 +100,8 @@ func BaseImage(distro string) (*fsimg.FS, error) {
 
 // ProfileOpts parameterize device profiles that need external resources.
 type ProfileOpts struct {
-	// Fabric connects multi-node RTL simulations.
+	// Fabric is the memory servers' registered regions, which pfa-rdma
+	// reads (multi-node RTL simulations; nil elsewhere).
 	Fabric *netsim.Fabric
 	// ServerNode names the memory-server job for RDMA-backed profiles.
 	ServerNode string

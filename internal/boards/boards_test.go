@@ -114,7 +114,10 @@ func TestPFARDMARequiresFabric(t *testing.T) {
 	if _, err := DeviceProfile("pfa-rdma", ProfileOpts{}); err == nil {
 		t.Error("pfa-rdma without fabric should fail")
 	}
-	fabric := netsim.New(netsim.DefaultConfig())
+	fabric, err := netsim.New(netsim.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	drivers, err := DeviceProfile("pfa-rdma", ProfileOpts{Fabric: fabric, ServerNode: "srv"})
 	if err != nil || len(drivers) != 1 {
 		t.Fatalf("pfa-rdma with fabric: %v %v", drivers, err)

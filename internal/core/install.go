@@ -40,12 +40,11 @@ func (m *Marshal) Install(nameOrPath string, opts InstallOpts) (string, error) {
 		return "", err
 	}
 
-	cfg := &install.Config{Workload: w.Name, Topology: "no_net"}
+	cfg := &install.Config{Workload: w.Name}
 
 	targets := Targets(w)
 	if len(w.Jobs) > 0 {
 		targets = targets[1:] // jobs are the simulated nodes
-		cfg.Topology = "simple"
 	}
 
 	// A bare-metal job acts as the RDMA memory server for PFA nodes.

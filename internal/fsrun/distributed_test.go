@@ -184,21 +184,38 @@ func TestFiresimDistributedCrashResumeCycleExact(t *testing.T) {
 	}
 }
 
-// TestFiresimFleetRejectsNetworkedTopology: the fabric couples nodes
-// through host-local state, so a fleet run must refuse it up front rather
-// than silently simulate wrong timing.
+// TestFiresimFleetRejectsNetworkedTopology: an installed jobs workload is
+// pure machine state and runs on a fleet exactly as it runs here, while a
+// pfa-rdma node, whose driver reads the fabric in this process, is refused
+// up front by name rather than simulated with the wrong memory.
 func TestFiresimFleetRejectsNetworkedTopology(t *testing.T) {
+	cacheURL, addrs, _, _ := startRTLFleet(t, 2, nil)
+	cycles := func(res *Result) map[string]uint64 {
+		got := map[string]uint64{}
+		for _, j := range res.Jobs {
+			got[j.Name] = j.Cycles
+		}
+		return got
+	}
+
 	cfg := buildCrashyInstalled(t)
-	cfg.Topology = "simple" // re-arm the fabric the helper disabled
-	_, addrs, _, _ := startRTLFleet(t, 1, nil)
-	_, err := Run(cfg, Options{
-		RTL:         rtlsim.DefaultConfig(),
-		OutputDir:   t.TempDir(),
-		Workers:     addrs,
-		RemoteCache: "http://127.0.0.1:1", // never dialed: the check is earlier
-	})
-	if err == nil {
-		t.Fatal("networked topology on a fleet must be refused")
+	local, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := Run(cfg, Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir(),
+		Workers: addrs, RemoteCache: cacheURL, WorkerPoll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("installed jobs workload on a fleet: %v", err)
+	}
+	if want, got := cycles(local), cycles(fleet); len(want) != 2 || !reflect.DeepEqual(want, got) {
+		t.Errorf("fleet cycles %v, local %v", got, want)
+	}
+
+	_, err = Run(buildPFAInstalled(t), Options{RTL: rtlsim.DefaultConfig(), OutputDir: t.TempDir(),
+		Workers: addrs, RemoteCache: cacheURL, WorkerPoll: 5 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "pfa-client") || !strings.Contains(err.Error(), "host-local") {
+		t.Fatalf("pfa-rdma node on a fleet: err = %v, want a host-local refusal naming pfa-client", err)
 	}
 }
 
@@ -245,7 +262,6 @@ _start:
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Topology = "no_net" // independent nodes: a fabric pins them to this host
 	cacheURL, addrs, _, _ := startRTLFleet(t, 1, nil)
 
 	run := func(rtl rtlsim.Config, opts Options) (console string, cycles uint64) {

@@ -93,7 +93,6 @@ func TestFrontEndsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Topology = "no_net" // independent nodes: a fabric pins them to this host
 	firesim := func(opts Options) map[string]jobOutcome {
 		t.Helper()
 		opts.RTL, opts.OutputDir = rtlsim.DefaultConfig(), t.TempDir()

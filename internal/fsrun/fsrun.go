@@ -2,16 +2,18 @@
 // cycle-exact simulator — the role of FireSim's manager. It realizes the
 // run phase of §III-E: after `marshal install`, "users interact with the
 // simulator normally to launch the workload". Multi-job workloads become
-// nodes of a simulated cluster sharing a network fabric; independent jobs
-// can run in parallel on the host, the optimization that "reduced the
-// runtime for our experiment from about two weeks to roughly two days"
-// (§IV-B).
+// nodes of a simulated cluster: bare-metal memory servers run first, and
+// the regions they register become the read-only network fabric the
+// others' RDMA devices fetch from. Independent jobs can run in parallel on
+// the host, the optimization that "reduced the runtime for our experiment
+// from about two weeks to roughly two days" (§IV-B).
 package fsrun
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -59,8 +61,9 @@ type Options struct {
 
 	// Workers, when non-empty, simulates OS nodes on a fleet of
 	// `marshal worker serve` daemons (`firesim -workers host1:p,host2:p`)
-	// instead of local RTL slots. Requires RemoteCache; incompatible with
-	// networked topologies (the fabric couples nodes through host memory).
+	// instead of local RTL slots. Requires RemoteCache. A node that carries
+	// device drivers (a devices profile, such as pfa-rdma reading the
+	// fabric) is host-local, and the run is refused naming it.
 	Workers []string
 	// RemoteCache is the shared cache's base URL (required with Workers).
 	RemoteCache string
@@ -74,10 +77,11 @@ type Options struct {
 	// checkpoint restore mid-flight. Requires ManifestPath for the journal;
 	// without one only the checkpoint half applies.
 	Resume bool
-	// CkptEvery, when nonzero, snapshots each node's machine state every N
-	// retired instructions into a store under <OutputDir>/.ckpt, so a
-	// killed run can resume cycle-exactly. Nodes on a network fabric run
-	// unprotected (cross-node state is not captured).
+	// CkptEvery, when nonzero, snapshots each OS node's machine state every
+	// N retired instructions into a store under <OutputDir>/.ckpt, so a
+	// killed run can resume cycle-exactly. Nodes with device drivers run
+	// unprotected (driver state is not part of a snapshot); memory servers
+	// are short, and -resume carries them once they are ok.
 	CkptEvery uint64
 
 	// Obs is the metrics registry the run reports into (launcher_*,
@@ -129,18 +133,6 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 		remote.WriteObsFiles(tracer, tracePath, opts.MetricsPath, opts.Obs, opts.Log)
 	}()
 
-	// On a networked topology every node carries the fabric's NIC — state
-	// coupling nodes through this process — so the kernel's host-local rule
-	// keeps such nodes off checkpoints and off a worker fleet.
-	var fabric *netsim.Fabric
-	if cfg.Topology == "simple" {
-		netCfg := opts.Net
-		if netCfg.LatencyCycles == 0 && netCfg.BytesPerCycle == 0 {
-			netCfg = netsim.DefaultConfig()
-		}
-		fabric = netsim.New(netCfg)
-	}
-
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -159,17 +151,19 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	if opts.RemoteCache != "" {
 		run.Remote = casremote.NewClient(opts.RemoteCache, 0)
 	}
+	if opts.ManifestPath != "" {
+		run.ManifestPath = serverManifestPath(opts.ManifestPath)
+	}
 
-	// Bare-metal jobs run first, one at a time, outside the run's record
-	// and unprotected: they set up fabric state (registered memory) that OS
-	// nodes depend on.
-	var bare, nodes []remote.Job
+	// Bare-metal jobs — the memory servers — run first, one at a time, as a
+	// recorded phase of their own: each lands its NIC's registered regions
+	// as an output, and -resume carries a server that finished ok.
+	var servers, nodes []install.JobConfig
 	for _, job := range cfg.Jobs {
-		j := nodeJob(job, fabric, opts)
 		if job.Bare {
-			bare = append(bare, j)
+			servers = append(servers, job)
 		} else {
-			nodes = append(nodes, j)
+			nodes = append(nodes, job)
 		}
 	}
 	res := &Result{}
@@ -185,16 +179,28 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 			res.Jobs = append(res.Jobs, jr)
 		}
 	}
-	run.Jobs = bare
-	results, _, err := remote.Drive(ctx, run)
-	if err != nil {
-		return nil, fmt.Errorf("fsrun: %w", err)
+	var fabric *netsim.Fabric
+	if len(servers) > 0 {
+		run.Jobs = make([]remote.Job, len(servers))
+		for i, job := range servers {
+			run.Jobs[i] = nodeJob(job, nil, opts)
+		}
+		results, _, err := remote.Drive(ctx, run)
+		if err != nil {
+			return nil, fmt.Errorf("fsrun: %w", err)
+		}
+		collect(run.Jobs, results)
+		if fabric, err = buildFabric(run.Jobs, opts.Net); err != nil {
+			return nil, err
+		}
 	}
-	collect(bare, results)
 
 	// OS jobs fan out across the launcher pool (or the fleet): isolated
 	// platforms, per-job timeout/retry, deterministic result order.
-	run.Jobs = nodes
+	run.Jobs = make([]remote.Job, len(nodes))
+	for i, job := range nodes {
+		run.Jobs[i] = nodeJob(job, fabric, opts)
+	}
 	run.ManifestPath = opts.ManifestPath
 	run.Retries = opts.Retries
 	run.Slots = opts.Jobs
@@ -202,6 +208,7 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	if opts.CkptEvery > 0 || opts.Resume {
 		// Pointers and blobs live outside the per-job output directories,
 		// which every attempt wipes.
+		var err error
 		if run.CkptStore, err = cas.Open(filepath.Join(run.CkptDir, "cas")); err != nil {
 			return nil, err
 		}
@@ -211,7 +218,7 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res.Summary = summary
-	collect(nodes, results)
+	collect(run.Jobs, results)
 	res.HostTime = time.Since(start)
 	if err != nil {
 		return res, fmt.Errorf("fsrun: %w", err)
@@ -230,29 +237,64 @@ func Run(cfg *install.Config, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// regionsFile is the output a memory server lands in its run directory:
+// the canonical encoding of the regions it registered with its NIC
+// (netsim.NIC.Encode), from which the fabric is built.
+const regionsFile = "regions.bin"
+
 // nodeJob declares one installed job for the launch driver: a node of the
-// cycle-exact target, with its SoC's device drivers and — on a networked
-// topology — its NIC attached fresh to every in-process attempt.
+// cycle-exact target, with its SoC's device drivers — pfa-rdma's reading
+// the fabric — attached fresh to every in-process attempt. A node without
+// a devices profile is pure machine state. A memory server (a bare job)
+// also gets a fresh NIC per attempt, whose registered regions land as
+// regionsFile once the attempt's files are in its run directory.
 func nodeJob(job install.JobConfig, fabric *netsim.Fabric, opts Options) remote.Job {
-	return remote.Job{
+	dir := filepath.Join(opts.OutputDir, job.Name)
+	var nic *netsim.NIC
+	j := remote.Job{
 		Name:    job.Name,
 		Bin:     job.Bin,
 		Img:     job.Img,
 		Sim:     "rtl",
 		RTL:     opts.RTL,
 		Outputs: job.Outputs,
-		Dir:     filepath.Join(opts.OutputDir, job.Name),
+		Dir:     dir,
 		Attach: func(x *remote.Exec) (release func(), err error) {
+			if job.Bare {
+				nic = &netsim.NIC{}
+				x.Devices = append(x.Devices, nic)
+			}
 			x.Drivers, err = boards.DeviceProfile(job.Devices, boards.ProfileOpts{
 				Fabric:     fabric,
 				ServerNode: job.ServerNode,
 			})
-			if fabric != nil {
-				x.Devices = append(x.Devices, &netsim.NIC{Fabric: fabric, NodeName: job.Name})
-			}
 			return nil, err
 		},
 	}
+	if job.Bare {
+		j.Post = func() error {
+			return hostutil.WriteFileAtomic(filepath.Join(dir, regionsFile), nic.Encode(), 0o644)
+		}
+	}
+	return j
+}
+
+// buildFabric decodes every server's landed regions into the fabric the
+// nodes read. A server whose file is missing or undecodable fails the run
+// by name: no node ever reads an empty fabric in its place.
+func buildFabric(servers []remote.Job, cfg netsim.Config) (*netsim.Fabric, error) {
+	if cfg == (netsim.Config{}) {
+		cfg = netsim.DefaultConfig()
+	}
+	encoded := make(map[string][]byte, len(servers))
+	for _, s := range servers {
+		data, err := os.ReadFile(filepath.Join(s.Dir, regionsFile))
+		if err != nil {
+			return nil, fmt.Errorf("fsrun: memory server %s left no regions: %w", s.Name, err)
+		}
+		encoded[s.Name] = data
+	}
+	return netsim.New(cfg, encoded)
 }
 
 // TracePath is where a run with the given manifest path writes its span
@@ -260,12 +302,21 @@ func nodeJob(job install.JobConfig, fabric *netsim.Fabric, opts Options) remote.
 // name) or as a ".manifest.jsonl" extension — swapped for the trace
 // equivalent, or ".trace.jsonl" appended when the manifest is named
 // differently.
-func TracePath(manifestPath string) string {
+func TracePath(manifestPath string) string { return besideManifest(manifestPath, "trace.jsonl") }
+
+// serverManifestPath is where the memory servers' phase keeps its own
+// manifest (and journal), named as TracePath names the trace, so the
+// nodes' manifest holds the nodes alone.
+func serverManifestPath(manifestPath string) string {
+	return besideManifest(manifestPath, "servers.manifest.jsonl")
+}
+
+func besideManifest(manifestPath, name string) string {
 	const suffix = "manifest.jsonl"
 	if base := filepath.Base(manifestPath); base == suffix || strings.HasSuffix(base, "."+suffix) {
-		return manifestPath[:len(manifestPath)-len(suffix)] + "trace.jsonl"
+		return manifestPath[:len(manifestPath)-len(suffix)] + name
 	}
-	return manifestPath + ".trace.jsonl"
+	return manifestPath + "." + name
 }
 
 // Verify compares every job's output directory against the config's

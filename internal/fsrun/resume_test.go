@@ -64,10 +64,6 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The nodes are independent; run them without a network fabric.
-	// Checkpointing is (by design) disabled on networked topologies, whose
-	// cross-node fabric state sits outside any one machine.
-	cfg.Topology = "no_net"
 	return cfg
 }
 

@@ -34,8 +34,9 @@ type JobConfig struct {
 	Devices string `json:"devices,omitempty"`
 	// ServerNode names the RDMA memory server for pfa-rdma nodes.
 	ServerNode string `json:"serverNode,omitempty"`
-	// Bare marks bare-metal nodes that must run before OS nodes (they set
-	// up fabric state such as registered memory).
+	// Bare marks a bare-metal node, a memory server: servers run before the
+	// OS nodes, and the regions each registers with its NIC land as its
+	// output, from which the read-only fabric of pfa-rdma nodes is built.
 	Bare bool `json:"bare,omitempty"`
 }
 
@@ -43,9 +44,6 @@ type JobConfig struct {
 type Config struct {
 	// Workload is the root workload name.
 	Workload string `json:"workload"`
-	// Topology is "no_net" for single/independent nodes or "simple" when
-	// jobs share a network.
-	Topology string `json:"topology"`
 	// Jobs lists the nodes to simulate.
 	Jobs []JobConfig `json:"jobs"`
 	// PostRunHook is the host script to run over the output directory.

@@ -11,7 +11,6 @@ import (
 func sampleConfig() *Config {
 	return &Config{
 		Workload: "intspeed",
-		Topology: "no_net",
 		Jobs: []JobConfig{
 			{Name: "intspeed-600.perlbench_s", Bin: "/abs/bin", Img: "/abs/img", Outputs: []string{"/output"}},
 			{Name: "intspeed-server", Bin: "/abs/serve", Bare: true},
@@ -72,6 +71,21 @@ func TestLoadErrors(t *testing.T) {
 	os.WriteFile(filepath.Join(dir, ConfigFileName), []byte("{}"), 0o644)
 	if _, err := Load(dir); err == nil {
 		t.Error("expected empty-config error")
+	}
+}
+
+// TestLoadIgnoresRetiredTopology: configs installed before the run read
+// the network from the jobs themselves still carry a "topology" key; they
+// load as they are.
+func TestLoadIgnoresRetiredTopology(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"workload": "w", "topology": "simple", "jobs": [{"name": "w-a", "bin": "/abs/bin"}]}`
+	if err := os.WriteFile(filepath.Join(dir, ConfigFileName), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Load(dir)
+	if err != nil || cfg.Workload != "w" || len(cfg.Jobs) != 1 {
+		t.Fatalf("Load = %+v, %v", cfg, err)
 	}
 }
 

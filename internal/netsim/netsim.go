@@ -1,10 +1,15 @@
 // Package netsim models the network connecting jobs in a multi-node
 // cycle-exact simulation (the role of FireSim's simulated datacenter
 // network, §III-A "jobs ... will be instantiated as network nodes in
-// FireSim simulation"). It provides an RDMA-capable fabric: nodes register
-// memory regions with their simulated NIC, and remote nodes read or write
-// those regions without involving the owner's CPU — exactly the property
-// the Page Fault Accelerator exploits (§IV-A).
+// FireSim simulation"). A memory server registers regions of its memory
+// with its simulated NIC; once the server halts, those regions are the
+// fabric, and remote nodes read them without involving the owner's CPU —
+// exactly the property the Page Fault Accelerator exploits (§IV-A).
+//
+// The fabric is a value, not shared state: it is built once from each
+// server's encoded regions (NIC.Encode, the server job's recorded output)
+// and only read afterwards, so it needs no lock and the server's output
+// is an ordinary, resumable artifact.
 //
 // The paper notes that functional simulation lacks a network model (§VI);
 // this package is therefore only wired into the cycle-exact simulator,
@@ -12,8 +17,9 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
+	"sort"
 )
 
 // Config sets the fabric timing model.
@@ -30,22 +36,12 @@ func DefaultConfig() Config {
 	return Config{LatencyCycles: 200, BytesPerCycle: 8}
 }
 
-// Fabric connects the nodes of one simulated cluster. It is safe for
-// concurrent use: nodes simulate in parallel on the host.
+// Fabric is the read-only memory the servers of one simulated cluster
+// registered, by node. Nothing writes it after New, so nodes simulating in
+// parallel read it without coordination.
 type Fabric struct {
-	cfg Config
-
-	mu      sync.Mutex
-	regions map[string][]*region
-	stats   Stats
-}
-
-// Stats counts fabric traffic.
-type Stats struct {
-	RDMAReads  uint64
-	RDMAWrites uint64
-	BytesRead  uint64
-	BytesWrite uint64
+	cfg     Config
+	regions map[string][]region
 }
 
 type region struct {
@@ -53,77 +49,76 @@ type region struct {
 	data []byte
 }
 
-// New creates an empty fabric.
-func New(cfg Config) *Fabric {
+// New builds the fabric from each server node's encoded regions, keeping
+// their bytes (the caller does not modify them afterwards). An encoding
+// that does not decode fails with the node's name.
+func New(cfg Config, servers map[string][]byte) (*Fabric, error) {
 	if cfg.BytesPerCycle == 0 {
 		cfg.BytesPerCycle = 1
 	}
-	return &Fabric{cfg: cfg, regions: map[string][]*region{}}
-}
-
-// RegisterMemory exposes a memory region of the named node for RDMA. The
-// fabric takes ownership of data (the NIC's registered buffer).
-func (f *Fabric) RegisterMemory(node string, base uint64, data []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.regions[node] = append(f.regions[node], &region{base: base, data: data})
-}
-
-// HasNode reports whether the node registered any memory.
-func (f *Fabric) HasNode(node string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.regions[node]) > 0
-}
-
-func (f *Fabric) find(node string, addr uint64, n int) (*region, error) {
-	for _, r := range f.regions[node] {
-		if addr >= r.base && addr+uint64(n) <= r.base+uint64(len(r.data)) {
-			return r, nil
+	f := &Fabric{cfg: cfg, regions: map[string][]region{}}
+	for node, enc := range servers {
+		regions, err := decode(enc)
+		if err != nil {
+			return nil, fmt.Errorf("netsim: regions of node %q: %w", node, err)
 		}
+		f.regions[node] = regions
 	}
-	return nil, fmt.Errorf("netsim: node %q has no registered region covering [%#x,%#x)", node, addr, addr+uint64(n))
-}
-
-// transferCycles returns the modeled cycles for an n-byte round trip.
-func (f *Fabric) transferCycles(n int) uint64 {
-	return 2*f.cfg.LatencyCycles + uint64(n)/f.cfg.BytesPerCycle
+	return f, nil
 }
 
 // RDMARead fetches n bytes at addr from the node's registered memory,
-// returning the data and the modeled latency in cycles.
+// returning the data and the modeled latency in cycles: a round trip plus
+// n bytes at the link's bandwidth.
 func (f *Fabric) RDMARead(node string, addr uint64, n int) ([]byte, uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, err := f.find(node, addr, n)
-	if err != nil {
-		return nil, 0, err
+	for _, r := range f.regions[node] {
+		if addr >= r.base && addr+uint64(n) <= r.base+uint64(len(r.data)) {
+			off := addr - r.base
+			out := append([]byte(nil), r.data[off:off+uint64(n)]...)
+			return out, 2*f.cfg.LatencyCycles + uint64(n)/f.cfg.BytesPerCycle, nil
+		}
 	}
-	off := addr - r.base
-	out := append([]byte(nil), r.data[off:off+uint64(n)]...)
-	f.stats.RDMAReads++
-	f.stats.BytesRead += uint64(n)
-	return out, f.transferCycles(n), nil
+	return nil, 0, fmt.Errorf("netsim: node %q has no registered region covering [%#x,%#x)", node, addr, addr+uint64(n))
 }
 
-// RDMAWrite stores data into the node's registered memory, returning the
-// modeled latency in cycles.
-func (f *Fabric) RDMAWrite(node string, addr uint64, data []byte) (uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r, err := f.find(node, addr, len(data))
-	if err != nil {
-		return 0, err
+// encode is the canonical form of a region list: the regions sorted by
+// base (ties keep registration order), each a little-endian uint64 base
+// and uint64 length followed by its bytes.
+func encode(regions []region) []byte {
+	sorted := append([]region(nil), regions...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].base < sorted[j].base })
+	var out []byte
+	for _, r := range sorted {
+		out = binary.LittleEndian.AppendUint64(out, r.base)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(r.data)))
+		out = append(out, r.data...)
 	}
-	copy(r.data[addr-r.base:], data)
-	f.stats.RDMAWrites++
-	f.stats.BytesWrite += uint64(len(data))
-	return f.transferCycles(len(data)), nil
+	return out
 }
 
-// SnapshotStats returns accumulated traffic counters.
-func (f *Fabric) SnapshotStats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+// decode is encode's inverse. It accepts only the canonical form: whole
+// records, non-empty regions that do not wrap the address space, in base
+// order.
+func decode(enc []byte) ([]region, error) {
+	var regions []region
+	for len(enc) > 0 {
+		if len(enc) < 16 {
+			return nil, fmt.Errorf("truncated record header (%d bytes)", len(enc))
+		}
+		base, size := binary.LittleEndian.Uint64(enc), binary.LittleEndian.Uint64(enc[8:])
+		enc = enc[16:]
+		switch {
+		case size == 0:
+			return nil, fmt.Errorf("empty region at %#x", base)
+		case size > uint64(len(enc)):
+			return nil, fmt.Errorf("region at %#x claims %d bytes, %d left", base, size, len(enc))
+		case base+size < base:
+			return nil, fmt.Errorf("region at %#x wraps the address space", base)
+		case len(regions) > 0 && base < regions[len(regions)-1].base:
+			return nil, fmt.Errorf("region at %#x out of base order", base)
+		}
+		regions = append(regions, region{base: base, data: enc[:size:size]})
+		enc = enc[size:]
+	}
+	return regions, nil
 }

@@ -7,17 +7,13 @@ import (
 )
 
 // NIC is the RDMA-capable network interface exposed to guests. A memory
-// server (the bare-metal job of Listing 1) registers a region of its memory
-// with the NIC; the fabric then serves RDMA reads/writes against it without
-// CPU involvement — the property the PFA leverages (§IV-A).
+// server (the bare-metal job of Listing 1) registers regions of its memory
+// with the NIC, which snapshots each one as it is registered; after the
+// server halts, Encode is what the fabric is built from, and remote reads
+// against it need no CPU — the property the PFA leverages (§IV-A).
 type NIC struct {
-	// Fabric is the cluster network.
-	Fabric *Fabric
-	// NodeName identifies this node on the fabric.
-	NodeName string
-
 	base, size uint64
-	registered int
+	regions    []region
 }
 
 // NICBase is the NIC's MMIO address.
@@ -32,6 +28,10 @@ const (
 	nicRegSpan     = 0x20
 )
 
+// Encode returns the canonical encoding of the regions registered so far:
+// one server's share of the fabric (see New).
+func (n *NIC) Encode() []byte { return encode(n.regions) }
+
 // Name implements sim.Device.
 func (n *NIC) Name() string { return "icenic" }
 
@@ -42,7 +42,7 @@ func (n *NIC) AddrRange() (uint64, uint64) { return NICBase, NICBase + nicRegSpa
 func (n *NIC) Load(m *sim.Machine, addr uint64, size int) (uint64, uint64, error) {
 	switch addr - NICBase {
 	case nicRegCount:
-		return uint64(n.registered), 0, nil
+		return uint64(len(n.regions)), 0, nil
 	default:
 		return 0, 0, fmt.Errorf("netsim: NIC load from unknown register %#x", addr)
 	}
@@ -58,15 +58,13 @@ func (n *NIC) Store(m *sim.Machine, addr uint64, size int, val uint64) (uint64, 
 		n.size = val
 		return 0, nil
 	case nicRegRegister:
-		if n.Fabric == nil {
-			return 0, fmt.Errorf("netsim: NIC has no fabric (functional simulation cannot model inter-job networking)")
-		}
 		if n.size == 0 {
 			return 0, fmt.Errorf("netsim: NIC register with zero size")
 		}
-		data := m.Mem.ReadBytes(n.base, int(n.size))
-		n.Fabric.RegisterMemory(n.NodeName, n.base, data)
-		n.registered++
+		if n.base+n.size < n.base {
+			return 0, fmt.Errorf("netsim: NIC register of [%#x,+%#x) wraps the address space", n.base, n.size)
+		}
+		n.regions = append(n.regions, region{base: n.base, data: m.Mem.ReadBytes(n.base, int(n.size))})
 		return 0, nil
 	default:
 		return 0, fmt.Errorf("netsim: NIC store to unknown register %#x", addr)

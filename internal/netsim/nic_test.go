@@ -1,14 +1,14 @@
 package netsim
 
 import (
+	"bytes"
 	"testing"
 
 	"firemarshal/internal/sim"
 )
 
 func TestNICRegisterFlow(t *testing.T) {
-	fabric := New(DefaultConfig())
-	nic := &NIC{Fabric: fabric, NodeName: "n0"}
+	nic := &NIC{}
 	m := sim.NewMachine()
 	m.Mem.WriteBytes(0x100000, []byte{9, 8, 7, 6})
 
@@ -29,31 +29,41 @@ func TestNICRegisterFlow(t *testing.T) {
 	if err != nil || count != 1 {
 		t.Errorf("count = %d, %v", count, err)
 	}
+	// The region is snapshotted at register time: later guest stores do
+	// not reach the fabric.
+	m.Mem.WriteBytes(0x100000, []byte{0})
+	fabric, err := New(DefaultConfig(), map[string][]byte{"n0": nic.Encode()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, _, err := fabric.RDMARead("n0", 0x100000, 4)
-	if err != nil || data[0] != 9 || data[3] != 6 {
+	if err != nil || !bytes.Equal(data, []byte{9, 8, 7, 6}) {
 		t.Errorf("registered data = %v, %v", data, err)
 	}
 }
 
 func TestNICErrors(t *testing.T) {
 	m := sim.NewMachine()
-	// No fabric: the functional-simulation limitation of §VI.
-	nic := &NIC{NodeName: "n0"}
-	nic.Store(m, NICBase+0x08, 8, 64)
-	if _, err := nic.Store(m, NICBase+0x10, 8, 1); err == nil {
-		t.Error("register without fabric must fail (no network model in functional sim)")
-	}
+	nic := &NIC{}
 	// Zero size.
-	nic2 := &NIC{Fabric: New(DefaultConfig()), NodeName: "n"}
-	if _, err := nic2.Store(m, NICBase+0x10, 8, 1); err == nil {
+	if _, err := nic.Store(m, NICBase+0x10, 8, 1); err == nil {
 		t.Error("zero-size register must fail")
 	}
+	// A region past the top of the address space.
+	nic.Store(m, NICBase+0x00, 8, ^uint64(0)-1)
+	nic.Store(m, NICBase+0x08, 8, 4)
+	if _, err := nic.Store(m, NICBase+0x10, 8, 1); err == nil {
+		t.Error("wrapping register must fail")
+	}
 	// Unknown registers.
-	if _, err := nic2.Store(m, NICBase+0x18, 8, 1); err == nil {
+	if _, err := nic.Store(m, NICBase+0x18, 8, 1); err == nil {
 		t.Error("store to count register must fail")
 	}
-	if _, _, err := nic2.Load(m, NICBase+0x00, 8); err == nil {
+	if _, _, err := nic.Load(m, NICBase+0x00, 8); err == nil {
 		t.Error("load from base register must fail")
+	}
+	if len(nic.Encode()) != 0 {
+		t.Error("failed registers left regions behind")
 	}
 }
 

@@ -138,31 +138,10 @@ func (r Recipe) Clone() Recipe {
 	return r
 }
 
-// randomKernel draws one kernel. The switch arm draw order replicates the
-// original RandomSource exactly — one Intn for the kind, then the kind's
-// parameter draws in argument order — so seeds keep their workloads.
-func randomKernel(rng *rand.Rand) Kernel {
-	switch KernelKind(rng.Intn(int(NumKernelKinds))) {
-	case KPatternBranch:
-		return Kernel{Kind: KPatternBranch, A: 200 + rng.Intn(800), B: 4 + rng.Intn(60), Seed: rng.Int63()}
-	case KPointerChase:
-		return Kernel{Kind: KPointerChase, A: 200 + rng.Intn(800), B: 16 + rng.Intn(240), Seed: rng.Int63()}
-	case KStreamSum:
-		return Kernel{Kind: KStreamSum, A: 2 + rng.Intn(8), B: 16 + rng.Intn(200)}
-	case KALU:
-		return Kernel{Kind: KALU, A: 300 + rng.Intn(1000), Flag: rng.Intn(2) == 0}
-	case KDivide:
-		return Kernel{Kind: KDivide, A: 100 + rng.Intn(300)}
-	case KStoreFill:
-		return Kernel{Kind: KStoreFill, A: 2 + rng.Intn(6), B: 8 + rng.Intn(100)}
-	default:
-		return Kernel{Kind: KLoopHeavy, A: 2 + rng.Intn(16), B: 8 + rng.Intn(56)}
-	}
-}
-
-// KernelOfKind draws a kernel of a specific kind with the same parameter
-// distributions randomKernel uses — the coverage-guided mutator's way of
-// steering generation toward kinds the corpus has not exercised.
+// KernelOfKind draws a kernel of a specific kind: the kind's parameter
+// draws in argument order. It is the one parameter table — RandomRecipe
+// draws the kind and then calls it, and the coverage-guided mutator calls
+// it to steer generation toward kinds the corpus has not exercised.
 func KernelOfKind(rng *rand.Rand, kind KernelKind) Kernel {
 	switch kind {
 	case KPatternBranch:
@@ -189,7 +168,9 @@ func RandomRecipe(seed int64) Recipe {
 	r := Recipe{Name: fmt.Sprintf("fuzz%04x", uint16(seed)), Seed: seed}
 	n := 2 + rng.Intn(3)
 	for i := 0; i < n; i++ {
-		r.Kernels = append(r.Kernels, randomKernel(rng))
+		// One Intn for the kind, then its parameters: the original
+		// RandomSource's draw order, so seeds keep their workloads.
+		r.Kernels = append(r.Kernels, KernelOfKind(rng, KernelKind(rng.Intn(int(NumKernelKinds)))))
 	}
 	return r
 }

@@ -183,15 +183,21 @@ func TestPFAClientAgainstGoldenModel(t *testing.T) {
 }
 
 func TestPFAServerRegistersWithNIC(t *testing.T) {
-	fabric := netsim.New(netsim.DefaultConfig())
+	nic := &netsim.NIC{}
 	out := runSource(t, PFAServerSource(8), func(p sim.Platform) {
-		p.AddDevice(&netsim.NIC{Fabric: fabric, NodeName: "server"})
+		p.AddDevice(nic)
 	})
 	if !strings.Contains(out, "serve: ready") {
 		t.Errorf("server output = %q", out)
 	}
-	if !fabric.HasNode("server") {
-		t.Fatal("server did not register memory")
+	// The server registers its whole remote region, once.
+	enc := nic.Encode()
+	if want := 16 + 8*4096; len(enc) != want {
+		t.Fatalf("registered regions encode to %d bytes, want one 8-page region (%d)", len(enc), want)
+	}
+	fabric, err := netsim.New(netsim.DefaultConfig(), map[string][]byte{"server": enc})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The registered pattern must match the golden model byte-for-byte, so
 	// Spike-vs-FireSim outputs agree (§IV-A methodology).

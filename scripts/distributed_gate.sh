@@ -23,9 +23,12 @@
 #  3. A loopback smoke over real binaries: `marshal cache serve` plus
 #     three `marshal worker serve` daemons on 127.0.0.1, one
 #     `marshal launch -workers` that leases a 3-job workgen workload
-#     across them and materializes every uartlog on the coordinator, and
-#     one `marshal verify-farm -workers` that shards six seeds across the
-#     same daemons and lands every shard's manifest on the coordinator.
+#     across them and materializes every uartlog on the coordinator; the
+#     same workload installed (`marshal install`) and simulated
+#     cycle-exactly by `firesim -workers` on the same daemons, as
+#     installed: an installed multi-job workload is pure machine state;
+#     and one `marshal verify-farm -workers` that shards six seeds across
+#     the same daemons and lands every shard's manifest on the coordinator.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -52,7 +55,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$TMP" ./cmd/marshal ./cmd/workgen
+go build -o "$TMP" ./cmd/marshal ./cmd/workgen ./cmd/firesim
 
 CACHE=127.0.0.1:18414
 CACHE_URL="http://$CACHE"
@@ -88,6 +91,21 @@ fi
 
 for job in job00 job01 job02; do
     LOG="$TMP/coord/runs/parjobs-$job/uartlog"
+    if [ ! -s "$LOG" ]; then
+        echo "distributed_gate.sh: FAIL (missing or empty $LOG)"
+        exit 1
+    fi
+done
+
+echo "== loopback fleet firesim smoke (the installed workload over the same daemons)"
+"$TMP/marshal" -workdir "$TMP/coord" -workload-dirs "$TMP/wl" install parjobs >/dev/null
+if ! "$TMP/firesim" -config "$TMP/coord/firesim/parjobs" -output "$TMP/sim" \
+    -workers "$WORKERS" -remote-cache "$CACHE_URL"; then
+    echo "distributed_gate.sh: FAIL (fleet firesim run exited non-zero)"
+    exit 1
+fi
+for job in job00 job01 job02; do
+    LOG="$TMP/sim/parjobs-$job/uartlog"
     if [ ! -s "$LOG" ]; then
         echo "distributed_gate.sh: FAIL (missing or empty $LOG)"
         exit 1
